@@ -158,18 +158,30 @@ impl DpGreedyReport {
     }
 }
 
-/// Builds the merged per-item event list of a packed pair: every request
-/// containing `item`, flagged by partner co-occurrence.
-fn pair_item_events(seq: &RequestSeq, item: ItemId, partner: ItemId) -> Vec<PairItemEvent> {
-    seq.requests()
-        .iter()
-        .filter(|r| r.contains(item))
-        .map(|r| PairItemEvent {
+/// Builds the per-item event list of a packed pair: every request
+/// containing the item, flagged by partner co-occurrence. `both` and
+/// `only` are the pair's co-requests and the item's singleton requests
+/// from [`RequestSeq::pair_view`] (ascending and disjoint), merged here
+/// into time order.
+fn pair_item_events(seq: &RequestSeq, both: &[usize], only: &[usize]) -> Vec<PairItemEvent> {
+    let mut events = Vec::with_capacity(both.len() + only.len());
+    let (mut i, mut j) = (0, 0);
+    while i < both.len() || j < only.len() {
+        let is_co = j == only.len() || (i < both.len() && both[i] < only[j]);
+        let index = if is_co { both[i] } else { only[j] };
+        if is_co {
+            i += 1;
+        } else {
+            j += 1;
+        }
+        let r = seq.get(index);
+        events.push(PairItemEvent {
             time: r.time,
             server: r.server,
-            is_co: r.contains(partner),
-        })
-        .collect()
+            is_co,
+        });
+    }
+    events
 }
 
 /// Runs Phase 2 for one packed pair, independent of Phase 1 (used directly
@@ -181,7 +193,7 @@ pub fn dp_greedy_pair(
     config: &DpGreedyConfig,
 ) -> PairReport {
     let pv = seq.pair_view(a, b);
-    let co_trace = seq.package_trace(a, b);
+    let co_trace = seq.trace_of(&pv.both);
 
     // Package DP over co-requests at package rates — Algorithm 1 line 40.
     let pkg_model = config.model.scaled_for_package();
@@ -201,8 +213,8 @@ pub fn dp_greedy_pair(
         PackageAvailability::Always => None,
     };
 
-    let a_events = pair_item_events(seq, a, b);
-    let b_events = pair_item_events(seq, b, a);
+    let a_events = pair_item_events(seq, &pv.both, &pv.only_a);
+    let b_events = pair_item_events(seq, &pv.both, &pv.only_b);
     let a_greedy = singleton_greedy(&a_events, &config.model, horizon);
     let b_greedy = singleton_greedy(&b_events, &config.model, horizon);
 

@@ -222,13 +222,27 @@ pub struct JaccardMatrix {
 }
 
 impl JaccardMatrix {
-    /// Builds the full matrix from co-occurrence statistics.
+    /// Builds the full matrix from co-occurrence statistics: one Eq. (5)
+    /// evaluation per `i < j` pair, mirrored below the diagonal, with the
+    /// diagonal fixed at 1 — entry for entry what [`CoOccurrence::jaccard`]
+    /// returns.
     pub fn from_cooccurrence(co: &CoOccurrence) -> Self {
         let k = co.items();
         let mut values = vec![0.0; k * k];
+        // Row i of the packed triangle holds the counts of (i, i+1..k).
+        let mut row_start = 0;
         for i in 0..k {
-            for j in 0..k {
-                values[i * k + j] = co.jaccard(ItemId(i as u32), ItemId(j as u32));
+            values[i * k + i] = 1.0;
+            let row = &co.pair_counts[row_start..row_start + (k - i - 1)];
+            row_start += row.len();
+            for (j, &both) in (i + 1..k).zip(row) {
+                let v = crate::incidence::jaccard_from_counts(
+                    both,
+                    co.item_counts[i],
+                    co.item_counts[j],
+                );
+                values[i * k + j] = v;
+                values[j * k + i] = v;
             }
         }
         JaccardMatrix { k, values }

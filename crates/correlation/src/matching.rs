@@ -1,9 +1,9 @@
 //! Greedy threshold matching — Algorithm 1, lines 7–27.
 //!
-//! Pairs are sorted by descending Jaccard similarity and greedily accepted
-//! when `J > θ` and neither item is already packed (`package_flag`);
-//! leftover items are served individually. Ties are broken by ascending
-//! item indices so the packing is deterministic.
+//! Pairs with `J > θ` are sorted by descending Jaccard similarity and
+//! greedily accepted when neither item is already packed
+//! (`package_flag`); leftover items are served individually. Ties are
+//! broken by ascending item indices so the packing is deterministic.
 
 use crate::jaccard::JaccardMatrix;
 use mcs_model::ItemId;
@@ -72,9 +72,21 @@ impl Packing {
 ///
 /// A pair is packed when its similarity is **strictly** greater than
 /// `theta` (line 16: `Jaccard(key) > θ`) and neither member is already
-/// flagged.
+/// flagged. Only the upper triangle's pairs above `θ` are collected and
+/// sorted — `O(k² + c log c)` for `c` candidates — since a pair at or
+/// below `θ` can never be accepted.
 pub fn greedy_matching(matrix: &JaccardMatrix, theta: f64) -> Packing {
-    greedy_matching_from_pairs(matrix.pairs(), matrix.items() as u32, theta)
+    let k = matrix.items() as u32;
+    let mut candidates = Vec::new();
+    for a in (0..k).map(ItemId) {
+        for b in (a.0 + 1..k).map(ItemId) {
+            let similarity = matrix.get(a, b);
+            if similarity > theta {
+                candidates.push((a, b, similarity));
+            }
+        }
+    }
+    pack(candidates, k, theta)
 }
 
 /// The same greedy matching over an explicit pair-similarity list — the
@@ -85,20 +97,26 @@ pub fn greedy_matching_from_pairs(
     items: u32,
     theta: f64,
 ) -> Packing {
-    // NaN similarities (degenerate inputs, e.g. decayed counts gone
-    // non-finite) carry no ordering information and could land anywhere
-    // under a partial comparison, making the packing depend on the input
-    // permutation. They can never clear `J > θ` anyway, so drop them
-    // before sorting and use the total order for what remains.
-    pairs.retain(|p| !p.2.is_nan());
-    // Descending similarity; ascending (i, j) on ties for determinism.
-    pairs.sort_by(|x, y| y.2.total_cmp(&x.2).then(x.0.cmp(&y.0)).then(x.1.cmp(&y.1)));
+    // Only pairs strictly above θ can ever be accepted, so drop the rest
+    // before sorting. The filter also drops NaN similarities (degenerate
+    // inputs, e.g. decayed counts gone non-finite): they carry no
+    // ordering information and could otherwise land anywhere in the
+    // sort, making the packing depend on the input permutation.
+    pairs.retain(|p| p.2 > theta);
+    pack(pairs, items, theta)
+}
+
+/// Greedily accepts `candidates` — every one already strictly above `θ` —
+/// in descending similarity, ascending `(i, j)` on ties, skipping pairs
+/// with an already-flagged member.
+fn pack(mut candidates: Vec<(ItemId, ItemId, f64)>, items: u32, theta: f64) -> Packing {
+    candidates.sort_by(|x, y| y.2.total_cmp(&x.2).then(x.0.cmp(&y.0)).then(x.1.cmp(&y.1)));
 
     let k = items as usize;
     let mut flagged = vec![false; k];
     let mut chosen = Vec::new();
-    for (a, b, j) in pairs {
-        if j > theta && !flagged[a.index()] && !flagged[b.index()] {
+    for (a, b, _) in candidates {
+        if !flagged[a.index()] && !flagged[b.index()] {
             flagged[a.index()] = true;
             flagged[b.index()] = true;
             chosen.push((a, b));

@@ -20,9 +20,11 @@
 //! * [`diagram`] — ASCII renderings of space-time diagrams for debugging
 //!   and documentation.
 //!
-//! Everything here is pure, deterministic, `Send + Sync` data; no
-//! interior mutability and no floating-point environment dependence beyond
-//! ordinary IEEE-754 arithmetic.
+//! Everything here is pure, deterministic, `Send + Sync` data with no
+//! floating-point environment dependence beyond ordinary IEEE-754
+//! arithmetic. The one interior-mutable cell is [`RequestSeq`]'s posting
+//! index, built once on first use and invisible to equality, `Debug` and
+//! `Clone`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

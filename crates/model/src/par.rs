@@ -48,7 +48,9 @@ fn default_threads() -> usize {
 /// Spawns at most [`max_threads`] scoped threads; falls back to a plain
 /// sequential map for tiny inputs. Because every output lands in its
 /// input position, the result is **identical** to `items.iter().map(f)`
-/// for any thread count — parallelism here never changes figures.
+/// for any thread count — parallelism here never changes figures. Every
+/// worker has exited, thread-local destructors included, before this
+/// returns, and a worker's panic is re-raised on the caller.
 pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
     par_map_with_threads(items, max_threads(), f)
 }
@@ -68,13 +70,26 @@ pub fn par_map_with_threads<T: Sync, U: Send>(
     let chunk = n.div_ceil(threads);
     let mut out: Vec<Option<U>> = (0..n).map(|_| None).collect();
     std::thread::scope(|s| {
-        for (slots, chunk_items) in out.chunks_mut(chunk).zip(items.chunks(chunk)) {
-            let f = &f;
-            s.spawn(move || {
-                for (slot, item) in slots.iter_mut().zip(chunk_items) {
-                    *slot = Some(f(item));
-                }
-            });
+        let workers: Vec<_> = out
+            .chunks_mut(chunk)
+            .zip(items.chunks(chunk))
+            .map(|(slots, chunk_items)| {
+                let f = &f;
+                s.spawn(move || {
+                    for (slot, item) in slots.iter_mut().zip(chunk_items) {
+                        *slot = Some(f(item));
+                    }
+                })
+            })
+            .collect();
+        // Join explicitly: the scope's implicit join can return before a
+        // worker's thread-local destructors run, and those destructors are
+        // where `mcs_obs` folds the worker's metrics into the global
+        // registry. A joined thread has fully exited, destructors included.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     out.into_iter()

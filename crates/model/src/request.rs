@@ -8,6 +8,8 @@
 //! reserved for the origin placement on `s_1`), non-empty duplicate-free
 //! item sets, and in-range identifiers.
 
+use std::sync::OnceLock;
+
 use crate::error::ModelError;
 use crate::ids::{ItemId, ServerId};
 use crate::time::TimePoint;
@@ -76,14 +78,136 @@ impl Request {
 
 /// A validated, time-ordered sequence of requests over `m` servers and
 /// `k` items.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The per-item projections and counts ([`Self::item_trace`],
+/// [`Self::pair_view`], [`Self::count_pair`], …) read a posting index that
+/// is built once, on the first such call, in `O(Σ|D_i| + k)`. Paths that
+/// never project (generation, saving, trace loading, serve admission)
+/// never pay for it, and equality, `Debug` and `Clone` ignore it: a clone
+/// starts without an index and builds its own on demand.
 pub struct RequestSeq {
     servers: u32,
     items: u32,
     requests: Vec<Request>,
+    postings: OnceLock<Postings>,
+}
+
+impl PartialEq for RequestSeq {
+    fn eq(&self, other: &Self) -> bool {
+        self.servers == other.servers
+            && self.items == other.items
+            && self.requests == other.requests
+    }
+}
+
+impl std::fmt::Debug for RequestSeq {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RequestSeq")
+            .field("servers", &self.servers)
+            .field("items", &self.items)
+            .field("requests", &self.requests)
+            .finish()
+    }
+}
+
+impl Clone for RequestSeq {
+    fn clone(&self) -> Self {
+        RequestSeq::new(self.servers, self.items, self.requests.clone())
+    }
+}
+
+/// Per-item posting lists in CSR form: the ascending indices of the
+/// requests containing item `i` are `requests[offsets[i]..offsets[i + 1]]`.
+struct Postings {
+    offsets: Vec<usize>,
+    requests: Vec<u32>,
+}
+
+impl Postings {
+    fn build(items: u32, requests: &[Request]) -> Self {
+        assert!(
+            u32::try_from(requests.len()).is_ok(),
+            "request indices fit in u32"
+        );
+        let k = items as usize;
+        // Count every item's accesses, prefix-sum the counts into each
+        // list's end offset, then fill the lists back to front: walking
+        // the requests in reverse leaves every list ascending and every
+        // offset at its list's start.
+        let mut offsets = vec![0usize; k + 1];
+        for r in requests {
+            for item in &r.items {
+                offsets[item.index()] += 1;
+            }
+        }
+        let mut end = 0;
+        for offset in &mut offsets {
+            end += *offset;
+            *offset = end;
+        }
+        let mut postings = vec![0u32; end];
+        for (index, r) in requests.iter().enumerate().rev() {
+            for item in &r.items {
+                let slot = &mut offsets[item.index()];
+                *slot -= 1;
+                postings[*slot] = index as u32;
+            }
+        }
+        Postings {
+            offsets,
+            requests: postings,
+        }
+    }
+
+    /// The posting list of `item`; empty outside the item universe.
+    fn of(&self, item: ItemId) -> &[u32] {
+        match self.offsets.get(item.index()..item.index() + 2) {
+            Some(&[start, end]) => &self.requests[start..end],
+            _ => &[],
+        }
+    }
+}
+
+/// Walks two ascending posting lists in one merge, calling
+/// `f(index, in_a, in_b)` for every request index in either list, in
+/// ascending order.
+fn merge_postings(a: &[u32], b: &[u32], mut f: impl FnMut(usize, bool, bool)) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => {
+                f(a[i] as usize, true, false);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                f(b[j] as usize, false, true);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                f(a[i] as usize, true, true);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    for &index in &a[i..] {
+        f(index as usize, true, false);
+    }
+    for &index in &b[j..] {
+        f(index as usize, false, true);
+    }
 }
 
 impl RequestSeq {
+    fn new(servers: u32, items: u32, requests: Vec<Request>) -> Self {
+        RequestSeq {
+            servers,
+            items,
+            requests,
+            postings: OnceLock::new(),
+        }
+    }
+
     /// Number of cache servers `m`.
     #[inline]
     pub fn servers(&self) -> u32 {
@@ -125,18 +249,32 @@ impl RequestSeq {
         self.requests.last().map_or(0.0, |r| r.time)
     }
 
+    /// Ascending indices of the requests containing `item` — its posting
+    /// list, empty for an item outside the universe. The first call on a
+    /// sequence builds the posting index of every item.
+    pub fn posting_list(&self, item: ItemId) -> &[u32] {
+        self.postings
+            .get_or_init(|| Postings::build(self.items, &self.requests))
+            .of(item)
+    }
+
     /// Number of requests containing `item` — the `|d_i|` of Eq. (5).
     pub fn count_containing(&self, item: ItemId) -> usize {
-        self.requests.iter().filter(|r| r.contains(item)).count()
+        self.posting_list(item).len()
     }
 
     /// Number of requests containing both `a` and `b` — the `|(d_i, d_j)|`
     /// of Eq. (5).
     pub fn count_pair(&self, a: ItemId, b: ItemId) -> usize {
-        self.requests
-            .iter()
-            .filter(|r| r.contains_both(a, b))
-            .count()
+        let mut count = 0;
+        merge_postings(
+            self.posting_list(a),
+            self.posting_list(b),
+            |_, in_a, in_b| {
+                count += usize::from(in_a && in_b);
+            },
+        );
+        count
     }
 
     /// Total number of *item accesses*, `Σ_i |d_i|` — the denominator of the
@@ -145,42 +283,59 @@ impl RequestSeq {
         self.requests.iter().map(|r| r.items.len()).sum()
     }
 
-    /// Projects the sequence onto a single item: the time-ordered
-    /// `(time, server)` trace of every request containing `item`.
-    ///
-    /// This is the input shape consumed by the single-item off-line
-    /// algorithms (the substrate of \[6\]).
-    pub fn item_trace(&self, item: ItemId) -> SingleItemTrace {
-        let points = self
-            .requests
-            .iter()
-            .filter(|r| r.contains(item))
-            .map(|r| TracePoint {
-                time: r.time,
-                server: r.server,
-            })
-            .collect();
+    /// The `(time, server)` trace of the requests at `indices`, which must
+    /// be ascending — e.g. one list of a [`PairView`].
+    pub fn trace_of(&self, indices: &[usize]) -> SingleItemTrace {
+        self.trace(indices.iter().map(|&index| self.point(index)).collect())
+    }
+
+    fn point(&self, index: usize) -> TracePoint {
+        let r = &self.requests[index];
+        TracePoint {
+            time: r.time,
+            server: r.server,
+        }
+    }
+
+    fn trace(&self, points: Vec<TracePoint>) -> SingleItemTrace {
         SingleItemTrace {
             servers: self.servers,
             points,
         }
     }
 
+    /// Projects the sequence onto a single item: the time-ordered
+    /// `(time, server)` trace of every request containing `item`.
+    ///
+    /// This is the input shape consumed by the single-item off-line
+    /// algorithms (the substrate of \[6\]).
+    pub fn item_trace(&self, item: ItemId) -> SingleItemTrace {
+        let postings = self.posting_list(item);
+        self.trace(
+            postings
+                .iter()
+                .map(|&index| self.point(index as usize))
+                .collect(),
+        )
+    }
+
     /// Projects the sequence onto an item pair, partitioning the requests
     /// that touch either item into *co-requests* (both items, candidates for
-    /// package service) and per-item *singleton* requests.
+    /// package service) and per-item *singleton* requests. For `a == b`
+    /// every request containing the item is a co-request.
     pub fn pair_view(&self, a: ItemId, b: ItemId) -> PairView {
         let mut both = Vec::new();
         let mut only_a = Vec::new();
         let mut only_b = Vec::new();
-        for (i, r) in self.requests.iter().enumerate() {
-            match (r.contains(a), r.contains(b)) {
-                (true, true) => both.push(i),
-                (true, false) => only_a.push(i),
-                (false, true) => only_b.push(i),
-                (false, false) => {}
-            }
-        }
+        merge_postings(
+            self.posting_list(a),
+            self.posting_list(b),
+            |index, in_a, in_b| match (in_a, in_b) {
+                (true, true) => both.push(index),
+                (true, false) => only_a.push(index),
+                _ => only_b.push(index),
+            },
+        );
         PairView {
             a,
             b,
@@ -194,38 +349,28 @@ impl RequestSeq {
     /// granularity — the subsequence Phase 2 hands to the algorithm of \[6\]
     /// under package rates.
     pub fn package_trace(&self, a: ItemId, b: ItemId) -> SingleItemTrace {
-        let points = self
-            .requests
-            .iter()
-            .filter(|r| r.contains_both(a, b))
-            .map(|r| TracePoint {
-                time: r.time,
-                server: r.server,
-            })
-            .collect();
-        SingleItemTrace {
-            servers: self.servers,
-            points,
-        }
+        let mut points = Vec::new();
+        merge_postings(
+            self.posting_list(a),
+            self.posting_list(b),
+            |index, in_a, in_b| {
+                if in_a && in_b {
+                    points.push(self.point(index));
+                }
+            },
+        );
+        self.trace(points)
     }
 
     /// The union trace of every request containing `a` or `b` (or both) —
     /// the input of the Package_Served baseline, which always ships the
     /// whole package.
     pub fn union_trace(&self, a: ItemId, b: ItemId) -> SingleItemTrace {
-        let points = self
-            .requests
-            .iter()
-            .filter(|r| r.contains(a) || r.contains(b))
-            .map(|r| TracePoint {
-                time: r.time,
-                server: r.server,
-            })
-            .collect();
-        SingleItemTrace {
-            servers: self.servers,
-            points,
-        }
+        let mut points = Vec::new();
+        merge_postings(self.posting_list(a), self.posting_list(b), |index, _, _| {
+            points.push(self.point(index));
+        });
+        self.trace(points)
     }
 }
 
@@ -454,11 +599,7 @@ impl RequestSeqBuilder {
     pub fn build(self) -> Result<RequestSeq, ModelError> {
         match self.error {
             Some(e) => Err(e),
-            None => Ok(RequestSeq {
-                servers: self.servers,
-                items: self.items,
-                requests: self.requests,
-            }),
+            None => Ok(RequestSeq::new(self.servers, self.items, self.requests)),
         }
     }
 }

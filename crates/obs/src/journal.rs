@@ -278,14 +278,4 @@ mod tests {
             vec![3, 4]
         );
     }
-
-    #[test]
-    fn disabled_recording_is_dropped() {
-        metrics::set_enabled(false);
-        assert_eq!(record("test-journal-disabled", None, vec![]), None);
-        metrics::set_enabled(true);
-        assert!(tail(usize::MAX)
-            .iter()
-            .all(|e| e.kind != "test-journal-disabled"));
-    }
 }

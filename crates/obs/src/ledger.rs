@@ -57,36 +57,42 @@ impl LedgerEvent {
     /// fixed key order, deterministically byte-for-byte.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(160);
+        self.write_json(&mut s);
+        s
+    }
+
+    /// Appends [`Self::to_json`]'s rendering to `s`, with no allocation of
+    /// its own.
+    pub fn write_json(&self, s: &mut String) {
         s.push_str("{\"algo\":");
-        jsonl::push_str(&mut s, self.algo);
+        jsonl::push_str(s, self.algo);
         s.push_str(",\"phase\":");
-        jsonl::push_str(&mut s, self.phase);
+        jsonl::push_str(s, self.phase);
         match self.subject {
             Subject::Item(i) => {
                 s.push_str(",\"item\":");
-                let _ = std::fmt::Write::write_fmt(&mut s, format_args!("{i}"));
+                let _ = std::fmt::Write::write_fmt(s, format_args!("{i}"));
             }
             Subject::Pair(a, b) => {
                 s.push_str(",\"pair\":[");
-                let _ = std::fmt::Write::write_fmt(&mut s, format_args!("{a},{b}"));
+                let _ = std::fmt::Write::write_fmt(s, format_args!("{a},{b}"));
                 s.push(']');
             }
         }
         s.push_str(",\"option_chosen\":");
-        jsonl::push_str(&mut s, self.option_chosen);
+        jsonl::push_str(s, self.option_chosen);
         s.push_str(",\"option_costs\":[");
         for (i, &c) in self.option_costs.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            jsonl::push_num(&mut s, c);
+            jsonl::push_num(s, c);
         }
         s.push_str("],\"t\":");
-        jsonl::push_num(&mut s, self.t);
+        jsonl::push_num(s, self.t);
         s.push_str(",\"cost\":");
-        jsonl::push_num(&mut s, self.cost);
+        jsonl::push_num(s, self.cost);
         s.push('}');
-        s
     }
 }
 
@@ -166,7 +172,7 @@ impl Ledger {
     pub fn to_jsonl_string(&self) -> String {
         let mut out = String::with_capacity(self.events.len() * 160);
         for e in &self.events {
-            out.push_str(&e.to_json());
+            e.write_json(&mut out);
             out.push('\n');
         }
         out

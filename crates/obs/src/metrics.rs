@@ -2,9 +2,12 @@
 //!
 //! Recording goes to a thread-local buffer (no lock on the hot path); the
 //! buffer merges into a process-global aggregate when the thread exits —
-//! which covers the scoped worker threads spawned by
-//! `mcs_experiments::par::par_map` — or when [`snapshot`] drains the
-//! calling thread's buffer. All recording is gated on one relaxed
+//! its thread-local destructor runs — or when [`snapshot`] drains the
+//! calling thread's buffer. A worker's recordings are therefore visible
+//! once the worker has been joined with `JoinHandle::join`, which waits
+//! for those destructors; the implicit join at the end of
+//! `std::thread::scope` does not, which is why `mcs_model::par::par_map`
+//! joins every worker explicitly. All recording is gated on one relaxed
 //! [`AtomicBool`], so with observability disabled the cost of an
 //! instrumented call site is a single atomic load.
 //!
@@ -275,10 +278,9 @@ pub fn flush_local() {
 }
 
 /// Drains the calling thread's buffer into the global aggregate and
-/// returns a copy of the aggregate. (Other *live* threads' buffers merge
-/// when they exit; the scoped-thread pattern used across the workspace
-/// joins workers before their results are read, so snapshots taken after
-/// a parallel section see everything.)
+/// returns a copy of the aggregate. (Other threads' buffers merge when
+/// they exit; `mcs_model::par::par_map` joins its workers explicitly, so
+/// snapshots taken after a parallel section see everything.)
 pub fn snapshot() -> MetricsSnapshot {
     let mut global = GLOBAL.lock().expect("obs metrics mutex");
     LOCAL.with(|b| b.0.borrow_mut().merge_into(&mut global));
@@ -310,6 +312,8 @@ mod tests {
 
     // The registry is process-global, so tests share it; each test uses
     // its own metric names and does not assert on global emptiness.
+    // Switching recording off would drop concurrent tests' recordings, so
+    // that check runs in its own process: tests/disabled_recording.rs.
 
     #[test]
     fn counters_and_hists_accumulate() {
@@ -329,9 +333,14 @@ mod tests {
 
     #[test]
     fn worker_thread_metrics_merge_on_exit() {
+        // Join each worker explicitly: a scope's implicit join may return
+        // before the workers' thread-local destructors have merged.
         std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| counter_add("test.counter.threads", 1));
+            let workers: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| counter_add("test.counter.threads", 1)))
+                .collect();
+            for worker in workers {
+                worker.join().unwrap();
             }
         });
         let s = snapshot();
@@ -339,26 +348,13 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recording_is_dropped() {
-        set_enabled(false);
-        counter_add("test.counter.disabled", 10);
-        fcounter_add("test.fcounter.disabled", 1.0);
-        observe("test.hist.disabled", 1.0);
-        gauge_set("test.gauge.disabled", 3.0);
-        set_enabled(true);
-        let s = snapshot();
-        assert_eq!(s.counter("test.counter.disabled"), None);
-        assert_eq!(s.fcounter("test.fcounter.disabled"), None);
-        assert!(s.hist("test.hist.disabled").is_none());
-        assert_eq!(s.gauge("test.gauge.disabled"), None);
-    }
-
-    #[test]
     fn float_counters_accumulate_across_threads() {
         fcounter_add("test.fcounter.cost", 1.5);
         fcounter_add("test.fcounter.cost", 0.25);
         std::thread::scope(|s| {
-            s.spawn(|| fcounter_add("test.fcounter.cost", 0.5));
+            s.spawn(|| fcounter_add("test.fcounter.cost", 0.5))
+                .join()
+                .unwrap();
         });
         let s = snapshot();
         assert_eq!(s.fcounter("test.fcounter.cost"), Some(2.25));

@@ -16,8 +16,13 @@ fn dpg() -> Command {
     Command::new(path)
 }
 
-fn empty_trace() -> PathBuf {
-    let path = std::env::temp_dir().join(format!("dpg-empty-trace-{}.json", std::process::id()));
+/// Writes an empty trace to a file named for `test`: the tests run in
+/// parallel, so each needs its own file to write and delete.
+fn empty_trace(test: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "dpg-empty-trace-{test}-{}.json",
+        std::process::id()
+    ));
     std::fs::write(
         &path,
         "{\"version\": 1, \"config\": null, \
@@ -29,7 +34,7 @@ fn empty_trace() -> PathBuf {
 
 #[test]
 fn every_registered_solver_handles_an_empty_trace() {
-    let path = empty_trace();
+    let path = empty_trace("registry");
     let names = solvers()
         .iter()
         .map(|s| s.name())
@@ -63,7 +68,7 @@ fn every_registered_solver_handles_an_empty_trace() {
 
 #[test]
 fn empty_trace_text_mode_reports_zero_cost() {
-    let path = empty_trace();
+    let path = empty_trace("text");
     let out = dpg()
         .args(["run", "--algo", "dp_greedy", path.to_str().unwrap()])
         .output()

@@ -1,0 +1,140 @@
+//! Identity sweep for Phase 1's threshold filtering and matrix fill.
+//!
+//! * `greedy_matching` and `greedy_matching_from_pairs`, which sort only
+//!   the pairs strictly above `θ`, equal a reference that sorts every
+//!   pair and skips the ones at or below `θ` while accepting — for
+//!   `θ ∈ {−0.5, 0, 0.3, 0.99, 1}`, with NaN similarities and tied values
+//!   mixed into the pair lists.
+//! * `JaccardMatrix::from_cooccurrence`, which evaluates each `i < j` pair
+//!   once and mirrors it, equals the per-entry `CoOccurrence::jaccard`
+//!   matrix bit for bit.
+
+use dp_greedy_suite::correlation::matching::greedy_matching_from_pairs;
+use dp_greedy_suite::correlation::{greedy_matching, CoOccurrence, JaccardMatrix, Packing};
+use dp_greedy_suite::model::rng::Rng;
+use dp_greedy_suite::model::{ItemId, RequestSeq, RequestSeqBuilder};
+
+const THETAS: [f64; 5] = [-0.5, 0.0, 0.3, 0.99, 1.0];
+
+/// A valid sequence over a `k`-item universe of which only the first
+/// `used` items are ever requested, so zero-union pairs exist.
+fn sequence(seed: u64, n: usize, k: u32, used: u32) -> RequestSeq {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut b = RequestSeqBuilder::new(4, k);
+    let mut t = 0.0;
+    for _ in 0..n {
+        t += 0.05 + rng.gen_f64();
+        let first = rng.gen_range(0..used);
+        let mut items = vec![first];
+        for _ in 0..rng.gen_range(0..4u32) {
+            let next = (first + rng.gen_range(0..3u32)) % used;
+            if !items.contains(&next) {
+                items.push(next);
+            }
+        }
+        b = b.push(rng.gen_range(0..4u32), t, items);
+    }
+    b.build().unwrap()
+}
+
+/// The matching as specified: sort every pair — NaN included, under the
+/// total order — by descending similarity and ascending `(i, j)`, then
+/// accept each pair strictly above `θ` whose items are both unpacked.
+fn sort_everything(mut pairs: Vec<(ItemId, ItemId, f64)>, items: u32, theta: f64) -> Packing {
+    pairs.sort_by(|x, y| y.2.total_cmp(&x.2).then(x.0.cmp(&y.0)).then(x.1.cmp(&y.1)));
+    let mut flagged = vec![false; items as usize];
+    let mut chosen = Vec::new();
+    for (a, b, j) in pairs {
+        if j > theta && !flagged[a.index()] && !flagged[b.index()] {
+            flagged[a.index()] = true;
+            flagged[b.index()] = true;
+            chosen.push((a, b));
+        }
+    }
+    let singletons = (0..items)
+        .map(ItemId)
+        .filter(|it| !flagged[it.index()])
+        .collect();
+    Packing::new(chosen, singletons, theta)
+}
+
+fn shapes() -> Vec<(usize, u32, u32)> {
+    // (n, k, used)
+    vec![
+        (0, 3, 1),
+        (1, 2, 2),
+        (50, 8, 5),
+        (300, 24, 24),
+        (600, 60, 40),
+        (900, 150, 150),
+    ]
+}
+
+#[test]
+fn matrix_matching_equals_the_sort_everything_reference() {
+    for (case, (n, k, used)) in shapes().into_iter().enumerate() {
+        let seq = sequence(0x7E7A + case as u64, n, k, used);
+        let matrix = JaccardMatrix::from_sequence(&seq);
+        for theta in THETAS {
+            assert_eq!(
+                greedy_matching(&matrix, theta),
+                sort_everything(matrix.pairs(), k, theta),
+                "n={n}, k={k}, used={used}, θ={theta}"
+            );
+        }
+    }
+}
+
+#[test]
+fn pair_list_matching_equals_the_reference_with_nan_and_ties() {
+    for seed in 0..12u64 {
+        let mut rng = Rng::seed_from_u64(0xA1 + seed);
+        let k = rng.gen_range(2..40u32);
+        let mut pairs = Vec::new();
+        for _ in 0..rng.gen_range(0..300u32) {
+            let a = rng.gen_range(0..k - 1);
+            let b = rng.gen_range(a + 1..k);
+            // Coarse values force ties; a few NaNs and out-of-[0, 1]
+            // values exercise the filter's edges.
+            let similarity = match rng.gen_range(0..10u32) {
+                0 => f64::NAN,
+                1 => -f64::NAN,
+                2 => -0.25,
+                3 => 1.0,
+                _ => f64::from(rng.gen_range(0..9u32)) / 8.0,
+            };
+            pairs.push((ItemId(a), ItemId(b), similarity));
+        }
+        for theta in THETAS {
+            let mut shuffled = pairs.clone();
+            rng.shuffle(&mut shuffled);
+            let packing = greedy_matching_from_pairs(shuffled.clone(), k, theta);
+            assert_eq!(
+                packing,
+                sort_everything(pairs.clone(), k, theta),
+                "seed {seed}, θ={theta}"
+            );
+            assert_eq!(packing, sort_everything(shuffled, k, theta));
+            assert_eq!(packing.total_items(), k as usize);
+        }
+    }
+}
+
+#[test]
+fn triangle_filled_matrix_equals_per_entry_jaccard_bit_for_bit() {
+    for (case, (n, k, used)) in shapes().into_iter().enumerate() {
+        let seq = sequence(0x1ACC + case as u64, n, k, used);
+        let co = CoOccurrence::from_sequence(&seq);
+        let matrix = JaccardMatrix::from_cooccurrence(&co);
+        assert_eq!(matrix.items(), k as usize);
+        for a in (0..k).map(ItemId) {
+            for b in (0..k).map(ItemId) {
+                assert_eq!(
+                    matrix.get(a, b).to_bits(),
+                    co.jaccard(a, b).to_bits(),
+                    "n={n}, k={k}, used={used}, ({a:?}, {b:?})"
+                );
+            }
+        }
+    }
+}
