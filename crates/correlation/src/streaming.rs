@@ -5,19 +5,27 @@
 //! drifting workload needs recency. This structure maintains decayed
 //! counts: on each observed request every stored count is implicitly
 //! multiplied by `decay^(Δ requests)` (applied lazily via a global scale
-//! factor, so `observe` is `O(|D_i|²)` and `jaccard` is `O(1)`).
+//! factor, so `observe` is `O(|D_i|² log P)` for `P` stored pairs and
+//! `jaccard` is `O(log P)`).
+//!
+//! The counts live in id-ordered maps (`BTreeMap`), so every listing comes
+//! out in ascending id order without a sort: [`StreamingCooccurrence::snapshot`]
+//! is a copy, and [`StreamingCooccurrence::pairs_above`] walks the stored
+//! pairs once, `O(max id + P)` with no per-pair map lookup, keeping only those
+//! that can pass a `J > θ` gate. That is the placement refresh the serving
+//! daemon and `online_dpg` run at every epoch.
 //!
 //! With `decay = 1` the statistics equal the batch counts exactly; the
 //! tests assert both that identity and the drift-tracking behaviour.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use mcs_model::{ItemId, Request};
 
 /// A deterministic, serializable image of a [`StreamingCooccurrence`].
 ///
-/// Counts are listed in ascending id order (the `HashMap` iteration
-/// order never leaks), and every float is carried verbatim — restoring a
+/// Counts are listed in ascending id order (the order of the maps they
+/// are copied from), and every float is carried verbatim — restoring a
 /// snapshot reproduces the source instance *bit for bit*: `jaccard`,
 /// `count`, and `pair_count` return identical bits before and after a
 /// round-trip, including through the JSON layer (whose shortest-
@@ -53,8 +61,8 @@ pub struct StreamingCooccurrence {
     /// Global scale: stored values are true values divided by `scale`, so
     /// decaying everything is one multiplication of `scale`.
     scale: f64,
-    item_counts: HashMap<ItemId, f64>,
-    pair_counts: HashMap<(ItemId, ItemId), f64>,
+    item_counts: BTreeMap<ItemId, f64>,
+    pair_counts: BTreeMap<(ItemId, ItemId), f64>,
     observed: usize,
 }
 
@@ -72,8 +80,8 @@ impl StreamingCooccurrence {
         StreamingCooccurrence {
             decay,
             scale: 1.0,
-            item_counts: HashMap::new(),
-            pair_counts: HashMap::new(),
+            item_counts: BTreeMap::new(),
+            pair_counts: BTreeMap::new(),
             observed: 0,
         }
     }
@@ -87,21 +95,16 @@ impl StreamingCooccurrence {
     /// [`StreamingSnapshot`]. Restoring it with [`Self::from_snapshot`]
     /// yields an instance whose every query agrees bit for bit.
     pub fn snapshot(&self) -> StreamingSnapshot {
-        let mut item_counts: Vec<(ItemId, f64)> =
-            self.item_counts.iter().map(|(&k, &v)| (k, v)).collect();
-        item_counts.sort_by_key(|&(k, _)| k);
-        let mut pair_counts: Vec<(ItemId, ItemId, f64)> = self
-            .pair_counts
-            .iter()
-            .map(|(&(a, b), &v)| (a, b, v))
-            .collect();
-        pair_counts.sort_by_key(|&(a, b, _)| (a, b));
         StreamingSnapshot {
             decay: self.decay,
             scale: self.scale,
             observed: self.observed,
-            item_counts,
-            pair_counts,
+            item_counts: self.item_counts.iter().map(|(&k, &v)| (k, v)).collect(),
+            pair_counts: self
+                .pair_counts
+                .iter()
+                .map(|(&(a, b), &v)| (a, b, v))
+                .collect(),
         }
     }
 
@@ -195,28 +198,64 @@ impl StreamingCooccurrence {
         if a == b {
             return 1.0;
         }
-        let both = self.pair_count(a, b);
-        let union = self.count(a) + self.count(b) - both;
-        if union <= 0.0 {
-            0.0
-        } else {
-            (both / union).clamp(0.0, 1.0)
+        similarity(self.pair_count(a, b), self.count(a), self.count(b))
+    }
+
+    /// Every stored pair whose similarity is strictly above `theta`, as
+    /// `(a, b, J)` in ascending `(a, b)` order — the only pairs a `J > θ`
+    /// matching can accept, so this list can feed
+    /// [`crate::matching::greedy_matching_from_pairs`] in place of
+    /// [`Self::pairs`]. Each `J` has the bits [`Self::jaccard`] returns,
+    /// and NaN (possible only on degenerate float states) never passes.
+    ///
+    /// One walk over the stored pairs against a dense table of decayed
+    /// item counts: `O(max id + P)`, with no map lookup per pair.
+    pub fn pairs_above(&self, theta: f64) -> Vec<(ItemId, ItemId, f64)> {
+        let table_len = self
+            .item_counts
+            .last_key_value()
+            .map_or(0, |(id, _)| id.index() + 1);
+        let mut counts = vec![0.0; table_len];
+        for (&id, &stored) in &self.item_counts {
+            counts[id.index()] = stored * self.scale;
         }
+        let count = |id: ItemId| counts.get(id.index()).copied().unwrap_or(0.0);
+        self.pair_counts
+            .iter()
+            .filter_map(|(&(a, b), &stored)| {
+                // `observe` stores only `a < b`; any other key (a request
+                // built with unsorted or repeated items) takes the
+                // general path, which normalises it as `jaccard` does.
+                let j = if a < b {
+                    similarity(stored * self.scale, count(a), count(b))
+                } else {
+                    self.jaccard(a, b)
+                };
+                (j > theta).then_some((a, b, j))
+            })
+            .collect()
     }
 
     /// All pairs with positive decayed co-occurrence, with similarities,
-    /// sorted by descending similarity then ascending ids. Non-finite
+    /// sorted by descending similarity then ascending ids: the
+    /// enumeration of [`Self::pairs_above`] at `θ = −∞`. Non-finite
     /// similarities (possible only on degenerate float states) are
     /// dropped so the ordering is total and deterministic.
     pub fn pairs(&self) -> Vec<(ItemId, ItemId, f64)> {
-        let mut out: Vec<(ItemId, ItemId, f64)> = self
-            .pair_counts
-            .keys()
-            .map(|&(a, b)| (a, b, self.jaccard(a, b)))
-            .filter(|p| !p.2.is_nan())
-            .collect();
+        let mut out = self.pairs_above(f64::NEG_INFINITY);
         out.sort_by(|x, y| y.2.total_cmp(&x.2).then(x.0.cmp(&y.0)).then(x.1.cmp(&y.1)));
         out
+    }
+}
+
+/// Eq. (5) on decayed counts, clamped to `[0, 1]` (see
+/// [`StreamingCooccurrence::jaccard`] for why the clamp is needed).
+fn similarity(both: f64, count_a: f64, count_b: f64) -> f64 {
+    let union = count_a + count_b - both;
+    if union <= 0.0 {
+        0.0
+    } else {
+        (both / union).clamp(0.0, 1.0)
     }
 }
 

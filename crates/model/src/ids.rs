@@ -4,7 +4,7 @@
 //! index from zero internally and render one-based in [`std::fmt::Display`]
 //! so that diagrams and experiment output match the paper's notation.
 
-use crate::json::{FromJson, Json, JsonError, ToJson};
+use crate::json::{FromJson, Json, JsonError, JsonWriter, ToJson};
 
 /// Identifier of a data item (`d_p` in the paper), zero-based.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -41,6 +41,10 @@ impl ServerId {
 impl ToJson for ItemId {
     fn to_json(&self) -> Json {
         Json::Num(f64::from(self.0))
+    }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.num(f64::from(self.0));
     }
 }
 

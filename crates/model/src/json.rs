@@ -1,12 +1,23 @@
-//! Minimal in-tree JSON: a value tree, a strict parser, compact and pretty
-//! writers, and [`ToJson`]/[`FromJson`] conversion traits.
+//! Minimal in-tree JSON: a value tree, a strict parser, a streaming
+//! writer, and [`ToJson`]/[`FromJson`] conversion traits.
 //!
 //! The build environment resolves no external crates, so `serde_json`
 //! cannot sit in the dependency graph; this module carries the small
-//! subset the workspace needs — trace persistence (`mcs-trace::io`) and
-//! experiment-result export (`mcs-experiments`). The on-disk shape matches
-//! what the previous serde derives produced (objects keyed by field name,
-//! transparent newtype ids), so existing trace/result files keep loading.
+//! subset the workspace needs — trace persistence (`mcs-trace::io`),
+//! experiment-result export (`mcs-experiments`) and the serving daemon's
+//! checkpoints (`mcs-serve`). The on-disk shape matches what the previous
+//! serde derives produced (objects keyed by field name, transparent
+//! newtype ids), so existing trace/result files keep loading.
+//!
+//! Every byte of output goes through [`JsonWriter`], the one place the
+//! layout rules live (compact or two-space pretty, `[]`/`{}` when empty,
+//! integer and shortest-round-trip number forms). A [`Json`] tree writes
+//! itself through it, and [`ToJson::write_json`] streams a value through
+//! it without building the tree: [`to_string_pretty`] of a value equals
+//! `value.to_json().to_string_pretty()` byte for byte, in one pass.
+//!
+//! The parser is linear in the input: a string copies each run between
+//! escapes in one piece.
 //!
 //! Object keys preserve insertion order, numbers are `f64` (adequate for
 //! costs, times, counts ≤ 2⁵³ and the `u64` seeds we store, which are
@@ -117,33 +128,7 @@ impl Json {
 
     /// Pretty serialization (two-space indent).
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_number(out, *n),
-            Json::Str(s) => write_string(out, s),
-            Json::Arr(items) => {
-                write_seq(out, indent, depth, '[', ']', items.len(), |out, i, d| {
-                    items[i].write(out, indent, d);
-                });
-            }
-            Json::Obj(fields) => {
-                write_seq(out, indent, depth, '{', '}', fields.len(), |out, i, d| {
-                    write_string(out, &fields[i].0);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    fields[i].1.write(out, indent, d);
-                });
-            }
-        }
+        to_string_pretty(self)
     }
 }
 
@@ -151,56 +136,192 @@ impl std::fmt::Display for Json {
     /// Compact serialization.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_json(&mut JsonWriter::compact(&mut out));
         f.write_str(&out)
     }
 }
 
-fn write_seq(
-    out: &mut String,
+/// Pretty serialization (two-space indent) of any [`ToJson`] value in one
+/// pass: the bytes of `value.to_json().to_string_pretty()`, without
+/// building the tree.
+pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    value.write_json(&mut JsonWriter::pretty(&mut out));
+    out
+}
+
+/// A line break and the indentation of the first 32 levels.
+const NEWLINE: &str = "\n                                                                ";
+
+/// A streaming JSON writer, and the only place the layout rules live.
+///
+/// Values are written in document order: scalars with [`Self::num`],
+/// [`Self::str`], [`Self::bool`] and [`Self::null`], containers with
+/// [`Self::array`] and [`Self::object`] around a closure that writes their
+/// contents, and each object field as [`Self::key`] followed by its value.
+/// Compact output has no whitespace. Pretty output puts each element of a
+/// non-empty container on its own line, indented two spaces per level,
+/// writes `"key": value`, and writes empty containers as `[]` and `{}`.
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// Spaces per nesting level; `None` writes compact output.
     indent: Option<usize>,
     depth: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
+    /// Nothing has been written into the innermost open container yet.
+    empty: bool,
+    /// A key was just written, so the next value completes its field.
+    after_key: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending pretty (two-space indented) JSON to `out`.
+    pub fn pretty(out: &'a mut String) -> Self {
+        Self::new(out, Some(2))
     }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
+
+    /// A writer appending compact JSON to `out`.
+    pub fn compact(out: &'a mut String) -> Self {
+        Self::new(out, None)
+    }
+
+    fn new(out: &'a mut String, indent: Option<usize>) -> Self {
+        JsonWriter {
+            out,
+            indent,
+            depth: 0,
+            empty: true,
+            after_key: false,
         }
-        if let Some(w) = indent {
-            out.push('\n');
-            for _ in 0..w * (depth + 1) {
-                out.push(' ');
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) {
+        self.value();
+        self.out.push_str("null");
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.value();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes a number: integral values below 9·10¹⁵ in magnitude as
+    /// integers, other finite values in shortest-round-trip form, and
+    /// non-finite values as `null`.
+    pub fn num(&mut self, n: f64) {
+        self.value();
+        write_number(self.out, n);
+    }
+
+    /// Writes a string, escaped.
+    pub fn str(&mut self, s: &str) {
+        self.value();
+        write_string(self.out, s);
+    }
+
+    /// Starts an object field; the next value written is its value.
+    pub fn key(&mut self, key: &str) {
+        self.element();
+        write_string(self.out, key);
+        self.out
+            .push_str(if self.indent.is_some() { ": " } else { ":" });
+        self.after_key = true;
+    }
+
+    /// Writes an array whose elements `body` writes.
+    pub fn array(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container('[', ']', body);
+    }
+
+    /// Writes an object whose fields `body` writes with [`Self::key`].
+    pub fn object(&mut self, body: impl FnOnce(&mut Self)) {
+        self.container('{', '}', body);
+    }
+
+    fn container(&mut self, open: char, close: char, body: impl FnOnce(&mut Self)) {
+        self.value();
+        self.out.push(open);
+        self.depth += 1;
+        let outer = std::mem::replace(&mut self.empty, true);
+        body(self);
+        self.depth -= 1;
+        if !self.empty {
+            self.newline();
+        }
+        self.empty = outer;
+        self.out.push(close);
+    }
+
+    /// Opens a value: after a key it completes that field, inside an
+    /// array it starts a new element, at the top level it needs nothing.
+    fn value(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+        } else if self.depth > 0 {
+            self.element();
+        }
+    }
+
+    /// The separator and line break before an array element or a field.
+    fn element(&mut self) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.newline();
+    }
+
+    fn newline(&mut self) {
+        if let Some(width) = self.indent {
+            let spaces = width * self.depth;
+            if spaces < NEWLINE.len() {
+                self.out.push_str(&NEWLINE[..1 + spaces]);
+            } else {
+                self.out.push('\n');
+                self.out.extend(std::iter::repeat_n(' ', spaces));
             }
         }
-        item(out, i, depth + 1);
     }
-    if let Some(w) = indent {
-        out.push('\n');
-        for _ in 0..w * depth {
-            out.push(' ');
-        }
-    }
-    out.push(close);
 }
 
 fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no Inf/NaN; serialize as null like serde_json's lossy modes.
         out.push_str("null");
-    } else if n == n.trunc() && n.abs() < 9.0e15 {
-        let _ = write!(out, "{}", n as i64);
+    } else if n.abs() < 9.0e15 && (n as i64) as f64 == n {
+        // Integral: `as i64` is exact in this range.
+        write_integer(out, n as i64);
     } else {
         // `{:?}` is Rust's shortest round-trip float formatting.
         let _ = write!(out, "{n:?}");
     }
+}
+
+/// `"00"`, `"01"`, …, `"99"`.
+const DIGIT_PAIRS: &[u8; 200] = b"00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899";
+
+/// Appends what `{}` prints for `v`, two digits per step and without the
+/// formatting machinery: most numbers in a checkpoint (ids, and counts at
+/// decay 1) take this path.
+fn write_integer(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    let mut rest = v.unsigned_abs();
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    while rest >= 10 {
+        let pair = (rest % 100) as usize * 2;
+        rest /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if rest > 0 || at == digits.len() {
+        at -= 1;
+        digits[at] = b'0' + rest as u8;
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 fn write_string(out: &mut String, s: &str) {
@@ -366,13 +487,20 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
             }
             Some(&c) if c < 0x20 => return Err(err("control character in string", *pos)),
             Some(_) => {
-                // Consume one UTF-8 scalar.
+                // Copy the run up to the next quote, backslash or control
+                // byte in one piece. Every byte that ends a run is ASCII,
+                // so a run cut from a `&str` is valid UTF-8 on its own and
+                // each byte is validated once.
                 let start = *pos;
-                let s =
-                    std::str::from_utf8(&b[start..]).map_err(|_| err("invalid utf-8", start))?;
-                let ch = s.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                while b
+                    .get(*pos)
+                    .is_some_and(|&c| c != b'"' && c != b'\\' && c >= 0x20)
+                {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&b[start..*pos])
+                    .map_err(|_| err("invalid utf-8", start))?;
+                out.push_str(run);
             }
         }
     }
@@ -400,6 +528,13 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
 pub trait ToJson {
     /// Converts `self` to a JSON value tree.
     fn to_json(&self) -> Json;
+
+    /// Writes `self` into `w`: the bytes of writing [`Self::to_json`]'s
+    /// tree. The default builds that tree; the number, id, `Vec`, tuple
+    /// and [`Json`] impls and [`crate::impl_to_json!`] write directly.
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        self.to_json().write_json(w);
+    }
 }
 
 /// Conversion out of [`Json`]. The replacement for `serde::Deserialize`.
@@ -416,6 +551,10 @@ impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::Num(*self)
     }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.num(*self);
+    }
 }
 
 impl FromJson for f64 {
@@ -430,6 +569,10 @@ macro_rules! impl_int_json {
         impl ToJson for $t {
             fn to_json(&self) -> Json {
                 Json::Num(*self as f64)
+            }
+
+            fn write_json(&self, w: &mut JsonWriter<'_>) {
+                w.num(*self as f64);
             }
         }
         impl FromJson for $t {
@@ -512,6 +655,10 @@ impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
     }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.array(|w| self.iter().for_each(|v| v.write_json(w)));
+    }
 }
 
 impl<T: FromJson> FromJson for Vec<T> {
@@ -546,11 +693,26 @@ impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     fn to_json(&self) -> Json {
         Json::Arr(vec![self.0.to_json(), self.1.to_json()])
     }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.array(|w| {
+            self.0.write_json(w);
+            self.1.write_json(w);
+        });
+    }
 }
 
 impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
     fn to_json(&self) -> Json {
         Json::Arr(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
+    }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.array(|w| {
+            self.0.write_json(w);
+            self.1.write_json(w);
+            self.2.write_json(w);
+        });
     }
 }
 
@@ -606,9 +768,28 @@ impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
     }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        match self {
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Num(n) => w.num(*n),
+            Json::Str(s) => w.str(s),
+            Json::Arr(items) => w.array(|w| items.iter().for_each(|v| v.write_json(w))),
+            Json::Obj(fields) => w.object(|w| {
+                for (k, v) in fields {
+                    w.key(k);
+                    v.write_json(w);
+                }
+            }),
+        }
+    }
 }
 
-/// Derives [`ToJson`] for a struct with named public-to-the-macro fields:
+/// Derives [`ToJson`] for a struct with named public-to-the-macro fields,
+/// as an object keyed by field name in the listed order. Both the tree
+/// ([`ToJson::to_json`]) and the one-pass writer ([`ToJson::write_json`])
+/// come from the one field list:
 ///
 /// ```ignore
 /// impl_to_json!(Row { theta, cost, label });
@@ -622,6 +803,15 @@ macro_rules! impl_to_json {
                     $((stringify!($field).to_string(),
                        $crate::json::ToJson::to_json(&self.$field)),)*
                 ])
+            }
+
+            fn write_json(&self, w: &mut $crate::json::JsonWriter<'_>) {
+                w.object(|w| {
+                    $(
+                        w.key(stringify!($field));
+                        $crate::json::ToJson::write_json(&self.$field, w);
+                    )*
+                });
             }
         }
     };
@@ -693,11 +883,106 @@ mod tests {
         assert_eq!(parse(&Json::Num(x).to_string()).unwrap(), Json::Num(x));
     }
 
+    /// The integer form is what `{}` prints for `n as i64`, at every
+    /// digit count up to the 9·10¹⁵ cut-over and on both sides of zero.
+    #[test]
+    fn integer_form_matches_display_of_i64() {
+        let mut values = vec![0.0, -0.0, 8_999_999_999_999_999.0];
+        let mut p = 1.0f64;
+        while p < 9.0e15 {
+            for v in [p - 1.0, p, p + 1.0, 7.0 * p, 9.0 * p + (p - 1.0)] {
+                values.extend([v, -v]);
+            }
+            p *= 10.0;
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..2_000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let v = (x >> 11) as f64 % 9.0e15;
+            values.extend([v, -v, (v / 1e9).trunc()]);
+        }
+        values.retain(|v| v.abs() < 9.0e15);
+        for v in values {
+            assert_eq!(Json::Num(v).to_string(), format!("{}", v as i64), "{v:?}");
+        }
+        assert_eq!(Json::Num(9.0e15).to_string(), "9000000000000000.0");
+        assert_eq!(Json::Num(-1.5).to_string(), "-1.5");
+    }
+
     #[test]
     fn strings_escape_and_unescape() {
         let s = "quote\" slash\\ tab\t nl\n unicode é";
         let j = Json::Str(s.into());
         assert_eq!(parse(&j.to_string()).unwrap(), j);
+    }
+
+    #[test]
+    fn multi_byte_runs_next_to_escapes_parse_whole() {
+        let text = "\"é\\n日本\\\"語\\u00e9ü\\\\\u{1F600}x\"";
+        assert_eq!(
+            parse(text).unwrap(),
+            Json::Str("é\n日本\"語éü\\\u{1F600}x".into())
+        );
+        // A long run of multi-byte characters survives a round trip.
+        let long: String = "αβγ\t€".repeat(2_000);
+        let j = Json::Str(long.clone());
+        assert_eq!(parse(&j.to_string()).unwrap(), Json::Str(long));
+    }
+
+    #[test]
+    fn string_errors_point_at_the_offending_byte() {
+        let at = |text: &str| parse(text).unwrap_err();
+        // `"`, `a`, the two bytes of `é`, then the control byte at 4.
+        let e = at("\"aé\u{1}\"");
+        assert_eq!((e.msg.as_str(), e.at), ("control character in string", 4));
+        let e = at("\"é\\qb\"");
+        assert_eq!((e.msg.as_str(), e.at), ("unknown escape", 4));
+        let e = at("\"日本");
+        assert_eq!((e.msg.as_str(), e.at), ("unterminated string", 7));
+        let e = at("\"x\\u12\"");
+        assert_eq!((e.msg.as_str(), e.at), ("truncated \\u escape", 4));
+        let e = at("\"\\uzz12\"");
+        assert_eq!((e.msg.as_str(), e.at), ("bad \\u escape", 3));
+        let e = at("[\"ok\", \"ü\n\"]");
+        assert_eq!((e.msg.as_str(), e.at), ("control character in string", 10));
+    }
+
+    #[test]
+    fn writer_output_equals_the_tree_rendering() {
+        let mut nested = BTreeMap::new();
+        nested.insert("empty", Vec::<Vec<u32>>::new());
+        nested.insert("rows", vec![vec![], vec![1, 2], vec![3]]);
+        let value = (
+            nested,
+            vec![Some(0.5), None, Some(f64::NAN)],
+            ("é\"\u{1}", true, [-0.0, 1e300, 5e-324]),
+        );
+        let tree = value.to_json();
+        assert_eq!(to_string_pretty(&value), tree.to_string_pretty());
+        let mut compact = String::new();
+        value.write_json(&mut JsonWriter::compact(&mut compact));
+        assert_eq!(compact, tree.to_string());
+        assert_eq!(
+            compact,
+            r#"[{"empty":[],"rows":[[],[1,2],[3]]},[0.5,null,null],["é\"\u0001",true,[0,1e300,5e-324]]]"#
+        );
+        assert_eq!(to_string_pretty(&Vec::<u32>::new()), "[]");
+        assert_eq!(to_string_pretty(&Json::Obj(vec![])), "{}");
+        assert_eq!(
+            to_string_pretty(&vec![(1u32, 2u32)]),
+            "[\n  [\n    1,\n    2\n  ]\n]"
+        );
+        // Past the 32 levels the indentation table covers.
+        let mut deep = Json::Num(7.0);
+        for _ in 0..40 {
+            deep = Json::Arr(vec![deep]);
+        }
+        let text = deep.to_string_pretty();
+        for (depth, line) in text.lines().enumerate().take(41) {
+            let expected = if depth < 40 { "[" } else { "7" };
+            assert_eq!(line, format!("{}{expected}", " ".repeat(2 * depth)));
+        }
+        assert_eq!(parse(&text).unwrap(), deep);
     }
 
     #[derive(Debug, PartialEq)]
@@ -726,6 +1011,7 @@ mod tests {
             opt: None,
         };
         let text = d.to_json().to_string_pretty();
+        assert_eq!(to_string_pretty(&d), text);
         let back = Demo::from_json(&parse(&text).unwrap()).unwrap();
         assert_eq!(back, d);
     }

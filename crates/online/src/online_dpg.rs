@@ -238,7 +238,11 @@ pub fn online_dp_greedy(seq: &RequestSeq, config: &OnlineDpgConfig) -> OnlineDpg
         // Phase 1: feed the stream, refresh the packing periodically.
         stream.observe(r);
         if config.refresh_every > 0 && (seen + 1) % config.refresh_every == 0 {
-            let packing = greedy_matching_from_pairs(stream.pairs(), seq.items(), config.theta);
+            let packing = greedy_matching_from_pairs(
+                stream.pairs_above(config.theta),
+                seq.items(),
+                config.theta,
+            );
             let mut new_partner: Vec<Option<ItemId>> = vec![None; k];
             for &(a, b) in &packing.pairs {
                 new_partner[a.index()] = Some(b);

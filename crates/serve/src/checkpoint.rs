@@ -9,6 +9,14 @@
 //! every `f64` bit — the foundation of the crash-recovery guarantee
 //! (see `tests/serve_crash_recovery.rs` at the workspace root).
 //!
+//! [`DaemonState::canonical_json`] streams the state through
+//! `mcs_model::json::JsonWriter` in one pass, with no `Json` tree: the
+//! same bytes as pretty-printing the tree of
+//! [`ToJson::to_json`](mcs_model::json::ToJson::to_json), which the tests
+//! keep as the oracle. Loading parses the file (linear in its
+//! size) and rejects states the daemon could never have written,
+//! including item ids outside the handshake's catalog.
+//!
 //! On disk the checkpoint is written to a temporary file and renamed
 //! into place, so a crash mid-write can never destroy the previous
 //! checkpoint: recovery sees either the old or the new file, both
@@ -17,7 +25,7 @@
 use std::path::{Path, PathBuf};
 
 use mcs_correlation::{StreamingCooccurrence, StreamingSnapshot};
-use mcs_model::json::{self, FromJson, ToJson};
+use mcs_model::json::{self, FromJson};
 use mcs_model::ItemId;
 
 /// Current checkpoint format version.
@@ -143,9 +151,10 @@ impl DaemonState {
 
     /// The canonical serialized form: deterministic field order, floats
     /// in shortest-round-trip notation. Equal states produce equal
-    /// bytes; the crash-recovery gate diffs exactly this.
+    /// bytes; the crash-recovery gate diffs exactly this. Written in one
+    /// pass, byte-identical to `self.to_json().to_string_pretty() + "\n"`.
     pub fn canonical_json(&self) -> String {
-        let mut s = self.to_json().to_string_pretty();
+        let mut s = json::to_string_pretty(self);
         s.push('\n');
         s
     }
@@ -167,13 +176,14 @@ impl DaemonState {
         std::fs::rename(&tmp, checkpoint_path(dir))
     }
 
-    /// Loads a checkpoint if one exists, validating version and
+    /// Loads a checkpoint if one exists, validating version, catalog and
     /// streaming-state invariants.
     ///
     /// # Errors
     ///
     /// Fails on unreadable files, malformed JSON (with position), a
-    /// version mismatch, or an invalid streaming snapshot.
+    /// version mismatch, an item id outside the catalog of `items`, or an
+    /// invalid streaming snapshot.
     pub fn load(dir: &Path) -> Result<Option<Self>, String> {
         let path = checkpoint_path(dir);
         let text = match std::fs::read_to_string(&path) {
@@ -199,8 +209,43 @@ impl DaemonState {
         }
         // Surface invalid streaming state now, not at first observe.
         StreamingCooccurrence::from_snapshot(&state.streaming)
+            .and_then(|_| state.check_catalog())
             .map_err(|e| format!("corrupt checkpoint {}: {e}", path.display()))?;
         Ok(Some(state))
+    }
+
+    /// Rejects item ids at or above `items` in the statistics and the
+    /// placement: admission never lets one in, and the placement refresh
+    /// indexes per-item tables by id.
+    fn check_catalog(&self) -> Result<(), String> {
+        let streaming = &self.streaming;
+        let ids = [
+            (
+                "streaming.item_counts",
+                streaming.item_counts.iter().map(|&(i, _)| i).max(),
+            ),
+            (
+                "streaming.pair_counts",
+                streaming
+                    .pair_counts
+                    .iter()
+                    .map(|&(a, b, _)| a.max(b))
+                    .max(),
+            ),
+            (
+                "placement_pairs",
+                self.placement_pairs.iter().map(|&(a, b)| a.max(b)).max(),
+            ),
+        ];
+        for (field, max) in ids {
+            if let Some(id) = max.filter(|id| id.0 >= self.items) {
+                return Err(format!(
+                    "{field} names item {} outside the catalog of {} items",
+                    id.0, self.items
+                ));
+            }
+        }
+        Ok(())
     }
 }
 

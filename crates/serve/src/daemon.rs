@@ -30,8 +30,11 @@
 //! # Bounded latency
 //!
 //! Per-request work is admission-validation, one WAL append, and an
-//! `O(|D|²)` streaming update with `|D|` capped by admission control
-//! ([`ServeConfig::max_items`]). Settlement runs on a worker thread
+//! `O(|D|² log P)` streaming update (`P` stored pairs) with `|D|` capped
+//! by admission control ([`ServeConfig::max_items`]). Closing an epoch
+//! adds the settlement, a placement refresh that lists and sorts only
+//! the pairs above θ, and one checkpoint written in a single pass.
+//! Settlement runs on a worker thread
 //! under [`ServeConfig::settle_timeout`]; on deadline or solver panic
 //! (isolated by `catch_unwind`) the epoch settles *degraded*: last-good
 //! placement, conservative fallback pricing (packed co-requests at the
@@ -404,13 +407,17 @@ impl Daemon {
             }
         }
 
-        // Durable before applied: WAL first.
-        self.wal.append(&WalRecord::Req {
+        // Durable before applied: WAL first. The record owns the item
+        // list and hands it on, so admission never copies it.
+        let record = WalRecord::Req {
             time,
             server,
-            items: items.clone(),
-        })?;
-        self.apply_request(time, server, items);
+            items,
+        };
+        self.wal.append(&record)?;
+        if let WalRecord::Req { items, .. } = record {
+            self.apply_request(time, server, items);
+        }
         self.summary.admitted += 1;
         mcs_obs::counter_add("serve.admitted", 1);
 
@@ -438,15 +445,16 @@ impl Daemon {
 
     /// Applies an admitted (or replayed) request to in-memory state.
     fn apply_request(&mut self, time: f64, server: ServerId, items: Vec<ItemId>) {
-        self.stream.observe(&Request {
+        let request = Request {
             server,
             time,
-            items: items.clone(),
-        });
+            items,
+        };
+        self.stream.observe(&request);
         self.state.pending.push(PendingReq {
             time,
             server: server.0,
-            items: items.into_iter().map(|i| i.0).collect(),
+            items: request.items.into_iter().map(|i| i.0).collect(),
         });
         self.state.admitted += 1;
         self.state.last_time = time;
@@ -610,9 +618,11 @@ impl Daemon {
             self.state.ok_cost += cost;
             self.state.ok_accesses += accesses;
             // Placement refresh only on trusted settlements; a degraded
-            // epoch keeps the last-good placement.
+            // epoch keeps the last-good placement. Only pairs above θ can
+            // pack, so only those are listed and sorted.
+            let theta = self.cfg.theta;
             self.state.placement_pairs =
-                greedy_matching_from_pairs(self.stream.pairs(), self.state.items, self.cfg.theta)
+                greedy_matching_from_pairs(self.stream.pairs_above(theta), self.state.items, theta)
                     .pairs;
             mcs_obs::counter_add("serve.epochs_ok", 1);
             mcs_obs::fcounter_add("serve.ok_cost", cost);

@@ -8,11 +8,19 @@
 //! * `JaccardMatrix::from_cooccurrence`, which evaluates each `i < j` pair
 //!   once and mirrors it, equals the per-entry `CoOccurrence::jaccard`
 //!   matrix bit for bit.
+//! * `StreamingCooccurrence::pairs_above`, which walks the stored pairs
+//!   once against a dense count table, lists exactly the stored pairs
+//!   whose `jaccard` is above `θ`, with its bits; packing that list
+//!   equals packing every stored pair's `jaccard` sorted, and `pairs()`
+//!   equals the reference's full sorted list — on decayed streams deep
+//!   enough to renormalise the lazy scale.
 
 use dp_greedy_suite::correlation::matching::greedy_matching_from_pairs;
-use dp_greedy_suite::correlation::{greedy_matching, CoOccurrence, JaccardMatrix, Packing};
+use dp_greedy_suite::correlation::{
+    greedy_matching, CoOccurrence, JaccardMatrix, Packing, StreamingCooccurrence,
+};
 use dp_greedy_suite::model::rng::Rng;
-use dp_greedy_suite::model::{ItemId, RequestSeq, RequestSeqBuilder};
+use dp_greedy_suite::model::{ItemId, Request, RequestSeq, RequestSeqBuilder, ServerId};
 
 const THETAS: [f64; 5] = [-0.5, 0.0, 0.3, 0.99, 1.0];
 
@@ -137,4 +145,74 @@ fn triangle_filled_matrix_equals_per_entry_jaccard_bit_for_bit() {
             }
         }
     }
+}
+
+/// Streams over `k` items of which the first `used` are requested, at
+/// decays from none to deep; decay 0.05 over 300+ requests drives the
+/// lazy scale below 1e-200 and through its renormalisation several times.
+/// Every seventh request lists its items unsorted or repeated, which
+/// stores keys `observe` never stores for sorted input.
+fn decayed_stream(seed: u64) -> (StreamingCooccurrence, u32) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let decay = [1.0, 0.9, 0.5, 0.05][(seed % 4) as usize];
+    let k = rng.gen_range(2..50u32);
+    let used = rng.gen_range(1..=k);
+    let mut stream = StreamingCooccurrence::new(decay);
+    for i in 0..rng.gen_range(0..700usize) {
+        let first = rng.gen_range(0..used);
+        let mut items = vec![ItemId(first)];
+        for _ in 0..rng.gen_range(0..4u32) {
+            // Mostly near neighbours, so similarities spread over [0, 1].
+            let next = ItemId((first + rng.gen_range(0..4u32)) % used);
+            if i % 7 == 3 || !items.contains(&next) {
+                items.push(next);
+            }
+        }
+        if i % 7 != 3 {
+            items.sort_unstable();
+        }
+        stream.observe(&Request {
+            server: ServerId(0),
+            time: i as f64 + 1.0,
+            items,
+        });
+    }
+    (stream, k)
+}
+
+#[test]
+fn streaming_pairs_above_theta_equal_jaccard_on_every_stored_pair() {
+    let mut renormalised = false;
+    for seed in 0..48u64 {
+        let (stream, k) = decayed_stream(0x57EA + seed);
+        let snap = stream.snapshot();
+        renormalised |= snap.observed as f64 * snap.decay.log10() < -200.0;
+        let everything: Vec<(ItemId, ItemId, f64)> = snap
+            .pair_counts
+            .iter()
+            .map(|&(a, b, _)| (a, b, stream.jaccard(a, b)))
+            .collect();
+        let mut sorted: Vec<_> = everything
+            .iter()
+            .copied()
+            .filter(|p| !p.2.is_nan())
+            .collect();
+        sorted.sort_by(|x, y| y.2.total_cmp(&x.2).then(x.0.cmp(&y.0)).then(x.1.cmp(&y.1)));
+        assert_eq!(bits(&stream.pairs()), bits(&sorted), "seed {seed}: pairs()");
+        for theta in THETAS {
+            let above = stream.pairs_above(theta);
+            let expected: Vec<_> = everything.iter().copied().filter(|p| p.2 > theta).collect();
+            assert_eq!(bits(&above), bits(&expected), "seed {seed}, θ={theta}");
+            assert_eq!(
+                greedy_matching_from_pairs(above, k, theta),
+                sort_everything(everything.clone(), k, theta),
+                "seed {seed}, θ={theta}"
+            );
+        }
+    }
+    assert!(renormalised, "no stream reached the renormalisation branch");
+}
+
+fn bits(pairs: &[(ItemId, ItemId, f64)]) -> Vec<(ItemId, ItemId, u64)> {
+    pairs.iter().map(|&(a, b, j)| (a, b, j.to_bits())).collect()
 }
