@@ -16,8 +16,14 @@
 //! it without building the tree: [`to_string_pretty`] of a value equals
 //! `value.to_json().to_string_pretty()` byte for byte, in one pass.
 //!
+//! [`write_pretty`] streams the same bytes into any [`std::io::Write`]
+//! through a buffer that it hands over each time it passes
+//! [`WRITE_CHUNK`] bytes, so a large document is never held whole.
+//!
 //! The parser is linear in the input: a string copies each run between
-//! escapes in one piece.
+//! escapes in one piece. It nests at most [`MAX_DEPTH`] arrays and
+//! objects and reports the byte that opens one level more, so hostile
+//! input cannot overflow the stack.
 //!
 //! Object keys preserve insertion order, numbers are `f64` (adequate for
 //! costs, times, counts ≤ 2⁵³ and the `u64` seeds we store, which are
@@ -150,6 +156,32 @@ pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
     out
 }
 
+/// Pretty serialization of `value` into `sink`: the bytes of
+/// [`to_string_pretty`], written through a buffer that is handed to `sink`
+/// each time it passes [`WRITE_CHUNK`] bytes (checked between elements),
+/// so the document is never held whole.
+///
+/// # Errors
+///
+/// Returns the first error `sink` reports; nothing is written after it.
+pub fn write_pretty<T: ToJson + ?Sized>(
+    value: &T,
+    sink: &mut dyn std::io::Write,
+) -> std::io::Result<()> {
+    let mut buf = String::with_capacity(WRITE_CHUNK + WRITE_CHUNK / 4);
+    let mut w = JsonWriter::pretty(&mut buf);
+    w.sink = Some(sink);
+    value.write_json(&mut w);
+    w.hand_over();
+    match w.error.take() {
+        Some(e) => Err(e),
+        None => Ok(()),
+    }
+}
+
+/// Bytes a [`write_pretty`] buffer collects before it is handed over.
+pub const WRITE_CHUNK: usize = 64 * 1024;
+
 /// A line break and the indentation of the first 32 levels.
 const NEWLINE: &str = "\n                                                                ";
 
@@ -171,6 +203,10 @@ pub struct JsonWriter<'a> {
     empty: bool,
     /// A key was just written, so the next value completes its field.
     after_key: bool,
+    /// Where [`write_pretty`] hands `out` over; `None` keeps it all.
+    sink: Option<&'a mut dyn std::io::Write>,
+    /// The first error `sink` reported.
+    error: Option<std::io::Error>,
 }
 
 impl<'a> JsonWriter<'a> {
@@ -191,6 +227,8 @@ impl<'a> JsonWriter<'a> {
             depth: 0,
             empty: true,
             after_key: false,
+            sink: None,
+            error: None,
         }
     }
 
@@ -265,11 +303,25 @@ impl<'a> JsonWriter<'a> {
 
     /// The separator and line break before an array element or a field.
     fn element(&mut self) {
+        if self.sink.is_some() && self.out.len() >= WRITE_CHUNK {
+            self.hand_over();
+        }
         if !self.empty {
             self.out.push(',');
         }
         self.empty = false;
         self.newline();
+    }
+
+    /// Writes the buffer to the sink, if there is one, and empties it.
+    /// After an error nothing more is written.
+    fn hand_over(&mut self) {
+        if let Some(sink) = self.sink.as_mut() {
+            if self.error.is_none() {
+                self.error = sink.write_all(self.out.as_bytes()).err();
+            }
+            self.out.clear();
+        }
     }
 
     fn newline(&mut self) {
@@ -342,11 +394,17 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parses a complete JSON document (rejects trailing garbage).
+/// Deepest nesting of arrays and objects [`parse`] accepts (serde_json's
+/// limit). Checkpoints and cost models nest 4 levels, traces 5.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document (rejects trailing garbage, and nesting
+/// deeper than [`MAX_DEPTH`] at the byte that opens the first level too
+/// deep).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(JsonError {
@@ -379,10 +437,15 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value whose enclosing containers number `depth`.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(err("unexpected end of input", *pos)),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(err(
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+            *pos,
+        )),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
@@ -396,7 +459,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -424,7 +487,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                     return Err(err("expected `:`", *pos));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -983,6 +1046,80 @@ mod tests {
             assert_eq!(line, format!("{}{expected}", " ".repeat(2 * depth)));
         }
         assert_eq!(parse(&text).unwrap(), deep);
+    }
+
+    /// `write_pretty` writes the bytes of `to_string_pretty`, handing over
+    /// chunks that pass `WRITE_CHUNK` by at most one element.
+    #[test]
+    fn write_pretty_streams_the_pretty_bytes_in_bounded_chunks() {
+        #[derive(Default)]
+        struct Chunks(Vec<usize>, Vec<u8>);
+        impl std::io::Write for Chunks {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.len());
+                self.1.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let rows: Vec<(u32, f64, Vec<u32>)> = (0..20_000u32)
+            .map(|i| (i, f64::from(i) / 7.0, vec![i; (i % 3) as usize]))
+            .collect();
+        let mut sink = Chunks::default();
+        write_pretty(&rows, &mut sink).unwrap();
+        assert_eq!(String::from_utf8(sink.1).unwrap(), to_string_pretty(&rows));
+        let (last, full) = sink.0.split_last().unwrap();
+        assert!(full.len() > 10, "{:?}", sink.0);
+        for &len in full {
+            assert!((WRITE_CHUNK..WRITE_CHUNK + 256).contains(&len), "{len}");
+        }
+        assert!(*last < WRITE_CHUNK + 256);
+        // A small value goes over in one piece at the end.
+        let mut sink = Chunks::default();
+        write_pretty(&vec![1u32, 2], &mut sink).unwrap();
+        assert_eq!(sink.0, vec![to_string_pretty(&vec![1u32, 2]).len()]);
+    }
+
+    /// The sink's first error comes back, and nothing is written after it.
+    #[test]
+    fn write_pretty_returns_the_first_write_error() {
+        struct Full(usize);
+        impl std::io::Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                Err(std::io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let rows: Vec<u32> = (0..100_000).collect();
+        let mut sink = Full(0);
+        let e = write_pretty(&rows, &mut sink).unwrap_err();
+        assert_eq!(e.to_string(), "disk full");
+        assert_eq!(sink.0, 1);
+    }
+
+    /// Arrays and objects nest up to `MAX_DEPTH` levels; one level more is
+    /// an error at the byte that opens it, however deep the input goes.
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "0" + &"}".repeat(n);
+        for (text, open_width) in [(arrays as fn(usize) -> String, 1), (objects, 5)] {
+            assert!(parse(&text(MAX_DEPTH)).is_ok());
+            for n in [MAX_DEPTH + 1, 200_000] {
+                let e = parse(&text(n)).unwrap_err();
+                assert_eq!(e.msg, "nesting deeper than 128 levels");
+                assert_eq!(e.at, MAX_DEPTH * open_width, "{n} levels");
+            }
+        }
+        // Mixed containers count alike, and whitespace moves the position.
+        let mixed = "[{\"a\": ".repeat(64) + " [";
+        let e = parse(&mixed).unwrap_err();
+        assert_eq!(e.at, mixed.len() - 1);
     }
 
     #[derive(Debug, PartialEq)]

@@ -1,4 +1,4 @@
-//! Checkpointed daemon state with atomic persistence.
+//! Checkpointed daemon state with atomic, durable persistence.
 //!
 //! [`DaemonState`] is the *entire* recoverable state of a serving run:
 //! the streaming co-occurrence statistics (bit-exact via
@@ -13,15 +13,25 @@
 //! `mcs_model::json::JsonWriter` in one pass, with no `Json` tree: the
 //! same bytes as pretty-printing the tree of
 //! [`ToJson::to_json`](mcs_model::json::ToJson::to_json), which the tests
-//! keep as the oracle. Loading parses the file (linear in its
-//! size) and rejects states the daemon could never have written,
-//! including item ids outside the handshake's catalog.
+//! keep as the oracle. [`DaemonState::save`] writes those bytes through
+//! a 64 KB buffer instead of building the whole document. Loading parses
+//! the file (linear in its size) and rejects states the daemon could
+//! never have written, including item ids outside the handshake's
+//! catalog.
 //!
-//! On disk the checkpoint is written to a temporary file and renamed
-//! into place, so a crash mid-write can never destroy the previous
-//! checkpoint: recovery sees either the old or the new file, both
-//! consistent.
+//! # On disk
+//!
+//! `checkpoint.json` is the state at the start of its `epoch`, with
+//! `pending` empty, and together with the logs `wal-<epoch>.log` onward
+//! it reconstructs the daemon. It is written to a temporary file that is
+//! synced, renamed into place, and made durable by syncing the
+//! directory, so a crash (or power loss) mid-write can never destroy the
+//! previous checkpoint: recovery sees either the old or the new file,
+//! each consistent with the logs still on disk. Only after that does the
+//! daemon delete the logs the new checkpoint covers.
 
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use mcs_correlation::{StreamingCooccurrence, StreamingSnapshot};
@@ -51,7 +61,7 @@ mcs_model::impl_json!(PendingReq {
 /// The full recoverable state of a serving daemon.
 ///
 /// Invariant: an on-disk checkpoint always has `pending` empty (it is
-/// written at epoch boundaries, right after settlement); the in-memory
+/// written at epoch boundaries, right after a settlement); the in-memory
 /// state carries the open epoch's buffer, reconstructed from the WAL on
 /// recovery. [`DaemonState::canonical_json`] of the in-memory state is
 /// the byte-identity witness the crash tests diff.
@@ -159,21 +169,34 @@ impl DaemonState {
         s
     }
 
-    /// Atomically persists to `checkpoint.json` in `dir` via a temporary
-    /// file and rename, so a crash mid-write leaves the old checkpoint
-    /// intact.
+    /// Atomically and durably persists to `checkpoint.json` in `dir`:
+    /// writes a temporary file through a bounded buffer, syncs it, renames
+    /// it into place and syncs `dir`, so a crash mid-write leaves the old
+    /// checkpoint intact and a returned save survives power loss.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
+        self.write_checkpoint(dir).map(drop)
+    }
+
+    /// [`Self::save`], returning the size of the file written.
+    pub(crate) fn write_checkpoint(&self, dir: &Path) -> std::io::Result<u64> {
         debug_assert!(
             self.pending.is_empty(),
             "checkpoints are epoch-boundary snapshots; pending lives in the WAL"
         );
         let tmp = dir.join("checkpoint.json.tmp");
-        std::fs::write(&tmp, self.canonical_json())?;
-        std::fs::rename(&tmp, checkpoint_path(dir))
+        let mut file = File::create(&tmp)?;
+        json::write_pretty(self, &mut file)?;
+        file.write_all(b"\n")?;
+        file.sync_all()?;
+        let bytes = file.metadata()?.len();
+        drop(file);
+        std::fs::rename(&tmp, checkpoint_path(dir))?;
+        File::open(dir)?.sync_all()?;
+        Ok(bytes)
     }
 
     /// Loads a checkpoint if one exists, validating version, catalog and
@@ -182,9 +205,15 @@ impl DaemonState {
     /// # Errors
     ///
     /// Fails on unreadable files, malformed JSON (with position), a
-    /// version mismatch, an item id outside the catalog of `items`, or an
-    /// invalid streaming snapshot.
+    /// version mismatch, buffered requests (the open epoch lives in the
+    /// WAL), an item id outside the catalog of `items`, or an invalid
+    /// streaming snapshot.
     pub fn load(dir: &Path) -> Result<Option<Self>, String> {
+        Ok(Self::read_checkpoint(dir)?.map(|(state, _)| state))
+    }
+
+    /// [`Self::load`], also returning the size of the file read.
+    pub(crate) fn read_checkpoint(dir: &Path) -> Result<Option<(Self, u64)>, String> {
         let path = checkpoint_path(dir);
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
@@ -207,11 +236,18 @@ impl DaemonState {
                 state.version
             ));
         }
+        if !state.pending.is_empty() {
+            return Err(format!(
+                "corrupt checkpoint {}: {} pending requests (the open epoch lives in the WAL)",
+                path.display(),
+                state.pending.len()
+            ));
+        }
         // Surface invalid streaming state now, not at first observe.
         StreamingCooccurrence::from_snapshot(&state.streaming)
             .and_then(|_| state.check_catalog())
             .map_err(|e| format!("corrupt checkpoint {}: {e}", path.display()))?;
-        Ok(Some(state))
+        Ok(Some((state, text.len() as u64)))
     }
 
     /// Rejects item ids at or above `items` in the statistics and the

@@ -1,39 +1,63 @@
 //! The serving daemon: WAL-ordered ingestion, deadline-bounded epoch
-//! settlement, and crash recovery.
+//! settlement, checkpoints at a log-proportional cadence, and crash
+//! recovery.
 //!
 //! # Write ordering (the crash-safety argument)
 //!
-//! Every state transition is made durable *before* it is applied:
+//! Every state transition is logged *before* it is applied, and the
+//! statistics change only at settlements:
 //!
 //! 1. **Admission** — a validated request is appended to the epoch WAL
-//!    (and flushed) first, then fed to the streaming statistics and the
-//!    epoch buffer. A crash between the two replays the record; a crash
-//!    mid-append leaves a torn tail that was never applied, and the
-//!    resumable input source re-delivers the request.
-//! 2. **Settlement** — when the epoch buffer fills, the outcome
+//!    (and flushed) first, then buffered in the open epoch; it does not
+//!    touch the statistics. A crash after the append replays the record;
+//!    a crash mid-append leaves a torn tail that was never applied, and
+//!    the resumable input source re-delivers the request.
+//! 2. **Settlement** — when the buffer fills, the outcome
 //!    (`ok`/`deadline`/`panic` plus the settled cost as raw `f64` bits)
-//!    is appended to the WAL first, then applied: cost accumulators,
-//!    placement refresh, checkpoint (atomic tmp + rename), WAL rotation.
-//!    Recovery *replays the recorded outcome* instead of re-running the
-//!    solver, so deadline and panic nondeterminism cannot make a
-//!    recovered state diverge from the pre-crash one.
+//!    is appended to the WAL first, then applied: cost accumulators, the
+//!    epoch's requests folded into the streaming statistics in admission
+//!    order (ok and degraded epochs alike), the placement refresh (ok
+//!    epochs only), and the next epoch's log. Recovery *replays the
+//!    recorded outcome* instead of re-running the solver, so deadline and
+//!    panic nondeterminism cannot make a recovered state diverge from the
+//!    pre-crash one.
+//! 3. **Checkpoint** — between settlements the statistics are exactly the
+//!    last settled state, so a checkpoint needs no copy of them taken
+//!    before the open epoch. After a settlement one is written only when
+//!    the WAL bytes of the epochs settled since the last checkpoint have
+//!    reached that checkpoint's size; also once when [`serve_stream`]
+//!    reaches the end of its input and once at the end of a recovery that
+//!    replayed a settlement. The file is synced, renamed into place and
+//!    its directory synced; only then are the segments it covers deleted.
 //!
-//! With those two rules, `kill -9` at any instant recovers — checkpoint
-//! plus WAL tail — to a state byte-identical to the never-crashed run
-//! over the same input (enforced end-to-end by
-//! `tests/serve_crash_recovery.rs`). The single caveat: a crash landing
-//! *between* epoch-full and the settle append re-runs settlement on
-//! recovery, so the class of outcome (ok vs. deadline) is reproduced
-//! rather than replayed; the solvers are deterministic, so only a
-//! deadline set tighter than the solver's actual runtime can differ.
+//! The cadence has no knob and two bounds: within a run every checkpoint
+//! but the last is paid for by at least its own size in log, and a crash
+//! never leaves more than one checkpoint's size plus one epoch of log to
+//! replay. Recovery loads the checkpoint, replays the log from its epoch,
+//! and refreshes the placement once, at the last `ok` settle record it
+//! replays — degraded epochs keep the last-good placement and carry their
+//! cost in the WAL — so it costs O(checkpoint + log), not O(epochs ×
+//! stored pairs).
+//!
+//! With these rules, `kill -9` at any instant recovers — checkpoint plus
+//! WAL — to a state byte-identical to the never-crashed run over the same
+//! input (enforced end-to-end by `tests/serve_crash_recovery.rs`). The
+//! single caveat: a crash landing *between* epoch-full and the settle
+//! append re-runs settlement on recovery, so the class of outcome (ok vs.
+//! deadline) is reproduced rather than replayed; the solvers are
+//! deterministic, so only a deadline set tighter than the solver's actual
+//! runtime can differ. Checkpoints are synced and survive power loss; WAL
+//! appends are flushed to the OS but not synced, so the log since the
+//! last checkpoint survives `kill -9` but not power loss.
 //!
 //! # Bounded latency
 //!
-//! Per-request work is admission-validation, one WAL append, and an
-//! `O(|D|² log P)` streaming update (`P` stored pairs) with `|D|` capped
-//! by admission control ([`ServeConfig::max_items`]). Closing an epoch
-//! adds the settlement, a placement refresh that lists and sorts only
-//! the pairs above θ, and one checkpoint written in a single pass.
+//! Per-request work is admission-validation, one WAL append, and a push
+//! onto the epoch buffer, with `|D|` capped by admission control
+//! ([`ServeConfig::max_items`]). Closing an epoch adds the settlement, the
+//! `O(|D|² log P)` streaming update of each of its requests (`P` stored
+//! pairs), a placement refresh that lists and sorts only the pairs above
+//! θ, and, at the cadence above, one checkpoint written in a single pass.
 //! Settlement runs on a worker thread
 //! under [`ServeConfig::settle_timeout`]; on deadline or solver panic
 //! (isolated by `catch_unwind`) the epoch settles *degraded*: last-good
@@ -63,7 +87,9 @@ use mcs_obs::journal::{self, Value};
 
 use crate::checkpoint::{DaemonState, PendingReq};
 use crate::protocol::{parse_line, Frame};
-use crate::wal::{read_records, truncate_torn, EpochStatus, Wal, WalContents, WalRecord};
+use crate::wal::{
+    read_records, remove_segments_before, truncate_torn, EpochStatus, Wal, WalContents, WalRecord,
+};
 
 /// Serving-run parameters.
 #[derive(Debug, Clone)]
@@ -170,12 +196,16 @@ pub struct ServeSummary {
     pub replayed: u64,
     /// Epochs settled this run.
     pub epochs_settled: u64,
+    /// Bytes appended to the WAL this run.
+    pub wal_bytes: u64,
+    /// Placement refreshes this run, a recovery's included.
+    pub placement_refreshes: u64,
 }
 
 /// What admission decided about one `req` frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Admission {
-    /// Logged, applied, and (possibly) settled.
+    /// Logged, buffered, and (possibly) settled.
     Admitted,
     /// Time not beyond the recovered/served horizon — skipped.
     Stale,
@@ -188,9 +218,21 @@ pub struct Daemon {
     cfg: ServeConfig,
     solver: &'static dyn CachingSolver,
     base_ctx: RunContext,
+    /// The settled state, which a checkpoint writes: everything up to the
+    /// open epoch, with `pending` empty. Its `streaming` is the snapshot
+    /// last written to a checkpoint (or loaded from one); the live
+    /// statistics are `stream`.
     state: DaemonState,
+    /// The statistics of every settled epoch.
     stream: StreamingCooccurrence,
+    /// The open epoch's admitted requests, in admission order; its
+    /// settlement moves them into `state` and `stream`.
+    pending: Vec<PendingReq>,
     wal: Wal,
+    /// Size of the last checkpoint written or loaded.
+    checkpoint_bytes: u64,
+    /// WAL bytes of the epochs settled since that checkpoint.
+    log_bytes_since_checkpoint: u64,
     summary: ServeSummary,
     /// The receiver of a settlement worker that missed its deadline and
     /// is still running. At most one exists; no new worker spawns until
@@ -226,9 +268,8 @@ impl Daemon {
         // Persist the epoch-0 checkpoint immediately: without it, a crash
         // before the first settlement would make recovery ignore the
         // epoch-0 WAL and re-admit (duplicate) its requests.
-        state.save(&cfg.dir)?;
-        journal::record("checkpoint-write", Some(0), vec![]);
-        mcs_obs::gauge_set("serve.last_checkpoint_t_mono", journal::now_t_mono());
+        let checkpoint_bytes = state.write_checkpoint(&cfg.dir)?;
+        note_checkpoint(0, checkpoint_bytes, 0);
         journal::record("epoch-open", Some(0), vec![]);
         let wal = Wal::open(&cfg.dir, state.epoch)?;
         let daemon = Daemon {
@@ -237,16 +278,20 @@ impl Daemon {
             base_ctx,
             state,
             stream,
+            pending: Vec::new(),
             wal,
+            checkpoint_bytes,
+            log_bytes_since_checkpoint: 0,
             summary: ServeSummary::default(),
             straggler: None,
         };
+        daemon.set_log_gauge();
         daemon.publish_telemetry();
         Ok(daemon)
     }
 
     /// Recovers a daemon from the durable state in `cfg.dir`, replaying
-    /// the WAL tail on top of the checkpoint. Returns `Ok(None)` when the
+    /// the WAL from the checkpoint's epoch on. Returns `Ok(None)` when the
     /// directory holds no checkpoint (a fresh run).
     ///
     /// # Errors
@@ -254,7 +299,9 @@ impl Daemon {
     /// Fails on corrupt checkpoints, mid-log WAL corruption, or
     /// filesystem errors. Torn WAL tails recover cleanly.
     pub fn recover(cfg: ServeConfig) -> Result<Option<Daemon>, ServeError> {
-        let Some(state) = DaemonState::load(&cfg.dir).map_err(ServeError::State)? else {
+        let Some((state, checkpoint_bytes)) =
+            DaemonState::read_checkpoint(&cfg.dir).map_err(ServeError::State)?
+        else {
             return Ok(None);
         };
         let (solver, base_ctx) = Self::resolve(&cfg)?;
@@ -267,6 +314,9 @@ impl Daemon {
             base_ctx,
             state,
             stream,
+            pending: Vec::new(),
+            checkpoint_bytes,
+            log_bytes_since_checkpoint: 0,
             summary: ServeSummary::default(),
             straggler: None,
         };
@@ -275,65 +325,78 @@ impl Daemon {
         Ok(Some(daemon))
     }
 
-    /// Replays `wal-<epoch>.log` (and any successors completed by a
-    /// settle record) on top of the checkpoint.
+    /// Replays `wal-<epoch>.log` and every successor a settle record
+    /// completed on top of the checkpoint, then checkpoints the result if
+    /// it settled anything.
     fn replay(&mut self) -> Result<(), ServeError> {
+        let mut logs: Vec<WalContents> = Vec::new();
         loop {
-            let WalContents {
-                records,
-                torn,
-                valid_len,
-            } = read_records(&self.cfg.dir, self.state.epoch)?;
-            let mut settled = false;
-            for record in records {
+            let log = read_records(&self.cfg.dir, self.state.epoch + logs.len() as u64)?;
+            let settled = log
+                .records
+                .iter()
+                .any(|r| matches!(r, WalRecord::Settle { .. }));
+            logs.push(log);
+            if !settled {
+                break;
+            }
+        }
+        // Only the last ok settlement's placement survives the replay:
+        // later degraded epochs keep it, and earlier ones are replaced.
+        let mut ok_left = logs
+            .iter()
+            .flat_map(|log| &log.records)
+            .filter(|r| matches!(r, WalRecord::Settle { status, .. } if !status.is_degraded()))
+            .count();
+        let open = logs.len() - 1;
+        for (i, log) in logs.into_iter().enumerate() {
+            for record in log.records {
                 match record {
                     WalRecord::Req {
                         time,
                         server,
                         items,
                     } => {
-                        self.apply_request(time, server, items);
+                        self.buffer(time, server, items);
                         self.summary.replayed += 1;
                         mcs_obs::counter_add("serve.replayed", 1);
                     }
                     WalRecord::Settle { status, cost_bits } => {
                         // Replay the *recorded* outcome — never re-run
                         // the solver during recovery.
-                        self.apply_settlement(status, f64::from_bits(cost_bits))?;
-                        settled = true;
+                        ok_left -= usize::from(!status.is_degraded());
+                        self.apply_settlement(status, f64::from_bits(cost_bits), ok_left == 0);
                     }
                 }
             }
-            if !settled {
-                if torn {
-                    // This epoch's log is about to be reopened for
-                    // append; physically drop the torn fragment so the
-                    // next record cannot merge with it into a malformed
-                    // line that a later recovery would read as mid-log
-                    // corruption.
-                    truncate_torn(&self.cfg.dir, self.state.epoch, valid_len)?;
-                    mcs_obs::counter_add("serve.torn_tails", 1);
-                    journal::record(
-                        "wal-torn",
-                        Some(self.state.epoch),
-                        vec![("valid_len", Value::U64(valid_len))],
-                    );
-                }
-                break;
+            if i < open {
+                self.log_bytes_since_checkpoint += log.valid_len;
+            } else if log.torn {
+                // This epoch's log is about to be reopened for append;
+                // physically drop the torn fragment so the next record
+                // cannot merge with it into a malformed line that a later
+                // recovery would read as mid-log corruption.
+                truncate_torn(&self.cfg.dir, self.state.epoch, log.valid_len)?;
+                mcs_obs::counter_add("serve.torn_tails", 1);
+                journal::record(
+                    "wal-torn",
+                    Some(self.state.epoch),
+                    vec![("valid_len", Value::U64(log.valid_len))],
+                );
             }
-            // The settle we just replayed advanced the epoch; its log may
-            // exist if the crash landed after rotation.
         }
         journal::record(
             "recovery-replay",
             Some(self.state.epoch),
             vec![("replayed", Value::U64(self.summary.replayed))],
         );
+        self.checkpoint_if_behind()?;
         self.wal = Wal::open(&self.cfg.dir, self.state.epoch)?;
+        self.set_log_gauge();
         // The buffer may have filled with no settle record durable yet
         // (crash inside settlement, before the outcome was logged):
         // settle now, exactly as the pre-crash process was about to.
-        if self.state.pending.len() >= self.cfg.epoch_len {
+        if self.pending.len() >= self.cfg.epoch_len {
             self.settle_epoch()?;
         }
         Ok(())
@@ -355,7 +418,7 @@ impl Daemon {
         Ok(())
     }
 
-    /// Admission control + durable logging + application for one frame.
+    /// Admission control + durable logging + buffering for one frame.
     ///
     /// # Errors
     ///
@@ -370,7 +433,7 @@ impl Daemon {
         if !time.is_finite() || time <= 0.0 {
             return Ok(self.reject(format!("non-positive time {time}")));
         }
-        if time <= self.state.last_time {
+        if time <= self.last_time() {
             // Already covered by recovered/served history: the resume
             // path re-reading its input, or an out-of-order source.
             self.summary.stale += 1;
@@ -414,21 +477,26 @@ impl Daemon {
             server,
             items,
         };
-        self.wal.append(&record)?;
+        self.log(&record)?;
         if let WalRecord::Req { items, .. } = record {
-            self.apply_request(time, server, items);
+            self.buffer(time, server, items);
         }
         self.summary.admitted += 1;
         mcs_obs::counter_add("serve.admitted", 1);
 
-        if self.state.pending.len() >= self.cfg.epoch_len {
+        if self.pending.len() >= self.cfg.epoch_len {
             self.settle_epoch()?;
         }
         mcs_obs::gauge_set(
             "serve.backpressure",
-            self.state.pending.len() as f64 / self.cfg.epoch_len as f64,
+            self.pending.len() as f64 / self.cfg.epoch_len as f64,
         );
         Ok(Admission::Admitted)
+    }
+
+    /// Time of the most recently admitted request (`0` before the first).
+    fn last_time(&self) -> f64 {
+        self.pending.last().map_or(self.state.last_time, |r| r.time)
     }
 
     /// Counts and journals one admission rejection.
@@ -443,39 +511,51 @@ impl Daemon {
         Admission::Rejected(reason)
     }
 
-    /// Applies an admitted (or replayed) request to in-memory state.
-    fn apply_request(&mut self, time: f64, server: ServerId, items: Vec<ItemId>) {
-        let request = Request {
-            server,
-            time,
-            items,
-        };
-        self.stream.observe(&request);
-        self.state.pending.push(PendingReq {
+    /// Appends one record to the open epoch's log.
+    fn log(&mut self, record: &WalRecord) -> Result<(), ServeError> {
+        let before = self.wal.bytes();
+        self.wal.append(record)?;
+        self.summary.wal_bytes += self.wal.bytes() - before;
+        Ok(())
+    }
+
+    /// Buffers an admitted (or replayed) request in the open epoch. The
+    /// statistics see it when the epoch settles.
+    fn buffer(&mut self, time: f64, server: ServerId, items: Vec<ItemId>) {
+        self.pending.push(PendingReq {
             time,
             server: server.0,
-            items: request.items.into_iter().map(|i| i.0).collect(),
+            items: items.into_iter().map(|i| i.0).collect(),
         });
-        self.state.admitted += 1;
-        self.state.last_time = time;
     }
 
     /// Settles the open epoch: solver under deadline + panic isolation,
-    /// then the durable settle record, then application.
+    /// then the durable settle record, then application, a checkpoint if
+    /// the log settled since the last one has outgrown it, and the next
+    /// epoch's log.
     fn settle_epoch(&mut self) -> Result<(), ServeError> {
         let epoch = self.state.epoch;
         journal::record(
             "settle-start",
             Some(epoch),
-            vec![("requests", Value::U64(self.state.pending.len() as u64))],
+            vec![("requests", Value::U64(self.pending.len() as u64))],
         );
         let (status, cost) = self.compute_outcome(epoch);
-        self.wal.append(&WalRecord::Settle {
+        self.log(&WalRecord::Settle {
             status,
             cost_bits: cost.to_bits(),
         })?;
-        self.apply_settlement(status, cost)?;
+        self.apply_settlement(status, cost, !status.is_degraded());
         self.summary.epochs_settled += 1;
+        self.log_bytes_since_checkpoint += self.wal.bytes();
+        if self.log_bytes_since_checkpoint >= self.checkpoint_bytes {
+            self.write_checkpoint()?;
+        }
+        self.wal = Wal::open(&self.cfg.dir, self.state.epoch)?;
+        journal::record("wal-rotate", Some(self.state.epoch), vec![]);
+        journal::record("epoch-open", Some(self.state.epoch), vec![]);
+        self.set_log_gauge();
+        self.publish_telemetry();
         if !self.cfg.quiet {
             eprintln!(
                 "serve: epoch {epoch} settled {} cost={cost:.4} (cum={:.4})",
@@ -507,7 +587,7 @@ impl Daemon {
         }
         let timer = mcs_obs::span("serve.settle");
         let mut b = RequestSeqBuilder::new(self.state.servers, self.state.items);
-        for r in &self.state.pending {
+        for r in &self.pending {
             b = b.push(r.server, r.time, r.items.iter().copied());
         }
         let seq = match b.build() {
@@ -572,7 +652,7 @@ impl Daemon {
             .flat_map(|&(a, b)| [(a.0, b.0), (b.0, a.0)])
             .collect();
         let mut cost = 0.0;
-        for req in &self.state.pending {
+        for req in &self.pending {
             for &item in &req.items {
                 match partner.get(&item) {
                     Some(&p) if req.items.binary_search(&p).is_ok() => {
@@ -589,16 +669,18 @@ impl Daemon {
         cost
     }
 
-    /// Applies a settlement outcome (live or WAL-replayed): accumulators,
-    /// placement refresh, checkpoint, WAL rotation.
-    fn apply_settlement(&mut self, status: EpochStatus, cost: f64) -> Result<(), ServeError> {
+    /// Applies a settlement outcome (live or WAL-replayed): the epoch's
+    /// requests moved into the settled state and folded into the
+    /// statistics, the accumulators, and, if asked (never for a degraded
+    /// epoch), the placement refresh.
+    fn apply_settlement(&mut self, status: EpochStatus, cost: f64, refresh_placement: bool) {
         let epoch = self.state.epoch;
-        let accesses: u64 = self
-            .state
-            .pending
-            .iter()
-            .map(|r| r.items.len() as u64)
-            .sum();
+        let accesses: u64 = self.pending.iter().map(|r| r.items.len() as u64).sum();
+        fold(&mut self.stream, &self.pending);
+        self.state.admitted += self.pending.len() as u64;
+        if let Some(last) = self.pending.last() {
+            self.state.last_time = last.time;
+        }
         self.state.cum_cost += cost;
         if status.is_degraded() {
             self.state.degraded_cost += cost;
@@ -620,10 +702,16 @@ impl Daemon {
             // Placement refresh only on trusted settlements; a degraded
             // epoch keeps the last-good placement. Only pairs above θ can
             // pack, so only those are listed and sorted.
-            let theta = self.cfg.theta;
-            self.state.placement_pairs =
-                greedy_matching_from_pairs(self.stream.pairs_above(theta), self.state.items, theta)
-                    .pairs;
+            if refresh_placement {
+                let theta = self.cfg.theta;
+                self.state.placement_pairs = greedy_matching_from_pairs(
+                    self.stream.pairs_above(theta),
+                    self.state.items,
+                    theta,
+                )
+                .pairs;
+                self.summary.placement_refreshes += 1;
+            }
             mcs_obs::counter_add("serve.epochs_ok", 1);
             mcs_obs::fcounter_add("serve.ok_cost", cost);
             journal::record("settle-ok", Some(epoch), vec![("cost", Value::F64(cost))]);
@@ -634,18 +722,38 @@ impl Daemon {
             "serve.degradation_ratio",
             self.state.degradation_ratio().unwrap_or(1.0),
         );
-        self.state.pending.clear();
+        self.pending.clear();
         self.state.epoch = epoch + 1;
         mcs_obs::gauge_set("serve.epoch", self.state.epoch as f64);
+    }
+
+    /// Writes the settled state as the checkpoint of the open epoch, then
+    /// deletes the WAL segments it covers.
+    fn write_checkpoint(&mut self) -> Result<(), ServeError> {
         self.state.streaming = self.stream.snapshot();
-        self.state.save(&self.cfg.dir)?;
-        journal::record("checkpoint-write", Some(self.state.epoch), vec![]);
-        mcs_obs::gauge_set("serve.last_checkpoint_t_mono", journal::now_t_mono());
-        self.wal = Wal::open(&self.cfg.dir, self.state.epoch)?;
-        journal::record("wal-rotate", Some(self.state.epoch), vec![]);
-        journal::record("epoch-open", Some(self.state.epoch), vec![]);
-        self.publish_telemetry();
+        let bytes = self.state.write_checkpoint(&self.cfg.dir)?;
+        let deleted = remove_segments_before(&self.cfg.dir, self.state.epoch)?;
+        note_checkpoint(self.state.epoch, bytes, deleted);
+        self.checkpoint_bytes = bytes;
+        self.log_bytes_since_checkpoint = 0;
         Ok(())
+    }
+
+    /// Checkpoints the settled state unless the last checkpoint already
+    /// holds it: at the end of the input and of a recovery.
+    fn checkpoint_if_behind(&mut self) -> Result<(), ServeError> {
+        if self.log_bytes_since_checkpoint > 0 {
+            self.write_checkpoint()?;
+        }
+        Ok(())
+    }
+
+    /// The log a recovery would replay on top of the checkpoint now.
+    fn set_log_gauge(&self) {
+        mcs_obs::gauge_set(
+            "serve.log_bytes_since_checkpoint",
+            (self.log_bytes_since_checkpoint + self.wal.bytes()) as f64,
+        );
     }
 
     /// Epoch-boundary telemetry publication: drains this thread's metric
@@ -664,13 +772,20 @@ impl Daemon {
         }
     }
 
-    /// The current in-memory state, with the streaming snapshot
-    /// refreshed — [`DaemonState::canonical_json`] of this is the
-    /// byte-identity witness.
+    /// The current in-memory state, with the open epoch folded into a
+    /// copy of the statistics — [`DaemonState::canonical_json`] of this
+    /// is the byte-identity witness.
     pub fn current_state(&self) -> DaemonState {
-        let mut state = self.state.clone();
-        state.streaming = self.stream.snapshot();
-        state
+        with_open_epoch(
+            self.state.clone(),
+            self.stream.clone(),
+            self.pending.clone(),
+        )
+    }
+
+    /// [`Self::current_state`] without the copies: consumes the daemon.
+    fn into_state(self) -> DaemonState {
+        with_open_epoch(self.state, self.stream, self.pending)
     }
 
     /// This run's process-local accounting.
@@ -679,12 +794,63 @@ impl Daemon {
     }
 }
 
+/// The settled `state` and `stream` with the open epoch's `pending`
+/// requests admitted: counted, folded into the statistics, and buffered.
+fn with_open_epoch(
+    mut state: DaemonState,
+    mut stream: StreamingCooccurrence,
+    pending: Vec<PendingReq>,
+) -> DaemonState {
+    fold(&mut stream, &pending);
+    state.streaming = stream.snapshot();
+    state.admitted += pending.len() as u64;
+    if let Some(last) = pending.last() {
+        state.last_time = last.time;
+    }
+    state.pending = pending;
+    state
+}
+
+/// Feeds settled requests to the statistics in admission order.
+fn fold(stream: &mut StreamingCooccurrence, requests: &[PendingReq]) {
+    let mut request = Request {
+        server: ServerId(0),
+        time: 0.0,
+        items: Vec::new(),
+    };
+    for r in requests {
+        request.server = ServerId(r.server);
+        request.time = r.time;
+        request.items.clear();
+        request.items.extend(r.items.iter().map(|&i| ItemId(i)));
+        stream.observe(&request);
+    }
+}
+
+/// Counts and journals a checkpoint of `epoch` that wrote `bytes` and
+/// deleted `segments` covered WAL segments.
+fn note_checkpoint(epoch: u64, bytes: u64, segments: u64) {
+    mcs_obs::counter_add("serve.checkpoints", 1);
+    mcs_obs::counter_add("serve.checkpoint_bytes", bytes);
+    journal::record(
+        "checkpoint-write",
+        Some(epoch),
+        vec![
+            ("bytes", Value::U64(bytes)),
+            ("segments_deleted", Value::U64(segments)),
+        ],
+    );
+    mcs_obs::gauge_set("serve.last_checkpoint_t_mono", journal::now_t_mono());
+}
+
 /// Drives a daemon over a line-framed input stream until EOF.
 ///
 /// Recovers from `cfg.dir` if a checkpoint exists (validating the
 /// handshake against it), otherwise starts fresh on the first `hello`.
 /// Malformed lines and rejected frames are reported to stderr with their
-/// line numbers and survived; only daemon failures abort.
+/// line numbers and survived; only daemon failures abort. At the end of
+/// the input the settled state is checkpointed if the last checkpoint is
+/// older, and the final state is returned.
 ///
 /// # Errors
 ///
@@ -745,12 +911,17 @@ pub fn serve_stream<R: BufRead>(
             }
         }
     }
-    let Some(daemon) = daemon else {
+    let Some(mut daemon) = daemon else {
         return Err(ServeError::State("input ended before hello".into()));
     };
+    // A clean end: checkpoint what settled since the last checkpoint, so
+    // the next start replays only the open epoch.
+    daemon.checkpoint_if_behind()?;
+    daemon.set_log_gauge();
+    daemon.publish_telemetry();
     let mut summary = daemon.summary();
     summary.malformed = malformed;
-    Ok((daemon.current_state(), summary))
+    Ok((daemon.into_state(), summary))
 }
 
 #[cfg(test)]

@@ -12,11 +12,14 @@
 //!   comments), parsed with per-line error positions and zero panics.
 //! - [`wal`] + [`checkpoint`] — durability. Admitted requests and epoch
 //!   outcomes are appended (and flushed) to a per-epoch write-ahead log
-//!   *before* they are applied; epoch boundaries atomically persist the
-//!   whole [`checkpoint::DaemonState`] (including the bit-exact
-//!   streaming-statistics snapshot) and rotate the log. Recovery is
-//!   checkpoint + WAL-tail replay, and reproduces the pre-crash state
-//!   byte for byte.
+//!   *before* they are applied, and each epoch boundary rotates the log.
+//!   The whole [`checkpoint::DaemonState`] (including the bit-exact
+//!   streaming-statistics snapshot) is persisted atomically and durably
+//!   only when the log settled since the last checkpoint has outgrown
+//!   it, at the end of the input, and after a recovery that replayed a
+//!   settlement; each checkpoint deletes the log segments it covers.
+//!   Recovery is checkpoint + WAL replay, and reproduces the pre-crash
+//!   state byte for byte.
 //! - [`daemon`] — the serving loop: admission control (bounding
 //!   per-request work), epoch settlement through the [`mcs_engine`]
 //!   solver registry on a worker thread under a deadline, `catch_unwind`

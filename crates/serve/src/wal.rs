@@ -17,6 +17,13 @@
 //! concatenated onto the torn bytes into one malformed merged line.
 //! Corruption *before* the tail is structural damage and is reported as
 //! an error instead of silently skipped.
+//!
+//! Segments are deleted once a durable checkpoint covers them
+//! ([`remove_segments_before`], after the checkpoint's rename and
+//! directory sync). The deletion lists the directory, so a segment left
+//! behind by a crash between the rename and the deletion goes with the
+//! next checkpoint; recovery never reads one, since it starts at the
+//! checkpoint's epoch.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -145,6 +152,8 @@ pub fn wal_path(dir: &Path, epoch: u64) -> PathBuf {
 pub struct Wal {
     file: File,
     path: PathBuf,
+    /// The file's length: what it held when opened plus every append.
+    bytes: u64,
 }
 
 impl Wal {
@@ -158,7 +167,8 @@ impl Wal {
     pub fn open(dir: &Path, epoch: u64) -> std::io::Result<Wal> {
         let path = wal_path(dir, epoch);
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(Wal { file, path })
+        let bytes = file.metadata()?.len();
+        Ok(Wal { file, path, bytes })
     }
 
     /// Appends one record and flushes it to the OS before returning —
@@ -168,7 +178,9 @@ impl Wal {
     ///
     /// Propagates filesystem failures.
     pub fn append(&mut self, record: &WalRecord) -> std::io::Result<()> {
-        self.file.write_all(record.to_line().as_bytes())?;
+        let line = record.to_line();
+        self.file.write_all(line.as_bytes())?;
+        self.bytes += line.len() as u64;
         self.file.flush()
     }
 
@@ -176,6 +188,37 @@ impl Wal {
     pub fn path(&self) -> &Path {
         &self.path
     }
+
+    /// The log's length in bytes.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
+/// Deletes every `wal-<N>.log` in `dir` with `N < epoch`: the segments a
+/// checkpoint of `epoch` covers. Lists the directory rather than walking
+/// back from `epoch`, so segments a crash left behind go too. Returns how
+/// many were deleted.
+///
+/// # Errors
+///
+/// Propagates filesystem failures.
+pub fn remove_segments_before(dir: &Path, epoch: u64) -> std::io::Result<u64> {
+    let mut deleted = 0;
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let covered = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("wal-")?.strip_suffix(".log"))
+            .and_then(|n| n.parse::<u64>().ok())
+            .is_some_and(|n| n < epoch);
+        if covered {
+            std::fs::remove_file(entry.path())?;
+            deleted += 1;
+        }
+    }
+    Ok(deleted)
 }
 
 /// The parsed contents of one epoch log: the records, plus whether a torn
@@ -386,6 +429,31 @@ mod tests {
         let err = read_records(&dir, 1).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains(":2:"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn lengths_track_appends_and_covered_segments_are_removed() {
+        let dir = tmp_dir("segments");
+        for epoch in [0, 3, 7, 12] {
+            let mut wal = Wal::open(&dir, epoch).unwrap();
+            wal.append(&sample_records()[0]).unwrap();
+            assert_eq!(wal.bytes(), std::fs::metadata(wal.path()).unwrap().len());
+        }
+        let reopened = Wal::open(&dir, 3).unwrap();
+        assert_eq!(reopened.bytes(), Wal::open(&dir, 0).unwrap().bytes());
+        std::fs::write(dir.join("checkpoint.json"), "{}").unwrap();
+        std::fs::write(dir.join("wal-x.log"), "").unwrap();
+        assert_eq!(remove_segments_before(&dir, 7).unwrap(), 2);
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(
+            left,
+            ["checkpoint.json", "wal-12.log", "wal-7.log", "wal-x.log"]
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

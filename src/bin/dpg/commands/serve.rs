@@ -1,15 +1,19 @@
 //! `dpg serve --dir DIR` — the crash-safe online serving daemon.
 //!
 //! Reads newline-framed `hello`/`req` frames from stdin (or `--input
-//! FILE`), feeds the streaming co-occurrence statistics incrementally,
-//! and settles placements through the solver registry every
-//! `--epoch-len` admitted requests. All durable state lives in `--dir`:
-//! an atomically-replaced checkpoint plus per-epoch write-ahead logs,
-//! so `kill -9` at any instant recovers byte-identically (see
-//! `crates/serve`). `--dump-state` runs full recovery, prints the
+//! FILE`) and, every `--epoch-len` admitted requests, settles the epoch
+//! through the solver registry, folds it into the streaming
+//! co-occurrence statistics and re-packs the placement. All durable
+//! state lives in `--dir`: a checkpoint, atomically replaced and synced
+//! whenever the log settled since it has grown to its size (and at the
+//! end of the input), plus the per-epoch write-ahead logs it does not
+//! yet cover, so `kill -9` at any instant recovers byte-identically (see
+//! `crates/serve`). A clean run leaves `checkpoint.json` and the open
+//! epoch's `wal-N.log`. `--dump-state` runs full recovery, prints the
 //! recovered canonical state, and exits — the crash harness and CI diff
 //! exactly that output. Recovery is not read-only: like any restart it
-//! persists the recovered checkpoint, truncates torn WAL tails, and (if
+//! checkpoints the recovered state if it replayed a settlement (deleting
+//! the logs that checkpoint covers), truncates torn WAL tails, and (if
 //! the recovered pending buffer is already full) settles that epoch, so
 //! it may invoke the solver; all of this is deterministic and
 //! idempotent, so dumping never changes what a subsequent restart sees.
@@ -115,8 +119,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     }
 
     if args.iter().any(|a| a == "--dump-state") {
-        // Not read-only: recovery persists the checkpoint, truncates
-        // torn WAL tails, and settles a full pending buffer — all
+        // Not read-only: recovery may write a checkpoint, truncates torn
+        // WAL tails, and settles a full pending buffer — all
         // deterministic and idempotent (see the module doc).
         let dir = cfg.dir.clone();
         let daemon = Daemon::recover(cfg)

@@ -5,8 +5,16 @@
 //! (`--file PATH`, the `--telemetry-file`) and renders a refreshing
 //! summary: request rate, admission latency quantiles read off the
 //! exported histogram buckets, epoch settlement outcomes, degradation
-//! ratio, checkpoint age, and the journal tail (endpoint mode only — the
-//! file carries metrics, not the journal).
+//! ratio, checkpoint age, the log a recovery would replay, and the
+//! journal tail (endpoint mode only — the file carries metrics, not the
+//! journal).
+//!
+//! The daemon checkpoints when the log settled since its last checkpoint
+//! outgrows it, not at every epoch, so `serve_last_checkpoint_t_mono`
+//! moves only when a checkpoint is written: a checkpoint age of many
+//! epochs is normal. `serve_log_bytes_since_checkpoint`, shown beside it,
+//! is what that age costs a recovery, and stays below one checkpoint's
+//! size plus the open epoch.
 //!
 //! `--raw metrics|journal` is the curl-equivalent: one scrape, raw body
 //! to stdout, no rendering — what CI uses to assert on the exposition.
@@ -154,7 +162,8 @@ fn fmt_secs(v: Option<f64>) -> String {
 }
 
 /// Checkpoint age in seconds, strictly from the two *monotonic* keys of
-/// the exposition (`serve_scrape_t_mono` − `serve_last_checkpoint_t_mono`);
+/// the exposition (`serve_scrape_t_mono` − `serve_last_checkpoint_t_mono`,
+/// which moves only when a checkpoint is written);
 /// wall-clock keys are never consulted, so NTP steps cannot skew the age.
 /// A checkpoint stamped after the scrape was cut (the daemon keeps
 /// running while the body is built) would read negative — clamped to 0.
@@ -202,9 +211,10 @@ fn render(source: &str, scrape: &Scrape, prev: Option<(f64, f64)>, journal: Opti
     );
     let ckpt_age = checkpoint_age(scrape).map_or_else(|| "-".into(), |age| format!("{age:.1}s"));
     println!(
-        "state        cost ok={} degraded={}   checkpoint_age={ckpt_age}   backpressure={}",
+        "state        cost ok={} degraded={}   checkpoint_age={ckpt_age} log_since={}B   backpressure={}",
         fmt_count(scrape.get("serve_ok_cost_total")),
         fmt_count(scrape.get("serve_degraded_cost_total")),
+        fmt_count(scrape.get("serve_log_bytes_since_checkpoint")),
         scrape
             .get("serve_backpressure")
             .map_or_else(|| "-".into(), |v| format!("{:.0}%", v * 100.0)),

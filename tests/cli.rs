@@ -311,3 +311,23 @@ fn chaos_rejects_out_of_range_fault_rates() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--fault-rate"));
 }
+
+/// 200,000 nested arrays are a positioned parse error (exit 1), not a
+/// stack overflow: the parser stops at the 129th level.
+#[test]
+fn stats_on_deeply_nested_json_is_a_positioned_error() {
+    let path = temp_trace_path("deep");
+    let depth = 200_000;
+    std::fs::write(&path, "[".repeat(depth) + &"]".repeat(depth)).unwrap();
+    let out = dpg()
+        .args(["stats", path.to_str().unwrap()])
+        .output()
+        .expect("run dpg stats");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("line 1, column 129: nesting deeper than 128 levels"),
+        "{stderr}"
+    );
+    std::fs::remove_file(&path).ok();
+}

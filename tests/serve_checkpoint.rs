@@ -1,28 +1,48 @@
-//! The serving daemon's checkpoint, written in one pass and loaded with
-//! its catalog checked.
+//! The serving daemon's checkpoint: written in one pass through a bounded
+//! buffer, at a cadence proportional to the log, and loaded with its
+//! catalog checked.
 //!
 //! * `DaemonState::canonical_json` streams the state through the JSON
 //!   writer without building a tree; it must equal the tree rendering
 //!   `to_json().to_string_pretty() + "\n"` byte for byte on random states:
 //!   decayed statistics, degraded epochs, a non-empty `pending`, placement
-//!   pairs, empty vectors and the numbers at the writer's edges.
-//! * After every settlement of a live daemon, `checkpoint.json` on disk
-//!   equals both `current_state().canonical_json()` and the tree.
+//!   pairs, empty vectors and the numbers at the writer's edges. `save`
+//!   writes those bytes, also for states larger than its 64 KB buffer.
+//! * After every settlement of a live daemon, recovering a copy of its
+//!   directory reproduces the served state; whenever `checkpoint.json`
+//!   changes it equals the tree of the settled state at that boundary, and
+//!   after a clean end of input it holds the last settled state.
+//! * The cadence's bounds hold on random streams: checkpoints but the last
+//!   cost at most the WAL written, the log on disk stays within one
+//!   checkpoint plus the open epoch, and covered segments are deleted.
+//!   A recovery refreshes the placement once, at the last `ok` epoch it
+//!   replays, and ignores segments a crash left behind.
 //! * A checkpoint naming items outside the handshake's catalog is a
 //!   `corrupt checkpoint` error at load and for `serve_stream`, never a
-//!   panic at the next settlement.
+//!   panic at the next settlement; so is one nested too deep to parse.
 
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
+use std::process::Command;
+use std::time::Duration;
 
+use dp_greedy_suite::correlation::matching::greedy_matching_from_pairs;
 use dp_greedy_suite::correlation::StreamingCooccurrence;
-use dp_greedy_suite::model::json::ToJson;
+use dp_greedy_suite::model::json::{parse, FromJson, ToJson};
 use dp_greedy_suite::model::rng::Rng;
 use dp_greedy_suite::model::{ItemId, Request, ServerId};
 use dp_greedy_suite::serve::checkpoint::checkpoint_path;
 use dp_greedy_suite::serve::{
     serve_stream, Admission, Daemon, DaemonState, PendingReq, ServeConfig, CHECKPOINT_VERSION,
 };
+
+fn dpg() -> Command {
+    let mut path = PathBuf::from(env!("CARGO_BIN_EXE_dpg"));
+    if !path.exists() {
+        path = PathBuf::from("target/debug/dpg");
+    }
+    Command::new(path)
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dpg-checkpoint-{tag}-{}", std::process::id()));
@@ -70,12 +90,14 @@ fn count(rng: &mut Rng) -> u64 {
     }
 }
 
-fn random_state(rng: &mut Rng) -> DaemonState {
-    let items = rng.gen_range(1..40u32);
+/// A random state over fewer than `max_items` items whose statistics saw
+/// fewer than `max_requests` requests of up to `max_len - 1` items.
+fn random_state(rng: &mut Rng, max_items: u32, max_requests: usize, max_len: u32) -> DaemonState {
+    let items = rng.gen_range(1..max_items);
     let decay = [1.0, 0.9, 0.3, 0.05][rng.gen_range(0..4usize)];
     let mut stream = StreamingCooccurrence::new(decay);
-    for i in 0..rng.gen_range(0..400usize) {
-        let mut ids: Vec<ItemId> = (0..rng.gen_range(1..4u32))
+    for i in 0..rng.gen_range(0..max_requests) {
+        let mut ids: Vec<ItemId> = (0..rng.gen_range(1..max_len))
             .map(|_| ItemId(rng.gen_range(0..items)))
             .collect();
         ids.sort_unstable();
@@ -131,7 +153,7 @@ fn random_state(rng: &mut Rng) -> DaemonState {
 fn one_pass_checkpoint_equals_the_tree_rendering_on_random_states() {
     for case in 0..200u64 {
         let mut rng = Rng::seed_from_u64(0xC4EC + case);
-        let state = random_state(&mut rng);
+        let state = random_state(&mut rng, 40, 400, 4);
         assert_eq!(state.canonical_json(), tree(&state), "case {case}");
     }
     // The empty state: every vector empty, every container `[]`.
@@ -140,52 +162,413 @@ fn one_pass_checkpoint_equals_the_tree_rendering_on_random_states() {
     assert!(fresh.canonical_json().contains("\"pending\": []\n}"));
 }
 
-/// Requests over `items` items: mostly one of a few correlated pairs.
-fn feed(daemon: &mut Daemon, rng: &mut Rng, items: u32, n: usize, t: &mut f64) {
-    for _ in 0..n {
-        *t += 0.25;
-        let first = rng.gen_range(0..items);
-        let mut ids = vec![ItemId(first)];
-        if rng.gen_bool(0.7) {
-            ids.push(ItemId(first ^ 1));
-        }
-        let server = ServerId(rng.gen_range(0..3u32));
-        assert_eq!(daemon.admit(*t, server, ids).unwrap(), Admission::Admitted);
+/// `save` hands its buffer to the file every 64 KB; the file must hold
+/// exactly `canonical_json()`, including states many buffers long.
+#[test]
+fn save_writes_the_canonical_bytes_through_a_bounded_buffer() {
+    let dir = temp_dir("save-bytes");
+    let mut largest = 0;
+    for case in 0..60u64 {
+        let mut rng = Rng::seed_from_u64(0x5A7E + case);
+        let mut state = if case % 3 == 0 {
+            random_state(&mut rng, 300, 3_000, 8)
+        } else {
+            random_state(&mut rng, 40, 400, 4)
+        };
+        // Checkpoints never hold the open epoch.
+        state.pending.clear();
+        state.save(&dir).unwrap();
+        let on_disk = std::fs::read_to_string(checkpoint_path(&dir)).unwrap();
+        assert_eq!(on_disk, state.canonical_json(), "case {case}");
+        largest = largest.max(on_disk.len());
+    }
+    assert!(largest > 4 * 64 * 1024, "largest state {largest} B");
+    let mut left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["checkpoint.json"], "no temporary file is left");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Copies the files of `from` into a fresh directory `to`.
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::remove_dir_all(to).ok();
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
     }
 }
 
-fn assert_checkpoint_is_current(daemon: &Daemon, dir: &Path, what: &str) {
-    let on_disk = std::fs::read_to_string(checkpoint_path(dir)).unwrap();
-    let state = daemon.current_state();
-    assert!(state.pending.is_empty(), "{what}: checkpoints close epochs");
-    assert_eq!(on_disk, state.canonical_json(), "{what}: in memory");
-    assert_eq!(on_disk, tree(&state), "{what}: tree");
+/// The state `Daemon::recover` rebuilds from a copy of `dir`.
+fn recovered(cfg: &ServeConfig, copy: &Path) -> DaemonState {
+    copy_dir(&cfg.dir, copy);
+    let mut cfg = cfg.clone();
+    cfg.dir = copy.to_path_buf();
+    cfg.inject_panic_epoch = None;
+    cfg.inject_slow_epoch = None;
+    Daemon::recover(cfg).unwrap().unwrap().current_state()
+}
+
+/// `(time, server, items)` requests as `req` frames behind a `hello`.
+fn frames(servers: u32, items: u32, requests: &[(f64, u32, Vec<ItemId>)]) -> String {
+    let mut text = format!("hello {servers} {items}\n");
+    for (t, server, ids) in requests {
+        let csv: Vec<String> = ids.iter().map(|i| i.0.to_string()).collect();
+        text.push_str(&format!("req {t:?} {server} {}\n", csv.join(",")));
+    }
+    text
 }
 
 #[test]
 fn every_checkpoint_on_disk_equals_the_served_state_and_the_tree() {
     for (run, decay) in [1.0, 0.9, 0.05].into_iter().enumerate() {
         let dir = temp_dir(&format!("settle-{run}"));
+        let copy = temp_dir(&format!("settle-copy-{run}"));
         let mut cfg = ServeConfig::new(dir.clone());
         cfg.quiet = true;
         cfg.epoch_len = 8;
         cfg.decay = decay;
         cfg.inject_panic_epoch = Some(2);
         let items = 12;
-        let mut daemon = Daemon::fresh(cfg, 3, items).unwrap();
-        assert_checkpoint_is_current(&daemon, &dir, "fresh");
+        let mut daemon = Daemon::fresh(cfg.clone(), 3, items).unwrap();
+        let mut on_disk = std::fs::read_to_string(checkpoint_path(&dir)).unwrap();
+        assert_eq!(on_disk, tree(&daemon.current_state()), "fresh");
         let mut rng = Rng::seed_from_u64(0x5E77 + run as u64);
+        let mut requests = Vec::new();
         let mut t = 0.0;
+        let mut written = 0;
+        let mut settled = daemon.current_state();
         for epoch in 0..30 {
-            feed(&mut daemon, &mut rng, items, 8, &mut t);
+            for _ in 0..8 {
+                t += 0.25;
+                let first = rng.gen_range(0..items);
+                let mut ids = vec![ItemId(first)];
+                if rng.gen_bool(0.7) {
+                    ids.push(ItemId(first ^ 1));
+                }
+                let server = rng.gen_range(0..3u32);
+                requests.push((t, server, ids.clone()));
+                assert_eq!(
+                    daemon.admit(t, ServerId(server), ids).unwrap(),
+                    Admission::Admitted
+                );
+            }
+            let what = format!("decay {decay}, epoch {epoch}");
             assert_eq!(daemon.summary().epochs_settled, epoch + 1);
-            assert_checkpoint_is_current(&daemon, &dir, &format!("decay {decay}, epoch {epoch}"));
+            settled = daemon.current_state();
+            assert!(settled.pending.is_empty(), "{what}: epochs close full");
+            if !settled.degraded_epochs.contains(&epoch) {
+                // An ok epoch packs the statistics it settled into.
+                let stats = StreamingCooccurrence::from_snapshot(&settled.streaming).unwrap();
+                let packing =
+                    greedy_matching_from_pairs(stats.pairs_above(cfg.theta), items, cfg.theta);
+                assert_eq!(settled.placement_pairs, packing.pairs, "{what}: placement");
+            }
+            let live = settled.canonical_json();
+            assert_eq!(live, tree(&settled), "{what}: tree");
+            assert_eq!(
+                recovered(&cfg, &copy).canonical_json(),
+                live,
+                "{what}: recovery"
+            );
+            let now = std::fs::read_to_string(checkpoint_path(&dir)).unwrap();
+            if now != on_disk {
+                assert_eq!(now, tree(&settled), "{what}: checkpoint");
+                on_disk = now;
+                written += 1;
+            }
+        }
+        assert!(
+            (2..20).contains(&written),
+            "decay {decay}: {written} checkpoints in 30 epochs"
+        );
+        assert_eq!(settled.degraded_epochs, vec![2]);
+        assert!(!settled.placement_pairs.is_empty());
+
+        // A clean end of input, three requests into the next epoch,
+        // leaves the last settled state in the checkpoint.
+        for k in 1..=3 {
+            requests.push((t + 0.25 * f64::from(k), 0, vec![ItemId(k)]));
+        }
+        let clean = temp_dir(&format!("settle-clean-{run}"));
+        let mut clean_cfg = cfg.clone();
+        clean_cfg.dir = clean.clone();
+        let (state, summary) =
+            serve_stream(clean_cfg, Cursor::new(frames(3, items, &requests))).unwrap();
+        assert_eq!((summary.epochs_settled, state.pending.len()), (30, 3));
+        let on_disk = std::fs::read_to_string(checkpoint_path(&clean)).unwrap();
+        assert_eq!(on_disk, tree(&settled), "decay {decay}: clean end");
+        for d in [dir, copy, clean] {
+            std::fs::remove_dir_all(&d).ok();
+        }
+    }
+}
+
+/// The WAL segments in `dir`, by epoch, with their sizes.
+fn segments(dir: &Path) -> Vec<(u64, u64)> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let entry = entry.unwrap();
+        let name = entry.file_name().into_string().unwrap();
+        if name == "checkpoint.json" {
+            continue;
+        }
+        let epoch = name
+            .strip_prefix("wal-")
+            .and_then(|n| n.strip_suffix(".log"))
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("unexpected file {name} in the serve directory"));
+        out.push((epoch, entry.metadata().unwrap().len()));
+    }
+    out.sort_unstable();
+    out
+}
+
+/// Random streams (3–40 items, epochs of 1–64 requests, decays below 1
+/// down to the `scale < 1e-200` renormalisation, one injected degraded
+/// epoch) keep both bounds of the cadence at every epoch boundary, and
+/// the directory holds only the checkpoint and the log it needs.
+#[test]
+fn checkpoint_cadence_bounds_hold_on_random_streams() {
+    let mut renormalised = 0;
+    for case in 0..16u64 {
+        let mut rng = Rng::seed_from_u64(0xCADE + case);
+        let dir = temp_dir(&format!("cadence-{case}"));
+        let items = rng.gen_range(3..=40u32);
+        let mut cfg = ServeConfig::new(dir.clone());
+        cfg.quiet = true;
+        cfg.epoch_len = [1, 3, 8, 16, 64][rng.gen_range(0..5usize)];
+        cfg.decay = [0.999, 0.9, 0.5, 0.05][case as usize % 4];
+        let requests = rng.gen_range(160..400usize);
+        let epochs = (requests / cfg.epoch_len) as u64;
+        cfg.inject_panic_epoch = (epochs > 1).then(|| rng.gen_range(0..epochs));
+        let what = format!(
+            "case {case}: {items} items, epochs of {}, decay {}",
+            cfg.epoch_len, cfg.decay
+        );
+        let mut daemon = Daemon::fresh(cfg.clone(), 2, items).unwrap();
+        let mut checkpoint = std::fs::read_to_string(checkpoint_path(&dir)).unwrap();
+        let mut checkpoint_epoch = 0;
+        let mut earlier_checkpoints = 0u64;
+        let mut t = 0.0;
+        for _ in 0..requests {
+            t += 0.5;
+            let mut ids: Vec<ItemId> = (0..rng.gen_range(1..5u32))
+                .map(|_| ItemId(rng.gen_range(0..items)))
+                .collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let before = daemon.summary().epochs_settled;
+            daemon.admit(t, ServerId(0), ids).unwrap();
+            if daemon.summary().epochs_settled == before {
+                continue;
+            }
+            let now = std::fs::read_to_string(checkpoint_path(&dir)).unwrap();
+            if now != checkpoint {
+                earlier_checkpoints += checkpoint.len() as u64;
+                checkpoint = now;
+                checkpoint_epoch = DaemonState::from_json(&parse(&checkpoint).unwrap())
+                    .unwrap()
+                    .epoch;
+            }
+            let summary = daemon.summary();
+            assert!(
+                earlier_checkpoints <= summary.wal_bytes,
+                "{what}: {earlier_checkpoints} B of checkpoints for {} B of log",
+                summary.wal_bytes
+            );
+            let open = summary.epochs_settled;
+            let logs = segments(&dir);
+            assert!(
+                logs.iter()
+                    .all(|&(e, _)| checkpoint_epoch <= e && e <= open),
+                "{what}: segments {logs:?} around checkpoint {checkpoint_epoch} and open {open}"
+            );
+            let settled_log: u64 = logs.iter().filter(|&&(e, _)| e < open).map(|l| l.1).sum();
+            assert!(
+                settled_log <= checkpoint.len() as u64,
+                "{what}: {settled_log} B of settled log behind a {} B checkpoint",
+                checkpoint.len()
+            );
         }
         let state = daemon.current_state();
-        assert_eq!(state.degraded_epochs, vec![2]);
-        assert!(!state.placement_pairs.is_empty());
+        assert!(
+            state.streaming.observed as u64 == state.admitted,
+            "{what}: every admitted request reached the statistics"
+        );
+        // Without renormalising, the scale would have fallen below 1e-200.
+        if state.admitted as f64 * cfg.decay.ln() < 1e-200f64.ln() {
+            renormalised += 1;
+        }
+        let copy = temp_dir(&format!("cadence-copy-{case}"));
+        assert_eq!(
+            recovered(&cfg, &copy).canonical_json(),
+            state.canonical_json(),
+            "{what}: recovery"
+        );
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&copy).ok();
     }
+    assert!(renormalised >= 4, "{renormalised} streams renormalised");
+}
+
+/// After a checkpoint, ok epochs, then degraded ones (a slow solver: one
+/// deadline miss, then busy epochs behind the straggler) whose requests
+/// would pack a new pair, then a crash. Recovery replays them all,
+/// restores the live placement — the one the last ok epoch chose — and
+/// refreshes it once.
+#[test]
+fn recovery_after_ok_then_degraded_epochs_restores_the_live_placement_once() {
+    let dir = temp_dir("ok-then-degraded");
+    let mut cfg = ServeConfig::new(dir.clone());
+    cfg.quiet = true;
+    cfg.epoch_len = 8;
+    cfg.settle_timeout = Duration::from_millis(500);
+    // Warm-up over items 8..40 ends cleanly, so the checkpoint holds
+    // epoch 5 and outweighs the log of the epochs that follow.
+    let mut rng = Rng::seed_from_u64(0xDE6);
+    let warm_up: Vec<_> = (1..=40)
+        .map(|i| {
+            let a = rng.gen_range(8..39u32);
+            (
+                f64::from(i),
+                0,
+                vec![ItemId(a), ItemId(rng.gen_range(a + 1..40))],
+            )
+        })
+        .collect();
+    serve_stream(cfg.clone(), Cursor::new(frames(2, 40, &warm_up))).unwrap();
+    let slow = 9;
+    cfg.inject_slow_epoch = Some((slow, Duration::from_secs(5)));
+    let mut daemon = Daemon::recover(cfg.clone()).unwrap().unwrap();
+    let mut t = 40.0;
+    let mut feed = |daemon: &mut Daemon, pair: [u32; 2], n: usize| {
+        for _ in 0..n {
+            t += 0.5;
+            let ids = vec![ItemId(pair[0]), ItemId(pair[1])];
+            assert_eq!(
+                daemon.admit(t, ServerId(0), ids).unwrap(),
+                Admission::Admitted
+            );
+        }
+    };
+    for epoch in 5..slow {
+        let first = (epoch % 2) as u32 * 2;
+        feed(&mut daemon, [first, first + 1], 8);
+    }
+    feed(&mut daemon, [4, 5], 3 * 8 + 3);
+    let live = daemon.current_state();
+    assert_eq!(live.degraded_epochs, vec![slow, slow + 1, slow + 2]);
+    for pair in [(0, 1), (2, 3)] {
+        assert!(live
+            .placement_pairs
+            .contains(&(ItemId(pair.0), ItemId(pair.1))));
+    }
+    assert!(!live.placement_pairs.contains(&(ItemId(4), ItemId(5))));
+    assert_eq!(DaemonState::load(&dir).unwrap().unwrap().epoch, 5);
+    drop(daemon); // a crash: no clean end, no final checkpoint
+
+    let copy = temp_dir("ok-then-degraded-copy");
+    copy_dir(&dir, &copy);
+    let mut again = cfg.clone();
+    again.dir = copy.clone();
+    again.inject_slow_epoch = None;
+    let daemon = Daemon::recover(again).unwrap().unwrap();
+    assert_eq!(daemon.summary().replayed, 7 * 8 + 3);
+    assert_eq!(daemon.summary().placement_refreshes, 1);
+    assert_eq!(
+        daemon.current_state().canonical_json(),
+        live.canonical_json()
+    );
+    // Refreshing after the degraded epochs would have packed (4, 5).
+    let late = StreamingCooccurrence::from_snapshot(&live.streaming).unwrap();
+    assert!(late.jaccard(ItemId(4), ItemId(5)) > cfg.theta);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&copy).ok();
+}
+
+/// A crash between the checkpoint's rename and the deletion of the
+/// segments it covers leaves them behind: recovery must not read them
+/// (these are garbage, which reading would report as corruption), and the
+/// next checkpoint removes them.
+#[test]
+fn segments_left_behind_by_a_crash_are_ignored_and_removed_later() {
+    let dir = temp_dir("leftover");
+    let mut cfg = ServeConfig::new(dir.clone());
+    cfg.quiet = true;
+    cfg.epoch_len = 4;
+    let mut input = String::from("hello 2 6\n");
+    for i in 1..=42 {
+        input.push_str(&format!("req {i}.0 {} {},{}\n", i % 2, i % 6, (i + 1) % 6));
+    }
+    let (served, _) = serve_stream(cfg.clone(), Cursor::new(input)).unwrap();
+    assert_eq!(
+        segments(&dir),
+        vec![(10, std::fs::metadata(dir.join("wal-10.log")).unwrap().len())]
+    );
+    for epoch in [3, 8, 9] {
+        std::fs::write(
+            dir.join(format!("wal-{epoch}.log")),
+            "req 1.0 0 0\nnot a record\nreq 2.0 0 0\n",
+        )
+        .unwrap();
+    }
+    let mut daemon = Daemon::recover(cfg).unwrap().unwrap();
+    assert_eq!(
+        daemon.current_state().canonical_json(),
+        served.canonical_json()
+    );
+    let before = std::fs::read_to_string(checkpoint_path(&dir)).unwrap();
+    let mut t = 42.0;
+    while std::fs::read_to_string(checkpoint_path(&dir)).unwrap() == before {
+        let left: Vec<u64> = segments(&dir)
+            .iter()
+            .map(|s| s.0)
+            .filter(|&e| e < 10)
+            .collect();
+        assert_eq!(left, vec![3, 8, 9], "left in place until a checkpoint");
+        t += 1.0;
+        daemon
+            .admit(t, ServerId(0), vec![ItemId(0), ItemId(1)])
+            .unwrap();
+        assert!(t < 1_000.0, "no checkpoint written");
+    }
+    let open = daemon.current_state().epoch;
+    assert_eq!(
+        segments(&dir).iter().map(|s| s.0).collect::<Vec<_>>(),
+        vec![open]
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint nested deeper than the parser's limit is a positioned
+/// `corrupt checkpoint` error (exit 1), not a stack overflow.
+#[test]
+fn a_deeply_nested_checkpoint_is_a_positioned_error() {
+    let dir = temp_dir("deep");
+    let depth = 100_000;
+    let text = format!(
+        "{{\"version\": {}{}}}\n",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    std::fs::write(checkpoint_path(&dir), text).unwrap();
+    let err = DaemonState::load(&dir).unwrap_err();
+    assert!(err.contains("at line 1, column 140"), "{err}");
+    let out = dpg()
+        .args(["serve", "--dir", dir.to_str().unwrap(), "--dump-state"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("corrupt checkpoint") && stderr.contains("nesting deeper than 128 levels"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A 3-item run whose checkpoint then gains statistics for items 7 and 8.
@@ -237,6 +620,26 @@ fn a_checkpoint_naming_items_outside_the_catalog_fails_to_load() {
     std::fs::write(checkpoint_path(&dir), state.canonical_json()).unwrap();
     let err = DaemonState::load(&dir).unwrap_err();
     assert!(err.contains("placement_pairs names item 5"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The open epoch lives in the WAL; a checkpoint that buffers requests
+/// would have them silently dropped, so it does not load.
+#[test]
+fn a_checkpoint_holding_pending_requests_fails_to_load() {
+    let dir = temp_dir("pending");
+    let mut state = DaemonState::fresh(2, 3, 1.0);
+    state.pending.push(PendingReq {
+        time: 1.0,
+        server: 0,
+        items: vec![0, 1],
+    });
+    std::fs::write(checkpoint_path(&dir), state.canonical_json()).unwrap();
+    let err = DaemonState::load(&dir).unwrap_err();
+    assert!(
+        err.contains("corrupt checkpoint") && err.contains("1 pending requests"),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
