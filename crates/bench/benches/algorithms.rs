@@ -8,7 +8,8 @@ use mcs_bench::{criterion_group, criterion_main};
 
 use dp_greedy::two_phase::{dp_greedy, DpGreedyConfig};
 use mcs_bench::{bench_model, bench_trace, bench_workload};
-use mcs_correlation::{greedy_matching, JaccardMatrix};
+use mcs_correlation::matching::greedy_matching_from_pairs;
+use mcs_correlation::pairs_above;
 use mcs_engine::RunContext;
 use mcs_offline::{greedy::greedy, optimal};
 
@@ -28,12 +29,12 @@ fn bench_substrate(c: &mut Criterion) {
 fn bench_phase1(c: &mut Criterion) {
     let seq = bench_workload(1500);
     let mut g = c.benchmark_group("phase1");
-    g.bench_function("jaccard_matrix", |b| {
-        b.iter(|| JaccardMatrix::from_sequence(black_box(&seq)))
+    g.bench_function("pairs_above", |b| {
+        b.iter(|| pairs_above(black_box(&seq), 0.3))
     });
-    let matrix = JaccardMatrix::from_sequence(&seq);
+    let candidates = pairs_above(&seq, 0.3);
     g.bench_function("greedy_matching", |b| {
-        b.iter(|| greedy_matching(black_box(&matrix), 0.3))
+        b.iter(|| greedy_matching_from_pairs(black_box(candidates.clone()), seq.items(), 0.3))
     });
     g.finish();
 }

@@ -6,19 +6,12 @@
 //!
 //! * end-to-end `dp_greedy` engine-solver throughput (requests/sec) at
 //!   each thread count, with speedup relative to the 1-thread run;
-//! * Phase 1 co-occurrence counting time, serial vs sharded;
-//! * the Phase-1 kernel duel: hash-map pair scan vs bitset popcount
-//!   scan, with a bit-identity gate on the candidate lists and a
-//!   regression gate on the bitset kernel's relative speed;
-//! * pair-table footprint: the dense `k·(k−1)/2` triangle vs the sparse
-//!   observed-pairs table;
 //! * a byte-identity flag: the decision-ledger JSONL and the bit pattern
 //!   of `total_cost` at every thread count must equal the serial run's.
 //!
 //! `--smoke` shrinks the sweep for CI and additionally diffs parallel vs
 //! serial output byte-for-byte across **every** solver in the engine
-//! registry — and hash-kernel vs bitset-kernel output under the
-//! `MCS_PHASE1` knob. `--baseline BENCH_perf.json --max-regression 2.0`
+//! registry. `--baseline BENCH_perf.json --max-regression 2.0`
 //! gates serial throughput against a committed baseline, per trace size
 //! where the sizes overlap (largest-vs-largest otherwise); the document
 //! carries a `host` fingerprint, and a baseline taken on a different
@@ -37,7 +30,6 @@ use std::time::Instant;
 
 use mcs_bench::harness::black_box;
 use mcs_bench::{bench_model, perf_workload};
-use mcs_correlation::{BitsetIncidence, CoOccurrence, SparseCoOccurrence, PHASE1_ENV};
 use mcs_engine::{solvers, CachingSolver, RunContext};
 use mcs_model::json::{parse, Json};
 use mcs_model::par::THREADS_ENV;
@@ -136,13 +128,6 @@ fn set_threads(n: usize) {
     std::env::set_var(THREADS_ENV, n.to_string());
 }
 
-fn set_kernel(name: Option<&str>) {
-    match name {
-        Some(k) => std::env::set_var(PHASE1_ENV, k),
-        None => std::env::remove_var(PHASE1_ENV),
-    }
-}
-
 /// The machine shape the numbers were taken on. Baselines are only
 /// throughput-comparable when this shape matches.
 fn host_fingerprint(threads: &[usize], available: usize) -> Json {
@@ -176,26 +161,6 @@ fn solver_fingerprint(s: &dyn CachingSolver, seq: &RequestSeq, ctx: &RunContext)
         solution.ledger().to_jsonl_string(),
         solution.total_cost.to_bits(),
     )
-}
-
-/// Byte-diffs hash-kernel vs bitset-kernel output for every registry
-/// solver on `seq` at 1 thread. Returns the names that mismatched.
-fn kernel_identity_check(seq: &RequestSeq, ctx: &RunContext) -> Vec<String> {
-    let mut mismatches = Vec::new();
-    set_threads(1);
-    for s in solvers() {
-        if s.request_limit().is_some_and(|l| seq.len() > l) {
-            continue;
-        }
-        set_kernel(Some("hash"));
-        let reference = solver_fingerprint(*s, seq, ctx);
-        set_kernel(Some("bitset"));
-        if solver_fingerprint(*s, seq, ctx) != reference {
-            mismatches.push(format!("{} hash vs bitset", s.name()));
-        }
-    }
-    set_kernel(None);
-    mismatches
 }
 
 /// Byte-diffs parallel vs serial output for every registry solver on
@@ -247,7 +212,6 @@ fn main() {
     let mut serial_rps_by_steps: Vec<(usize, f64)> = Vec::new();
     let mut largest_serial_rps = 0.0f64;
     let mut largest_best_speedup = 0.0f64;
-    let mut largest_bitset_speedup = 0.0f64;
 
     for &steps in &args.sizes {
         let seq = perf_workload(steps, args.taxis);
@@ -256,67 +220,6 @@ fn main() {
             "== {steps} steps ({requests} requests, {} items)",
             seq.items()
         );
-
-        // Phase 1 footprint and sharded-counting time.
-        set_threads(1);
-        let dense = CoOccurrence::from_sequence_serial(&seq);
-        let sparse = SparseCoOccurrence::from_sequence_serial(&seq);
-        let phase1_serial = min_secs(args.reps, || CoOccurrence::from_sequence_serial(&seq));
-        let shards = *args.threads.last().unwrap();
-        set_threads(shards);
-        let phase1_sharded = min_secs(args.reps, || {
-            CoOccurrence::from_sequence_sharded(&seq, shards)
-        });
-        if CoOccurrence::from_sequence_sharded(&seq, shards) != dense
-            || SparseCoOccurrence::from_sequence_sharded(&seq, shards) != sparse
-        {
-            eprintln!("bench_perf: sharded counts diverged at {steps} steps");
-            failed = true;
-        }
-
-        // Phase-1 kernel duel at 1 thread: the hash-map pair scan vs the
-        // bitset popcount scan, over build + candidate enumeration. The
-        // two must produce bit-identical candidate lists.
-        let hash_scan_secs = min_secs(args.reps, || {
-            SparseCoOccurrence::from_sequence_serial(&seq).pairs()
-        });
-        let bitset_scan_secs = min_secs(args.reps, || BitsetIncidence::from_sequence(&seq).pairs());
-        let bitset_speedup = hash_scan_secs / bitset_scan_secs;
-        let hash_pairs = sparse.pairs();
-        let bitset_pairs = BitsetIncidence::from_sequence(&seq).pairs();
-        let pairs_identical = hash_pairs.len() == bitset_pairs.len()
-            && hash_pairs
-                .iter()
-                .zip(&bitset_pairs)
-                .all(|(h, b)| h.0 == b.0 && h.1 == b.1 && h.2.to_bits() == b.2.to_bits());
-        if !pairs_identical {
-            eprintln!("bench_perf: bitset pair scan diverged from hash at {steps} steps");
-            failed = true;
-        }
-        // The speed gate only applies where the auto heuristic would
-        // actually select the bitset kernel — tiny traces route to hash
-        // by design, and the bitset build cost dominating there is not
-        // a regression.
-        let auto_picks_bitset = matches!(
-            mcs_correlation::Phase1Stats::from_sequence(&seq),
-            mcs_correlation::Phase1Stats::Bitset(_)
-        );
-        if auto_picks_bitset && bitset_scan_secs > hash_scan_secs * args.max_regression {
-            eprintln!(
-                "bench_perf: bitset pair scan at {steps} steps ({bitset_scan_secs:.6} s) \
-                 regressed more than {}x against hash ({hash_scan_secs:.6} s)",
-                args.max_regression
-            );
-            failed = true;
-        }
-        println!(
-            "  phase1 pair scan: hash {hash_scan_secs:.6} s, bitset {bitset_scan_secs:.6} s \
-             ({bitset_speedup:.2}x), auto_picks_bitset={auto_picks_bitset}, \
-             identical={pairs_identical}"
-        );
-        if steps == *args.sizes.iter().max().unwrap() {
-            largest_bitset_speedup = bitset_speedup;
-        }
 
         // End-to-end solver throughput per thread count.
         set_threads(1);
@@ -358,31 +261,11 @@ fn main() {
             ("steps".into(), Json::Num(steps as f64)),
             ("requests".into(), Json::Num(requests as f64)),
             ("items".into(), Json::Num(seq.items() as f64)),
-            (
-                "dense_pair_table_bytes".into(),
-                Json::Num(dense.pair_table_bytes() as f64),
-            ),
-            (
-                "sparse_pair_table_bytes".into(),
-                Json::Num(sparse.pair_table_bytes() as f64),
-            ),
-            (
-                "observed_pairs".into(),
-                Json::Num(sparse.observed_pairs() as f64),
-            ),
-            ("phase1_serial_secs".into(), Json::Num(phase1_serial)),
-            ("phase1_sharded_secs".into(), Json::Num(phase1_sharded)),
-            ("hash_pair_scan_secs".into(), Json::Num(hash_scan_secs)),
-            ("bitset_pair_scan_secs".into(), Json::Num(bitset_scan_secs)),
-            ("bitset_speedup_vs_hash".into(), Json::Num(bitset_speedup)),
-            ("bitset_pairs_identical".into(), Json::Bool(pairs_identical)),
-            ("auto_picks_bitset".into(), Json::Bool(auto_picks_bitset)),
             ("runs".into(), Json::Arr(runs)),
         ]));
     }
 
-    // Smoke mode: parallel-vs-serial byte identity across the registry,
-    // then hash-vs-bitset byte identity under the MCS_PHASE1 knob.
+    // Smoke mode: parallel-vs-serial byte identity across the registry.
     let mut registry_checked = false;
     if args.smoke {
         let seq = perf_workload(*args.sizes.first().unwrap(), 10);
@@ -395,16 +278,6 @@ fn main() {
             );
         } else {
             eprintln!("bench_perf: registry mismatches: {}", mismatches.join(", "));
-            failed = true;
-        }
-        let kernel_mismatches = kernel_identity_check(&seq, &ctx);
-        if kernel_mismatches.is_empty() {
-            println!("kernel identity: all solvers byte-identical under MCS_PHASE1=hash|bitset");
-        } else {
-            eprintln!(
-                "bench_perf: kernel mismatches: {}",
-                kernel_mismatches.join(", ")
-            );
             failed = true;
         }
     }
@@ -426,10 +299,6 @@ fn main() {
         (
             "largest_best_speedup".into(),
             Json::Num(largest_best_speedup),
-        ),
-        (
-            "largest_bitset_speedup_vs_hash".into(),
-            Json::Num(largest_bitset_speedup),
         ),
         ("sizes".into(), Json::Arr(size_docs)),
     ]);

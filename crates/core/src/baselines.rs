@@ -11,7 +11,8 @@
 //! * **Greedy** (non-packing): every item served by the simple greedy of
 //!   Fig. 4 — the ablation baseline quantifying what the DP contributes.
 
-use mcs_correlation::{greedy_matching, JaccardMatrix};
+use mcs_correlation::matching::greedy_matching_from_pairs;
+use mcs_correlation::pairs_above;
 use mcs_model::{CostModel, ItemId, RequestSeq};
 use mcs_offline::{greedy::greedy, optimal};
 
@@ -93,8 +94,7 @@ pub fn optimal_pair(seq: &RequestSeq, a: ItemId, b: ItemId, model: &CostModel) -
 /// `theta`, then every matched pair is always-packed; leftovers are served
 /// individually by the optimal off-line algorithm.
 pub fn package_served(seq: &RequestSeq, model: &CostModel, theta: f64) -> BaselineReport {
-    let matrix = JaccardMatrix::from_sequence(seq);
-    let packing = greedy_matching(&matrix, theta);
+    let packing = greedy_matching_from_pairs(pairs_above(seq, theta), seq.items(), theta);
 
     let mut per_item = Vec::new();
     let mut total = 0.0;

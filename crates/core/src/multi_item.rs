@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 
-use mcs_correlation::{agglomerative_grouping, JaccardMatrix, PackageSet};
+use mcs_correlation::{agglomerative_packages, PackageSet, PairTable};
 use mcs_model::par::par_map;
 use mcs_model::{CostModel, ItemId, RequestSeq, Schedule, ServerId, TimePoint};
 use mcs_offline::optimal;
@@ -217,11 +217,11 @@ pub fn dp_greedy_packages(
     }
 }
 
-/// Runs the multi-item DP_Greedy: dense agglomerative Phase 1 followed by
-/// the package-generic Phase 2.
+/// Runs the multi-item DP_Greedy: agglomerative Phase 1 over the
+/// compressed pair table followed by the package-generic Phase 2.
 pub fn dp_greedy_multi(seq: &RequestSeq, config: &MultiItemConfig) -> MultiItemReport {
-    let matrix = JaccardMatrix::from_sequence(seq);
-    let packages = agglomerative_grouping(&matrix, config.theta, config.max_group);
+    let table = PairTable::from_sequence(seq);
+    let packages = agglomerative_packages(&table, config.theta, config.max_group);
     dp_greedy_packages(seq, &packages, &config.model)
 }
 

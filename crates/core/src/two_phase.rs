@@ -1,8 +1,8 @@
 //! The DP_Greedy two-phase algorithm (Algorithm 1 of the paper).
 //!
-//! * **Phase 1**: build the Jaccard similarity matrix of the request
-//!   sequence (Eq. 4/5) and greedily pack disjoint item pairs whose
-//!   similarity strictly exceeds the threshold `θ`.
+//! * **Phase 1**: find the item pairs whose Jaccard similarity (Eq. 4/5)
+//!   strictly exceeds the threshold `θ` and greedily pack disjoint ones,
+//!   most similar first.
 //! * **Phase 2**: for each packed pair, serve the co-requests with the
 //!   optimal off-line algorithm of \[6\] under package rates (`2αμ`, `2αλ`),
 //!   and each single-item request with the three-arm greedy of
@@ -12,7 +12,8 @@
 //! The headline metric is the paper's `ave_cost` (Algorithm 1, line 50):
 //! total cost divided by the total number of item accesses `Σ|d_i|`.
 
-use mcs_correlation::{greedy_matching, JaccardMatrix, Packing};
+use mcs_correlation::matching::greedy_matching_from_pairs;
+use mcs_correlation::{pairs_above, Packing};
 use mcs_model::{CostModel, ItemId, RequestSeq, Schedule};
 use mcs_offline::optimal;
 
@@ -245,9 +246,9 @@ pub fn dp_greedy_pair(
 /// ```
 pub fn dp_greedy(seq: &RequestSeq, config: &DpGreedyConfig) -> DpGreedyReport {
     // Phase 1.
-    let matrix = mcs_obs::time_phase("dpg.phase1.jaccard", || JaccardMatrix::from_sequence(seq));
+    let candidates = mcs_obs::time_phase("dpg.phase1.jaccard", || pairs_above(seq, config.theta));
     let packing = mcs_obs::time_phase("dpg.phase1.match", || {
-        greedy_matching(&matrix, config.theta)
+        greedy_matching_from_pairs(candidates, seq.items(), config.theta)
     });
     mcs_obs::counter_add("dpg.pairs_packed", packing.pairs.len() as u64);
     mcs_obs::counter_add("dpg.items_unpacked", packing.singletons.len() as u64);

@@ -7,25 +7,24 @@
 //! grouping under *average-linkage* Jaccard similarity — two groups merge
 //! while the mean pairwise similarity across the cut strictly exceeds the
 //! threshold — generic over the similarity backend via
-//! [`PairwiseSimilarity`], so the dense [`JaccardMatrix`] and the sparse
-//! [`SparseCoOccurrence`] (memory independent of `k²`) drive the *same*
-//! merge loop and tie-breaking. The per-round candidate scan fans out
-//! over worker threads with [`mcs_model::par::par_map`], reduced in row
-//! order so the outcome is bit-identical to the serial scan for any
-//! thread count.
+//! [`PairwiseSimilarity`], so the solvers' [`crate::PairTable`] (memory
+//! linear in the observed pairs) and the dense reference [`JaccardMatrix`]
+//! drive the *same* merge loop and tie-breaking. The per-round candidate
+//! scan fans out over worker threads with [`mcs_model::par::par_map`],
+//! reduced in row order so the outcome is bit-identical to the serial
+//! scan for any thread count.
 //!
 //! The result is a [`PackageSet`] — the unified Phase-1 outcome shared
 //! with the pairwise matcher ([`crate::matching`]).
 
 use crate::jaccard::JaccardMatrix;
 use crate::package_set::PackageSet;
-use crate::sparse::SparseCoOccurrence;
 use mcs_model::par::par_map;
 use mcs_model::ItemId;
 
 /// A symmetric pairwise similarity oracle over items `0..items()` — the
 /// seam that lets the agglomerative matcher run identically over the
-/// dense matrix and the sparse hash table.
+/// dense matrix and the compressed pair table.
 pub trait PairwiseSimilarity {
     /// Number of items `k`.
     fn items(&self) -> usize;
@@ -39,43 +38,6 @@ impl PairwiseSimilarity for JaccardMatrix {
     }
     fn similarity(&self, a: ItemId, b: ItemId) -> f64 {
         self.get(a, b)
-    }
-}
-
-impl PairwiseSimilarity for SparseCoOccurrence {
-    fn items(&self) -> usize {
-        SparseCoOccurrence::items(self)
-    }
-    fn similarity(&self, a: ItemId, b: ItemId) -> f64 {
-        self.jaccard(a, b)
-    }
-}
-
-/// Co-access totals behind the adaptive θ rule — the seam that lets
-/// [`adaptive_theta`] run identically over the hash and bitset kernels
-/// (both count the same integers, so the derived θ is bit-identical).
-pub trait CoAccessStats {
-    /// `Σ|d_i|` — total item accesses observed in the prescan.
-    fn total_item_accesses(&self) -> usize;
-    /// Total co-occurrence mass over observed pairs.
-    fn total_pair_cooccurrences(&self) -> usize;
-}
-
-impl CoAccessStats for SparseCoOccurrence {
-    fn total_item_accesses(&self) -> usize {
-        SparseCoOccurrence::total_item_accesses(self)
-    }
-    fn total_pair_cooccurrences(&self) -> usize {
-        SparseCoOccurrence::total_pair_cooccurrences(self)
-    }
-}
-
-impl CoAccessStats for crate::incidence::BitsetIncidence {
-    fn total_item_accesses(&self) -> usize {
-        crate::incidence::BitsetIncidence::total_item_accesses(self)
-    }
-    fn total_pair_cooccurrences(&self) -> usize {
-        crate::incidence::BitsetIncidence::total_pair_cooccurrences(self)
     }
 }
 
@@ -182,22 +144,14 @@ pub fn agglomerative_grouping(matrix: &JaccardMatrix, theta: f64, max_group: usi
     agglomerative_packages(matrix, theta, max_group)
 }
 
-/// Agglomerative K-matching over sparse statistics: the greedy hypergraph
-/// matcher for large catalogs, memory independent of `k²`. For any
-/// `θ ≥ 0` it packs **exactly** what [`agglomerative_grouping`] packs on
-/// the same sequence — unobserved pairs have `J = 0`, which both backends
-/// report identically — a property the workspace tests pin on random
-/// traces.
-pub fn k_packages_sparse(co: &SparseCoOccurrence, theta: f64, max_group: usize) -> PackageSet {
-    agglomerative_packages(co, theta, max_group)
-}
-
 /// Picks the packing threshold `θ` per trace from the prescan's observed
 /// co-request density — the *adaptive* mode of the K-package solver.
 ///
-/// Let `δ` be the fraction of item accesses arriving as part of an
-/// observed co-requested pair (each counted pair contributes two
-/// accesses, clamped to 1). The rule is
+/// Let `δ` be the fraction of item accesses arriving as part of a
+/// co-requested pair: twice the number of pair events
+/// `Σ_r |D_r|·(|D_r|−1)/2` over the number of item accesses `Σ_r |D_r|`,
+/// clamped to 1 ([`mcs_model::RequestSeq::total_pair_events`] and
+/// [`mcs_model::RequestSeq::total_item_accesses`]). The rule is
 ///
 /// ```text
 /// θ(δ, α) = clamp( (0.15 + 0.5·max(0, α − 0.5)) · (1 − δ), 0.02, 0.95 )
@@ -210,14 +164,12 @@ pub fn k_packages_sparse(co: &SparseCoOccurrence, theta: f64, max_group: usize) 
 /// * at the paper's `α = 0.8` on a trace with vanishing co-request
 ///   density the rule reduces to the workspace default `θ = 0.3`.
 ///
-/// Deterministic: a pure function of the prescan counts and `α`,
-/// identical over any [`CoAccessStats`] backend.
-pub fn adaptive_theta<S: CoAccessStats + ?Sized>(co: &S, alpha: f64) -> f64 {
-    let accesses = co.total_item_accesses();
-    if accesses == 0 {
+/// Deterministic: a pure function of the two integer totals and `α`.
+pub fn adaptive_theta(item_accesses: usize, pair_events: usize, alpha: f64) -> f64 {
+    if item_accesses == 0 {
         return mcs_model::defaults::DEFAULT_THETA;
     }
-    let density = ((2 * co.total_pair_cooccurrences()) as f64 / accesses as f64).min(1.0);
+    let density = ((2 * pair_events) as f64 / item_accesses as f64).min(1.0);
     let base = 0.15 + 0.5 * (alpha - 0.5).max(0.0);
     (base * (1.0 - density)).clamp(0.02, 0.95)
 }
@@ -226,6 +178,7 @@ pub fn adaptive_theta<S: CoAccessStats + ?Sized>(co: &S, alpha: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::jaccard::CoOccurrence;
+    use crate::pairs::PairTable;
     use mcs_model::{approx_eq, RequestSeq, RequestSeqBuilder};
 
     /// Three items that always co-occur, plus an unrelated fourth.
@@ -273,18 +226,21 @@ mod tests {
     }
 
     #[test]
-    fn sparse_backend_matches_dense_on_the_trio() {
-        let seq = trio_sequence();
-        let co = SparseCoOccurrence::from_sequence(&seq);
+    fn pair_table_backend_matches_dense_on_the_trio() {
+        let table = PairTable::from_sequence(&trio_sequence());
         for max_group in [2usize, 3, usize::MAX] {
             for theta in [0.0, 0.3, 0.6] {
                 assert_eq!(
-                    k_packages_sparse(&co, theta, max_group),
+                    agglomerative_packages(&table, theta, max_group),
                     agglomerative_grouping(&trio_matrix(), theta, max_group),
                     "theta = {theta}, max_group = {max_group}"
                 );
             }
         }
+    }
+
+    fn theta_of(seq: &RequestSeq, alpha: f64) -> f64 {
+        adaptive_theta(seq.total_item_accesses(), seq.total_pair_events(), alpha)
     }
 
     #[test]
@@ -296,28 +252,17 @@ mod tests {
             .push(0u32, 2.0, [1])
             .build()
             .unwrap();
-        let co = SparseCoOccurrence::from_sequence(&lonely);
-        assert!(approx_eq(adaptive_theta(&co, 0.8), 0.3));
+        assert!(approx_eq(theta_of(&lonely, 0.8), 0.3));
         // Stronger discount → lower base.
-        assert!(adaptive_theta(&co, 0.4) < adaptive_theta(&co, 0.9));
+        assert!(theta_of(&lonely, 0.4) < theta_of(&lonely, 0.9));
 
         // Fully co-requested trace: density 1 → floor.
-        let dense = SparseCoOccurrence::from_sequence(&trio_sequence());
-        let t = adaptive_theta(&dense, 0.8);
+        let t = theta_of(&trio_sequence(), 0.8);
         assert!(t < 0.3, "dense co-access must relax θ, got {t}");
         assert!(t >= 0.02);
 
         // Empty prescan falls back to the default.
-        let empty =
-            SparseCoOccurrence::from_sequence(&RequestSeqBuilder::new(1, 0).build().unwrap());
-        assert!(approx_eq(adaptive_theta(&empty, 0.8), 0.3));
-    }
-
-    #[test]
-    fn adaptive_theta_is_deterministic() {
-        let seq = trio_sequence();
-        let a = adaptive_theta(&SparseCoOccurrence::from_sequence(&seq), 0.7);
-        let b = adaptive_theta(&SparseCoOccurrence::from_sequence(&seq), 0.7);
-        assert_eq!(a.to_bits(), b.to_bits());
+        let empty = RequestSeqBuilder::new(1, 0).build().unwrap();
+        assert!(approx_eq(theta_of(&empty, 0.8), 0.3));
     }
 }

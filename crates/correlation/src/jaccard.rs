@@ -6,8 +6,20 @@
 //! co-occurrence "since we expect the DP_Greedy algorithm to perform well
 //! when both the frequency and the Jaccard similarity for two data items
 //! are high".
+//!
+//! This module is the dense reference: [`CoOccurrence`] counts the whole
+//! `k·(k−1)/2` pair triangle in one serial pass and [`JaccardMatrix`]
+//! materialises the `k×k` matrix, both quadratic in the catalog. The
+//! solvers run on [`crate::pairs`] instead, whose row walk divides the
+//! same integers; the tests hold every pair structure, every packing and
+//! the paper's worked example to this reference, and the ablations that
+//! need a full matrix (exact matching) read it.
 
+use mcs_model::request::jaccard_from_counts;
 use mcs_model::{ItemId, RequestSeq};
+
+/// Re-exported from [`crate::pairs`], where the threshold is used.
+pub use crate::pairs::PARALLEL_THRESHOLD;
 
 /// Raw co-occurrence statistics of a request sequence: per-item request
 /// counts and upper-triangular pair counts.
@@ -42,141 +54,28 @@ fn tri_index(k: usize, i: usize, j: usize) -> usize {
     i * k - i * (i + 1) / 2 + (j - i - 1)
 }
 
-/// Request count above which [`CoOccurrence::from_sequence`] switches to
-/// the sharded parallel path (when more than one worker thread is
-/// available). Counting is pure integer addition, so the two paths are
-/// bit-identical; the threshold only avoids thread-spawn overhead on the
-/// small sequences that dominate tests and the paper example.
-pub const PARALLEL_THRESHOLD: usize = 4096;
-
 impl CoOccurrence {
-    /// Counts item and pair occurrences over a request sequence
-    /// (`O(Σ|D_i|²)` — request item sets are tiny in practice).
-    ///
-    /// Two kernels compute the same integers (selected by the
-    /// `MCS_PHASE1` knob, `auto` by default — see [`crate::incidence`]):
-    ///
-    /// * the **per-event** kernel increments the triangle per pair-event,
-    ///   sharding large sequences across worker threads (integer merge —
-    ///   bit-identical to the serial pass for any shard count);
-    /// * the **bitset** kernel builds word-rows of request incidence and
-    ///   fills the triangle with `popcount(and)` chains.
-    ///
-    /// Both produce equal counts for every sequence (asserted in tests),
-    /// so kernel choice can never change a figure. `MCS_THREADS=1`
-    /// forces every parallel path serial.
+    /// Counts item and pair occurrences over a request sequence in one
+    /// serial pass, incrementing the dense `k·(k−1)/2` triangle once per
+    /// pair event: `O(k²)` memory and `O(k² + Σ|D_r|²)` time.
     pub fn from_sequence(seq: &RequestSeq) -> Self {
-        use crate::incidence::{bitset_profitable_dense, phase1_kernel, Phase1Kernel};
-        let bitset = match phase1_kernel() {
-            Phase1Kernel::Bitset => true,
-            Phase1Kernel::Hash => false,
-            Phase1Kernel::Auto => bitset_profitable_dense(seq),
-        };
-        if bitset {
-            Self::from_sequence_bitset(seq)
-        } else {
-            Self::from_sequence_events(seq)
-        }
-    }
-
-    /// The per-event counting kernel with its serial/sharded dispatch —
-    /// the historical `from_sequence` body.
-    pub fn from_sequence_events(seq: &RequestSeq) -> Self {
-        let threads = mcs_model::par::max_threads();
-        if threads > 1 && seq.len() >= PARALLEL_THRESHOLD {
-            Self::from_sequence_sharded(seq, threads)
-        } else {
-            Self::from_sequence_serial(seq)
-        }
-    }
-
-    /// The bitset popcount kernel: builds a [`crate::BitsetIncidence`]
-    /// and materialises the identical statistics from it.
-    pub fn from_sequence_bitset(seq: &RequestSeq) -> Self {
-        crate::incidence::BitsetIncidence::from_sequence(seq).to_cooccurrence()
-    }
-
-    /// Assembles statistics from raw counts (the bitset kernel's exit
-    /// path). `triangle` is the packed upper triangle in `tri_index`
-    /// order.
-    pub(crate) fn from_raw(k: usize, item_counts: Vec<usize>, triangle: Vec<usize>) -> Self {
-        debug_assert_eq!(item_counts.len(), k);
-        debug_assert_eq!(triangle.len(), k * k.saturating_sub(1) / 2);
-        CoOccurrence {
-            k,
-            item_counts,
-            pair_counts: triangle,
-        }
-    }
-
-    /// The serial single-pass count (the reference the sharded path must
-    /// reproduce exactly).
-    pub fn from_sequence_serial(seq: &RequestSeq) -> Self {
         let k = seq.items() as usize;
-        let mut co = CoOccurrence::empty(k);
-        co.count_requests(seq.requests());
-        co
-    }
-
-    /// Sharded count: splits the sequence into at most `shards`
-    /// contiguous ranges, counts each on its own worker thread
-    /// ([`mcs_model::par::par_map`]), and merges by summation.
-    pub fn from_sequence_sharded(seq: &RequestSeq, shards: usize) -> Self {
-        let k = seq.items() as usize;
-        let ranges = mcs_model::par::shard_ranges(seq.len(), shards);
-        if ranges.len() <= 1 {
-            return Self::from_sequence_serial(seq);
-        }
-        let partials = mcs_model::par::par_map(&ranges, |&(start, end)| {
-            let mut co = CoOccurrence::empty(k);
-            co.count_requests(&seq.requests()[start..end]);
-            co
-        });
-        let mut merged = CoOccurrence::empty(k);
-        for p in &partials {
-            merged.merge(p);
-        }
-        merged
-    }
-
-    fn empty(k: usize) -> Self {
-        CoOccurrence {
-            k,
-            item_counts: vec![0usize; k],
-            pair_counts: vec![0usize; k * (k.saturating_sub(1)) / 2],
-        }
-    }
-
-    fn count_requests(&mut self, requests: &[mcs_model::Request]) {
-        let k = self.k;
-        for r in requests {
+        let mut item_counts = vec![0usize; k];
+        let mut pair_counts = vec![0usize; k * k.saturating_sub(1) / 2];
+        for r in seq.requests() {
             for (a_pos, &a) in r.items.iter().enumerate() {
-                self.item_counts[a.index()] += 1;
+                item_counts[a.index()] += 1;
                 for &b in &r.items[a_pos + 1..] {
                     // Builder guarantees sorted, duplicate-free item lists.
-                    self.pair_counts[tri_index(k, a.index(), b.index())] += 1;
+                    pair_counts[tri_index(k, a.index(), b.index())] += 1;
                 }
             }
         }
-    }
-
-    /// Adds another shard's counts into `self` (shards partition the
-    /// request list, so plain summation merges them exactly).
-    fn merge(&mut self, other: &CoOccurrence) {
-        debug_assert_eq!(self.k, other.k);
-        for (a, b) in self.item_counts.iter_mut().zip(&other.item_counts) {
-            *a += b;
+        CoOccurrence {
+            k,
+            item_counts,
+            pair_counts,
         }
-        for (a, b) in self.pair_counts.iter_mut().zip(&other.pair_counts) {
-            *a += b;
-        }
-    }
-
-    /// Bytes held by the dense upper-triangular pair table — the
-    /// `k·(k−1)/2` allocation the sparse path avoids (reported by
-    /// `bench_perf`).
-    pub fn pair_table_bytes(&self) -> usize {
-        self.pair_counts.len() * std::mem::size_of::<usize>()
     }
 
     /// Number of items `k`.
@@ -209,7 +108,7 @@ impl CoOccurrence {
             // Eq. (4): the diagonal of the correlation matrix is 1.
             return 1.0;
         }
-        crate::incidence::jaccard_from_counts(self.pair_count(a, b), self.count(a), self.count(b))
+        jaccard_from_counts(self.pair_count(a, b), self.count(a), self.count(b))
     }
 }
 
@@ -236,11 +135,7 @@ impl JaccardMatrix {
             let row = &co.pair_counts[row_start..row_start + (k - i - 1)];
             row_start += row.len();
             for (j, &both) in (i + 1..k).zip(row) {
-                let v = crate::incidence::jaccard_from_counts(
-                    both,
-                    co.item_counts[i],
-                    co.item_counts[j],
-                );
+                let v = jaccard_from_counts(both, co.item_counts[i], co.item_counts[j]);
                 values[i * k + j] = v;
                 values[j * k + i] = v;
             }
@@ -377,47 +272,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_counts_are_bit_identical_to_serial() {
-        // A synthetic multi-item workload large enough for real shards.
-        let mut b = RequestSeqBuilder::new(3, 8);
-        let mut t = 0.0;
-        for i in 0..500u64 {
-            t += 0.5;
-            let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let first = (h >> 7) as u32 % 8;
-            let mut items = vec![first];
-            if h % 3 != 0 {
-                items.push((first + 1 + (h >> 13) as u32 % 7) % 8);
-            }
-            if h % 5 == 0 {
-                let third = (first + 3) % 8;
-                if !items.contains(&third) {
-                    items.push(third);
-                }
-            }
-            b = b.push((h % 3) as u32, t, items);
-        }
-        let seq = b.build().unwrap();
-        let serial = CoOccurrence::from_sequence_serial(&seq);
-        for shards in [1, 2, 3, 7, 16, 499, 500, 1000] {
-            assert_eq!(
-                CoOccurrence::from_sequence_sharded(&seq, shards),
-                serial,
-                "shards = {shards}"
-            );
-        }
-        assert_eq!(CoOccurrence::from_sequence(&seq), serial);
-        assert!(serial.pair_table_bytes() >= 8 * 7 / 2 * std::mem::size_of::<usize>());
-    }
-
-    #[test]
     fn zero_item_universe_is_empty_but_valid() {
         // k = 0: no requests can exist (every request needs a non-empty
         // item set), but the statistics must still construct cleanly.
         let seq = RequestSeqBuilder::new(2, 0).build().unwrap();
         let co = CoOccurrence::from_sequence(&seq);
         assert_eq!(co.items(), 0);
-        assert_eq!(co.pair_table_bytes(), 0);
         let m = JaccardMatrix::from_cooccurrence(&co);
         assert_eq!(m.items(), 0);
         assert!(m.pairs().is_empty());
@@ -435,7 +295,6 @@ mod tests {
         assert_eq!(co.items(), 1);
         assert_eq!(co.count(ItemId(0)), 2);
         assert_eq!(co.pair_count(ItemId(0), ItemId(0)), 2);
-        assert_eq!(co.pair_table_bytes(), 0);
         assert!(approx_eq(co.jaccard(ItemId(0), ItemId(0)), 1.0));
         let m = JaccardMatrix::from_cooccurrence(&co);
         assert!(m.pairs().is_empty());

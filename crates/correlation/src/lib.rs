@@ -10,8 +10,8 @@
 //!
 //! * [`grouping`] — agglomerative K-package matching of *more than two*
 //!   correlated items ("it can be naturally extended to the case where
-//!   multiple data items could be packed"), generic over dense and sparse
-//!   similarity backends, with an adaptive per-trace θ rule.
+//!   multiple data items could be packed"), generic over the compressed
+//!   pair table and the dense matrix, with an adaptive per-trace θ rule.
 //! * [`exact`] — exact maximum-weight matching by bitmask DP, quantifying
 //!   what the greedy matching loses (ablation `matching`).
 //!
@@ -19,36 +19,32 @@
 //! [`PackageSet`] Phase-1 outcome ([`package_set`]); `Packing` remains
 //! the K = 2 view with its byte-stable JSON shape.
 //!
-//! Scale paths: [`CoOccurrence::from_sequence`] shards large sequences
-//! across worker threads (bit-identical to the serial count), [`sparse`]
-//! provides a hash-based [`SparseCoOccurrence`] that never allocates the
-//! dense `k·(k−1)/2` triangle — Phase 1 for large catalogs — and
-//! [`incidence`] provides the bitset popcount kernel
-//! ([`BitsetIncidence`]): one `u64` word-row per item over request
-//! slots, selected by the `MCS_PHASE1` knob and **bit-identical** to the
-//! per-event kernels in every output.
+//! The solvers run on one pair counter ([`pairs`]): a walk of each
+//! item's posting list that counts its co-requests with every later item
+//! into a reused dense scratch. On it, [`pairs_above`] emits only the
+//! pairs with `J > θ`, split across worker threads for long sequences,
+//! and [`PairTable`] stores every observed pair in compressed rows for the
+//! K-matcher, so Phase 1 takes time in the pair events and memory linear
+//! in the catalog plus what it keeps. [`CoOccurrence`] and
+//! [`JaccardMatrix`] count the dense `k²` triangle and matrix; they are
+//! the reference the tests hold both structures to, bit for bit.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod exact;
 pub mod grouping;
-pub mod incidence;
 pub mod jaccard;
 pub mod matching;
 pub mod package_set;
-pub mod sparse;
+pub mod pairs;
 pub mod streaming;
 
 pub use grouping::{
-    adaptive_theta, agglomerative_grouping, agglomerative_packages, k_packages_sparse,
-    CoAccessStats, PairwiseSimilarity,
-};
-pub use incidence::{
-    greedy_matching_bitset, phase1_kernel, BitsetIncidence, Phase1Kernel, Phase1Stats, PHASE1_ENV,
+    adaptive_theta, agglomerative_grouping, agglomerative_packages, PairwiseSimilarity,
 };
 pub use jaccard::{CoOccurrence, JaccardMatrix};
 pub use matching::{greedy_matching, Packing};
 pub use package_set::PackageSet;
-pub use sparse::{greedy_matching_sparse, SparseCoOccurrence};
+pub use pairs::{pairs_above, pairs_above_sharded, PairTable};
 pub use streaming::{StreamingCooccurrence, StreamingSnapshot};

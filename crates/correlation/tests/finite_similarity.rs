@@ -6,12 +6,12 @@
 //! the set of items the trace actually touches: two never-requested
 //! items divide 0/0 without the guard in `jaccard_from_counts`. The
 //! generator here deliberately over-sizes the universe so every run
-//! exercises that corner, then sweeps every backend (dense, sparse,
-//! bitset, matrix, streaming) over every pair.
+//! exercises that corner, then sweeps every backend (the dense reference,
+//! its matrix, the compressed pair table, the `pairs_above` candidates,
+//! streaming) over every pair.
 
 use mcs_correlation::{
-    BitsetIncidence, CoOccurrence, JaccardMatrix, PairwiseSimilarity, SparseCoOccurrence,
-    StreamingCooccurrence,
+    pairs_above, CoOccurrence, JaccardMatrix, PairTable, PairwiseSimilarity, StreamingCooccurrence,
 };
 use mcs_model::request::{RequestSeq, RequestSeqBuilder};
 use mcs_model::rng::Rng;
@@ -66,9 +66,8 @@ fn no_similarity_surface_emits_non_finite_values() {
         let seq = sequence(0xF1D0 + case as u64, n, k, used);
         let label = format!("seq(n={n}, k={k}, used={used})");
 
-        let dense = CoOccurrence::from_sequence_serial(&seq);
-        let sparse = SparseCoOccurrence::from_sequence_serial(&seq);
-        let bitset = BitsetIncidence::from_sequence(&seq);
+        let dense = CoOccurrence::from_sequence(&seq);
+        let table = PairTable::from_sequence(&seq);
         let matrix = JaccardMatrix::from_sequence(&seq);
         let mut streaming = StreamingCooccurrence::new(0.9);
         for r in seq.requests() {
@@ -79,23 +78,15 @@ fn no_similarity_surface_emits_non_finite_values() {
             for b in 0..k {
                 let (a, b) = (ItemId(a), ItemId(b));
                 assert_finite("dense", &label, a, b, dense.jaccard(a, b));
-                assert_finite("sparse", &label, a, b, sparse.jaccard(a, b));
-                assert_finite("bitset", &label, a, b, bitset.jaccard(a, b));
+                assert_finite("table", &label, a, b, table.jaccard(a, b));
                 assert_finite("matrix", &label, a, b, matrix.get(a, b));
                 assert_finite("streaming", &label, a, b, streaming.jaccard(a, b));
                 assert_finite(
-                    "sparse-trait",
+                    "table-trait",
                     &label,
                     a,
                     b,
-                    PairwiseSimilarity::similarity(&sparse, a, b),
-                );
-                assert_finite(
-                    "bitset-trait",
-                    &label,
-                    a,
-                    b,
-                    PairwiseSimilarity::similarity(&bitset, a, b),
+                    PairwiseSimilarity::similarity(&table, a, b),
                 );
             }
         }
@@ -103,8 +94,7 @@ fn no_similarity_surface_emits_non_finite_values() {
         // Candidate enumerations must be finite too — they feed the
         // matching stage's total-order sort directly.
         for (backend, pairs) in [
-            ("sparse.pairs", sparse.pairs()),
-            ("bitset.pairs", bitset.pairs()),
+            ("pairs_above", pairs_above(&seq, f64::NEG_INFINITY)),
             ("matrix.pairs", matrix.pairs()),
             ("streaming.pairs", streaming.pairs()),
         ] {
@@ -123,9 +113,11 @@ fn all_silent_universe_is_all_zeros() {
         .push(0u32, 1.0, [0u32])
         .build()
         .unwrap();
-    let dense = CoOccurrence::from_sequence_serial(&seq);
-    let bitset = BitsetIncidence::from_sequence(&seq);
-    let sparse = SparseCoOccurrence::from_sequence_serial(&seq);
+    let dense = CoOccurrence::from_sequence(&seq);
+    let table = PairTable::from_sequence(&seq);
+    let below_zero = pairs_above(&seq, -1.0);
+    assert_eq!(below_zero.len(), 6 * 5 / 2);
+    assert!(below_zero.iter().all(|&(_, _, j)| j == 0.0));
     for a in 1..6 {
         for b in 1..6 {
             if a == b {
@@ -133,8 +125,7 @@ fn all_silent_universe_is_all_zeros() {
             }
             let (a, b) = (ItemId(a), ItemId(b));
             assert_eq!(dense.jaccard(a, b), 0.0);
-            assert_eq!(sparse.jaccard(a, b), 0.0);
-            assert_eq!(bitset.jaccard(a, b), 0.0);
+            assert_eq!(table.jaccard(a, b), 0.0);
         }
     }
 }

@@ -202,7 +202,8 @@ impl Solution {
 
     /// Absolute gap between the derived ledger total and the reported
     /// total cost (the reconciliation theorem says this is 0 up to
-    /// floating-point associativity).
+    /// floating-point associativity, which
+    /// [`Ledger::reconcile_tolerance`] bounds).
     pub fn reconciliation_gap(&self) -> f64 {
         (self.ledger().total_cost() - self.total_cost).abs()
     }

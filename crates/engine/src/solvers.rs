@@ -27,7 +27,8 @@ use dp_greedy::multi_item::{
 use dp_greedy::singleton_greedy::SingletonGreedyOutcome;
 use dp_greedy::two_phase::{dp_greedy, DpGreedyConfig, DpGreedyReport};
 use dp_greedy::windowed::slice_windows;
-use mcs_correlation::{greedy_matching, JaccardMatrix, Phase1Stats};
+use mcs_correlation::matching::greedy_matching_from_pairs;
+use mcs_correlation::{adaptive_theta, agglomerative_packages, pairs_above, PairTable};
 use mcs_model::fault::FaultPlan;
 use mcs_model::request::SingleItemTrace;
 use mcs_model::{CostModel, ItemId, RequestSeq, Schedule};
@@ -310,8 +311,8 @@ impl CachingSolver for PackageServedSolver {
     }
     fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
         let model = &ctx.model();
-        let matrix = JaccardMatrix::from_sequence(seq);
-        let packing = greedy_matching(&matrix, ctx.theta);
+        let packing =
+            greedy_matching_from_pairs(pairs_above(seq, ctx.theta), seq.items(), ctx.theta);
         let pkg = model.scaled_for_package();
 
         let mut parts = Vec::new();
@@ -440,17 +441,14 @@ impl CachingSolver for MultiSolver {
     }
 }
 
-/// Adaptive K-package DP_Greedy — ROADMAP item 2 behind the registry
-/// seam. Phase 1 runs over [`Phase1Stats`] — the hash-based
-/// `SparseCoOccurrence` or the bitset popcount kernel, selected by the
-/// `MCS_PHASE1` knob and bit-identical either way (memory independent of
-/// `k²` on the hash path): the greedy pair matcher at `max_group = 2`,
-/// the agglomerative K-matcher above it; `--adaptive` derives `θ` per
-/// trace from the prescan's co-request density. At `max_group = 2` with
-/// a fixed `θ` the solver delegates to the exact `dp_greedy` pipeline,
-/// so cost bits and ledger parts are identical to [`DpGreedySolver`]
-/// (modulo the `algo` label) — the K = 2 reduction the workspace tests
-/// pin.
+/// Adaptive K-package DP_Greedy behind the registry seam: the greedy pair
+/// matcher at `max_group = 2`, the agglomerative K-matcher over a
+/// [`PairTable`] (memory linear in the observed pairs) above it.
+/// `--adaptive` derives `θ` per trace from the sequence's co-request
+/// density ([`adaptive_theta`]). At `max_group = 2` the solver delegates
+/// to the exact `dp_greedy` pipeline, so cost bits and ledger parts are
+/// identical to [`DpGreedySolver`] (modulo the `algo` label) for the same
+/// `θ` — the K = 2 reduction the workspace tests pin.
 pub struct KPackSolver;
 
 impl CachingSolver for KPackSolver {
@@ -465,14 +463,17 @@ impl CachingSolver for KPackSolver {
     }
     fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
         let model = &ctx.model();
+        let theta = if ctx.adaptive {
+            adaptive_theta(
+                seq.total_item_accesses(),
+                seq.total_pair_events(),
+                model.alpha(),
+            )
+        } else {
+            ctx.theta
+        };
         if ctx.max_group <= 2 {
-            // Pairwise shape: the exact two-phase pipeline (Algorithm 1),
-            // with θ optionally re-derived from the prescan.
-            let theta = if ctx.adaptive {
-                Phase1Stats::from_sequence(seq).adaptive_theta(model.alpha())
-            } else {
-                ctx.theta
-            };
+            // Pairwise shape: the exact two-phase pipeline (Algorithm 1).
             let report = dp_greedy(seq, &DpGreedyConfig::new(*model).with_theta(theta));
             let mut parts = Vec::new();
             dp_greedy_parts(&report, model, 0.0, &mut parts);
@@ -484,13 +485,7 @@ impl CachingSolver for KPackSolver {
                 parts,
             };
         }
-        let stats = Phase1Stats::from_sequence(seq);
-        let theta = if ctx.adaptive {
-            stats.adaptive_theta(model.alpha())
-        } else {
-            ctx.theta
-        };
-        let packages = stats.k_packages(theta, ctx.max_group);
+        let packages = agglomerative_packages(&PairTable::from_sequence(seq), theta, ctx.max_group);
         let report = dp_greedy_packages(seq, &packages, model);
         let parts = multi_report_parts(seq, &report, model);
         Solution {

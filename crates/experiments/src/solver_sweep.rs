@@ -156,15 +156,15 @@ pub struct KSweep {
 /// `q = 0.35` vs `q = 0.8`) — the fig12-style "when do bigger bundles
 /// win" experiment. Deterministic for a given `(steps, seed)`.
 pub fn k_sweep(steps: usize, seed: u64) -> KSweep {
-    use mcs_correlation::SparseCoOccurrence;
-    use mcs_correlation::{adaptive_theta, greedy_matching_sparse, k_packages_sparse};
+    use mcs_correlation::matching::greedy_matching_from_pairs;
+    use mcs_correlation::{adaptive_theta, agglomerative_packages, pairs_above, PairTable};
 
     let model = mcs_model::defaults::default_model();
     let solver = mcs_engine::find("dpg_k").expect("dpg_k is registered");
     let mut rows = Vec::new();
     for (density, q) in [("sparse", 0.35), ("dense", 0.8)] {
         let seq = crate::multi_exp::bundle_workload(12, 3, steps, q, seed);
-        let co = SparseCoOccurrence::from_sequence(&seq);
+        let table = PairTable::from_sequence(&seq);
         for (label, max_group, adaptive) in [
             ("2", 2usize, false),
             ("3", 3, false),
@@ -177,17 +177,21 @@ pub fn k_sweep(steps: usize, seed: u64) -> KSweep {
                 ctx = ctx.with_adaptive_theta();
             }
             let theta = if adaptive {
-                adaptive_theta(&co, model.alpha())
+                adaptive_theta(
+                    seq.total_item_accesses(),
+                    seq.total_pair_events(),
+                    model.alpha(),
+                )
             } else {
                 ctx.theta
             };
             // Phase-1 shape under the same θ the solver resolves to.
             let (packages, largest) = if max_group == 2 {
-                let p = greedy_matching_sparse(&co, theta);
+                let p = greedy_matching_from_pairs(pairs_above(&seq, theta), seq.items(), theta);
                 let n = p.pairs.len();
                 (n, if n > 0 { 2 } else { 0 })
             } else {
-                let ps = k_packages_sparse(&co, theta, max_group);
+                let ps = agglomerative_packages(&table, theta, max_group);
                 (ps.package_count(), ps.largest_package())
             };
             let sol = solver.solve(&seq, &ctx);

@@ -53,7 +53,7 @@ pub use fault::{CrashWindow, FaultPlan};
 pub use hetero::{HeteroCostModel, HeteroCostModelBuilder};
 pub use ids::{ItemId, ServerId};
 pub use plane::CostPlane;
-pub use request::{Request, RequestSeq, RequestSeqBuilder};
+pub use request::{PairRow, Request, RequestSeq, RequestSeqBuilder};
 pub use schedule::{CacheInterval, Schedule, ScheduleCost, Transfer};
 pub use tiered::{StorageTier, TieredCostModel};
 pub use time::{approx_eq, approx_le, TimePoint, EPSILON};

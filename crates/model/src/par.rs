@@ -103,22 +103,6 @@ pub fn par_map_range<U: Send>(n: usize, f: impl Fn(usize) -> U + Sync) -> Vec<U>
     par_map(&idx, |&i| f(i))
 }
 
-/// Splits `0..len` into at most `shards` contiguous `(start, end)` ranges
-/// of near-equal size, in order. Used by the sharded statistics counters:
-/// each shard is counted independently and the per-shard results merged.
-/// Returns an empty vector for `len == 0`.
-pub fn shard_ranges(len: usize, shards: usize) -> Vec<(usize, usize)> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let shards = shards.clamp(1, len);
-    let chunk = len.div_ceil(shards);
-    (0..len)
-        .step_by(chunk)
-        .map(|start| (start, (start + chunk).min(len)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,22 +132,6 @@ mod tests {
         let want: Vec<u64> = xs.iter().map(|&x| x * x).collect();
         for threads in [1, 2, 3, 8, 64] {
             assert_eq!(par_map_with_threads(&xs, threads, |&x| x * x), want);
-        }
-    }
-
-    #[test]
-    fn shard_ranges_cover_exactly() {
-        assert!(shard_ranges(0, 4).is_empty());
-        for (len, shards) in [(1, 1), (1, 9), (10, 3), (100, 7), (5, 5), (8, 64)] {
-            let ranges = shard_ranges(len, shards);
-            assert!(ranges.len() <= shards.max(1));
-            assert_eq!(ranges[0].0, 0);
-            assert_eq!(ranges.last().unwrap().1, len);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "contiguous at {w:?}");
-            }
-            let total: usize = ranges.iter().map(|(a, b)| b - a).sum();
-            assert_eq!(total, len);
         }
     }
 

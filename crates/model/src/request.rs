@@ -168,6 +168,40 @@ impl Postings {
     }
 }
 
+/// Caller-owned scratch for [`RequestSeq::count_row`]: a dense `u32`
+/// count per item of the catalog and the items the last walk touched.
+/// Counts fit in `u32` because request indices do.
+#[derive(Debug, Clone, Default)]
+pub struct PairRow {
+    counts: Vec<u32>,
+    /// The first `len` entries are the touched items; the rest is room
+    /// for one per item, so the walk appends without a branch.
+    touched: Vec<ItemId>,
+    len: usize,
+}
+
+impl PairRow {
+    /// `|(d_a, d_b)|` for the row `a` last walked: zero for `b ≤ a` and
+    /// for every `b` never requested with `a`.
+    #[inline]
+    pub fn count(&self, b: ItemId) -> u32 {
+        self.counts.get(b.index()).copied().unwrap_or(0)
+    }
+
+    /// The items with a nonzero count, in the order the walk met them.
+    #[inline]
+    pub fn touched(&self) -> &[ItemId] {
+        &self.touched[..self.len]
+    }
+
+    fn clear(&mut self) {
+        for b in &self.touched[..self.len] {
+            self.counts[b.index()] = 0;
+        }
+        self.len = 0;
+    }
+}
+
 /// Walks two ascending posting lists in one merge, calling
 /// `f(index, in_a, in_b)` for every request index in either list, in
 /// ascending order.
@@ -277,10 +311,44 @@ impl RequestSeq {
         count
     }
 
+    /// Counts row `a` of the pair-count triangle into `row`: for every item
+    /// `b > a`, the number of requests containing both, `|(d_a, d_b)|`.
+    ///
+    /// One walk over `a`'s posting list that visits, in each request, only
+    /// the items after `a`, so walking every row visits each co-requested
+    /// pair once: `O(Σ|D_r|²)` for the whole triangle, with `O(k)` memory
+    /// in the reused scratch. `row` is cleared first, in time proportional
+    /// to what the previous walk touched.
+    pub fn count_row(&self, a: ItemId, row: &mut PairRow) {
+        row.clear();
+        row.counts.resize(self.items as usize, 0);
+        row.touched.resize(self.items as usize, ItemId(0));
+        for &index in self.posting_list(a) {
+            let items = &self.requests[index as usize].items;
+            // Item lists are sorted, so the partners `b > a` are the tail.
+            for &b in &items[items.partition_point(|&x| x <= a)..] {
+                let count = &mut row.counts[b.index()];
+                // Always write the slot; keep it only on first touch.
+                row.touched[row.len] = b;
+                row.len += usize::from(*count == 0);
+                *count += 1;
+            }
+        }
+    }
+
     /// Total number of *item accesses*, `Σ_i |d_i|` — the denominator of the
     /// paper's `ave_cost` metric (Algorithm 1, line 50).
     pub fn total_item_accesses(&self) -> usize {
         self.requests.iter().map(|r| r.items.len()).sum()
+    }
+
+    /// Total number of co-requested item pairs, `Σ_r |D_r|·(|D_r| − 1)/2`
+    /// — the pair events a Phase-1 count visits.
+    pub fn total_pair_events(&self) -> usize {
+        self.requests
+            .iter()
+            .map(|r| r.items.len() * (r.items.len() - 1) / 2)
+            .sum()
     }
 
     /// The `(time, server)` trace of the requests at `indices`, which must
@@ -493,12 +561,22 @@ impl PairView {
     /// The Jaccard similarity of the pair per Eq. (5), `0` when neither item
     /// is ever requested.
     pub fn jaccard(&self) -> f64 {
-        let union = self.both.len() + self.only_a.len() + self.only_b.len();
-        if union == 0 {
-            0.0
-        } else {
-            self.both.len() as f64 / union as f64
-        }
+        jaccard_from_counts(self.both.len(), self.count_a(), self.count_b())
+    }
+}
+
+/// Eq. (5) from counts: `both / (count_a + count_b − both)`, where `both`
+/// counts the requests containing both items, and `0` for an empty union
+/// (two never-requested items), never NaN. Every batch Jaccard value is
+/// this one division over the same integers, so every path computing one
+/// gets the same bits.
+#[inline]
+pub fn jaccard_from_counts(both: usize, count_a: usize, count_b: usize) -> f64 {
+    let union = count_a + count_b - both;
+    if union == 0 {
+        0.0
+    } else {
+        both as f64 / union as f64
     }
 }
 

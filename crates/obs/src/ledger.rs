@@ -153,6 +153,29 @@ impl Ledger {
         self.events.iter().map(|e| e.cost).sum()
     }
 
+    /// The largest gap between [`Self::total_cost`] and a producer's
+    /// total that float rounding alone explains: `2·γ_n·Σ|event.cost|`,
+    /// with `γ_n = nε/(1 − nε)`, `n` the event count and `ε = 2⁻⁵³`.
+    ///
+    /// Summing `n` terms in any order errs by at most `γ_n·Σ|term|`, and
+    /// the producer's total and this ledger's sum are two such sums of
+    /// the same costs. A dropped or double-counted event moves the gap by
+    /// its whole cost, far above this bound unless the event is itself
+    /// rounding-sized.
+    pub fn reconcile_tolerance(&self) -> f64 {
+        let nu = self.events.len() as f64 * (f64::EPSILON / 2.0);
+        let gamma = nu / (1.0 - nu);
+        2.0 * gamma * self.events.iter().map(|e| e.cost.abs()).sum::<f64>()
+    }
+
+    /// Whether the events sum to `total` within
+    /// [`Self::reconcile_tolerance`] — the check `dpg trace solve` and
+    /// `dpg run` apply before reporting. A NaN on either side never
+    /// reconciles.
+    pub fn reconciles_with(&self, total: f64) -> bool {
+        (self.total_cost() - total).abs() <= self.reconcile_tolerance()
+    }
+
     /// Attributes the total cost to the three channels by
     /// `option_chosen`.
     pub fn breakdown(&self) -> CostBreakdown {

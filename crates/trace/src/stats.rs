@@ -2,7 +2,8 @@
 //! request distribution over zones and the frequency/Jaccard spectrum of
 //! item pairs.
 
-use mcs_model::{ItemId, RequestSeq, ServerId};
+use mcs_model::request::jaccard_from_counts;
+use mcs_model::{ItemId, PairRow, RequestSeq, ServerId};
 
 /// Summary statistics of a request sequence.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,20 +79,27 @@ pub struct PairSpectrumRow {
     pub jaccard: f64,
 }
 
-/// The pair frequency/Jaccard spectrum, sorted by descending Jaccard — the
-/// content of the paper's Fig. 10.
+/// The pair frequency/Jaccard spectrum of every item pair, sorted by
+/// descending Jaccard — the content of the paper's Fig. 10.
+///
+/// Each row `a` is counted by one posting-list walk
+/// ([`RequestSeq::count_row`]), so the counting costs the pair events plus
+/// `O(k²)` reads, and the rows are listed in `(a, b)` order before the
+/// stable sort.
 pub fn pair_spectrum(seq: &RequestSeq) -> Vec<PairSpectrumRow> {
     let k = seq.items();
     let mut rows = Vec::with_capacity((k as usize * (k as usize).saturating_sub(1)) / 2);
-    for i in 0..k {
-        for j in (i + 1)..k {
-            let (a, b) = (ItemId(i), ItemId(j));
-            let pv = seq.pair_view(a, b);
+    let mut row = PairRow::default();
+    for a in (0..k).map(ItemId) {
+        seq.count_row(a, &mut row);
+        let count_a = seq.count_containing(a);
+        for b in (a.0 + 1..k).map(ItemId) {
+            let both = row.count(b) as usize;
             rows.push(PairSpectrumRow {
                 a,
                 b,
-                frequency: pv.both.len(),
-                jaccard: pv.jaccard(),
+                frequency: both,
+                jaccard: jaccard_from_counts(both, count_a, seq.count_containing(b)),
             });
         }
     }

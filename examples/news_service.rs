@@ -12,7 +12,7 @@
 //! cargo run --example news_service
 //! ```
 
-use dp_greedy_suite::correlation::grouping::agglomerative_grouping;
+use dp_greedy_suite::correlation::matching::greedy_matching_from_pairs;
 use dp_greedy_suite::prelude::*;
 
 fn main() {
@@ -38,23 +38,23 @@ fn main() {
     let seq = b.build().expect("valid sequence");
 
     // Phase 1 on its own: what does the Jaccard analysis see?
-    let matrix = JaccardMatrix::from_sequence(&seq);
+    let table = PairTable::from_sequence(&seq);
     println!("Jaccard matrix (bundle items should stand out):");
     for i in 0..5u32 {
         let row: Vec<String> = (0..5u32)
-            .map(|j| format!("{:.2}", matrix.get(ItemId(i), ItemId(j))))
+            .map(|j| format!("{:.2}", table.jaccard(ItemId(i), ItemId(j))))
             .collect();
         println!("  d{}: [{}]", i + 1, row.join(", "));
     }
 
-    let packing = greedy_matching(&matrix, 0.3);
+    let packing = greedy_matching_from_pairs(pairs_above(&seq, 0.3), seq.items(), 0.3);
     println!(
         "\nAlgorithm 1 pairwise packing (θ = 0.3): {:?}",
         packing.pairs
     );
 
     // The future-work extension: full bundle grouping.
-    let packages = agglomerative_grouping(&matrix, 0.3, usize::MAX);
+    let packages = agglomerative_packages(&table, 0.3, usize::MAX);
     println!(
         "multi-item grouping extension: packages {:?}, singletons {:?}",
         packages.packages, packages.singletons

@@ -139,11 +139,13 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     }
 
     let sol = solver.solve(&seq, &ctx);
-    let gap = sol.reconciliation_gap();
-    if gap > 1e-6 {
+    let ledger = sol.ledger();
+    let gap = (ledger.total_cost() - sol.total_cost).abs();
+    if !ledger.reconciles_with(sol.total_cost) {
         return Err(CliError::Runtime(format!(
-            "ledger does not reconcile: gap {gap} for {}",
-            solver.name()
+            "ledger does not reconcile: gap {gap} for {} (rounding bound {:e})",
+            solver.name(),
+            ledger.reconcile_tolerance()
         )));
     }
 
@@ -176,7 +178,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         sol.total_accesses
     );
     if sol.kind == SolverKind::Offline {
-        let b = sol.ledger().breakdown();
+        let b = ledger.breakdown();
         println!(
             "breakdown: cache {:.4} + transfer {:.4} + package_delivery {:.4}",
             b.cache, b.transfer, b.package_delivery

@@ -38,14 +38,17 @@ fn display_name(solver: &dyn CachingSolver) -> &'static str {
 }
 
 /// Derives `solution`'s ledger, checks it reconciles with the reported
-/// total, writes it to `out`, and prints the cost breakdown.
+/// total within the rounding bound of the two sums, writes it to `out`,
+/// and prints the cost breakdown.
 fn emit_ledger(solution: &Solution, algo: &str, out: &str) -> Result<(), CliError> {
     let ledger = solution.ledger();
     let derived = ledger.total_cost();
-    if (derived - solution.total_cost).abs() > 1e-6 {
+    if !ledger.reconciles_with(solution.total_cost) {
         return Err(CliError::Runtime(format!(
-            "ledger does not reconcile: Σ event.cost = {derived} but {algo} reported {}",
-            solution.total_cost
+            "ledger does not reconcile: Σ event.cost = {derived} but {algo} reported {} \
+             (rounding bound {:e})",
+            solution.total_cost,
+            ledger.reconcile_tolerance()
         )));
     }
     std::fs::write(out, ledger.to_jsonl_string()).map_err(|e| CliError::Runtime(e.to_string()))?;

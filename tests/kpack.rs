@@ -4,8 +4,9 @@
 //!   bit-identical to `dp_greedy` (cost bits and ledger JSONL, modulo
 //!   the `algo` label) on the paper example and on generated workloads,
 //!   for every `MCS_THREADS` ∈ {1, 2, 4}.
-//! * **Sparse ≡ dense** — the sparse agglomerative K-matcher packs
-//!   exactly what the dense one packs for any θ ≥ 0 on random traces.
+//! * **Sparse ≡ dense** — the agglomerative K-matcher over the compressed
+//!   pair table packs exactly what it packs over the dense matrix, for
+//!   every θ, on random traces.
 //! * **Adaptive θ** — deterministic, reconciled, and monotone in the
 //!   observed co-request density.
 
@@ -88,8 +89,9 @@ fn k2_identity_across_fixtures_and_thread_counts() {
     std::env::remove_var(THREADS_ENV);
 }
 
-/// Property: the sparse K-matcher equals the dense agglomerative
-/// matcher for θ ≥ 0 — unobserved pairs have J = 0 under both backends.
+/// Property: the K-matcher over the compressed pair table equals the
+/// dense agglomerative matcher — every lookup, observed or not, has the
+/// matrix's bits, so the merge loops run identically.
 #[test]
 fn sparse_k_matching_equals_dense_on_random_traces() {
     for seed in 0..6u64 {
@@ -97,11 +99,11 @@ fn sparse_k_matching_equals_dense_on_random_traces() {
         cfg.steps = 150;
         let seq = generate(&cfg);
         let dense = JaccardMatrix::from_cooccurrence(&CoOccurrence::from_sequence(&seq));
-        let sparse = SparseCoOccurrence::from_sequence(&seq);
-        for theta in [0.0, 0.15, 0.3] {
+        let table = PairTable::from_sequence(&seq);
+        for theta in [-0.5, 0.0, 0.15, 0.3, 0.99] {
             for max_group in [2usize, 3, 4, usize::MAX] {
                 let d = agglomerative_grouping(&dense, theta, max_group);
-                let s = k_packages_sparse(&sparse, theta, max_group);
+                let s = agglomerative_packages(&table, theta, max_group);
                 assert_eq!(d, s, "seed {seed}, theta {theta}, max_group {max_group}");
             }
         }
@@ -130,14 +132,14 @@ fn adaptive_mode_reconciles_and_tracks_density() {
         assert_eq!(a.total_cost.to_bits(), b.total_cost.to_bits());
         assert_eq!(a.ledger().to_jsonl_string(), b.ledger().to_jsonl_string());
     }
-    let t_sparse = adaptive_theta(
-        &SparseCoOccurrence::from_sequence(&sparse_seq),
-        model.alpha(),
-    );
-    let t_dense = adaptive_theta(
-        &SparseCoOccurrence::from_sequence(&dense_seq),
-        model.alpha(),
-    );
+    let theta_of = |seq: &RequestSeq| {
+        adaptive_theta(
+            seq.total_item_accesses(),
+            seq.total_pair_events(),
+            model.alpha(),
+        )
+    };
+    let (t_sparse, t_dense) = (theta_of(&sparse_seq), theta_of(&dense_seq));
     assert!(
         t_dense < t_sparse,
         "denser co-access must relax θ: dense {t_dense} vs sparse {t_sparse}"

@@ -8,9 +8,16 @@
 //! logging convention. This file fuzzes it across random sequences, cost
 //! models, and thresholds for the whole `mcs-engine` registry, so a
 //! newly registered solver is covered automatically.
+//!
+//! The CLI accepts a gap up to `Ledger::reconcile_tolerance`, the
+//! rounding bound of the two sums. Two tests pin that bound from both
+//! sides: a large total that is off by rounding alone reconciles, and a
+//! dropped or doubled event fails on every committed fixture.
 
-use dp_greedy_suite::engine::{solvers, RunContext, SolverKind};
+use dp_greedy_suite::engine::{solvers, RunContext, Solution, SolutionPart, SolverKind};
 use dp_greedy_suite::model::fault::FaultPlan;
+use dp_greedy_suite::obs::{Ledger, Subject};
+use dp_greedy_suite::trace::io::TraceFile;
 use mcs_model::rng::Rng;
 use mcs_model::{CostModel, RequestSeq, RequestSeqBuilder};
 
@@ -79,7 +86,7 @@ fn every_registered_solver_reconciles_on_random_workloads() {
             let ledger = sol.ledger();
             let diff = (ledger.total_cost() - sol.total_cost).abs();
             assert!(
-                diff < TOL,
+                diff < TOL && ledger.reconciles_with(sol.total_cost),
                 "case {case}: {} ledger {} vs report {} (diff {diff:e})",
                 solver.name(),
                 ledger.total_cost(),
@@ -131,6 +138,95 @@ fn serve_events_always_pick_the_cheapest_feasible_arm() {
                 "serve event paid {} but the cheapest arm was {min}",
                 e.cost
             );
+        }
+    }
+}
+
+/// 50,000 events of 23.3 whose producer summed them in parts of 100: the
+/// flat sum is off by more than 1e-6 from rounding alone (an absolute
+/// 1e-6 check rejects it), and the rounding bound accepts it. Dropping or
+/// doubling any one event fails.
+#[test]
+fn a_large_total_off_by_rounding_reconciles() {
+    let parts: Vec<SolutionPart> = (0..50_000u32)
+        .map(|i| SolutionPart::Aggregate {
+            phase: "online",
+            subject: Subject::Item(i % 7),
+            channel: "transfer",
+            t: f64::from(i),
+            cost: 23.3,
+        })
+        .collect();
+    let total = (0..500).map(|_| (0..100).map(|_| 23.3).sum::<f64>()).sum();
+    let sol = Solution {
+        algo: "test",
+        kind: SolverKind::Online,
+        total_cost: total,
+        total_accesses: parts.len(),
+        parts,
+    };
+    let ledger = sol.ledger();
+    assert!(
+        sol.reconciliation_gap() > 1e-6,
+        "gap {}",
+        sol.reconciliation_gap()
+    );
+    assert!(
+        ledger.reconciles_with(total),
+        "gap {} above bound {}",
+        sol.reconciliation_gap(),
+        ledger.reconcile_tolerance()
+    );
+    assert_mutations_fail(&ledger, total, "large total");
+}
+
+/// Removing or repeating the cheapest and the costliest priced event of
+/// `ledger` must break reconciliation with `total`.
+fn assert_mutations_fail(ledger: &Ledger, total: f64, label: &str) {
+    let cost = |i: usize| ledger.events[i].cost.abs();
+    let priced: Vec<usize> = (0..ledger.len()).filter(|&i| cost(i) != 0.0).collect();
+    let by_cost = |x: &usize, y: &usize| cost(*x).total_cmp(&cost(*y));
+    let cheapest = priced.iter().copied().min_by(by_cost);
+    let costliest = priced.iter().copied().max_by(by_cost);
+    for i in cheapest.into_iter().chain(costliest) {
+        let mut dropped = ledger.clone();
+        dropped.events.remove(i);
+        assert!(
+            !dropped.reconciles_with(total),
+            "{label}: dropping event {i} reconciles"
+        );
+        let mut doubled = ledger.clone();
+        doubled.push(ledger.events[i].clone());
+        assert!(
+            !doubled.reconciles_with(total),
+            "{label}: doubling event {i} reconciles"
+        );
+    }
+}
+
+#[test]
+fn a_dropped_or_doubled_event_fails_on_every_fixture() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/traces");
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no trace fixtures committed");
+    let ctx = RunContext::new(CostModel::new(1.0, 2.0, 0.7).unwrap()).with_theta(0.3);
+    for path in paths {
+        let seq = TraceFile::load(&path).unwrap().sequence;
+        for solver in solvers() {
+            if solver.request_limit().is_some_and(|l| seq.len() > l) {
+                continue;
+            }
+            let sol = solver.solve(&seq, &ctx);
+            let ledger = sol.ledger();
+            let label = format!("{} / {}", path.display(), solver.name());
+            assert!(ledger.reconciles_with(sol.total_cost), "{label}");
+            assert!(ledger.reconcile_tolerance() < 1e-6, "{label}");
+            assert_mutations_fail(&ledger, sol.total_cost, &label);
         }
     }
 }

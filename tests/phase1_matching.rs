@@ -1,5 +1,14 @@
-//! Identity sweep for Phase 1's threshold filtering and matrix fill.
+//! Identity sweep for Phase 1's threshold filtering, its row-walk pair
+//! structures and the dense reference's matrix fill.
 //!
+//! * `pairs_above`, at the default split and at 1, 2, 3 and 7 shards,
+//!   emits exactly the matrix's pairs with `J > θ`, each `J` with the bits
+//!   of `CoOccurrence::jaccard`, and packing them equals
+//!   `greedy_matching` over the matrix and the sort-everything reference,
+//!   for `θ ∈ {−0.5, 0, 0.3, 0.99, 1, NaN}`.
+//! * Every `PairTable` lookup, observed or not and in either order, has
+//!   the bits of `CoOccurrence::jaccard`, and `adaptive_theta` from the
+//!   sequence totals equals its value from the reference's sums.
 //! * `greedy_matching` and `greedy_matching_from_pairs`, which sort only
 //!   the pairs strictly above `θ`, equal a reference that sorts every
 //!   pair and skips the ones at or below `θ` while accepting — for
@@ -17,7 +26,8 @@
 
 use dp_greedy_suite::correlation::matching::greedy_matching_from_pairs;
 use dp_greedy_suite::correlation::{
-    greedy_matching, CoOccurrence, JaccardMatrix, Packing, StreamingCooccurrence,
+    adaptive_theta, greedy_matching, pairs_above, pairs_above_sharded, CoOccurrence, JaccardMatrix,
+    Packing, PairTable, StreamingCooccurrence,
 };
 use dp_greedy_suite::model::rng::Rng;
 use dp_greedy_suite::model::{ItemId, Request, RequestSeq, RequestSeqBuilder, ServerId};
@@ -90,6 +100,84 @@ fn matrix_matching_equals_the_sort_everything_reference() {
                 "n={n}, k={k}, used={used}, θ={theta}"
             );
         }
+    }
+}
+
+/// A packing with `θ` compared by its bits, so NaN thresholds compare.
+fn content(p: &Packing) -> (Vec<(ItemId, ItemId)>, Vec<ItemId>, u64) {
+    (p.pairs.clone(), p.singletons.clone(), p.theta.to_bits())
+}
+
+#[test]
+fn pairs_above_equals_the_matrix_filter_and_packs_like_it() {
+    // One extra shape long enough for the default split across threads.
+    let shapes = shapes().into_iter().chain([(4200, 40, 36)]);
+    for (case, (n, k, used)) in shapes.enumerate() {
+        let seq = sequence(0xAB0E + case as u64, n, k, used);
+        let co = CoOccurrence::from_sequence(&seq);
+        let matrix = JaccardMatrix::from_cooccurrence(&co);
+        for theta in THETAS.into_iter().chain([f64::NAN]) {
+            let at = format!("n={n}, k={k}, used={used}, θ={theta}");
+            let mut expected: Vec<_> = matrix.pairs().into_iter().filter(|p| p.2 > theta).collect();
+            expected.sort_by_key(|&(a, b, _)| (a, b));
+            let reference = content(&greedy_matching(&matrix, theta));
+            assert_eq!(
+                reference,
+                content(&sort_everything(matrix.pairs(), k, theta)),
+                "{at}"
+            );
+            let runs = [1, 2, 3, 7]
+                .map(|shards| pairs_above_sharded(&seq, theta, shards))
+                .into_iter()
+                .chain([pairs_above(&seq, theta)]);
+            for emitted in runs {
+                for &(a, b, j) in &emitted {
+                    assert_eq!(
+                        j.to_bits(),
+                        co.jaccard(a, b).to_bits(),
+                        "{at}, ({a:?}, {b:?})"
+                    );
+                }
+                let packing = greedy_matching_from_pairs(emitted.clone(), k, theta);
+                assert_eq!(content(&packing), reference, "{at}");
+                let mut emitted = emitted;
+                emitted.sort_by_key(|&(a, b, _)| (a, b));
+                assert_eq!(bits(&emitted), bits(&expected), "{at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn pair_table_lookups_and_adaptive_theta_equal_the_dense_reference() {
+    for (case, (n, k, used)) in shapes().into_iter().enumerate() {
+        let seq = sequence(0x7AB1 + case as u64, n, k, used);
+        let co = CoOccurrence::from_sequence(&seq);
+        let table = PairTable::from_sequence(&seq);
+        let mut observed = 0;
+        let mut pair_sum = 0;
+        for a in (0..k).map(ItemId) {
+            for b in (0..k).map(ItemId) {
+                assert_eq!(table.pair_count(a, b), co.pair_count(a, b));
+                assert_eq!(
+                    table.jaccard(a, b).to_bits(),
+                    co.jaccard(a, b).to_bits(),
+                    "n={n}, k={k}, used={used}, ({a:?}, {b:?})"
+                );
+                if a < b {
+                    observed += usize::from(co.pair_count(a, b) > 0);
+                    pair_sum += co.pair_count(a, b);
+                }
+            }
+        }
+        assert_eq!(table.observed_pairs(), observed);
+        let item_sum: usize = (0..k).map(|i| co.count(ItemId(i))).sum();
+        assert_eq!(seq.total_item_accesses(), item_sum);
+        assert_eq!(seq.total_pair_events(), pair_sum);
+        assert_eq!(
+            adaptive_theta(seq.total_item_accesses(), seq.total_pair_events(), 0.8).to_bits(),
+            adaptive_theta(item_sum, pair_sum, 0.8).to_bits()
+        );
     }
 }
 

@@ -2,16 +2,20 @@
 //! sequence's per-item posting index, equals a plain full scan of the
 //! requests — on random sequences with catalogs up to a few hundred
 //! items, on empty sequences, for `a == b`, and for item ids outside the
-//! universe. `dp_greedy_pair`, whose per-item event lists come from the
-//! same `pair_view` partition, equals a run on full-scan inputs, and
-//! equality, `Debug` and `clone` ignore whether the index exists.
+//! universe. The row walk `count_row`, and `pair_spectrum` on top of it,
+//! equal the full scan and the `pair_view` partition on catalogs with
+//! never-requested items. `dp_greedy_pair`, whose per-item event lists
+//! come from the same `pair_view` partition, equals a run on full-scan
+//! inputs, and equality, `Debug` and `clone` ignore whether the index
+//! exists.
 
 use dp_greedy_suite::dp_greedy::singleton_greedy::{singleton_greedy, PairItemEvent};
 use dp_greedy_suite::dp_greedy::two_phase::{dp_greedy_pair, DpGreedyConfig};
 use dp_greedy_suite::model::request::{PairView, SingleItemTrace, TracePoint};
 use dp_greedy_suite::model::rng::Rng;
-use dp_greedy_suite::model::{CostModel, ItemId, Request, RequestSeq, RequestSeqBuilder};
+use dp_greedy_suite::model::{CostModel, ItemId, PairRow, Request, RequestSeq, RequestSeqBuilder};
 use dp_greedy_suite::offline::optimal;
+use dp_greedy_suite::trace::stats::{pair_spectrum, PairSpectrumRow};
 
 /// A valid sequence of `n` requests over `k` items, `D_i` of 1–`width`
 /// items drawn from a hot range so pairs co-occur.
@@ -133,6 +137,90 @@ fn projections_equal_a_full_scan_on_random_sequences() {
         }
         for (a, b) in pairs {
             assert_projections_match(&seq, ItemId(a), ItemId(b), &label);
+        }
+    }
+}
+
+/// `seq` over a catalog `extra` items wider, which no request names.
+fn with_silent_items(seq: RequestSeq, extra: u32) -> RequestSeq {
+    let mut b = RequestSeqBuilder::new(seq.servers(), seq.items() + extra);
+    for r in seq.requests() {
+        b = b.push(r.server, r.time, r.items.iter().map(|i| i.0));
+    }
+    b.build().unwrap()
+}
+
+/// One reused scratch walks every row, in a shuffled order, of random
+/// sequences whose catalogs include never-requested items: each count
+/// equals the full scan of `(a, b)` for `b > a` and is zero otherwise,
+/// the touched list holds each nonzero entry once, and the row totals
+/// add up to `total_pair_events`.
+#[test]
+fn row_walks_equal_a_full_scan_and_sum_to_the_pair_events() {
+    let shapes = [(0usize, 3u32, 2u32), (1, 1, 1), (60, 9, 4), (400, 40, 6)];
+    for (case, &(n, k, width)) in shapes.iter().enumerate() {
+        let seq = with_silent_items(sequence(0x20AD + case as u64, n, k, width), 5);
+        let mut rows: Vec<u32> = (0..seq.items()).collect();
+        Rng::seed_from_u64(case as u64).shuffle(&mut rows);
+        let mut row = PairRow::default();
+        let mut events = 0usize;
+        for a in rows.into_iter().map(ItemId) {
+            seq.count_row(a, &mut row);
+            let mut touched: Vec<ItemId> = row.touched().to_vec();
+            touched.sort();
+            touched.dedup();
+            assert_eq!(touched.len(), row.touched().len(), "a={a:?}");
+            for b in (0..seq.items()).map(ItemId) {
+                let expected = if b > a { seq.count_pair(a, b) } else { 0 };
+                assert_eq!(row.count(b) as usize, expected, "n={n}, a={a:?}, b={b:?}");
+                assert_eq!(touched.binary_search(&b).is_ok(), expected > 0);
+                events += expected;
+            }
+        }
+        assert_eq!(events, seq.total_pair_events(), "n={n}, k={k}");
+    }
+}
+
+/// `pair_spectrum` counts rows with the walk; every row equals the
+/// `pair_view` of its pair, and the order equals the stable sort of the
+/// `pair_view` rows listed in `(a, b)` order.
+#[test]
+fn pair_spectrum_equals_the_pair_view_reference() {
+    for (case, &(n, k, width)) in [(0usize, 3u32, 2u32), (80, 10, 4), (500, 30, 6)]
+        .iter()
+        .enumerate()
+    {
+        let seq = with_silent_items(sequence(0x5BEC + case as u64, n, k, width), 4);
+        let mut reference = Vec::new();
+        for a in (0..seq.items()).map(ItemId) {
+            for b in (a.0 + 1..seq.items()).map(ItemId) {
+                let view = seq.pair_view(a, b);
+                reference.push(PairSpectrumRow {
+                    a,
+                    b,
+                    frequency: view.both.len(),
+                    jaccard: view.jaccard(),
+                });
+            }
+        }
+        reference.sort_by(|x, y| {
+            y.jaccard
+                .partial_cmp(&x.jaccard)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(x.a.cmp(&y.a))
+        });
+        let spectrum = pair_spectrum(&seq);
+        assert_eq!(spectrum.len(), reference.len(), "n={n}, k={k}");
+        for (got, want) in spectrum.iter().zip(&reference) {
+            assert_eq!(
+                (got.a, got.b, got.frequency),
+                (want.a, want.b, want.frequency)
+            );
+            assert_eq!(
+                got.jaccard.to_bits(),
+                want.jaccard.to_bits(),
+                "n={n}, k={k}"
+            );
         }
     }
 }
