@@ -28,7 +28,6 @@
 //! atomic load per call site.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -70,28 +69,29 @@ impl Event {
     /// Deterministic single-line JSON encoding (no trailing newline):
     /// fixed key order, `t_mono` isolated as the only wall-clock key.
     pub fn to_jsonl(&self) -> String {
-        let mut s = String::with_capacity(64);
-        let _ = write!(s, "{{\"seq\":{},\"t_mono\":", self.seq);
+        let mut s = Vec::with_capacity(64);
+        s.extend_from_slice(b"{\"seq\":");
+        jsonl::push_u64(&mut s, self.seq);
+        s.extend_from_slice(b",\"t_mono\":");
         jsonl::push_num(&mut s, self.t_mono);
-        s.push_str(",\"kind\":");
+        s.extend_from_slice(b",\"kind\":");
         jsonl::push_str(&mut s, self.kind);
         if let Some(e) = self.epoch {
-            let _ = write!(s, ",\"epoch\":{e}");
+            s.extend_from_slice(b",\"epoch\":");
+            jsonl::push_u64(&mut s, e);
         }
         for (name, value) in &self.fields {
-            s.push(',');
+            s.push(b',');
             jsonl::push_str(&mut s, name);
-            s.push(':');
+            s.push(b':');
             match value {
-                Value::U64(v) => {
-                    let _ = write!(s, "{v}");
-                }
+                Value::U64(v) => jsonl::push_u64(&mut s, *v),
                 Value::F64(v) => jsonl::push_num(&mut s, *v),
                 Value::Str(v) => jsonl::push_str(&mut s, v),
             }
         }
-        s.push('}');
-        s
+        s.push(b'}');
+        String::from_utf8(s).expect("the JSON writers emit UTF-8")
     }
 }
 

@@ -56,43 +56,57 @@ impl LedgerEvent {
     /// Renders the event as one JSON object (no trailing newline) with a
     /// fixed key order, deterministically byte-for-byte.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(160);
-        self.write_json(&mut s);
-        s
+        let mut out = Vec::with_capacity(160);
+        self.write_json(&mut out);
+        String::from_utf8(out).expect("the JSON writers emit UTF-8")
     }
 
-    /// Appends [`Self::to_json`]'s rendering to `s`, with no allocation of
-    /// its own.
-    pub fn write_json(&self, s: &mut String) {
-        s.push_str("{\"algo\":");
-        jsonl::push_str(s, self.algo);
-        s.push_str(",\"phase\":");
-        jsonl::push_str(s, self.phase);
+    /// Appends [`Self::to_json`]'s rendering to `out`, with no allocation
+    /// of its own.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"algo\":");
+        jsonl::push_str(out, self.algo);
+        out.extend_from_slice(b",\"phase\":");
+        jsonl::push_str(out, self.phase);
         match self.subject {
             Subject::Item(i) => {
-                s.push_str(",\"item\":");
-                let _ = std::fmt::Write::write_fmt(s, format_args!("{i}"));
+                out.extend_from_slice(b",\"item\":");
+                jsonl::push_u64(out, i.into());
             }
             Subject::Pair(a, b) => {
-                s.push_str(",\"pair\":[");
-                let _ = std::fmt::Write::write_fmt(s, format_args!("{a},{b}"));
-                s.push(']');
+                out.extend_from_slice(b",\"pair\":[");
+                jsonl::push_u64(out, a.into());
+                out.push(b',');
+                jsonl::push_u64(out, b.into());
+                out.push(b']');
             }
         }
-        s.push_str(",\"option_chosen\":");
-        jsonl::push_str(s, self.option_chosen);
-        s.push_str(",\"option_costs\":[");
-        for (i, &c) in self.option_costs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        out.extend_from_slice(b",\"option_chosen\":");
+        jsonl::push_str(out, self.option_chosen);
+        out.extend_from_slice(b",\"option_costs\":[");
+        // Where each option cost's bytes landed: `cost` is almost always
+        // one of them, and same bits render to the same bytes.
+        let mut rendered = [(0, 0); 3];
+        for (slot, &c) in self.option_costs.iter().enumerate() {
+            if slot > 0 {
+                out.push(b',');
             }
-            jsonl::push_num(s, c);
+            let start = out.len();
+            jsonl::push_num(out, c);
+            rendered[slot] = (start, out.len());
         }
-        s.push_str("],\"t\":");
-        jsonl::push_num(s, self.t);
-        s.push_str(",\"cost\":");
-        jsonl::push_num(s, self.cost);
-        s.push('}');
+        out.extend_from_slice(b"],\"t\":");
+        jsonl::push_num(out, self.t);
+        out.extend_from_slice(b",\"cost\":");
+        let same = self
+            .option_costs
+            .iter()
+            .position(|c| c.to_bits() == self.cost.to_bits());
+        match same {
+            Some(slot) => out.extend_from_within(rendered[slot].0..rendered[slot].1),
+            None => jsonl::push_num(out, self.cost),
+        }
+        out.push(b'}');
     }
 }
 
@@ -193,17 +207,28 @@ impl Ledger {
     /// Renders the ledger as JSON lines (one event per line, trailing
     /// newline), byte-deterministic for a given event sequence.
     pub fn to_jsonl_string(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 160);
+        let mut out = Vec::with_capacity(self.events.len() * 160);
         for e in &self.events {
             e.write_json(&mut out);
-            out.push('\n');
+            out.push(b'\n');
         }
-        out
+        String::from_utf8(out).expect("the JSON writers emit UTF-8")
     }
 
-    /// Writes the JSON-lines rendering to `w`.
+    /// Writes [`Self::to_jsonl_string`]'s bytes to `w` through a 64 KB
+    /// buffer, so the whole rendering is never held in memory.
     pub fn write_jsonl(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
-        w.write_all(self.to_jsonl_string().as_bytes())
+        const CHUNK: usize = 64 * 1024;
+        let mut buf = Vec::with_capacity(CHUNK + 1024);
+        for e in &self.events {
+            e.write_json(&mut buf);
+            buf.push(b'\n');
+            if buf.len() >= CHUNK {
+                w.write_all(&buf)?;
+                buf.clear();
+            }
+        }
+        w.write_all(&buf)
     }
 }
 

@@ -2,6 +2,9 @@
 //! request distribution over zones and the frequency/Jaccard spectrum of
 //! item pairs.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use mcs_model::request::jaccard_from_counts;
 use mcs_model::{ItemId, PairRow, RequestSeq, ServerId};
 
@@ -110,6 +113,56 @@ pub fn pair_spectrum(seq: &RequestSeq) -> Vec<PairSpectrumRow> {
             .then(x.a.cmp(&y.a))
     });
     rows
+}
+
+/// The first `n` rows of [`pair_spectrum`] — the same rows in the same
+/// order (`J` descending, then `a`, then `b`) — holding only `n` of them.
+///
+/// Each row `a` is counted by the same posting-list walk. Once `n` rows
+/// with `J > 0` are held, a pair that was never co-requested (`J = 0`)
+/// cannot enter, so the rest of the walk reads only the touched partners:
+/// `O(pair events + k)` after that point, and `O(n + k)` memory.
+pub fn top_pairs(seq: &RequestSeq, n: usize) -> Vec<PairSpectrumRow> {
+    if n == 0 {
+        return Vec::new();
+    }
+    // Keys that sort in spectrum order — `J` is never NaN or negative, so
+    // its bits order like its value — in a max-heap whose top is the
+    // worst row held.
+    let mut held: BinaryHeap<(Reverse<u64>, ItemId, ItemId, usize)> =
+        BinaryHeap::with_capacity(n + 1);
+    let mut row = PairRow::default();
+    for a in (0..seq.items()).map(ItemId) {
+        seq.count_row(a, &mut row);
+        let count_a = seq.count_containing(a);
+        let full_of_positive = held.len() == n && held.peek().is_some_and(|w| w.0 .0 > 0);
+        let mut offer = |b: ItemId| {
+            let both = row.count(b) as usize;
+            let jaccard = jaccard_from_counts(both, count_a, seq.count_containing(b));
+            let candidate = (Reverse(jaccard.to_bits()), a, b, both);
+            if held.len() < n {
+                held.push(candidate);
+            } else if let Some(mut worst) = held.peek_mut() {
+                if candidate < *worst {
+                    *worst = candidate;
+                }
+            }
+        };
+        if full_of_positive {
+            row.touched().iter().for_each(|&b| offer(b));
+        } else {
+            (a.0 + 1..seq.items()).map(ItemId).for_each(&mut offer);
+        }
+    }
+    held.into_sorted_vec()
+        .into_iter()
+        .map(|(Reverse(jaccard), a, b, frequency)| PairSpectrumRow {
+            a,
+            b,
+            frequency,
+            jaccard: f64::from_bits(jaccard),
+        })
+        .collect()
 }
 
 mcs_model::impl_to_json!(TraceStats {

@@ -2,7 +2,7 @@
 
 use crate::cli::{check_flags, trace_arg, CliError};
 use dp_greedy_suite::trace::io::TraceFile;
-use dp_greedy_suite::trace::stats::{pair_spectrum, TraceStats};
+use dp_greedy_suite::trace::stats::{top_pairs, TraceStats};
 
 pub fn run(args: &[String]) -> Result<(), CliError> {
     check_flags("stats", args, &[], &[])?;
@@ -25,7 +25,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         );
     }
     println!("\ntop pairs by Jaccard:");
-    for row in pair_spectrum(seq).iter().take(8) {
+    for row in top_pairs(seq, 8) {
         println!(
             "  ({}, {})  freq={:<6} J={:.4}",
             row.a, row.b, row.frequency, row.jaccard

@@ -38,7 +38,7 @@ fn display_name(solver: &dyn CachingSolver) -> &'static str {
 }
 
 /// Derives `solution`'s ledger, checks it reconciles with the reported
-/// total within the rounding bound of the two sums, writes it to `out`,
+/// total within the rounding bound of the two sums, streams it to `out`,
 /// and prints the cost breakdown.
 fn emit_ledger(solution: &Solution, algo: &str, out: &str) -> Result<(), CliError> {
     let ledger = solution.ledger();
@@ -51,7 +51,9 @@ fn emit_ledger(solution: &Solution, algo: &str, out: &str) -> Result<(), CliErro
             ledger.reconcile_tolerance()
         )));
     }
-    std::fs::write(out, ledger.to_jsonl_string()).map_err(|e| CliError::Runtime(e.to_string()))?;
+    std::fs::File::create(out)
+        .and_then(|mut file| ledger.write_jsonl(&mut file))
+        .map_err(|e| CliError::Runtime(e.to_string()))?;
     let b = ledger.breakdown();
     println!(
         "wrote {out}: {} events, total {:.4} (reconciles with {algo})",

@@ -23,6 +23,9 @@
 //!   equals packing every stored pair's `jaccard` sorted, and `pairs()`
 //!   equals the reference's full sorted list — on decayed streams deep
 //!   enough to renormalise the lazy scale.
+//! * `top_pairs(seq, n)`, which holds only `n` rows, equals the first `n`
+//!   rows of `pair_spectrum` for `n ∈ {0, 1, 8, more than all pairs}` —
+//!   on sequences with tied similarities and never-requested items.
 
 use dp_greedy_suite::correlation::matching::greedy_matching_from_pairs;
 use dp_greedy_suite::correlation::{
@@ -31,6 +34,7 @@ use dp_greedy_suite::correlation::{
 };
 use dp_greedy_suite::model::rng::Rng;
 use dp_greedy_suite::model::{ItemId, Request, RequestSeq, RequestSeqBuilder, ServerId};
+use dp_greedy_suite::trace::stats::{pair_spectrum, top_pairs};
 
 const THETAS: [f64; 5] = [-0.5, 0.0, 0.3, 0.99, 1.0];
 
@@ -86,6 +90,21 @@ fn shapes() -> Vec<(usize, u32, u32)> {
         (600, 60, 40),
         (900, 150, 150),
     ]
+}
+
+#[test]
+fn top_pairs_are_the_head_of_the_pair_spectrum() {
+    for (seed, &(n, k, used)) in shapes().iter().enumerate() {
+        let seq = sequence(0x70_9A + seed as u64, n, k, used);
+        let spectrum = pair_spectrum(&seq);
+        for take in [0, 1, 8, spectrum.len() + 3] {
+            assert_eq!(
+                top_pairs(&seq, take),
+                spectrum[..take.min(spectrum.len())],
+                "n={n} k={k} used={used} take={take}"
+            );
+        }
+    }
 }
 
 #[test]
