@@ -1,4 +1,4 @@
-//! Benches for the extension modules: the fast covering DP, the
+//! Benches for the extension modules: the cost-only covering DP, the
 //! single-copy substrate, heterogeneous exact/greedy, the multi-item and
 //! windowed DP_Greedy variants, and on-line DP_Greedy.
 
@@ -16,15 +16,15 @@ use mcs_offline::optimal_fast::optimal_fast_cost;
 use mcs_offline::single_copy::single_copy_optimal;
 use mcs_online::online_dpg::{online_dp_greedy, OnlineDpgConfig};
 
-fn fast_vs_quadratic(c: &mut Criterion) {
+fn covering_dp_variants(c: &mut Criterion) {
     let model = bench_model();
     let mut g = c.benchmark_group("covering_dp_variants");
     for n in [1000usize, 4000] {
         let trace = bench_trace(n, 50);
-        g.bench_with_input(BenchmarkId::new("quadratic", n), &trace, |b, tr| {
+        g.bench_with_input(BenchmarkId::new("schedule", n), &trace, |b, tr| {
             b.iter(|| optimal(black_box(tr), black_box(&model)).cost)
         });
-        g.bench_with_input(BenchmarkId::new("nlogn", n), &trace, |b, tr| {
+        g.bench_with_input(BenchmarkId::new("cost_only", n), &trace, |b, tr| {
             b.iter(|| optimal_fast_cost(black_box(tr), black_box(&model)))
         });
     }
@@ -83,6 +83,6 @@ fn variants_bench(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
-    targets = fast_vs_quadratic, single_copy_bench, hetero_bench, variants_bench
+    targets = covering_dp_variants, single_copy_bench, hetero_bench, variants_bench
 }
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! E9 — scaling benches validating the paper's complexity claims:
 //! Section V analyses `O(mn²)` service time with `O(mn)` space; the
-//! substrate DP itself is quadratic in `n` and insensitive to `m` (its
-//! per-server scan is linear), and the pre-scan is `O(mn)`.
+//! substrate DP itself is `O(n log n)` and insensitive to `m` (its
+//! per-server table is linear), and the pre-scan is `O(mn)`.
 
 use mcs_bench::harness::{black_box, BenchmarkId, Criterion, Throughput};
 use mcs_bench::{criterion_group, criterion_main};

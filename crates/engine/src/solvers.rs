@@ -62,19 +62,17 @@ fn serve_part(item: ItemId, greedy_out: &SingletonGreedyOutcome, shift: f64) -> 
 
 /// Shifts every time in `schedule` by `dt` (used to lift window-relative
 /// schedules back to global time for the ledger).
-fn shift_schedule(schedule: &Schedule, dt: f64) -> Schedule {
-    if dt == 0.0 {
-        return schedule.clone();
+fn shift_schedule(mut schedule: Schedule, dt: f64) -> Schedule {
+    if dt != 0.0 {
+        for iv in &mut schedule.intervals {
+            iv.span.start += dt;
+            iv.span.end += dt;
+        }
+        for tr in &mut schedule.transfers {
+            tr.time += dt;
+        }
     }
-    let mut out = schedule.clone();
-    for iv in &mut out.intervals {
-        iv.span.start += dt;
-        iv.span.end += dt;
-    }
-    for tr in &mut out.transfers {
-        tr.time += dt;
-    }
-    out
+    schedule
 }
 
 /// Emits the parts of one DP_Greedy report, in the order the original
@@ -82,28 +80,28 @@ fn shift_schedule(schedule: &Schedule, dt: f64) -> Schedule {
 /// then the two serve streams; then unpacked singletons). `shift` lifts
 /// window-relative times to global time (0 for a whole-sequence run).
 fn dp_greedy_parts(
-    report: &DpGreedyReport,
+    report: DpGreedyReport,
     model: &CostModel,
     shift: f64,
     parts: &mut Vec<SolutionPart>,
 ) {
     let pkg = model.scaled_for_package();
-    for pair in &report.pairs {
+    for pair in report.pairs {
         parts.push(SolutionPart::Schedule {
             phase: "phase2.package",
             subject: Subject::Pair(pair.a.0, pair.b.0),
-            schedule: shift_schedule(&pair.package_schedule, shift),
+            schedule: shift_schedule(pair.package_schedule, shift),
             mu: pkg.mu(),
             lambda: pkg.lambda(),
         });
         parts.push(serve_part(pair.a, &pair.a_greedy, shift));
         parts.push(serve_part(pair.b, &pair.b_greedy, shift));
     }
-    for s in &report.singletons {
+    for s in report.singletons {
         parts.push(SolutionPart::Schedule {
             phase: "phase2.unpacked",
             subject: Subject::Item(s.item.0),
-            schedule: shift_schedule(&s.schedule, shift),
+            schedule: shift_schedule(s.schedule, shift),
             mu: model.mu(),
             lambda: model.lambda(),
         });
@@ -156,13 +154,14 @@ impl CachingSolver for DpGreedySolver {
     fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
         let model = ctx.model();
         let report = dp_greedy(seq, &DpGreedyConfig::new(model).with_theta(ctx.theta));
+        let (total_cost, total_accesses) = (report.total_cost, report.total_accesses);
         let mut parts = Vec::new();
-        dp_greedy_parts(&report, &model, 0.0, &mut parts);
+        dp_greedy_parts(report, &model, 0.0, &mut parts);
         Solution {
             algo: self.name(),
             kind: self.kind(),
-            total_cost: report.total_cost,
-            total_accesses: report.total_accesses,
+            total_cost,
+            total_accesses,
             parts,
         }
     }
@@ -475,13 +474,14 @@ impl CachingSolver for KPackSolver {
         if ctx.max_group <= 2 {
             // Pairwise shape: the exact two-phase pipeline (Algorithm 1).
             let report = dp_greedy(seq, &DpGreedyConfig::new(*model).with_theta(theta));
+            let (total_cost, total_accesses) = (report.total_cost, report.total_accesses);
             let mut parts = Vec::new();
-            dp_greedy_parts(&report, model, 0.0, &mut parts);
+            dp_greedy_parts(report, model, 0.0, &mut parts);
             return Solution {
                 algo: self.name(),
                 kind: self.kind(),
-                total_cost: report.total_cost,
-                total_accesses: report.total_accesses,
+                total_cost,
+                total_accesses,
                 parts,
             };
         }
@@ -530,7 +530,7 @@ impl CachingSolver for WindowedSolver {
             for (start, _, slice) in slice_windows(seq, window) {
                 let report = dp_greedy(&slice, &inner);
                 total += report.total_cost;
-                dp_greedy_parts(&report, &model, start, &mut parts);
+                dp_greedy_parts(report, &model, start, &mut parts);
             }
         }
         Solution {

@@ -504,17 +504,19 @@ impl SingleItemTrace {
     /// sentinel-free: instead we return a [`Predecessor`] structure that
     /// distinguishes the three cases explicitly.
     pub fn predecessors(&self) -> Vec<Predecessor> {
-        let mut last_at: std::collections::HashMap<ServerId, usize> =
-            std::collections::HashMap::new();
+        // The last request index at each server, `usize::MAX` before the
+        // first. Sized by the largest id present rather than `servers`:
+        // `points` is public, so nothing keeps its ids below `servers`.
+        let slots = self.points.iter().map(|p| p.server.index() + 1).max();
+        let mut last_at = vec![usize::MAX; slots.unwrap_or(0)];
         let mut out = Vec::with_capacity(self.points.len());
         for (i, p) in self.points.iter().enumerate() {
-            let pred = match last_at.get(&p.server) {
-                Some(&j) => Predecessor::Request(j),
-                None if p.server == ServerId::ORIGIN => Predecessor::Origin,
-                None => Predecessor::None,
-            };
-            out.push(pred);
-            last_at.insert(p.server, i);
+            let last = std::mem::replace(&mut last_at[p.server.index()], i);
+            out.push(match last {
+                usize::MAX if p.server == ServerId::ORIGIN => Predecessor::Origin,
+                usize::MAX => Predecessor::None,
+                j => Predecessor::Request(j),
+            });
         }
         out
     }
@@ -758,6 +760,32 @@ mod tests {
         assert_eq!(preds[0], Predecessor::None); // s3 never visited
         assert_eq!(preds[1], Predecessor::Origin); // s1 holds the origin copy
         assert_eq!(preds[2], Predecessor::Request(0)); // back to 0.8@s3
+    }
+
+    #[test]
+    fn predecessors_accept_server_ids_past_the_declared_count() {
+        let point = |time, server| TracePoint {
+            time,
+            server: ServerId(server),
+        };
+        let trace = SingleItemTrace {
+            servers: 2,
+            points: vec![point(1.0, 7), point(2.0, 0), point(3.0, 7), point(4.0, 3)],
+        };
+        assert_eq!(
+            trace.predecessors(),
+            vec![
+                Predecessor::None,
+                Predecessor::Origin,
+                Predecessor::Request(0),
+                Predecessor::None,
+            ]
+        );
+        let empty = SingleItemTrace {
+            servers: 0,
+            points: Vec::new(),
+        };
+        assert!(empty.predecessors().is_empty());
     }
 
     #[test]

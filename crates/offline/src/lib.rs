@@ -7,7 +7,7 @@
 //! baselines and exact solvers the reproduction needs:
 //!
 //! * [`mod@optimal`] — the production solver: a minimum-cost line-covering
-//!   dynamic program over the request time line, `O(n²)` worst case, which
+//!   dynamic program over the request time line, `O(n log n)`, which
 //!   computes the optimal off-line cost *and* an explicit, validated
 //!   [`mcs_model::Schedule`]. Under package rates (`2αμ`, `2αλ`) it is
 //!   exactly the "alg. in \[6\]" invoked by Algorithm 1 of the paper.
@@ -41,7 +41,8 @@
 //! Requests with `μ·(t_i − t_{p(i)}) ≤ λ` are always cache-served
 //! (dominance); the residual choice over "long" intervals is a shortest
 //! path over gap boundaries with interval edges (`μ·len − λ`) and bridge
-//! edges (`μ·gap`, free where a short interval already covers). See
+//! edges (`μ·gap`, free where a short interval already covers), solved in
+//! one forward sweep with a range-minimum query per long interval. See
 //! `DESIGN.md` §2 for the full argument and the validation matrix.
 
 #![warn(missing_docs)]

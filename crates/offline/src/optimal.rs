@@ -48,13 +48,124 @@ impl OptimalOutcome {
     }
 }
 
-/// Shortest-path edge provenance, for schedule reconstruction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Edge {
-    /// Bridge (or free traversal of a short-covered gap) from the previous node.
-    Bridge,
-    /// Long cache interval of request `i`, entered from node `from`.
-    Long { request: usize, from: usize },
+/// A point-update / range-minimum segment tree over `f64`: an implicit
+/// heap with the leaves at `size..2·size`, unset leaves `+∞`.
+#[derive(Debug, Clone)]
+pub(crate) struct MinTree {
+    size: usize,
+    heap: Vec<f64>,
+}
+
+impl MinTree {
+    pub(crate) fn new(len: usize) -> Self {
+        let size = len.next_power_of_two();
+        MinTree {
+            size,
+            heap: vec![f64::INFINITY; 2 * size],
+        }
+    }
+
+    pub(crate) fn get(&self, i: usize) -> f64 {
+        self.heap[self.size + i]
+    }
+
+    pub(crate) fn set(&mut self, mut i: usize, value: f64) {
+        i += self.size;
+        self.heap[i] = value;
+        while i > 1 {
+            i /= 2;
+            self.heap[i] = self.heap[2 * i].min(self.heap[2 * i + 1]);
+        }
+    }
+
+    /// Minimum over the inclusive index range `[lo, hi]`.
+    pub(crate) fn min(&self, mut lo: usize, mut hi: usize) -> f64 {
+        let mut best = f64::INFINITY;
+        lo += self.size;
+        hi += self.size + 1;
+        while lo < hi {
+            if lo & 1 == 1 {
+                best = best.min(self.heap[lo]);
+                lo += 1;
+            }
+            if hi & 1 == 1 {
+                hi -= 1;
+                best = best.min(self.heap[hi]);
+            }
+            lo /= 2;
+            hi /= 2;
+        }
+        best
+    }
+
+    /// The minimum of the rounded sums `value[j] + w` over `[lo, hi]`, and
+    /// the smallest `j` reaching it.
+    ///
+    /// Rounding is monotone, so the minimum is `min(value[lo..=hi]) + w`,
+    /// and a subtree holds a reaching `j` exactly when its own minimum
+    /// plus `w` reaches it: a walk right from `lo` finds the first such
+    /// subtree, and a descent into it the leftmost such leaf.
+    pub(crate) fn leftmost_min_plus(&self, lo: usize, hi: usize, w: f64) -> (f64, usize) {
+        let best = self.min(lo, hi) + w;
+        let reaches = |node: usize| self.heap[node] + w <= best;
+        let mut node = lo + self.size;
+        loop {
+            // Widen to the largest subtree starting at `node`'s first leaf.
+            while node & 1 == 0 {
+                node /= 2;
+            }
+            if reaches(node) {
+                break;
+            }
+            node += 1;
+        }
+        while node < self.size {
+            node = if reaches(2 * node) {
+                2 * node
+            } else {
+                2 * node + 1
+            };
+        }
+        (best, node - self.size)
+    }
+}
+
+/// For each gap `g` in `0..n`, the lowest-indexed request `k` in
+/// `chosen` whose cache interval spans it (`pred_node[k] ≤ g ≤ k`), in
+/// one linear sweep: gaps wait on `stack` in ascending order until a
+/// chosen request claims every waiting gap from its interval's start on.
+/// Intervals end at their own request, so the lowest such `k` claims first.
+fn first_cover(
+    pred_node: &[Option<usize>],
+    chosen: &[bool],
+    stack: &mut Vec<usize>,
+    owner: &mut [Option<usize>],
+) {
+    stack.clear();
+    for (k, &start) in pred_node.iter().enumerate() {
+        owner[k] = None;
+        stack.push(k);
+        if chosen[k] {
+            let start = start.expect("chosen requests have a cache interval");
+            while let Some(&g) = stack.last() {
+                if g < start {
+                    break;
+                }
+                owner[g] = Some(k);
+                stack.pop();
+            }
+        }
+    }
+}
+
+/// Start node of a request's cache interval: node 0 for the origin
+/// placement, node `j + 1` for request `j`.
+fn start_node(pred: Predecessor) -> Option<usize> {
+    match pred {
+        Predecessor::Origin => Some(0),
+        Predecessor::Request(j) => Some(j + 1),
+        Predecessor::None => None,
+    }
 }
 
 /// Computes the optimal off-line cost and schedule for a single commodity.
@@ -63,8 +174,10 @@ enum Edge {
 /// package pass [`CostModel::scaled_for_package`] — this reproduces the
 /// `2α·(call alg. in \[6\])` of Algorithm 1, line 40.
 ///
-/// Runs in `O(n²)` time and `O(n)` space for `n` trace points (the
-/// per-server predecessor scan is `O(n)` with hashing).
+/// Runs in `O(n log n)` time and `O(n + m)` space for `n` trace points
+/// over `m` servers: one forward sweep prices each long interval with
+/// a range-minimum query over the finished distances, and the schedule is
+/// read back in linear time.
 ///
 /// ```
 /// use mcs_model::{request::SingleItemTrace, CostModel};
@@ -94,122 +207,78 @@ pub fn optimal(trace: &SingleItemTrace, model: &CostModel) -> OptimalOutcome {
     boundary.push(0.0_f64);
     boundary.extend(trace.points.iter().map(|p| p.time));
 
-    let preds = trace.predecessors();
-    // Predecessor node index of request i (start node of its cache interval).
-    let pred_node: Vec<Option<usize>> = preds
-        .iter()
-        .map(|p| match p {
-            Predecessor::Origin => Some(0),
-            Predecessor::Request(j) => Some(j + 1),
-            Predecessor::None => None,
-        })
-        .collect();
+    let pred_node: Vec<Option<usize>> = trace.predecessors().into_iter().map(start_node).collect();
     let interval_len =
         |i: usize| -> f64 { boundary[i + 1] - boundary[pred_node[i].expect("has pred")] };
 
-    // Classify requests: short cache intervals are always taken.
-    let mut is_short = vec![false; n];
-    let mut is_long = vec![false; n];
-    for (i, pred) in pred_node.iter().enumerate() {
-        if pred.is_some() {
-            if approx_le(mu * interval_len(i), lambda) {
-                is_short[i] = true;
-            } else {
-                is_long[i] = true;
-            }
-        }
-    }
-
-    // Gaps already covered by an always-taken short interval.
-    let mut short_cover = vec![false; n];
-    for i in 0..n {
-        if is_short[i] {
-            let a = pred_node[i].unwrap();
-            for flag in short_cover.iter_mut().take(i + 1).skip(a) {
-                *flag = true;
-            }
-        }
-    }
-
-    // Base cost: short caches plus one pending transfer per non-short request.
+    // Short cache intervals (`μ·len ≤ λ`) are always taken; `cached`
+    // starts as them and gains the long intervals on the shortest path.
+    // Base cost: short caches plus one pending transfer per other request.
+    let mut cached = vec![false; n];
     let mut base = 0.0;
-    for (i, &short) in is_short.iter().enumerate() {
-        if short {
-            base += mu * interval_len(i);
-        } else {
-            base += lambda;
+    for i in 0..n {
+        match pred_node[i] {
+            Some(_) if approx_le(mu * interval_len(i), lambda) => {
+                cached[i] = true;
+                base += mu * interval_len(i);
+            }
+            _ => base += lambda,
         }
     }
+    // Gaps a short interval covers are bridged for free.
+    let mut stack = Vec::with_capacity(n);
+    let mut cover = vec![None; n];
+    first_cover(&pred_node, &cached, &mut stack, &mut cover);
 
-    // DAG shortest path over nodes 0..=n. Long-interval edges are relaxed
-    // before the bridge edge at each node so that, on exact ties, an
-    // interval (which refunds its λ) is preferred over a bridge.
-    let mut dist = vec![f64::INFINITY; n + 1];
-    let mut parent: Vec<Option<Edge>> = vec![None; n + 1];
-    dist[0] = 0.0;
-    for j in 0..n {
-        let dj = dist[j];
-        if dj.is_infinite() {
-            continue;
+    // DAG shortest path over nodes 0..=n, in one forward sweep. Node i+1
+    // is entered by the bridge from node i or by request i's long edge
+    // from any node j in [pred_node[i], i], all final by then. The long
+    // edge takes the smallest such j, and wins a tie with the bridge: an
+    // interval refunds its λ. `dist` lives in the tree's leaves.
+    let mut dist = MinTree::new(n + 1);
+    dist.set(0, 0.0);
+    // Entry node of the long edge into node i+1, or `None` for the bridge.
+    let mut entry: Vec<Option<usize>> = vec![None; n];
+    for i in 0..n {
+        let mut best = f64::INFINITY;
+        if let (Some(a), false) = (pred_node[i], cached[i]) {
+            let (value, from) = dist.leftmost_min_plus(a, i, mu * interval_len(i) - lambda);
+            best = value;
+            entry[i] = Some(from);
         }
-        // Long edges available from node j: every long request i whose
-        // interval already spans node j (pred_node[i] <= j <= i).
-        for i in j..n {
-            if is_long[i] && pred_node[i].unwrap() <= j {
-                let w = mu * interval_len(i) - lambda;
-                let cand = dj + w;
-                if cand < dist[i + 1] {
-                    dist[i + 1] = cand;
-                    parent[i + 1] = Some(Edge::Long {
-                        request: i,
-                        from: j,
-                    });
-                }
-            }
-        }
-        // Bridge edge j -> j+1.
-        let w = if short_cover[j] {
+        let w = if cover[i].is_some() {
             0.0
         } else {
-            mu * (boundary[j + 1] - boundary[j])
+            mu * (boundary[i + 1] - boundary[i])
         };
-        if dj + w < dist[j + 1] {
-            dist[j + 1] = dj + w;
-            parent[j + 1] = Some(Edge::Bridge);
+        let bridge = dist.get(i) + w;
+        if bridge < best {
+            best = bridge;
+            entry[i] = None;
         }
+        dist.set(i + 1, best);
     }
-    let cost = base + dist[n];
+    let cost = base + dist.get(n);
 
     // ---- Reconstruction -------------------------------------------------
     // Chosen cache-served set X = shorts ∪ longs on the shortest path;
     // bridged gaps = bridge edges over gaps covered by nothing in X.
-    let mut in_x = is_short.clone();
     let mut bridge_edge = vec![false; n];
     let mut node = n;
     while node > 0 {
-        match parent[node].expect("path reaches every node") {
-            Edge::Bridge => {
+        match entry[node - 1] {
+            None => {
                 bridge_edge[node - 1] = true;
                 node -= 1;
             }
-            Edge::Long { request, from } => {
-                in_x[request] = true;
+            Some(from) => {
+                cached[node - 1] = true;
                 node = from;
             }
         }
     }
-
-    // Gap coverage by chosen intervals: interval of request k spans gaps
-    // pred_node[k] ..= k.
-    let mut covered_by: Vec<Option<usize>> = vec![None; n];
-    for k in 0..n {
-        if in_x[k] {
-            let a = pred_node[k].unwrap();
-            for slot in covered_by.iter_mut().take(k + 1).skip(a) {
-                slot.get_or_insert(k);
-            }
-        }
-    }
+    // Each gap's lowest-indexed covering interval in X.
+    first_cover(&pred_node, &cached, &mut stack, &mut cover);
 
     let server_of_node = |j: usize| -> ServerId {
         if j == 0 {
@@ -219,40 +288,36 @@ pub fn optimal(trace: &SingleItemTrace, model: &CostModel) -> OptimalOutcome {
         }
     };
 
-    let mut schedule = Schedule::new();
+    let served_by_cache = cached.iter().filter(|&&c| c).count();
+    let bridged = (0..n)
+        .filter(|&j| bridge_edge[j] && cover[j].is_none())
+        .count();
+    let mut schedule = Schedule {
+        intervals: Vec::with_capacity(bridged + served_by_cache),
+        transfers: Vec::with_capacity(n - served_by_cache),
+    };
     let mut decisions = Vec::with_capacity(n);
 
     // Physical bridges: only where a bridge edge crosses a truly uncovered gap.
-    let mut bridged = vec![false; n];
     for j in 0..n {
-        if bridge_edge[j] && covered_by[j].is_none() && !short_cover[j] {
-            bridged[j] = true;
+        if bridge_edge[j] && cover[j].is_none() {
             schedule.cache(server_of_node(j), boundary[j], boundary[j + 1]);
         }
     }
 
     for i in 0..n {
         let p = trace.points[i];
-        if in_x[i] {
+        if cached[i] {
             decisions.push(ServeDecision::Cache);
             schedule.cache(p.server, boundary[pred_node[i].unwrap()], p.time);
         } else {
             decisions.push(ServeDecision::Transfer);
             // Source: a chosen interval alive over the gap immediately
-            // before t_i, else the bridge copy for that gap, else (i == 0
-            // with a covered zero predecessor) the origin.
-            let source = if let Some(k) = covered_by[i] {
-                trace.points[k].server
-            } else if bridged[i] {
-                server_of_node(i)
-            } else if short_cover[i] {
-                // A short interval covers the gap; find it.
-                let k = (0..n)
-                    .find(|&k| is_short[k] && pred_node[k].unwrap() <= i && k >= i)
-                    .expect("short cover implies a covering short interval");
-                trace.points[k].server
-            } else {
-                unreachable!("gap before a transfer-served request must be covered")
+            // before t_i, else the bridge copy for that gap.
+            let source = match cover[i] {
+                Some(k) => trace.points[k].server,
+                None if bridge_edge[i] => server_of_node(i),
+                None => unreachable!("gap before a transfer-served request must be covered"),
             };
             debug_assert_ne!(
                 source, p.server,
@@ -283,6 +348,51 @@ mod tests {
 
     fn unit_model() -> CostModel {
         CostModel::new(1.0, 1.0, 0.8).unwrap()
+    }
+
+    #[test]
+    fn min_tree_basics() {
+        let mut t = MinTree::new(6);
+        for (i, v) in [5.0, 3.0, 8.0, 1.0, 9.0, 4.0].iter().enumerate() {
+            t.set(i, *v);
+        }
+        assert_eq!(t.min(0, 5), 1.0);
+        assert_eq!(t.min(0, 2), 3.0);
+        assert_eq!(t.min(4, 5), 4.0);
+        assert_eq!(t.min(2, 2), 8.0);
+        assert_eq!(t.get(4), 9.0);
+        t.set(2, 0.5);
+        assert_eq!(t.min(0, 5), 0.5);
+    }
+
+    #[test]
+    fn leftmost_min_plus_takes_the_first_leaf_that_rounds_to_the_minimum() {
+        // The float right after 1.0 plus 1.0 rounds to 2.0, as 1.0 + 1.0
+        // does: with w = 1.0 that leaf wins, although its value is larger.
+        let next = 1.0 + f64::EPSILON;
+        assert_eq!(next + 1.0, 2.0);
+        let mut t = MinTree::new(7);
+        for (i, v) in [4.0, 3.0, next, 1.0, 1.0, 7.0, 0.5].iter().enumerate() {
+            t.set(i, *v);
+        }
+        assert_eq!(t.leftmost_min_plus(0, 5, 0.0), (1.0, 3));
+        assert_eq!(t.leftmost_min_plus(4, 5, 0.0), (1.0, 4));
+        assert_eq!(t.leftmost_min_plus(1, 5, 1.0), (2.0, 2));
+        assert_eq!(t.leftmost_min_plus(5, 5, 1.0), (8.0, 5));
+        assert_eq!(t.leftmost_min_plus(0, 6, 1.0), (1.5, 6));
+    }
+
+    #[test]
+    fn first_cover_takes_the_lowest_covering_request() {
+        // Intervals: request 1 spans gaps 0..=1, request 2 spans 2, request
+        // 4 spans 1..=4 (gap 1 already taken by request 1).
+        let pred_node = [None, Some(0), Some(2), None, Some(1)];
+        let chosen = [false, true, true, false, true];
+        let mut owner = [Some(9); 5];
+        first_cover(&pred_node, &chosen, &mut Vec::new(), &mut owner);
+        assert_eq!(owner, [Some(1), Some(1), Some(2), Some(4), Some(4)]);
+        first_cover(&pred_node, &[false; 5], &mut Vec::new(), &mut owner);
+        assert_eq!(owner, [None; 5]);
     }
 
     #[test]

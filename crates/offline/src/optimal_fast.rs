@@ -1,77 +1,27 @@
-//! An `O(n log n)` variant of the optimal covering DP.
+//! The optimal off-line cost alone, in one `O(n log n)` sweep.
 //!
-//! [`crate::optimal::optimal`] relaxes every long-interval edge from every node it
-//! spans — `O(n²)` worst case, comfortably inside the paper's `O(mn²)`
-//! budget but wasteful: the edge cost `μ·len_i − λ` does not depend on the
-//! entry node `j`, only on `dist[j]` for `j ∈ [a_i, i]`. So
+//! The long-interval edge into node `i+1` costs `w_i = μ·len_i − λ` from
+//! any entry node `j ∈ [a_i, i]`, so
 //!
 //! ```text
-//! dist[i+1] = min( bridge(dist[i]),  min_{a_i ≤ j ≤ i} dist[j] + μ·len_i − λ )
+//! dist[i+1] = min( bridge(dist[i]),  min_{a_i ≤ j ≤ i} dist[j] + w_i )
 //! ```
 //!
-//! and the inner `min` is a *range-minimum query* over the prefix of
-//! `dist` already finalised (all of `[a_i, i]` is finalised when node
-//! `i+1` is relaxed, since edges only go forward). A point-update/range-min
-//! segment tree gives `O(log n)` per request.
-//!
-//! This module exists both as a faster production path for very long
-//! traces and as redundancy: property tests assert exact cost equality
-//! with the quadratic solver.
+//! and the inner `min` is a range-minimum query over the prefix of `dist`
+//! already final. This is the recurrence [`crate::optimal::optimal`]
+//! solves too, with the same rounding (`w_i` first, then the sum), so the
+//! two costs are bit-identical; this sweep skips the entry nodes and the
+//! schedule. It stays as the cost-only check of `optimal` that the
+//! `optimal_fast` solver and the end-to-end benchmark run.
 
+use crate::optimal::MinTree;
 use mcs_model::request::{Predecessor, SingleItemTrace};
 use mcs_model::{approx_le, CostModel};
 
-/// A minimal point-update / range-min segment tree over `f64`.
-#[derive(Debug, Clone)]
-struct MinTree {
-    size: usize,
-    heap: Vec<f64>,
-}
-
-impl MinTree {
-    fn new(len: usize) -> Self {
-        let size = len.next_power_of_two().max(1);
-        MinTree {
-            size,
-            heap: vec![f64::INFINITY; 2 * size],
-        }
-    }
-
-    fn set(&mut self, mut i: usize, value: f64) {
-        i += self.size;
-        self.heap[i] = value;
-        while i > 1 {
-            i /= 2;
-            self.heap[i] = self.heap[2 * i].min(self.heap[2 * i + 1]);
-        }
-    }
-
-    /// Minimum over the inclusive index range `[lo, hi]`.
-    fn min(&self, mut lo: usize, mut hi: usize) -> f64 {
-        let mut best = f64::INFINITY;
-        lo += self.size;
-        hi += self.size + 1;
-        while lo < hi {
-            if lo & 1 == 1 {
-                best = best.min(self.heap[lo]);
-                lo += 1;
-            }
-            if hi & 1 == 1 {
-                hi -= 1;
-                best = best.min(self.heap[hi]);
-            }
-            lo /= 2;
-            hi /= 2;
-        }
-        best
-    }
-}
-
 /// Computes the optimal off-line cost in `O(n log n)`.
 ///
-/// Produces the same value as [`crate::optimal::optimal`] (property-tested); does
-/// not reconstruct a schedule — use the quadratic solver when the explicit
-/// schedule is needed.
+/// Returns the same bits as [`crate::optimal::optimal`]'s cost; does not
+/// reconstruct a schedule.
 pub fn optimal_fast_cost(trace: &SingleItemTrace, model: &CostModel) -> f64 {
     let _span = mcs_obs::span("offline.optimal_fast");
     let n = trace.len();
@@ -118,18 +68,17 @@ pub fn optimal_fast_cost(trace: &SingleItemTrace, model: &CostModel) -> f64 {
         *cov = acc > 0;
     }
 
-    // Forward sweep with RMQ over finalised dist values.
-    let mut tree = MinTree::new(n + 1);
-    let mut dist = vec![f64::INFINITY; n + 1];
-    dist[0] = 0.0;
-    tree.set(0, 0.0);
+    // Forward sweep with RMQ over the final dist values, kept in the
+    // tree's leaves.
+    let mut dist = MinTree::new(n + 1);
+    dist.set(0, 0.0);
     for j in 0..n {
         // Long edge into node j+1: request j's interval, entered anywhere
         // in [pred_node[j], j].
         let mut best = f64::INFINITY;
         if let Some(a) = pred_node[j] {
             if !is_short[j] {
-                best = tree.min(a, j) + mu * interval_len(j) - lambda;
+                best = dist.min(a, j) + (mu * interval_len(j) - lambda);
             }
         }
         // Bridge edge from node j.
@@ -138,12 +87,11 @@ pub fn optimal_fast_cost(trace: &SingleItemTrace, model: &CostModel) -> f64 {
         } else {
             mu * (boundary[j + 1] - boundary[j])
         };
-        best = best.min(dist[j] + w);
-        dist[j + 1] = best;
-        tree.set(j + 1, best);
+        best = best.min(dist.get(j) + w);
+        dist.set(j + 1, best);
     }
 
-    base + dist[n]
+    base + dist.get(n)
 }
 
 #[cfg(test)]
@@ -152,21 +100,7 @@ mod tests {
     use mcs_model::approx_eq;
 
     #[test]
-    fn min_tree_basics() {
-        let mut t = MinTree::new(6);
-        for (i, v) in [5.0, 3.0, 8.0, 1.0, 9.0, 4.0].iter().enumerate() {
-            t.set(i, *v);
-        }
-        assert_eq!(t.min(0, 5), 1.0);
-        assert_eq!(t.min(0, 2), 3.0);
-        assert_eq!(t.min(4, 5), 4.0);
-        assert_eq!(t.min(2, 2), 8.0);
-        t.set(2, 0.5);
-        assert_eq!(t.min(0, 5), 0.5);
-    }
-
-    #[test]
-    fn matches_quadratic_on_the_paper_subproblem() {
+    fn matches_the_paper_subproblem() {
         let trace = SingleItemTrace::from_pairs(4, &[(0.8, 2), (1.4, 0), (4.0, 2)]);
         let pkg = CostModel::paper_example().scaled_for_package();
         assert!(approx_eq(optimal_fast_cost(&trace, &pkg), 8.96));
@@ -183,49 +117,5 @@ mod tests {
             optimal_fast_cost(&SingleItemTrace::from_pairs(2, &[(0.8, 1)]), &model),
             1.8
         ));
-    }
-
-    #[cfg(feature = "proptest")]
-    mod prop {
-        use super::*;
-        use crate::optimal;
-        use mcs_model::CostModelBuilder;
-        use proptest::prelude::*;
-
-        fn trace_strategy() -> impl Strategy<Value = SingleItemTrace> {
-            (1u32..=6, 0usize..=40).prop_flat_map(|(m, n)| {
-                (
-                    Just(m),
-                    proptest::collection::vec(1u32..=400, n),
-                    proptest::collection::vec(0u32..m, n),
-                )
-                    .prop_map(|(m, mut ticks, servers)| {
-                        ticks.sort_unstable();
-                        ticks.dedup();
-                        let pairs: Vec<(f64, u32)> = ticks
-                            .iter()
-                            .zip(servers.iter())
-                            .map(|(&t, &s)| (t as f64 / 10.0, s))
-                            .collect();
-                        SingleItemTrace::from_pairs(m, &pairs)
-                    })
-            })
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(512))]
-
-            #[test]
-            fn agrees_with_quadratic_solver(trace in trace_strategy(), mu in 1u32..=40, la in 1u32..=40) {
-                let model = CostModelBuilder::new()
-                    .mu(mu as f64 / 10.0)
-                    .lambda(la as f64 / 10.0)
-                    .build()
-                    .unwrap();
-                let fast = optimal_fast_cost(&trace, &model);
-                let slow = optimal(&trace, &model).cost;
-                prop_assert!(approx_eq(fast, slow), "fast={fast} slow={slow}");
-            }
-        }
     }
 }
