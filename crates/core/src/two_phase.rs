@@ -14,6 +14,7 @@
 
 use mcs_correlation::matching::greedy_matching_from_pairs;
 use mcs_correlation::{pairs_above, Packing};
+use mcs_model::par::{par_map_with_threads, threads_for};
 use mcs_model::{CostModel, ItemId, RequestSeq, Schedule};
 use mcs_offline::optimal;
 
@@ -255,17 +256,21 @@ pub fn dp_greedy(seq: &RequestSeq, config: &DpGreedyConfig) -> DpGreedyReport {
 
     // Phase 2. Every packed pair's subsequence and every unpacked item's
     // trace is independent, so both loops fan out over worker threads
-    // (`mcs_model::par::par_map`; `MCS_THREADS=1` forces serial).
-    // par_map preserves input order and the cost totals are summed in
-    // that same order afterwards, so the report — schedules, ledger
-    // events, and float totals — is bit-identical to a serial run.
+    // from `PARALLEL_THRESHOLD` requests on (`mcs_model::par::threads_for`;
+    // `MCS_THREADS=1` forces serial). The map preserves input order and
+    // the cost totals are summed in that same order afterwards, so the
+    // report — schedules, ledger events, and float totals — is
+    // bit-identical to a serial run.
+    let threads = threads_for(seq.len());
     let pairs = {
         let _span = mcs_obs::span("dpg.phase2.pairs");
-        mcs_model::par::par_map(&packing.pairs, |&(a, b)| dp_greedy_pair(seq, a, b, config))
+        par_map_with_threads(&packing.pairs, threads, |&(a, b)| {
+            dp_greedy_pair(seq, a, b, config)
+        })
     };
     let singletons = {
         let _span = mcs_obs::span("dpg.phase2.singletons");
-        mcs_model::par::par_map(&packing.singletons, |&item| {
+        par_map_with_threads(&packing.singletons, threads, |&item| {
             let trace = seq.item_trace(item);
             let out = optimal(&trace, &config.model);
             SingletonReport {

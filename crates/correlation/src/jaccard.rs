@@ -18,7 +18,7 @@
 use mcs_model::request::jaccard_from_counts;
 use mcs_model::{ItemId, RequestSeq};
 
-/// Re-exported from [`crate::pairs`], where the threshold is used.
+/// Re-exported from [`mcs_model::par`], where the rule that uses it lives.
 pub use crate::pairs::PARALLEL_THRESHOLD;
 
 /// Raw co-occurrence statistics of a request sequence: per-item request

@@ -17,17 +17,15 @@
 //! dense reference ([`crate::CoOccurrence`]) counts, so each one has the
 //! reference's bits, and every packing equals the reference packing.
 
-use mcs_model::par::{max_threads, par_map_with_threads};
+use mcs_model::par::{par_map_with_threads, threads_for};
 use mcs_model::request::jaccard_from_counts;
 use mcs_model::{ItemId, PairRow, RequestSeq};
 
 use crate::grouping::PairwiseSimilarity;
 
 /// Request count from which [`pairs_above`] splits its rows across worker
-/// threads (when more than one is available). Each row is counted and
-/// filtered on its own, so the split never changes a value; the threshold
-/// only spares small sequences the thread start-up.
-pub const PARALLEL_THRESHOLD: usize = 4096;
+/// threads: the workspace's one rule, [`mcs_model::par::threads_for`].
+pub use mcs_model::par::PARALLEL_THRESHOLD;
 
 /// Every pair `a < b` with `J(a, b) > θ`, as `(a, b, J)` in an order that
 /// depends on the worker count — the candidates
@@ -39,12 +37,7 @@ pub const PARALLEL_THRESHOLD: usize = 4096;
 /// [`PARALLEL_THRESHOLD`] requests on, rows are split across
 /// `MCS_THREADS` workers ([`pairs_above_sharded`]).
 pub fn pairs_above(seq: &RequestSeq, theta: f64) -> Vec<(ItemId, ItemId, f64)> {
-    let shards = if seq.len() >= PARALLEL_THRESHOLD {
-        max_threads()
-    } else {
-        1
-    };
-    pairs_above_sharded(seq, theta, shards)
+    pairs_above_sharded(seq, theta, threads_for(seq.len()))
 }
 
 /// [`pairs_above`] over `shards` workers, each taking every `shards`-th

@@ -111,10 +111,11 @@ fn dp_greedy_parts(
 /// Per-item schedule parts for the non-packing baselines: runs `solve`
 /// on every item trace, summing costs. Returns (parts, total).
 ///
-/// Items are independent, so the solves fan out over worker threads
-/// (`mcs_model::par::par_map`; `MCS_THREADS=1` forces serial). Order is
-/// preserved and costs are summed in item order afterwards, so parts and
-/// total are bit-identical to a sequential loop for any thread count.
+/// Items are independent, so from `PARALLEL_THRESHOLD` requests on the
+/// solves fan out over worker threads (`mcs_model::par::threads_for`;
+/// `MCS_THREADS=1` forces serial). Order is preserved and costs are
+/// summed in item order afterwards, so parts and total are bit-identical
+/// to a sequential loop for any thread count.
 fn per_item_parts(
     seq: &RequestSeq,
     model: &CostModel,
@@ -122,7 +123,10 @@ fn per_item_parts(
     solve: impl Fn(&SingleItemTrace, &CostModel) -> (Schedule, f64) + Sync,
 ) -> (Vec<SolutionPart>, f64) {
     let items: Vec<ItemId> = (0..seq.items()).map(ItemId).collect();
-    let solved = mcs_model::par::par_map(&items, |&item| solve(&seq.item_trace(item), model));
+    let threads = mcs_model::par::threads_for(seq.len());
+    let solved = mcs_model::par::par_map_with_threads(&items, threads, |&item| {
+        solve(&seq.item_trace(item), model)
+    });
     let mut parts = Vec::with_capacity(solved.len());
     let mut total = 0.0;
     for (item, (schedule, cost)) in items.into_iter().zip(solved) {

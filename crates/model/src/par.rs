@@ -20,9 +20,27 @@
 //! serially; larger values oversubscribe, which the perf bench uses to
 //! sweep thread counts on any machine). The variable is re-read on every
 //! call, so a process can change it between measurements.
+//!
+//! ## When a solve fans out
+//!
+//! Starting scoped threads costs tens of microseconds, more than a solve
+//! over a few dozen requests takes. The solvers' per-row and
+//! per-commodity loops (Phase 1's pair counting, DP_Greedy's Phase 2, the
+//! per-item baselines) therefore size their worker pool with one rule,
+//! [`threads_for`]: serial below [`PARALLEL_THRESHOLD`] requests,
+//! [`max_threads`] from it on. A `dpg serve` epoch (64 requests by
+//! default) solves on the calling thread alone, while a catalog-wide
+//! batch trace still uses every worker. Loops whose per-element work does
+//! not shrink with the request count (the K-package groups, the
+//! heterogeneous solvers' exponential per-item search) keep [`par_map`].
 
 /// Name of the environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "MCS_THREADS";
+
+/// Request count from which [`threads_for`] starts worker threads. Each
+/// split is order-preserving, so the threshold never changes a value; it
+/// only spares small sequences the thread start-up.
+pub const PARALLEL_THRESHOLD: usize = 4096;
 
 /// The number of worker threads parallel sections use: `MCS_THREADS` if
 /// set to a positive integer, otherwise `available_parallelism()`
@@ -41,6 +59,16 @@ fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
+}
+
+/// The worker count for a solve over `requests` requests: 1 below
+/// [`PARALLEL_THRESHOLD`], [`max_threads`] from it on.
+pub fn threads_for(requests: usize) -> usize {
+    if requests < PARALLEL_THRESHOLD {
+        1
+    } else {
+        max_threads()
+    }
 }
 
 /// Maps `f` over `items` in parallel, preserving order.
@@ -138,5 +166,13 @@ mod tests {
     #[test]
     fn max_threads_is_positive() {
         assert!(max_threads() >= 1);
+    }
+
+    #[test]
+    fn solves_fan_out_from_the_threshold_on() {
+        assert_eq!(threads_for(0), 1);
+        assert_eq!(threads_for(4_095), 1);
+        assert_eq!(threads_for(4_096), max_threads());
+        assert_eq!(threads_for(16_200), max_threads());
     }
 }

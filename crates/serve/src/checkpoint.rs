@@ -22,13 +22,15 @@
 //! # On disk
 //!
 //! `checkpoint.json` is the state at the start of its `epoch`, with
-//! `pending` empty, and together with the logs `wal-<epoch>.log` onward
-//! it reconstructs the daemon. It is written to a temporary file that is
+//! `pending` empty, and together with the WAL segment `wal-<epoch>.log`
+//! — which the daemon writes just before the checkpoint, holding copies
+//! of the open epoch's requests, and appends every later epoch to — it
+//! reconstructs the daemon. It is written to a temporary file that is
 //! synced, renamed into place, and made durable by syncing the
 //! directory, so a crash (or power loss) mid-write can never destroy the
 //! previous checkpoint: recovery sees either the old or the new file,
-//! each consistent with the logs still on disk. Only after that does the
-//! daemon delete the logs the new checkpoint covers.
+//! each consistent with the segments still on disk. Only after that does
+//! the daemon delete the older segments.
 
 use std::fs::File;
 use std::io::Write;

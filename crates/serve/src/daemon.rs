@@ -1,34 +1,43 @@
 //! The serving daemon: WAL-ordered ingestion, deadline-bounded epoch
-//! settlement, checkpoints at a log-proportional cadence, and crash
-//! recovery.
+//! settlement on one long-lived worker thread, checkpoints at a
+//! log-proportional cadence, and crash recovery.
 //!
 //! # Write ordering (the crash-safety argument)
 //!
 //! Every state transition is logged *before* it is applied, and the
 //! statistics change only at settlements:
 //!
-//! 1. **Admission** — a validated request is appended to the epoch WAL
-//!    (and flushed) first, then buffered in the open epoch; it does not
-//!    touch the statistics. A crash after the append replays the record;
-//!    a crash mid-append leaves a torn tail that was never applied, and
-//!    the resumable input source re-delivers the request.
+//! 1. **Admission** — a validated request is appended to the open WAL
+//!    segment (and flushed) first, then buffered in the open epoch; it
+//!    does not touch the statistics. A crash after the append replays the
+//!    record; a crash mid-append leaves a torn tail that was never
+//!    applied, and the resumable input source re-delivers the request.
 //! 2. **Settlement** — when the buffer fills, the outcome
 //!    (`ok`/`deadline`/`panic` plus the settled cost as raw `f64` bits)
-//!    is appended to the WAL first, then applied: cost accumulators, the
-//!    epoch's requests folded into the streaming statistics in admission
-//!    order (ok and degraded epochs alike), the placement refresh (ok
-//!    epochs only), and the next epoch's log. Recovery *replays the
-//!    recorded outcome* instead of re-running the solver, so deadline and
-//!    panic nondeterminism cannot make a recovered state diverge from the
-//!    pre-crash one.
+//!    is appended to the segment first, then applied: cost accumulators,
+//!    the epoch's requests folded into the streaming statistics in
+//!    admission order (ok and degraded epochs alike), and the placement
+//!    refresh (ok epochs only). The next epoch appends to the same
+//!    segment. Recovery *replays the recorded outcome* instead of
+//!    re-running the solver, so deadline and panic nondeterminism cannot
+//!    make a recovered state diverge from the pre-crash one.
 //! 3. **Checkpoint** — between settlements the statistics are exactly the
 //!    last settled state, so a checkpoint needs no copy of them taken
 //!    before the open epoch. After a settlement one is written only when
-//!    the WAL bytes of the epochs settled since the last checkpoint have
-//!    reached that checkpoint's size; also once when [`serve_stream`]
-//!    reaches the end of its input and once at the end of a recovery that
-//!    replayed a settlement. The file is synced, renamed into place and
-//!    its directory synced; only then are the segments it covers deleted.
+//!    the segment, which holds the WAL bytes of every epoch settled since
+//!    the last checkpoint, has reached that checkpoint's size; also once
+//!    when [`serve_stream`] reaches the end of its input and once at the
+//!    end of a recovery that replayed a settlement. A checkpoint of epoch
+//!    `E` first writes the segment `wal-E.log` (truncating any leftover),
+//!    holding copies of the open epoch's `req` records; then the
+//!    checkpoint file is synced, renamed into place and its directory
+//!    synced; only then are the older segments deleted. Until the rename,
+//!    the old checkpoint and its segment, which still holds every record,
+//!    stay in charge: recovery replays the checkpoint's segment and moves
+//!    on to `wal-<epoch reached>.log` only while a segment ends in a
+//!    `settle` record — that is the per-epoch layout earlier versions
+//!    wrote, and in this layout such a segment is absent or, left by a
+//!    rotation after a settlement, empty — so no copy is replayed twice.
 //!
 //! The cadence has no knob and two bounds: within a run every checkpoint
 //! but the last is paid for by at least its own size in log, and a crash
@@ -57,32 +66,35 @@
 //! ([`ServeConfig::max_items`]). Closing an epoch adds the settlement, the
 //! `O(|D|² log P)` streaming update of each of its requests (`P` stored
 //! pairs), a placement refresh that lists and sorts only the pairs above
-//! θ, and, at the cadence above, one checkpoint written in a single pass.
-//! Settlement runs on a worker thread
-//! under [`ServeConfig::settle_timeout`]; on deadline or solver panic
-//! (isolated by `catch_unwind`) the epoch settles *degraded*: last-good
-//! placement, conservative fallback pricing (packed co-requests at the
-//! package-delivery rate `2αλ`, everything else at `λ` per access), and
-//! the epoch is recorded in [`DaemonState::degraded_epochs`]. A worker
-//! that missed its deadline keeps running, but at most one such
-//! *straggler* exists: until it finishes, later epochs settle degraded
-//! immediately instead of spawning alongside it — so a consistently
-//! slow solver costs one extra thread, not one per epoch, and solver
-//! calls never run concurrently. The ok-vs-degraded quality gap is
-//! surfaced as the degradation ratio (relative `ave_cost`, the chaos
-//! harness's cost-inflation metric).
+//! θ, and, at the cadence above, one checkpoint written in a single pass;
+//! it starts no thread and creates no file between checkpoints.
+//! Settlement runs on one long-lived worker thread, started at the first
+//! settlement and sent each epoch's solve over a channel, under
+//! [`ServeConfig::settle_timeout`]; an epoch's solve stays on that thread
+//! (`mcs_model::par::threads_for` keeps solves below 4,096 requests
+//! serial). On deadline or solver panic (isolated by `catch_unwind`
+//! inside the worker, which survives it) the epoch settles *degraded*:
+//! last-good placement, conservative fallback pricing (packed co-requests
+//! at the package-delivery rate `2αλ`, everything else at `λ` per access),
+//! and the epoch is recorded in [`DaemonState::degraded_epochs`]. A solve
+//! that missed its deadline keeps the worker until it finishes — the
+//! *straggler* — and until then later epochs settle degraded immediately
+//! instead of queuing behind it, so a consistently slow solver costs no
+//! extra thread and solver calls never run concurrently. The
+//! ok-vs-degraded quality gap is surfaced as the degradation ratio
+//! (relative `ave_cost`, the chaos harness's cost-inflation metric).
 
 use std::collections::HashMap;
 use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use mcs_correlation::{matching::greedy_matching_from_pairs, StreamingCooccurrence};
 use mcs_engine::{find, CachingSolver, RunContext, Solution};
 use mcs_model::defaults::{DEFAULT_SEED, DEFAULT_THETA};
-use mcs_model::{CostModel, ItemId, Request, RequestSeqBuilder, ServerId};
+use mcs_model::{CostModel, ItemId, Request, RequestSeq, RequestSeqBuilder, ServerId};
 use mcs_obs::journal::{self, Value};
 
 use crate::checkpoint::{DaemonState, PendingReq};
@@ -196,10 +208,15 @@ pub struct ServeSummary {
     pub replayed: u64,
     /// Epochs settled this run.
     pub epochs_settled: u64,
-    /// Bytes appended to the WAL this run.
+    /// Bytes appended to the WAL this run (the copies a checkpoint puts
+    /// at the head of its segment excluded).
     pub wal_bytes: u64,
     /// Placement refreshes this run, a recovery's included.
     pub placement_refreshes: u64,
+    /// WAL segments created this run: one per checkpoint written.
+    pub wal_segments: u64,
+    /// Settlement worker threads started this run.
+    pub settle_workers: u64,
 }
 
 /// What admission decided about one `req` frame.
@@ -228,17 +245,69 @@ pub struct Daemon {
     /// The open epoch's admitted requests, in admission order; its
     /// settlement moves them into `state` and `stream`.
     pending: Vec<PendingReq>,
+    /// The open WAL segment, which the last checkpoint opened: every epoch
+    /// settled since, then the open epoch's requests.
     wal: Wal,
     /// Size of the last checkpoint written or loaded.
     checkpoint_bytes: u64,
-    /// WAL bytes of the epochs settled since that checkpoint.
-    log_bytes_since_checkpoint: u64,
+    /// The epoch of that checkpoint.
+    checkpoint_epoch: u64,
     summary: ServeSummary,
-    /// The receiver of a settlement worker that missed its deadline and
-    /// is still running. At most one exists; no new worker spawns until
-    /// it finishes, so solver calls never run concurrently and a slow
-    /// solver leaks a single bounded thread, not one per epoch.
-    straggler: Option<mpsc::Receiver<std::thread::Result<Solution>>>,
+    /// The settlement worker, started at the first settlement.
+    worker: Option<SettleWorker>,
+}
+
+/// One epoch's solve, as the settlement worker receives it.
+struct SettleJob {
+    seq: RequestSeq,
+    ctx: RunContext,
+    /// Test hook: panic instead of solving.
+    panic: bool,
+    /// Test hook: sleep this long before solving.
+    slow: Duration,
+}
+
+/// The daemon's settlement thread. It solves the jobs it is sent in
+/// order, each under `catch_unwind`, and answers each with its result,
+/// so a solver panic costs its epoch, not the thread.
+struct SettleWorker {
+    jobs: mpsc::Sender<SettleJob>,
+    results: mpsc::Receiver<std::thread::Result<Solution>>,
+    /// A job that missed its deadline is still running (the straggler);
+    /// its late result is the next one on `results`.
+    straggling: bool,
+}
+
+impl SettleWorker {
+    /// Starts the thread. It exits once the daemon drops the worker and
+    /// any job it is running returns.
+    fn start(solver: &'static dyn CachingSolver) -> SettleWorker {
+        let (jobs, inbox) = mpsc::channel::<SettleJob>();
+        let (outbox, results) = mpsc::channel();
+        std::thread::spawn(move || {
+            for job in inbox {
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    if !job.slow.is_zero() {
+                        std::thread::sleep(job.slow);
+                    }
+                    assert!(!job.panic, "injected settlement panic (test hook)");
+                    solver.solve(&job.seq, &job.ctx)
+                }));
+                // The solve's metrics reach the global registry before the
+                // daemon, which may print or serve them next, hears back.
+                mcs_obs::flush_local();
+                if outbox.send(result).is_err() {
+                    break;
+                }
+            }
+        });
+        mcs_obs::counter_add("serve.settle_workers", 1);
+        SettleWorker {
+            jobs,
+            results,
+            straggling: false,
+        }
+    }
 }
 
 impl Daemon {
@@ -268,10 +337,8 @@ impl Daemon {
         // Persist the epoch-0 checkpoint immediately: without it, a crash
         // before the first settlement would make recovery ignore the
         // epoch-0 WAL and re-admit (duplicate) its requests.
-        let checkpoint_bytes = state.write_checkpoint(&cfg.dir)?;
-        note_checkpoint(0, checkpoint_bytes, 0);
+        let (wal, checkpoint_bytes) = rotate(&cfg.dir, &state, &[])?;
         journal::record("epoch-open", Some(0), vec![]);
-        let wal = Wal::open(&cfg.dir, state.epoch)?;
         let daemon = Daemon {
             cfg,
             solver,
@@ -281,9 +348,12 @@ impl Daemon {
             pending: Vec::new(),
             wal,
             checkpoint_bytes,
-            log_bytes_since_checkpoint: 0,
-            summary: ServeSummary::default(),
-            straggler: None,
+            checkpoint_epoch: 0,
+            summary: ServeSummary {
+                wal_segments: 1,
+                ..ServeSummary::default()
+            },
+            worker: None,
         };
         daemon.set_log_gauge();
         daemon.publish_telemetry();
@@ -312,44 +382,48 @@ impl Daemon {
             cfg,
             solver,
             base_ctx,
+            checkpoint_epoch: state.epoch,
             state,
             stream,
             pending: Vec::new(),
             checkpoint_bytes,
-            log_bytes_since_checkpoint: 0,
             summary: ServeSummary::default(),
-            straggler: None,
+            worker: None,
         };
         daemon.replay()?;
         daemon.publish_telemetry();
         Ok(Some(daemon))
     }
 
-    /// Replays `wal-<epoch>.log` and every successor a settle record
-    /// completed on top of the checkpoint, then checkpoints the result if
-    /// it settled anything.
+    /// Replays the checkpoint's segment — and, while a segment ends in a
+    /// settle record, the segment of the epoch it reached — on top of the
+    /// checkpoint, then checkpoints the result if it settled anything.
     fn replay(&mut self) -> Result<(), ServeError> {
-        let mut logs: Vec<WalContents> = Vec::new();
+        let mut logs: Vec<(u64, WalContents)> = Vec::new();
+        let mut segment = self.state.epoch;
         loop {
-            let log = read_records(&self.cfg.dir, self.state.epoch + logs.len() as u64)?;
-            let settled = log
+            let log = read_records(&self.cfg.dir, segment)?;
+            let settles = log
                 .records
                 .iter()
-                .any(|r| matches!(r, WalRecord::Settle { .. }));
-            logs.push(log);
-            if !settled {
+                .filter(|r| matches!(r, WalRecord::Settle { .. }))
+                .count() as u64;
+            let ends_settled = matches!(log.records.last(), Some(WalRecord::Settle { .. }));
+            logs.push((segment, log));
+            if !ends_settled {
                 break;
             }
+            segment += settles;
         }
         // Only the last ok settlement's placement survives the replay:
         // later degraded epochs keep it, and earlier ones are replaced.
         let mut ok_left = logs
             .iter()
-            .flat_map(|log| &log.records)
+            .flat_map(|(_, log)| &log.records)
             .filter(|r| matches!(r, WalRecord::Settle { status, .. } if !status.is_degraded()))
             .count();
         let open = logs.len() - 1;
-        for (i, log) in logs.into_iter().enumerate() {
+        for (i, (segment, log)) in logs.into_iter().enumerate() {
             for record in log.records {
                 match record {
                     WalRecord::Req {
@@ -369,14 +443,12 @@ impl Daemon {
                     }
                 }
             }
-            if i < open {
-                self.log_bytes_since_checkpoint += log.valid_len;
-            } else if log.torn {
-                // This epoch's log is about to be reopened for append;
-                // physically drop the torn fragment so the next record
-                // cannot merge with it into a malformed line that a later
-                // recovery would read as mid-log corruption.
-                truncate_torn(&self.cfg.dir, self.state.epoch, log.valid_len)?;
+            if i == open && log.torn {
+                // This segment may be reopened for append; physically
+                // drop the torn fragment so the next record cannot merge
+                // with it into a malformed line that a later recovery
+                // would read as mid-log corruption.
+                truncate_torn(&self.cfg.dir, segment, log.valid_len)?;
                 mcs_obs::counter_add("serve.torn_tails", 1);
                 journal::record(
                     "wal-torn",
@@ -390,8 +462,11 @@ impl Daemon {
             Some(self.state.epoch),
             vec![("replayed", Value::U64(self.summary.replayed))],
         );
-        self.checkpoint_if_behind()?;
-        self.wal = Wal::open(&self.cfg.dir, self.state.epoch)?;
+        if !self.checkpoint_if_behind()? {
+            // Nothing settled: keep appending to the checkpoint's segment,
+            // reopened past any truncation.
+            self.wal = Wal::open(&self.cfg.dir, self.state.epoch)?;
+        }
         self.set_log_gauge();
         // The buffer may have filled with no settle record durable yet
         // (crash inside settlement, before the outcome was logged):
@@ -511,7 +586,7 @@ impl Daemon {
         Admission::Rejected(reason)
     }
 
-    /// Appends one record to the open epoch's log.
+    /// Appends one record to the open segment.
     fn log(&mut self, record: &WalRecord) -> Result<(), ServeError> {
         let before = self.wal.bytes();
         self.wal.append(record)?;
@@ -530,9 +605,9 @@ impl Daemon {
     }
 
     /// Settles the open epoch: solver under deadline + panic isolation,
-    /// then the durable settle record, then application, a checkpoint if
-    /// the log settled since the last one has outgrown it, and the next
-    /// epoch's log.
+    /// then the durable settle record, then application, and a checkpoint
+    /// if the segment, all log settled since the last one, has outgrown
+    /// it.
     fn settle_epoch(&mut self) -> Result<(), ServeError> {
         let epoch = self.state.epoch;
         journal::record(
@@ -547,12 +622,9 @@ impl Daemon {
         })?;
         self.apply_settlement(status, cost, !status.is_degraded());
         self.summary.epochs_settled += 1;
-        self.log_bytes_since_checkpoint += self.wal.bytes();
-        if self.log_bytes_since_checkpoint >= self.checkpoint_bytes {
+        if self.wal.bytes() >= self.checkpoint_bytes {
             self.write_checkpoint()?;
         }
-        self.wal = Wal::open(&self.cfg.dir, self.state.epoch)?;
-        journal::record("wal-rotate", Some(self.state.epoch), vec![]);
         journal::record("epoch-open", Some(self.state.epoch), vec![]);
         self.set_log_gauge();
         self.publish_telemetry();
@@ -566,23 +638,26 @@ impl Daemon {
         Ok(())
     }
 
-    /// Runs the solver on a worker thread under the settlement deadline,
-    /// with panics isolated. Returns the outcome and the settled cost.
+    /// Runs the solver on the settlement worker under the settlement
+    /// deadline, with panics isolated. Returns the outcome and the
+    /// settled cost.
     fn compute_outcome(&mut self, epoch: u64) -> (EpochStatus, f64) {
-        // Never run two solver calls concurrently: a worker that missed
-        // its deadline keeps running until it finishes on its own. While
-        // one is still out there, this epoch degrades immediately
-        // (deadline class) instead of spawning alongside it.
-        if let Some(rx) = &self.straggler {
-            match rx.try_recv() {
+        // Never run two solver calls concurrently: a solve that missed its
+        // deadline keeps the worker until it finishes on its own. While it
+        // runs, this epoch degrades immediately (deadline class) instead
+        // of queuing behind it.
+        if let Some(worker) = self.worker.as_mut().filter(|w| w.straggling) {
+            match worker.results.try_recv() {
                 Err(mpsc::TryRecvError::Empty) => {
                     mcs_obs::counter_add("serve.settle_busy", 1);
                     journal::record("settle-busy", Some(epoch), vec![]);
                     return (EpochStatus::Deadline, self.fallback_cost());
                 }
-                // Finished (its epoch already settled degraded, so the
-                // late result is discarded) or died — either way gone.
-                Ok(_) | Err(mpsc::TryRecvError::Disconnected) => self.straggler = None,
+                // Finished: its epoch already settled degraded, so the
+                // late result is discarded.
+                Ok(_) => worker.straggling = false,
+                // The thread is gone; a new one starts below.
+                Err(mpsc::TryRecvError::Disconnected) => self.worker = None,
             }
         }
         let timer = mcs_obs::span("serve.settle");
@@ -602,37 +677,40 @@ impl Daemon {
                 return (EpochStatus::Panic, self.fallback_cost());
             }
         };
-        let ctx = self.base_ctx.for_epoch(epoch);
-        let solver = self.solver;
-        let inject = self.cfg.inject_panic_epoch == Some(epoch);
-        let slow = match self.cfg.inject_slow_epoch {
-            Some((e, d)) if e == epoch => d,
-            _ => Duration::ZERO,
+        let job = SettleJob {
+            seq,
+            ctx: self.base_ctx.for_epoch(epoch),
+            panic: self.cfg.inject_panic_epoch == Some(epoch),
+            slow: match self.cfg.inject_slow_epoch {
+                Some((e, d)) if e == epoch => d,
+                _ => Duration::ZERO,
+            },
         };
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if !slow.is_zero() {
-                    std::thread::sleep(slow);
-                }
-                assert!(!inject, "injected settlement panic (test hook)");
-                solver.solve(&seq, &ctx)
-            }));
-            // The receiver may have timed out and moved on; ignore.
-            let _ = tx.send(result);
+        let solver = self.solver;
+        let worker = self.worker.get_or_insert_with(|| {
+            self.summary.settle_workers += 1;
+            SettleWorker::start(solver)
         });
-        match rx.recv_timeout(self.cfg.settle_timeout) {
+        // A dead worker drops the job; the receive below reports it.
+        let _ = worker.jobs.send(job);
+        match worker.results.recv_timeout(self.cfg.settle_timeout) {
             Ok(Ok(sol)) => (EpochStatus::Ok, sol.total_cost),
             Ok(Err(_panic)) => {
                 mcs_obs::counter_add("serve.solver_panics", 1);
                 (EpochStatus::Panic, self.fallback_cost())
             }
-            Err(_timeout) => {
+            Err(mpsc::RecvTimeoutError::Timeout) => {
                 mcs_obs::counter_add("serve.deadline_misses", 1);
-                // The worker is now a straggler; remember it so no new
-                // settlement spawns until it finishes.
-                self.straggler = Some(rx);
+                // The solve is now the straggler: no job is sent until it
+                // finishes.
+                worker.straggling = true;
                 (EpochStatus::Deadline, self.fallback_cost())
+            }
+            // The thread died outside `catch_unwind`; the next settlement
+            // starts another.
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                self.worker = None;
+                (EpochStatus::Panic, self.fallback_cost())
             }
         }
     }
@@ -727,33 +805,34 @@ impl Daemon {
         mcs_obs::gauge_set("serve.epoch", self.state.epoch as f64);
     }
 
-    /// Writes the settled state as the checkpoint of the open epoch, then
-    /// deletes the WAL segments it covers.
+    /// Writes the settled state as the checkpoint of the open epoch
+    /// ([`rotate`]); the daemon appends to the segment it opens from here
+    /// on.
     fn write_checkpoint(&mut self) -> Result<(), ServeError> {
         self.state.streaming = self.stream.snapshot();
-        let bytes = self.state.write_checkpoint(&self.cfg.dir)?;
-        let deleted = remove_segments_before(&self.cfg.dir, self.state.epoch)?;
-        note_checkpoint(self.state.epoch, bytes, deleted);
+        let (wal, bytes) = rotate(&self.cfg.dir, &self.state, &self.pending)?;
+        self.wal = wal;
         self.checkpoint_bytes = bytes;
-        self.log_bytes_since_checkpoint = 0;
+        self.checkpoint_epoch = self.state.epoch;
+        self.summary.wal_segments += 1;
         Ok(())
     }
 
     /// Checkpoints the settled state unless the last checkpoint already
-    /// holds it: at the end of the input and of a recovery.
-    fn checkpoint_if_behind(&mut self) -> Result<(), ServeError> {
-        if self.log_bytes_since_checkpoint > 0 {
+    /// holds it: at the end of the input and of a recovery. Returns
+    /// whether it wrote one.
+    fn checkpoint_if_behind(&mut self) -> Result<bool, ServeError> {
+        let behind = self.state.epoch > self.checkpoint_epoch;
+        if behind {
             self.write_checkpoint()?;
         }
-        Ok(())
+        Ok(behind)
     }
 
-    /// The log a recovery would replay on top of the checkpoint now.
+    /// The log a recovery would replay on top of the checkpoint now: the
+    /// open segment.
     fn set_log_gauge(&self) {
-        mcs_obs::gauge_set(
-            "serve.log_bytes_since_checkpoint",
-            (self.log_bytes_since_checkpoint + self.wal.bytes()) as f64,
-        );
+        mcs_obs::gauge_set("serve.log_bytes_since_checkpoint", self.wal.bytes() as f64);
     }
 
     /// Epoch-boundary telemetry publication: drains this thread's metric
@@ -825,6 +904,29 @@ fn fold(stream: &mut StreamingCooccurrence, requests: &[PendingReq]) {
         request.items.extend(r.items.iter().map(|&i| ItemId(i)));
         stream.observe(&request);
     }
+}
+
+/// Checkpoints `state`, the settled state at the start of its open epoch,
+/// whose requests so far are `pending`. The epoch's WAL segment comes
+/// first, created empty and holding copies of those requests; then the
+/// checkpoint is synced and renamed into place; only then are the older
+/// segments deleted. Returns the new segment, open for append, and the
+/// checkpoint's size.
+fn rotate(
+    dir: &Path,
+    state: &DaemonState,
+    pending: &[PendingReq],
+) -> Result<(Wal, u64), ServeError> {
+    let mut wal = Wal::create(dir, state.epoch)?;
+    for r in pending {
+        wal.append_req(r.time, r.server, &r.items)?;
+    }
+    mcs_obs::counter_add("serve.wal_segments", 1);
+    journal::record("wal-rotate", Some(state.epoch), vec![]);
+    let bytes = state.write_checkpoint(dir)?;
+    let deleted = remove_segments_before(dir, state.epoch)?;
+    note_checkpoint(state.epoch, bytes, deleted);
+    Ok((wal, bytes))
 }
 
 /// Counts and journals a checkpoint of `epoch` that wrote `bytes` and
@@ -1069,13 +1171,18 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// One worker, started at the first settlement, outlives a solver
+    /// panic and a missed deadline, and degrades epochs while the late
+    /// solve runs instead of queuing behind it.
     #[test]
     fn slow_settlement_leaves_one_straggler_and_degrades_while_busy() {
         let dir = tmp_dir("straggler");
         let mut c = cfg(&dir); // epoch_len 4
-        c.settle_timeout = Duration::from_millis(20);
-        c.inject_slow_epoch = Some((0, Duration::from_millis(500)));
+        c.settle_timeout = Duration::from_millis(100);
+        c.inject_panic_epoch = Some(1);
+        c.inject_slow_epoch = Some((2, Duration::from_millis(600)));
         let mut d = Daemon::fresh(c, 3, 4).unwrap();
+        assert_eq!(d.summary().settle_workers, 0);
         let mut t = 0.0;
         let feed = |d: &mut Daemon, n: usize, t: &mut f64| {
             for _ in 0..n {
@@ -1087,18 +1194,20 @@ mod tests {
                 );
             }
         };
-        // Epoch 0 misses its deadline; its worker keeps running through
-        // epoch 1's settlement, which must settle degraded immediately
-        // (busy) instead of spawning a second concurrent solver call.
-        feed(&mut d, 8, &mut t);
-        assert_eq!(d.current_state().degraded_epochs, vec![0, 1]);
+        // Epoch 0 settles ok, epoch 1 panics and epoch 2 misses its
+        // deadline; its solve keeps the worker busy through epoch 3's
+        // settlement, which must settle degraded immediately (busy)
+        // instead of queuing a second solver call.
+        feed(&mut d, 16, &mut t);
+        assert_eq!(d.current_state().degraded_epochs, vec![1, 2, 3]);
         // Once the straggler finishes, settlement returns to normal.
-        std::thread::sleep(Duration::from_millis(600));
-        feed(&mut d, 4, &mut t);
+        std::thread::sleep(Duration::from_millis(800));
+        feed(&mut d, 8, &mut t);
         let state = d.current_state();
-        assert_eq!(state.epoch, 3);
-        assert_eq!(state.degraded_epochs, vec![0, 1]);
+        assert_eq!(state.epoch, 6);
+        assert_eq!(state.degraded_epochs, vec![1, 2, 3]);
         assert!(state.ok_cost > 0.0);
+        assert_eq!(d.summary().settle_workers, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

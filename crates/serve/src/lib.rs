@@ -11,20 +11,20 @@
 //! - [`protocol`] — the newline-framed input language (`hello`, `req`,
 //!   comments), parsed with per-line error positions and zero panics.
 //! - [`wal`] + [`checkpoint`] — durability. Admitted requests and epoch
-//!   outcomes are appended (and flushed) to a per-epoch write-ahead log
-//!   *before* they are applied, and each epoch boundary rotates the log.
-//!   The whole [`checkpoint::DaemonState`] (including the bit-exact
-//!   streaming-statistics snapshot) is persisted atomically and durably
-//!   only when the log settled since the last checkpoint has outgrown
-//!   it, at the end of the input, and after a recovery that replayed a
-//!   settlement; each checkpoint deletes the log segments it covers.
-//!   Recovery is checkpoint + WAL replay, and reproduces the pre-crash
-//!   state byte for byte.
+//!   outcomes are appended (and flushed) to a write-ahead log *before*
+//!   they are applied. The whole [`checkpoint::DaemonState`] (including
+//!   the bit-exact streaming-statistics snapshot) is persisted atomically
+//!   and durably only when the log settled since the last checkpoint has
+//!   outgrown it, at the end of the input, and after a recovery that
+//!   replayed a settlement. Each checkpoint opens the log segment every
+//!   later epoch appends to and deletes the segments it covers, so
+//!   closing an epoch creates no file. Recovery is checkpoint + WAL
+//!   replay, and reproduces the pre-crash state byte for byte.
 //! - [`daemon`] — the serving loop: admission control (bounding
 //!   per-request work), epoch settlement through the [`mcs_engine`]
-//!   solver registry on a worker thread under a deadline, `catch_unwind`
-//!   panic isolation, and degraded fallback (last-good placement,
-//!   conservative pricing) when settlement cannot be trusted.
+//!   solver registry on one long-lived worker thread under a deadline,
+//!   `catch_unwind` panic isolation, and degraded fallback (last-good
+//!   placement, conservative pricing) when settlement cannot be trusted.
 //!
 //! Everything is observable through [`mcs_obs`]: admission latency and
 //! settlement histograms, backpressure and degradation-ratio gauges,

@@ -1,12 +1,23 @@
-//! Append-only write-ahead log, one file per epoch.
+//! Append-only write-ahead log, one segment per checkpoint.
 //!
-//! Every admitted request is appended (and flushed) to
-//! `wal-<epoch>.log` *before* it is applied to in-memory state, and every
-//! epoch settlement appends a `settle` record *before* its outcome is
-//! applied — so the log, replayed on top of the last checkpoint, always
-//! reconstructs the exact pre-crash state. Records are newline-framed
-//! text with floats written in shortest-round-trip form (times) or raw
-//! bit patterns (settlement costs), so replay is bit-exact.
+//! Every admitted request is appended (and flushed) to the open segment
+//! *before* it is applied to in-memory state, and every epoch settlement
+//! appends a `settle` record *before* its outcome is applied — so the
+//! log, replayed on top of the last checkpoint, always reconstructs the
+//! exact pre-crash state. Records are newline-framed text with floats
+//! written in shortest-round-trip form (times) or raw bit patterns
+//! (settlement costs), so replay is bit-exact. [`Wal`] encodes each record
+//! into a buffer it keeps and writes it with one `write`.
+//!
+//! A segment is `wal-<epoch>.log`, named after the epoch of the
+//! checkpoint that opened it, and holds every epoch from there on: each
+//! epoch's `req` records, then its `settle` record. A checkpoint starts
+//! its segment with copies of the open epoch's `req` records
+//! ([`Wal::create`] truncates a leftover from a rotation that crashed
+//! before its checkpoint was renamed into place). Earlier versions wrote
+//! one segment per epoch; recovery reads both layouts, because it moves
+//! on from a segment to `wal-<epoch reached>.log` only while the segment
+//! ends in a `settle` record.
 //!
 //! Torn tails are expected, not fatal: `kill -9` mid-append leaves a
 //! final line without its newline (or an unparsable fragment), which
@@ -30,6 +41,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use mcs_model::{ItemId, ServerId};
+use mcs_obs::jsonl::push_u64;
 
 use crate::protocol::{parse_line, Frame};
 
@@ -82,8 +94,8 @@ pub enum WalRecord {
         /// Sorted, duplicate-free item set.
         items: Vec<ItemId>,
     },
-    /// The settlement outcome of this file's epoch — always the final
-    /// record of a completed epoch log.
+    /// The settlement outcome of the epoch whose `req` records precede
+    /// it — always the last record of that epoch.
     Settle {
         /// How the epoch settled.
         status: EpochStatus,
@@ -93,23 +105,17 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    fn to_line(&self) -> String {
+    /// Appends the record's line, newline included, to `out`.
+    fn encode(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Req {
                 time,
                 server,
                 items,
-            } => {
-                let csv = items
-                    .iter()
-                    .map(|i| i.0.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",");
-                // `{:?}` is shortest-round-trip: replay parses the same bits.
-                format!("req {time:?} {} {csv}\n", server.0)
-            }
+            } => encode_req(out, *time, server.0, items.iter().map(|i| i.0)),
             WalRecord::Settle { status, cost_bits } => {
-                format!("settle {} {cost_bits:016x}\n", status.label())
+                writeln!(out, "settle {} {cost_bits:016x}", status.label())
+                    .expect("writing to a Vec cannot fail");
             }
         }
     }
@@ -142,24 +148,41 @@ impl WalRecord {
     }
 }
 
-/// The log path of one epoch within the serve directory.
+/// Appends `req <time> <server> <items,csv>` and a newline to `out`: the
+/// time through `{:?}`, which is shortest-round-trip so replay parses the
+/// same bits, and the integers through the allocation-free writer.
+fn encode_req(out: &mut Vec<u8>, time: f64, server: u32, items: impl Iterator<Item = u32>) {
+    write!(out, "req {time:?} ").expect("writing to a Vec cannot fail");
+    push_u64(out, server.into());
+    out.push(b' ');
+    for (i, item) in items.enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push_u64(out, item.into());
+    }
+    out.push(b'\n');
+}
+
+/// The path of the segment opened at `epoch` within the serve directory.
 pub fn wal_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("wal-{epoch}.log"))
 }
 
-/// An open, appendable epoch log.
+/// An open, appendable log segment.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
     path: PathBuf,
     /// The file's length: what it held when opened plus every append.
     bytes: u64,
+    /// The record being written, reused so an append allocates nothing.
+    line: Vec<u8>,
 }
 
 impl Wal {
-    /// Opens (creating if absent) the log of `epoch` for appending —
-    /// both the live path and the recovery path land here, so a replayed
-    /// epoch keeps appending to its existing file.
+    /// Opens (creating if absent) the segment of `epoch` for appending —
+    /// recovery lands here, so a replayed segment keeps growing in place.
     ///
     /// # Errors
     ///
@@ -168,7 +191,32 @@ impl Wal {
         let path = wal_path(dir, epoch);
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         let bytes = file.metadata()?.len();
-        Ok(Wal { file, path, bytes })
+        Ok(Wal::with_file(file, path, bytes))
+    }
+
+    /// Creates the segment of `epoch` empty, truncating whatever a
+    /// rotation that crashed before its checkpoint's rename left there.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem failures.
+    pub fn create(dir: &Path, epoch: u64) -> std::io::Result<Wal> {
+        let path = wal_path(dir, epoch);
+        let file = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(true)
+            .open(&path)?;
+        Ok(Wal::with_file(file, path, 0))
+    }
+
+    fn with_file(file: File, path: PathBuf, bytes: u64) -> Wal {
+        Wal {
+            file,
+            path,
+            bytes,
+            line: Vec::new(),
+        }
     }
 
     /// Appends one record and flushes it to the OS before returning —
@@ -178,9 +226,28 @@ impl Wal {
     ///
     /// Propagates filesystem failures.
     pub fn append(&mut self, record: &WalRecord) -> std::io::Result<()> {
-        let line = record.to_line();
-        self.file.write_all(line.as_bytes())?;
-        self.bytes += line.len() as u64;
+        self.line.clear();
+        record.encode(&mut self.line);
+        self.write_line()
+    }
+
+    /// [`Self::append`] of a [`WalRecord::Req`] given by its parts: a
+    /// checkpoint copies the open epoch's buffered requests, whose ids
+    /// are plain integers, into its new segment.
+    pub(crate) fn append_req(
+        &mut self,
+        time: f64,
+        server: u32,
+        items: &[u32],
+    ) -> std::io::Result<()> {
+        self.line.clear();
+        encode_req(&mut self.line, time, server, items.iter().copied());
+        self.write_line()
+    }
+
+    fn write_line(&mut self) -> std::io::Result<()> {
+        self.file.write_all(&self.line)?;
+        self.bytes += self.line.len() as u64;
         self.file.flush()
     }
 
@@ -221,7 +288,7 @@ pub fn remove_segments_before(dir: &Path, epoch: u64) -> std::io::Result<u64> {
     Ok(deleted)
 }
 
-/// The parsed contents of one epoch log: the records, plus whether a torn
+/// The parsed contents of one segment: the records, plus whether a torn
 /// tail was discarded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalContents {
@@ -235,9 +302,10 @@ pub struct WalContents {
     pub valid_len: u64,
 }
 
-/// Reads the log of `epoch`, tolerating a torn tail. A missing file is an
-/// empty log (the crash window between checkpoint rename and first
-/// append of the next epoch).
+/// Reads the segment of `epoch`, tolerating a torn tail. A missing file is
+/// an empty segment: recovery asks for the segment of the epoch a settle
+/// record reached, which exists only in the per-epoch layout or when a
+/// checkpoint rotation created it.
 ///
 /// # Errors
 ///
@@ -298,7 +366,7 @@ pub fn read_records(dir: &Path, epoch: u64) -> std::io::Result<WalContents> {
     })
 }
 
-/// Truncates the log of `epoch` to its valid prefix (the `valid_len`
+/// Truncates the segment of `epoch` to its valid prefix (the `valid_len`
 /// reported by [`read_records`]), physically dropping a torn tail.
 /// Recovery calls this before reopening the log for append: without it
 /// the next record would be concatenated onto the fragment, producing a
@@ -454,6 +522,74 @@ mod tests {
             left,
             ["checkpoint.json", "wal-12.log", "wal-7.log", "wal-x.log"]
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The encoder writes the bytes of the `format!`-built line it
+    /// replaced, for every server, item list and time, the non-round ones
+    /// included.
+    #[test]
+    fn records_encode_to_the_formatted_line() {
+        fn reference(record: &WalRecord) -> String {
+            match record {
+                WalRecord::Req {
+                    time,
+                    server,
+                    items,
+                } => {
+                    let csv: Vec<String> = items.iter().map(|i| i.0.to_string()).collect();
+                    format!("req {time:?} {} {}\n", server.0, csv.join(","))
+                }
+                WalRecord::Settle { status, cost_bits } => {
+                    format!("settle {} {cost_bits:016x}\n", status.label())
+                }
+            }
+        }
+        let mut records = sample_records();
+        for (i, time) in [1e-7, 0.25, 1.0, 123_456.789, 1e21, f64::MAX, 5e-324]
+            .into_iter()
+            .enumerate()
+        {
+            let n = i as u32;
+            records.push(WalRecord::Req {
+                time,
+                server: ServerId(u32::MAX - n),
+                items: (0..=n).map(|k| ItemId(k * 1_000_003)).collect(),
+            });
+            records.push(WalRecord::Settle {
+                status: [EpochStatus::Ok, EpochStatus::Panic][i % 2],
+                cost_bits: time.to_bits() >> n,
+            });
+        }
+        records.push(WalRecord::Req {
+            time: 3.5,
+            server: ServerId(0),
+            items: vec![ItemId(u32::MAX)],
+        });
+        let mut line = Vec::new();
+        for record in &records {
+            line.clear();
+            record.encode(&mut line);
+            assert_eq!(String::from_utf8(line.clone()).unwrap(), reference(record));
+        }
+    }
+
+    /// `create` empties a leftover segment, and `append_req` writes the
+    /// bytes `append` writes for the same request.
+    #[test]
+    fn created_segments_start_empty_and_req_parts_encode_alike() {
+        let dir = tmp_dir("create");
+        std::fs::write(wal_path(&dir, 4), "req 1.0 0 0\nleft over").unwrap();
+        let mut wal = Wal::create(&dir, 4).unwrap();
+        assert_eq!(wal.bytes(), 0);
+        wal.append_req(0.1 + 0.2, 3, &[0, 7]).unwrap();
+        wal.append_req(2.0, 0, &[1]).unwrap();
+        wal.append(&sample_records()[2]).unwrap();
+        assert_eq!(wal.bytes(), std::fs::metadata(wal.path()).unwrap().len());
+        drop(wal);
+        let back = read_records(&dir, 4).unwrap();
+        assert!(!back.torn);
+        assert_eq!(back.records, sample_records());
         std::fs::remove_dir_all(&dir).ok();
     }
 

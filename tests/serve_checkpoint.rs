@@ -14,9 +14,13 @@
 //!   after a clean end of input it holds the last settled state.
 //! * The cadence's bounds hold on random streams: checkpoints but the last
 //!   cost at most the WAL written, the log on disk stays within one
-//!   checkpoint plus the open epoch, and covered segments are deleted.
+//!   checkpoint plus the open epoch, and each checkpoint opens the one
+//!   segment the epochs after it append to, deleting the ones it covers.
 //!   A recovery refreshes the placement once, at the last `ok` epoch it
-//!   replays, and ignores segments a crash left behind.
+//!   replays, and ignores segments a crash left behind: older ones, and
+//!   the one a checkpoint that never got renamed into place opened.
+//! * A directory in the per-epoch layout of earlier versions recovers to
+//!   the state of a run that never crashed.
 //! * A checkpoint naming items outside the handshake's catalog is a
 //!   `corrupt checkpoint` error at load and for `serve_stream`, never a
 //!   panic at the next settlement; so is one nested too deep to parse.
@@ -353,6 +357,7 @@ fn checkpoint_cadence_bounds_hold_on_random_streams() {
         let mut checkpoint = std::fs::read_to_string(checkpoint_path(&dir)).unwrap();
         let mut checkpoint_epoch = 0;
         let mut earlier_checkpoints = 0u64;
+        let mut checkpoints = 1;
         let mut t = 0.0;
         for _ in 0..requests {
             t += 0.5;
@@ -369,6 +374,7 @@ fn checkpoint_cadence_bounds_hold_on_random_streams() {
             let now = std::fs::read_to_string(checkpoint_path(&dir)).unwrap();
             if now != checkpoint {
                 earlier_checkpoints += checkpoint.len() as u64;
+                checkpoints += 1;
                 checkpoint = now;
                 checkpoint_epoch = DaemonState::from_json(&parse(&checkpoint).unwrap())
                     .unwrap()
@@ -386,6 +392,13 @@ fn checkpoint_cadence_bounds_hold_on_random_streams() {
                 logs.iter()
                     .all(|&(e, _)| checkpoint_epoch <= e && e <= open),
                 "{what}: segments {logs:?} around checkpoint {checkpoint_epoch} and open {open}"
+            );
+            // One segment per checkpoint, and only the last one's is left.
+            assert_eq!(summary.wal_segments, checkpoints, "{what}");
+            assert_eq!(
+                logs.iter().map(|l| l.0).collect::<Vec<_>>(),
+                vec![checkpoint_epoch],
+                "{what}"
             );
             let settled_log: u64 = logs.iter().filter(|&&(e, _)| e < open).map(|l| l.1).sum();
             assert!(
@@ -542,6 +555,169 @@ fn segments_left_behind_by_a_crash_are_ignored_and_removed_later() {
         vec![open]
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `n` requests over `items` items at times 0.5, 1.0, …: two or three
+/// ids each, from two servers.
+fn random_requests(rng: &mut Rng, n: usize, items: u32) -> Vec<(f64, u32, Vec<ItemId>)> {
+    (1..=n)
+        .map(|i| {
+            let a = rng.gen_range(0..items - 1);
+            let mut ids = vec![ItemId(a), ItemId(rng.gen_range(a + 1..items))];
+            if rng.gen_bool(0.3) {
+                ids.push(ItemId(rng.gen_range(0..items)));
+                ids.sort_unstable();
+                ids.dedup();
+            }
+            (i as f64 * 0.5, rng.gen_range(0..2u32), ids)
+        })
+        .collect()
+}
+
+/// A serve directory holding the checkpoint of `epoch` (epochs of 4
+/// requests over 40 items), written by a clean end of input at that
+/// epoch's boundary, and its empty segment.
+fn checkpointed_at(tag: &str, epoch: usize, requests: &[(f64, u32, Vec<ItemId>)]) -> ServeConfig {
+    let mut cfg = ServeConfig::new(temp_dir(tag));
+    cfg.quiet = true;
+    cfg.epoch_len = 4;
+    serve_stream(
+        cfg.clone(),
+        Cursor::new(frames(2, 40, &requests[..4 * epoch])),
+    )
+    .unwrap();
+    assert_eq!(
+        DaemonState::load(&cfg.dir).unwrap().unwrap().epoch,
+        epoch as u64
+    );
+    cfg
+}
+
+/// A directory in the per-epoch layout earlier versions wrote — the
+/// checkpoint of epoch E, `wal-E` … `wal-E+2` each ending in its `settle`
+/// record, and the open `wal-E+3` — recovers byte for byte to the state
+/// of a run that never crashed, and its recovery checkpoint leaves one
+/// segment.
+#[test]
+fn a_directory_in_the_per_epoch_layout_recovers_to_the_never_crashed_state() {
+    let e = 6;
+    let mut rng = Rng::seed_from_u64(0x01D);
+    let requests = random_requests(&mut rng, 4 * (e + 3) + 2, 40);
+    let admit_all = |daemon: &mut Daemon, requests: &[(f64, u32, Vec<ItemId>)]| {
+        for (t, server, ids) in requests {
+            let admitted = daemon.admit(*t, ServerId(*server), ids.clone()).unwrap();
+            assert_eq!(admitted, Admission::Admitted);
+        }
+    };
+
+    let mut never = ServeConfig::new(temp_dir("per-epoch-never"));
+    never.quiet = true;
+    never.epoch_len = 4;
+    let mut daemon = Daemon::fresh(never.clone(), 2, 40).unwrap();
+    admit_all(&mut daemon, &requests);
+    let want = daemon.current_state().canonical_json();
+    drop(daemon);
+
+    // The records of epochs E to E+3, in the segment of the checkpoint of
+    // E, which outweighs them: the bytes both layouts write.
+    let cfg = checkpointed_at("per-epoch", e, &requests);
+    let records = temp_dir("per-epoch-records");
+    copy_dir(&cfg.dir, &records);
+    let mut writer = cfg.clone();
+    writer.dir = records.clone();
+    let mut daemon = Daemon::recover(writer).unwrap().unwrap();
+    admit_all(&mut daemon, &requests[4 * e..]);
+    drop(daemon);
+    assert_eq!(
+        DaemonState::load(&records).unwrap().unwrap().epoch,
+        e as u64
+    );
+    let log = std::fs::read_to_string(records.join(format!("wal-{e}.log"))).unwrap();
+
+    // Split them into one file per epoch, each ending in its settlement.
+    let mut epoch = e;
+    let mut file = String::new();
+    for line in log.split_inclusive('\n') {
+        file.push_str(line);
+        if line.starts_with("settle ") {
+            std::fs::write(cfg.dir.join(format!("wal-{epoch}.log")), &file).unwrap();
+            file.clear();
+            epoch += 1;
+        }
+    }
+    std::fs::write(cfg.dir.join(format!("wal-{epoch}.log")), &file).unwrap();
+    assert_eq!(epoch, e + 3);
+    let per_epoch: Vec<u64> = segments(&cfg.dir).iter().map(|s| s.0).collect();
+    assert_eq!(per_epoch, (e..=e + 3).map(|x| x as u64).collect::<Vec<_>>());
+
+    let daemon = Daemon::recover(cfg.clone()).unwrap().unwrap();
+    assert_eq!(daemon.summary().replayed, 14);
+    assert_eq!(daemon.current_state().canonical_json(), want);
+    assert_eq!(daemon.summary().wal_segments, 1);
+    let left: Vec<u64> = segments(&cfg.dir).iter().map(|s| s.0).collect();
+    assert_eq!(left, vec![e as u64 + 3]);
+    for d in [never.dir, cfg.dir, records] {
+        std::fs::remove_dir_all(&d).ok();
+    }
+}
+
+/// A checkpoint of epoch E first writes `wal-E.log`; a crash before its
+/// rename leaves that segment behind the old checkpoint. Recovery must
+/// not replay it — its copies of the open epoch's requests are also in
+/// the old segment — and the checkpoint of E that recovery writes
+/// truncates it. With requests pending the old segment ends in one, so
+/// recovery stops there; with none it ends in a `settle` record, and the
+/// leftover a rotation right after a settlement leaves is empty.
+#[test]
+fn a_segment_left_by_a_rotation_that_never_renamed_is_not_replayed() {
+    let e = 6;
+    for pending in [3, 0] {
+        let mut rng = Rng::seed_from_u64(0x1EF7 + pending as u64);
+        let requests = random_requests(&mut rng, 4 * (e + 2) + pending, 40);
+        let cfg = checkpointed_at(&format!("left-{pending}"), e, &requests);
+        let mut daemon = Daemon::recover(cfg.clone()).unwrap().unwrap();
+        for (t, server, ids) in &requests[4 * e..] {
+            daemon.admit(*t, ServerId(*server), ids.clone()).unwrap();
+        }
+        let live = daemon.current_state();
+        assert_eq!((live.epoch, live.pending.len()), (e as u64 + 2, pending));
+        drop(daemon); // a crash: no clean end, no final checkpoint
+        assert_eq!(
+            DaemonState::load(&cfg.dir).unwrap().unwrap().epoch,
+            e as u64
+        );
+
+        // The crashed rotation of epoch E+2: its copies, and the torn
+        // start of a write after them.
+        let old = std::fs::read_to_string(cfg.dir.join(format!("wal-{e}.log"))).unwrap();
+        let lines: Vec<&str> = old.split_inclusive('\n').collect();
+        let copies = lines[lines.len() - pending..].concat();
+        assert!(copies.lines().all(|l| l.starts_with("req ")));
+        let leftover = cfg.dir.join(format!("wal-{}.log", e + 2));
+        let torn = if pending > 0 { "req 99.5 1 3," } else { "" };
+        std::fs::write(&leftover, format!("{copies}{torn}")).unwrap();
+
+        let daemon = Daemon::recover(cfg.clone()).unwrap().unwrap();
+        let what = format!("{pending} pending");
+        assert_eq!(daemon.summary().replayed, 8 + pending as u64, "{what}");
+        assert_eq!(
+            daemon.current_state().canonical_json(),
+            live.canonical_json(),
+            "{what}"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&leftover).unwrap(),
+            copies,
+            "{what}"
+        );
+        let left: Vec<u64> = segments(&cfg.dir).iter().map(|s| s.0).collect();
+        assert_eq!(left, vec![e as u64 + 2], "{what}");
+        assert_eq!(
+            DaemonState::load(&cfg.dir).unwrap().unwrap().epoch,
+            e as u64 + 2
+        );
+        std::fs::remove_dir_all(&cfg.dir).ok();
+    }
 }
 
 /// A checkpoint nested deeper than the parser's limit is a positioned

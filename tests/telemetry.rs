@@ -284,3 +284,56 @@ fn serve_publishes_telemetry_file_and_dump_journal_prints_events() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `dpg serve --metrics` counts the daemon's structure and every epoch's
+/// solve: one settlement thread for the run, one WAL segment per
+/// checkpoint, and a `dpg.phase1.jaccard` span per settled epoch — the
+/// worker publishes its spans before it answers, not when it exits.
+#[test]
+fn serve_metrics_count_one_worker_a_segment_per_checkpoint_and_every_solve() {
+    let dir = temp_dir("cli-structure");
+    std::fs::create_dir_all(&dir).unwrap();
+    let stream_path = dir.join("stream.txt");
+    let mut input = String::from("hello 4 12\n");
+    for i in 0..400u32 {
+        let a = i * 7 % 12;
+        input.push_str(&format!("req {} {} {a},{}\n", i + 1, i % 4, (a + 1) % 12));
+    }
+    std::fs::write(&stream_path, input).unwrap();
+    let out = dpg()
+        .args([
+            "serve",
+            "--dir",
+            dir.join("state").to_str().unwrap(),
+            "--input",
+            stream_path.to_str().unwrap(),
+            "--epoch-len",
+            "8",
+            "--quiet",
+            "--metrics",
+        ])
+        .output()
+        .expect("run dpg serve --metrics");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let table = String::from_utf8_lossy(&out.stdout);
+    let value = |name: &str| -> String {
+        table
+            .lines()
+            .find_map(|l| {
+                let mut words = l.split_whitespace();
+                (words.next() == Some(name)).then(|| words.next().unwrap_or("").to_string())
+            })
+            .unwrap_or_else(|| panic!("no {name} in:\n{table}"))
+    };
+    assert_eq!(value("serve.epochs_ok"), "50", "{table}");
+    assert_eq!(value("dpg.phase1.jaccard"), "n=50", "{table}");
+    assert_eq!(value("serve.settle_workers"), "1", "{table}");
+    let checkpoints = value("serve.checkpoints");
+    assert!(checkpoints.parse::<u32>().unwrap() < 50, "{table}");
+    assert_eq!(value("serve.wal_segments"), checkpoints, "{table}");
+    std::fs::remove_dir_all(&dir).ok();
+}
