@@ -38,6 +38,10 @@
 //!    `settle` record — that is the per-epoch layout earlier versions
 //!    wrote, and in this layout such a segment is absent or, left by a
 //!    rotation after a settlement, empty — so no copy is replayed twice.
+//!    A recovery whose replay ended on `wal-E.log` itself (the per-epoch
+//!    layout) keeps appending to it: it holds exactly the copies, and
+//!    truncating it to rewrite them would leave a window in which a
+//!    crash drops the open epoch's only durable requests.
 //!
 //! The cadence has no knob and two bounds: within a run every checkpoint
 //! but the last is paid for by at least its own size in log, and a crash
@@ -100,7 +104,8 @@ use mcs_obs::journal::{self, Value};
 use crate::checkpoint::{DaemonState, PendingReq};
 use crate::protocol::{parse_line, Frame};
 use crate::wal::{
-    read_records, remove_segments_before, truncate_torn, EpochStatus, Wal, WalContents, WalRecord,
+    read_records, remove_segments_before, truncate_torn, wal_path, EpochStatus, Wal, WalContents,
+    WalRecord,
 };
 
 /// Serving-run parameters.
@@ -213,8 +218,6 @@ pub struct ServeSummary {
     pub wal_bytes: u64,
     /// Placement refreshes this run, a recovery's included.
     pub placement_refreshes: u64,
-    /// WAL segments created this run: one per checkpoint written.
-    pub wal_segments: u64,
     /// Settlement worker threads started this run.
     pub settle_workers: u64,
 }
@@ -337,7 +340,8 @@ impl Daemon {
         // Persist the epoch-0 checkpoint immediately: without it, a crash
         // before the first settlement would make recovery ignore the
         // epoch-0 WAL and re-admit (duplicate) its requests.
-        let (wal, checkpoint_bytes) = rotate(&cfg.dir, &state, &[])?;
+        let wal = new_segment(&cfg.dir, 0, &[])?;
+        let checkpoint_bytes = commit_checkpoint(&cfg.dir, &state)?;
         journal::record("epoch-open", Some(0), vec![]);
         let daemon = Daemon {
             cfg,
@@ -349,10 +353,7 @@ impl Daemon {
             wal,
             checkpoint_bytes,
             checkpoint_epoch: 0,
-            summary: ServeSummary {
-                wal_segments: 1,
-                ..ServeSummary::default()
-            },
+            summary: ServeSummary::default(),
             worker: None,
         };
         daemon.set_log_gauge();
@@ -423,6 +424,7 @@ impl Daemon {
             .filter(|r| matches!(r, WalRecord::Settle { status, .. } if !status.is_degraded()))
             .count();
         let open = logs.len() - 1;
+        let open_segment = logs[open].0;
         for (i, (segment, log)) in logs.into_iter().enumerate() {
             for record in log.records {
                 match record {
@@ -462,11 +464,11 @@ impl Daemon {
             Some(self.state.epoch),
             vec![("replayed", Value::U64(self.summary.replayed))],
         );
-        if !self.checkpoint_if_behind()? {
-            // Nothing settled: keep appending to the checkpoint's segment,
-            // reopened past any truncation.
-            self.wal = Wal::open(&self.cfg.dir, self.state.epoch)?;
-        }
+        // Append from here on to the segment the replay ended on, reopened
+        // past any truncation; a checkpoint of the epoch reached replaces
+        // it unless it is that epoch's own segment.
+        self.wal = Wal::open(&self.cfg.dir, open_segment)?;
+        self.checkpoint_if_behind()?;
         self.set_log_gauge();
         // The buffer may have filled with no settle record durable yet
         // (crash inside settlement, before the outcome was logged):
@@ -805,16 +807,20 @@ impl Daemon {
         mcs_obs::gauge_set("serve.epoch", self.state.epoch as f64);
     }
 
-    /// Writes the settled state as the checkpoint of the open epoch
-    /// ([`rotate`]); the daemon appends to the segment it opens from here
-    /// on.
+    /// Writes the settled state as the checkpoint of the open epoch, whose
+    /// segment the daemon appends to from here on: [`new_segment`], then
+    /// [`commit_checkpoint`].
     fn write_checkpoint(&mut self) -> Result<(), ServeError> {
         self.state.streaming = self.stream.snapshot();
-        let (wal, bytes) = rotate(&self.cfg.dir, &self.state, &self.pending)?;
-        self.wal = wal;
-        self.checkpoint_bytes = bytes;
+        // A recovery that ended in the per-epoch layout appends to the open
+        // epoch's own segment already. It holds exactly that epoch's
+        // requests, and is their only durable copy until the checkpoint is
+        // renamed into place, so it is kept rather than rewritten.
+        if self.wal.path() != wal_path(&self.cfg.dir, self.state.epoch) {
+            self.wal = new_segment(&self.cfg.dir, self.state.epoch, &self.pending)?;
+        }
+        self.checkpoint_bytes = commit_checkpoint(&self.cfg.dir, &self.state)?;
         self.checkpoint_epoch = self.state.epoch;
-        self.summary.wal_segments += 1;
         Ok(())
     }
 
@@ -906,43 +912,36 @@ fn fold(stream: &mut StreamingCooccurrence, requests: &[PendingReq]) {
     }
 }
 
-/// Checkpoints `state`, the settled state at the start of its open epoch,
-/// whose requests so far are `pending`. The epoch's WAL segment comes
-/// first, created empty and holding copies of those requests; then the
-/// checkpoint is synced and renamed into place; only then are the older
-/// segments deleted. Returns the new segment, open for append, and the
-/// checkpoint's size.
-fn rotate(
-    dir: &Path,
-    state: &DaemonState,
-    pending: &[PendingReq],
-) -> Result<(Wal, u64), ServeError> {
-    let mut wal = Wal::create(dir, state.epoch)?;
+/// The first step of a checkpoint of `epoch`, whose requests so far are
+/// `pending`: its WAL segment, created empty and holding copies of those
+/// requests, open for append.
+fn new_segment(dir: &Path, epoch: u64, pending: &[PendingReq]) -> Result<Wal, ServeError> {
+    let mut wal = Wal::create(dir, epoch)?;
     for r in pending {
         wal.append_req(r.time, r.server, &r.items)?;
     }
-    mcs_obs::counter_add("serve.wal_segments", 1);
-    journal::record("wal-rotate", Some(state.epoch), vec![]);
-    let bytes = state.write_checkpoint(dir)?;
-    let deleted = remove_segments_before(dir, state.epoch)?;
-    note_checkpoint(state.epoch, bytes, deleted);
-    Ok((wal, bytes))
+    journal::record("wal-rotate", Some(epoch), vec![]);
+    Ok(wal)
 }
 
-/// Counts and journals a checkpoint of `epoch` that wrote `bytes` and
-/// deleted `segments` covered WAL segments.
-fn note_checkpoint(epoch: u64, bytes: u64, segments: u64) {
+/// The rest of a checkpoint of `state`, once its segment is in place: the
+/// checkpoint is synced and renamed into place, and only then are the
+/// older segments deleted. Counts and journals it; returns its size.
+fn commit_checkpoint(dir: &Path, state: &DaemonState) -> Result<u64, ServeError> {
+    let bytes = state.write_checkpoint(dir)?;
+    let deleted = remove_segments_before(dir, state.epoch)?;
     mcs_obs::counter_add("serve.checkpoints", 1);
     mcs_obs::counter_add("serve.checkpoint_bytes", bytes);
     journal::record(
         "checkpoint-write",
-        Some(epoch),
+        Some(state.epoch),
         vec![
             ("bytes", Value::U64(bytes)),
-            ("segments_deleted", Value::U64(segments)),
+            ("segments_deleted", Value::U64(deleted)),
         ],
     );
     mcs_obs::gauge_set("serve.last_checkpoint_t_mono", journal::now_t_mono());
+    Ok(bytes)
 }
 
 /// Drives a daemon over a line-framed input stream until EOF.

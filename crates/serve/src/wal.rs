@@ -183,19 +183,30 @@ pub struct Wal {
 impl Wal {
     /// Opens (creating if absent) the segment of `epoch` for appending —
     /// recovery lands here, so a replayed segment keeps growing in place.
+    /// Counts `serve.wal_segments` only if it creates the file.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     pub fn open(dir: &Path, epoch: u64) -> std::io::Result<Wal> {
         let path = wal_path(dir, epoch);
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let file = match OpenOptions::new().append(true).create_new(true).open(&path) {
+            Ok(file) => {
+                count_segment();
+                file
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                OpenOptions::new().append(true).open(&path)?
+            }
+            Err(e) => return Err(e),
+        };
         let bytes = file.metadata()?.len();
         Ok(Wal::with_file(file, path, bytes))
     }
 
     /// Creates the segment of `epoch` empty, truncating whatever a
     /// rotation that crashed before its checkpoint's rename left there.
+    /// Counts `serve.wal_segments`.
     ///
     /// # Errors
     ///
@@ -207,6 +218,7 @@ impl Wal {
             .write(true)
             .truncate(true)
             .open(&path)?;
+        count_segment();
         Ok(Wal::with_file(file, path, 0))
     }
 
@@ -260,6 +272,13 @@ impl Wal {
     pub fn bytes(&self) -> u64 {
         self.bytes
     }
+}
+
+/// Counts a segment file brought into being, where it happens: a daemon
+/// that started a file per epoch again would show it even if it wrote
+/// checkpoints no more often.
+fn count_segment() {
+    mcs_obs::counter_add("serve.wal_segments", 1);
 }
 
 /// Deletes every `wal-<N>.log` in `dir` with `N < epoch`: the segments a

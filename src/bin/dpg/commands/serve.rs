@@ -11,16 +11,16 @@
 //! byte-identically (see `crates/serve`). A clean run leaves
 //! `checkpoint.json` and that checkpoint's `wal-N.log`, where `N` is the
 //! open epoch. Settlements run on one worker thread for the whole run;
-//! `--metrics` counts it (`serve.settle_workers`) and the segments
-//! created (`serve.wal_segments`, one per checkpoint). `--dump-state`
-//! runs full recovery, prints the recovered canonical state, and exits
-//! — the crash harness and CI diff exactly that output. Recovery is not
-//! read-only: like any restart it checkpoints the recovered state if it
-//! replayed a settlement (deleting the segments that checkpoint covers),
-//! truncates torn WAL tails, and (if the recovered pending buffer is
-//! already full) settles that epoch, so it may invoke the solver; all of
-//! this is deterministic and idempotent, so dumping never changes what a
-//! subsequent restart sees.
+//! `--metrics` counts it (`serve.settle_workers`) and the segment files
+//! created (`serve.wal_segments`, one per checkpoint on a fresh run).
+//! `--dump-state` runs full recovery, prints the recovered canonical
+//! state, and exits — the crash harness and CI diff exactly that output.
+//! Recovery is not read-only: like any restart it checkpoints the
+//! recovered state if it replayed a settlement (deleting the segments that
+//! checkpoint covers), truncates torn WAL tails, and (if the recovered
+//! pending buffer is already full) settles that epoch, so it may invoke
+//! the solver; all of this is deterministic and idempotent, so dumping
+//! never changes what a subsequent restart sees.
 
 use std::io::BufReader;
 use std::path::PathBuf;

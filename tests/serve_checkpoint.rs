@@ -20,7 +20,9 @@
 //!   replays, and ignores segments a crash left behind: older ones, and
 //!   the one a checkpoint that never got renamed into place opened.
 //! * A directory in the per-epoch layout of earlier versions recovers to
-//!   the state of a run that never crashed.
+//!   the state of a run that never crashed, without rewriting the open
+//!   epoch's segment, so a recovery cut short before its checkpoint loses
+//!   no request.
 //! * A checkpoint naming items outside the handshake's catalog is a
 //!   `corrupt checkpoint` error at load and for `serve_stream`, never a
 //!   panic at the next settlement; so is one nested too deep to parse.
@@ -357,7 +359,6 @@ fn checkpoint_cadence_bounds_hold_on_random_streams() {
         let mut checkpoint = std::fs::read_to_string(checkpoint_path(&dir)).unwrap();
         let mut checkpoint_epoch = 0;
         let mut earlier_checkpoints = 0u64;
-        let mut checkpoints = 1;
         let mut t = 0.0;
         for _ in 0..requests {
             t += 0.5;
@@ -374,7 +375,6 @@ fn checkpoint_cadence_bounds_hold_on_random_streams() {
             let now = std::fs::read_to_string(checkpoint_path(&dir)).unwrap();
             if now != checkpoint {
                 earlier_checkpoints += checkpoint.len() as u64;
-                checkpoints += 1;
                 checkpoint = now;
                 checkpoint_epoch = DaemonState::from_json(&parse(&checkpoint).unwrap())
                     .unwrap()
@@ -393,8 +393,7 @@ fn checkpoint_cadence_bounds_hold_on_random_streams() {
                     .all(|&(e, _)| checkpoint_epoch <= e && e <= open),
                 "{what}: segments {logs:?} around checkpoint {checkpoint_epoch} and open {open}"
             );
-            // One segment per checkpoint, and only the last one's is left.
-            assert_eq!(summary.wal_segments, checkpoints, "{what}");
+            // Only the last checkpoint's segment is left.
             assert_eq!(
                 logs.iter().map(|l| l.0).collect::<Vec<_>>(),
                 vec![checkpoint_epoch],
@@ -595,11 +594,10 @@ fn checkpointed_at(tag: &str, epoch: usize, requests: &[(f64, u32, Vec<ItemId>)]
 
 /// A directory in the per-epoch layout earlier versions wrote — the
 /// checkpoint of epoch E, `wal-E` … `wal-E+2` each ending in its `settle`
-/// record, and the open `wal-E+3` — recovers byte for byte to the state
-/// of a run that never crashed, and its recovery checkpoint leaves one
-/// segment.
-#[test]
-fn a_directory_in_the_per_epoch_layout_recovers_to_the_never_crashed_state() {
+/// record, and the open `wal-E+3` — with the canonical state of a run
+/// over the same requests that never crashed. Epochs of 4 requests over
+/// 40 items, E = 6, two requests in the open epoch.
+fn per_epoch_layout(tag: &str) -> (ServeConfig, String) {
     let e = 6;
     let mut rng = Rng::seed_from_u64(0x01D);
     let requests = random_requests(&mut rng, 4 * (e + 3) + 2, 40);
@@ -610,7 +608,7 @@ fn a_directory_in_the_per_epoch_layout_recovers_to_the_never_crashed_state() {
         }
     };
 
-    let mut never = ServeConfig::new(temp_dir("per-epoch-never"));
+    let mut never = ServeConfig::new(temp_dir(&format!("{tag}-never")));
     never.quiet = true;
     never.epoch_len = 4;
     let mut daemon = Daemon::fresh(never.clone(), 2, 40).unwrap();
@@ -620,8 +618,8 @@ fn a_directory_in_the_per_epoch_layout_recovers_to_the_never_crashed_state() {
 
     // The records of epochs E to E+3, in the segment of the checkpoint of
     // E, which outweighs them: the bytes both layouts write.
-    let cfg = checkpointed_at("per-epoch", e, &requests);
-    let records = temp_dir("per-epoch-records");
+    let cfg = checkpointed_at(tag, e, &requests);
+    let records = temp_dir(&format!("{tag}-records"));
     copy_dir(&cfg.dir, &records);
     let mut writer = cfg.clone();
     writer.dir = records.clone();
@@ -649,16 +647,77 @@ fn a_directory_in_the_per_epoch_layout_recovers_to_the_never_crashed_state() {
     assert_eq!(epoch, e + 3);
     let per_epoch: Vec<u64> = segments(&cfg.dir).iter().map(|s| s.0).collect();
     assert_eq!(per_epoch, (e..=e + 3).map(|x| x as u64).collect::<Vec<_>>());
+    for d in [never.dir, records] {
+        std::fs::remove_dir_all(&d).ok();
+    }
+    (cfg, want)
+}
 
+/// The bytes and modification time of a file.
+fn stamp(path: &Path) -> (Vec<u8>, std::time::SystemTime) {
+    let modified = std::fs::metadata(path).unwrap().modified().unwrap();
+    (std::fs::read(path).unwrap(), modified)
+}
+
+/// The per-epoch layout recovers byte for byte to the never-crashed state,
+/// and its recovery checkpoint leaves one segment.
+#[test]
+fn a_directory_in_the_per_epoch_layout_recovers_to_the_never_crashed_state() {
+    let (cfg, want) = per_epoch_layout("per-epoch");
     let daemon = Daemon::recover(cfg.clone()).unwrap().unwrap();
     assert_eq!(daemon.summary().replayed, 14);
     assert_eq!(daemon.current_state().canonical_json(), want);
-    assert_eq!(daemon.summary().wal_segments, 1);
     let left: Vec<u64> = segments(&cfg.dir).iter().map(|s| s.0).collect();
-    assert_eq!(left, vec![e as u64 + 3]);
-    for d in [never.dir, cfg.dir, records] {
-        std::fs::remove_dir_all(&d).ok();
-    }
+    assert_eq!(left, vec![9]);
+    std::fs::remove_dir_all(&cfg.dir).ok();
+}
+
+/// Recovering the per-epoch layout checkpoints epoch E+3, whose segment
+/// `wal-E+3` is the only durable copy of the open epoch's requests until
+/// that checkpoint is renamed into place. The recovery appends to it and
+/// never rewrites it, so a recovery cut short before the rename — here the
+/// checkpoint's temporary file cannot be created — leaves every segment
+/// as it found it, and the next recovery still reaches the never-crashed
+/// state. Rewriting the segment (truncate, then copy) would have left a
+/// window in which a crash loses admitted requests.
+#[test]
+fn a_per_epoch_recovery_cut_short_before_its_checkpoint_loses_no_request() {
+    let (cfg, want) = per_epoch_layout("per-epoch-cut");
+    let open = cfg.dir.join("wal-9.log");
+    // A modification time no write could leave, so any write shows.
+    let long_ago = std::time::UNIX_EPOCH + Duration::from_secs(86_400);
+    std::fs::File::options()
+        .append(true)
+        .open(&open)
+        .unwrap()
+        .set_modified(long_ago)
+        .unwrap();
+    let found: Vec<_> = (6..=9)
+        .map(|e| stamp(&cfg.dir.join(format!("wal-{e}.log"))))
+        .collect();
+
+    let blocker = cfg.dir.join("checkpoint.json.tmp");
+    std::fs::create_dir(&blocker).unwrap();
+    assert!(Daemon::recover(cfg.clone()).is_err());
+    std::fs::remove_dir(&blocker).unwrap();
+    let after: Vec<_> = (6..=9)
+        .map(|e| stamp(&cfg.dir.join(format!("wal-{e}.log"))))
+        .collect();
+    assert_eq!(after, found, "the cut-short recovery wrote to a segment");
+    assert_eq!(DaemonState::load(&cfg.dir).unwrap().unwrap().epoch, 6);
+
+    let daemon = Daemon::recover(cfg.clone()).unwrap().unwrap();
+    assert_eq!(daemon.current_state().canonical_json(), want);
+    drop(daemon);
+    assert_eq!(
+        stamp(&open),
+        found[3],
+        "the open epoch's segment was rewritten"
+    );
+    let left: Vec<u64> = segments(&cfg.dir).iter().map(|s| s.0).collect();
+    assert_eq!(left, vec![9]);
+    assert_eq!(DaemonState::load(&cfg.dir).unwrap().unwrap().epoch, 9);
+    std::fs::remove_dir_all(&cfg.dir).ok();
 }
 
 /// A checkpoint of epoch E first writes `wal-E.log`; a crash before its

@@ -1,12 +1,14 @@
-//! Registry-wide thread identity: for every committed trace fixture and
-//! every registry solver, the decision-ledger JSONL and the `total_cost`
-//! bit pattern are byte-identical at `MCS_THREADS` 1, 2 and 4. Parallel
+//! Registry-wide thread identity: for every committed trace fixture, one
+//! generated sequence above the solvers' parallel threshold, and every
+//! registry solver, the decision-ledger JSONL and the `total_cost` bit
+//! pattern are byte-identical at `MCS_THREADS` 1, 2 and 4. Parallel
 //! sections are an optimisation, never a behaviour change.
 
 use dp_greedy_suite::engine::{solvers, CachingSolver, RunContext};
-use dp_greedy_suite::model::par::THREADS_ENV;
+use dp_greedy_suite::model::par::{PARALLEL_THRESHOLD, THREADS_ENV};
 use dp_greedy_suite::model::{CostModel, RequestSeq};
 use dp_greedy_suite::trace::io::TraceFile;
+use dp_greedy_suite::trace::workload::{generate, WorkloadConfig};
 
 fn fixture_sequences() -> Vec<(String, RequestSeq)> {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/traces");
@@ -26,6 +28,18 @@ fn fixture_sequences() -> Vec<(String, RequestSeq)> {
         .collect()
 }
 
+/// A sequence of at least `PARALLEL_THRESHOLD` requests. The fixtures
+/// are all smaller, and below the threshold Phase 1, Phase 2 and the
+/// per-item solvers run serially at every `MCS_THREADS`, so only this
+/// one reaches their parallel paths.
+fn above_threshold() -> (String, RequestSeq) {
+    let mut cfg = WorkloadConfig::paper_like(3);
+    cfg.steps = 2000;
+    let seq = generate(&cfg);
+    assert!(seq.len() >= PARALLEL_THRESHOLD, "{} requests", seq.len());
+    ("paper_like_s3_2000".to_string(), seq)
+}
+
 fn fingerprint(s: &dyn CachingSolver, seq: &RequestSeq, ctx: &RunContext) -> (String, u64) {
     let solution = s.solve(seq, ctx);
     (
@@ -40,7 +54,7 @@ fn fingerprint(s: &dyn CachingSolver, seq: &RequestSeq, ctx: &RunContext) -> (St
 #[test]
 fn every_solver_is_thread_invariant_on_every_fixture() {
     let ctx = RunContext::new(CostModel::new(1.0, 2.0, 0.7).unwrap()).with_theta(0.3);
-    for (name, seq) in fixture_sequences() {
+    for (name, seq) in fixture_sequences().into_iter().chain([above_threshold()]) {
         for s in solvers() {
             if s.request_limit().is_some_and(|l| seq.len() > l) {
                 continue;
