@@ -5,10 +5,10 @@
 use mcs_bench::harness::{black_box, BenchmarkId, Criterion};
 use mcs_bench::{criterion_group, criterion_main};
 
-use dp_greedy::multi_item::{dp_greedy_multi, MultiItemConfig};
 use dp_greedy::two_phase::DpGreedyConfig;
 use dp_greedy::windowed::{dp_greedy_windowed, WindowedConfig};
 use mcs_bench::{bench_model, bench_trace, bench_workload};
+use mcs_engine::{find, RunContext};
 use mcs_model::HeteroCostModel;
 use mcs_offline::hetero::{hetero_exact, hetero_greedy};
 use mcs_offline::optimal;
@@ -59,8 +59,10 @@ fn variants_bench(c: &mut Criterion) {
     let model = bench_model();
     let mut g = c.benchmark_group("dp_greedy_variants");
     g.sample_size(10);
+    let multi = find("multi").expect("registered");
+    let ctx = RunContext::new(model).with_theta(0.3);
     g.bench_function("multi_item", |b| {
-        b.iter(|| dp_greedy_multi(black_box(&seq), &MultiItemConfig::new(model)).total_cost)
+        b.iter(|| multi.solve(black_box(&seq), &ctx).total_cost)
     });
     g.bench_function("windowed", |b| {
         b.iter(|| {

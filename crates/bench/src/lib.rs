@@ -36,25 +36,6 @@ pub fn bench_model() -> CostModel {
     mcs_model::defaults::default_model()
 }
 
-/// A paper-like workload with both the step count and the catalog size
-/// (`taxis` = items `k`) scaled — the input of the `bench_perf` scaling
-/// sweeps, where Phase 1's pair table grows with `k²` and Phase 2's
-/// work-unit count grows with `k`.
-pub fn perf_workload(steps: usize, taxis: usize) -> RequestSeq {
-    let mut cfg = WorkloadConfig::paper_like(BENCH_SEED);
-    cfg.steps = steps;
-    cfg.taxis = taxis;
-    // `paper_like` correlates only its original ten taxis; cycle the same
-    // affinity spread across the whole fleet so the perf workload keeps
-    // the paper's correlated co-access shape as `taxis` scales, instead
-    // of degenerating into mostly-independent singleton requests that
-    // give Phase 1 nothing to measure.
-    cfg.pair_affinity = (0..taxis / 2)
-        .map(|p| cfg.pair_affinity[p % cfg.pair_affinity.len()])
-        .collect();
-    generate(&cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

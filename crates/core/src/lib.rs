@@ -13,10 +13,13 @@
 //!
 //! Plus everything needed to evaluate it:
 //!
-//! * [`baselines`] — the paper's comparison algorithms: `Optimal`
-//!   (non-packing, per-item optimal off-line — the yardstick of Fig. 11/12)
-//!   and `Package_Served` (always pack — the other extreme of Fig. 13),
-//!   plus an all-greedy baseline for ablation.
+//! * [`baselines`] — per-pair costs of the paper's comparison algorithms:
+//!   `Optimal` (non-packing, per-item optimal off-line — the yardstick of
+//!   Fig. 11/12) and `Package_Served` (always pack — the other extreme of
+//!   Fig. 13). Over a whole sequence they run as the `mcs-engine`
+//!   registry's `optimal` and `package_served` rows.
+//! * [`multi_item`] — Phase 2 over packages of any size, which the engine's
+//!   `dpg_k` and `multi` rows run after the agglomerative K-matcher.
 //! * [`prescan`] — the Section V data structures (per-server doubly linked
 //!   lists `Q_j`, the `A[n]` index, the `pLast[m]` array and per-request
 //!   `m`-size pointer arrays) giving `O(1)` interval identification.
@@ -42,5 +45,4 @@ pub mod singleton_greedy;
 pub mod two_phase;
 pub mod windowed;
 
-pub use baselines::{optimal_non_packing, package_served, BaselineReport};
 pub use two_phase::{dp_greedy, DpGreedyConfig, DpGreedyReport, PairReport, SingletonReport};

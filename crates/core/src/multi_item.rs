@@ -18,48 +18,21 @@
 //!
 //! Groups of size 1 are served by the optimal off-line algorithm
 //! individually, as in the pairwise algorithm.
+//!
+//! This module is Phase 2 only ([`dp_greedy_packages`]). The engine's
+//! `dpg_k` solver runs both phases above K = 2, Phase 1 being
+//! [`mcs_correlation::agglomerative_packages`] over a
+//! [`mcs_correlation::PairTable`]; its `multi` row is the same pipeline
+//! at K = ∞.
 
 use std::collections::HashMap;
 
-use mcs_correlation::{agglomerative_packages, PackageSet, PairTable};
+use mcs_correlation::PackageSet;
 use mcs_model::par::par_map;
 use mcs_model::{CostModel, ItemId, RequestSeq, Schedule, ServerId, TimePoint};
 use mcs_offline::optimal;
 
-/// Configuration of a multi-item DP_Greedy run.
-#[derive(Debug, Clone, Copy)]
-pub struct MultiItemConfig {
-    /// Cost model `(μ, λ, α)`.
-    pub model: CostModel,
-    /// Grouping threshold (average-linkage Jaccard).
-    pub theta: f64,
-    /// Maximum package size (`2` recovers the paper's algorithm shape;
-    /// `usize::MAX` for unbounded).
-    pub max_group: usize,
-}
-
-impl MultiItemConfig {
-    /// Defaults: `θ = 0.3`, unbounded group size.
-    pub fn new(model: CostModel) -> Self {
-        MultiItemConfig {
-            model,
-            theta: 0.3,
-            max_group: usize::MAX,
-        }
-    }
-
-    /// Caps the package size.
-    pub fn with_max_group(mut self, max_group: usize) -> Self {
-        self.max_group = max_group;
-        self
-    }
-
-    /// Sets the grouping threshold.
-    pub fn with_theta(mut self, theta: f64) -> Self {
-        self.theta = theta;
-        self
-    }
-}
+use crate::two_phase::SingletonReport;
 
 /// Cost report for one multi-item group.
 #[derive(Debug, Clone)]
@@ -92,23 +65,12 @@ pub struct MultiItemReport {
     pub packages: PackageSet,
     /// Reports for packages of size ≥ 2.
     pub groups: Vec<GroupReport>,
-    /// Per-unpacked-item optimal costs.
-    pub singletons: Vec<(ItemId, f64)>,
+    /// Per-unpacked-item optimal costs and schedules.
+    pub singletons: Vec<SingletonReport>,
     /// Total cost.
     pub total_cost: f64,
     /// `Σ|d_i|`.
     pub total_accesses: usize,
-}
-
-impl MultiItemReport {
-    /// The `ave_cost` metric.
-    pub fn ave_cost(&self) -> f64 {
-        if self.total_accesses == 0 {
-            0.0
-        } else {
-            self.total_cost / self.total_accesses as f64
-        }
-    }
 }
 
 /// Serves one group's requests (Phase 2, group-generalised).
@@ -193,21 +155,28 @@ fn serve_group(seq: &RequestSeq, group: &[ItemId], model: &CostModel) -> GroupRe
 }
 
 /// Phase 2 over an already-computed [`PackageSet`] — the package-generic
-/// serving core shared by [`dp_greedy_multi`] and the engine's `dpg_k`
-/// solver. Packages and singletons are each served independently across
-/// worker threads via [`par_map`] (order-preserving, so reports and the
-/// in-order cost sums are deterministic for any `MCS_THREADS`).
+/// serving core of the engine's `multi` and `dpg_k` solvers. Packages
+/// and singletons are each served independently across worker threads
+/// via [`par_map`] (order-preserving, so reports and the in-order cost
+/// sums are deterministic for any `MCS_THREADS`).
 pub fn dp_greedy_packages(
     seq: &RequestSeq,
     packages: &PackageSet,
     model: &CostModel,
 ) -> MultiItemReport {
     let groups: Vec<GroupReport> = par_map(&packages.packages, |g| serve_group(seq, g, model));
-    let singletons: Vec<(ItemId, f64)> = par_map(&packages.singletons, |&item| {
-        (item, optimal(&seq.item_trace(item), model).cost)
+    let singletons: Vec<SingletonReport> = par_map(&packages.singletons, |&item| {
+        let trace = seq.item_trace(item);
+        let out = optimal(&trace, model);
+        SingletonReport {
+            item,
+            cost: out.cost,
+            accesses: trace.len(),
+            schedule: out.schedule,
+        }
     });
     let total_cost = groups.iter().map(GroupReport::total).sum::<f64>()
-        + singletons.iter().map(|&(_, c)| c).sum::<f64>();
+        + singletons.iter().map(|s| s.cost).sum::<f64>();
     MultiItemReport {
         packages: packages.clone(),
         groups,
@@ -217,35 +186,24 @@ pub fn dp_greedy_packages(
     }
 }
 
-/// Runs the multi-item DP_Greedy: agglomerative Phase 1 over the
-/// compressed pair table followed by the package-generic Phase 2.
-pub fn dp_greedy_multi(seq: &RequestSeq, config: &MultiItemConfig) -> MultiItemReport {
-    let table = PairTable::from_sequence(seq);
-    let packages = agglomerative_packages(&table, config.theta, config.max_group);
-    dp_greedy_packages(seq, &packages, &config.model)
-}
-
-mcs_model::impl_to_json!(GroupReport {
-    items,
-    package_cost,
-    partial_cost,
-    group_deliveries,
-    accesses,
-    package_schedule
-});
-mcs_model::impl_to_json!(MultiItemReport {
-    packages,
-    groups,
-    singletons,
-    total_cost,
-    total_accesses
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::two_phase::{dp_greedy, DpGreedyConfig};
+    use mcs_correlation::{agglomerative_packages, PairTable};
     use mcs_model::{approx_eq, RequestSeqBuilder};
+
+    /// Both phases of the K-package pipeline: the agglomerative K-matcher
+    /// at `theta` and cap `max_group`, then [`dp_greedy_packages`].
+    fn k_packages(
+        seq: &RequestSeq,
+        model: CostModel,
+        theta: f64,
+        max_group: usize,
+    ) -> MultiItemReport {
+        let packages = agglomerative_packages(&PairTable::from_sequence(seq), theta, max_group);
+        dp_greedy_packages(seq, &packages, &model)
+    }
 
     fn paper_sequence() -> RequestSeq {
         RequestSeqBuilder::new(4, 2)
@@ -284,12 +242,7 @@ mod tests {
     fn max_group_two_matches_pairwise_dp_greedy_on_the_paper_example() {
         let seq = paper_sequence();
         let model = CostModel::paper_example();
-        let multi = dp_greedy_multi(
-            &seq,
-            &MultiItemConfig::new(model)
-                .with_theta(0.4)
-                .with_max_group(2),
-        );
+        let multi = k_packages(&seq, model, 0.4, 2);
         let pair = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.4));
         assert!(
             approx_eq(multi.total_cost, pair.total_cost),
@@ -304,14 +257,14 @@ mod tests {
     fn bundle_is_grouped_as_a_trio() {
         let seq = bundle_sequence();
         let model = CostModel::new(1.0, 1.0, 0.6).unwrap();
-        let report = dp_greedy_multi(&seq, &MultiItemConfig::new(model));
+        let report = k_packages(&seq, model, 0.3, usize::MAX);
         assert_eq!(report.groups.len(), 1);
         assert_eq!(
             report.groups[0].items,
             vec![ItemId(0), ItemId(1), ItemId(2)]
         );
         assert_eq!(report.singletons.len(), 1);
-        assert_eq!(report.singletons[0].0, ItemId(3));
+        assert_eq!(report.singletons[0].item, ItemId(3));
     }
 
     #[test]
@@ -321,7 +274,7 @@ mod tests {
         // two of the three correlated items).
         let seq = bundle_sequence();
         let model = CostModel::new(1.0, 1.0, 0.4).unwrap();
-        let multi = dp_greedy_multi(&seq, &MultiItemConfig::new(model));
+        let multi = k_packages(&seq, model, 0.3, usize::MAX);
         let pair = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3));
         assert!(
             multi.total_cost < pair.total_cost + 1e-9,
@@ -335,7 +288,7 @@ mod tests {
     fn group_schedule_is_feasible() {
         let seq = bundle_sequence();
         let model = CostModel::new(1.0, 1.0, 0.6).unwrap();
-        let report = dp_greedy_multi(&seq, &MultiItemConfig::new(model));
+        let report = k_packages(&seq, model, 0.3, usize::MAX);
         let group = &report.groups[0];
         // Rebuild the co-trace and validate.
         let co: Vec<(f64, u32)> = seq
@@ -357,7 +310,7 @@ mod tests {
         b = b.push(2u32, 10.0, [0, 1]); // partial far away
         let seq = b.build().unwrap();
         let model = CostModel::new(1.0, 1.0, 0.3).unwrap();
-        let report = dp_greedy_multi(&seq, &MultiItemConfig::new(model).with_theta(0.2));
+        let report = k_packages(&seq, model, 0.2, usize::MAX);
         let group = &report.groups[0];
         assert_eq!(group.group_deliveries, 1);
         // Delivery cost α·3·λ = 0.9 vs 2 transfers (2·(9μ... the transfer
@@ -369,12 +322,12 @@ mod tests {
     fn accesses_are_conserved() {
         let seq = bundle_sequence();
         let model = CostModel::new(1.0, 1.0, 0.6).unwrap();
-        let report = dp_greedy_multi(&seq, &MultiItemConfig::new(model));
+        let report = k_packages(&seq, model, 0.3, usize::MAX);
         let attributed: usize = report.groups.iter().map(|g| g.accesses).sum::<usize>()
             + report
                 .singletons
                 .iter()
-                .map(|&(d, _)| seq.count_containing(d))
+                .map(|s| seq.count_containing(s.item))
                 .sum::<usize>();
         assert_eq!(attributed, report.total_accesses);
     }

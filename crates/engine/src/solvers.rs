@@ -14,16 +14,14 @@
 //!   cross-validation of the fast/exhaustive cost against the covering
 //!   DP's schedule.
 //! * Aggregate-only solvers (`online_dpg`, `resilient`, the partial
-//!   serving of `multi`) emit channel-attributed lump costs.
+//!   serving of `multi` and `dpg_k`) emit channel-attributed lump costs.
 //!
 //! Whole-run aggregates that have no natural single subject are
 //! attributed to `Subject::Item(0)` by convention.
 
 use dp_greedy::baselines::package_served_pair;
 use dp_greedy::ledger::arm_name;
-use dp_greedy::multi_item::{
-    dp_greedy_multi, dp_greedy_packages, MultiItemConfig, MultiItemReport,
-};
+use dp_greedy::multi_item::dp_greedy_packages;
 use dp_greedy::singleton_greedy::SingletonGreedyOutcome;
 use dp_greedy::two_phase::{dp_greedy, DpGreedyConfig, DpGreedyReport};
 use dp_greedy::windowed::slice_windows;
@@ -354,24 +352,30 @@ impl CachingSolver for PackageServedSolver {
     }
 }
 
-/// Emits the parts of one [`MultiItemReport`]: per package, an explicit
-/// schedule at group rates plus aggregate package/transfer channels for
-/// the partial-subset serving; per singleton, the re-derived per-item
-/// optimal schedule. Shared by [`MultiSolver`] and [`KPackSolver`].
-fn multi_report_parts(
+/// The K-package pipeline above the pairwise shape: the agglomerative
+/// K-matcher over a [`PairTable`] at `theta` and cap `max_group`, then the
+/// package-generic Phase 2. Returns the parts and the total cost. Per
+/// package the parts are an explicit schedule at group rates plus
+/// aggregate package/transfer channels for the partial-subset serving;
+/// per singleton, its optimal schedule. Shared by [`MultiSolver`] and
+/// [`KPackSolver`].
+fn k_package_parts(
     seq: &RequestSeq,
-    report: &MultiItemReport,
     model: &CostModel,
-) -> Vec<SolutionPart> {
+    theta: f64,
+    max_group: usize,
+) -> (Vec<SolutionPart>, f64) {
+    let packages = agglomerative_packages(&PairTable::from_sequence(seq), theta, max_group);
+    let report = dp_greedy_packages(seq, &packages, model);
     let horizon = seq.horizon();
     let mut parts = Vec::new();
-    for g in &report.groups {
+    for g in report.groups {
         let k = g.items.len() as u32;
         let subject = Subject::Pair(g.items[0].0, g.items[1].0);
         parts.push(SolutionPart::Schedule {
             phase: "phase2.package",
             subject,
-            schedule: g.package_schedule.clone(),
+            schedule: g.package_schedule,
             mu: model.cache_rate_package(k),
             lambda: model.transfer_cost_package(k),
         });
@@ -399,25 +403,24 @@ fn multi_report_parts(
             });
         }
     }
-    for &(item, _) in &report.singletons {
-        // Singleton cost is the per-item optimum; re-derive the
-        // schedule (deterministic) for exact events.
-        let out = optimal(&seq.item_trace(item), model);
+    for s in report.singletons {
         parts.push(SolutionPart::Schedule {
             phase: "offline",
-            subject: Subject::Item(item.0),
-            schedule: out.schedule,
+            subject: Subject::Item(s.item.0),
+            schedule: s.schedule,
             mu: model.mu(),
             lambda: model.lambda(),
         });
     }
-    parts
+    (parts, report.total_cost)
 }
 
-/// Multi-item DP_Greedy (groups beyond pairs). Full-group co-requests
-/// get an explicit package schedule at group rates; partial-subset
-/// serving is aggregate-only, split into its package-delivery portion
-/// and the individually-served remainder.
+/// Multi-item DP_Greedy (groups beyond pairs): [`KPackSolver`]'s K-package
+/// pipeline at K = ∞ and the context's fixed `θ` (it ignores
+/// `max_group` and `adaptive`). Full-group co-requests get an explicit
+/// package schedule at group rates; partial-subset serving is
+/// aggregate-only, split into its package-delivery portion and the
+/// individually-served remainder.
 pub struct MultiSolver;
 
 impl CachingSolver for MultiSolver {
@@ -431,14 +434,12 @@ impl CachingSolver for MultiSolver {
         "multi-item DP_Greedy: agglomerative grouping beyond pairs"
     }
     fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
-        let model = &ctx.model();
-        let report = dp_greedy_multi(seq, &MultiItemConfig::new(*model).with_theta(ctx.theta));
-        let parts = multi_report_parts(seq, &report, model);
+        let (parts, total_cost) = k_package_parts(seq, &ctx.model(), ctx.theta, usize::MAX);
         Solution {
             algo: self.name(),
             kind: self.kind(),
-            total_cost: report.total_cost,
-            total_accesses: report.total_accesses,
+            total_cost,
+            total_accesses: seq.total_item_accesses(),
             parts,
         }
     }
@@ -489,14 +490,12 @@ impl CachingSolver for KPackSolver {
                 parts,
             };
         }
-        let packages = agglomerative_packages(&PairTable::from_sequence(seq), theta, ctx.max_group);
-        let report = dp_greedy_packages(seq, &packages, model);
-        let parts = multi_report_parts(seq, &report, model);
+        let (parts, total_cost) = k_package_parts(seq, model, theta, ctx.max_group);
         Solution {
             algo: self.name(),
             kind: self.kind(),
-            total_cost: report.total_cost,
-            total_accesses: report.total_accesses,
+            total_cost,
+            total_accesses: seq.total_item_accesses(),
             parts,
         }
     }
@@ -874,5 +873,86 @@ impl CachingSolver for ResilientSolver {
             total_accesses: seq.total_item_accesses(),
             parts,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::find;
+    use dp_greedy::baselines::optimal_pair;
+    use dp_greedy::paper_example::paper_sequence;
+    use mcs_model::approx_eq;
+
+    /// Solves `seq` with the registry row `name` under `model` and `theta`.
+    fn run(name: &str, seq: &RequestSeq, model: CostModel, theta: f64) -> Solution {
+        let ctx = RunContext::new(model).with_theta(theta);
+        find(name).expect("registered").solve(seq, &ctx)
+    }
+
+    #[test]
+    fn optimal_baseline_sums_per_item_optima() {
+        let seq = paper_sequence();
+        let model = CostModel::paper_example();
+        let r = run("optimal", &seq, model, 0.3);
+        assert_eq!(r.parts.len(), 2);
+        assert!(approx_eq(
+            r.total_cost,
+            r.parts.iter().map(|p| p.cost(r.total_cost)).sum::<f64>()
+        ));
+        assert!(approx_eq(
+            r.total_cost,
+            optimal_pair(&seq, ItemId(0), ItemId(1), &model)
+        ));
+        assert_eq!(r.total_accesses, 10);
+    }
+
+    #[test]
+    fn greedy_baseline_is_at_least_optimal() {
+        let seq = paper_sequence();
+        let model = CostModel::paper_example();
+        let o = run("optimal", &seq, model, 0.3);
+        let g = run("greedy", &seq, model, 0.3);
+        assert!(g.total_cost >= o.total_cost - 1e-9);
+        assert!(g.total_cost <= 2.0 * o.total_cost + 1e-9);
+    }
+
+    #[test]
+    fn tiny_alpha_makes_package_served_win() {
+        // With α → small the always-pack extreme must beat per-item optimal
+        // (Fig. 13, α = 0.2 panel).
+        let seq = paper_sequence();
+        let model = CostModel::new(1.0, 1.0, 0.2).unwrap();
+        let ps = run("package_served", &seq, model, 0.3);
+        let opt = run("optimal", &seq, model, 0.3);
+        assert!(ps.total_cost < opt.total_cost);
+    }
+
+    #[test]
+    fn large_alpha_makes_package_served_lose() {
+        // With α = 1 there is no discount: always-packing pays double rates
+        // on the union trace and must lose (Fig. 13, α = 0.8 trend).
+        let seq = paper_sequence();
+        let model = CostModel::new(1.0, 1.0, 1.0).unwrap();
+        let ps = run("package_served", &seq, model, 0.3);
+        let opt = run("optimal", &seq, model, 0.3);
+        assert!(ps.total_cost > opt.total_cost);
+    }
+
+    #[test]
+    fn package_served_with_prohibitive_theta_equals_optimal() {
+        let seq = paper_sequence();
+        let model = CostModel::paper_example();
+        let ps = run("package_served", &seq, model, 0.99);
+        let opt = run("optimal", &seq, model, 0.99);
+        assert!(approx_eq(ps.total_cost, opt.total_cost));
+    }
+
+    #[test]
+    fn reports_expose_ave_cost() {
+        let seq = paper_sequence();
+        let model = CostModel::paper_example();
+        let r = run("optimal", &seq, model, 0.3);
+        assert!(approx_eq(r.ave_cost(), r.total_cost / 10.0));
     }
 }

@@ -10,11 +10,10 @@
 //! * **Threshold θ** — full-pipeline `ave_cost` across θ, motivating the
 //!   paper's θ = 0.3.
 
-use crate::par::{par_map, par_map_range};
-
 use dp_greedy::two_phase::{dp_greedy, DpGreedyConfig};
 use mcs_correlation::exact::{exact_matching, packing_weight};
 use mcs_correlation::{greedy_matching, JaccardMatrix};
+use mcs_model::par::{par_map, par_map_range};
 use mcs_model::{CostModel, ItemId};
 use mcs_offline::{greedy::greedy, optimal};
 use mcs_trace::workload::{generate, WorkloadConfig};

@@ -7,9 +7,8 @@
 //! cost-oriented algorithms (per-item Optimal and DP_Greedy) on the same
 //! city workload.
 
-use crate::par::par_map;
-
 use mcs_engine::{find, CachingSolver, RunContext};
+use mcs_model::par::par_map;
 use mcs_model::CostModel;
 use mcs_online::capacity::{capacity_run, EvictionPolicy};
 use mcs_trace::workload::{generate, WorkloadConfig};

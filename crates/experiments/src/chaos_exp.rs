@@ -19,10 +19,9 @@
 //!   plans slightly more than unpacked ones — robustness is part of the
 //!   packing trade-off.
 
-use crate::par::par_map;
-
 use mcs_engine::{find, CachingSolver, RunContext};
 use mcs_model::fault::FaultPlan;
+use mcs_model::par::par_map;
 use mcs_model::CostModel;
 use mcs_sim::fleet::chaos_solver;
 use mcs_trace::workload::{generate, WorkloadConfig};

@@ -13,12 +13,11 @@
 //! non-packing Optimal across α, on both the drifting and a stationary
 //! control workload.
 
-use crate::par::par_map;
-use mcs_model::rng::Rng;
-
 use dp_greedy::two_phase::DpGreedyConfig;
 use dp_greedy::windowed::{dp_greedy_windowed, WindowedConfig};
 use mcs_engine::{find, CachingSolver, RunContext};
+use mcs_model::par::par_map;
+use mcs_model::rng::Rng;
 use mcs_model::{CostModel, RequestSeq, RequestSeqBuilder};
 
 use crate::table::{fmt_f, Table};

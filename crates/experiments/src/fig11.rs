@@ -7,11 +7,10 @@
 //! Jaccard similarity, with break-even around `J ≈ 0.3` — which is exactly
 //! why its experiments set `θ = 0.3`.
 
-use crate::par::par_map;
-
 use dp_greedy::baselines::optimal_pair;
 use dp_greedy::ledger::pair_ledger;
 use dp_greedy::two_phase::{dp_greedy_pair, DpGreedyConfig};
+use mcs_model::par::par_map;
 use mcs_model::{CostModel, ItemId};
 use mcs_trace::workload::{generate, WorkloadConfig};
 

@@ -7,10 +7,9 @@
 //! favourable; the first request of each server always needs a transfer,
 //! which tilts the peak right of `ρ = 1`.
 
-use crate::par::par_map;
-
 use mcs_engine::{find, CachingSolver, RunContext};
 use mcs_model::defaults::{DEFAULT_ALPHA, DEFAULT_THETA, RATE_SUM};
+use mcs_model::par::par_map;
 use mcs_model::CostModelBuilder;
 use mcs_trace::workload::{generate, WorkloadConfig};
 

@@ -12,11 +12,10 @@
 //! Package_Served deteriorates while DP_Greedy tracks the better of the
 //! two extremes thanks to its selective packing.
 
-use crate::par::par_map;
-
 use dp_greedy::baselines::{optimal_pair, package_served_pair};
 use dp_greedy::ledger::{optimal_pair_ledger, pair_ledger};
 use dp_greedy::two_phase::{dp_greedy_pair, DpGreedyConfig};
+use mcs_model::par::par_map;
 use mcs_model::{CostModel, ItemId};
 use mcs_trace::workload::{generate, WorkloadConfig};
 

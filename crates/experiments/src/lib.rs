@@ -17,8 +17,7 @@
 //! | [`plane_exp`]| —       | hetero/tiered cost planes vs the homogeneous projection |
 //!
 //! All sweeps are deterministic (seeded workloads) and parallelised with
-//! the shared [`par`] helper (now hosted by `mcs_model::par`) where
-//! points are independent. The `figures` binary drives them from the
+//! [`mcs_model::par`] where points are independent. The `figures` binary drives them from the
 //! command line. The whole-sequence runners (`fig12`, `drift_exp`,
 //! `capacity_exp`, `chaos_exp`) resolve their algorithms from the
 //! `mcs-engine` registry and expose `run_with(&dyn CachingSolver, ...)`
@@ -39,7 +38,6 @@ pub mod fig12;
 pub mod fig13;
 pub mod multi_exp;
 pub mod online_exp;
-pub mod par;
 pub mod plane_exp;
 pub mod ratio_exp;
 pub mod replication;

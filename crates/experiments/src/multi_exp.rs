@@ -8,15 +8,13 @@
 //!
 //! * **pairwise DP_Greedy** (the paper's algorithm — at most 2 items/package),
 //! * **multi-item DP_Greedy** with unbounded groups (the future-work
-//!   extension), and
-//! * the non-packing **Optimal** yardstick.
+//!   extension; the registry's `multi` row), and
+//! * the non-packing **Optimal** yardstick (the `optimal` row).
 
-use crate::par::par_map;
-use mcs_model::rng::Rng;
-
-use dp_greedy::baselines::optimal_non_packing;
-use dp_greedy::multi_item::{dp_greedy_multi, MultiItemConfig};
 use dp_greedy::two_phase::{dp_greedy, DpGreedyConfig};
+use mcs_engine::{find, RunContext};
+use mcs_model::par::par_map;
+use mcs_model::rng::Rng;
 use mcs_model::{CostModel, RequestSeq, RequestSeqBuilder};
 
 use crate::table::{fmt_f, Table};
@@ -79,16 +77,17 @@ pub fn run(seed: u64) -> MultiExp {
     let seq = bundle_workload(12, 3, 900, 0.6, seed);
     let requests = seq.len();
     let alphas = [0.2, 0.4, 0.6, 0.8];
+    let multi = find("multi").expect("registered");
+    let optimal = find("optimal").expect("registered");
     let rows: Vec<MultiRow> = par_map(&alphas, |&alpha| {
         let model = CostModel::new(2.0, 4.0, alpha).expect("valid");
+        let ctx = RunContext::new(model).with_theta(0.3);
         let pairwise = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3));
-        let multi = dp_greedy_multi(&seq, &MultiItemConfig::new(model).with_theta(0.3));
-        let opt = optimal_non_packing(&seq, &model);
         MultiRow {
             alpha,
             pairwise: pairwise.ave_cost(),
-            multi: multi.ave_cost(),
-            optimal: opt.ave_cost(),
+            multi: multi.solve(&seq, &ctx).ave_cost(),
+            optimal: optimal.solve(&seq, &ctx).ave_cost(),
         }
     });
     MultiExp { rows, requests }

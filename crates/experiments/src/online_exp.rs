@@ -4,8 +4,7 @@
 //! ski-rental, always-transfer and cache-everywhere; the table reports the
 //! measured competitive ratio of each against the off-line optimum.
 
-use crate::par::{par_map, par_map_range};
-
+use mcs_model::par::{par_map, par_map_range};
 use mcs_model::{CostModel, ItemId};
 use mcs_online::extremes::{always_transfer, cache_everywhere};
 use mcs_online::harness::competitive_ratio;

@@ -4,11 +4,10 @@
 //! computable) are solved by both DP_Greedy and the exact packed-model DP;
 //! the worst observed ratio per α is reported against the theorem's bound.
 
-use crate::par::par_map_range;
-use mcs_model::rng::Rng;
-
 use dp_greedy::ratio::ratio_check;
 use dp_greedy::two_phase::DpGreedyConfig;
+use mcs_model::par::par_map_range;
+use mcs_model::rng::Rng;
 use mcs_model::{CostModel, ItemId, RequestSeq, RequestSeqBuilder};
 
 use crate::table::{fmt_f, Table};

@@ -7,8 +7,7 @@
 //! replication is worth — and how far the always-migrate heuristic (the
 //! upper end of \[8\]'s `1 + C/S` analysis) falls behind.
 
-use crate::par::par_map_range;
-
+use mcs_model::par::par_map_range;
 use mcs_model::{CostModel, ItemId};
 use mcs_offline::optimal;
 use mcs_offline::single_copy::{single_copy_always_migrate, single_copy_optimal};

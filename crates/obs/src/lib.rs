@@ -9,7 +9,7 @@
 //! * [`metrics`] — a lightweight span/counter/histogram registry with
 //!   **thread-local collection**: each thread accumulates into its own
 //!   buffer, which is merged into a global aggregate when the thread
-//!   exits (covering the scoped worker threads of `mcs-experiments::par`)
+//!   exits (covering the worker threads of `mcs_model::par`)
 //!   or when a [`metrics::snapshot`] is taken. Recording is gated by one
 //!   relaxed atomic so disabled overhead is a single load.
 //! * [`span`](mod@span) — RAII wall-clock timers feeding the registry;

@@ -58,7 +58,9 @@ fn main() {
         online.cost, online.package_transfers, online.repackings
     );
 
-    let opt = optimal_non_packing(&seq, &model);
+    let opt = find("optimal")
+        .expect("registered")
+        .solve(&seq, &RunContext::new(model));
     println!(
         "\nreference: non-packing Optimal ave_cost = {:.4}",
         opt.ave_cost()

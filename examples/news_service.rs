@@ -64,7 +64,9 @@ fn main() {
     let model = CostModel::new(1.0, 2.0, 0.7).expect("valid model");
     let config = DpGreedyConfig::new(model).with_theta(0.3);
     let dpg = dp_greedy(&seq, &config);
-    let opt = optimal_non_packing(&seq, &model);
+    let opt = find("optimal")
+        .expect("registered")
+        .solve(&seq, &RunContext::new(model));
     println!(
         "\nDP_Greedy ave_cost = {:.4} vs Optimal (non-packing) {:.4} ({:+.1}%)",
         dpg.ave_cost(),

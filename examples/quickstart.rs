@@ -37,7 +37,9 @@ fn main() {
     println!("ave_cost       = {:.4}", report.ave_cost());
 
     // Compare against the non-packing Optimal yardstick.
-    let opt = optimal_non_packing(&seq, &model);
+    let opt = find("optimal")
+        .expect("registered")
+        .solve(&seq, &RunContext::new(model));
     println!(
         "\nOptimal (non-packing) total = {:.4}; DP_Greedy saves {:.1}%",
         opt.total_cost,

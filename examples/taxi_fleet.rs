@@ -42,9 +42,9 @@ fn main() {
     let config = DpGreedyConfig::new(model).with_theta(0.3);
 
     let dpg = dp_greedy(&seq, &config);
-    let opt = optimal_non_packing(&seq, &model);
-    let grd = greedy_non_packing(&seq, &model);
-    let pkg = package_served(&seq, &model, 0.3);
+    let ctx = RunContext::new(model).with_theta(0.3);
+    let [opt, grd, pkg] = ["optimal", "greedy", "package_served"]
+        .map(|name| find(name).expect("registered").solve(&seq, &ctx));
 
     println!("\npacked pairs (J > 0.3): {:?}", dpg.packing.pairs);
     println!("\n{:<16} {:>12} {:>10}", "algorithm", "total", "ave_cost");

@@ -1,5 +1,8 @@
-//! Shared CLI plumbing: error taxonomy, usage text, flag parsing, and the
-//! `--metrics` summary printer. Subcommand logic lives in [`crate::commands`].
+//! Shared CLI plumbing: error taxonomy, usage text, flag parsing, the
+//! report writer, and the `--metrics` summary printer. Subcommand logic
+//! lives in [`crate::commands`].
+
+use std::io::{ErrorKind, Write};
 
 use dp_greedy_suite::engine::RunContext;
 use dp_greedy_suite::model::defaults::{DEFAULT_ALPHA, DEFAULT_LAMBDA, DEFAULT_MU, DEFAULT_THETA};
@@ -33,8 +36,6 @@ pub fn print_usage() {
     eprintln!(
         "usage:\n  dpg generate --out FILE [--seed N] [--steps N] [--taxis N]\n  \
          dpg stats FILE\n  \
-         dpg solve FILE [--algo dpg|optimal|greedy|package|multi] \
-         [--mu X] [--lambda X] [--alpha X] [--theta X]\n  \
          dpg algos [--json]\n  \
          dpg run --algo NAME [FILE] [--mu X] [--lambda X] [--alpha X] [--theta X] \
          [--max-group K] [--adaptive] [--cost-model FILE] [--json]\n  \
@@ -58,6 +59,22 @@ pub fn print_usage() {
          at a homogeneous, hetero, or tiered cost-plane JSON); every subcommand \
          also accepts --metrics (print the obs summary)"
     );
+}
+
+/// Writes a command's report to locked stdout through `write`. A reader
+/// that closed the pipe early (`dpg stats FILE | head -1`) ends the
+/// command quietly with exit 0; any other write failure is a runtime
+/// error.
+pub fn write_report(
+    write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
+    match write(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            Err(CliError::Runtime(format!("cannot write to stdout: {e}")))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// Rejects flags the subcommand does not know. `value_flags` consume the

@@ -11,7 +11,6 @@ pub mod explain;
 pub mod generate;
 pub mod run_algo;
 pub mod serve;
-pub mod solve;
 pub mod stats;
 pub mod svg;
 pub mod top;

@@ -7,7 +7,7 @@
 //! reconciled against the solver's reported total before anything is
 //! printed, so a success exit certifies the accounting.
 
-use crate::cli::{check_flags, parse_flag, solver_flags, CliError};
+use crate::cli::{check_flags, parse_flag, solver_flags, write_report, CliError};
 use dp_greedy_suite::dp_greedy::paper_example;
 use dp_greedy_suite::engine::{find, SolverKind};
 use dp_greedy_suite::model::json::Json;
@@ -102,7 +102,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     // (pinned across the whole registry by `tests/cli_empty_trace.rs`).
     if seq.requests().is_empty() {
         eprintln!("warning: {source} contains no requests; emitting the zero-cost empty solution");
-        if args.iter().any(|a| a == "--json") {
+        return if args.iter().any(|a| a == "--json") {
             let doc = Json::Obj(vec![
                 ("algo".into(), Json::Str(solver.name().into())),
                 ("kind".into(), Json::Str(solver.kind().label().into())),
@@ -112,16 +112,21 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
                 ("total_accesses".into(), Json::Num(0.0)),
                 ("reconciliation_gap".into(), Json::Num(0.0)),
             ]);
-            println!("{}", doc.to_string_pretty());
+            write_report(|out| writeln!(out, "{}", doc.to_string_pretty()))
         } else {
-            println!(
-                "{} ({}) on {source}: μ={mu} λ={lambda} α={alpha} θ={theta}{knobs}",
-                solver.name(),
-                solver.kind().label()
-            );
-            println!("total=0.0000 ave_cost=0.000000 (0 item accesses, ledger gap 0.0e0)");
-        }
-        return Ok(());
+            write_report(|out| {
+                writeln!(
+                    out,
+                    "{} ({}) on {source}: μ={mu} λ={lambda} α={alpha} θ={theta}{knobs}",
+                    solver.name(),
+                    solver.kind().label()
+                )?;
+                writeln!(
+                    out,
+                    "total=0.0000 ave_cost=0.000000 (0 item accesses, ledger gap 0.0e0)"
+                )
+            })
+        };
     }
 
     // Shape gate: a solver that cannot price this cost plane (or fleet
@@ -162,27 +167,31 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             ),
             ("reconciliation_gap".into(), Json::Num(gap)),
         ]);
-        println!("{}", doc.to_string_pretty());
-        return Ok(());
+        return write_report(|out| writeln!(out, "{}", doc.to_string_pretty()));
     }
 
-    println!(
-        "{} ({}) on {source}: μ={mu} λ={lambda} α={alpha} θ={theta}{knobs}",
-        sol.algo,
-        sol.kind.label()
-    );
-    println!(
-        "total={:.4} ave_cost={:.6} ({} item accesses, ledger gap {gap:.1e})",
-        sol.total_cost,
-        sol.ave_cost(),
-        sol.total_accesses
-    );
-    if sol.kind == SolverKind::Offline {
-        let b = ledger.breakdown();
-        println!(
-            "breakdown: cache {:.4} + transfer {:.4} + package_delivery {:.4}",
-            b.cache, b.transfer, b.package_delivery
-        );
-    }
-    Ok(())
+    write_report(|out| {
+        writeln!(
+            out,
+            "{} ({}) on {source}: μ={mu} λ={lambda} α={alpha} θ={theta}{knobs}",
+            sol.algo,
+            sol.kind.label()
+        )?;
+        writeln!(
+            out,
+            "total={:.4} ave_cost={:.6} ({} item accesses, ledger gap {gap:.1e})",
+            sol.total_cost,
+            sol.ave_cost(),
+            sol.total_accesses
+        )?;
+        if sol.kind == SolverKind::Offline {
+            let b = ledger.breakdown();
+            writeln!(
+                out,
+                "breakdown: cache {:.4} + transfer {:.4} + package_delivery {:.4}",
+                b.cache, b.transfer, b.package_delivery
+            )?;
+        }
+        Ok(())
+    })
 }

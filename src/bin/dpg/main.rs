@@ -3,10 +3,9 @@
 //! ```text
 //! dpg generate --out trace.json [--seed N] [--steps N] [--taxis N]
 //! dpg stats trace.json
-//! dpg solve trace.json [--algo dpg|optimal|greedy|package|multi]
-//!                      [--mu X] [--lambda X] [--alpha X] [--theta X]
 //! dpg algos [--json]
-//! dpg run --algo NAME [trace.json] [--mu X] [--lambda X] [--alpha X] [--theta X] [--json]
+//! dpg run --algo NAME [trace.json] [--mu X] [--lambda X] [--alpha X] [--theta X]
+//!         [--max-group K] [--adaptive] [--cost-model FILE] [--json]
 //! dpg serve --dir DIR [--input FILE] [--algo NAME] [--epoch-len N] [--dump-state]
 //!           [--telemetry-addr HOST:PORT] [--telemetry-file PATH] [--dump-journal]
 //! dpg top (--addr HOST:PORT | --file PATH) [--interval-ms N] [--journal N]
@@ -60,7 +59,6 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "generate" => commands::generate::run(rest),
         "stats" => commands::stats::run(rest),
-        "solve" => commands::solve::run(rest),
         "algos" => commands::algos::run(rest),
         "run" => commands::run_algo::run(rest),
         "serve" => commands::serve::run(rest),

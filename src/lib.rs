@@ -17,7 +17,7 @@
 //! * [`model`] — requests, cost model, schedules, validation
 //! * [`correlation`] — Phase 1: Jaccard analysis and matching
 //! * [`offline`] — the optimal off-line substrate of \[6\] + baselines
-//! * [`dp_greedy`] — the paper's two-phase algorithm and baselines
+//! * [`dp_greedy`] — the paper's two-phase algorithm and per-pair baselines
 //! * [`online`] — on-line extension (ski-rental family)
 //! * [`engine`] — the solver registry: one `CachingSolver` trait over
 //!   every algorithm, plus the shared `RunContext`/`Solution` types
@@ -42,9 +42,6 @@ pub use mcs_trace as trace;
 
 /// Commonly used items, for glob import in examples.
 pub mod prelude {
-    pub use dp_greedy::baselines::{
-        greedy_non_packing, optimal_non_packing, package_served, BaselineReport,
-    };
     pub use dp_greedy::two_phase::{dp_greedy, dp_greedy_pair, DpGreedyConfig, DpGreedyReport};
     pub use mcs_correlation::{
         adaptive_theta, agglomerative_grouping, agglomerative_packages, greedy_matching,

@@ -1,5 +1,6 @@
 //! End-to-end test of the `dpg` command-line tool: generate → stats →
-//! solve, exercising the trace IO format across a process boundary.
+//! `run --algo`, exercising the trace IO format across a process
+//! boundary, plus exit codes, determinism and closed-stdout handling.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -58,9 +59,9 @@ fn generate_stats_solve_round_trip() {
 
     for algo in ["dpg", "optimal", "greedy", "package", "multi"] {
         let out = dpg()
-            .args(["solve", path.to_str().unwrap(), "--algo", algo])
+            .args(["run", "--algo", algo, path.to_str().unwrap()])
             .output()
-            .expect("run dpg solve");
+            .expect("run dpg run");
         assert!(
             out.status.success(),
             "algo {algo}: {}",
@@ -113,10 +114,10 @@ fn svg_subcommand_writes_a_drawing() {
 #[test]
 fn solve_rejects_unknown_algorithms_and_missing_files() {
     let out = dpg()
-        .args(["solve", "/nonexistent/trace.json"])
+        .args(["run", "--algo", "dpg", "/nonexistent/trace.json"])
         .output()
         .expect("run dpg");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(1));
 
     let path = temp_trace_path("badalgo");
     dpg()
@@ -124,11 +125,43 @@ fn solve_rejects_unknown_algorithms_and_missing_files() {
         .output()
         .expect("generate");
     let out = dpg()
-        .args(["solve", path.to_str().unwrap(), "--algo", "nope"])
+        .args(["run", "--algo", "nope", path.to_str().unwrap()])
         .output()
         .expect("run dpg");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown algorithm"));
+    std::fs::remove_file(&path).ok();
+
+    // The retired `dpg solve` is an unknown command.
+    let out = dpg()
+        .args(["solve", "/nonexistent/trace.json"])
+        .output()
+        .expect("run dpg");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("error: unknown command solve"));
+}
+
+/// A reader that closes the pipe early (`dpg stats FILE | head -1`) ends
+/// the report quietly: exit 0 and no panic.
+#[test]
+fn reports_to_a_closed_stdout_exit_zero_without_a_panic() {
+    let path = temp_trace_path("closed-stdout");
+    let out = dpg()
+        .args(["generate", "--out", path.to_str().unwrap(), "--steps", "50"])
+        .output()
+        .expect("generate");
+    assert!(out.status.success());
+    for argv in [
+        vec!["stats", path.to_str().unwrap()],
+        vec!["run", "--algo", "dpg", path.to_str().unwrap()],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = dpg().args(&argv).stdout(writer).output().expect("run dpg");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{argv:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -161,7 +194,7 @@ fn usage_errors_exit_2_and_runtime_errors_exit_1() {
     );
 
     let out = dpg()
-        .args(["solve", "--mu"]) // flag without value
+        .args(["run", "--algo", "dpg", "--mu"]) // flag without value
         .output()
         .expect("run dpg");
     assert_eq!(out.status.code(), Some(2));

@@ -116,6 +116,8 @@ fn theta_zero_packs_maximally_and_theta_one_packs_nothing() {
     let none = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(1.0));
     assert!(!all.packing.pairs.is_empty());
     assert!(none.packing.pairs.is_empty());
-    let opt = optimal_non_packing(&seq, &model);
+    let opt = find("optimal")
+        .unwrap()
+        .solve(&seq, &RunContext::new(model));
     assert!((none.total_cost - opt.total_cost).abs() < 1e-6);
 }

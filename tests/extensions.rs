@@ -2,7 +2,7 @@
 //! mutual-consistency relations that must hold across crates on a real
 //! city workload.
 
-use dp_greedy_suite::dp_greedy::multi_item::{dp_greedy_multi, MultiItemConfig};
+use dp_greedy_suite::dp_greedy::multi_item::dp_greedy_packages;
 use dp_greedy_suite::dp_greedy::windowed::{dp_greedy_windowed, WindowedConfig};
 use dp_greedy_suite::online::capacity::{capacity_run, EvictionPolicy};
 use dp_greedy_suite::online::online_dpg::{online_dp_greedy, OnlineDpgConfig};
@@ -20,12 +20,8 @@ fn multi_item_with_pair_cap_matches_pairwise_on_the_city() {
     let seq = city();
     let model = CostModel::new(2.0, 4.0, 0.8).unwrap();
     let pairwise = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3));
-    let multi = dp_greedy_multi(
-        &seq,
-        &MultiItemConfig::new(model)
-            .with_theta(0.3)
-            .with_max_group(2),
-    );
+    let packages = agglomerative_packages(&PairTable::from_sequence(&seq), 0.3, 2);
+    let multi = dp_greedy_packages(&seq, &packages, &model);
     // Same θ on the same statistics: Phase 1 picks the same pairs, so the
     // costs coincide whenever the agglomerative and matching orders agree
     // — which they do for disjoint high-affinity taxi pairs.

@@ -58,8 +58,9 @@ fn dp_greedy_beats_every_baseline_on_the_designed_workload() {
     let config = DpGreedyConfig::new(model).with_theta(0.3);
 
     let dpg = dp_greedy(&seq, &config).total_cost;
-    let opt = optimal_non_packing(&seq, &model).total_cost;
-    let grd = greedy_non_packing(&seq, &model).total_cost;
+    let ctx = RunContext::new(model);
+    let opt = find("optimal").unwrap().solve(&seq, &ctx).total_cost;
+    let grd = find("greedy").unwrap().solve(&seq, &ctx).total_cost;
 
     assert!(dpg < opt, "DP_Greedy {dpg} should beat Optimal {opt}");
     assert!(opt < grd, "Optimal {opt} should beat plain Greedy {grd}");
