@@ -14,7 +14,7 @@
 //! experiment (`mcs-experiments::drift_exp`) shows when adaptation beats
 //! a single global packing despite that overhead.
 
-use mcs_model::{CostModel, Request, RequestSeq, RequestSeqBuilder};
+use mcs_model::{Request, RequestSeq, RequestSeqBuilder};
 
 use crate::two_phase::{dp_greedy, DpGreedyConfig, DpGreedyReport};
 
@@ -130,25 +130,6 @@ pub fn dp_greedy_windowed(seq: &RequestSeq, config: &WindowedConfig) -> Windowed
     }
 }
 
-/// Adaptive θ selection: evaluates DP_Greedy over a θ grid and returns the
-/// best threshold with its report — automating the Fig. 11 methodology the
-/// paper uses to justify θ = 0.3.
-pub fn auto_theta(seq: &RequestSeq, model: &CostModel, grid: &[f64]) -> (f64, DpGreedyReport) {
-    assert!(!grid.is_empty(), "θ grid must be non-empty");
-    let mut best: Option<(f64, DpGreedyReport)> = None;
-    for &theta in grid {
-        let report = dp_greedy(seq, &DpGreedyConfig::new(*model).with_theta(theta));
-        let better = match &best {
-            None => true,
-            Some((_, b)) => report.total_cost < b.total_cost,
-        };
-        if better {
-            best = Some((theta, report));
-        }
-    }
-    best.expect("grid non-empty")
-}
-
 mcs_model::impl_to_json!(WindowReport {
     start,
     end,
@@ -165,7 +146,7 @@ mcs_model::impl_to_json!(WindowedReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcs_model::ItemId;
+    use mcs_model::{CostModel, ItemId};
 
     /// Two phases: items (0,1) correlated early, items (0,2) correlated
     /// late — a drifting workload a single global packing cannot fit.
@@ -237,19 +218,6 @@ mod tests {
         );
         assert!((windowed.total_cost - global.total_cost).abs() < 1e-9);
         assert_eq!(windowed.windows.len(), 1);
-    }
-
-    #[test]
-    fn auto_theta_finds_a_no_worse_threshold() {
-        let seq = drifting_sequence();
-        let model = CostModel::new(1.0, 1.0, 0.5).unwrap();
-        let grid = [0.1, 0.3, 0.5, 0.7, 0.9];
-        let (theta, best) = auto_theta(&seq, &model, &grid);
-        assert!(grid.contains(&theta));
-        for &other in &grid {
-            let r = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(other));
-            assert!(best.total_cost <= r.total_cost + 1e-9);
-        }
     }
 
     #[test]

@@ -138,12 +138,6 @@ pub fn agglomerative_packages<S: PairwiseSimilarity + Sync + ?Sized>(
     PackageSet::new(packages, singletons, theta)
 }
 
-/// Agglomerative K-matching over the dense Jaccard matrix — the historical
-/// entry point, now returning the unified [`PackageSet`].
-pub fn agglomerative_grouping(matrix: &JaccardMatrix, theta: f64, max_group: usize) -> PackageSet {
-    agglomerative_packages(matrix, theta, max_group)
-}
-
 /// Picks the packing threshold `θ` per trace from the prescan's observed
 /// co-request density — the *adaptive* mode of the K-package solver.
 ///
@@ -200,7 +194,7 @@ mod tests {
 
     #[test]
     fn groups_the_trio_and_isolates_the_stranger() {
-        let g = agglomerative_grouping(&trio_matrix(), 0.3, usize::MAX);
+        let g = agglomerative_packages(&trio_matrix(), 0.3, usize::MAX);
         assert_eq!(g.package_count(), 1);
         assert_eq!(g.total_items(), 4);
         assert_eq!(g.packages, vec![vec![ItemId(0), ItemId(1), ItemId(2)]]);
@@ -210,7 +204,7 @@ mod tests {
 
     #[test]
     fn max_group_two_reduces_to_pairing() {
-        let g = agglomerative_grouping(&trio_matrix(), 0.3, 2);
+        let g = agglomerative_packages(&trio_matrix(), 0.3, 2);
         // Only a pair can form out of the trio; the third stays single.
         assert_eq!(g.package_count(), 1);
         assert_eq!(g.packages[0].len(), 2);
@@ -220,7 +214,7 @@ mod tests {
 
     #[test]
     fn threshold_blocks_all_merging() {
-        let g = agglomerative_grouping(&trio_matrix(), 1.1, usize::MAX);
+        let g = agglomerative_packages(&trio_matrix(), 1.1, usize::MAX);
         assert_eq!(g.package_count(), 0);
         assert_eq!(g.singletons.len(), 4);
     }
@@ -232,7 +226,7 @@ mod tests {
             for theta in [0.0, 0.3, 0.6] {
                 assert_eq!(
                     agglomerative_packages(&table, theta, max_group),
-                    agglomerative_grouping(&trio_matrix(), theta, max_group),
+                    agglomerative_packages(&trio_matrix(), theta, max_group),
                     "theta = {theta}, max_group = {max_group}"
                 );
             }

@@ -40,9 +40,7 @@ pub mod package_set;
 pub mod pairs;
 pub mod streaming;
 
-pub use grouping::{
-    adaptive_theta, agglomerative_grouping, agglomerative_packages, PairwiseSimilarity,
-};
+pub use grouping::{adaptive_theta, agglomerative_packages, PairwiseSimilarity};
 pub use jaccard::{CoOccurrence, JaccardMatrix};
 pub use matching::{greedy_matching, Packing};
 pub use package_set::PackageSet;

@@ -89,7 +89,7 @@ pub enum SolutionPart {
 
 impl SolutionPart {
     /// Sum of the costs this part will contribute to the ledger.
-    pub fn cost(&self, _total: f64) -> f64 {
+    pub fn cost(&self) -> f64 {
         match self {
             SolutionPart::Schedule {
                 schedule,

@@ -898,7 +898,7 @@ mod tests {
         assert_eq!(r.parts.len(), 2);
         assert!(approx_eq(
             r.total_cost,
-            r.parts.iter().map(|p| p.cost(r.total_cost)).sum::<f64>()
+            r.parts.iter().map(SolutionPart::cost).sum::<f64>()
         ));
         assert!(approx_eq(
             r.total_cost,

@@ -39,7 +39,6 @@ pub mod ids;
 pub mod json;
 pub mod par;
 pub mod plane;
-mod proptests;
 pub mod request;
 pub mod rng;
 pub mod schedule;

@@ -8,18 +8,18 @@
 //! run.
 //!
 //! This lives in `mcs-model` (the bottom of the dependency graph) so any
-//! layer — the off-line cross-validation sweeps, the bench harness, the
-//! engine registry, the experiment runners — can parallel-map without a
-//! new dependency edge.
+//! layer — the off-line cross-validation sweep, the solvers, the engine
+//! registry, the experiment runners — can parallel-map without a new
+//! dependency edge.
 //!
 //! ## Thread-count knob
 //!
 //! The worker count defaults to `std::thread::available_parallelism()`
 //! and can be overridden with the `MCS_THREADS` environment variable
 //! (`MCS_THREADS=1` forces every parallel path in the workspace to run
-//! serially; larger values oversubscribe, which the perf bench uses to
-//! sweep thread counts on any machine). The variable is re-read on every
-//! call, so a process can change it between measurements.
+//! serially; larger values oversubscribe, which `tests/thread_identity.rs`
+//! uses to compare thread counts on any machine). The variable is re-read
+//! on every call, so a process can change it between measurements.
 //!
 //! ## When a solve fans out
 //!
@@ -83,8 +83,8 @@ pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec
     par_map_with_threads(items, max_threads(), f)
 }
 
-/// [`par_map`] with an explicit worker-thread cap (the perf bench sweeps
-/// this directly; everything else goes through the env-driven default).
+/// [`par_map`] with an explicit worker-thread cap: the solvers pass
+/// [`threads_for`] of their request count here.
 pub fn par_map_with_threads<T: Sync, U: Send>(
     items: &[T],
     threads: usize,

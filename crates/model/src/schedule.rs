@@ -273,6 +273,7 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
 
     /// Fig. 1's feasible schedule: `C = (1.4 + 3.5 + 0.3)μ + 4λ`.
     /// We reconstruct an equivalent schedule shape and check the accountant
@@ -415,5 +416,64 @@ mod tests {
         let j = s.to_json().to_string();
         let back = Schedule::from_json(&parse(&j).unwrap()).unwrap();
         assert_eq!(s, back);
+    }
+
+    /// A feasible random schedule over 2–4 servers: one copy hops from the
+    /// origin 1–8 times, cached where it is until the next hop and then
+    /// transferred to that hop's server, which requests it on arrival.
+    fn random_schedule(rng: &mut Rng) -> (Schedule, SingleItemTrace) {
+        let m = rng.gen_range(2u32..=4);
+        let mut s = Schedule::new();
+        let mut points = Vec::new();
+        let mut cur = ServerId::ORIGIN;
+        let mut t = 0.0_f64;
+        for _ in 0..rng.gen_range(1usize..=8) {
+            let next = t + rng.gen_range(1u32..=40) as f64 / 10.0;
+            s.cache(cur, t, next);
+            let dst = ServerId(rng.gen_range(0..m));
+            if dst != cur {
+                s.transfer(cur, dst, next);
+            }
+            points.push((next, dst.0));
+            cur = dst;
+            t = next;
+        }
+        (s, SingleItemTrace::from_pairs(m, &points))
+    }
+
+    #[test]
+    fn random_schedules_account_render_and_normalize() {
+        for case in 0..256 {
+            let mut rng = Rng::seed_from_u64(0x5C4ED + case);
+            let (mut s, trace) = random_schedule(&mut rng);
+            let mu = rng.gen_range(1u32..=30) as f64 / 10.0;
+            let lambda = rng.gen_range(1u32..=30) as f64 / 10.0;
+            assert!(s.validate(&trace).is_ok(), "case {case}");
+            let c = s.cost(mu, lambda);
+            assert!(
+                approx_eq(c.total, mu * c.cache_time + lambda * c.transfers as f64),
+                "case {case}: {c:?}"
+            );
+            let art = crate::diagram::render(&s, &trace, 48);
+            assert_eq!(
+                art.lines().count(),
+                trace.servers as usize + 2,
+                "case {case}"
+            );
+            assert!(art.contains('*'), "case {case}: {art}");
+            // Normalizing keeps the schedule feasible, never raises its
+            // cost, and is idempotent.
+            let before = s.cost(1.0, 1.0).total;
+            s.normalize();
+            let after = s.cost(1.0, 1.0).total;
+            assert!(after <= before + 1e-9, "case {case}: {before} -> {after}");
+            assert!(
+                s.validate(&trace).is_ok(),
+                "case {case}: normalize broke feasibility"
+            );
+            let mut again = s.clone();
+            again.normalize();
+            assert_eq!(again, s, "case {case}");
+        }
     }
 }

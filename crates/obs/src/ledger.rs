@@ -162,9 +162,10 @@ impl Ledger {
     }
 
     /// Sum of event costs — reconciles with the producing schedule's
-    /// total cost (property-tested at the workspace root).
+    /// total cost (property-tested at the workspace root). Folds from
+    /// `+0.0`, so an empty ledger totals `0`, not `f64::sum`'s `-0`.
     pub fn total_cost(&self) -> f64 {
-        self.events.iter().map(|e| e.cost).sum()
+        self.events.iter().fold(0.0, |total, e| total + e.cost)
     }
 
     /// The largest gap between [`Self::total_cost`] and a producer's

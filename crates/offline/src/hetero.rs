@@ -347,77 +347,4 @@ mod tests {
         // This workload forces at least one transfer arm.
         assert!(r.transfer_cost > 0.0);
     }
-
-    #[cfg(feature = "proptest")]
-    mod prop {
-        use super::*;
-        use proptest::prelude::*;
-        use proptest::strategy::ValueTree;
-
-        fn trace_strategy() -> impl Strategy<Value = SingleItemTrace> {
-            (1u32..=3, 0usize..=8).prop_flat_map(|(m, n)| {
-                (
-                    Just(m),
-                    proptest::collection::vec(1u32..=60, n),
-                    proptest::collection::vec(0u32..m, n),
-                )
-                    .prop_map(|(m, mut ticks, servers)| {
-                        ticks.sort_unstable();
-                        ticks.dedup();
-                        let pairs: Vec<(f64, u32)> = ticks
-                            .iter()
-                            .zip(servers.iter())
-                            .map(|(&t, &s)| (t as f64 / 10.0, s))
-                            .collect();
-                        SingleItemTrace::from_pairs(m, &pairs)
-                    })
-            })
-        }
-
-        fn hetero_strategy(m: u32) -> impl Strategy<Value = HeteroCostModel> {
-            let msize = m as usize;
-            (
-                proptest::collection::vec(1u32..=40, msize),
-                proptest::collection::vec(1u32..=40, msize * msize),
-            )
-                .prop_map(move |(mu, lam)| {
-                    let mu: Vec<f64> = mu.iter().map(|&x| x as f64 / 10.0).collect();
-                    let mut l = vec![0.0; msize * msize];
-                    for i in 0..msize {
-                        for j in (i + 1)..msize {
-                            let v = lam[i * msize + j] as f64 / 10.0;
-                            l[i * msize + j] = v;
-                            l[j * msize + i] = v;
-                        }
-                    }
-                    HeteroCostModel::new(mu, l, 0.8).unwrap()
-                })
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(192))]
-
-            #[test]
-            fn greedy_never_beats_exact(trace in trace_strategy()) {
-                let m = trace.servers;
-                // Pair the trace with a random model of matching size by
-                // deriving it from the trace length (deterministic enough).
-                let model_strategy = hetero_strategy(m);
-                let mut runner = proptest::test_runner::TestRunner::deterministic();
-                let model = model_strategy.new_tree(&mut runner).unwrap().current();
-                let e = hetero_exact(&trace, &model).unwrap();
-                let g = hetero_greedy(&trace, &model).unwrap();
-                prop_assert!(e <= g + 1e-9, "exact {e} > greedy {g}");
-            }
-
-            #[test]
-            fn uniform_models_agree_with_homogeneous_optimal(trace in trace_strategy(), mu in 1u32..=30, la in 1u32..=30) {
-                let homo = CostModel::new(mu as f64 / 10.0, la as f64 / 10.0, 0.8).unwrap();
-                let het = HeteroCostModel::uniform(trace.servers, homo.mu(), homo.lambda(), 0.8).unwrap();
-                let a = hetero_exact(&trace, &het).unwrap();
-                let b = crate::optimal(&trace, &homo).cost;
-                prop_assert!(approx_eq(a, b), "hetero {a} vs homo {b}");
-            }
-        }
-    }
 }

@@ -62,8 +62,5 @@ pub use optimal::{optimal, OptimalOutcome, ServeDecision};
 pub use optimal_fast::optimal_fast_cost;
 pub use single_copy::{single_copy_optimal, SingleCopyOutcome};
 
-#[cfg(all(test, feature = "proptest"))]
-mod cross_validation;
-
 #[cfg(test)]
-mod cross_validation_det;
+mod cross_validation;

@@ -231,59 +231,4 @@ mod tests {
             out.cost
         ));
     }
-
-    #[cfg(feature = "proptest")]
-    mod prop {
-        use super::*;
-        use crate::optimal;
-        use proptest::prelude::*;
-
-        fn trace_strategy() -> impl Strategy<Value = SingleItemTrace> {
-            (1u32..=4, 0usize..=12).prop_flat_map(|(m, n)| {
-                (
-                    Just(m),
-                    proptest::collection::vec(1u32..=80, n),
-                    proptest::collection::vec(0u32..m, n),
-                )
-                    .prop_map(|(m, mut ticks, servers)| {
-                        ticks.sort_unstable();
-                        ticks.dedup();
-                        let pairs: Vec<(f64, u32)> = ticks
-                            .iter()
-                            .zip(servers.iter())
-                            .map(|(&t, &s)| (t as f64 / 10.0, s))
-                            .collect();
-                        SingleItemTrace::from_pairs(m, &pairs)
-                    })
-            })
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(256))]
-
-            #[test]
-            fn replication_never_hurts(trace in trace_strategy(), mu in 1u32..=30, la in 1u32..=30) {
-                // Multi-copy optimal ≤ single-copy optimal ≤ always-migrate.
-                let model = CostModelBuilder::new()
-                    .mu(mu as f64 / 10.0)
-                    .lambda(la as f64 / 10.0)
-                    .build()
-                    .unwrap();
-                let multi = optimal(&trace, &model).cost;
-                let single = single_copy_optimal(&trace, &model).cost;
-                let migrate = single_copy_always_migrate(&trace, &model);
-                prop_assert!(multi <= single + 1e-9, "multi {multi} > single {single}");
-                prop_assert!(single <= migrate + 1e-9, "single {single} > migrate {migrate}");
-            }
-
-            #[test]
-            fn single_copy_schedule_is_feasible_and_accounts(trace in trace_strategy()) {
-                let model = CostModel::paper_example();
-                let out = single_copy_optimal(&trace, &model);
-                prop_assert!(out.schedule.validate(&trace).is_ok());
-                let replayed = out.schedule.cost(model.mu(), model.lambda()).total;
-                prop_assert!(approx_eq(replayed, out.cost), "replayed {replayed} reported {}", out.cost);
-            }
-        }
-    }
 }

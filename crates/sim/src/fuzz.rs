@@ -6,10 +6,8 @@
 //! the replay must reject it — silence would mean the validator has a
 //! blind spot that could mask algorithm bugs.
 //!
-//! Formerly proptest-based; now plain `#[test]`s driven by the in-tree
-//! seeded PRNG so the whole suite runs without any registry access. Each
-//! test sweeps a fixed number of seeded random instances, which keeps
-//! failures exactly reproducible.
+//! Each test sweeps a fixed number of seeded random instances, which
+//! keeps failures exactly reproducible.
 
 #![cfg(test)]
 

@@ -247,31 +247,36 @@ pub fn model_flags(args: &[String]) -> Result<(CostModel, f64), CliError> {
 /// Prints the `--metrics` summary: counters (integer then float), then
 /// gauges, then span/histogram stats (with the bucketed p99 estimate),
 /// in deterministic name order.
-pub fn print_metrics() {
+pub fn print_metrics() -> Result<(), CliError> {
     let s = dp_greedy_suite::obs::snapshot();
-    println!(
-        "\n-- metrics ({} counters, {} gauges, {} spans) --",
-        s.counters.len() + s.fcounters.len(),
-        s.gauges.len(),
-        s.hists.len()
-    );
-    for (name, v) in &s.counters {
-        println!("  {name:<28} {v}");
-    }
-    for (name, v) in &s.fcounters {
-        println!("  {name:<28} {v}");
-    }
-    for (name, v) in &s.gauges {
-        println!("  {name:<28} {v}");
-    }
-    for (name, h) in &s.hists {
-        println!(
-            "  {name:<28} n={} total={:.6}s mean={:.6}s p99={:.6}s max={:.6}s",
-            h.count,
-            h.sum,
-            h.mean(),
-            h.quantile(0.99),
-            h.max
-        );
-    }
+    write_report(|out| {
+        writeln!(
+            out,
+            "\n-- metrics ({} counters, {} gauges, {} spans) --",
+            s.counters.len() + s.fcounters.len(),
+            s.gauges.len(),
+            s.hists.len()
+        )?;
+        for (name, v) in &s.counters {
+            writeln!(out, "  {name:<28} {v}")?;
+        }
+        for (name, v) in &s.fcounters {
+            writeln!(out, "  {name:<28} {v}")?;
+        }
+        for (name, v) in &s.gauges {
+            writeln!(out, "  {name:<28} {v}")?;
+        }
+        for (name, h) in &s.hists {
+            writeln!(
+                out,
+                "  {name:<28} n={} total={:.6}s mean={:.6}s p99={:.6}s max={:.6}s",
+                h.count,
+                h.sum,
+                h.mean(),
+                h.quantile(0.99),
+                h.max
+            )?;
+        }
+        Ok(())
+    })
 }

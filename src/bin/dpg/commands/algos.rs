@@ -5,7 +5,7 @@
 //! test consume: `{"algos": [{name, kind, description, request_limit}],
 //! "aliases": [{alias, target}]}` in registry order.
 
-use crate::cli::{check_flags, CliError};
+use crate::cli::{check_flags, write_report, CliError};
 use dp_greedy_suite::engine::{aliases, solvers};
 use dp_greedy_suite::model::json::Json;
 
@@ -40,24 +40,26 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             ("algos".into(), Json::Arr(algos)),
             ("aliases".into(), Json::Arr(alias_rows)),
         ]);
-        println!("{}", doc.to_string_pretty());
-        return Ok(());
+        return write_report(|out| writeln!(out, "{}", doc.to_string_pretty()));
     }
-    println!("registered solvers (use with `dpg run --algo NAME`):");
-    for s in solvers() {
-        let limit = s
-            .request_limit()
-            .map_or(String::new(), |l| format!("  [≤{l} requests]"));
-        println!(
-            "  {:<16} {:<8} {}{limit}",
-            s.name(),
-            s.kind().label(),
-            s.description()
-        );
-    }
-    println!("aliases:");
-    for (alias, target) in aliases() {
-        println!("  {alias:<16} → {target}");
-    }
-    Ok(())
+    write_report(|out| {
+        writeln!(out, "registered solvers (use with `dpg run --algo NAME`):")?;
+        for s in solvers() {
+            let limit = s
+                .request_limit()
+                .map_or(String::new(), |l| format!("  [≤{l} requests]"));
+            writeln!(
+                out,
+                "  {:<16} {:<8} {}{limit}",
+                s.name(),
+                s.kind().label(),
+                s.description()
+            )?;
+        }
+        writeln!(out, "aliases:")?;
+        for (alias, target) in aliases() {
+            writeln!(out, "  {alias:<16} → {target}")?;
+        }
+        Ok(())
+    })
 }

@@ -7,7 +7,7 @@
 //! `--seed`. With `--sweep` the full fault-rate × θ × α grid of
 //! `mcs_experiments::chaos_exp` is printed instead.
 
-use crate::cli::{check_flags, parse_flag, CliError};
+use crate::cli::{check_flags, parse_flag, write_report, CliError};
 use dp_greedy_suite::engine::{find, RunContext};
 use dp_greedy_suite::experiments::chaos_exp;
 use dp_greedy_suite::model::defaults::DEFAULT_SEED;
@@ -54,9 +54,10 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 
     if args.iter().any(|a| a == "--sweep") {
         let e = chaos_exp::run(&cfg, seed);
-        println!("{}", e.table());
-        println!("worst degradation ratio: {:.4}", e.worst_ratio());
-        return Ok(());
+        return write_report(|out| {
+            writeln!(out, "{}", e.table())?;
+            writeln!(out, "worst degradation ratio: {:.4}", e.worst_ratio())
+        });
     }
 
     let seq = generate(&cfg);
@@ -68,41 +69,10 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         mean_outage,
         fault_rate,
     );
-    println!(
-        "chaos: seed={seed} fault-rate={fault_rate} mean-outage={mean_outage} \
-         μ={} λ={} α={} θ={theta}  ({} requests, {} crash windows)",
-        model.mu(),
-        model.lambda(),
-        model.alpha(),
-        seq.len(),
-        plan.crashes.len()
-    );
-
     let solver = find("dp_greedy").expect("dp_greedy is registered");
     let ctx = RunContext::new(model).with_theta(theta);
     let chaos = chaos_solver(&seq, solver, &ctx, &plan)
         .expect("dp_greedy solutions carry explicit schedules");
-    println!("fleet (DP_Greedy plan under degraded replay):");
-    println!("  fault-free cost     {:.4}", chaos.fault_free_cost);
-    println!("  degraded cost       {:.4}", chaos.degraded_cost);
-    println!("  degradation ratio   {:.4}", chaos.degradation_ratio);
-    println!(
-        "  degraded requests   {}/{} ({:.1}%)",
-        chaos.fault.requests_degraded,
-        chaos.fault.requests_total,
-        100.0 * chaos.fault.degraded_fraction()
-    );
-    println!(
-        "  copies lost {}  recaches {}  retries {}  origin fallbacks {}",
-        chaos.fault.copies_lost,
-        chaos.fault.recaches,
-        chaos.fault.retries,
-        chaos.fault.origin_fallbacks
-    );
-    println!(
-        "  mean time to repair {:.4} ({} repairs)",
-        chaos.fault.mean_time_to_repair, chaos.fault.repairs
-    );
 
     // On-line view: crash-aware ski-rental per item, same plan.
     let mut worst: f64 = 0.0;
@@ -118,10 +88,47 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         sum += s.degradation_ratio;
         measured += 1;
     }
-    if measured > 0 {
-        println!("online (resilient ski-rental per item):");
-        println!("  mean degradation    {:.4}", sum / measured as f64);
-        println!("  worst degradation   {worst:.4}");
-    }
-    Ok(())
+
+    write_report(|out| {
+        writeln!(
+            out,
+            "chaos: seed={seed} fault-rate={fault_rate} mean-outage={mean_outage} \
+             μ={} λ={} α={} θ={theta}  ({} requests, {} crash windows)",
+            model.mu(),
+            model.lambda(),
+            model.alpha(),
+            seq.len(),
+            plan.crashes.len()
+        )?;
+        writeln!(out, "fleet (DP_Greedy plan under degraded replay):")?;
+        writeln!(out, "  fault-free cost     {:.4}", chaos.fault_free_cost)?;
+        writeln!(out, "  degraded cost       {:.4}", chaos.degraded_cost)?;
+        writeln!(out, "  degradation ratio   {:.4}", chaos.degradation_ratio)?;
+        writeln!(
+            out,
+            "  degraded requests   {}/{} ({:.1}%)",
+            chaos.fault.requests_degraded,
+            chaos.fault.requests_total,
+            100.0 * chaos.fault.degraded_fraction()
+        )?;
+        writeln!(
+            out,
+            "  copies lost {}  recaches {}  retries {}  origin fallbacks {}",
+            chaos.fault.copies_lost,
+            chaos.fault.recaches,
+            chaos.fault.retries,
+            chaos.fault.origin_fallbacks
+        )?;
+        writeln!(
+            out,
+            "  mean time to repair {:.4} ({} repairs)",
+            chaos.fault.mean_time_to_repair, chaos.fault.repairs
+        )?;
+        if measured > 0 {
+            writeln!(out, "online (resilient ski-rental per item):")?;
+            writeln!(out, "  mean degradation    {:.4}", sum / measured as f64)?;
+            writeln!(out, "  worst degradation   {worst:.4}")?;
+        }
+        Ok(())
+    })
 }

@@ -1,6 +1,6 @@
 //! `dpg generate` — write a synthetic Shenzhen-like trace to disk.
 
-use crate::cli::{check_flags, parse_flag, CliError};
+use crate::cli::{check_flags, parse_flag, write_report, CliError};
 use dp_greedy_suite::model::defaults::DEFAULT_SEED;
 use dp_greedy_suite::prelude::*;
 use dp_greedy_suite::trace::io::TraceFile;
@@ -29,15 +29,17 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             .collect();
     }
     let seq = generate(&cfg);
-    println!(
-        "generated {} requests ({} item accesses) over {} zones",
-        seq.len(),
-        seq.total_item_accesses(),
-        seq.servers()
-    );
+    write_report(|w| {
+        writeln!(
+            w,
+            "generated {} requests ({} item accesses) over {} zones",
+            seq.len(),
+            seq.total_item_accesses(),
+            seq.servers()
+        )
+    })?;
     TraceFile::synthetic(cfg, seq)
         .save(&out)
         .map_err(|e| CliError::Runtime(e.to_string()))?;
-    println!("wrote {out}");
-    Ok(())
+    write_report(|w| writeln!(w, "wrote {out}"))
 }

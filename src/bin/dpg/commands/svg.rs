@@ -1,6 +1,6 @@
 //! `dpg svg` — render the optimal single-item schedule as an SVG timeline.
 
-use crate::cli::{check_flags, parse_flag, trace_arg, CliError};
+use crate::cli::{check_flags, parse_flag, trace_arg, write_report, CliError};
 use dp_greedy_suite::model::defaults::{DEFAULT_ALPHA, DEFAULT_LAMBDA, DEFAULT_MU};
 use dp_greedy_suite::prelude::*;
 use dp_greedy_suite::trace::io::TraceFile;
@@ -32,11 +32,13 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         &dp_greedy_suite::model::svg::SvgOptions::default(),
     );
     std::fs::write(&out, svg).map_err(|e| CliError::Runtime(e.to_string()))?;
-    println!(
-        "wrote {out} (optimal schedule for d{}, cost {:.2}, {} requests)",
-        item + 1,
-        solved.cost,
-        trace.len()
-    );
-    Ok(())
+    write_report(|w| {
+        writeln!(
+            w,
+            "wrote {out} (optimal schedule for d{}, cost {:.2}, {} requests)",
+            item + 1,
+            solved.cost,
+            trace.len()
+        )
+    })
 }

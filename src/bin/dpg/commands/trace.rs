@@ -5,7 +5,7 @@
 //! the former per-algorithm ledger builders. Any registered solver name
 //! (or alias) is accepted by `--algo`.
 
-use crate::cli::{check_flags, parse_flag, trace_arg, CliError};
+use crate::cli::{check_flags, parse_flag, trace_arg, write_report, CliError};
 use dp_greedy_suite::dp_greedy::paper_example;
 use dp_greedy_suite::engine::{find, CachingSolver, RunContext, Solution};
 use dp_greedy_suite::trace::io::TraceFile;
@@ -55,16 +55,19 @@ fn emit_ledger(solution: &Solution, algo: &str, out: &str) -> Result<(), CliErro
         .and_then(|mut file| ledger.write_jsonl(&mut file))
         .map_err(|e| CliError::Runtime(e.to_string()))?;
     let b = ledger.breakdown();
-    println!(
-        "wrote {out}: {} events, total {:.4} (reconciles with {algo})",
-        ledger.len(),
-        derived
-    );
-    println!(
-        "breakdown: cache {:.4} + transfer {:.4} + package_delivery {:.4}",
-        b.cache, b.transfer, b.package_delivery
-    );
-    Ok(())
+    write_report(|w| {
+        writeln!(
+            w,
+            "wrote {out}: {} events, total {:.4} (reconciles with {algo})",
+            ledger.len(),
+            derived
+        )?;
+        writeln!(
+            w,
+            "breakdown: cache {:.4} + transfer {:.4} + package_delivery {:.4}",
+            b.cache, b.transfer, b.package_delivery
+        )
+    })
 }
 
 fn trace_solve(args: &[String]) -> Result<(), CliError> {
@@ -139,12 +142,14 @@ fn trace_pack(args: &[String]) -> Result<(), CliError> {
     let bytes = std::fs::metadata(out.as_str())
         .map(|m| m.len())
         .unwrap_or(0);
-    println!(
-        "packed {input} -> {out} ({}, {} requests, {bytes} bytes)",
-        if to_json { "json" } else { "binary" },
-        file.sequence.len()
-    );
-    Ok(())
+    write_report(|w| {
+        writeln!(
+            w,
+            "packed {input} -> {out} ({}, {} requests, {bytes} bytes)",
+            if to_json { "json" } else { "binary" },
+            file.sequence.len()
+        )
+    })
 }
 
 fn trace_example(args: &[String]) -> Result<(), CliError> {

@@ -2,14 +2,19 @@
 //! build information (everything comes from the Cargo environment, so the
 //! output is identical whether or not the source tree is a checkout).
 
-use crate::cli::CliError;
+use crate::cli::{write_report, CliError};
 
 pub fn run() -> Result<(), CliError> {
-    println!("dpg {}", env!("CARGO_PKG_VERSION"));
-    println!(
-        "{} — DP_Greedy (CLUSTER 2019) reproduction suite",
-        env!("CARGO_PKG_NAME")
-    );
-    println!("offline build: no external dependencies (see DESIGN.md)");
-    Ok(())
+    write_report(|out| {
+        writeln!(out, "dpg {}", env!("CARGO_PKG_VERSION"))?;
+        writeln!(
+            out,
+            "{} — DP_Greedy (CLUSTER 2019) reproduction suite",
+            env!("CARGO_PKG_NAME")
+        )?;
+        writeln!(
+            out,
+            "offline build: no external dependencies (see DESIGN.md)"
+        )
+    })
 }

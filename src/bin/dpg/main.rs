@@ -75,9 +75,11 @@ fn main() -> ExitCode {
         }
         other => Err(CliError::Usage(format!("unknown command {other}"))),
     };
-    if metrics && result.is_ok() {
-        print_metrics();
-    }
+    let result = if metrics {
+        result.and_then(|()| print_metrics())
+    } else {
+        result
+    };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Usage(e)) => {

@@ -44,8 +44,8 @@ pub use mcs_trace as trace;
 pub mod prelude {
     pub use dp_greedy::two_phase::{dp_greedy, dp_greedy_pair, DpGreedyConfig, DpGreedyReport};
     pub use mcs_correlation::{
-        adaptive_theta, agglomerative_grouping, agglomerative_packages, greedy_matching,
-        pairs_above, CoOccurrence, JaccardMatrix, PackageSet, Packing, PairTable,
+        adaptive_theta, agglomerative_packages, greedy_matching, pairs_above, CoOccurrence,
+        JaccardMatrix, PackageSet, Packing, PairTable,
     };
     pub use mcs_engine::{find, solvers, CachingSolver, RunContext, Solution};
     pub use mcs_model::{

@@ -142,7 +142,8 @@ fn solve_rejects_unknown_algorithms_and_missing_files() {
 }
 
 /// A reader that closes the pipe early (`dpg stats FILE | head -1`) ends
-/// the report quietly: exit 0 and no panic.
+/// the report quietly: exit 0 and no panic, for every subcommand but the
+/// `serve` daemon and the `top` monitor, and for the `--metrics` summary.
 #[test]
 fn reports_to_a_closed_stdout_exit_zero_without_a_panic() {
     let path = temp_trace_path("closed-stdout");
@@ -151,9 +152,30 @@ fn reports_to_a_closed_stdout_exit_zero_without_a_panic() {
         .output()
         .expect("generate");
     assert!(out.status.success());
+    let trace = path.to_str().unwrap();
+    let scratch = |ext: &str| path.with_extension(ext).to_str().unwrap().to_string();
+    let (copy, svg, jsonl, packed) = (
+        scratch("copy.json"),
+        scratch("svg"),
+        scratch("jsonl"),
+        scratch("dpgb"),
+    );
     for argv in [
-        vec!["stats", path.to_str().unwrap()],
-        vec!["run", "--algo", "dpg", path.to_str().unwrap()],
+        vec!["stats", trace],
+        vec!["stats", trace, "--metrics"],
+        vec!["run", "--algo", "dpg", trace],
+        vec!["generate", "--out", &copy, "--steps", "50"],
+        vec!["algos"],
+        vec!["algos", "--json"],
+        vec!["example"],
+        vec!["explain", trace],
+        vec!["svg", trace, "--out", &svg],
+        vec!["chaos", "--steps", "50"],
+        vec!["chaos", "--steps", "50", "--sweep"],
+        vec!["version"],
+        vec!["trace", "solve", trace, "--out", &jsonl],
+        vec!["trace", "pack", trace, &packed],
+        vec!["trace", "example", "--out", &jsonl],
     ] {
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
@@ -162,7 +184,9 @@ fn reports_to_a_closed_stdout_exit_zero_without_a_panic() {
         assert_eq!(out.status.code(), Some(0), "{argv:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
     }
-    std::fs::remove_file(&path).ok();
+    for file in [trace, &copy, &svg, &jsonl, &packed] {
+        std::fs::remove_file(file).ok();
+    }
 }
 
 #[test]

@@ -1,7 +1,8 @@
-//! Satellite pin: `dpg run --algo NAME` on a trace with zero requests
-//! must produce the zero-cost empty solution — with an explicit stderr
-//! warning — for *every* solver in the registry, instead of whatever
-//! each algorithm's edge case happens to do.
+//! `dpg run --algo NAME` on a trace with zero requests must produce the
+//! zero-cost empty solution — with an explicit stderr warning — for
+//! *every* solver in the registry, instead of whatever each algorithm's
+//! edge case happens to do; `dpg trace solve` must write an empty ledger
+//! that totals `0.0000`, not `-0.0000`.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -35,6 +36,7 @@ fn empty_trace(test: &str) -> PathBuf {
 #[test]
 fn every_registered_solver_handles_an_empty_trace() {
     let path = empty_trace("registry");
+    let ledger = path.with_extension("jsonl");
     let names = solvers()
         .iter()
         .map(|s| s.name())
@@ -62,8 +64,24 @@ fn every_registered_solver_handles_an_empty_trace() {
         ] {
             assert!(stdout.contains(needle), "{name}: {needle} not in {stdout}");
         }
+        let out = dpg()
+            .args(["trace", "solve", path.to_str().unwrap(), "--algo", name])
+            .args(["--out", ledger.to_str().unwrap()])
+            .output()
+            .expect("run dpg");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{name}: trace solve failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.contains("0 events, total 0.0000"),
+            "{name}: trace solve on the empty trace printed {stdout}"
+        );
     }
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&ledger).ok();
 }
 
 #[test]

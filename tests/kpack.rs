@@ -141,7 +141,7 @@ fn sparse_k_matching_equals_dense_on_random_traces() {
         let table = PairTable::from_sequence(&seq);
         for theta in [-0.5, 0.0, 0.15, 0.3, 0.99] {
             for max_group in [2usize, 3, 4, usize::MAX] {
-                let d = agglomerative_grouping(&dense, theta, max_group);
+                let d = agglomerative_packages(&dense, theta, max_group);
                 let s = agglomerative_packages(&table, theta, max_group);
                 assert_eq!(d, s, "seed {seed}, theta {theta}, max_group {max_group}");
             }

@@ -7,10 +7,12 @@
 //! never-requested items. `dp_greedy_pair`, whose per-item event lists
 //! come from the same `pair_view` partition, equals a run on full-scan
 //! inputs, and equality, `Debug` and `clone` ignore whether the index
-//! exists.
+//! exists. Random sequences, empty ones included, survive a JSON round
+//! trip.
 
 use dp_greedy_suite::dp_greedy::singleton_greedy::{singleton_greedy, PairItemEvent};
 use dp_greedy_suite::dp_greedy::two_phase::{dp_greedy_pair, DpGreedyConfig};
+use dp_greedy_suite::model::json::{parse, FromJson, ToJson};
 use dp_greedy_suite::model::request::{PairView, SingleItemTrace, TracePoint};
 use dp_greedy_suite::model::rng::Rng;
 use dp_greedy_suite::model::{CostModel, ItemId, PairRow, Request, RequestSeq, RequestSeqBuilder};
@@ -138,6 +140,20 @@ fn projections_equal_a_full_scan_on_random_sequences() {
         for (a, b) in pairs {
             assert_projections_match(&seq, ItemId(a), ItemId(b), &label);
         }
+    }
+}
+
+#[test]
+fn random_sequences_survive_a_json_round_trip() {
+    for case in 0..256u64 {
+        let mut rng = Rng::seed_from_u64(case);
+        let n = rng.gen_range(0..=20usize);
+        let k = rng.gen_range(1..=4u32);
+        let width = rng.gen_range(1..=4u32);
+        let seq = sequence(0x750 + case, n, k, width);
+        let text = seq.to_json().to_string();
+        let back = RequestSeq::from_json(&parse(&text).unwrap()).unwrap();
+        assert_eq!(back, seq, "case {case}: {text}");
     }
 }
 
