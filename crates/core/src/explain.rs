@@ -60,19 +60,13 @@ pub fn explain_pair(
     }
 
     // Singleton greedy arms for each item.
-    for (item, greedy) in [(a, &report.a_greedy), (b, &report.b_greedy)] {
-        let singles: Vec<&mcs_model::Request> = seq
-            .requests()
-            .iter()
-            .filter(|r| r.contains(item) && !(r.contains(a) && r.contains(b)))
-            .collect();
+    for (item, partner, greedy) in [(a, b, &report.a_greedy), (b, a, &report.b_greedy)] {
+        // choice.event_index indexes the merged event list (singles +
+        // co-requests in request order), which is the item's posting list.
+        let postings = seq.posting_list(item);
         for choice in &greedy.choices {
-            // choice.event_index indexes the merged event list (singles +
-            // co-requests); map back via position among the item's events.
-            let ev_requests: Vec<&mcs_model::Request> =
-                seq.requests().iter().filter(|r| r.contains(item)).collect();
-            let r = ev_requests[choice.event_index];
-            debug_assert!(singles.iter().any(|s| std::ptr::eq(*s, r)));
+            let r = seq.get(postings[choice.event_index] as usize);
+            debug_assert!(!r.contains(partner), "a single, not a co-request");
             let how = match choice.arm {
                 Arm::Cache => format!(
                     "cached locally from the previous {item} copy at {} (D arm)",

@@ -27,16 +27,16 @@
 //!   instances, used to verify the `2/α` bound of Theorem 1 empirically.
 //! * [`paper_example`] — the complete Section V-C running example,
 //!   reproducing the paper's total of 14.96 exactly.
-//! * [`ledger`] — derives the `mcs-obs` decision ledger (per-decision cost
-//!   attribution events) from DP_Greedy and baseline outputs; the summed
-//!   event cost reconciles with each report's `total_cost`.
+//!
+//! The `mcs-obs` decision ledger of a run is derived by the engine
+//! (`mcs_engine::Solution::ledger`) from the schedules and arm choices
+//! these reports record.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod baselines;
 pub mod explain;
-pub mod ledger;
 pub mod multi_item;
 pub mod paper_example;
 pub mod prescan;

@@ -61,8 +61,6 @@ impl GroupReport {
 /// Full multi-item report.
 #[derive(Debug, Clone)]
 pub struct MultiItemReport {
-    /// The unified Phase-1 outcome the costs were computed under.
-    pub packages: PackageSet,
     /// Reports for packages of size ≥ 2.
     pub groups: Vec<GroupReport>,
     /// Per-unpacked-item optimal costs and schedules.
@@ -178,7 +176,6 @@ pub fn dp_greedy_packages(
     let total_cost = groups.iter().map(GroupReport::total).sum::<f64>()
         + singletons.iter().map(|s| s.cost).sum::<f64>();
     MultiItemReport {
-        packages: packages.clone(),
         groups,
         singletons,
         total_cost,

@@ -15,9 +15,9 @@
 //! * [`exact`] — exact maximum-weight matching by bitmask DP, quantifying
 //!   what the greedy matching loses (ablation `matching`).
 //!
-//! Both the pairwise matcher and the K-matcher produce the unified
-//! [`PackageSet`] Phase-1 outcome ([`package_set`]); `Packing` remains
-//! the K = 2 view with its byte-stable JSON shape.
+//! The pairwise matcher produces a [`Packing`] (disjoint pairs plus
+//! singletons, with its byte-stable JSON shape) and the K-matcher a
+//! [`PackageSet`] ([`package_set`]).
 //!
 //! The solvers run on one pair counter ([`pairs`]): a walk of each
 //! item's posting list that counts its co-requests with every later item

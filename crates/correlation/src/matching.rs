@@ -19,52 +19,22 @@ pub struct Packing {
     pub singletons: Vec<ItemId>,
     /// The threshold `θ` used.
     pub theta: f64,
-    /// Partner lookup indexed by item id, precomputed at construction so
-    /// the per-request [`Self::is_packed`]/[`Self::partner`] calls in
-    /// Phase 2 are O(1) instead of a scan over all packed pairs. Private:
-    /// derived from `pairs`, rebuilt by [`Packing::new`].
-    partner: Vec<Option<ItemId>>,
 }
 
 impl Packing {
-    /// Builds a packing from its pair and singleton lists, precomputing
-    /// the O(1) partner index. Pairs must be disjoint (each item in at
-    /// most one pair), as Phase 1 guarantees.
+    /// Builds a packing from its pair and singleton lists. Pairs must be
+    /// disjoint (each item in at most one pair), as Phase 1 guarantees.
     pub fn new(pairs: Vec<(ItemId, ItemId)>, singletons: Vec<ItemId>, theta: f64) -> Self {
-        let max_id = pairs
-            .iter()
-            .flat_map(|&(a, b)| [a, b])
-            .chain(singletons.iter().copied())
-            .map(|it| it.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut partner = vec![None; max_id];
-        for &(a, b) in &pairs {
-            debug_assert!(partner[a.index()].is_none() && partner[b.index()].is_none());
-            partner[a.index()] = Some(b);
-            partner[b.index()] = Some(a);
-        }
         Packing {
             pairs,
             singletons,
             theta,
-            partner,
         }
     }
 
     /// Total number of items covered (sanity: equals `k`).
     pub fn total_items(&self) -> usize {
         self.pairs.len() * 2 + self.singletons.len()
-    }
-
-    /// True if `item` is part of some packed pair. O(1).
-    pub fn is_packed(&self, item: ItemId) -> bool {
-        self.partner(item).is_some()
-    }
-
-    /// The partner of `item` if it is packed. O(1).
-    pub fn partner(&self, item: ItemId) -> Option<ItemId> {
-        self.partner.get(item.index()).copied().flatten()
     }
 }
 
@@ -207,8 +177,6 @@ mod tests {
             vec![(ItemId(0), ItemId(1)), (ItemId(2), ItemId(3))]
         );
         assert!(p.singletons.is_empty());
-        assert!(p.is_packed(ItemId(2)));
-        assert_eq!(p.partner(ItemId(3)), Some(ItemId(2)));
     }
 
     #[test]
@@ -216,8 +184,6 @@ mod tests {
         let p = greedy_matching(&matrix_of(&seq4()), 0.9);
         assert!(p.pairs.is_empty());
         assert_eq!(p.singletons.len(), 4);
-        assert!(!p.is_packed(ItemId(0)));
-        assert_eq!(p.partner(ItemId(0)), None);
     }
 
     #[test]
@@ -260,37 +226,6 @@ mod tests {
             with_nan.insert(pos, (ItemId(1), ItemId(2), f64::NAN));
             let p = greedy_matching_from_pairs(with_nan, 6, 0.1);
             assert_eq!(p, reference, "NaN at position {pos}");
-            assert!(!p.is_packed(ItemId(1)) || p.partner(ItemId(1)) == Some(ItemId(0)));
-        }
-    }
-
-    #[test]
-    fn partner_index_matches_the_pair_list() {
-        let p = greedy_matching_from_pairs(
-            vec![(ItemId(0), ItemId(3), 0.9), (ItemId(1), ItemId(2), 0.8)],
-            5,
-            0.1,
-        );
-        assert_eq!(p.partner(ItemId(0)), Some(ItemId(3)));
-        assert_eq!(p.partner(ItemId(3)), Some(ItemId(0)));
-        assert_eq!(p.partner(ItemId(1)), Some(ItemId(2)));
-        assert_eq!(p.partner(ItemId(2)), Some(ItemId(1)));
-        assert_eq!(p.partner(ItemId(4)), None);
-        // Out-of-range ids degrade to "not packed" rather than panicking.
-        assert_eq!(p.partner(ItemId(99)), None);
-        assert!(!p.is_packed(ItemId(99)));
-        // The constructor agrees with the slow scan on every id.
-        for id in 0..5u32 {
-            let scan = p.pairs.iter().find_map(|&(a, b)| {
-                if a == ItemId(id) {
-                    Some(b)
-                } else if b == ItemId(id) {
-                    Some(a)
-                } else {
-                    None
-                }
-            });
-            assert_eq!(p.partner(ItemId(id)), scan, "item {id}");
         }
     }
 

@@ -1,100 +1,41 @@
 //! The unified Phase-1 outcome: packages of any size behind one type.
 //!
-//! Historically the crate grew two parallel surfaces for "which items are
-//! served together": [`crate::matching::Packing`] (disjoint pairs +
-//! singletons, the paper's Algorithm 1) and the former
-//! `grouping::Grouping` (K-sets, the future-work extension). Every
-//! consumer had to pick one and the engine registry could only see the
-//! pairwise one. [`PackageSet`] closes that seam: packages of size ≥ 2 in
-//! one list, unpacked singletons in another, an O(1) membership index,
-//! and loss-free conversions to/from the pairwise [`Packing`] view.
-//!
-//! `Packing` remains the K = 2 *view* — its constructor, `is_packed`/
-//! `partner` lookups, and JSON shape are untouched, so the pairwise
-//! pipeline (and its byte-stable ledger output) is unaffected. The
-//! `PackageSet` JSON rendering is versioned (a `version` field plus a
-//! `packages` list) so downstream tooling can distinguish the K > 2
-//! shape from the legacy pair shape.
+//! [`PackageSet`] holds packages of size ≥ 2 in one list and unpacked
+//! singletons in another: the outcome of the agglomerative K-matcher
+//! ([`crate::grouping`]), which the package-generic Phase 2 of the
+//! engine's `dpg_k` and `multi` rows serves. [`crate::matching::Packing`]
+//! stays the pairwise outcome of Algorithm 1 that DP_Greedy serves.
 
-use crate::matching::Packing;
-use mcs_model::json::{Json, ToJson};
 use mcs_model::ItemId;
-
-/// Version tag of the [`PackageSet`] JSON shape.
-pub const PACKAGE_SET_JSON_VERSION: u32 = 1;
 
 /// Disjoint item packages of size ≥ 2 plus unpacked singletons — the
 /// K-generalised `package_list` of Algorithm 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackageSet {
     /// Packages (each sorted ascending, size ≥ 2), in the order the
-    /// producing matcher emitted them: acceptance order for the greedy
-    /// pair matcher, fully sorted for the agglomerative K-matcher.
+    /// producing matcher emitted them: fully sorted for the agglomerative
+    /// K-matcher.
     pub packages: Vec<Vec<ItemId>>,
     /// Items served individually, ascending.
     pub singletons: Vec<ItemId>,
     /// The threshold `θ` the packing was computed under.
     pub theta: f64,
-    /// Package index per item id, precomputed at construction so the
-    /// per-request membership queries in Phase 2 are O(1). Private:
-    /// derived from `packages`, rebuilt by [`PackageSet::new`].
-    group_of: Vec<Option<u32>>,
 }
 
 impl PackageSet {
-    /// Builds a package set, precomputing the O(1) membership index.
-    /// Packages must be disjoint (each item in at most one package) and
-    /// of size ≥ 2; members are sorted ascending here so callers can pass
-    /// them in any order.
+    /// Builds a package set. Packages must be disjoint (each item in at
+    /// most one package) and of size ≥ 2; members are sorted ascending
+    /// here so callers can pass them in any order.
     pub fn new(mut packages: Vec<Vec<ItemId>>, singletons: Vec<ItemId>, theta: f64) -> Self {
         for p in &mut packages {
             debug_assert!(p.len() >= 2, "packages have at least two members");
             p.sort();
         }
-        let max_id = packages
-            .iter()
-            .flatten()
-            .chain(singletons.iter())
-            .map(|it| it.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut group_of = vec![None; max_id];
-        for (gi, p) in packages.iter().enumerate() {
-            for &d in p {
-                debug_assert!(group_of[d.index()].is_none(), "packages are disjoint");
-                group_of[d.index()] = Some(gi as u32);
-            }
-        }
         PackageSet {
             packages,
             singletons,
             theta,
-            group_of,
         }
-    }
-
-    /// The pairwise view as a package set (loss-free; preserves the
-    /// acceptance order of the pairs).
-    pub fn from_packing(packing: &Packing) -> Self {
-        PackageSet::new(
-            packing.pairs.iter().map(|&(a, b)| vec![a, b]).collect(),
-            packing.singletons.clone(),
-            packing.theta,
-        )
-    }
-
-    /// Collapses back to the pairwise [`Packing`] view when every package
-    /// is a pair (always true for a set produced with `max_group = 2`);
-    /// `None` if any package has three or more members.
-    pub fn to_packing(&self) -> Option<Packing> {
-        let mut pairs = Vec::with_capacity(self.packages.len());
-        for p in &self.packages {
-            match p.as_slice() {
-                &[a, b] => pairs.push((a, b)),
-                _ => return None,
-            }
-        }
-        Some(Packing::new(pairs, self.singletons.clone(), self.theta))
     }
 
     /// Number of packages (size ≥ 2 by construction).
@@ -111,122 +52,26 @@ impl PackageSet {
     pub fn largest_package(&self) -> usize {
         self.packages.iter().map(Vec::len).max().unwrap_or(0)
     }
-
-    /// True if `item` belongs to some package. O(1).
-    pub fn is_packed(&self, item: ItemId) -> bool {
-        self.package_of(item).is_some()
-    }
-
-    /// The members of `item`'s package, if any. O(1). Out-of-range ids
-    /// degrade to "not packed" rather than panicking.
-    pub fn package_of(&self, item: ItemId) -> Option<&[ItemId]> {
-        let gi = self.group_of.get(item.index()).copied().flatten()?;
-        Some(&self.packages[gi as usize])
-    }
-
-    /// The partner of `item` when its package is exactly a pair — the
-    /// K = 2 analogue of [`Packing::partner`]; `None` for singletons and
-    /// for members of larger packages (which have no single partner).
-    pub fn partner(&self, item: ItemId) -> Option<ItemId> {
-        match self.package_of(item)? {
-            &[a, b] => Some(if a == item { b } else { a }),
-            _ => None,
-        }
-    }
-}
-
-impl From<Packing> for PackageSet {
-    fn from(p: Packing) -> Self {
-        PackageSet::from_packing(&p)
-    }
-}
-
-impl ToJson for PackageSet {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "version".to_string(),
-                Json::Num(PACKAGE_SET_JSON_VERSION as f64),
-            ),
-            ("packages".to_string(), self.packages.to_json()),
-            ("singletons".to_string(), self.singletons.to_json()),
-            ("theta".to_string(), self.theta.to_json()),
-        ])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::greedy_matching_from_pairs;
 
-    fn trio_and_pair() -> PackageSet {
-        PackageSet::new(
+    #[test]
+    fn members_are_sorted_and_counted() {
+        let ps = PackageSet::new(
             vec![
                 vec![ItemId(2), ItemId(0), ItemId(4)],
                 vec![ItemId(1), ItemId(3)],
             ],
             vec![ItemId(5)],
             0.3,
-        )
-    }
-
-    #[test]
-    fn membership_queries_are_consistent() {
-        let ps = trio_and_pair();
+        );
         assert_eq!(ps.package_count(), 2);
         assert_eq!(ps.total_items(), 6);
         assert_eq!(ps.largest_package(), 3);
-        // Members are sorted at construction.
         assert_eq!(ps.packages[0], vec![ItemId(0), ItemId(2), ItemId(4)]);
-        assert_eq!(
-            ps.package_of(ItemId(4)).unwrap(),
-            &[ItemId(0), ItemId(2), ItemId(4)]
-        );
-        // Partner is defined exactly on pair packages.
-        assert_eq!(ps.partner(ItemId(1)), Some(ItemId(3)));
-        assert_eq!(ps.partner(ItemId(3)), Some(ItemId(1)));
-        assert_eq!(ps.partner(ItemId(0)), None);
-        assert_eq!(ps.partner(ItemId(5)), None);
-        assert!(ps.is_packed(ItemId(2)));
-        assert!(!ps.is_packed(ItemId(5)));
-        // Out-of-range ids degrade gracefully.
-        assert!(!ps.is_packed(ItemId(99)));
-        assert_eq!(ps.package_of(ItemId(99)), None);
-    }
-
-    #[test]
-    fn packing_round_trip_preserves_acceptance_order() {
-        let packing = greedy_matching_from_pairs(
-            vec![(ItemId(2), ItemId(3), 0.9), (ItemId(0), ItemId(1), 0.5)],
-            5,
-            0.1,
-        );
-        let ps = PackageSet::from_packing(&packing);
-        // Acceptance order (descending similarity) survives.
-        assert_eq!(ps.packages[0], vec![ItemId(2), ItemId(3)]);
-        assert_eq!(ps.packages[1], vec![ItemId(0), ItemId(1)]);
-        assert_eq!(ps.singletons, vec![ItemId(4)]);
-        let back = ps.to_packing().unwrap();
-        assert_eq!(back, packing);
-        // The O(1) views agree across the two representations.
-        for id in 0..5u32 {
-            assert_eq!(ps.partner(ItemId(id)), packing.partner(ItemId(id)));
-            assert_eq!(ps.is_packed(ItemId(id)), packing.is_packed(ItemId(id)));
-        }
-    }
-
-    #[test]
-    fn trio_has_no_pairwise_view() {
-        assert!(trio_and_pair().to_packing().is_none());
-    }
-
-    #[test]
-    fn json_is_versioned() {
-        let j = trio_and_pair().to_json().to_string();
-        assert!(j.contains("\"version\":1"), "{j}");
-        assert!(j.contains("\"packages\""), "{j}");
-        assert!(j.contains("\"theta\""), "{j}");
     }
 
     #[test]
@@ -235,6 +80,5 @@ mod tests {
         assert_eq!(ps.package_count(), 0);
         assert_eq!(ps.total_items(), 0);
         assert_eq!(ps.largest_package(), 0);
-        assert_eq!(ps.to_packing().unwrap().pairs, Vec::new());
     }
 }

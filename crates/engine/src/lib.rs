@@ -18,8 +18,10 @@
 //!   [`solution::SolutionPart`]s (explicit schedules, recorded serve-arm
 //!   choices, and aggregate channel costs) from which one *generic*
 //!   ledger derivation ([`Solution::ledger`]) produces the decision
-//!   ledger — replacing the per-algorithm builders that used to live in
-//!   `dp_greedy::ledger`.
+//!   ledger. It is the workspace's only source of ledger events: the
+//!   per-pair experiments build their parts with
+//!   [`solvers::pair_parts`], and `mcs_sim::chaos_solution` replays a
+//!   `Solution`'s schedules under faults.
 //! * [`registry`] — the static solver registry: iterate all solvers with
 //!   [`registry::solvers`], look one up (aliases included) with
 //!   [`registry::find`]. Adding an algorithm is one `impl CachingSolver`

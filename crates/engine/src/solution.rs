@@ -1,18 +1,18 @@
-//! The unified solver result and its generic ledger derivation.
+//! The unified solver result and the ledger derivation.
 //!
 //! A [`Solution`] carries the totals every consumer needs (`total_cost`,
 //! the `Σ|d_i|` denominator of `ave_cost`) plus a flat list of
-//! [`SolutionPart`]s — the committed outputs of the run. One generic
-//! pass ([`Solution::ledger`]) turns those parts into the decision
-//! ledger of `mcs-obs`, replacing the three near-identical per-algorithm
-//! builders that used to live in `dp_greedy::ledger`
-//! (`dp_greedy_ledger` / `optimal_ledger` / `greedy_ledger`):
+//! [`SolutionPart`]s — the committed outputs of the run. [`Solution::ledger`]
+//! is the only code in the workspace that turns solver output into the
+//! `mcs-obs` decision ledger; the per-pair experiments of Figs. 11 and 13
+//! derive their cost breakdowns through it too:
 //!
 //! * [`SolutionPart::Schedule`] — an explicit schedule priced at the
 //!   part's own rates (base rates for singletons, `2αμ`/`2αλ` for
-//!   package schedules): one `cache` event per interval and one
-//!   `transfer` event per transfer, exactly as
-//!   `mcs_offline::ledger::schedule_events` derives them.
+//!   package schedules): one `cache` event per interval (cost `μ·len`,
+//!   stamped at the interval end, by which the full holding cost has
+//!   been paid) and one `transfer` event per transfer (cost `λ`), in the
+//!   schedule's own order.
 //! * [`SolutionPart::Serve`] — the recorded three-arm greedy choices of
 //!   Observation 2, carrying the real `option_costs` of all arms.
 //! * [`SolutionPart::Aggregate`] — a channel-attributed lump cost for
@@ -20,14 +20,12 @@
 //!   package-transfer counts, the resilient policy's attempt totals, the
 //!   multi-item partial-subset serving).
 //!
-//! Because parts are emitted in the same order the old builders walked
-//! the reports, a `dp_greedy` Solution renders the byte-identical JSONL
-//! the pre-engine `dpg trace solve` produced.
+//! Parts are emitted in a fixed order per solver, so the JSONL a
+//! Solution renders is deterministic byte for byte.
 
 use mcs_model::Schedule;
 use mcs_obs::ledger::OPTION_NAMES;
 use mcs_obs::{Ledger, LedgerEvent, Subject};
-use mcs_offline::ledger::schedule_events;
 
 use crate::SolverKind;
 
@@ -145,15 +143,29 @@ impl Solution {
                     mu,
                     lambda,
                 } => {
-                    schedule_events(
-                        self.algo,
-                        phase,
-                        *subject,
-                        schedule,
-                        *mu,
-                        *lambda,
-                        &mut events,
-                    );
+                    for iv in &schedule.intervals {
+                        let cost = mu * iv.span.len();
+                        events.push(LedgerEvent {
+                            algo: self.algo,
+                            phase,
+                            subject: *subject,
+                            option_chosen: "cache",
+                            option_costs: [cost, f64::INFINITY, f64::INFINITY],
+                            t: iv.span.end,
+                            cost,
+                        });
+                    }
+                    for tr in &schedule.transfers {
+                        events.push(LedgerEvent {
+                            algo: self.algo,
+                            phase,
+                            subject: *subject,
+                            option_chosen: "transfer",
+                            option_costs: [f64::INFINITY, *lambda, f64::INFINITY],
+                            t: tr.time,
+                            cost: *lambda,
+                        });
+                    }
                 }
                 SolutionPart::Serve {
                     phase,

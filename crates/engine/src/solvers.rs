@@ -20,10 +20,9 @@
 //! attributed to `Subject::Item(0)` by convention.
 
 use dp_greedy::baselines::package_served_pair;
-use dp_greedy::ledger::arm_name;
 use dp_greedy::multi_item::dp_greedy_packages;
-use dp_greedy::singleton_greedy::SingletonGreedyOutcome;
-use dp_greedy::two_phase::{dp_greedy, DpGreedyConfig, DpGreedyReport};
+use dp_greedy::singleton_greedy::{Arm, SingletonGreedyOutcome};
+use dp_greedy::two_phase::{dp_greedy, DpGreedyConfig, DpGreedyReport, PairReport};
 use dp_greedy::windowed::slice_windows;
 use mcs_correlation::matching::greedy_matching_from_pairs;
 use mcs_correlation::{adaptive_theta, agglomerative_packages, pairs_above, PairTable};
@@ -40,6 +39,16 @@ use mcs_online::{resilient_ski_rental, ski_rental};
 
 use crate::solution::{ServeChoice, Solution, SolutionPart};
 use crate::{CachingSolver, RunContext, SolverKind};
+
+/// The ledger spelling of a three-arm choice, one of
+/// `mcs_obs::ledger::OPTION_NAMES`.
+fn arm_name(arm: Arm) -> &'static str {
+    match arm {
+        Arm::Cache => "cache",
+        Arm::Transfer => "transfer",
+        Arm::Package => "package",
+    }
+}
 
 fn serve_part(item: ItemId, greedy_out: &SingletonGreedyOutcome, shift: f64) -> SolutionPart {
     SolutionPart::Serve {
@@ -73,27 +82,37 @@ fn shift_schedule(mut schedule: Schedule, dt: f64) -> Schedule {
     schedule
 }
 
-/// Emits the parts of one DP_Greedy report, in the order the original
-/// `dp_greedy_ledger` builder walked it (pairs first: package schedule,
-/// then the two serve streams; then unpacked singletons). `shift` lifts
-/// window-relative times to global time (0 for a whole-sequence run).
+/// Emits the parts of one packed pair's Phase-2 run: the package
+/// schedule at package rates (`2αμ`, `2αλ`), then the serve choices of
+/// `a`, then those of `b`. Their ledger reconciles with
+/// [`PairReport::total`]; the per-pair experiments of Figs. 11 and 13
+/// derive their cost breakdowns from it. `shift` lifts window-relative
+/// times to global time (0 for a whole-sequence run).
+pub fn pair_parts(pair: PairReport, model: &CostModel, shift: f64, parts: &mut Vec<SolutionPart>) {
+    let pkg = model.scaled_for_package();
+    parts.push(SolutionPart::Schedule {
+        phase: "phase2.package",
+        subject: Subject::Pair(pair.a.0, pair.b.0),
+        schedule: shift_schedule(pair.package_schedule, shift),
+        mu: pkg.mu(),
+        lambda: pkg.lambda(),
+    });
+    parts.push(serve_part(pair.a, &pair.a_greedy, shift));
+    parts.push(serve_part(pair.b, &pair.b_greedy, shift));
+}
+
+/// Emits the parts of one DP_Greedy report: every pair's
+/// [`pair_parts`], then the unpacked singletons' schedules. `shift`
+/// lifts window-relative times to global time (0 for a whole-sequence
+/// run).
 fn dp_greedy_parts(
     report: DpGreedyReport,
     model: &CostModel,
     shift: f64,
     parts: &mut Vec<SolutionPart>,
 ) {
-    let pkg = model.scaled_for_package();
     for pair in report.pairs {
-        parts.push(SolutionPart::Schedule {
-            phase: "phase2.package",
-            subject: Subject::Pair(pair.a.0, pair.b.0),
-            schedule: shift_schedule(pair.package_schedule, shift),
-            mu: pkg.mu(),
-            lambda: pkg.lambda(),
-        });
-        parts.push(serve_part(pair.a, &pair.a_greedy, shift));
-        parts.push(serve_part(pair.b, &pair.b_greedy, shift));
+        pair_parts(pair, model, shift, parts);
     }
     for s in report.singletons {
         parts.push(SolutionPart::Schedule {

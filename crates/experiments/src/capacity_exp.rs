@@ -7,7 +7,7 @@
 //! cost-oriented algorithms (per-item Optimal and DP_Greedy) on the same
 //! city workload.
 
-use mcs_engine::{find, CachingSolver, RunContext};
+use mcs_engine::{find, RunContext};
 use mcs_model::par::par_map;
 use mcs_model::CostModel;
 use mcs_online::capacity::{capacity_run, EvictionPolicy};
@@ -42,20 +42,8 @@ pub struct CapacityExp {
 /// Runs the sweep under `μ = 2`, `λ = 4`, with the registry's `optimal`
 /// and `dp_greedy` as the cost-oriented references.
 pub fn run(config: &WorkloadConfig) -> CapacityExp {
-    run_with(
-        find("optimal").expect("optimal is registered"),
-        find("dp_greedy").expect("dp_greedy is registered"),
-        config,
-    )
-}
-
-/// Runs the sweep with any two cost-oriented reference solvers — the
-/// first fills the `optimal` column, the second `dp_greedy`.
-pub fn run_with(
-    optimal: &dyn CachingSolver,
-    dp_greedy: &dyn CachingSolver,
-    config: &WorkloadConfig,
-) -> CapacityExp {
+    let optimal = find("optimal").expect("optimal is registered");
+    let dp_greedy = find("dp_greedy").expect("dp_greedy is registered");
     let seq = generate(config);
     let model = CostModel::new(2.0, 4.0, 0.8).expect("valid");
     let accesses = seq.total_item_accesses() as f64;

@@ -19,11 +19,11 @@
 //!   plans slightly more than unpacked ones — robustness is part of the
 //!   packing trade-off.
 
-use mcs_engine::{find, CachingSolver, RunContext};
+use mcs_engine::{find, RunContext};
 use mcs_model::fault::FaultPlan;
 use mcs_model::par::par_map;
 use mcs_model::CostModel;
-use mcs_sim::fleet::chaos_solver;
+use mcs_sim::fleet::chaos_solution;
 use mcs_trace::workload::{generate, WorkloadConfig};
 
 use crate::table::{fmt_f, Table};
@@ -77,21 +77,7 @@ const MEAN_OUTAGE: f64 = 2.0;
 /// `fault_seed` derives every grid point's [`FaultPlan`]; a fixed seed
 /// makes the whole table reproducible.
 pub fn run(config: &WorkloadConfig, fault_seed: u64) -> ChaosExp {
-    run_with(
-        find("dp_greedy").expect("dp_greedy is registered"),
-        config,
-        fault_seed,
-    )
-}
-
-/// Runs the sweep for any generically replayable solver (see
-/// [`mcs_sim::fleet::chaos_solution`]).
-///
-/// # Panics
-///
-/// Panics if the solver's solutions cannot be replayed generically
-/// (windowed/multi slicing, aggregate-only online policies).
-pub fn run_with(solver: &dyn CachingSolver, config: &WorkloadConfig, fault_seed: u64) -> ChaosExp {
+    let solver = find("dp_greedy").expect("dp_greedy is registered");
     let seq = generate(config);
     let horizon = seq.horizon();
 
@@ -120,8 +106,8 @@ pub fn run_with(solver: &dyn CachingSolver, config: &WorkloadConfig, fault_seed:
             MEAN_OUTAGE,
             fault_rate, // transfer failures injected at the crash rate
         );
-        let chaos =
-            chaos_solver(&seq, solver, &ctx, &plan).expect("solver must be generically replayable");
+        let chaos = chaos_solution(&seq, &solver.solve(&seq, &ctx), &model, &plan)
+            .expect("dp_greedy solutions replay");
         ChaosRow {
             fault_rate,
             theta,

@@ -15,7 +15,7 @@
 
 use dp_greedy::two_phase::DpGreedyConfig;
 use dp_greedy::windowed::{dp_greedy_windowed, WindowedConfig};
-use mcs_engine::{find, CachingSolver, RunContext};
+use mcs_engine::{find, RunContext};
 use mcs_model::par::par_map;
 use mcs_model::rng::Rng;
 use mcs_model::{CostModel, RequestSeq, RequestSeqBuilder};
@@ -74,22 +74,14 @@ pub fn drift_workload(n: usize, drifting: bool, seed: u64) -> (RequestSeq, f64) 
 }
 
 /// Runs the sweep with the registry's `dp_greedy` as the global packer
-/// and `optimal` as the non-packing yardstick.
-pub fn run(seed: u64) -> DriftExp {
-    run_with(
-        find("dp_greedy").expect("dp_greedy is registered"),
-        find("optimal").expect("optimal is registered"),
-        seed,
-    )
-}
-
-/// Runs the sweep with any whole-sequence solver as the `global` column
-/// and any baseline as the `optimal` column. The windowed column always
+/// and `optimal` as the non-packing yardstick. The windowed column
 /// re-runs DP_Greedy per phase-boundary window (the drift-adaptive
 /// variant under test); it is pinned to the workload's phase boundary,
 /// which the registry's fixed quarter-horizon `windowed` solver cannot
 /// express.
-pub fn run_with(global: &dyn CachingSolver, optimal: &dyn CachingSolver, seed: u64) -> DriftExp {
+pub fn run(seed: u64) -> DriftExp {
+    let global = find("dp_greedy").expect("dp_greedy is registered");
+    let optimal = find("optimal").expect("optimal is registered");
     let alphas = [0.3, 0.5, 0.8];
     let mut window = 0.0;
     let mut rows = Vec::new();

@@ -8,12 +8,13 @@
 //! why its experiments set `θ = 0.3`.
 
 use dp_greedy::baselines::optimal_pair;
-use dp_greedy::ledger::pair_ledger;
 use dp_greedy::two_phase::{dp_greedy_pair, DpGreedyConfig};
+use mcs_engine::solvers::pair_parts;
 use mcs_model::par::par_map;
 use mcs_model::{CostModel, ItemId};
 use mcs_trace::workload::{generate, WorkloadConfig};
 
+use crate::parts_breakdown;
 use crate::table::{fmt_f, Table};
 
 /// One pair measurement.
@@ -72,13 +73,16 @@ pub fn run(config: &WorkloadConfig) -> Fig11 {
         let report = dp_greedy_pair(&seq, a, b, &dpg_config);
         let runtime_ms = t0.elapsed().as_secs_f64() * 1e3;
         let opt = optimal_pair(&seq, a, b, &model);
-        let breakdown = pair_ledger(&report, &model).breakdown();
+        let total = report.total();
+        let mut parts = Vec::new();
+        pair_parts(report, &model, 0.0, &mut parts);
+        let breakdown = parts_breakdown(parts);
         let per_access = 1.0 / accesses as f64;
         Some(Fig11Row {
             a: i,
             b: j,
             jaccard: pv.jaccard(),
-            dp_greedy: report.total() * per_access,
+            dp_greedy: total * per_access,
             optimal: opt * per_access,
             dpg_cache: breakdown.cache * per_access,
             dpg_transfer: breakdown.transfer * per_access,

@@ -7,7 +7,7 @@
 //! favourable; the first request of each server always needs a transfer,
 //! which tilts the peak right of `ρ = 1`.
 
-use mcs_engine::{find, CachingSolver, RunContext};
+use mcs_engine::{find, RunContext};
 use mcs_model::defaults::{DEFAULT_ALPHA, DEFAULT_THETA, RATE_SUM};
 use mcs_model::par::par_map;
 use mcs_model::CostModelBuilder;
@@ -54,22 +54,11 @@ pub fn default_rhos() -> Vec<f64> {
 }
 
 /// Runs the sweep with the paper's two contenders (DP_Greedy against the
-/// non-packing Optimal), resolved from the engine registry.
+/// non-packing Optimal), resolved from the engine registry (points in
+/// parallel).
 pub fn run(config: &WorkloadConfig, rhos: &[f64]) -> Fig12 {
     let solver = find("dp_greedy").expect("dp_greedy is registered");
     let baseline = find("optimal").expect("optimal is registered");
-    run_with(solver, baseline, config, rhos)
-}
-
-/// Runs the sweep for any (solver, baseline) pair behind the engine seam
-/// (points in parallel). The `dp_greedy`-named columns report `solver`;
-/// the `optimal` column reports `baseline`.
-pub fn run_with(
-    solver: &dyn CachingSolver,
-    baseline: &dyn CachingSolver,
-    config: &WorkloadConfig,
-    rhos: &[f64],
-) -> Fig12 {
     let seq = generate(config);
     let rows: Vec<Fig12Row> = par_map(rhos, |&rho| {
         let model = CostModelBuilder::new()

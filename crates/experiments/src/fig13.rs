@@ -13,12 +13,15 @@
 //! two extremes thanks to its selective packing.
 
 use dp_greedy::baselines::{optimal_pair, package_served_pair};
-use dp_greedy::ledger::{optimal_pair_ledger, pair_ledger};
 use dp_greedy::two_phase::{dp_greedy_pair, DpGreedyConfig};
+use mcs_engine::solvers::pair_parts;
+use mcs_engine::SolutionPart;
 use mcs_model::par::par_map;
 use mcs_model::{CostModel, ItemId};
+use mcs_obs::Subject;
 use mcs_trace::workload::{generate, WorkloadConfig};
 
+use crate::parts_breakdown;
 use crate::table::{fmt_f, Table};
 
 /// One (α, pair) measurement.
@@ -85,13 +88,26 @@ pub fn run(config: &WorkloadConfig) -> Fig13 {
         // on pairs whose similarity strictly exceeds θ; below
         // it DP_Greedy serves both items individually.
         let t0 = std::time::Instant::now();
-        let (dp_greedy, breakdown) = if pv.jaccard() > THETA {
+        let mut parts = Vec::new();
+        let dp_greedy = if pv.jaccard() > THETA {
             let report = dp_greedy_pair(seq, a, b, &DpGreedyConfig::new(model).with_theta(THETA));
-            let breakdown = pair_ledger(&report, &model).breakdown();
-            (report.total() / accesses, breakdown)
+            let total = report.total();
+            pair_parts(report, &model, 0.0, &mut parts);
+            total / accesses
         } else {
-            (optimal, optimal_pair_ledger(seq, a, b, &model).breakdown())
+            // Unpacked: both items served by their own optimal schedules.
+            for item in [a, b] {
+                parts.push(SolutionPart::Schedule {
+                    phase: "offline",
+                    subject: Subject::Item(item.0),
+                    schedule: mcs_offline::optimal(&seq.item_trace(item), &model).schedule,
+                    mu: model.mu(),
+                    lambda: model.lambda(),
+                });
+            }
+            optimal
         };
+        let breakdown = parts_breakdown(parts);
         let runtime_ms = t0.elapsed().as_secs_f64() * 1e3;
         Some(Fig13Row {
             alpha,

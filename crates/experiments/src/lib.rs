@@ -20,8 +20,10 @@
 //! [`mcs_model::par`] where points are independent. The `figures` binary drives them from the
 //! command line. The whole-sequence runners (`fig12`, `drift_exp`,
 //! `capacity_exp`, `chaos_exp`) resolve their algorithms from the
-//! `mcs-engine` registry and expose `run_with(&dyn CachingSolver, ...)`
-//! seams, so any registered solver can be swept without new runner code.
+//! `mcs-engine` registry by name, and the per-pair runners (`fig11`,
+//! `fig13`) derive their cost breakdowns from engine
+//! [`SolutionPart`]s through [`Solution::ledger`], so every ledger
+//! column in the workspace comes from one derivation.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -46,6 +48,8 @@ pub mod table;
 
 pub use table::Table;
 
+use mcs_engine::{Solution, SolutionPart, SolverKind};
+use mcs_obs::ledger::CostBreakdown;
 use mcs_trace::workload::WorkloadConfig;
 
 /// The default workload seed used by every figure (kept stable so
@@ -56,4 +60,17 @@ pub const DEFAULT_SEED: u64 = mcs_model::defaults::DEFAULT_SEED; // CLUSTER 2019
 /// The shared paper-like workload configuration.
 pub fn paper_workload(seed: u64) -> WorkloadConfig {
     WorkloadConfig::paper_like(seed)
+}
+
+/// The ledger cost breakdown of one pair's parts, derived by
+/// [`Solution::ledger`] like every registry row's ledger.
+fn parts_breakdown(parts: Vec<SolutionPart>) -> CostBreakdown {
+    let solution = Solution {
+        algo: "dp_greedy",
+        kind: SolverKind::Offline,
+        total_cost: parts.iter().map(SolutionPart::cost).sum(),
+        total_accesses: 0,
+        parts,
+    };
+    solution.ledger().breakdown()
 }

@@ -11,8 +11,8 @@
 //! the paper's figures vary.
 //!
 //! Ledgers are *derived* from algorithm outputs (explicit schedules and
-//! recorded arm choices) by `mcs-offline::ledger` and `dp-greedy::ledger`,
-//! not logged inline; this module only defines the event model and the
+//! recorded arm choices) by `mcs_engine::Solution::ledger`, not logged
+//! inline; this module only defines the event model and the
 //! deterministic JSON-lines encoding.
 
 use crate::jsonl;

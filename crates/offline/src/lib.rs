@@ -51,7 +51,6 @@
 pub mod exhaustive;
 pub mod greedy;
 pub mod hetero;
-pub mod ledger;
 pub mod optimal;
 pub mod optimal_fast;
 pub mod single_copy;

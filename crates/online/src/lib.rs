@@ -34,7 +34,6 @@ pub mod capacity;
 pub mod extremes;
 pub mod harness;
 pub mod online_dpg;
-pub mod randomized;
 pub mod resilient;
 pub mod ski_rental;
 pub mod tiered;

@@ -1,15 +1,14 @@
-//! Fleet-level replay: validate a complete [`DpGreedyReport`] against its
-//! request sequence.
+//! Fleet-level chaos replay of an engine [`Solution`].
 //!
-//! Every explicit schedule inside the report (package schedules of the
-//! packed pairs, per-item schedules of the unpacked singletons) is
-//! replayed through the event engine and its cost re-derived; the greedy
-//! singleton costs of Phase 2 are bookkeeping upper bounds (each arm is
-//! individually realisable — see the `dp-greedy` docs) and are carried
-//! through unchanged but reported separately.
+//! Every explicit schedule of a solution (`SolutionPart::Schedule`: the
+//! package schedules of packed pairs, the per-item schedules of
+//! singletons and of the non-packing baselines) is replayed through the
+//! degraded engine of [`crate::faults`] under a [`FaultPlan`], on the
+//! trace its subject names. Serve-time greedy choices and aggregate
+//! costs carry no explicit schedule and stay out of both sides of the
+//! degradation ratio.
 
-use dp_greedy::two_phase::DpGreedyReport;
-use mcs_engine::{CachingSolver, RunContext, Solution, SolutionPart};
+use mcs_engine::{Solution, SolutionPart};
 use mcs_model::fault::FaultPlan;
 use mcs_model::request::SingleItemTrace;
 use mcs_model::{CostModel, ItemId, RequestSeq};
@@ -17,103 +16,7 @@ use mcs_obs::Subject;
 
 use crate::faults::chaos_replay;
 use crate::metrics::FaultReport;
-use crate::replay::{replay, ReplayError};
-
-/// One replayed commodity.
-#[derive(Debug, Clone)]
-pub struct CommodityCheck {
-    /// Human-readable label (`"package(d1,d2)"`, `"item d3"`).
-    pub label: String,
-    /// Cost reported by the algorithm.
-    pub reported: f64,
-    /// Cost re-derived by replay.
-    pub replayed: f64,
-    /// Transfers executed during replay.
-    pub transfers: usize,
-}
-
-/// Aggregate outcome of a fleet replay.
-#[derive(Debug, Clone)]
-pub struct FleetReport {
-    /// Per-commodity checks (everything with an explicit schedule).
-    pub commodities: Vec<CommodityCheck>,
-    /// Total replayed cost over explicit schedules.
-    pub replayed_cost: f64,
-    /// Greedy bookkeeping cost carried from the report (no schedule).
-    pub bookkept_cost: f64,
-    /// `replayed + bookkept` — must equal the report's total.
-    pub total_cost: f64,
-}
-
-/// Replays every schedule in a DP_Greedy report and cross-checks costs.
-///
-/// # Errors
-///
-/// Returns the first [`ReplayError`] if any schedule is physically
-/// infeasible, or a synthesized error if a replayed cost disagrees with
-/// the reported one beyond tolerance.
-pub fn replay_dp_greedy(
-    seq: &RequestSeq,
-    report: &DpGreedyReport,
-    model: &CostModel,
-) -> Result<FleetReport, ReplayError> {
-    let mut commodities = Vec::new();
-    let mut replayed_cost = 0.0;
-    let mut bookkept_cost = 0.0;
-
-    let pkg_model = model.scaled_for_package();
-    for pair in &report.pairs {
-        let co = seq.package_trace(pair.a, pair.b);
-        let rep = replay(&pair.package_schedule, &co)?;
-        let replayed = rep.cost(pkg_model.mu(), pkg_model.lambda());
-        if (replayed - pair.package_cost).abs() > 1e-6 {
-            return Err(ReplayError {
-                time: co.points.last().map_or(0.0, |p| p.time),
-                reason: format!(
-                    "package ({}, {}): replayed {replayed} != reported {}",
-                    pair.a, pair.b, pair.package_cost
-                ),
-            });
-        }
-        commodities.push(CommodityCheck {
-            label: format!("package({}, {})", pair.a, pair.b),
-            reported: pair.package_cost,
-            replayed,
-            transfers: rep.transfers,
-        });
-        replayed_cost += replayed;
-        bookkept_cost += pair.a_singleton_cost + pair.b_singleton_cost;
-    }
-
-    for s in &report.singletons {
-        let trace = seq.item_trace(s.item);
-        let rep = replay(&s.schedule, &trace)?;
-        let replayed = rep.cost(model.mu(), model.lambda());
-        if (replayed - s.cost).abs() > 1e-6 {
-            return Err(ReplayError {
-                time: trace.points.last().map_or(0.0, |p| p.time),
-                reason: format!(
-                    "item {}: replayed {replayed} != reported {}",
-                    s.item, s.cost
-                ),
-            });
-        }
-        commodities.push(CommodityCheck {
-            label: format!("item {}", s.item),
-            reported: s.cost,
-            replayed,
-            transfers: rep.transfers,
-        });
-        replayed_cost += replayed;
-    }
-
-    Ok(FleetReport {
-        commodities,
-        replayed_cost,
-        bookkept_cost,
-        total_cost: replayed_cost + bookkept_cost,
-    })
-}
+use crate::replay::replay;
 
 /// One commodity replayed under faults.
 #[derive(Debug, Clone)]
@@ -144,84 +47,6 @@ pub struct FleetChaosReport {
     pub fault: FaultReport,
 }
 
-/// Replays every explicit schedule of a DP_Greedy report through the
-/// degraded engine under `plan` and aggregates recovery metrics.
-///
-/// Unlike [`replay_dp_greedy`] this never fails: the degraded engine
-/// serves every request by repair or origin fallback, so an infeasible
-/// situation shows up as cost inflation, not as an error. Package
-/// schedules are costed under the `α`-scaled package rates, singletons
-/// under the base rates; the Phase-2 greedy bookkeeping arms carry no
-/// explicit schedule and are excluded from both sides of the ratio.
-pub fn chaos_dp_greedy(
-    seq: &RequestSeq,
-    report: &DpGreedyReport,
-    model: &CostModel,
-    plan: &FaultPlan,
-) -> FleetChaosReport {
-    let mut commodities = Vec::new();
-    let mut fault_free_cost = 0.0;
-    let mut degraded_cost = 0.0;
-    let mut fault = FaultReport::new(0);
-
-    let pkg_model = model.scaled_for_package();
-    for pair in &report.pairs {
-        let co = seq.package_trace(pair.a, pair.b);
-        let out = chaos_replay(&pair.package_schedule, &co, plan, &pkg_model);
-        commodities.push(CommodityChaos {
-            label: format!("package({}, {})", pair.a, pair.b),
-            fault_free: out.fault_free_cost,
-            degraded: out.degraded_cost,
-            degradation_ratio: out.degradation_ratio,
-        });
-        fault_free_cost += out.fault_free_cost;
-        degraded_cost += out.degraded_cost;
-        fault.absorb(&out.report.fault);
-    }
-
-    for s in &report.singletons {
-        let trace = seq.item_trace(s.item);
-        let out = chaos_replay(&s.schedule, &trace, plan, model);
-        commodities.push(CommodityChaos {
-            label: format!("item {}", s.item),
-            fault_free: out.fault_free_cost,
-            degraded: out.degraded_cost,
-            degradation_ratio: out.degradation_ratio,
-        });
-        fault_free_cost += out.fault_free_cost;
-        degraded_cost += out.degraded_cost;
-        fault.absorb(&out.report.fault);
-    }
-
-    let degradation_ratio = if fault_free_cost > 0.0 {
-        degraded_cost / fault_free_cost
-    } else {
-        1.0
-    };
-    fault.cost_inflation = degradation_ratio;
-    FleetChaosReport {
-        commodities,
-        fault_free_cost,
-        degraded_cost,
-        degradation_ratio,
-        fault,
-    }
-}
-
-/// Solvers whose engine [`Solution`]s the generic chaos replay supports:
-/// every `Schedule` part must cover its subject's *full* trace (pair
-/// subjects over the pair's co- or union-requests, item subjects over
-/// the item's trace). The windowed and multi-item solvers slice or
-/// regroup traces, and the aggregate-only online solvers emit no
-/// schedules at all — none of them can be replayed generically.
-fn solution_is_replayable(solution: &Solution) -> bool {
-    !matches!(solution.algo, "windowed" | "multi")
-        && solution
-            .parts
-            .iter()
-            .any(|p| matches!(p, SolutionPart::Schedule { .. }))
-}
-
 fn part_trace(seq: &RequestSeq, algo: &str, subject: Subject) -> SingleItemTrace {
     match subject {
         // `package_served` packs over the union of the pair's requests;
@@ -233,45 +58,51 @@ fn part_trace(seq: &RequestSeq, algo: &str, subject: Subject) -> SingleItemTrace
 }
 
 /// Replays every explicit schedule of an engine [`Solution`] through the
-/// degraded engine under `plan` — the solver-generic successor of
-/// [`chaos_dp_greedy`], which it reproduces bit-for-bit on `dp_greedy`
-/// solutions. Each schedule part is costed at its own recorded rates
-/// (`alpha` is carried over from `model` but unused by the replay).
-/// `Serve` and `Aggregate` parts carry no explicit schedule and are
-/// excluded from both sides of the ratio.
+/// degraded engine under `plan`. Each schedule part is costed at its own
+/// recorded rates (`alpha` is carried over from `model` but unused by
+/// the replay). `Serve` and `Aggregate` parts carry no explicit
+/// schedule and are excluded from both sides of the ratio.
 ///
-/// Returns `None` for solutions the generic replay cannot express (see
-/// `solution_is_replayable`): windowed/multi-item slicing, or purely
-/// aggregate online solvers.
+/// Returns `None` unless the solution has at least one `Schedule` part
+/// and every such part passes a strict [`replay`] on the trace it is
+/// replayed against: its subject's whole trace (a pair's co-requests,
+/// or its union for `package_served`; an item's requests). That rules
+/// out window-sliced schedules, packages of three or more items (whose
+/// schedule serves the whole group's co-requests, not its first pair's)
+/// and aggregate-only solvers.
 pub fn chaos_solution(
     seq: &RequestSeq,
     solution: &Solution,
     model: &CostModel,
     plan: &FaultPlan,
 ) -> Option<FleetChaosReport> {
-    if !solution_is_replayable(solution) {
-        return None;
-    }
-    let mut commodities = Vec::new();
-    let mut fault_free_cost = 0.0;
-    let mut degraded_cost = 0.0;
-    let mut fault = FaultReport::new(0);
-
+    let mut schedules = Vec::new();
     for part in &solution.parts {
-        let SolutionPart::Schedule {
+        if let SolutionPart::Schedule {
             subject,
             schedule,
             mu,
             lambda,
             ..
         } = part
-        else {
-            continue;
-        };
-        let trace = part_trace(seq, solution.algo, *subject);
+        {
+            let trace = part_trace(seq, solution.algo, *subject);
+            replay(schedule, &trace).ok()?;
+            schedules.push((*subject, schedule, *mu, *lambda, trace));
+        }
+    }
+    if schedules.is_empty() {
+        return None;
+    }
+
+    let mut commodities = Vec::new();
+    let mut fault_free_cost = 0.0;
+    let mut degraded_cost = 0.0;
+    let mut fault = FaultReport::new(0);
+    for (subject, schedule, mu, lambda, trace) in &schedules {
         let part_model = CostModel::new(*mu, *lambda, model.alpha())
             .expect("schedule parts carry valid positive rates");
-        let out = chaos_replay(schedule, &trace, plan, &part_model);
+        let out = chaos_replay(schedule, trace, plan, &part_model);
         let label = match subject {
             Subject::Pair(a, b) => format!("package({}, {})", ItemId(*a), ItemId(*b)),
             Subject::Item(i) => format!("item {}", ItemId(*i)),
@@ -302,23 +133,10 @@ pub fn chaos_solution(
     })
 }
 
-/// Convenience seam for the experiment runners: solves `seq` with any
-/// registered solver and pushes the resulting schedules through
-/// [`chaos_solution`]. Returns `None` when the solver's solutions are
-/// not generically replayable.
-pub fn chaos_solver(
-    seq: &RequestSeq,
-    solver: &dyn CachingSolver,
-    ctx: &RunContext,
-    plan: &FaultPlan,
-) -> Option<FleetChaosReport> {
-    chaos_solution(seq, &solver.solve(seq, ctx), &ctx.model(), plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_greedy::two_phase::{dp_greedy, DpGreedyConfig};
+    use mcs_engine::RunContext;
     use mcs_model::RequestSeqBuilder;
 
     fn paper_sequence() -> RequestSeq {
@@ -334,46 +152,36 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn fleet_replay_confirms_the_running_example() {
-        let seq = paper_sequence();
-        let model = CostModel::paper_example();
-        let report = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.4));
-        let fleet = replay_dp_greedy(&seq, &report, &model).expect("feasible fleet");
-        assert_eq!(fleet.commodities.len(), 1); // one package, no singletons
-        assert!((fleet.replayed_cost - 8.96).abs() < 1e-9);
-        assert!((fleet.bookkept_cost - 6.0).abs() < 1e-9);
-        assert!((fleet.total_cost - report.total_cost).abs() < 1e-9);
+    /// The registry's `dp_greedy` on the running example at θ = 0.4: one
+    /// packed pair (package schedule, then the two serve streams).
+    fn paper_dp_greedy(seq: &RequestSeq) -> Solution {
+        let ctx = RunContext::new(CostModel::paper_example()).with_theta(0.4);
+        mcs_engine::find("dp_greedy").unwrap().solve(seq, &ctx)
     }
 
-    #[test]
-    fn fleet_replay_covers_singletons_too() {
-        let seq = paper_sequence();
-        let model = CostModel::paper_example();
-        // θ = 0.99: nothing packs, both items replay as singletons.
-        let report = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.99));
-        let fleet = replay_dp_greedy(&seq, &report, &model).unwrap();
-        assert_eq!(fleet.commodities.len(), 2);
-        assert_eq!(fleet.bookkept_cost, 0.0);
-        assert!((fleet.total_cost - report.total_cost).abs() < 1e-9);
-        for c in &fleet.commodities {
-            assert!((c.reported - c.replayed).abs() < 1e-9, "{}", c.label);
-        }
+    /// Sum of the costs of a solution's explicit schedules.
+    fn schedule_cost(solution: &Solution) -> f64 {
+        solution
+            .parts
+            .iter()
+            .filter(|p| matches!(p, SolutionPart::Schedule { .. }))
+            .map(SolutionPart::cost)
+            .sum()
     }
 
     #[test]
     fn fleet_chaos_with_no_faults_matches_plain_replay() {
         let seq = paper_sequence();
         let model = CostModel::paper_example();
-        let report = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.4));
-        let plain = replay_dp_greedy(&seq, &report, &model).unwrap();
-        let chaos = chaos_dp_greedy(&seq, &report, &model, &FaultPlan::none());
+        let sol = paper_dp_greedy(&seq);
+        let chaos = chaos_solution(&seq, &sol, &model, &FaultPlan::none()).unwrap();
         assert_eq!(chaos.degradation_ratio, 1.0);
         assert_eq!(
             chaos.degraded_cost.to_bits(),
             chaos.fault_free_cost.to_bits()
         );
-        assert!((chaos.fault_free_cost - plain.replayed_cost).abs() < 1e-9);
+        // C12 of the running example: the one package schedule.
+        assert!((chaos.fault_free_cost - 8.96).abs() < 1e-9);
         assert_eq!(chaos.fault.requests_degraded, 0);
         assert_eq!(chaos.fault.copies_lost, 0);
         assert_eq!(chaos.fault.cost_inflation, 1.0);
@@ -383,9 +191,9 @@ mod tests {
     fn fleet_chaos_under_blackout_counts_degradation() {
         let seq = paper_sequence();
         let model = CostModel::paper_example();
-        let report = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.4));
+        let sol = paper_dp_greedy(&seq);
         let plan = FaultPlan::total_blackout(seq.servers());
-        let chaos = chaos_dp_greedy(&seq, &report, &model, &plan);
+        let chaos = chaos_solution(&seq, &sol, &model, &plan).unwrap();
         // A blackout is not necessarily *more expensive* — skipped rent can
         // outweigh cheap origin reads — but it must register as degradation.
         assert!(chaos.degradation_ratio > 0.0);
@@ -393,31 +201,6 @@ mod tests {
         assert!(chaos.fault.intervals_skipped > 0);
         assert_eq!(chaos.fault.cost_inflation, chaos.degradation_ratio);
         assert!(chaos.fault.requests_total >= chaos.fault.requests_degraded);
-    }
-
-    #[test]
-    fn chaos_solution_reproduces_chaos_dp_greedy_bit_for_bit() {
-        let seq = paper_sequence();
-        let model = CostModel::paper_example();
-        let report = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.4));
-        let plan = FaultPlan::random(11, seq.servers(), seq.horizon(), 0.2, 1.0, 0.2);
-        let legacy = chaos_dp_greedy(&seq, &report, &model, &plan);
-
-        let ctx = RunContext::new(model).with_theta(0.4);
-        let solver = mcs_engine::find("dp_greedy").unwrap();
-        let generic = chaos_solver(&seq, solver, &ctx, &plan).expect("dp_greedy is replayable");
-
-        assert_eq!(
-            generic.degraded_cost.to_bits(),
-            legacy.degraded_cost.to_bits()
-        );
-        assert_eq!(
-            generic.fault_free_cost.to_bits(),
-            legacy.fault_free_cost.to_bits()
-        );
-        assert_eq!(generic.commodities.len(), legacy.commodities.len());
-        assert_eq!(generic.fault.copies_lost, legacy.fault.copies_lost);
-        assert_eq!(generic.fault.retries, legacy.fault.retries);
     }
 
     #[test]
@@ -430,10 +213,10 @@ mod tests {
             let sol = solver.solve(&seq, &ctx);
             let out = chaos_solution(&seq, &sol, &model, &plan);
             match solver.name() {
-                "windowed" | "multi" | "online_dpg" | "resilient" | "hetero_exact"
-                | "hetero_greedy" | "tiered_waterfall" => {
-                    // Aggregate-only (or time-shifted) solutions carry no
-                    // generically replayable schedules.
+                "windowed" | "online_dpg" | "resilient" | "hetero_exact" | "hetero_greedy"
+                | "tiered_waterfall" => {
+                    // Window-sliced or aggregate-only solutions carry no
+                    // schedule that serves its subject's whole trace.
                     assert!(out.is_none(), "{} should be unsupported", solver.name());
                 }
                 _ => {
@@ -441,9 +224,47 @@ mod tests {
                         .unwrap_or_else(|| panic!("{} should replay generically", solver.name()));
                     assert_eq!(fleet.degradation_ratio, 1.0, "{}", solver.name());
                     assert!(fleet.fault_free_cost > 0.0, "{}", solver.name());
+                    assert!(
+                        (fleet.fault_free_cost - schedule_cost(&sol)).abs() < 1e-9,
+                        "{}: fault-free {} != schedules {}",
+                        solver.name(),
+                        fleet.fault_free_cost,
+                        schedule_cost(&sol)
+                    );
                 }
             }
         }
+
+        // One more input. Items {0,1,2} are co-requested eight times,
+        // then {0,1} three more times. At K = 3 the trio packs, and its
+        // schedule (over the trio's eight co-requests) carries the
+        // subject `Pair(0, 1)`, whose trace has eleven co-requests.
+        let mut b = RequestSeqBuilder::new(4, 4);
+        for (i, server) in [1u32, 2, 3, 1, 2, 0, 3, 2].into_iter().enumerate() {
+            b = b.push(server, 0.5 * (i + 1) as f64, [0, 1, 2]);
+        }
+        for (t, server) in [(4.9, 3u32), (5.8, 1), (6.7, 2)] {
+            b = b.push(server, t, [0, 1]);
+        }
+        let bundle = b.push(3u32, 7.6, [3]).build().unwrap();
+        let model = CostModel::new(1.0, 1.0, 0.6).unwrap();
+        let ctx = RunContext::new(model).with_theta(0.3);
+        let solve = |name: &str, ctx: &RunContext| {
+            let sol = mcs_engine::find(name).unwrap().solve(&bundle, ctx);
+            let out = chaos_solution(&bundle, &sol, &model, &plan);
+            (sol, out)
+        };
+        for (name, ctx) in [
+            ("dpg_k", ctx.clone().with_max_group(3)),
+            ("multi", ctx.clone()),
+        ] {
+            let (_, out) = solve(name, &ctx);
+            assert!(out.is_none(), "{name} must not replay its trio as a pair");
+        }
+        // DP_Greedy's pair schedule serves all eleven co-requests.
+        let (sol, out) = solve("dp_greedy", &ctx);
+        let fleet = out.expect("dp_greedy replays on the bundle");
+        assert!((fleet.fault_free_cost - schedule_cost(&sol)).abs() < 1e-9);
     }
 
     #[test]
@@ -454,7 +275,7 @@ mod tests {
 
         let seq = paper_sequence();
         let model = CostModel::paper_example();
-        let report = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.4));
+        let sol = paper_dp_greedy(&seq);
         // The package schedule caches on s2 over [0.8, 4.0] with a
         // co-request at t = 4.0. A brief outage at [3.9, 3.95) loses the
         // copy 0.1 time units early (rent saved: 0.1·μ_pkg) but forces a
@@ -464,7 +285,7 @@ mod tests {
             server: ServerId(2),
             span: TimeSpan::new(3.9, 3.95),
         });
-        let chaos = chaos_dp_greedy(&seq, &report, &model, &plan);
+        let chaos = chaos_solution(&seq, &sol, &model, &plan).unwrap();
         assert!(
             chaos.degradation_ratio > 1.0,
             "repair should inflate cost, got {}",

@@ -14,6 +14,12 @@
 //!   which must agree with the interval-sum accounting of `mcs-model`.
 //! * [`metrics`] — occupancy metrics: peak concurrent copies, per-server
 //!   copy time, transfer fan-in/out.
+//! * [`faults`] — degraded replay under a [`mcs_model::FaultPlan`]:
+//!   crashes, transfer failures, retries, origin fallback and re-cache.
+//! * [`fleet`] — [`chaos_solution`], the fault replay of every explicit
+//!   schedule of an `mcs-engine` [`mcs_engine::Solution`]; it reads any
+//!   registered solver's output, so the simulator depends on the engine,
+//!   not on one algorithm's report type.
 //!
 //! Every algorithm in the workspace is cross-checked through this replay
 //! path in the integration tests.
@@ -29,9 +35,6 @@ pub mod metrics;
 pub mod replay;
 
 pub use faults::{chaos_replay, degraded_replay, ChaosOutcome, DegradedReport};
-pub use fleet::{
-    chaos_dp_greedy, chaos_solution, chaos_solver, replay_dp_greedy, CommodityChaos,
-    FleetChaosReport, FleetReport,
-};
+pub use fleet::{chaos_solution, CommodityChaos, FleetChaosReport};
 pub use metrics::{FaultReport, ReplayMetrics};
 pub use replay::{replay, ReplayError, ReplayReport};

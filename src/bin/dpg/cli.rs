@@ -68,12 +68,20 @@ pub fn print_usage() {
 pub fn write_report(
     write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
 ) -> Result<(), CliError> {
+    write_frame(write).map(drop)
+}
+
+/// [`write_report`] for a command that keeps writing (the live `dpg top`
+/// view): `Ok(false)` once the reader has closed the pipe, so the
+/// command can stop.
+pub fn write_frame(
+    write: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+) -> Result<bool, CliError> {
     let mut out = std::io::stdout().lock();
     match write(&mut out).and_then(|()| out.flush()) {
-        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
-            Err(CliError::Runtime(format!("cannot write to stdout: {e}")))
-        }
-        _ => Ok(()),
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(CliError::Runtime(format!("cannot write to stdout: {e}"))),
     }
 }
 

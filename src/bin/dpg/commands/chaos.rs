@@ -2,7 +2,7 @@
 //!
 //! Plans a DP_Greedy fleet through the engine registry, injects a seeded
 //! `FaultPlan` (`mcs_model::fault`), replays every explicit schedule
-//! through the degraded engine ([`mcs_sim::chaos_solver`]) and reports
+//! through the degraded engine ([`mcs_sim::chaos_solution`]) and reports
 //! the degradation ratio plus recovery metrics. Deterministic for a fixed
 //! `--seed`. With `--sweep` the full fault-rate × θ × α grid of
 //! `mcs_experiments::chaos_exp` is printed instead.
@@ -14,7 +14,7 @@ use dp_greedy_suite::model::defaults::DEFAULT_SEED;
 use dp_greedy_suite::model::fault::FaultPlan;
 use dp_greedy_suite::online::{degradation_ratio, resilient_ski_rental};
 use dp_greedy_suite::prelude::*;
-use dp_greedy_suite::sim::chaos_solver;
+use dp_greedy_suite::sim::chaos_solution;
 
 pub fn run(args: &[String]) -> Result<(), CliError> {
     check_flags(
@@ -71,7 +71,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     );
     let solver = find("dp_greedy").expect("dp_greedy is registered");
     let ctx = RunContext::new(model).with_theta(theta);
-    let chaos = chaos_solver(&seq, solver, &ctx, &plan)
+    let chaos = chaos_solution(&seq, &solver.solve(&seq, &ctx), &model, &plan)
         .expect("dp_greedy solutions carry explicit schedules");
 
     // On-line view: crash-aware ski-rental per item, same plan.

@@ -26,7 +26,7 @@ use std::io::BufReader;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use crate::cli::{check_flags, model_flags, parse_flag, CliError};
+use crate::cli::{check_flags, model_flags, parse_flag, write_report, CliError};
 use dp_greedy_suite::engine::find;
 use dp_greedy_suite::serve::{serve_stream, Daemon, ServeConfig, ServeError, TelemetryServer};
 
@@ -118,8 +118,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         Daemon::recover(cfg)
             .map_err(runtime)?
             .ok_or_else(|| CliError::Runtime(format!("no serving state in {}", dir.display())))?;
-        print!("{}", dp_greedy_suite::obs::journal::tail_jsonl(usize::MAX));
-        return Ok(());
+        let journal = dp_greedy_suite::obs::journal::tail_jsonl(usize::MAX);
+        return write_report(|out| out.write_all(journal.as_bytes()));
     }
 
     if args.iter().any(|a| a == "--dump-state") {
@@ -130,8 +130,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         let daemon = Daemon::recover(cfg)
             .map_err(runtime)?
             .ok_or_else(|| CliError::Runtime(format!("no serving state in {}", dir.display())))?;
-        print!("{}", daemon.current_state().canonical_json());
-        return Ok(());
+        let state = daemon.current_state().canonical_json();
+        return write_report(|out| out.write_all(state.as_bytes()));
     }
 
     // The control endpoint lives on its own listener thread for the
@@ -157,20 +157,24 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         None => serve_stream(cfg, std::io::stdin().lock()).map_err(runtime)?,
     };
     let source = input.unwrap_or_else(|| "stdin".to_string());
-    println!(
-        "serve: {source} done: admitted={} stale={} rejected={} malformed={} replayed={}",
-        summary.admitted, summary.stale, summary.rejected, summary.malformed, summary.replayed
-    );
-    println!(
-        "state: epoch={} admitted={} pending={} cum_cost={:.4} degraded_epochs={:?}",
-        state.epoch,
-        state.admitted,
-        state.pending.len(),
-        state.cum_cost,
-        state.degraded_epochs
-    );
-    if let Some(ratio) = state.degradation_ratio() {
-        println!("degradation_ratio={ratio:.4}");
-    }
-    Ok(())
+    write_report(|out| {
+        writeln!(
+            out,
+            "serve: {source} done: admitted={} stale={} rejected={} malformed={} replayed={}",
+            summary.admitted, summary.stale, summary.rejected, summary.malformed, summary.replayed
+        )?;
+        writeln!(
+            out,
+            "state: epoch={} admitted={} pending={} cum_cost={:.4} degraded_epochs={:?}",
+            state.epoch,
+            state.admitted,
+            state.pending.len(),
+            state.cum_cost,
+            state.degraded_epochs
+        )?;
+        if let Some(ratio) = state.degradation_ratio() {
+            writeln!(out, "degradation_ratio={ratio:.4}")?;
+        }
+        Ok(())
+    })
 }

@@ -22,15 +22,15 @@
 //! Exit taxonomy (matching the rest of `dpg`): a malformed invocation is
 //! usage (2); an unreachable daemon — on the first poll or, as "daemon
 //! gone", after a successful connect — is a runtime failure (1), never a
-//! panic.
+//! panic. A reader that closes the pipe ends the view with exit 0.
 
 use std::collections::HashMap;
-use std::io::{Read, Write as _};
+use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::time::Duration;
 
-use crate::cli::{check_flags, parse_flag, CliError};
+use crate::cli::{check_flags, parse_flag, write_frame, write_report, CliError};
 
 /// Journal lines shown under the live view.
 const DEFAULT_JOURNAL_ROWS: usize = 5;
@@ -173,7 +173,13 @@ fn checkpoint_age(scrape: &Scrape) -> Option<f64> {
     Some((now - at).max(0.0))
 }
 
-fn render(source: &str, scrape: &Scrape, prev: Option<(f64, f64)>, journal: Option<&str>) {
+fn render(
+    out: &mut dyn Write,
+    source: &str,
+    scrape: &Scrape,
+    prev: Option<(f64, f64)>,
+    journal: Option<&str>,
+) -> std::io::Result<()> {
     let scrape_t = scrape.get("serve_scrape_t_mono");
     let admitted = scrape.get("serve_admitted_total");
     let reqs = match (prev, scrape_t, admitted) {
@@ -182,24 +188,28 @@ fn render(source: &str, scrape: &Scrape, prev: Option<(f64, f64)>, journal: Opti
         }
         _ => "-".into(),
     };
-    println!(
+    writeln!(
+        out,
         "dpg top — {source}   t={}",
         scrape_t.map_or_else(|| "-".into(), |t| format!("{t:.1}s"))
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "requests     {reqs} req/s   admitted={} stale={} rejected={} malformed={}",
         fmt_count(admitted),
         fmt_count(scrape.get("serve_stale_total")),
         fmt_count(scrape.get("serve_rejected_total")),
         fmt_count(scrape.get("serve_malformed_total")),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "admission    p50={} p99={} (n={})",
         fmt_secs(scrape.quantile("serve_admit_seconds", 0.5)),
         fmt_secs(scrape.quantile("serve_admit_seconds", 0.99)),
         fmt_count(scrape.get("serve_admit_seconds_count")),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "epochs       open={} ok={} degraded={} busy={}   degradation_ratio={}",
         fmt_count(scrape.get("serve_epoch")),
         fmt_count(scrape.get("serve_epochs_ok_total")),
@@ -208,9 +218,10 @@ fn render(source: &str, scrape: &Scrape, prev: Option<(f64, f64)>, journal: Opti
         scrape
             .get("serve_degradation_ratio")
             .map_or_else(|| "-".into(), |v| format!("{v:.4}")),
-    );
+    )?;
     let ckpt_age = checkpoint_age(scrape).map_or_else(|| "-".into(), |age| format!("{age:.1}s"));
-    println!(
+    writeln!(
+        out,
         "state        cost ok={} degraded={}   checkpoint_age={ckpt_age} log_since={}B   backpressure={}",
         fmt_count(scrape.get("serve_ok_cost_total")),
         fmt_count(scrape.get("serve_degraded_cost_total")),
@@ -218,13 +229,14 @@ fn render(source: &str, scrape: &Scrape, prev: Option<(f64, f64)>, journal: Opti
         scrape
             .get("serve_backpressure")
             .map_or_else(|| "-".into(), |v| format!("{:.0}%", v * 100.0)),
-    );
+    )?;
     if let Some(journal) = journal {
-        println!("journal tail:");
+        writeln!(out, "journal tail:")?;
         for line in journal.lines() {
-            println!("  {line}");
+            writeln!(out, "  {line}")?;
         }
     }
+    Ok(())
 }
 
 pub fn run(args: &[String]) -> Result<(), CliError> {
@@ -267,8 +279,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             _ => return Err(CliError::Usage("--raw takes metrics or journal".into())),
         }
         .map_err(|e| CliError::Runtime(format!("cannot reach daemon: {e}")))?;
-        print!("{body}");
-        return Ok(());
+        return write_report(|out| out.write_all(body.as_bytes()));
     }
 
     let mut connected = false;
@@ -288,14 +299,16 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         };
         connected = true;
         let scrape = Scrape::parse(&body);
-        if !once {
-            // Clear and home between frames (ANSI); the final frame of a
-            // --once run prints plainly so it composes with pipes.
-            print!("\x1b[2J\x1b[H");
-        }
-        render(&source.describe(), &scrape, prev, journal.as_deref());
-        let _ = std::io::stdout().flush();
-        if once {
+        let open = write_frame(|out| {
+            if !once {
+                // Clear and home between frames (ANSI); the final frame
+                // of a --once run prints plainly so it composes with
+                // pipes.
+                write!(out, "\x1b[2J\x1b[H")?;
+            }
+            render(out, &source.describe(), &scrape, prev, journal.as_deref())
+        })?;
+        if once || !open {
             return Ok(());
         }
         prev = scrape

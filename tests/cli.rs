@@ -142,8 +142,9 @@ fn solve_rejects_unknown_algorithms_and_missing_files() {
 }
 
 /// A reader that closes the pipe early (`dpg stats FILE | head -1`) ends
-/// the report quietly: exit 0 and no panic, for every subcommand but the
-/// `serve` daemon and the `top` monitor, and for the `--metrics` summary.
+/// the report quietly: exit 0 and no panic, for every subcommand, the
+/// `serve` daemon's summaries and the `top` monitor's frames included,
+/// and for the `--metrics` summary.
 #[test]
 fn reports_to_a_closed_stdout_exit_zero_without_a_panic() {
     let path = temp_trace_path("closed-stdout");
@@ -160,6 +161,21 @@ fn reports_to_a_closed_stdout_exit_zero_without_a_panic() {
         scratch("jsonl"),
         scratch("dpgb"),
     );
+    // A 40-request stream for the daemon, which leaves its telemetry
+    // file for `top` to read.
+    let (stream, dir, telemetry) = (scratch("stream"), scratch("serve"), scratch("prom"));
+    let mut frames = String::from("hello 4 5\n");
+    for i in 1..=40 {
+        let items = if i % 5 < 2 { "0,1" } else { "4" };
+        frames.push_str(&format!(
+            "req {}.{:02} {} {items}\n",
+            i / 4,
+            i % 4 * 25,
+            i % 4
+        ));
+    }
+    std::fs::write(&stream, frames).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
     for argv in [
         vec!["stats", trace],
         vec!["stats", trace, "--metrics"],
@@ -176,6 +192,22 @@ fn reports_to_a_closed_stdout_exit_zero_without_a_panic() {
         vec!["trace", "solve", trace, "--out", &jsonl],
         vec!["trace", "pack", trace, &packed],
         vec!["trace", "example", "--out", &jsonl],
+        vec![
+            "serve",
+            "--dir",
+            &dir,
+            "--input",
+            &stream,
+            "--epoch-len",
+            "16",
+            "--telemetry-file",
+            &telemetry,
+        ],
+        vec!["serve", "--dir", &dir, "--dump-state"],
+        vec!["serve", "--dir", &dir, "--dump-journal"],
+        vec!["top", "--file", &telemetry, "--once"],
+        vec!["top", "--file", &telemetry, "--raw", "metrics"],
+        vec!["top", "--file", &telemetry, "--interval-ms", "10"],
     ] {
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
@@ -184,9 +216,10 @@ fn reports_to_a_closed_stdout_exit_zero_without_a_panic() {
         assert_eq!(out.status.code(), Some(0), "{argv:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
     }
-    for file in [trace, &copy, &svg, &jsonl, &packed] {
+    for file in [trace, &copy, &svg, &jsonl, &packed, &stream, &telemetry] {
         std::fs::remove_file(file).ok();
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -26,8 +26,7 @@ fn multi_item_with_pair_cap_matches_pairwise_on_the_city() {
     // costs coincide whenever the agglomerative and matching orders agree
     // — which they do for disjoint high-affinity taxi pairs.
     let pairs_pw: Vec<_> = pairwise.packing.pairs.clone();
-    let pairs_mi: Vec<_> = multi
-        .packages
+    let pairs_mi: Vec<_> = packages
         .packages
         .iter()
         .filter(|g| g.len() == 2)

@@ -185,26 +185,15 @@ fn adaptive_mode_reconciles_and_tracks_density() {
     );
 }
 
-/// The K = 2 view round-trips through the unified `PackageSet` without
-/// loss, and the pairwise JSON shape is untouched by the redesign.
+/// The pairwise JSON shape of a `Packing` is byte-stable: pairs,
+/// singletons and θ, with no version field.
 #[test]
-fn package_set_round_trip_and_pair_json_shape() {
+fn pair_packing_json_shape_is_stable() {
     let seq = paper_example::paper_sequence();
     let packing = greedy_matching(&JaccardMatrix::from_sequence(&seq), paper_example::THETA);
-    let ps = PackageSet::from_packing(&packing);
-    assert_eq!(ps.to_packing().unwrap(), packing);
-    for i in 0..seq.items() {
-        let id = ItemId(i);
-        assert_eq!(ps.is_packed(id), packing.is_packed(id));
-        assert_eq!(ps.partner(id), packing.partner(id));
-    }
-    // The legacy pair JSON shape (pairs/singletons/theta, no version
-    // field) is byte-stable; the unified shape is versioned.
     use dp_greedy_suite::model::json::ToJson;
-    let pair_json = packing.to_json().to_string();
-    assert!(pair_json.contains("\"pairs\""));
-    assert!(!pair_json.contains("\"version\""));
-    let set_json = ps.to_json().to_string();
-    assert!(set_json.contains("\"version\":1"));
-    assert!(set_json.contains("\"packages\""));
+    assert_eq!(
+        packing.to_json().to_string(),
+        r#"{"pairs":[[0,1]],"singletons":[],"theta":0.4}"#
+    );
 }

@@ -14,8 +14,11 @@
 //! sides: a large total that is off by rounding alone reconciles, and a
 //! dropped or doubled event fails on every committed fixture.
 
+use dp_greedy_suite::dp_greedy::two_phase::{dp_greedy, DpGreedyConfig};
+use dp_greedy_suite::engine::solvers::pair_parts;
 use dp_greedy_suite::engine::{solvers, RunContext, Solution, SolutionPart, SolverKind};
 use dp_greedy_suite::model::fault::FaultPlan;
+use dp_greedy_suite::obs::ledger::OPTION_NAMES;
 use dp_greedy_suite::obs::{Ledger, Subject};
 use dp_greedy_suite::trace::io::TraceFile;
 use mcs_model::rng::Rng;
@@ -138,8 +141,54 @@ fn serve_events_always_pick_the_cheapest_feasible_arm() {
                 "serve event paid {} but the cheapest arm was {min}",
                 e.cost
             );
+            // The chosen option's slot holds the cost paid.
+            let slot = OPTION_NAMES
+                .iter()
+                .position(|&n| n == e.option_chosen)
+                .expect("a serve event chooses a named option");
+            assert!(
+                (e.option_costs[slot] - e.cost).abs() < 1e-12,
+                "serve event chose {} at {} but paid {}",
+                e.option_chosen,
+                e.option_costs[slot],
+                e.cost
+            );
         }
     }
+}
+
+/// The parts of one packed pair (its package schedule and two serve
+/// streams) derive a ledger whose total is the pair's `C₁₂ + C₁′ + C₂′`,
+/// `PairReport::total`: the Figs. 11 and 13 breakdowns are derived the
+/// same way.
+#[test]
+fn each_pairs_parts_reconcile_with_its_report_total() {
+    let mut rng = Rng::seed_from_u64(0x9a1);
+    let mut pairs = 0;
+    for case in 0..10 {
+        let seq = random_sequence(&mut rng, 20, 60);
+        let model = random_model(&mut rng);
+        let report = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.1));
+        for pair in report.pairs {
+            let total = pair.total();
+            let mut parts = Vec::new();
+            pair_parts(pair, &model, 0.0, &mut parts);
+            let sol = Solution {
+                algo: "dp_greedy",
+                kind: SolverKind::Offline,
+                total_cost: total,
+                total_accesses: 0,
+                parts,
+            };
+            assert!(
+                sol.reconciliation_gap() < TOL,
+                "case {case}: pair ledger {} vs report {total}",
+                sol.ledger().total_cost()
+            );
+            pairs += 1;
+        }
+    }
+    assert!(pairs > 0, "the sweep packs at least one pair");
 }
 
 /// 50,000 events of 23.3 whose producer summed them in parts of 100: the
