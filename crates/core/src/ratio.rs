@@ -11,6 +11,7 @@
 //!
 //! Exponential in `m` (`O(n · 9^m)`); keep `m ≤ 6`.
 
+use mcs_model::request::merge_postings;
 use mcs_model::{CostModel, ItemId, RequestSeq, ServerId};
 
 use crate::two_phase::{dp_greedy_pair, DpGreedyConfig};
@@ -49,20 +50,17 @@ pub fn packed_exact_optimal(seq: &RequestSeq, a: ItemId, b: ItemId, model: &Cost
     let full = 1usize << m;
     let origin_bit = 1usize << ServerId::ORIGIN.index();
 
-    // Relevant events: every request touching a or b, with need flags.
-    let events: Vec<(f64, usize, bool, bool)> = seq
-        .requests()
-        .iter()
-        .filter(|r| r.contains(a) || r.contains(b))
-        .map(|r| {
-            (
-                r.time,
-                1usize << r.server.index(),
-                r.contains(a),
-                r.contains(b),
-            )
-        })
-        .collect();
+    // Relevant events: every request touching a or b, with need flags,
+    // from one merge of the two posting lists.
+    let mut events: Vec<(f64, usize, bool, bool)> = Vec::new();
+    merge_postings(
+        seq.posting_list(a),
+        seq.posting_list(b),
+        |index, need_a, need_b| {
+            let r = seq.get(index);
+            events.push((r.time, 1usize << r.server.index(), need_a, need_b));
+        },
+    );
     if events.is_empty() {
         return 0.0;
     }

@@ -257,7 +257,7 @@ mod tests {
             .solve(&seq, &RunContext::paper_example());
         let ledger = sol.ledger();
         assert!((ledger.total_cost() - 14.96).abs() < 1e-9);
-        let first = &ledger.events[0];
+        let first = &ledger.events()[0];
         assert_eq!(first.algo, "dp_greedy");
         assert_eq!(first.phase, "phase2.package");
     }

@@ -2,10 +2,12 @@
 //!
 //! A [`Solution`] carries the totals every consumer needs (`total_cost`,
 //! the `Σ|d_i|` denominator of `ave_cost`) plus a flat list of
-//! [`SolutionPart`]s — the committed outputs of the run. [`Solution::ledger`]
-//! is the only code in the workspace that turns solver output into the
-//! `mcs-obs` decision ledger; the per-pair experiments of Figs. 11 and 13
-//! derive their cost breakdowns through it too:
+//! [`SolutionPart`]s — the committed outputs of the run. Its
+//! [`EventSource`] implementation is the only code in the workspace that
+//! turns solver output into `mcs-obs` decision-ledger events, and
+//! [`Solution::ledger`] is the view over it; the per-pair experiments of
+//! Figs. 11 and 13 derive their cost breakdowns through it too. Each part
+//! yields its events in turn, each time the ledger is read:
 //!
 //! * [`SolutionPart::Schedule`] — an explicit schedule priced at the
 //!   part's own rates (base rates for singletons, `2αμ`/`2αλ` for
@@ -25,7 +27,7 @@
 
 use mcs_model::Schedule;
 use mcs_obs::ledger::OPTION_NAMES;
-use mcs_obs::{Ledger, LedgerEvent, Subject};
+use mcs_obs::{EventSource, Ledger, LedgerEvent, Subject};
 
 use crate::SolverKind;
 
@@ -130,10 +132,39 @@ impl Solution {
         }
     }
 
-    /// Derives the decision ledger from the parts — the single generic
-    /// derivation shared by every registered solver.
-    pub fn ledger(&self) -> Ledger {
-        let mut events = Vec::new();
+    /// The decision ledger of this run: a view that derives the events
+    /// from the parts on each pass ([`EventSource`]), so taking it costs
+    /// nothing and no event list is built.
+    pub fn ledger(&self) -> Ledger<'_> {
+        Ledger::over(self)
+    }
+
+    /// Absolute gap between the derived ledger total and the reported
+    /// total cost (the reconciliation theorem says this is 0 up to
+    /// floating-point associativity, which
+    /// [`Ledger::reconcile_tolerance`] bounds).
+    pub fn reconciliation_gap(&self) -> f64 {
+        (self.ledger().total_cost() - self.total_cost).abs()
+    }
+}
+
+/// The single generic ledger derivation shared by every registered
+/// solver: the parts' events, part by part.
+impl EventSource for Solution {
+    fn event_count(&self) -> usize {
+        self.parts
+            .iter()
+            .map(|part| match part {
+                SolutionPart::Schedule { schedule, .. } => {
+                    schedule.intervals.len() + schedule.transfers.len()
+                }
+                SolutionPart::Serve { choices, .. } => choices.len(),
+                SolutionPart::Aggregate { .. } => 1,
+            })
+            .sum()
+    }
+
+    fn for_each_event(&self, f: &mut dyn FnMut(&LedgerEvent)) {
         for part in &self.parts {
             match part {
                 SolutionPart::Schedule {
@@ -145,7 +176,7 @@ impl Solution {
                 } => {
                     for iv in &schedule.intervals {
                         let cost = mu * iv.span.len();
-                        events.push(LedgerEvent {
+                        f(&LedgerEvent {
                             algo: self.algo,
                             phase,
                             subject: *subject,
@@ -156,7 +187,7 @@ impl Solution {
                         });
                     }
                     for tr in &schedule.transfers {
-                        events.push(LedgerEvent {
+                        f(&LedgerEvent {
                             algo: self.algo,
                             phase,
                             subject: *subject,
@@ -173,7 +204,7 @@ impl Solution {
                     choices,
                 } => {
                     for c in choices {
-                        events.push(LedgerEvent {
+                        f(&LedgerEvent {
                             algo: self.algo,
                             phase,
                             subject: *subject,
@@ -197,7 +228,7 @@ impl Solution {
                         .expect("channel is one of cache/transfer/package");
                     let mut option_costs = [f64::INFINITY; 3];
                     option_costs[slot] = *cost;
-                    events.push(LedgerEvent {
+                    f(&LedgerEvent {
                         algo: self.algo,
                         phase,
                         subject: *subject,
@@ -209,15 +240,6 @@ impl Solution {
                 }
             }
         }
-        Ledger { events }
-    }
-
-    /// Absolute gap between the derived ledger total and the reported
-    /// total cost (the reconciliation theorem says this is 0 up to
-    /// floating-point associativity, which
-    /// [`Ledger::reconcile_tolerance`] bounds).
-    pub fn reconciliation_gap(&self) -> f64 {
-        (self.ledger().total_cost() - self.total_cost).abs()
     }
 }
 
@@ -274,10 +296,10 @@ mod tests {
                 }],
             }],
         };
-        let l = s.ledger();
-        assert_eq!(l.events.len(), 1);
-        assert_eq!(l.events[0].option_chosen, "transfer");
-        assert_eq!(l.events[0].option_costs[0], 5.0);
+        let events = s.ledger().events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].option_chosen, "transfer");
+        assert_eq!(events[0].option_costs[0], 5.0);
         assert!(s.reconciliation_gap() < 1e-12);
     }
 

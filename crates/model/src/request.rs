@@ -204,8 +204,9 @@ impl PairRow {
 
 /// Walks two ascending posting lists in one merge, calling
 /// `f(index, in_a, in_b)` for every request index in either list, in
-/// ascending order.
-fn merge_postings(a: &[u32], b: &[u32], mut f: impl FnMut(usize, bool, bool)) {
+/// ascending order — e.g. [`RequestSeq::posting_list`] of two items, for
+/// every request touching either.
+pub fn merge_postings(a: &[u32], b: &[u32], mut f: impl FnMut(usize, bool, bool)) {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {

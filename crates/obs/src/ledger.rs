@@ -10,10 +10,12 @@
 //! [`Ledger::breakdown`] attributes the total to the three cost channels
 //! the paper's figures vary.
 //!
-//! Ledgers are *derived* from algorithm outputs (explicit schedules and
-//! recorded arm choices) by `mcs_engine::Solution::ledger`, not logged
-//! inline; this module only defines the event model and the
-//! deterministic JSON-lines encoding.
+//! A [`Ledger`] holds no events. It is a borrowed view over an
+//! [`EventSource`] — `mcs_engine::Solution`, whose parts it derives the
+//! events from — and every method derives them again in one ordered pass,
+//! folding or encoding each as it comes, so no event list is built (26 MB
+//! for a 255k-event ledger). This module defines the event model, the
+//! view and the deterministic JSON-lines encoding.
 
 use crate::jsonl;
 
@@ -128,44 +130,85 @@ impl CostBreakdown {
     }
 }
 
-/// An ordered sequence of [`LedgerEvent`]s produced by one algorithm run.
-#[derive(Debug, Clone, Default)]
-pub struct Ledger {
-    /// The events, in the deterministic order the deriver emits them.
-    pub events: Vec<LedgerEvent>,
+/// A producer of ledger events, derived in order on each call.
+pub trait EventSource {
+    /// How many events [`Self::for_each_event`] yields, counted without
+    /// deriving them.
+    fn event_count(&self) -> usize;
+
+    /// Calls `f` with each event, in the deterministic ledger order.
+    fn for_each_event(&self, f: &mut dyn FnMut(&LedgerEvent));
 }
 
-impl Ledger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        Ledger::default()
+/// Hand-built event lists, for tests and for edited copies of a ledger's
+/// [`Ledger::events`].
+impl EventSource for Vec<LedgerEvent> {
+    fn event_count(&self) -> usize {
+        self.len()
     }
 
-    /// Appends one event.
-    pub fn push(&mut self, event: LedgerEvent) {
-        self.events.push(event);
+    fn for_each_event(&self, f: &mut dyn FnMut(&LedgerEvent)) {
+        self.iter().for_each(f);
     }
+}
 
-    /// Appends all events of `other`.
-    pub fn extend(&mut self, other: Ledger) {
-        self.events.extend(other.events);
+/// The event sum of a ledger and the rounding bound it reconciles
+/// within, from one pass over the events.
+#[derive(Debug, Clone, Copy)]
+pub struct Reconciliation {
+    /// [`Ledger::total_cost`].
+    pub total: f64,
+    /// [`Ledger::reconcile_tolerance`].
+    pub tolerance: f64,
+}
+
+impl Reconciliation {
+    /// Whether [`Self::total`] is within [`Self::tolerance`] of `total`.
+    /// A NaN on either side never reconciles.
+    pub fn reconciles_with(&self, total: f64) -> bool {
+        (self.total - total).abs() <= self.tolerance
+    }
+}
+
+/// The decision ledger of one algorithm run: a view over its
+/// [`EventSource`] that derives the events again on each call, so it
+/// costs nothing to take and holds no event list.
+#[derive(Clone, Copy)]
+pub struct Ledger<'a> {
+    source: &'a dyn EventSource,
+}
+
+impl<'a> Ledger<'a> {
+    /// The ledger of `source`'s events.
+    pub fn over(source: &'a dyn EventSource) -> Self {
+        Ledger { source }
     }
 
     /// Number of events.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.source.event_count()
     }
 
     /// True when no events have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
+    }
+
+    /// The events, collected into a list — for callers that index or edit
+    /// them. Every other method derives them without one.
+    pub fn events(&self) -> Vec<LedgerEvent> {
+        let mut events = Vec::with_capacity(self.len());
+        self.source.for_each_event(&mut |e| events.push(e.clone()));
+        events
     }
 
     /// Sum of event costs — reconciles with the producing schedule's
     /// total cost (property-tested at the workspace root). Folds from
     /// `+0.0`, so an empty ledger totals `0`, not `f64::sum`'s `-0`.
     pub fn total_cost(&self) -> f64 {
-        self.events.iter().fold(0.0, |total, e| total + e.cost)
+        let mut total = 0.0;
+        self.source.for_each_event(&mut |e| total += e.cost);
+        total
     }
 
     /// The largest gap between [`Self::total_cost`] and a producer's
@@ -178,9 +221,26 @@ impl Ledger {
     /// its whole cost, far above this bound unless the event is itself
     /// rounding-sized.
     pub fn reconcile_tolerance(&self) -> f64 {
-        let nu = self.events.len() as f64 * (f64::EPSILON / 2.0);
+        self.reconciliation().tolerance
+    }
+
+    /// [`Self::total_cost`] and [`Self::reconcile_tolerance`], bit for
+    /// bit, from one pass over the events.
+    pub fn reconciliation(&self) -> Reconciliation {
+        let mut total = 0.0;
+        // From `-0.0`, where `Iterator::sum` starts, so the bound has the
+        // bits of the summed magnitudes even for an empty ledger.
+        let mut magnitude = -0.0;
+        self.source.for_each_event(&mut |e| {
+            total += e.cost;
+            magnitude += e.cost.abs();
+        });
+        let nu = self.len() as f64 * (f64::EPSILON / 2.0);
         let gamma = nu / (1.0 - nu);
-        2.0 * gamma * self.events.iter().map(|e| e.cost.abs()).sum::<f64>()
+        Reconciliation {
+            total,
+            tolerance: 2.0 * gamma * magnitude,
+        }
     }
 
     /// Whether the events sum to `total` within
@@ -188,47 +248,51 @@ impl Ledger {
     /// `dpg run` apply before reporting. A NaN on either side never
     /// reconciles.
     pub fn reconciles_with(&self, total: f64) -> bool {
-        (self.total_cost() - total).abs() <= self.reconcile_tolerance()
+        self.reconciliation().reconciles_with(total)
     }
 
     /// Attributes the total cost to the three channels by
     /// `option_chosen`.
     pub fn breakdown(&self) -> CostBreakdown {
         let mut b = CostBreakdown::default();
-        for e in &self.events {
-            match e.option_chosen {
-                "cache" => b.cache += e.cost,
-                "transfer" => b.transfer += e.cost,
-                _ => b.package_delivery += e.cost,
-            }
-        }
+        self.source.for_each_event(&mut |e| match e.option_chosen {
+            "cache" => b.cache += e.cost,
+            "transfer" => b.transfer += e.cost,
+            _ => b.package_delivery += e.cost,
+        });
         b
     }
 
     /// Renders the ledger as JSON lines (one event per line, trailing
     /// newline), byte-deterministic for a given event sequence.
     pub fn to_jsonl_string(&self) -> String {
-        let mut out = Vec::with_capacity(self.events.len() * 160);
-        for e in &self.events {
+        let mut out = Vec::with_capacity(self.len() * 160);
+        self.source.for_each_event(&mut |e| {
             e.write_json(&mut out);
             out.push(b'\n');
-        }
+        });
         String::from_utf8(out).expect("the JSON writers emit UTF-8")
     }
 
     /// Writes [`Self::to_jsonl_string`]'s bytes to `w` through a 64 KB
-    /// buffer, so the whole rendering is never held in memory.
+    /// buffer, so the whole rendering is never held in memory. Nothing is
+    /// written after the first I/O error, which is returned.
     pub fn write_jsonl(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
         const CHUNK: usize = 64 * 1024;
         let mut buf = Vec::with_capacity(CHUNK + 1024);
-        for e in &self.events {
+        let mut written = Ok(());
+        self.source.for_each_event(&mut |e| {
+            if written.is_err() {
+                return;
+            }
             e.write_json(&mut buf);
             buf.push(b'\n');
             if buf.len() >= CHUNK {
-                w.write_all(&buf)?;
+                written = w.write_all(&buf);
                 buf.clear();
             }
-        }
+        });
+        written?;
         w.write_all(&buf)
     }
 }
@@ -251,10 +315,8 @@ mod tests {
 
     #[test]
     fn totals_and_breakdown_reconcile() {
-        let mut l = Ledger::new();
-        l.push(ev("cache", 1.0));
-        l.push(ev("transfer", 2.0));
-        l.push(ev("package", 1.6));
+        let events = vec![ev("cache", 1.0), ev("transfer", 2.0), ev("package", 1.6)];
+        let l = Ledger::over(&events);
         assert!((l.total_cost() - 4.6).abs() < 1e-12);
         let b = l.breakdown();
         assert_eq!(b.cache, 1.0);
@@ -281,13 +343,36 @@ mod tests {
 
     #[test]
     fn jsonl_rendering_is_one_line_per_event() {
-        let mut l = Ledger::new();
-        l.push(ev("cache", 1.0));
-        l.push(ev("transfer", 2.0));
+        let events = vec![ev("cache", 1.0), ev("transfer", 2.0)];
+        let l = Ledger::over(&events);
         let s = l.to_jsonl_string();
         assert_eq!(s.lines().count(), 2);
         assert!(s.ends_with('\n'));
         // Byte-determinism: rendering twice is identical.
         assert_eq!(s, l.to_jsonl_string());
+    }
+
+    /// A writer whose every write fails, counting the attempts.
+    struct Broken(usize);
+
+    impl std::io::Write for Broken {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            self.0 += 1;
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_jsonl_stops_at_the_first_error() {
+        // Several 64 KB chunks' worth of events.
+        let events = vec![ev("cache", 1.0); 5_000];
+        let mut w = Broken(0);
+        let err = Ledger::over(&events).write_jsonl(&mut w).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+        assert_eq!(w.0, 1);
     }
 }

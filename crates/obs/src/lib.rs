@@ -39,7 +39,9 @@
 //! The ledger is *derived* from algorithm outputs (explicit schedules and
 //! recorded arm choices) rather than logged inline, so event emission is
 //! deterministic, costs nothing when unused, and reconciliation is a
-//! theorem about the outputs rather than a logging convention.
+//! theorem about the outputs rather than a logging convention. A
+//! [`Ledger`] is a view over an [`EventSource`] that derives the events
+//! again on each read, so no list of them is ever stored.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -53,7 +55,7 @@ pub mod metrics;
 pub mod span;
 
 pub use expo::prometheus_text;
-pub use ledger::{CostBreakdown, Ledger, LedgerEvent, Subject};
+pub use ledger::{CostBreakdown, EventSource, Ledger, LedgerEvent, Subject};
 pub use metrics::{
     counter_add, enabled, fcounter_add, flush_local, gauge_set, observe, reset, set_enabled,
     snapshot, MetricsSnapshot,

@@ -145,12 +145,13 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 
     let sol = solver.solve(&seq, &ctx);
     let ledger = sol.ledger();
-    let gap = (ledger.total_cost() - sol.total_cost).abs();
-    if !ledger.reconciles_with(sol.total_cost) {
+    let check = ledger.reconciliation();
+    let gap = (check.total - sol.total_cost).abs();
+    if !check.reconciles_with(sol.total_cost) {
         return Err(CliError::Runtime(format!(
             "ledger does not reconcile: gap {gap} for {} (rounding bound {:e})",
             solver.name(),
-            ledger.reconcile_tolerance()
+            check.tolerance
         )));
     }
 

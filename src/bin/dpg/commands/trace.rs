@@ -37,18 +37,18 @@ fn display_name(solver: &dyn CachingSolver) -> &'static str {
     }
 }
 
-/// Derives `solution`'s ledger, checks it reconciles with the reported
-/// total within the rounding bound of the two sums, streams it to `out`,
-/// and prints the cost breakdown.
+/// Checks that `solution`'s ledger reconciles with the reported total
+/// within the rounding bound of the two sums, streams it to `out`, and
+/// prints the cost breakdown: three passes over the parts, each deriving
+/// the events again, and no event list.
 fn emit_ledger(solution: &Solution, algo: &str, out: &str) -> Result<(), CliError> {
     let ledger = solution.ledger();
-    let derived = ledger.total_cost();
-    if !ledger.reconciles_with(solution.total_cost) {
+    let check = ledger.reconciliation();
+    if !check.reconciles_with(solution.total_cost) {
         return Err(CliError::Runtime(format!(
-            "ledger does not reconcile: Σ event.cost = {derived} but {algo} reported {} \
+            "ledger does not reconcile: Σ event.cost = {} but {algo} reported {} \
              (rounding bound {:e})",
-            solution.total_cost,
-            ledger.reconcile_tolerance()
+            check.total, solution.total_cost, check.tolerance
         )));
     }
     std::fs::File::create(out)
@@ -60,7 +60,7 @@ fn emit_ledger(solution: &Solution, algo: &str, out: &str) -> Result<(), CliErro
             w,
             "wrote {out}: {} events, total {:.4} (reconciles with {algo})",
             ledger.len(),
-            derived
+            check.total
         )?;
         writeln!(
             w,

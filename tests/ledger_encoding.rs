@@ -40,9 +40,9 @@ fn reference_num(out: &mut String, v: f64) {
     }
 }
 
-fn reference_jsonl(ledger: &Ledger) -> String {
+fn reference_jsonl(ledger: &Ledger<'_>) -> String {
     let mut s = String::new();
-    for e in &ledger.events {
+    for e in &ledger.events() {
         s.push_str("{\"algo\":");
         reference_str(&mut s, e.algo);
         s.push_str(",\"phase\":");
@@ -69,7 +69,7 @@ fn reference_jsonl(ledger: &Ledger) -> String {
     s
 }
 
-fn assert_encodes_like_reference(ledger: &Ledger, what: &str) {
+fn assert_encodes_like_reference(ledger: &Ledger<'_>, what: &str) {
     let expected = reference_jsonl(ledger);
     assert_eq!(
         ledger.to_jsonl_string(),
@@ -98,8 +98,9 @@ fn every_solver_ledger_on_every_fixture_encodes_like_the_reference() {
             if s.request_limit().is_some_and(|l| seq.len() > l) {
                 continue;
             }
-            let ledger = s.solve(&seq, &ctx).ledger();
-            assert_encodes_like_reference(&ledger, &format!("{} / {}", path.display(), s.name()));
+            let solution = s.solve(&seq, &ctx);
+            let what = format!("{} / {}", path.display(), s.name());
+            assert_encodes_like_reference(&solution.ledger(), &what);
         }
     }
 }
@@ -141,15 +142,14 @@ fn hand_built_costs_encode_like_the_reference() {
         },
     ];
     for e in &events {
-        let one = Ledger {
-            events: vec![e.clone()],
-        };
+        let one = vec![e.clone()];
+        let one = Ledger::over(&one);
         let line = reference_jsonl(&one);
         assert_eq!(e.to_json(), line.trim_end(), "{e:?}");
         assert_encodes_like_reference(&one, &format!("{e:?}"));
     }
-    assert_encodes_like_reference(&Ledger { events }, "hand-built ledger");
-    assert_encodes_like_reference(&Ledger::new(), "empty ledger");
+    assert_encodes_like_reference(&Ledger::over(&events), "hand-built ledger");
+    assert_encodes_like_reference(&Ledger::over(&Vec::new()), "empty ledger");
 }
 
 /// Several 64 KB buffers' worth of events with random costs, times and
@@ -157,7 +157,7 @@ fn hand_built_costs_encode_like_the_reference() {
 #[test]
 fn a_multi_buffer_ledger_streams_like_the_reference() {
     let mut rng = Rng::seed_from_u64(0x1ED6_E500);
-    let mut ledger = Ledger::new();
+    let mut events = Vec::new();
     for _ in 0..5_000 {
         let mut costs = [rng.gen_f64() * 10.0, rng.gen_f64(), f64::INFINITY];
         if rng.gen_bool(0.3) {
@@ -165,7 +165,7 @@ fn a_multi_buffer_ledger_streams_like_the_reference() {
         }
         let slot = rng.gen_range(0..4usize);
         let cost = costs.get(slot).copied().unwrap_or_else(|| rng.gen_f64());
-        ledger.push(LedgerEvent {
+        events.push(LedgerEvent {
             subject: if rng.gen_bool(0.5) {
                 Subject::Item(rng.gen_range(0..5_000u32))
             } else {
@@ -175,6 +175,7 @@ fn a_multi_buffer_ledger_streams_like_the_reference() {
             ..event(costs, cost)
         });
     }
+    let ledger = Ledger::over(&events);
     assert!(reference_jsonl(&ledger).len() > 4 * 64 * 1024);
     assert_encodes_like_reference(&ledger, "seeded ledger");
 }

@@ -132,8 +132,8 @@ fn serve_events_always_pick_the_cheapest_feasible_arm() {
         let seq = random_sequence(&mut rng, 20, 60);
         let model = random_model(&mut rng);
         let ctx = RunContext::new(model).with_theta(0.1);
-        let ledger = solver.solve(&seq, &ctx).ledger();
-        for e in ledger.events.iter().filter(|e| e.phase == "phase2.serve") {
+        let events = solver.solve(&seq, &ctx).ledger().events();
+        for e in events.iter().filter(|e| e.phase == "phase2.serve") {
             let min = e.option_costs.iter().cloned().fold(f64::INFINITY, f64::min);
             assert!(min.is_finite(), "at least one arm is always feasible");
             assert!(
@@ -231,23 +231,24 @@ fn a_large_total_off_by_rounding_reconciles() {
 
 /// Removing or repeating the cheapest and the costliest priced event of
 /// `ledger` must break reconciliation with `total`.
-fn assert_mutations_fail(ledger: &Ledger, total: f64, label: &str) {
-    let cost = |i: usize| ledger.events[i].cost.abs();
-    let priced: Vec<usize> = (0..ledger.len()).filter(|&i| cost(i) != 0.0).collect();
+fn assert_mutations_fail(ledger: &Ledger<'_>, total: f64, label: &str) {
+    let events = ledger.events();
+    let cost = |i: usize| events[i].cost.abs();
+    let priced: Vec<usize> = (0..events.len()).filter(|&i| cost(i) != 0.0).collect();
     let by_cost = |x: &usize, y: &usize| cost(*x).total_cmp(&cost(*y));
     let cheapest = priced.iter().copied().min_by(by_cost);
     let costliest = priced.iter().copied().max_by(by_cost);
     for i in cheapest.into_iter().chain(costliest) {
-        let mut dropped = ledger.clone();
-        dropped.events.remove(i);
+        let mut dropped = events.clone();
+        dropped.remove(i);
         assert!(
-            !dropped.reconciles_with(total),
+            !Ledger::over(&dropped).reconciles_with(total),
             "{label}: dropping event {i} reconciles"
         );
-        let mut doubled = ledger.clone();
-        doubled.push(ledger.events[i].clone());
+        let mut doubled = events.clone();
+        doubled.push(events[i].clone());
         assert!(
-            !doubled.reconciles_with(total),
+            !Ledger::over(&doubled).reconciles_with(total),
             "{label}: doubling event {i} reconciles"
         );
     }
