@@ -24,8 +24,8 @@
 //! `checkpoint.json` is the state at the start of its `epoch`, with
 //! `pending` empty, and together with the WAL segment `wal-<epoch>.log`
 //! — which the daemon writes just before the checkpoint, holding copies
-//! of the open epoch's requests, and appends every later epoch to — it
-//! reconstructs the daemon. It is written to a temporary file that is
+//! of the requests not yet settled, and appends every later epoch to —
+//! it reconstructs the daemon. It is written to a temporary file that is
 //! synced, renamed into place, and made durable by syncing the
 //! directory, so a crash (or power loss) mid-write can never destroy the
 //! previous checkpoint: recovery sees either the old or the new file,
@@ -43,7 +43,7 @@ use mcs_model::ItemId;
 /// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
-/// One buffered (admitted, not yet settled) request of the open epoch.
+/// One buffered (admitted, not yet settled) request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PendingReq {
     /// Admission time.
@@ -64,8 +64,8 @@ mcs_model::impl_json!(PendingReq {
 ///
 /// Invariant: an on-disk checkpoint always has `pending` empty (it is
 /// written at epoch boundaries, right after a settlement); the in-memory
-/// state carries the open epoch's buffer, reconstructed from the WAL on
-/// recovery. [`DaemonState::canonical_json`] of the in-memory state is
+/// state carries the requests not yet settled — an epoch being solved,
+/// then the open epoch — reconstructed from the WAL on recovery. [`DaemonState::canonical_json`] of the in-memory state is
 /// the byte-identity witness the crash tests diff.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DaemonState {
@@ -98,7 +98,8 @@ pub struct DaemonState {
     pub placement_pairs: Vec<(ItemId, ItemId)>,
     /// Bit-exact streaming co-occurrence statistics.
     pub streaming: StreamingSnapshot,
-    /// The open epoch's admitted-request buffer, in admission order.
+    /// The admitted requests not yet settled, in admission order: an
+    /// epoch being solved, if any, then the open epoch.
     pub pending: Vec<PendingReq>,
 }
 

@@ -19,10 +19,12 @@
 //!   replayed a settlement. Each checkpoint opens the log segment every
 //!   later epoch appends to and deletes the segments it covers, so
 //!   closing an epoch creates no file. Recovery is checkpoint + WAL
-//!   replay, and reproduces the pre-crash state byte for byte.
+//!   replay, and reproduces the pre-crash state byte for byte;
+//!   [`Daemon::inspect`] replays in memory and writes nothing.
 //! - [`daemon`] — the serving loop: admission control (bounding
 //!   per-request work), epoch settlement through the [`mcs_engine`]
 //!   solver registry on one long-lived worker thread under a deadline,
+//!   overlapping the next epoch's admissions,
 //!   `catch_unwind` panic isolation, and degraded fallback (last-good
 //!   placement, conservative pricing) when settlement cannot be trusted.
 //!

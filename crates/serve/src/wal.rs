@@ -10,14 +10,20 @@
 //! into a buffer it keeps and writes it with one `write`.
 //!
 //! A segment is `wal-<epoch>.log`, named after the epoch of the
-//! checkpoint that opened it, and holds every epoch from there on: each
-//! epoch's `req` records, then its `settle` record. A checkpoint starts
-//! its segment with copies of the open epoch's `req` records
-//! ([`Wal::create`] truncates a leftover from a rotation that crashed
-//! before its checkpoint was renamed into place). Earlier versions wrote
-//! one segment per epoch; recovery reads both layouts, because it moves
-//! on from a segment to `wal-<epoch reached>.log` only while the segment
-//! ends in a `settle` record.
+//! checkpoint that opened it, and holds every epoch from there on: the
+//! `req` records in admission order, and one `settle <status> <bits> <n>`
+//! record per epoch, which settles the oldest `n` requests not yet
+//! settled. The daemon solves an epoch while it admits the next one, so
+//! an epoch's `settle` record may follow some of the next epoch's `req`
+//! records. A `settle` record without `n` settles every request not yet
+//! settled; earlier versions wrote only those, each straight after its
+//! epoch's last request. A checkpoint starts its segment with copies of
+//! the requests not yet settled ([`Wal::create`] truncates a leftover
+//! from a rotation that crashed before its checkpoint was renamed into
+//! place). Earlier versions also wrote one segment per epoch; recovery
+//! reads both layouts, because it moves on from a segment to
+//! `wal-<epoch reached>.log` only while the segment ends in a `settle`
+//! record that leaves no request unsettled.
 //!
 //! Torn tails are expected, not fatal: `kill -9` mid-append leaves a
 //! final line without its newline (or an unparsable fragment), which
@@ -94,13 +100,19 @@ pub enum WalRecord {
         /// Sorted, duplicate-free item set.
         items: Vec<ItemId>,
     },
-    /// The settlement outcome of the epoch whose `req` records precede
-    /// it — always the last record of that epoch.
+    /// The settlement outcome of the oldest `requests` requests not yet
+    /// settled: one epoch. It follows that epoch's last `req` record,
+    /// though not always directly: `req` records of the next epoch,
+    /// admitted while the epoch was being solved, may come between.
     Settle {
         /// How the epoch settled.
         status: EpochStatus,
         /// The settled epoch cost, as raw `f64` bits for exact replay.
         cost_bits: u64,
+        /// How many requests the epoch holds, at least one; `None` in a
+        /// record of an earlier version, which settles every request not
+        /// yet settled.
+        requests: Option<u64>,
     },
 }
 
@@ -113,9 +125,18 @@ impl WalRecord {
                 server,
                 items,
             } => encode_req(out, *time, server.0, items.iter().map(|i| i.0)),
-            WalRecord::Settle { status, cost_bits } => {
-                writeln!(out, "settle {} {cost_bits:016x}", status.label())
+            WalRecord::Settle {
+                status,
+                cost_bits,
+                requests,
+            } => {
+                write!(out, "settle {} {cost_bits:016x}", status.label())
                     .expect("writing to a Vec cannot fail");
+                if let Some(n) = requests {
+                    out.push(b' ');
+                    push_u64(out, *n);
+                }
+                out.push(b'\n');
             }
         }
     }
@@ -126,10 +147,18 @@ impl WalRecord {
             "settle" => {
                 let status = EpochStatus::from_label(words.next()?)?;
                 let cost_bits = u64::from_str_radix(words.next()?, 16).ok()?;
+                let requests = match words.next() {
+                    Some(n) => Some(n.parse::<u64>().ok().filter(|&n| n > 0)?),
+                    None => None,
+                };
                 if words.next().is_some() {
                     return None;
                 }
-                Some(WalRecord::Settle { status, cost_bits })
+                Some(WalRecord::Settle {
+                    status,
+                    cost_bits,
+                    requests,
+                })
             }
             // `req` lines are exactly protocol frames; reuse that parser.
             _ => match parse_line(text, 0).ok()?? {
@@ -244,7 +273,7 @@ impl Wal {
     }
 
     /// [`Self::append`] of a [`WalRecord::Req`] given by its parts: a
-    /// checkpoint copies the open epoch's buffered requests, whose ids
+    /// checkpoint copies the buffered requests not yet settled, whose ids
     /// are plain integers, into its new segment.
     pub(crate) fn append_req(
         &mut self,
@@ -425,6 +454,7 @@ mod tests {
             WalRecord::Settle {
                 status: EpochStatus::Deadline,
                 cost_bits: 4.75_f64.to_bits(),
+                requests: Some(2),
             },
         ]
     }
@@ -559,9 +589,16 @@ mod tests {
                     let csv: Vec<String> = items.iter().map(|i| i.0.to_string()).collect();
                     format!("req {time:?} {} {}\n", server.0, csv.join(","))
                 }
-                WalRecord::Settle { status, cost_bits } => {
-                    format!("settle {} {cost_bits:016x}\n", status.label())
-                }
+                WalRecord::Settle {
+                    status,
+                    cost_bits,
+                    requests: Some(n),
+                } => format!("settle {} {cost_bits:016x} {n}\n", status.label()),
+                WalRecord::Settle {
+                    status,
+                    cost_bits,
+                    requests: None,
+                } => format!("settle {} {cost_bits:016x}\n", status.label()),
             }
         }
         let mut records = sample_records();
@@ -578,6 +615,7 @@ mod tests {
             records.push(WalRecord::Settle {
                 status: [EpochStatus::Ok, EpochStatus::Panic][i % 2],
                 cost_bits: time.to_bits() >> n,
+                requests: [None, Some(1), Some(u64::MAX)][i % 3],
             });
         }
         records.push(WalRecord::Req {
@@ -610,6 +648,37 @@ mod tests {
         assert!(!back.torn);
         assert_eq!(back.records, sample_records());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `settle` record reads back with its count or, as earlier versions
+    /// wrote it, without one; a count of zero or one that is not a number
+    /// is malformed, so a final line holding one is a torn tail.
+    #[test]
+    fn settle_records_parse_with_and_without_their_count() {
+        let bits = 2.5_f64.to_bits();
+        for (line, requests) in [
+            (format!("settle ok {bits:016x} 64"), Some(64)),
+            (format!("settle panic {bits:016x}"), None),
+        ] {
+            let status = if requests.is_some() {
+                EpochStatus::Ok
+            } else {
+                EpochStatus::Panic
+            };
+            assert_eq!(
+                WalRecord::parse(&line),
+                Some(WalRecord::Settle {
+                    status,
+                    cost_bits: bits,
+                    requests
+                }),
+                "{line}"
+            );
+        }
+        for bad in ["0", "-1", "x", "64 1"] {
+            let line = format!("settle ok {bits:016x} {bad}");
+            assert_eq!(WalRecord::parse(&line), None, "{line}");
+        }
     }
 
     #[test]

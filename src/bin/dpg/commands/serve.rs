@@ -3,24 +3,27 @@
 //! Reads newline-framed `hello`/`req` frames from stdin (or `--input
 //! FILE`) and, every `--epoch-len` admitted requests, settles the epoch
 //! through the solver registry, folds it into the streaming
-//! co-occurrence statistics and re-packs the placement. All durable
-//! state lives in `--dir`: a checkpoint, atomically replaced and synced
-//! whenever the log settled since it has grown to its size (and at the
-//! end of the input), plus the write-ahead log segment it opened, which
-//! every later epoch appends to, so `kill -9` at any instant recovers
-//! byte-identically (see `crates/serve`). A clean run leaves
+//! co-occurrence statistics and re-packs the placement. An epoch's solve
+//! runs on one worker thread for the whole run while the daemon goes on
+//! admitting the next epoch; `--settle-timeout-ms` counts from the
+//! moment the epoch closes and its solve is sent to that thread. All
+//! durable state lives in `--dir`: a checkpoint, atomically replaced and
+//! synced whenever the log settled since it has grown to its size (and at
+//! the end of the input), plus the write-ahead log segment it opened,
+//! which every later epoch appends to, so `kill -9` at any instant
+//! recovers byte-identically (see `crates/serve`). A clean run leaves
 //! `checkpoint.json` and that checkpoint's `wal-N.log`, where `N` is the
-//! open epoch. Settlements run on one worker thread for the whole run;
-//! `--metrics` counts it (`serve.settle_workers`) and the segment files
-//! created (`serve.wal_segments`, one per checkpoint on a fresh run).
-//! `--dump-state` runs full recovery, prints the recovered canonical
-//! state, and exits — the crash harness and CI diff exactly that output.
-//! Recovery is not read-only: like any restart it checkpoints the
-//! recovered state if it replayed a settlement (deleting the segments that
-//! checkpoint covers), truncates torn WAL tails, and (if the recovered
-//! pending buffer is already full) settles that epoch, so it may invoke
-//! the solver; all of this is deterministic and idempotent, so dumping
-//! never changes what a subsequent restart sees.
+//! open epoch. `--metrics` counts the settlement thread
+//! (`serve.settle_workers`) and the segment files created
+//! (`serve.wal_segments`, one per checkpoint on a fresh run).
+//! `--dump-state` replays the checkpoint and log in memory, prints the
+//! canonical state, and exits — the crash harness and CI diff exactly
+//! that output; `--dump-journal` prints the journal that replay produced.
+//! Dumps are read-only: they settle nothing (requests not yet settled
+//! print as pending, however many), write no checkpoint, truncate no torn
+//! tail and open no segment, so dumping never changes what a subsequent
+//! restart sees. A restart (`dpg serve` with input) runs the full
+//! recovery, which does all of those.
 
 use std::io::BufReader;
 use std::path::PathBuf;
@@ -111,27 +114,18 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         cfg.telemetry_file = Some(PathBuf::from(path));
     }
 
-    if args.iter().any(|a| a == "--dump-journal") {
-        // Like --dump-state: run full (deterministic, idempotent)
-        // recovery, then print every journal event it produced.
-        let dir = cfg.dir.clone();
-        Daemon::recover(cfg)
-            .map_err(runtime)?
-            .ok_or_else(|| CliError::Runtime(format!("no serving state in {}", dir.display())))?;
-        let journal = dp_greedy_suite::obs::journal::tail_jsonl(usize::MAX);
-        return write_report(|out| out.write_all(journal.as_bytes()));
-    }
-
-    if args.iter().any(|a| a == "--dump-state") {
-        // Not read-only: recovery may write a checkpoint, truncates torn
-        // WAL tails, and settles a full pending buffer — all
-        // deterministic and idempotent (see the module doc).
-        let dir = cfg.dir.clone();
-        let daemon = Daemon::recover(cfg)
-            .map_err(runtime)?
-            .ok_or_else(|| CliError::Runtime(format!("no serving state in {}", dir.display())))?;
-        let state = daemon.current_state().canonical_json();
-        return write_report(|out| out.write_all(state.as_bytes()));
+    let dump_journal = args.iter().any(|a| a == "--dump-journal");
+    if dump_journal || args.iter().any(|a| a == "--dump-state") {
+        // Read-only: replay the directory in memory (see the module doc).
+        let state = Daemon::inspect(&cfg).map_err(runtime)?.ok_or_else(|| {
+            CliError::Runtime(format!("no serving state in {}", cfg.dir.display()))
+        })?;
+        let text = if dump_journal {
+            dp_greedy_suite::obs::journal::tail_jsonl(usize::MAX)
+        } else {
+            state.canonical_json()
+        };
+        return write_report(|out| out.write_all(text.as_bytes()));
     }
 
     // The control endpoint lives on its own listener thread for the

@@ -14,7 +14,7 @@
 //! moves only when a checkpoint is written: a checkpoint age of many
 //! epochs is normal. `serve_log_bytes_since_checkpoint`, shown beside it,
 //! is what that age costs a recovery, and stays below one checkpoint's
-//! size plus the open epoch.
+//! size plus two epochs: the one being solved and the open one.
 //!
 //! `--raw metrics|journal` is the curl-equivalent: one scrape, raw body
 //! to stdout, no rendering — what CI uses to assert on the exposition.

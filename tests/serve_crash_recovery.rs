@@ -2,8 +2,9 @@
 //! restart it over the same input, and require the recovered state —
 //! streaming statistics, placement, cumulative cost, every `f64` bit —
 //! to be byte-identical to a run that never crashed. Also pins the
-//! degraded modes (injected solver panic) and the malformed-line
-//! reporting across a process boundary.
+//! degraded modes (injected solver panic), the malformed-line reporting
+//! across a process boundary, and that `--dump-state` and
+//! `--dump-journal` leave the directory they read as they found it.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -252,5 +253,98 @@ fn handshake_mismatch_after_recovery_is_a_runtime_error() {
     assert_eq!(out.status.code(), Some(1), "runtime error, exit 1");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("does not match"), "stderr: {err}");
+    std::fs::remove_dir_all(&scratch).ok();
+}
+
+/// The files of `dir`, sorted by name, with their bytes.
+fn files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().into_string().unwrap();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Dumps are read-only. Served at `--epoch-len 256`, 400 requests leave
+/// 144 unsettled, more than the default epoch of 64, and the open segment
+/// ends in a torn record. A bare `--dump-state` (default epoch length)
+/// and `--dump-journal` must print those 144 as pending and leave every
+/// file byte-identical: a dump that settled them as an epoch of 64 wrote
+/// a settle record and a checkpoint, and the stream resumed at 256 then
+/// ended elsewhere than the run that was never dumped.
+#[test]
+fn dumps_leave_the_directory_as_they_found_it() {
+    let scratch = temp_dir("dump-read-only");
+    let stream = |n: u32| {
+        let mut s = String::from("hello 4 10\n");
+        for i in 1..=n {
+            let a = i * 7 % 10;
+            let items = match i % 3 {
+                0 => format!("{a}"),
+                1 => format!("{a},{}", (a + 1) % 10),
+                _ => format!("{a},{},{}", (a + 1) % 10, (a + 5) % 10),
+            };
+            s.push_str(&format!(
+                "req {:?} {} {items}\n",
+                0.25 * f64::from(i),
+                i % 4
+            ));
+        }
+        s
+    };
+    let (head, full) = (scratch.join("head.txt"), scratch.join("full.txt"));
+    std::fs::write(&head, stream(400)).unwrap();
+    std::fs::write(&full, stream(700)).unwrap();
+    let serve = |dir: &std::path::Path, input: &std::path::Path| {
+        let out = dpg()
+            .args(["serve", "--dir", dir.to_str().unwrap(), "--input"])
+            .arg(input)
+            .args(["--epoch-len", "256", "--quiet"])
+            .output()
+            .expect("run dpg serve");
+        assert!(
+            out.status.success(),
+            "serve failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    let (dumped, never) = (scratch.join("dumped"), scratch.join("never"));
+    for dir in [&dumped, &never] {
+        serve(dir, &head);
+        let open = dir.join("wal-1.log");
+        let mut log = std::fs::read(&open).expect("the open epoch's segment");
+        log.extend_from_slice(b"req 100.5 1 3,");
+        std::fs::write(&open, log).unwrap();
+    }
+
+    let before = files(&dumped);
+    let state = DaemonState::from_json(&parse(&dump_state(&dumped)).unwrap()).unwrap();
+    assert_eq!((state.epoch, state.pending.len()), (1, 144));
+    let out = dpg()
+        .args(["serve", "--dir", dumped.to_str().unwrap(), "--dump-journal"])
+        .output()
+        .expect("run dpg serve --dump-journal");
+    assert!(out.status.success());
+    let journal = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        journal
+            .lines()
+            .any(|l| l.contains("\"kind\":\"recovery-replay\"")
+                && l.contains("\"epoch\":1,\"replayed\":144")),
+        "{journal}"
+    );
+    assert!(
+        files(&dumped) == before,
+        "a dump changed the directory it read"
+    );
+
+    serve(&dumped, &full);
+    serve(&never, &full);
+    assert_eq!(dump_state(&dumped), dump_state(&never));
     std::fs::remove_dir_all(&scratch).ok();
 }
