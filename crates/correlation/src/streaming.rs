@@ -4,28 +4,46 @@
 //! The batch [`crate::CoOccurrence`] weights the whole history equally; a
 //! drifting workload needs recency. This structure maintains decayed
 //! counts: on each observed request every stored count is implicitly
-//! multiplied by `decay^(Δ requests)` (applied lazily via a global scale
-//! factor, so `observe` is `O(|D_i|² log P)` for `P` stored pairs and
-//! `jaccard` is `O(log P)`).
+//! multiplied by `decay^(Δ requests)`, applied lazily through a global
+//! scale factor, so a request never walks the stored counts.
 //!
-//! The counts live in id-ordered maps (`BTreeMap`), so every listing comes
-//! out in ascending id order without a sort: [`StreamingCooccurrence::snapshot`]
-//! is a copy, and [`StreamingCooccurrence::pairs_above`] walks the stored
-//! pairs once, `O(max id + P)` with no per-pair map lookup, keeping only those
-//! that can pass a `J > θ` gate. That is the placement refresh the serving
-//! daemon and `online_dpg` run at every epoch.
+//! # Storage and costs
+//!
+//! The counts live in flat storage indexed by item id: a stored count per
+//! id, and per first item `a` one row of `(b, stored count)` entries for
+//! the stored keys `(a, b)`, sorted by `b`. Memory is `O(max id + P)` for
+//! `P` stored pairs. With `r` the longest row:
+//!
+//! * [`StreamingCooccurrence::observe`] of a request `D` is `O(|D|)` item
+//!   updates plus `O(|D|² log r)` pair updates, each a binary search of its
+//!   row; a pair seen for the first time is inserted into its row, which
+//!   shifts the entries after it. Every `scale < 1e-200` (about every
+//!   `200 / log10(1/decay)` requests) the stored counts are renormalised
+//!   in one `O(max id + P)` pass.
+//! * [`StreamingCooccurrence::count`] is `O(1)`;
+//!   [`StreamingCooccurrence::pair_count`] and
+//!   [`StreamingCooccurrence::jaccard`] are `O(log r)`.
+//! * [`StreamingCooccurrence::pairs_above`] walks the rows once,
+//!   `O(max id + P)` with no search per pair, keeping only the pairs that
+//!   can pass a `J > θ` gate. That is the placement refresh the serving
+//!   daemon and `online_dpg` run at every epoch.
+//!
+//! # Snapshot order
+//!
+//! Rows are visited in ascending `a` and each is sorted by `b`, so
+//! [`StreamingCooccurrence::snapshot`] lists items and pairs in ascending
+//! id order without a sort: the order the serving daemon's checkpoints
+//! pin byte for byte.
 //!
 //! With `decay = 1` the statistics equal the batch counts exactly; the
 //! tests assert both that identity and the drift-tracking behaviour.
-
-use std::collections::BTreeMap;
 
 use mcs_model::{ItemId, Request};
 
 /// A deterministic, serializable image of a [`StreamingCooccurrence`].
 ///
-/// Counts are listed in ascending id order (the order of the maps they
-/// are copied from), and every float is carried verbatim — restoring a
+/// Counts are listed in ascending id order (the order they are stored
+/// in), and every float is carried verbatim — restoring a
 /// snapshot reproduces the source instance *bit for bit*: `jaccard`,
 /// `count`, and `pair_count` return identical bits before and after a
 /// round-trip, including through the JSON layer (whose shortest-
@@ -53,6 +71,14 @@ mcs_model::impl_json!(StreamingSnapshot {
     pair_counts
 });
 
+/// One first item's stored pairs: partners ascending, and the stored count
+/// of each. Searches read only the partners.
+#[derive(Debug, Clone, Default)]
+struct Row {
+    partners: Vec<ItemId>,
+    counts: Vec<f64>,
+}
+
 /// Exponentially decayed co-occurrence statistics.
 #[derive(Debug, Clone)]
 pub struct StreamingCooccurrence {
@@ -61,8 +87,12 @@ pub struct StreamingCooccurrence {
     /// Global scale: stored values are true values divided by `scale`, so
     /// decaying everything is one multiplication of `scale`.
     scale: f64,
-    item_counts: BTreeMap<ItemId, f64>,
-    pair_counts: BTreeMap<(ItemId, ItemId), f64>,
+    /// Stored count of each item id; `None` for an id never observed.
+    item_counts: Vec<Option<f64>>,
+    /// Row `a` holds the stored keys `(a, b)`.
+    rows: Vec<Row>,
+    /// Entries across all rows.
+    stored_pairs: usize,
     observed: usize,
 }
 
@@ -80,8 +110,9 @@ impl StreamingCooccurrence {
         StreamingCooccurrence {
             decay,
             scale: 1.0,
-            item_counts: BTreeMap::new(),
-            pair_counts: BTreeMap::new(),
+            item_counts: Vec::new(),
+            rows: Vec::new(),
+            stored_pairs: 0,
             observed: 0,
         }
     }
@@ -91,24 +122,36 @@ impl StreamingCooccurrence {
         self.observed
     }
 
+    /// Number of stored pair keys: the size that [`Self::pairs_above`]
+    /// and renormalisation walk, and that a snapshot lists. `O(1)`.
+    pub fn stored_pairs(&self) -> usize {
+        self.stored_pairs
+    }
+
     /// Captures the full state as a deterministic, serializable
     /// [`StreamingSnapshot`]. Restoring it with [`Self::from_snapshot`]
     /// yields an instance whose every query agrees bit for bit.
     pub fn snapshot(&self) -> StreamingSnapshot {
+        let mut pair_counts = Vec::with_capacity(self.stored_pairs);
+        for (a, row) in self.rows.iter().enumerate() {
+            pair_counts.extend(row.entries().map(|(b, c)| (item(a), b, c)));
+        }
         StreamingSnapshot {
             decay: self.decay,
             scale: self.scale,
             observed: self.observed,
-            item_counts: self.item_counts.iter().map(|(&k, &v)| (k, v)).collect(),
-            pair_counts: self
-                .pair_counts
+            item_counts: self
+                .item_counts
                 .iter()
-                .map(|(&(a, b), &v)| (a, b, v))
+                .enumerate()
+                .filter_map(|(id, c)| c.map(|c| (item(id), c)))
                 .collect(),
+            pair_counts,
         }
     }
 
-    /// Rebuilds an instance from a snapshot.
+    /// Rebuilds an instance from a snapshot. The lists may come in any
+    /// order; for a key listed more than once, the last count wins.
     ///
     /// # Errors
     ///
@@ -136,17 +179,44 @@ impl StreamingCooccurrence {
         if let Some(&(a, b, c)) = snap.pair_counts.iter().find(|(_, _, c)| !c.is_finite()) {
             return Err(format!("non-finite count {c} for pair ({a}, {b})"));
         }
-        Ok(StreamingCooccurrence {
+        let mut stream = StreamingCooccurrence {
             decay: snap.decay,
             scale: snap.scale,
-            item_counts: snap.item_counts.iter().copied().collect(),
-            pair_counts: snap
-                .pair_counts
-                .iter()
-                .map(|&(a, b, v)| ((a, b), v))
-                .collect(),
+            item_counts: Vec::new(),
+            rows: Vec::new(),
+            stored_pairs: 0,
             observed: snap.observed,
-        })
+        };
+        for &(id, c) in &snap.item_counts {
+            *stream.item_slot(id) = Some(c);
+        }
+        let mut listed: Vec<Vec<(ItemId, f64)>> = Vec::new();
+        for &(a, b, c) in &snap.pair_counts {
+            if a.index() >= listed.len() {
+                listed.resize_with(a.index() + 1, Vec::new);
+            }
+            listed[a.index()].push((b, c));
+        }
+        stream.rows = listed
+            .into_iter()
+            .map(|mut entries| {
+                // A snapshot lists each row in order, which the stable sort
+                // checks in one pass. Of a repeated key's entries, which
+                // the sort leaves in list order, the last one is kept.
+                entries.sort_by_key(|&(b, _)| b);
+                entries.dedup_by(|later, kept| {
+                    let repeated = later.0 == kept.0;
+                    if repeated {
+                        kept.1 = later.1;
+                    }
+                    repeated
+                });
+                stream.stored_pairs += entries.len();
+                let (partners, counts) = entries.into_iter().unzip();
+                Row { partners, counts }
+            })
+            .collect();
+        Ok(stream)
     }
 
     /// Feeds one request.
@@ -157,19 +227,39 @@ impl StreamingCooccurrence {
         // Renormalise occasionally to avoid underflow on long streams.
         if self.scale < 1e-200 {
             let s = self.scale;
-            for v in self.item_counts.values_mut() {
+            for v in self.item_counts.iter_mut().flatten() {
                 *v *= s;
             }
-            for v in self.pair_counts.values_mut() {
+            for v in self.rows.iter_mut().flat_map(|row| &mut row.counts) {
                 *v *= s;
             }
             self.scale = 1.0;
         }
         let w = 1.0 / self.scale;
         for (i, &a) in request.items.iter().enumerate() {
-            *self.item_counts.entry(a).or_insert(0.0) += w;
-            for &b in &request.items[i + 1..] {
-                *self.pair_counts.entry((a, b)).or_insert(0.0) += w;
+            *self.item_slot(a).get_or_insert(0.0) += w;
+            let partners = &request.items[i + 1..];
+            if partners.is_empty() {
+                continue;
+            }
+            // Keys are stored as listed, `(a, b)` for `b` after `a`, so a
+            // request with unsorted or repeated items stores keys with
+            // `a >= b` as their own entries.
+            if a.index() >= self.rows.len() {
+                self.rows.resize_with(a.index() + 1, Row::default);
+            }
+            let row = &mut self.rows[a.index()];
+            for &b in partners {
+                let at = match row.partners.binary_search(&b) {
+                    Ok(at) => at,
+                    Err(at) => {
+                        row.partners.insert(at, b);
+                        row.counts.insert(at, 0.0);
+                        self.stored_pairs += 1;
+                        at
+                    }
+                };
+                row.counts[at] += w;
             }
         }
         self.observed += 1;
@@ -177,13 +267,22 @@ impl StreamingCooccurrence {
 
     /// Decayed `|d_i|`.
     pub fn count(&self, item: ItemId) -> f64 {
-        self.item_counts.get(&item).copied().unwrap_or(0.0) * self.scale
+        self.item_counts
+            .get(item.index())
+            .copied()
+            .flatten()
+            .unwrap_or(0.0)
+            * self.scale
     }
 
     /// Decayed `|(d_i, d_j)|` (symmetric).
     pub fn pair_count(&self, a: ItemId, b: ItemId) -> f64 {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.pair_counts.get(&key).copied().unwrap_or(0.0) * self.scale
+        let (a, b) = if a <= b { (a, b) } else { (b, a) };
+        let stored = self.rows.get(a.index()).and_then(|row| {
+            let at = row.partners.binary_search(&b).ok()?;
+            Some(row.counts[at])
+        });
+        stored.unwrap_or(0.0) * self.scale
     }
 
     /// Decayed Jaccard similarity per Eq. (5), clamped to `[0, 1]`.
@@ -208,32 +307,35 @@ impl StreamingCooccurrence {
     /// [`Self::pairs`]. Each `J` has the bits [`Self::jaccard`] returns,
     /// and NaN (possible only on degenerate float states) never passes.
     ///
-    /// One walk over the stored pairs against a dense table of decayed
-    /// item counts: `O(max id + P)`, with no map lookup per pair.
+    /// One walk over the rows against a table of decayed item counts:
+    /// `O(max id + P)`, with no search per pair.
     pub fn pairs_above(&self, theta: f64) -> Vec<(ItemId, ItemId, f64)> {
-        let table_len = self
+        let counts: Vec<f64> = self
             .item_counts
-            .last_key_value()
-            .map_or(0, |(id, _)| id.index() + 1);
-        let mut counts = vec![0.0; table_len];
-        for (&id, &stored) in &self.item_counts {
-            counts[id.index()] = stored * self.scale;
-        }
-        let count = |id: ItemId| counts.get(id.index()).copied().unwrap_or(0.0);
-        self.pair_counts
             .iter()
-            .filter_map(|(&(a, b), &stored)| {
-                // `observe` stores only `a < b`; any other key (a request
-                // built with unsorted or repeated items) takes the
-                // general path, which normalises it as `jaccard` does.
+            .map(|c| c.unwrap_or(0.0) * self.scale)
+            .collect();
+        let count = |id: ItemId| counts.get(id.index()).copied().unwrap_or(0.0);
+        let mut out = Vec::new();
+        for (a, row) in self.rows.iter().enumerate() {
+            let a = item(a);
+            let count_a = count(a);
+            for (b, stored) in row.entries() {
+                // `observe` stores `a < b` for sorted requests; any other
+                // key (a request built with unsorted or repeated items)
+                // takes the general path, which normalises it as
+                // `jaccard` does.
                 let j = if a < b {
-                    similarity(stored * self.scale, count(a), count(b))
+                    similarity(stored * self.scale, count_a, count(b))
                 } else {
                     self.jaccard(a, b)
                 };
-                (j > theta).then_some((a, b, j))
-            })
-            .collect()
+                if j > theta {
+                    out.push((a, b, j));
+                }
+            }
+        }
+        out
     }
 
     /// All pairs with positive decayed co-occurrence, with similarities,
@@ -246,6 +348,29 @@ impl StreamingCooccurrence {
         out.sort_by(|x, y| y.2.total_cmp(&x.2).then(x.0.cmp(&y.0)).then(x.1.cmp(&y.1)));
         out
     }
+
+    /// The stored count of `id`, growing the table to hold it.
+    fn item_slot(&mut self, id: ItemId) -> &mut Option<f64> {
+        if id.index() >= self.item_counts.len() {
+            self.item_counts.resize(id.index() + 1, None);
+        }
+        &mut self.item_counts[id.index()]
+    }
+}
+
+impl Row {
+    /// `(partner, stored count)`, ascending by partner.
+    fn entries(&self) -> impl Iterator<Item = (ItemId, f64)> + '_ {
+        self.partners
+            .iter()
+            .copied()
+            .zip(self.counts.iter().copied())
+    }
+}
+
+/// The id of a table index.
+fn item(index: usize) -> ItemId {
+    ItemId(u32::try_from(index).expect("every table is sized by a u32 id"))
 }
 
 /// Eq. (5) on decayed counts, clamped to `[0, 1]` (see

@@ -212,11 +212,14 @@ impl DaemonState {
     /// WAL), an item id outside the catalog of `items`, or an invalid
     /// streaming snapshot.
     pub fn load(dir: &Path) -> Result<Option<Self>, String> {
-        Ok(Self::read_checkpoint(dir)?.map(|(state, _)| state))
+        Ok(Self::read_checkpoint(dir)?.map(|(state, _, _)| state))
     }
 
-    /// [`Self::load`], also returning the size of the file read.
-    pub(crate) fn read_checkpoint(dir: &Path) -> Result<Option<(Self, u64)>, String> {
+    /// [`Self::load`], also returning the statistics the checkpoint holds,
+    /// built once, and the size of the file read.
+    pub(crate) fn read_checkpoint(
+        dir: &Path,
+    ) -> Result<Option<(Self, StreamingCooccurrence, u64)>, String> {
         let path = checkpoint_path(dir);
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
@@ -246,11 +249,14 @@ impl DaemonState {
                 state.pending.len()
             ));
         }
-        // Surface invalid streaming state now, not at first observe.
-        StreamingCooccurrence::from_snapshot(&state.streaming)
-            .and_then(|_| state.check_catalog())
+        // The statistics are sized by the largest id they hold, so the ids
+        // are checked against the catalog first; invalid streaming state
+        // surfaces now, not at the first observe.
+        let stream = state
+            .check_catalog()
+            .and_then(|()| StreamingCooccurrence::from_snapshot(&state.streaming))
             .map_err(|e| format!("corrupt checkpoint {}: {e}", path.display()))?;
-        Ok(Some((state, text.len() as u64)))
+        Ok(Some((state, stream, text.len() as u64)))
     }
 
     /// Rejects item ids at or above `items` in the statistics and the

@@ -91,15 +91,17 @@
 //! the buffer and a look, without waiting, at the epoch in flight, with
 //! `|D|` capped by admission control ([`ServeConfig::max_items`]).
 //! Closing an epoch builds its request sequence and sends it to the
-//! worker. Finishing it adds the `O(|D|² log P)` streaming update of each
-//! of its requests (`P` stored pairs, span `serve.fold`), a placement
-//! refresh that lists and sorts only the pairs above θ
-//! (`serve.placement`), and, at the cadence above, one checkpoint written
-//! in a single pass (`serve.checkpoint`); it starts no thread and creates
-//! no file between checkpoints. Settlement runs on one long-lived worker
-//! thread, started at the first settlement and sent each epoch's solve
-//! over a channel, under [`ServeConfig::settle_timeout`] counted from the
-//! dispatch; an epoch's solve stays on that thread
+//! worker. Finishing it adds the `O(|D|² log r)` streaming update of each
+//! of its requests (a binary search of an id-indexed row of at most `r ≤
+//! k` stored partners per pair; span `serve.fold`), a placement refresh
+//! that walks the `P` stored pairs once and lists and sorts only those
+//! above θ (`serve.placement`; gauge `serve.stream_pairs` is `P`), and, at
+//! the cadence above, one checkpoint written in a single pass
+//! (`serve.checkpoint`); it starts no thread and creates no file between
+//! checkpoints. Settlement runs on one long-lived worker thread, started at
+//! the first settlement and sent each epoch's solve over a channel (span
+//! `serve.solve` on the worker), under [`ServeConfig::settle_timeout`]
+//! counted from the dispatch; an epoch's solve stays on that thread
 //! (`mcs_model::par::threads_for` keeps solves below 4,096 requests
 //! serial). The daemon thread blocks on a solve only at the next epoch's
 //! close, at the end of the input or inside [`Daemon::admit`], and at
@@ -338,6 +340,7 @@ impl Books {
             let _fold = mcs_obs::span("serve.fold");
             fold(&mut self.stream, settling);
         }
+        mcs_obs::gauge_set("serve.stream_pairs", self.stream.stored_pairs() as f64);
         self.state.admitted += requests as u64;
         if let Some(last) = settling.last() {
             self.state.last_time = last.time;
@@ -450,13 +453,15 @@ impl SettleWorker {
         let (outbox, results) = mpsc::channel();
         std::thread::spawn(move || {
             for job in inbox {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    if !job.slow.is_zero() {
-                        std::thread::sleep(job.slow);
-                    }
-                    assert!(!job.panic, "injected settlement panic (test hook)");
-                    solver.solve(&job.seq, &job.ctx).total_cost
-                }));
+                let result = mcs_obs::time_phase("serve.solve", || {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        if !job.slow.is_zero() {
+                            std::thread::sleep(job.slow);
+                        }
+                        assert!(!job.panic, "injected settlement panic (test hook)");
+                        solver.solve(&job.seq, &job.ctx).total_cost
+                    }))
+                });
                 let finished = Instant::now();
                 // The solve's metrics reach the global registry before the
                 // daemon, which may print or serve them next, hears back.
@@ -496,13 +501,11 @@ impl Replay {
     /// no request unsettled, the segment of the epoch it reached. Writes
     /// nothing. `Ok(None)` when the directory holds no checkpoint.
     fn read(cfg: &ServeConfig) -> Result<Option<Replay>, ServeError> {
-        let Some((state, checkpoint_bytes)) =
+        let Some((state, stream, checkpoint_bytes)) =
             DaemonState::read_checkpoint(&cfg.dir).map_err(ServeError::State)?
         else {
             return Ok(None);
         };
-        let stream = StreamingCooccurrence::from_snapshot(&state.streaming)
-            .map_err(|e| ServeError::State(format!("checkpoint streaming state: {e}")))?;
         let checkpoint_epoch = state.epoch;
         let mut logs: Vec<(u64, WalContents)> = Vec::new();
         let mut segment = state.epoch;

@@ -855,6 +855,27 @@ fn a_checkpoint_naming_items_outside_the_catalog_fails_to_load() {
     std::fs::write(checkpoint_path(&dir), state.canonical_json()).unwrap();
     let err = DaemonState::load(&dir).unwrap_err();
     assert!(err.contains("placement_pairs names item 5"), "{err}");
+
+    // The statistics are sized by the largest id they hold, so the catalog
+    // is checked before they are built: item 4294967295 would size about
+    // 4·10⁹ rows.
+    let max = ItemId(u32::MAX);
+    for field in ["item_counts", "pair_counts"] {
+        let mut state = DaemonState::fresh(2, 3, 1.0);
+        if field == "item_counts" {
+            state.streaming.item_counts.push((max, 1.0));
+        } else {
+            state.streaming.pair_counts.push((max, max, 1.0));
+        }
+        std::fs::write(checkpoint_path(&dir), state.canonical_json()).unwrap();
+        let err = DaemonState::load(&dir).unwrap_err();
+        assert!(
+            err.contains(&format!(
+                "streaming.{field} names item 4294967295 outside the catalog of 3 items"
+            )),
+            "{err}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
