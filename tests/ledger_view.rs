@@ -1,23 +1,28 @@
 //! The decision ledger is a view over its `Solution`: taking it and
 //! reading its length, total, reconciliation and breakdown derive the
-//! events from the parts without allocating, and streaming it allocates
-//! one fixed-size buffer whatever the event count. So no list of
-//! `LedgerEvent`s is ever built; before the view, `Solution::ledger` alone
-//! allocated at least 104 bytes per event. What the view computes is what
-//! the event list gave: the same bits and the same bytes.
+//! events from the parts without allocating, and streaming it allocates a
+//! bounded number of bytes whatever the event count, summed over every
+//! thread the emit uses. So no list of `LedgerEvent`s is ever built;
+//! before the view, `Solution::ledger` alone allocated at least 104 bytes
+//! per event. What the view computes is what the event list gave: the
+//! same bits and the same bytes.
 //!
 //! A counting global allocator tallies the bytes each thread asks for, in
-//! a `const` thread-local, so tests running in parallel do not add to
-//! each other's counts.
+//! a `const` thread-local, and the bytes every thread asks for, in a
+//! process-wide counter. Reading is held to the calling thread's tally.
+//! Streaming is held to the process-wide one, because an emit's render
+//! worker allocates on its own thread; so the tests of this file run one
+//! at a time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use dp_greedy_suite::engine::{find, RunContext, Solution, SolutionPart};
 use dp_greedy_suite::model::CostModel;
-use dp_greedy_suite::obs::Ledger;
+use dp_greedy_suite::obs::{EventSource, Ledger, LedgerEvent};
 use dp_greedy_suite::trace::io::TraceFile;
 use dp_greedy_suite::trace::workload::{generate, WorkloadConfig};
 
@@ -27,12 +32,16 @@ thread_local! {
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
 }
 
+static ALLOCATED_ANYWHERE: AtomicUsize = AtomicUsize::new(0);
+
 fn count(bytes: usize) {
     ALLOCATED.with(|n| n.set(n.get() + bytes));
+    ALLOCATED_ANYWHERE.fetch_add(bytes, Ordering::Relaxed);
 }
 
-// SAFETY: every call forwards to `System` unchanged; the count is a
-// const-initialised thread-local `Cell`, which never allocates.
+// SAFETY: every call forwards to `System` unchanged; the counts are a
+// const-initialised thread-local `Cell` and a static atomic, neither of
+// which allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
@@ -64,7 +73,42 @@ fn allocated_by(f: impl FnOnce()) -> usize {
     ALLOCATED.with(Cell::get) - before
 }
 
-/// The largest buffer `write_jsonl` may hold.
+/// Bytes every thread allocates while `f` runs. Threads that `f` starts
+/// are joined before it returns, which orders their counts before the
+/// second load.
+fn allocated_anywhere_by(f: impl FnOnce()) -> usize {
+    let before = ALLOCATED_ANYWHERE.load(Ordering::Relaxed);
+    f();
+    ALLOCATED_ANYWHERE.load(Ordering::Relaxed) - before
+}
+
+/// Held by every test of this file, so no test allocates while another
+/// counts every thread. A test that failed holding it leaves nothing to
+/// repair.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A solution whose emits always start the render worker, at any event
+/// count and `MCS_THREADS`.
+struct Pipelined<'a>(&'a Solution);
+
+impl EventSource for Pipelined<'_> {
+    fn event_count(&self) -> usize {
+        self.0.event_count()
+    }
+
+    fn for_each_event(&self, f: &mut dyn FnMut(&LedgerEvent)) {
+        self.0.for_each_event(f);
+    }
+
+    fn emit_threads(&self, _events: usize) -> usize {
+        2
+    }
+}
+
+/// The most `write_jsonl` may allocate, on every thread it uses together.
 const STREAM_LIMIT: usize = 128 * 1024;
 
 /// `dp_greedy`, `optimal` and `multi` on the three fixtures, and
@@ -121,6 +165,7 @@ fn cases() -> &'static [(String, Solution)] {
 
 #[test]
 fn reading_a_ledger_allocates_nothing() {
+    let _serial = one_at_a_time();
     for (label, solution) in cases() {
         let mut reconciles = false;
         let bytes = allocated_by(|| {
@@ -136,17 +181,26 @@ fn reading_a_ledger_allocates_nothing() {
     }
 }
 
+/// Streaming holds the same bound whether the emit renders on the calling
+/// thread or starts its render worker: the solution's own thread rule
+/// (serial below 4,096 events), then the worker forced.
 #[test]
 fn streaming_a_ledger_allocates_one_bounded_buffer() {
+    let _serial = one_at_a_time();
     let mut largest = 0;
     for (label, solution) in cases() {
-        let ledger = solution.ledger();
-        let bytes = allocated_by(|| ledger.write_jsonl(&mut std::io::sink()).unwrap());
-        assert!(
-            bytes < STREAM_LIMIT,
-            "{label}: write_jsonl allocated {bytes} B"
-        );
-        largest = largest.max(ledger.to_jsonl_string().len());
+        let pipelined = Pipelined(solution);
+        for (how, ledger) in [
+            ("own rule", solution.ledger()),
+            ("worker", Ledger::over(&pipelined)),
+        ] {
+            let bytes = allocated_anywhere_by(|| ledger.write_jsonl(&mut std::io::sink()).unwrap());
+            assert!(
+                bytes < STREAM_LIMIT,
+                "{label} ({how}): write_jsonl allocated {bytes} B"
+            );
+        }
+        largest = largest.max(solution.ledger().to_jsonl_string().len());
     }
     // The bound holds for ledgers far larger than the buffer.
     assert!(largest > 16 * STREAM_LIMIT, "largest ledger {largest} B");
@@ -158,6 +212,7 @@ fn streaming_a_ledger_allocates_one_bounded_buffer() {
 /// view's bits.
 #[test]
 fn the_view_derives_what_the_event_list_held() {
+    let _serial = one_at_a_time();
     for (label, solution) in cases() {
         let ledger = solution.ledger();
         let events = ledger.events();

@@ -2,7 +2,8 @@
 //! generated sequence above the solvers' parallel threshold, and every
 //! registry solver, the decision-ledger JSONL and the `total_cost` bit
 //! pattern are byte-identical at `MCS_THREADS` 1, 2 and 4. Parallel
-//! sections are an optimisation, never a behaviour change.
+//! sections are an optimisation, never a behaviour change. That includes
+//! the ledger emit, which renders in a worker thread from 4,096 events on.
 
 use dp_greedy_suite::engine::{solvers, CachingSolver, RunContext};
 use dp_greedy_suite::model::par::{PARALLEL_THRESHOLD, THREADS_ENV};
@@ -40,11 +41,14 @@ fn above_threshold() -> (String, RequestSeq) {
     ("paper_like_s3_2000".to_string(), seq)
 }
 
-fn fingerprint(s: &dyn CachingSolver, seq: &RequestSeq, ctx: &RunContext) -> (String, u64) {
+/// The ledger's JSONL, the total's bits, and the event count.
+fn fingerprint(s: &dyn CachingSolver, seq: &RequestSeq, ctx: &RunContext) -> (String, u64, usize) {
     let solution = s.solve(seq, ctx);
+    let ledger = solution.ledger();
     (
-        solution.ledger().to_jsonl_string(),
+        ledger.to_jsonl_string(),
         solution.total_cost.to_bits(),
+        ledger.len(),
     )
 }
 
@@ -54,6 +58,7 @@ fn fingerprint(s: &dyn CachingSolver, seq: &RequestSeq, ctx: &RunContext) -> (St
 #[test]
 fn every_solver_is_thread_invariant_on_every_fixture() {
     let ctx = RunContext::new(CostModel::new(1.0, 2.0, 0.7).unwrap()).with_theta(0.3);
+    let mut most_events = 0;
     for (name, seq) in fixture_sequences().into_iter().chain([above_threshold()]) {
         for s in solvers() {
             if s.request_limit().is_some_and(|l| seq.len() > l) {
@@ -61,6 +66,7 @@ fn every_solver_is_thread_invariant_on_every_fixture() {
             }
             std::env::set_var(THREADS_ENV, "1");
             let reference = fingerprint(*s, &seq, &ctx);
+            most_events = most_events.max(reference.2);
             for threads in [2, 4] {
                 std::env::set_var(THREADS_ENV, threads.to_string());
                 assert_eq!(
@@ -73,4 +79,11 @@ fn every_solver_is_thread_invariant_on_every_fixture() {
         }
     }
     std::env::remove_var(THREADS_ENV);
+    // The emit's thread rule is the solvers' (`threads_for`), applied to
+    // the event count: some ledger must be long enough to start the
+    // render worker.
+    assert!(
+        most_events >= PARALLEL_THRESHOLD,
+        "the longest ledger has {most_events} events"
+    );
 }
