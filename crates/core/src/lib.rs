@@ -9,7 +9,10 @@
 //!   (`2αμ`, `2αλ`); requests for a *single* item of the pair are served by
 //!   the three-arm greedy of Observation 2 (cache from `r_{p(i)}`, transfer
 //!   from `r_{i−1}`, or package delivery at `2αλ`); unpacked items are
-//!   served by the optimal off-line algorithm individually.
+//!   served by the optimal off-line algorithm individually. The same
+//!   Phase 2 serves packages of more items, which the agglomerative
+//!   K-matcher packs above a size cap of 2 (the engine's `dpg_k` and
+//!   `multi` rows).
 //!
 //! Plus everything needed to evaluate it:
 //!
@@ -18,8 +21,6 @@
 //!   Fig. 11/12) and `Package_Served` (always pack — the other extreme of
 //!   Fig. 13). Over a whole sequence they run as the `mcs-engine`
 //!   registry's `optimal` and `package_served` rows.
-//! * [`multi_item`] — Phase 2 over packages of any size, which the engine's
-//!   `dpg_k` and `multi` rows run after the agglomerative K-matcher.
 //! * [`prescan`] — the Section V data structures (per-server doubly linked
 //!   lists `Q_j`, the `A[n]` index, the `pLast[m]` array and per-request
 //!   `m`-size pointer arrays) giving `O(1)` interval identification.
@@ -37,7 +38,6 @@
 
 pub mod baselines;
 pub mod explain;
-pub mod multi_item;
 pub mod paper_example;
 pub mod prescan;
 pub mod ratio;
@@ -45,4 +45,6 @@ pub mod singleton_greedy;
 pub mod two_phase;
 pub mod windowed;
 
-pub use two_phase::{dp_greedy, DpGreedyConfig, DpGreedyReport, PairReport, SingletonReport};
+pub use two_phase::{
+    dp_greedy, DpGreedyConfig, DpGreedyReport, PackageReport, PairReport, SingletonReport,
+};

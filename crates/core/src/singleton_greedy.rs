@@ -1,8 +1,9 @@
 //! The three-arm greedy of Observation 2 — Phase 2's treatment of requests
-//! that access exactly **one** item of a packed pair.
+//! that access only part of a package.
 //!
-//! For such a request `r_i` (item `d` of package `(d, d')`), three serving
-//! options compete (Algorithm 1, line 42):
+//! For a request `r_i` holding item `d` of a package of `g` items but not
+//! the whole package, three serving options compete (Algorithm 1, line 42,
+//! for `g = 2`):
 //!
 //! * **Cache** from `r_{p(i)}` — the most recent request containing `d` at
 //!   the same server (or the origin placement for `s_1`): `μ·(t_i − t_{p(i)})`.
@@ -10,7 +11,13 @@
 //!   anywhere (package requests count; unpacking is free):
 //!   `λ + μ·(t_i − t_{i−1})`.
 //! * **Package delivery** — ship the whole package from its (always
-//!   available, per Observation 1) live copy: a constant `2αλ`.
+//!   available, per Observation 1) live copy: a constant `αgλ`, `2αλ` for
+//!   a pair.
+//!
+//! Both trackers advance at every request holding `d`, whatever was
+//! decided there, so one walk per item gives every arm; a larger
+//! package's shared deliveries (`two_phase::dp_greedy_package`) only
+//! replace choices of that walk.
 //!
 //! The paper treats the package as available at *any* time instance. Our
 //! optimal package schedule only keeps a copy alive until the last
@@ -22,34 +29,37 @@ use std::collections::HashMap;
 
 use mcs_model::{CostModel, ServerId, TimePoint};
 
-/// One event in the merged per-item view of a packed pair: every request
-/// containing the item, flagged by whether the partner item co-occurs.
+/// One event in the merged per-item view of a package member: every
+/// request containing the item, flagged by whether it holds the whole
+/// package.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairItemEvent {
     /// Request time.
     pub time: TimePoint,
     /// Requesting server.
     pub server: ServerId,
-    /// True if this is a co-request (both pair items) — served by the
-    /// package DP, but still advancing `r_{p(i)}` / `r_{i−1}` trackers.
+    /// True if this is a co-request (every package member) — served by
+    /// the package DP, but still advancing `r_{p(i)}` / `r_{i−1}` trackers.
     pub is_co: bool,
 }
 
-/// Which arm served a singleton request.
+/// Which arm served a singleton request; `arm as usize` is its slot in
+/// `option_costs` and `arm_counts`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arm {
     /// Local cache from `r_{p(i)}`.
     Cache,
     /// Transfer from `r_{i−1}` with bridging.
     Transfer,
-    /// Package delivery at `2αλ`.
+    /// Package delivery at `αgλ`.
     Package,
 }
 
 /// The serving record of one singleton request.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArmChoice {
-    /// Index into the event list.
+    /// Index into the event list (for a shared delivery, the request's
+    /// index in the sequence).
     pub event_index: usize,
     /// Request time of the served event.
     pub time: TimePoint,
@@ -63,7 +73,7 @@ pub struct ArmChoice {
     pub option_costs: [f64; 3],
 }
 
-/// Outcome of the singleton greedy over one item of a packed pair.
+/// Outcome of the singleton greedy over one item of a package.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SingletonGreedyOutcome {
     /// Total cost over the singleton requests (co-requests cost nothing
@@ -75,7 +85,28 @@ pub struct SingletonGreedyOutcome {
     pub arm_counts: [usize; 3],
 }
 
-/// Runs the three-arm greedy over the merged event list of one pair item.
+impl SingletonGreedyOutcome {
+    /// The outcome of `choices`: their costs summed in order, and their
+    /// arms counted.
+    pub fn from_choices(choices: Vec<ArmChoice>) -> Self {
+        let mut cost = 0.0;
+        let mut arm_counts = [0usize; 3];
+        for c in &choices {
+            cost += c.cost;
+            arm_counts[c.arm as usize] += 1;
+        }
+        SingletonGreedyOutcome {
+            cost,
+            choices,
+            arm_counts,
+        }
+    }
+}
+
+/// Runs the three-arm greedy over the merged event list of one package
+/// member, with the package delivered at `delivery` (`αgλ` for a package
+/// of `g` items; `model.package_delivery_cost()`, `2αλ`, for a pair). The
+/// package arm wins only when strictly cheaper than both others.
 ///
 /// `package_horizon`: `None` reproduces the paper exactly (the package arm
 /// is always available); `Some(t)` restricts package deliveries to
@@ -83,20 +114,18 @@ pub struct SingletonGreedyOutcome {
 pub fn singleton_greedy(
     events: &[PairItemEvent],
     model: &CostModel,
+    delivery: f64,
     package_horizon: Option<TimePoint>,
 ) -> SingletonGreedyOutcome {
     let mu = model.mu();
     let lambda = model.lambda();
-    let package_arm_base = model.package_delivery_cost();
 
     // Item copy history: the origin placement seeds both trackers.
     let mut last_at: HashMap<ServerId, TimePoint> = HashMap::new();
     last_at.insert(ServerId::ORIGIN, 0.0);
     let mut last_any: TimePoint = 0.0;
 
-    let mut cost = 0.0;
     let mut choices = Vec::new();
-    let mut arm_counts = [0usize; 3];
 
     for (i, ev) in events.iter().enumerate() {
         if !ev.is_co {
@@ -106,7 +135,7 @@ pub fn singleton_greedy(
             let tr_arm = lambda + mu * (ev.time - last_any);
             let p_arm = match package_horizon {
                 Some(h) if ev.time > h => f64::INFINITY,
-                _ => package_arm_base,
+                _ => delivery,
             };
 
             // Tie order D, Tr, P: prefer the arms in the order the paper
@@ -119,12 +148,6 @@ pub fn singleton_greedy(
                 (Arm::Package, p_arm)
             };
             debug_assert!(paid.is_finite(), "no feasible arm for event {i}");
-            cost += paid;
-            arm_counts[match arm {
-                Arm::Cache => 0,
-                Arm::Transfer => 1,
-                Arm::Package => 2,
-            }] += 1;
             choices.push(ArmChoice {
                 event_index: i,
                 time: ev.time,
@@ -138,12 +161,7 @@ pub fn singleton_greedy(
         last_at.insert(ev.server, ev.time);
         last_any = ev.time;
     }
-
-    SingletonGreedyOutcome {
-        cost,
-        choices,
-        arm_counts,
-    }
+    SingletonGreedyOutcome::from_choices(choices)
 }
 
 impl mcs_model::json::ToJson for Arm {
@@ -177,6 +195,15 @@ mod tests {
     use super::*;
     use mcs_model::approx_eq;
 
+    /// The greedy of one pair item, delivering the package at `2αλ`.
+    fn pair_greedy(
+        events: &[PairItemEvent],
+        model: &CostModel,
+        horizon: Option<TimePoint>,
+    ) -> SingletonGreedyOutcome {
+        singleton_greedy(events, model, model.package_delivery_cost(), horizon)
+    }
+
     fn ev(time: f64, server: u32, is_co: bool) -> PairItemEvent {
         PairItemEvent {
             time,
@@ -196,7 +223,7 @@ mod tests {
             ev(2.6, 1, false),
             ev(4.0, 2, true),
         ];
-        let out = singleton_greedy(&events, &CostModel::paper_example(), None);
+        let out = pair_greedy(&events, &CostModel::paper_example(), None);
         assert!(approx_eq(out.cost, 3.1), "got {}", out.cost);
         // 0.5: Tr = 0.5 + 1 = 1.5 beats P = 1.6 (D infeasible).
         assert_eq!(out.choices[0].arm, Arm::Transfer);
@@ -218,7 +245,7 @@ mod tests {
             ev(3.2, 1, false),
             ev(4.0, 2, true),
         ];
-        let out = singleton_greedy(&events, &CostModel::paper_example(), None);
+        let out = pair_greedy(&events, &CostModel::paper_example(), None);
         assert!(approx_eq(out.cost, 2.9), "got {}", out.cost);
         // 1.1: Tr from the 0.8 package = 0.3 + 1 = 1.3 beats P = 1.6.
         assert_eq!(out.choices[0].arm, Arm::Transfer);
@@ -231,7 +258,7 @@ mod tests {
     #[test]
     fn cache_arm_wins_on_tight_local_chains() {
         let events = [ev(1.0, 1, false), ev(1.1, 1, false)];
-        let out = singleton_greedy(&events, &CostModel::paper_example(), None);
+        let out = pair_greedy(&events, &CostModel::paper_example(), None);
         assert_eq!(out.choices[1].arm, Arm::Cache);
         assert!(approx_eq(out.choices[1].cost, 0.1));
     }
@@ -239,7 +266,7 @@ mod tests {
     #[test]
     fn origin_seed_enables_cache_arm_at_s1() {
         let events = [ev(0.5, 0, false)];
-        let out = singleton_greedy(&events, &CostModel::paper_example(), None);
+        let out = pair_greedy(&events, &CostModel::paper_example(), None);
         assert_eq!(out.choices[0].arm, Arm::Cache);
         assert!(approx_eq(out.cost, 0.5));
     }
@@ -250,9 +277,9 @@ mod tests {
         // mode the package arm (1.6) wins; in strict mode it is unavailable
         // and the transfer arm (10 − 4 + 1 = 7... from the co at 4.0) wins.
         let events = [ev(4.0, 2, true), ev(10.0, 3, false)];
-        let faithful = singleton_greedy(&events, &CostModel::paper_example(), None);
+        let faithful = pair_greedy(&events, &CostModel::paper_example(), None);
         assert_eq!(faithful.choices[0].arm, Arm::Package);
-        let strict = singleton_greedy(&events, &CostModel::paper_example(), Some(4.0));
+        let strict = pair_greedy(&events, &CostModel::paper_example(), Some(4.0));
         assert_eq!(strict.choices[0].arm, Arm::Transfer);
         assert!(approx_eq(strict.choices[0].cost, 7.0));
         assert!(strict.cost >= faithful.cost);
@@ -261,7 +288,7 @@ mod tests {
     #[test]
     fn co_requests_cost_nothing_here_but_update_trackers() {
         let events = [ev(1.0, 2, true), ev(1.2, 2, false)];
-        let out = singleton_greedy(&events, &CostModel::paper_example(), None);
+        let out = pair_greedy(&events, &CostModel::paper_example(), None);
         // Cache from the co-request's unpacked copy at s3: 0.2μ.
         assert_eq!(out.choices.len(), 1);
         assert_eq!(out.choices[0].arm, Arm::Cache);
@@ -270,9 +297,9 @@ mod tests {
 
     #[test]
     fn empty_and_all_co_lists() {
-        let out = singleton_greedy(&[], &CostModel::paper_example(), None);
+        let out = pair_greedy(&[], &CostModel::paper_example(), None);
         assert_eq!(out.cost, 0.0);
-        let out = singleton_greedy(
+        let out = pair_greedy(
             &[ev(1.0, 1, true), ev(2.0, 2, true)],
             &CostModel::paper_example(),
             None,
@@ -288,9 +315,9 @@ mod tests {
         let high = CostModel::new(1.0, 1.0, 0.9).unwrap();
         let low = CostModel::new(1.0, 1.0, 0.3).unwrap();
         // Tr = 0.4 + 1 = 1.4; P(0.9) = 1.8; P(0.3) = 0.6.
-        let o_high = singleton_greedy(&events, &high, None);
+        let o_high = pair_greedy(&events, &high, None);
         assert_eq!(o_high.choices[0].arm, Arm::Transfer);
-        let o_low = singleton_greedy(&events, &low, None);
+        let o_low = pair_greedy(&events, &low, None);
         assert_eq!(o_low.choices[0].arm, Arm::Package);
     }
 }

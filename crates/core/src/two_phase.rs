@@ -1,24 +1,29 @@
 //! The DP_Greedy two-phase algorithm (Algorithm 1 of the paper).
 //!
-//! * **Phase 1**: find the item pairs whose Jaccard similarity (Eq. 4/5)
-//!   strictly exceeds the threshold `θ` and greedily pack disjoint ones,
-//!   most similar first.
-//! * **Phase 2**: for each packed pair, serve the co-requests with the
-//!   optimal off-line algorithm of \[6\] under package rates (`2αμ`, `2αλ`),
-//!   and each single-item request with the three-arm greedy of
-//!   Observation 2. Unpacked items are served individually by the optimal
-//!   off-line algorithm.
+//! * **Phase 1** ([`pack`]): find the item pairs whose Jaccard similarity
+//!   (Eq. 4/5) strictly exceeds the threshold `θ` and greedily pack
+//!   disjoint ones, most similar first. Above a package-size cap of 2 the
+//!   agglomerative K-matcher packs larger packages, the extension the
+//!   paper sketches; this is the only step the cap changes.
+//! * **Phase 2** ([`dp_greedy_package`]): for each package of `g` items,
+//!   serve the co-requests with the optimal off-line algorithm of \[6\]
+//!   under package rates (`αgμ`, `αgλ`; `2αμ`, `2αλ` for a pair), and each
+//!   member's other requests with the three-arm greedy of Observation 2,
+//!   delivering the package at `αgλ`. Unpacked items are served
+//!   individually by the optimal off-line algorithm.
 //!
 //! The headline metric is the paper's `ave_cost` (Algorithm 1, line 50):
 //! total cost divided by the total number of item accesses `Σ|d_i|`.
 
 use mcs_correlation::matching::greedy_matching_from_pairs;
-use mcs_correlation::{pairs_above, Packing};
+use mcs_correlation::{agglomerative_packages, pairs_above, PackageSet, Packing, PairTable};
 use mcs_model::par::{par_map_with_threads, threads_for};
 use mcs_model::{CostModel, ItemId, RequestSeq, Schedule};
-use mcs_offline::optimal;
+use mcs_offline::{optimal, OptimalOutcome};
 
-use crate::singleton_greedy::{singleton_greedy, PairItemEvent, SingletonGreedyOutcome};
+use crate::singleton_greedy::{
+    singleton_greedy, Arm, ArmChoice, PairItemEvent, SingletonGreedyOutcome,
+};
 
 /// Availability policy of the package-delivery arm (Observation 2's `2αλ`
 /// option) in the singleton greedy.
@@ -120,6 +125,50 @@ impl PairReport {
     }
 }
 
+/// Cost report for one package of any size `g ≥ 2`; the pair path's
+/// [`PairReport`] converts into it.
+#[derive(Debug, Clone)]
+pub struct PackageReport {
+    /// The members, ascending.
+    pub members: Vec<ItemId>,
+    /// Package DP cost over the co-requests, at `αgμ`/`αgλ`.
+    pub package_cost: f64,
+    /// The package DP's schedule over the co-requests.
+    pub package_schedule: Schedule,
+    /// Per member, in member order: its choices at the partial requests
+    /// it was served at on its own.
+    pub members_greedy: Vec<SingletonGreedyOutcome>,
+    /// The shared deliveries at `αgλ`, in time order (none for a pair).
+    pub deliveries: Vec<ArmChoice>,
+    /// Item accesses attributed to the package: `Σ |d_m|`.
+    pub accesses: usize,
+}
+
+impl PackageReport {
+    /// The package DP's cost, then each member's greedy cost, then the
+    /// shared deliveries, summed in that order: [`PairReport::total`] for
+    /// a pair.
+    pub fn total(&self) -> f64 {
+        let members = self.members_greedy.iter().map(|m| m.cost);
+        let deliveries = self.deliveries.iter().map(|d| d.cost);
+        let parts = members.chain(deliveries);
+        parts.fold(self.package_cost, |t, c| t + c)
+    }
+}
+
+impl From<PairReport> for PackageReport {
+    fn from(pair: PairReport) -> Self {
+        PackageReport {
+            members: vec![pair.a, pair.b],
+            package_cost: pair.package_cost,
+            package_schedule: pair.package_schedule,
+            members_greedy: vec![pair.a_greedy, pair.b_greedy],
+            deliveries: Vec::new(),
+            accesses: pair.accesses,
+        }
+    }
+}
+
 /// Cost report for an unpacked item (served by the optimal off-line
 /// algorithm individually).
 #[derive(Debug, Clone)]
@@ -160,32 +209,6 @@ impl DpGreedyReport {
     }
 }
 
-/// Builds the per-item event list of a packed pair: every request
-/// containing the item, flagged by partner co-occurrence. `both` and
-/// `only` are the pair's co-requests and the item's singleton requests
-/// from [`RequestSeq::pair_view`] (ascending and disjoint), merged here
-/// into time order.
-fn pair_item_events(seq: &RequestSeq, both: &[usize], only: &[usize]) -> Vec<PairItemEvent> {
-    let mut events = Vec::with_capacity(both.len() + only.len());
-    let (mut i, mut j) = (0, 0);
-    while i < both.len() || j < only.len() {
-        let is_co = j == only.len() || (i < both.len() && both[i] < only[j]);
-        let index = if is_co { both[i] } else { only[j] };
-        if is_co {
-            i += 1;
-        } else {
-            j += 1;
-        }
-        let r = seq.get(index);
-        events.push(PairItemEvent {
-            time: r.time,
-            server: r.server,
-            is_co,
-        });
-    }
-    events
-}
-
 /// Runs Phase 2 for one packed pair, independent of Phase 1 (used directly
 /// by the per-pair experiments of Figs. 11–13).
 pub fn dp_greedy_pair(
@@ -195,31 +218,8 @@ pub fn dp_greedy_pair(
     config: &DpGreedyConfig,
 ) -> PairReport {
     let pv = seq.pair_view(a, b);
-    let co_trace = seq.trace_of(&pv.both);
-
-    // Package DP over co-requests at package rates — Algorithm 1 line 40.
-    let pkg_model = config.model.scaled_for_package();
-    let pkg = optimal(&co_trace, &pkg_model);
-
-    // Package availability horizon for the greedy's third arm.
-    let horizon = match config.package_availability {
-        PackageAvailability::Never => Some(f64::NEG_INFINITY),
-        _ if co_trace.is_empty() => {
-            // No co-requests → no package exists; the arm is never
-            // available even in faithful mode.
-            Some(f64::NEG_INFINITY)
-        }
-        PackageAvailability::UntilLastCoRequest => {
-            Some(co_trace.points.last().map_or(f64::NEG_INFINITY, |p| p.time))
-        }
-        PackageAvailability::Always => None,
-    };
-
-    let a_events = pair_item_events(seq, &pv.both, &pv.only_a);
-    let b_events = pair_item_events(seq, &pv.both, &pv.only_b);
-    let a_greedy = singleton_greedy(&a_events, &config.model, horizon);
-    let b_greedy = singleton_greedy(&b_events, &config.model, horizon);
-
+    let (pkg, greedy) = serve_members(seq, &[a, b], &pv.both, config);
+    let [a_greedy, b_greedy] = <[_; 2]>::try_from(greedy).expect("one walk per member");
     PairReport {
         a,
         b,
@@ -234,6 +234,205 @@ pub fn dp_greedy_pair(
     }
 }
 
+/// Runs Phase 2 for one package of `g ≥ 2` items (ascending): the pair
+/// path of [`dp_greedy_pair`] at `g = 2`. A larger package's co-requests
+/// are the intersection of its members' posting lists
+/// ([`RequestSeq::co_requests`]), and `share_deliveries` couples the
+/// members at partial requests holding two or more of them.
+pub fn dp_greedy_package(
+    seq: &RequestSeq,
+    members: &[ItemId],
+    config: &DpGreedyConfig,
+) -> PackageReport {
+    if let [a, b] = *members {
+        return dp_greedy_pair(seq, a, b, config).into();
+    }
+    let (pkg, mut members_greedy) = serve_members(seq, members, &seq.co_requests(members), config);
+    let deliveries = share_deliveries(seq, members, &mut members_greedy);
+    PackageReport {
+        members: members.to_vec(),
+        package_cost: pkg.cost,
+        package_schedule: pkg.schedule,
+        members_greedy,
+        deliveries,
+        accesses: members.iter().map(|&m| seq.count_containing(m)).sum(),
+    }
+}
+
+/// The package DP over the co-requests `co` of `members` at the rates of
+/// `g` items (`αgμ`, `αgλ`: Algorithm 1 line 40 for a pair), and each
+/// member's three-arm choices over its posting list with the package
+/// delivered at `αgλ`.
+fn serve_members(
+    seq: &RequestSeq,
+    members: &[ItemId],
+    co: &[usize],
+    config: &DpGreedyConfig,
+) -> (OptimalOutcome, Vec<SingletonGreedyOutcome>) {
+    let g = members.len() as u32;
+    let co_trace = seq.trace_of(co);
+    let pkg = optimal(&co_trace, &config.model.scaled_for_package_k(g));
+    // The package arm's availability horizon (`None`: at any time).
+    let horizon = match config.package_availability {
+        PackageAvailability::Never => Some(f64::NEG_INFINITY),
+        // No co-requests → no package exists; the arm is never available
+        // even in faithful mode.
+        _ if co_trace.is_empty() => Some(f64::NEG_INFINITY),
+        PackageAvailability::UntilLastCoRequest => co_trace.points.last().map(|p| p.time),
+        PackageAvailability::Always => None,
+    };
+    let delivery = config.model.transfer_cost_package(g);
+    let greedy = members
+        .iter()
+        .map(|&m| {
+            let events = member_events(seq, seq.posting_list(m), co);
+            singleton_greedy(&events, &config.model, delivery, horizon)
+        })
+        .collect();
+    (pkg, greedy)
+}
+
+/// A member's events: every request in its posting list, flagged when it
+/// is one of the package's co-requests `co` (a subset of the list, both
+/// ascending).
+fn member_events(seq: &RequestSeq, postings: &[u32], co: &[usize]) -> Vec<PairItemEvent> {
+    let mut co = co.iter().peekable();
+    postings
+        .iter()
+        .map(|&index| {
+            let index = index as usize;
+            let r = seq.get(index);
+            PairItemEvent {
+                time: r.time,
+                server: r.server,
+                is_co: co.next_if_eq(&&index).is_some(),
+            }
+        })
+        .collect()
+}
+
+/// Couples the members at every partial request holding two or more of
+/// them: one delivery of the whole package serves them all when it is
+/// strictly cheaper than each member's cheaper of cache and transfer,
+/// summed in member order, and replaces their choices; its option costs
+/// are every member by cache and every member by transfer. Otherwise each
+/// keeps its choice, which is then that cheaper arm (were the package
+/// strictly cheaper for one member alone, it would be for all). Returns
+/// the deliveries in time order.
+fn share_deliveries(
+    seq: &RequestSeq,
+    members: &[ItemId],
+    greedy: &mut [SingletonGreedyOutcome],
+) -> Vec<ArmChoice> {
+    // (request, member, choice) for every choice, by request then member.
+    let mut at: Vec<(u32, usize, usize)> = Vec::new();
+    for (m, (&member, out)) in members.iter().zip(greedy.iter()).enumerate() {
+        let postings = seq.posting_list(member);
+        let choices = out.choices.iter().enumerate();
+        at.extend(choices.map(|(c, choice)| (postings[choice.event_index], m, c)));
+    }
+    at.sort_unstable();
+
+    let mut deliveries = Vec::new();
+    // Per member, the ascending indices of its choices a delivery replaced.
+    let mut shared = vec![Vec::new(); members.len()];
+    for request in at.chunk_by(|x, y| x.0 == y.0).filter(|r| r.len() > 1) {
+        let (mut individual, mut cache, mut transfer) = (0.0, 0.0, 0.0);
+        for &(_, m, c) in request {
+            let [d, tr, _] = greedy[m].choices[c].option_costs;
+            individual += d.min(tr);
+            cache += d;
+            transfer += tr;
+        }
+        let (index, m, c) = request[0];
+        let first = greedy[m].choices[c];
+        let package = first.option_costs[2];
+        if package < individual {
+            deliveries.push(ArmChoice {
+                event_index: index as usize,
+                time: first.time,
+                arm: Arm::Package,
+                cost: package,
+                option_costs: [cache, transfer, package],
+            });
+            for &(_, m, c) in request {
+                shared[m].push(c);
+            }
+        }
+    }
+    for (out, shared) in greedy.iter_mut().zip(shared) {
+        let mut shared = shared.into_iter().peekable();
+        let mut c = 0;
+        let mut choices = std::mem::take(&mut out.choices);
+        choices.retain(|_| {
+            let keep = shared.next_if_eq(&c).is_none();
+            c += 1;
+            keep
+        });
+        *out = SingletonGreedyOutcome::from_choices(choices);
+    }
+    deliveries
+}
+
+/// Phase 1 of Algorithm 1: the pairs whose Jaccard similarity strictly
+/// exceeds `theta`, greedily packed most similar first, in acceptance
+/// order.
+pub fn pair_packing(seq: &RequestSeq, theta: f64) -> Packing {
+    let candidates = mcs_obs::time_phase("dpg.phase1.jaccard", || pairs_above(seq, theta));
+    let packing = mcs_obs::time_phase("dpg.phase1.match", || {
+        greedy_matching_from_pairs(candidates, seq.items(), theta)
+    });
+    mcs_obs::counter_add("dpg.pairs_packed", packing.pairs.len() as u64);
+    mcs_obs::counter_add("dpg.items_unpacked", packing.singletons.len() as u64);
+    packing
+}
+
+/// Phase 1 at a package-size cap of `max_group`: [`pair_packing`] up to 2,
+/// its pairs in acceptance order, and above it the agglomerative
+/// K-matcher ([`agglomerative_packages`] over a [`PairTable`]), its
+/// packages sorted.
+pub fn pack(seq: &RequestSeq, theta: f64, max_group: usize) -> PackageSet {
+    if max_group <= 2 {
+        let packing = pair_packing(seq, theta);
+        let pairs = packing.pairs.iter().map(|&(a, b)| vec![a, b]).collect();
+        PackageSet::new(pairs, packing.singletons, theta)
+    } else {
+        agglomerative_packages(&PairTable::from_sequence(seq), theta, max_group)
+    }
+}
+
+/// Phase 2 over a packing: `serve` for every package and the optimal
+/// off-line algorithm for every unpacked item, fanned out over
+/// `mcs_model::par::threads_for` workers. The map keeps input order, so
+/// costs summed in that order have the bits of a serial run.
+pub fn serve_packing<P: Sync, R: Send>(
+    seq: &RequestSeq,
+    packages: &[P],
+    singletons: &[ItemId],
+    model: &CostModel,
+    serve: impl Fn(&P) -> R + Sync,
+) -> (Vec<R>, Vec<SingletonReport>) {
+    let threads = threads_for(seq.len());
+    let packages = {
+        let _span = mcs_obs::span("dpg.phase2.pairs");
+        par_map_with_threads(packages, threads, serve)
+    };
+    let singletons = {
+        let _span = mcs_obs::span("dpg.phase2.singletons");
+        par_map_with_threads(singletons, threads, |&item| {
+            let trace = seq.item_trace(item);
+            let out = optimal(&trace, model);
+            SingletonReport {
+                item,
+                cost: out.cost,
+                accesses: trace.len(),
+                schedule: out.schedule,
+            }
+        })
+    };
+    (packages, singletons)
+}
+
 /// Runs the complete DP_Greedy algorithm (both phases) on a request
 /// sequence.
 ///
@@ -246,41 +445,16 @@ pub fn dp_greedy_pair(
 /// assert_eq!(report.total_accesses, 10);
 /// ```
 pub fn dp_greedy(seq: &RequestSeq, config: &DpGreedyConfig) -> DpGreedyReport {
-    // Phase 1.
-    let candidates = mcs_obs::time_phase("dpg.phase1.jaccard", || pairs_above(seq, config.theta));
-    let packing = mcs_obs::time_phase("dpg.phase1.match", || {
-        greedy_matching_from_pairs(candidates, seq.items(), config.theta)
-    });
-    mcs_obs::counter_add("dpg.pairs_packed", packing.pairs.len() as u64);
-    mcs_obs::counter_add("dpg.items_unpacked", packing.singletons.len() as u64);
-
-    // Phase 2. Every packed pair's subsequence and every unpacked item's
-    // trace is independent, so both loops fan out over worker threads
-    // from `PARALLEL_THRESHOLD` requests on (`mcs_model::par::threads_for`;
-    // `MCS_THREADS=1` forces serial). The map preserves input order and
-    // the cost totals are summed in that same order afterwards, so the
-    // report — schedules, ledger events, and float totals — is
-    // bit-identical to a serial run.
-    let threads = threads_for(seq.len());
-    let pairs = {
-        let _span = mcs_obs::span("dpg.phase2.pairs");
-        par_map_with_threads(&packing.pairs, threads, |&(a, b)| {
-            dp_greedy_pair(seq, a, b, config)
-        })
-    };
-    let singletons = {
-        let _span = mcs_obs::span("dpg.phase2.singletons");
-        par_map_with_threads(&packing.singletons, threads, |&item| {
-            let trace = seq.item_trace(item);
-            let out = optimal(&trace, &config.model);
-            SingletonReport {
-                item,
-                cost: out.cost,
-                accesses: trace.len(),
-                schedule: out.schedule,
-            }
-        })
-    };
+    let packing = pair_packing(seq, config.theta);
+    // The costs are summed in the map's order, so the report — schedules,
+    // ledger events, and float totals — is bit-identical to a serial run.
+    let (pairs, singletons) = serve_packing(
+        seq,
+        &packing.pairs,
+        &packing.singletons,
+        &config.model,
+        |&(a, b)| dp_greedy_pair(seq, a, b, config),
+    );
     let mut total_cost = 0.0;
     for report in &pairs {
         total_cost += report.total();
@@ -327,6 +501,7 @@ mcs_model::impl_to_json!(DpGreedyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcs_model::request::SingleItemTrace;
     use mcs_model::{approx_eq, RequestSeqBuilder};
 
     fn paper_sequence() -> RequestSeq {
@@ -471,6 +646,152 @@ mod tests {
             report.pairs[0].accesses + report.singletons[0].accesses,
             report.total_accesses
         );
+    }
+
+    /// Both phases at a package-size cap of `max_group`: the packing, the
+    /// package and singleton reports, and the total summed packages first,
+    /// as the engine's pipeline does.
+    fn k_packages(
+        seq: &RequestSeq,
+        model: CostModel,
+        theta: f64,
+        max_group: usize,
+    ) -> (PackageSet, Vec<PackageReport>, Vec<SingletonReport>, f64) {
+        let config = DpGreedyConfig::new(model).with_theta(theta);
+        let packing = pack(seq, theta, max_group);
+        let (packages, singletons) = serve_packing(
+            seq,
+            &packing.packages,
+            &packing.singletons,
+            &model,
+            |members| dp_greedy_package(seq, members, &config),
+        );
+        let mut total = 0.0;
+        for p in &packages {
+            total += p.total();
+        }
+        for s in &singletons {
+            total += s.cost;
+        }
+        (packing, packages, singletons, total)
+    }
+
+    /// A bundle workload: items {0,1,2} always together, item 3 alone.
+    fn bundle_sequence() -> RequestSeq {
+        let mut b = RequestSeqBuilder::new(4, 4);
+        let mut t = 0.0;
+        for &srv in &[1u32, 2, 3, 1, 2, 0, 3, 2] {
+            t += 0.5;
+            b = b.push(srv, t, [0, 1, 2]);
+        }
+        for &srv in &[3u32, 1] {
+            t += 0.9;
+            b = b.push(srv, t, [3]);
+        }
+        // A few partial accesses of the bundle.
+        for &(srv, it) in &[(2u32, 0u32), (3, 1), (1, 2)] {
+            t += 0.4;
+            b = b.push(srv, t, [it]);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn max_group_two_matches_pairwise_dp_greedy_on_the_paper_example() {
+        let seq = paper_sequence();
+        let model = CostModel::paper_example();
+        let (_, _, _, multi) = k_packages(&seq, model, 0.4, 2);
+        let pair = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.4));
+        assert!(
+            approx_eq(multi, pair.total_cost),
+            "multi {multi} vs pairwise {}",
+            pair.total_cost
+        );
+        assert!(approx_eq(multi, 14.96));
+    }
+
+    #[test]
+    fn bundle_is_grouped_as_a_trio() {
+        let seq = bundle_sequence();
+        let model = CostModel::new(1.0, 1.0, 0.6).unwrap();
+        let (packing, packages, singletons, _) = k_packages(&seq, model, 0.3, usize::MAX);
+        assert_eq!(packing.packages.len(), 1);
+        assert_eq!(packages[0].members, vec![ItemId(0), ItemId(1), ItemId(2)]);
+        assert_eq!(singletons.len(), 1);
+        assert_eq!(singletons[0].item, ItemId(3));
+    }
+
+    #[test]
+    fn trio_package_beats_pairwise_on_low_alpha_bundles() {
+        // With a strong discount, shipping the trio as one package must
+        // beat the best the pairwise algorithm can do (it can pack at most
+        // two of the three correlated items).
+        let seq = bundle_sequence();
+        let model = CostModel::new(1.0, 1.0, 0.4).unwrap();
+        let (_, _, _, multi) = k_packages(&seq, model, 0.3, usize::MAX);
+        let pair = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3));
+        assert!(
+            multi < pair.total_cost + 1e-9,
+            "multi {multi} should beat pairwise {}",
+            pair.total_cost
+        );
+    }
+
+    #[test]
+    fn group_schedule_is_feasible() {
+        let seq = bundle_sequence();
+        let model = CostModel::new(1.0, 1.0, 0.6).unwrap();
+        let (_, packages, _, _) = k_packages(&seq, model, 0.3, usize::MAX);
+        let group = &packages[0];
+        // Rebuild the co-trace by scanning the requests, and validate.
+        let co: Vec<(f64, u32)> = seq
+            .requests()
+            .iter()
+            .filter(|r| group.members.iter().all(|&d| r.contains(d)))
+            .map(|r| (r.time, r.server.0))
+            .collect();
+        let trace = SingleItemTrace::from_pairs(seq.servers(), &co);
+        assert_eq!(trace, seq.trace_of(&seq.co_requests(&group.members)));
+        group.package_schedule.validate(&trace).unwrap();
+    }
+
+    #[test]
+    fn shared_delivery_is_charged_once_for_multi_item_partials() {
+        // A request for two of three bundle items far from any copy: one
+        // α·g·λ delivery must beat two individual transfers when α is low.
+        let mut b = RequestSeqBuilder::new(3, 3);
+        b = b.push(1u32, 1.0, [0, 1, 2]); // establish the package at s2
+        b = b.push(2u32, 10.0, [0, 1]); // partial far away
+        let seq = b.build().unwrap();
+        let model = CostModel::new(1.0, 1.0, 0.3).unwrap();
+        let (_, packages, _, _) = k_packages(&seq, model, 0.2, usize::MAX);
+        let group = &packages[0];
+        assert_eq!(group.deliveries.len(), 1);
+        // Delivery cost α·3·λ = 0.9 vs 2 transfers (2·(9μ... the transfer
+        // arm is λ + μ·Δt each, far larger).
+        let partial: f64 = group.total() - group.package_cost;
+        assert!(approx_eq(partial, 0.9));
+        // The two members were served by the delivery, not on their own;
+        // it names what two transfers (2 · 10) would have cost, and no
+        // cache arm (neither member was ever at s3).
+        assert!(group.members_greedy.iter().all(|m| m.choices.is_empty()));
+        let d = group.deliveries[0];
+        assert_eq!(d.arm, Arm::Package);
+        assert!(approx_eq(d.option_costs[1], 20.0));
+        assert_eq!(d.option_costs[0], f64::INFINITY);
+    }
+
+    #[test]
+    fn accesses_are_conserved() {
+        let seq = bundle_sequence();
+        let model = CostModel::new(1.0, 1.0, 0.6).unwrap();
+        let (_, packages, singletons, _) = k_packages(&seq, model, 0.3, usize::MAX);
+        let attributed: usize = packages.iter().map(|g| g.accesses).sum::<usize>()
+            + singletons
+                .iter()
+                .map(|s| seq.count_containing(s.item))
+                .sum::<usize>();
+        assert_eq!(attributed, seq.total_item_accesses());
     }
 
     #[test]

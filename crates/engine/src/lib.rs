@@ -1,9 +1,9 @@
 //! # mcs-engine — the unified solver engine
 //!
 //! Every algorithm in the workspace — DP_Greedy and its multi-item and
-//! windowed extensions, the off-line `optimal`/`optimal_fast`/`greedy`/
-//! `exhaustive` substrate, the Package_Served baseline, and the on-line
-//! ski-rental family — is reachable through one seam:
+//! windowed extensions, the off-line `optimal`/`greedy`/`exhaustive`
+//! substrate, the Package_Served baseline, and the on-line ski-rental
+//! family — is reachable through one seam:
 //!
 //! * [`CachingSolver`] — the trait: `name()`, `kind()` (offline/online),
 //!   and `solve(&RequestSeq, &RunContext) -> Solution`.
@@ -21,7 +21,9 @@
 //!   ledger. It is the workspace's only source of ledger events: the
 //!   per-pair experiments build their parts with
 //!   [`solvers::pair_parts`], and `mcs_sim::chaos_solution` replays a
-//!   `Solution`'s schedules under faults.
+//!   `Solution`'s schedules under faults. `dp_greedy`, `dpg_k`, `multi`
+//!   and `windowed` share one two-phase pipeline, in which only Phase 1
+//!   depends on the package-size cap.
 //! * [`registry`] — the static solver registry: iterate all solvers with
 //!   [`registry::solvers`], look one up (aliases included) with
 //!   [`registry::find`]. Adding an algorithm is one `impl CachingSolver`
@@ -44,7 +46,7 @@ use mcs_model::defaults::{DEFAULT_SEED, DEFAULT_THETA};
 use mcs_model::{CostModel, CostPlane, FaultPlan, RequestSeq};
 
 pub use registry::{aliases, find, solvers};
-pub use solution::{ServeChoice, Solution, SolutionPart};
+pub use solution::{Commodity, ServeChoice, Solution, SolutionPart};
 
 /// Whether a solver sees the whole request sequence up front (offline)
 /// or serves requests one at a time with no knowledge of the future

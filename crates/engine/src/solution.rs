@@ -10,26 +10,52 @@
 //! yields its events in turn, each time the ledger is read:
 //!
 //! * [`SolutionPart::Schedule`] — an explicit schedule priced at the
-//!   part's own rates (base rates for singletons, `2αμ`/`2αλ` for
-//!   package schedules): one `cache` event per interval (cost `μ·len`,
-//!   stamped at the interval end, by which the full holding cost has
-//!   been paid) and one `transfer` event per transfer (cost `λ`), in the
-//!   schedule's own order.
+//!   part's own rates (base rates for singletons, `αgμ`/`αgλ` for the
+//!   schedule of a package of `g` items): one `cache` event per interval
+//!   (cost `μ·len`, stamped at the interval end, by which the full
+//!   holding cost has been paid) and one `transfer` event per transfer
+//!   (cost `λ`), in the schedule's own order.
 //! * [`SolutionPart::Serve`] — the recorded three-arm greedy choices of
-//!   Observation 2, carrying the real `option_costs` of all arms.
+//!   Observation 2, carrying the real `option_costs` of all arms, and a
+//!   package's shared deliveries.
 //! * [`SolutionPart::Aggregate`] — a channel-attributed lump cost for
 //!   solvers that only report aggregates (the on-line DP_Greedy's
-//!   package-transfer counts, the resilient policy's attempt totals, the
-//!   multi-item partial-subset serving).
+//!   package-transfer counts, the resilient policy's attempt totals).
 //!
-//! Parts are emitted in a fixed order per solver, so the JSONL a
-//! Solution renders is deterministic byte for byte.
+//! Each part owns the [`Commodity`] it serves, and its events name it by
+//! a [`Subject`] that borrows the part's package members, so reading a
+//! ledger allocates nothing. Parts are emitted in a fixed order per
+//! solver, so the JSONL a Solution renders is deterministic byte for
+//! byte.
 
 use mcs_model::Schedule;
 use mcs_obs::ledger::OPTION_NAMES;
 use mcs_obs::{EventSource, Ledger, LedgerEvent, Subject};
 
 use crate::SolverKind;
+
+/// What a part serves: an item, a packed pair, or a package of three or
+/// more items. The ledger names it by [`Commodity::as_subject`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Commodity {
+    /// A single item.
+    Item(u32),
+    /// A packed pair, ascending.
+    Pair(u32, u32),
+    /// A package of three or more items, ascending.
+    Package(Box<[u32]>),
+}
+
+impl Commodity {
+    /// The ledger subject, borrowing a package's members.
+    pub fn as_subject(&self) -> Subject<'_> {
+        match self {
+            Commodity::Item(i) => Subject::Item(*i),
+            Commodity::Pair(a, b) => Subject::Pair(*a, *b),
+            Commodity::Package(members) => Subject::Package(members),
+        }
+    }
+}
 
 /// One recorded serve-time arm choice (Observation 2's three-arm greedy).
 #[derive(Debug, Clone, Copy)]
@@ -53,8 +79,8 @@ pub enum SolutionPart {
     Schedule {
         /// Ledger phase, e.g. `"offline"`, `"phase2.package"`.
         phase: &'static str,
-        /// The item or pair the schedule serves.
-        subject: Subject,
+        /// The item or package the schedule serves.
+        subject: Commodity,
         /// The schedule itself.
         schedule: Schedule,
         /// Cache rate this schedule is priced at.
@@ -66,18 +92,18 @@ pub enum SolutionPart {
     Serve {
         /// Ledger phase (DP_Greedy uses `"phase2.serve"`).
         phase: &'static str,
-        /// The item served.
-        subject: Subject,
+        /// The item served, or the package a shared delivery shipped.
+        subject: Commodity,
         /// The choices, in request order.
         choices: Vec<ServeChoice>,
     },
     /// A lump cost attributed to one channel (for aggregate-only
     /// solvers).
     Aggregate {
-        /// Ledger phase, e.g. `"online"`, `"phase2.partial"`.
+        /// Ledger phase, e.g. `"online"`.
         phase: &'static str,
-        /// The item or pair the cost is attributed to.
-        subject: Subject,
+        /// The item the cost is attributed to.
+        subject: Commodity,
         /// The channel: `"cache"`, `"transfer"`, or `"package"`.
         channel: &'static str,
         /// Attribution time (the horizon for end-of-run settlements).
@@ -172,7 +198,7 @@ impl EventSource for Solution {
         mcs_model::par::threads_for(events)
     }
 
-    fn for_each_event(&self, f: &mut dyn FnMut(&LedgerEvent)) {
+    fn for_each_event<'s>(&'s self, f: &mut dyn FnMut(&LedgerEvent<'s>)) {
         for part in &self.parts {
             match part {
                 SolutionPart::Schedule {
@@ -187,7 +213,7 @@ impl EventSource for Solution {
                         f(&LedgerEvent {
                             algo: self.algo,
                             phase,
-                            subject: *subject,
+                            subject: subject.as_subject(),
                             option_chosen: "cache",
                             option_costs: [cost, f64::INFINITY, f64::INFINITY],
                             t: iv.span.end,
@@ -198,7 +224,7 @@ impl EventSource for Solution {
                         f(&LedgerEvent {
                             algo: self.algo,
                             phase,
-                            subject: *subject,
+                            subject: subject.as_subject(),
                             option_chosen: "transfer",
                             option_costs: [f64::INFINITY, *lambda, f64::INFINITY],
                             t: tr.time,
@@ -215,7 +241,7 @@ impl EventSource for Solution {
                         f(&LedgerEvent {
                             algo: self.algo,
                             phase,
-                            subject: *subject,
+                            subject: subject.as_subject(),
                             option_chosen: c.option_chosen,
                             option_costs: c.option_costs,
                             t: c.t,
@@ -239,7 +265,7 @@ impl EventSource for Solution {
                     f(&LedgerEvent {
                         algo: self.algo,
                         phase,
-                        subject: *subject,
+                        subject: subject.as_subject(),
                         option_chosen: channel,
                         option_costs,
                         t: *t,
@@ -258,7 +284,7 @@ mod tests {
     fn aggregate(channel: &'static str, cost: f64) -> SolutionPart {
         SolutionPart::Aggregate {
             phase: "online",
-            subject: Subject::Item(0),
+            subject: Commodity::Item(0),
             channel,
             t: 1.0,
             cost,
@@ -295,7 +321,7 @@ mod tests {
             total_accesses: 1,
             parts: vec![SolutionPart::Serve {
                 phase: "phase2.serve",
-                subject: Subject::Item(3),
+                subject: Commodity::Item(3),
                 choices: vec![ServeChoice {
                     option_chosen: "transfer",
                     option_costs: [5.0, 2.0, f64::INFINITY],

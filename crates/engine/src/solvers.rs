@@ -5,39 +5,43 @@
 //! [`SolutionPart`] list so the generic ledger derivation reconciles
 //! (`Σ event.cost == total_cost`) for every solver:
 //!
-//! * Schedule-producing solvers (`dp_greedy`, `optimal`, `greedy`,
-//!   `package_served`, `windowed`, `ski_rental`) emit their explicit
-//!   schedules, priced at the rates they were computed under.
-//! * Cost-only exact solvers (`optimal_fast`, `exhaustive`) prove the
-//!   same optimum as `optimal`, so their parts are derived from
-//!   `optimal`'s schedule — the reconciliation check then doubles as a
-//!   cross-validation of the fast/exhaustive cost against the covering
-//!   DP's schedule.
-//! * Aggregate-only solvers (`online_dpg`, `resilient`, the partial
-//!   serving of `multi` and `dpg_k`) emit channel-attributed lump costs.
+//! * Schedule-producing solvers (`dp_greedy`, `dpg_k`, `multi`,
+//!   `optimal`, `greedy`, `package_served`, `windowed`, `ski_rental`)
+//!   emit their explicit schedules, priced at the rates they were
+//!   computed under.
+//! * The cost-only exact solver (`exhaustive`) proves the same optimum
+//!   as `optimal`, so its parts are derived from `optimal`'s schedule —
+//!   the reconciliation check then doubles as a cross-validation of the
+//!   enumerated cost against the covering DP's schedule.
+//! * Aggregate-only solvers (`online_dpg`, `resilient`, `hetero_*`,
+//!   `tiered_waterfall`) emit channel-attributed lump costs.
+//!
+//! `dp_greedy`, `dpg_k`, `multi` and `windowed` run one two-phase
+//! pipeline (`two_phase_parts`) in which only Phase 1 depends on the
+//! package-size cap K.
 //!
 //! Whole-run aggregates that have no natural single subject are
-//! attributed to `Subject::Item(0)` by convention.
+//! attributed to `Commodity::Item(0)` by convention.
 
 use dp_greedy::baselines::package_served_pair;
-use dp_greedy::multi_item::dp_greedy_packages;
-use dp_greedy::singleton_greedy::{Arm, SingletonGreedyOutcome};
-use dp_greedy::two_phase::{dp_greedy, DpGreedyConfig, DpGreedyReport, PairReport};
+use dp_greedy::singleton_greedy::{Arm, ArmChoice};
+use dp_greedy::two_phase::{
+    dp_greedy_package, pack, serve_packing, DpGreedyConfig, PackageReport, PairReport,
+};
 use dp_greedy::windowed::slice_windows;
 use mcs_correlation::matching::greedy_matching_from_pairs;
-use mcs_correlation::{adaptive_theta, agglomerative_packages, pairs_above, PairTable};
+use mcs_correlation::{adaptive_theta, pairs_above};
 use mcs_model::fault::FaultPlan;
 use mcs_model::request::SingleItemTrace;
 use mcs_model::{CostModel, ItemId, RequestSeq, Schedule};
-use mcs_obs::Subject;
 use mcs_offline::exhaustive::exhaustive_optimal;
 use mcs_offline::hetero::{hetero_exact, hetero_greedy_report, MAX_SERVERS};
-use mcs_offline::{greedy::greedy, optimal, optimal_fast_cost};
+use mcs_offline::{greedy::greedy, optimal};
 use mcs_online::online_dpg::{online_dp_greedy, OnlineDpgConfig};
 use mcs_online::tiered::tiered_run;
 use mcs_online::{resilient_ski_rental, ski_rental};
 
-use crate::solution::{ServeChoice, Solution, SolutionPart};
+use crate::solution::{Commodity, ServeChoice, Solution, SolutionPart};
 use crate::{CachingSolver, RunContext, SolverKind};
 
 /// The ledger spelling of a three-arm choice, one of
@@ -50,12 +54,11 @@ fn arm_name(arm: Arm) -> &'static str {
     }
 }
 
-fn serve_part(item: ItemId, greedy_out: &SingletonGreedyOutcome, shift: f64) -> SolutionPart {
+fn serve_part(subject: Commodity, choices: &[ArmChoice], shift: f64) -> SolutionPart {
     SolutionPart::Serve {
         phase: "phase2.serve",
-        subject: Subject::Item(item.0),
-        choices: greedy_out
-            .choices
+        subject,
+        choices: choices
             .iter()
             .map(|c| ServeChoice {
                 option_chosen: arm_name(c.arm),
@@ -82,46 +85,109 @@ fn shift_schedule(mut schedule: Schedule, dt: f64) -> Schedule {
     schedule
 }
 
-/// Emits the parts of one packed pair's Phase-2 run: the package
-/// schedule at package rates (`2αμ`, `2αλ`), then the serve choices of
-/// `a`, then those of `b`. Their ledger reconciles with
-/// [`PairReport::total`]; the per-pair experiments of Figs. 11 and 13
-/// derive their cost breakdowns from it. `shift` lifts window-relative
-/// times to global time (0 for a whole-sequence run).
-pub fn pair_parts(pair: PairReport, model: &CostModel, shift: f64, parts: &mut Vec<SolutionPart>) {
-    let pkg = model.scaled_for_package();
-    parts.push(SolutionPart::Schedule {
-        phase: "phase2.package",
-        subject: Subject::Pair(pair.a.0, pair.b.0),
-        schedule: shift_schedule(pair.package_schedule, shift),
-        mu: pkg.mu(),
-        lambda: pkg.lambda(),
-    });
-    parts.push(serve_part(pair.a, &pair.a_greedy, shift));
-    parts.push(serve_part(pair.b, &pair.b_greedy, shift));
-}
-
-/// Emits the parts of one DP_Greedy report: every pair's
-/// [`pair_parts`], then the unpacked singletons' schedules. `shift`
-/// lifts window-relative times to global time (0 for a whole-sequence
-/// run).
-fn dp_greedy_parts(
-    report: DpGreedyReport,
+/// Emits the parts of one package's Phase-2 run: the package schedule
+/// at the rates of `g` items (`αgμ`, `αgλ`), then each member's serve
+/// choices in member order, then the shared deliveries on the package
+/// (none for a pair). Their ledger reconciles with
+/// [`PackageReport::total`]. `shift` lifts window-relative times to
+/// global time (0 for a whole-sequence run).
+pub fn package_parts(
+    report: PackageReport,
     model: &CostModel,
     shift: f64,
     parts: &mut Vec<SolutionPart>,
 ) {
-    for pair in report.pairs {
-        pair_parts(pair, model, shift, parts);
+    let g = report.members.len() as u32;
+    let package = match *report.members {
+        [a, b] => Commodity::Pair(a.0, b.0),
+        _ => Commodity::Package(report.members.iter().map(|m| m.0).collect()),
+    };
+    parts.push(SolutionPart::Schedule {
+        phase: "phase2.package",
+        subject: package.clone(),
+        schedule: shift_schedule(report.package_schedule, shift),
+        mu: model.cache_rate_package(g),
+        lambda: model.transfer_cost_package(g),
+    });
+    for (member, greedy) in report.members.iter().zip(&report.members_greedy) {
+        parts.push(serve_part(
+            Commodity::Item(member.0),
+            &greedy.choices,
+            shift,
+        ));
     }
-    for s in report.singletons {
+    if !report.deliveries.is_empty() {
+        parts.push(serve_part(package, &report.deliveries, shift));
+    }
+}
+
+/// [`package_parts`] of one packed pair: the package schedule at
+/// `2αμ`/`2αλ`, then the serve choices of `a`, then those of `b`, which
+/// reconcile with [`PairReport::total`]. The per-pair experiments of
+/// Figs. 11 and 13 derive their cost breakdowns from it.
+pub fn pair_parts(pair: PairReport, model: &CostModel, shift: f64, parts: &mut Vec<SolutionPart>) {
+    package_parts(pair.into(), model, shift, parts);
+}
+
+/// The two-phase pipeline of `dp_greedy`, `dpg_k`, `multi` and
+/// `windowed`: Phase 1 packs at the size cap `max_group` ([`pack`]:
+/// greedy pair matching up to 2, its pairs in acceptance order, the
+/// agglomerative K-matcher above), and Phase 2 serves each package
+/// ([`dp_greedy_package`]) and each unpacked item ([`serve_packing`]).
+/// Appends every package's [`package_parts`], then the unpacked items'
+/// schedules (`phase2.unpacked`), and returns the total, summed in that
+/// order. `shift` lifts window-relative times to global time (0 for a
+/// whole-sequence run).
+fn two_phase_parts(
+    seq: &RequestSeq,
+    config: &DpGreedyConfig,
+    max_group: usize,
+    shift: f64,
+    parts: &mut Vec<SolutionPart>,
+) -> f64 {
+    let model = &config.model;
+    let packing = pack(seq, config.theta, max_group);
+    let (packages, singletons) = serve_packing(
+        seq,
+        &packing.packages,
+        &packing.singletons,
+        model,
+        |members| dp_greedy_package(seq, members, config),
+    );
+    let mut total = 0.0;
+    for report in packages {
+        total += report.total();
+        package_parts(report, model, shift, parts);
+    }
+    for s in singletons {
+        total += s.cost;
         parts.push(SolutionPart::Schedule {
             phase: "phase2.unpacked",
-            subject: Subject::Item(s.item.0),
+            subject: Commodity::Item(s.item.0),
             schedule: shift_schedule(s.schedule, shift),
             mu: model.mu(),
             lambda: model.lambda(),
         });
+    }
+    total
+}
+
+/// The [`Solution`] of `solver` from [`two_phase_parts`] over the whole
+/// sequence.
+fn two_phase_solution(
+    solver: &dyn CachingSolver,
+    seq: &RequestSeq,
+    config: &DpGreedyConfig,
+    max_group: usize,
+) -> Solution {
+    let mut parts = Vec::new();
+    let total_cost = two_phase_parts(seq, config, max_group, 0.0, &mut parts);
+    Solution {
+        algo: solver.name(),
+        kind: solver.kind(),
+        total_cost,
+        total_accesses: seq.total_item_accesses(),
+        parts,
     }
 }
 
@@ -150,7 +216,7 @@ fn per_item_parts(
         total += cost;
         parts.push(SolutionPart::Schedule {
             phase,
-            subject: Subject::Item(item.0),
+            subject: Commodity::Item(item.0),
             schedule,
             mu: model.mu(),
             lambda: model.lambda(),
@@ -173,18 +239,8 @@ impl CachingSolver for DpGreedySolver {
         "two-phase DP_Greedy: Jaccard pair packing + package DP + three-arm greedy"
     }
     fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
-        let model = ctx.model();
-        let report = dp_greedy(seq, &DpGreedyConfig::new(model).with_theta(ctx.theta));
-        let (total_cost, total_accesses) = (report.total_cost, report.total_accesses);
-        let mut parts = Vec::new();
-        dp_greedy_parts(report, &model, 0.0, &mut parts);
-        Solution {
-            algo: self.name(),
-            kind: self.kind(),
-            total_cost,
-            total_accesses,
-            parts,
-        }
+        let config = DpGreedyConfig::new(ctx.model()).with_theta(ctx.theta);
+        two_phase_solution(self, seq, &config, 2)
     }
 }
 
@@ -205,40 +261,6 @@ impl CachingSolver for OptimalSolver {
         let (parts, total) = per_item_parts(seq, &ctx.model(), "offline", |trace, model| {
             let out = optimal(trace, model);
             (out.schedule, out.cost)
-        });
-        Solution {
-            algo: self.name(),
-            kind: self.kind(),
-            total_cost: total,
-            total_accesses: seq.total_item_accesses(),
-            parts,
-        }
-    }
-}
-
-/// The O(n log n) fast variant of the optimal solver (cost only); ledger
-/// parts come from the covering DP's schedule, whose cost is provably
-/// equal — so reconciliation cross-validates the fast cost.
-pub struct OptimalFastSolver;
-
-impl CachingSolver for OptimalFastSolver {
-    fn name(&self) -> &'static str {
-        "optimal_fast"
-    }
-    fn kind(&self) -> SolverKind {
-        SolverKind::Offline
-    }
-    fn description(&self) -> &'static str {
-        "fast per-item optimal (cost-only); ledger derived from the covering DP"
-    }
-    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
-        // The per-item closure returns (ledger schedule, fast cost): the
-        // schedule comes from the covering DP, the summed total from the
-        // fast recurrence — reconciliation then cross-validates them.
-        let (parts, total) = per_item_parts(seq, &ctx.model(), "offline", |trace, model| {
-            let fast = optimal_fast_cost(trace, model);
-            let out = optimal(trace, model);
-            (out.schedule, fast)
         });
         Solution {
             algo: self.name(),
@@ -280,7 +302,8 @@ impl CachingSolver for GreedySolver {
 
 /// Exact optimum by exhaustive subset enumeration (exponential; exists to
 /// cross-check the covering DP). Ledger parts come from the covering
-/// DP's schedule, as for [`OptimalFastSolver`].
+/// DP's schedule, whose cost is provably equal — so reconciliation
+/// cross-validates the enumerated cost.
 pub struct ExhaustiveSolver;
 
 impl CachingSolver for ExhaustiveSolver {
@@ -344,7 +367,7 @@ impl CachingSolver for PackageServedSolver {
             total += out.cost;
             parts.push(SolutionPart::Schedule {
                 phase: "phase2.package",
-                subject: Subject::Pair(a.0, b.0),
+                subject: Commodity::Pair(a.0, b.0),
                 schedule: out.schedule,
                 mu: pkg.mu(),
                 lambda: pkg.lambda(),
@@ -355,7 +378,7 @@ impl CachingSolver for PackageServedSolver {
             total += out.cost;
             parts.push(SolutionPart::Schedule {
                 phase: "offline",
-                subject: Subject::Item(item.0),
+                subject: Commodity::Item(item.0),
                 schedule: out.schedule,
                 mu: model.mu(),
                 lambda: model.lambda(),
@@ -371,75 +394,9 @@ impl CachingSolver for PackageServedSolver {
     }
 }
 
-/// The K-package pipeline above the pairwise shape: the agglomerative
-/// K-matcher over a [`PairTable`] at `theta` and cap `max_group`, then the
-/// package-generic Phase 2. Returns the parts and the total cost. Per
-/// package the parts are an explicit schedule at group rates plus
-/// aggregate package/transfer channels for the partial-subset serving;
-/// per singleton, its optimal schedule. Shared by [`MultiSolver`] and
-/// [`KPackSolver`].
-fn k_package_parts(
-    seq: &RequestSeq,
-    model: &CostModel,
-    theta: f64,
-    max_group: usize,
-) -> (Vec<SolutionPart>, f64) {
-    let packages = agglomerative_packages(&PairTable::from_sequence(seq), theta, max_group);
-    let report = dp_greedy_packages(seq, &packages, model);
-    let horizon = seq.horizon();
-    let mut parts = Vec::new();
-    for g in report.groups {
-        let k = g.items.len() as u32;
-        let subject = Subject::Pair(g.items[0].0, g.items[1].0);
-        parts.push(SolutionPart::Schedule {
-            phase: "phase2.package",
-            subject,
-            schedule: g.package_schedule,
-            mu: model.cache_rate_package(k),
-            lambda: model.transfer_cost_package(k),
-        });
-        // Partial-subset serving: `group_deliveries` shipments at the
-        // group transfer cost went over the package channel; the rest
-        // of the partial cost is individual serving.
-        let delivered = g.group_deliveries as f64 * model.transfer_cost_package(k);
-        if delivered > 0.0 {
-            parts.push(SolutionPart::Aggregate {
-                phase: "phase2.partial",
-                subject,
-                channel: "package",
-                t: horizon,
-                cost: delivered,
-            });
-        }
-        let individual = g.partial_cost - delivered;
-        if individual != 0.0 {
-            parts.push(SolutionPart::Aggregate {
-                phase: "phase2.partial",
-                subject,
-                channel: "transfer",
-                t: horizon,
-                cost: individual,
-            });
-        }
-    }
-    for s in report.singletons {
-        parts.push(SolutionPart::Schedule {
-            phase: "offline",
-            subject: Subject::Item(s.item.0),
-            schedule: s.schedule,
-            mu: model.mu(),
-            lambda: model.lambda(),
-        });
-    }
-    (parts, report.total_cost)
-}
-
-/// Multi-item DP_Greedy (groups beyond pairs): [`KPackSolver`]'s K-package
-/// pipeline at K = ∞ and the context's fixed `θ` (it ignores
-/// `max_group` and `adaptive`). Full-group co-requests get an explicit
-/// package schedule at group rates; partial-subset serving is
-/// aggregate-only, split into its package-delivery portion and the
-/// individually-served remainder.
+/// Multi-item DP_Greedy (groups beyond pairs): the two-phase pipeline at
+/// K = ∞ and the context's fixed `θ` (it ignores `max_group` and
+/// `adaptive`) — [`KPackSolver`] without a cap.
 pub struct MultiSolver;
 
 impl CachingSolver for MultiSolver {
@@ -453,25 +410,19 @@ impl CachingSolver for MultiSolver {
         "multi-item DP_Greedy: agglomerative grouping beyond pairs"
     }
     fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
-        let (parts, total_cost) = k_package_parts(seq, &ctx.model(), ctx.theta, usize::MAX);
-        Solution {
-            algo: self.name(),
-            kind: self.kind(),
-            total_cost,
-            total_accesses: seq.total_item_accesses(),
-            parts,
-        }
+        let config = DpGreedyConfig::new(ctx.model()).with_theta(ctx.theta);
+        two_phase_solution(self, seq, &config, usize::MAX)
     }
 }
 
-/// Adaptive K-package DP_Greedy behind the registry seam: the greedy pair
-/// matcher at `max_group = 2`, the agglomerative K-matcher over a
-/// [`PairTable`] (memory linear in the observed pairs) above it.
-/// `--adaptive` derives `θ` per trace from the sequence's co-request
-/// density ([`adaptive_theta`]). At `max_group = 2` the solver delegates
-/// to the exact `dp_greedy` pipeline, so cost bits and ledger parts are
-/// identical to [`DpGreedySolver`] (modulo the `algo` label) for the same
-/// `θ` — the K = 2 reduction the workspace tests pin.
+/// Adaptive K-package DP_Greedy behind the registry seam: the two-phase
+/// pipeline at the context's `max_group`, whose Phase 1 is the greedy pair
+/// matcher up to 2 and the agglomerative K-matcher over a
+/// `mcs_correlation::PairTable` (memory linear in the observed pairs)
+/// above it. `--adaptive` derives `θ` per trace from the sequence's
+/// co-request density ([`adaptive_theta`]). At `max_group = 2` this is
+/// [`DpGreedySolver`]'s pipeline, so for the same `θ` cost bits and ledger
+/// parts are identical (modulo the `algo` label).
 pub struct KPackSolver;
 
 impl CachingSolver for KPackSolver {
@@ -485,7 +436,7 @@ impl CachingSolver for KPackSolver {
         "K-package DP_Greedy: sparse agglomerative matching up to max_group, adaptive theta"
     }
     fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
-        let model = &ctx.model();
+        let model = ctx.model();
         let theta = if ctx.adaptive {
             adaptive_theta(
                 seq.total_item_accesses(),
@@ -495,28 +446,8 @@ impl CachingSolver for KPackSolver {
         } else {
             ctx.theta
         };
-        if ctx.max_group <= 2 {
-            // Pairwise shape: the exact two-phase pipeline (Algorithm 1).
-            let report = dp_greedy(seq, &DpGreedyConfig::new(*model).with_theta(theta));
-            let (total_cost, total_accesses) = (report.total_cost, report.total_accesses);
-            let mut parts = Vec::new();
-            dp_greedy_parts(report, model, 0.0, &mut parts);
-            return Solution {
-                algo: self.name(),
-                kind: self.kind(),
-                total_cost,
-                total_accesses,
-                parts,
-            };
-        }
-        let (parts, total_cost) = k_package_parts(seq, model, theta, ctx.max_group);
-        Solution {
-            algo: self.name(),
-            kind: self.kind(),
-            total_cost,
-            total_accesses: seq.total_item_accesses(),
-            parts,
-        }
+        let config = DpGreedyConfig::new(model).with_theta(theta);
+        two_phase_solution(self, seq, &config, ctx.max_group)
     }
 }
 
@@ -546,13 +477,10 @@ impl CachingSolver for WindowedSolver {
         let mut parts = Vec::new();
         let mut total = 0.0;
         if !seq.is_empty() {
-            let model = ctx.model();
             let window = WindowedSolver::window_for(seq);
-            let inner = DpGreedyConfig::new(model).with_theta(ctx.theta);
+            let inner = DpGreedyConfig::new(ctx.model()).with_theta(ctx.theta);
             for (start, _, slice) in slice_windows(seq, window) {
-                let report = dp_greedy(&slice, &inner);
-                total += report.total_cost;
-                dp_greedy_parts(report, &model, start, &mut parts);
+                total += two_phase_parts(&slice, &inner, 2, start, &mut parts);
             }
         }
         Solution {
@@ -650,7 +578,7 @@ impl CachingSolver for HeteroExactSolver {
             if cost != 0.0 {
                 parts.push(SolutionPart::Aggregate {
                     phase: "offline",
-                    subject: Subject::Item(item.0),
+                    subject: Commodity::Item(item.0),
                     channel: "cache",
                     t: horizon,
                     cost,
@@ -715,7 +643,7 @@ impl CachingSolver for HeteroGreedySolver {
                     total += cost;
                     parts.push(SolutionPart::Aggregate {
                         phase: "offline",
-                        subject: Subject::Item(item.0),
+                        subject: Commodity::Item(item.0),
                         channel,
                         t: horizon,
                         cost,
@@ -774,7 +702,7 @@ impl CachingSolver for TieredWaterfallSolver {
             if cost != 0.0 {
                 parts.push(SolutionPart::Aggregate {
                     phase: "online",
-                    subject: Subject::Item(0),
+                    subject: Commodity::Item(0),
                     channel,
                     t: horizon,
                     cost,
@@ -824,7 +752,7 @@ impl CachingSolver for OnlineDpgSolver {
             if cost != 0.0 {
                 parts.push(SolutionPart::Aggregate {
                     phase: "online",
-                    subject: Subject::Item(0),
+                    subject: Commodity::Item(0),
                     channel,
                     t: horizon,
                     cost,
@@ -877,7 +805,7 @@ impl CachingSolver for ResilientSolver {
                 if cost != 0.0 {
                     parts.push(SolutionPart::Aggregate {
                         phase: "online",
-                        subject: Subject::Item(item.0),
+                        subject: Commodity::Item(item.0),
                         channel,
                         t: horizon,
                         cost,

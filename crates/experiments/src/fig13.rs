@@ -15,10 +15,9 @@
 use dp_greedy::baselines::{optimal_pair, package_served_pair};
 use dp_greedy::two_phase::{dp_greedy_pair, DpGreedyConfig};
 use mcs_engine::solvers::pair_parts;
-use mcs_engine::SolutionPart;
+use mcs_engine::{Commodity, SolutionPart};
 use mcs_model::par::par_map;
 use mcs_model::{CostModel, ItemId};
-use mcs_obs::Subject;
 use mcs_trace::workload::{generate, WorkloadConfig};
 
 use crate::parts_breakdown;
@@ -99,7 +98,7 @@ pub fn run(config: &WorkloadConfig) -> Fig13 {
             for item in [a, b] {
                 parts.push(SolutionPart::Schedule {
                     phase: "offline",
-                    subject: Subject::Item(item.0),
+                    subject: Commodity::Item(item.0),
                     schedule: mcs_offline::optimal(&seq.item_trace(item), &model).schedule,
                     mu: model.mu(),
                     lambda: model.lambda(),

@@ -156,15 +156,14 @@ pub struct KSweep {
 /// `q = 0.35` vs `q = 0.8`) — the fig12-style "when do bigger bundles
 /// win" experiment. Deterministic for a given `(steps, seed)`.
 pub fn k_sweep(steps: usize, seed: u64) -> KSweep {
-    use mcs_correlation::matching::greedy_matching_from_pairs;
-    use mcs_correlation::{adaptive_theta, agglomerative_packages, pairs_above, PairTable};
+    use dp_greedy::two_phase::pack;
+    use mcs_correlation::adaptive_theta;
 
     let model = mcs_model::defaults::default_model();
     let solver = mcs_engine::find("dpg_k").expect("dpg_k is registered");
     let mut rows = Vec::new();
     for (density, q) in [("sparse", 0.35), ("dense", 0.8)] {
         let seq = crate::multi_exp::bundle_workload(12, 3, steps, q, seed);
-        let table = PairTable::from_sequence(&seq);
         for (label, max_group, adaptive) in [
             ("2", 2usize, false),
             ("3", 3, false),
@@ -185,15 +184,9 @@ pub fn k_sweep(steps: usize, seed: u64) -> KSweep {
             } else {
                 ctx.theta
             };
-            // Phase-1 shape under the same θ the solver resolves to.
-            let (packages, largest) = if max_group == 2 {
-                let p = greedy_matching_from_pairs(pairs_above(&seq, theta), seq.items(), theta);
-                let n = p.pairs.len();
-                (n, if n > 0 { 2 } else { 0 })
-            } else {
-                let ps = agglomerative_packages(&table, theta, max_group);
-                (ps.package_count(), ps.largest_package())
-            };
+            // The solver's Phase 1, under the same θ it resolves to.
+            let packing = pack(&seq, theta, max_group);
+            let (packages, largest) = (packing.package_count(), packing.largest_package());
             let sol = solver.solve(&seq, &ctx);
             rows.push(KSweepRow {
                 density: density.to_string(),

@@ -414,21 +414,29 @@ impl RequestSeq {
         }
     }
 
+    /// Ascending indices of the requests holding every item of `items` —
+    /// a package's co-requests, which Phase 2 serves with the algorithm of
+    /// \[6\] under package rates and whose trace a package schedule
+    /// replays on: the shortest posting list, filtered by binary searches
+    /// of the others.
+    pub fn co_requests(&self, items: &[ItemId]) -> Vec<usize> {
+        let mut lists: Vec<&[u32]> = items.iter().map(|&i| self.posting_list(i)).collect();
+        lists.sort_by_key(|l| l.len());
+        let Some((shortest, rest)) = lists.split_first() else {
+            return Vec::new();
+        };
+        let in_all = |index: &&u32| rest.iter().all(|l| l.binary_search(index).is_ok());
+        shortest
+            .iter()
+            .filter(in_all)
+            .map(|&i| i as usize)
+            .collect()
+    }
+
     /// The `(time, server)` trace of the co-requests of a pair, at package
-    /// granularity — the subsequence Phase 2 hands to the algorithm of \[6\]
-    /// under package rates.
+    /// granularity: the pair case of [`Self::co_requests`].
     pub fn package_trace(&self, a: ItemId, b: ItemId) -> SingleItemTrace {
-        let mut points = Vec::new();
-        merge_postings(
-            self.posting_list(a),
-            self.posting_list(b),
-            |index, in_a, in_b| {
-                if in_a && in_b {
-                    points.push(self.point(index));
-                }
-            },
-        );
-        self.trace(points)
+        self.trace_of(&self.co_requests(&[a, b]))
     }
 
     /// The union trace of every request containing `a` or `b` (or both) —

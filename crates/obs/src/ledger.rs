@@ -20,9 +20,10 @@
 //! Both JSON-lines emits, [`Ledger::to_jsonl_string`] and
 //! [`Ledger::write_jsonl`], share one emit loop and one renderer. The
 //! renderer escapes a part's constant text, `{"algo":…,"phase":…,
-//! "item"|"pair":…,"option_chosen":`, once per run of events with the
-//! same algo, phase and subject, and looks each non-integral number up in
-//! a memo keyed by its bits before it computes the digits. It fills
+//! "item"|"pair"|"package":…,"option_chosen":`, once per run of events
+//! with the same algo, phase and subject, and looks each non-integral
+//! number up in a memo keyed by its bits before it computes the digits.
+//! It fills
 //! bounded chunks, which the calling thread takes in order: it appends
 //! them to the returned `String`, whose fresh pages fault in as it grows,
 //! or writes them to the writer. When [`EventSource::emit_threads`] allows
@@ -40,24 +41,31 @@ use crate::jsonl::{self, NumMemo};
 /// in slot order.
 pub const OPTION_NAMES: [&str; 3] = ["cache", "transfer", "package"];
 
-/// What a ledger event is about: a single item or a packed pair.
+/// What a ledger event is about: a single item, a packed pair, or a
+/// package of three or more items. A package borrows its members from
+/// whatever produced the event, so naming one allocates nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Subject {
-    /// A single cached item.
+pub enum Subject<'a> {
+    /// A single cached item, written `"item":i`.
     Item(u32),
-    /// A packed pair of items (Phase-2 package events).
+    /// A packed pair of items (Phase-2 package events), written
+    /// `"pair":[a,b]`.
     Pair(u32, u32),
+    /// A package of three or more items, ascending, written
+    /// `"package":[a,b,c,…]`.
+    Package(&'a [u32]),
 }
 
-/// One committed decision with its cost attribution.
+/// One committed decision with its cost attribution. A package
+/// [`Subject`] borrows its members for `'a`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LedgerEvent {
+pub struct LedgerEvent<'a> {
     /// Producing algorithm, e.g. `"dp_greedy"`, `"optimal"`, `"greedy"`.
     pub algo: &'static str,
     /// Algorithm phase, e.g. `"phase1"`, `"phase2.package"`, `"serve"`.
     pub phase: &'static str,
-    /// The item or pair the decision concerns.
-    pub subject: Subject,
+    /// The item, pair or package the decision concerns.
+    pub subject: Subject<'a>,
     /// The option committed to: `"cache"`, `"transfer"`, or `"package"`.
     pub option_chosen: &'static str,
     /// Cost of each option at decision time, in [`OPTION_NAMES`] slot
@@ -71,7 +79,7 @@ pub struct LedgerEvent {
     pub cost: f64,
 }
 
-impl LedgerEvent {
+impl LedgerEvent<'_> {
     /// Renders the event as one JSON object (no trailing newline) with a
     /// fixed key order, deterministically byte-for-byte: the line a
     /// [`Ledger`] emit writes for it.
@@ -86,17 +94,17 @@ impl LedgerEvent {
 /// both [`Ledger`] emits. It keeps the escaped text every event of a part
 /// starts with, and renders numbers through a [`NumMemo`]; neither
 /// changes a byte.
-struct Renderer {
+struct Renderer<'a> {
     memo: NumMemo,
-    /// `{"algo":…,"phase":…,"item"|"pair":…,"option_chosen":` for
-    /// [`Self::part`], escaped.
+    /// `{"algo":…,"phase":…,"item"|"pair"|"package":…,"option_chosen":`
+    /// for [`Self::part`], escaped.
     prefix: Vec<u8>,
     /// The `(algo, phase, subject)` of [`Self::prefix`]; `None` before the
     /// first event.
-    part: Option<(&'static str, &'static str, Subject)>,
+    part: Option<(&'static str, &'static str, Subject<'a>)>,
 }
 
-impl Renderer {
+impl<'a> Renderer<'a> {
     /// A renderer whose number memo has `memo_slots` slots (0 or `2^k`).
     fn new(memo_slots: usize) -> Self {
         Renderer {
@@ -107,7 +115,7 @@ impl Renderer {
     }
 
     /// Appends `e` as one JSON object, with no newline.
-    fn event(&mut self, out: &mut Vec<u8>, e: &LedgerEvent) {
+    fn event(&mut self, out: &mut Vec<u8>, e: &LedgerEvent<'a>) {
         let part = (e.algo, e.phase, e.subject);
         if self.part != Some(part) {
             self.part = Some(part);
@@ -122,13 +130,8 @@ impl Renderer {
                     p.extend_from_slice(b",\"item\":");
                     jsonl::push_u64(p, i.into());
                 }
-                Subject::Pair(a, b) => {
-                    p.extend_from_slice(b",\"pair\":[");
-                    jsonl::push_u64(p, a.into());
-                    p.push(b',');
-                    jsonl::push_u64(p, b.into());
-                    p.push(b']');
-                }
+                Subject::Pair(a, b) => push_members(p, b",\"pair\":[", &[a, b]),
+                Subject::Package(members) => push_members(p, b",\"package\":[", members),
             }
             p.extend_from_slice(b",\"option_chosen\":");
         }
@@ -161,6 +164,18 @@ impl Renderer {
     }
 }
 
+/// Appends `key` and then `members` as the rest of a JSON array.
+fn push_members(out: &mut Vec<u8>, key: &[u8], members: &[u32]) {
+    out.extend_from_slice(key);
+    for (i, &m) in members.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        jsonl::push_u64(out, m.into());
+    }
+    out.push(b']');
+}
+
 /// Total cost attributed to each of the three channels.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostBreakdown {
@@ -186,8 +201,9 @@ pub trait EventSource: Sync {
     /// deriving them.
     fn event_count(&self) -> usize;
 
-    /// Calls `f` with each event, in the deterministic ledger order.
-    fn for_each_event(&self, f: &mut dyn FnMut(&LedgerEvent));
+    /// Calls `f` with each event, in the deterministic ledger order. The
+    /// events may borrow from the source (a package subject's members).
+    fn for_each_event<'s>(&'s self, f: &mut dyn FnMut(&LedgerEvent<'s>));
 
     /// Threads an emit of `events` events may use, asked when the emit
     /// starts: below 2 it renders on the calling thread; from 2 a render
@@ -202,13 +218,15 @@ pub trait EventSource: Sync {
 
 /// Hand-built event lists, for tests and for edited copies of a ledger's
 /// [`Ledger::events`].
-impl EventSource for Vec<LedgerEvent> {
+impl EventSource for Vec<LedgerEvent<'_>> {
     fn event_count(&self) -> usize {
         self.len()
     }
 
-    fn for_each_event(&self, f: &mut dyn FnMut(&LedgerEvent)) {
-        self.iter().for_each(f);
+    fn for_each_event<'s>(&'s self, f: &mut dyn FnMut(&LedgerEvent<'s>)) {
+        for e in self {
+            f(e);
+        }
     }
 }
 
@@ -256,7 +274,7 @@ impl<'a> Ledger<'a> {
 
     /// The events, collected into a list — for callers that index or edit
     /// them. Every other method derives them without one.
-    pub fn events(&self) -> Vec<LedgerEvent> {
+    pub fn events(&self) -> Vec<LedgerEvent<'a>> {
         let mut events = Vec::with_capacity(self.len());
         self.source.for_each_event(&mut |e| events.push(e.clone()));
         events
@@ -438,9 +456,9 @@ const LINE_SLACK: usize = 1024;
 /// least `chunk` bytes, and the non-empty rest at the end, is validated
 /// as a `String` here and goes to `take`, which returns the empty buffer
 /// to render on into, or `None` to stop rendering.
-fn render(
-    source: &dyn EventSource,
-    renderer: &mut Renderer,
+fn render<'a>(
+    source: &'a dyn EventSource,
+    renderer: &mut Renderer<'a>,
     chunk: usize,
     buf: String,
     take: &mut dyn FnMut(String) -> Option<String>,
@@ -470,7 +488,7 @@ fn render(
 mod tests {
     use super::*;
 
-    fn ev(chosen: &'static str, cost: f64) -> LedgerEvent {
+    fn ev(chosen: &'static str, cost: f64) -> LedgerEvent<'static> {
         LedgerEvent {
             algo: "test",
             phase: "serve",
@@ -508,6 +526,12 @@ mod tests {
             ..ev("package", 1.6)
         };
         assert!(p.to_json().contains("\"pair\":[4,7]"));
+        let members = [2, 5, 9];
+        let g = LedgerEvent {
+            subject: Subject::Package(&members),
+            ..ev("package", 1.8)
+        };
+        assert!(g.to_json().contains(",\"package\":[2,5,9],"));
     }
 
     #[test]

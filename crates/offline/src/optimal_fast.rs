@@ -11,8 +11,8 @@
 //! already final. This is the recurrence [`crate::optimal::optimal`]
 //! solves too, with the same rounding (`w_i` first, then the sum), so the
 //! two costs are bit-identical; this sweep skips the entry nodes and the
-//! schedule. It stays as the cost-only check of `optimal` that the
-//! `optimal_fast` solver and the end-to-end benchmark run.
+//! schedule. It stays as the cost-only check of `optimal` that
+//! `tests/covering_dp.rs` and the end-to-end benchmark run.
 
 use crate::optimal::MinTree;
 use mcs_model::request::{Predecessor, SingleItemTrace};

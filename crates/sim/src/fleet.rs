@@ -21,7 +21,7 @@ use crate::replay::replay;
 /// One commodity replayed under faults.
 #[derive(Debug, Clone)]
 pub struct CommodityChaos {
-    /// Human-readable label (`"package(d1,d2)"`, `"item d3"`).
+    /// Human-readable label (`"package(d1, d2)"`, `"item d3"`).
     pub label: String,
     /// Fault-free replayed cost.
     pub fault_free: f64,
@@ -47,12 +47,16 @@ pub struct FleetChaosReport {
     pub fault: FaultReport,
 }
 
-fn part_trace(seq: &RequestSeq, algo: &str, subject: Subject) -> SingleItemTrace {
+fn part_trace(seq: &RequestSeq, algo: &str, subject: Subject<'_>) -> SingleItemTrace {
     match subject {
         // `package_served` packs over the union of the pair's requests;
         // DP_Greedy's package DP runs over strict co-requests.
         Subject::Pair(a, b) if algo == "package_served" => seq.union_trace(ItemId(a), ItemId(b)),
         Subject::Pair(a, b) => seq.package_trace(ItemId(a), ItemId(b)),
+        Subject::Package(members) => {
+            let members: Vec<ItemId> = members.iter().map(|&m| ItemId(m)).collect();
+            seq.trace_of(&seq.co_requests(&members))
+        }
         Subject::Item(i) => seq.item_trace(ItemId(i)),
     }
 }
@@ -65,11 +69,10 @@ fn part_trace(seq: &RequestSeq, algo: &str, subject: Subject) -> SingleItemTrace
 ///
 /// Returns `None` unless the solution has at least one `Schedule` part
 /// and every such part passes a strict [`replay`] on the trace it is
-/// replayed against: its subject's whole trace (a pair's co-requests,
-/// or its union for `package_served`; an item's requests). That rules
-/// out window-sliced schedules, packages of three or more items (whose
-/// schedule serves the whole group's co-requests, not its first pair's)
-/// and aggregate-only solvers.
+/// replayed against: its subject's whole trace (a package's
+/// co-requests, or a pair's union for `package_served`; an item's
+/// requests). That rules out window-sliced schedules and aggregate-only
+/// solvers.
 pub fn chaos_solution(
     seq: &RequestSeq,
     solution: &Solution,
@@ -86,9 +89,10 @@ pub fn chaos_solution(
             ..
         } = part
         {
-            let trace = part_trace(seq, solution.algo, *subject);
+            let subject = subject.as_subject();
+            let trace = part_trace(seq, solution.algo, subject);
             replay(schedule, &trace).ok()?;
-            schedules.push((*subject, schedule, *mu, *lambda, trace));
+            schedules.push((subject, schedule, *mu, *lambda, trace));
         }
     }
     if schedules.is_empty() {
@@ -104,8 +108,12 @@ pub fn chaos_solution(
             .expect("schedule parts carry valid positive rates");
         let out = chaos_replay(schedule, trace, plan, &part_model);
         let label = match subject {
-            Subject::Pair(a, b) => format!("package({}, {})", ItemId(*a), ItemId(*b)),
             Subject::Item(i) => format!("item {}", ItemId(*i)),
+            Subject::Pair(a, b) => format!("package({}, {})", ItemId(*a), ItemId(*b)),
+            Subject::Package(m) => {
+                let names: Vec<String> = m.iter().map(|&i| ItemId(i).to_string()).collect();
+                format!("package({})", names.join(", "))
+            }
         };
         commodities.push(CommodityChaos {
             label,
@@ -237,8 +245,8 @@ mod tests {
 
         // One more input. Items {0,1,2} are co-requested eight times,
         // then {0,1} three more times. At K = 3 the trio packs, and its
-        // schedule (over the trio's eight co-requests) carries the
-        // subject `Pair(0, 1)`, whose trace has eleven co-requests.
+        // schedule replays on the trio's eight co-requests, not on the
+        // eleven of the pair {0,1}.
         let mut b = RequestSeqBuilder::new(4, 4);
         for (i, server) in [1u32, 2, 3, 1, 2, 0, 3, 2].into_iter().enumerate() {
             b = b.push(server, 0.5 * (i + 1) as f64, [0, 1, 2]);
@@ -258,8 +266,17 @@ mod tests {
             ("dpg_k", ctx.clone().with_max_group(3)),
             ("multi", ctx.clone()),
         ] {
-            let (_, out) = solve(name, &ctx);
-            assert!(out.is_none(), "{name} must not replay its trio as a pair");
+            let (sol, out) = solve(name, &ctx);
+            let fleet = out.unwrap_or_else(|| panic!("{name} replays its trio"));
+            assert_eq!(fleet.commodities[0].label, "package(d1, d2, d3)");
+            // The trio's eight co-requests and item 3's one request.
+            assert_eq!(fleet.fault.requests_total, 8 + 1, "{name}");
+            assert!(
+                (fleet.fault_free_cost - schedule_cost(&sol)).abs() < 1e-9,
+                "{name}: fault-free {} != schedules {}",
+                fleet.fault_free_cost,
+                schedule_cost(&sol)
+            );
         }
         // DP_Greedy's pair schedule serves all eleven co-requests.
         let (sol, out) = solve("dp_greedy", &ctx);

@@ -32,9 +32,15 @@ impl From<&str> for CliError {
     }
 }
 
-pub fn print_usage() {
-    eprintln!(
-        "usage:\n  dpg generate --out FILE [--seed N] [--steps N] [--taxis N]\n  \
+/// Writes the usage to stdout, for `--help`, `-h` and `dpg help`, through
+/// [`write_report`], so a closed pipe ends quietly. After a usage error
+/// it goes to stderr instead.
+pub fn write_help() -> Result<(), CliError> {
+    write_report(|out| writeln!(out, "{USAGE}"))
+}
+
+/// The usage text of every subcommand.
+pub const USAGE: &str = "usage:\n  dpg generate --out FILE [--seed N] [--steps N] [--taxis N]\n  \
          dpg stats FILE\n  \
          dpg algos [--json]\n  \
          dpg run --algo NAME [FILE] [--mu X] [--lambda X] [--alpha X] [--theta X] \
@@ -57,9 +63,7 @@ pub fn print_usage() {
          `dpg algos` lists the solver registry NAMEs (--max-group/--adaptive \
          drive the dpg_k K-package solver; --cost-model points run/trace solve \
          at a homogeneous, hetero, or tiered cost-plane JSON); every subcommand \
-         also accepts --metrics (print the obs summary)"
-    );
-}
+         also accepts --metrics (print the obs summary)";
 
 /// Writes a command's report to locked stdout through `write`. A reader
 /// that closed the pipe early (`dpg stats FILE | head -1`) ends the

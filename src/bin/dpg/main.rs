@@ -36,15 +36,16 @@
 //! Exit codes follow the usual convention: `0` on success, `1` on a
 //! runtime failure (unreadable trace, I/O error, ledger mismatch), `2` on
 //! a usage error (unknown command, unknown or malformed flag, missing
-//! argument). `--help` or `-h`, alone or after any subcommand, prints the
-//! usage and exits `0`.
+//! argument), with the usage on stderr. `--help`, `-h` or `dpg help`, and
+//! `--help` or `-h` after any subcommand, print the usage to stdout and
+//! exit `0`.
 
 mod cli;
 mod commands;
 
 use std::process::ExitCode;
 
-use cli::{print_metrics, print_usage, CliError};
+use cli::{print_metrics, write_help, CliError, USAGE};
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -53,17 +54,15 @@ fn main() -> ExitCode {
     let metrics = args.iter().any(|a| a == "--metrics");
     args.retain(|a| a != "--metrics");
     let Some(cmd) = args.first() else {
-        print_usage();
+        eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
     let rest = &args[1..];
     // `--help` or `-h` after a subcommand asks for the usage, as
     // `dpg --help` does, whatever else the line holds.
-    if rest.iter().any(|a| a == "--help" || a == "-h") {
-        print_usage();
-        return ExitCode::SUCCESS;
-    }
+    let help = rest.iter().any(|a| a == "--help" || a == "-h");
     let result = match cmd.as_str() {
+        _ if help => write_help(),
         "generate" => commands::generate::run(rest),
         "stats" => commands::stats::run(rest),
         "algos" => commands::algos::run(rest),
@@ -76,10 +75,7 @@ fn main() -> ExitCode {
         "chaos" => commands::chaos::run(rest),
         "example" => commands::example::run(rest),
         "version" | "--version" | "-V" => commands::version::run(),
-        "--help" | "-h" | "help" => {
-            print_usage();
-            return ExitCode::SUCCESS;
-        }
+        "--help" | "-h" | "help" => write_help(),
         other => Err(CliError::Usage(format!("unknown command {other}"))),
     };
     let result = if metrics {
@@ -91,7 +87,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Usage(e)) => {
             eprintln!("error: {e}");
-            print_usage();
+            eprintln!("{USAGE}");
             ExitCode::from(2)
         }
         Err(CliError::Runtime(e)) => {

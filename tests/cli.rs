@@ -208,6 +208,8 @@ fn reports_to_a_closed_stdout_exit_zero_without_a_panic() {
         vec!["top", "--file", &telemetry, "--once"],
         vec!["top", "--file", &telemetry, "--raw", "metrics"],
         vec!["top", "--file", &telemetry, "--interval-ms", "10"],
+        vec!["--help"],
+        vec!["trace", "solve", "--help"],
     ] {
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
@@ -238,6 +240,9 @@ fn usage_errors_exit_2_and_runtime_errors_exit_1() {
     let out = dpg().arg("frobnicate").output().expect("run dpg");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("error: unknown command"));
+    // The usage after an error goes to stderr with it, not to stdout.
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+    assert!(out.stdout.is_empty());
 
     let out = dpg()
         .args(["chaos", "--bogus", "1"])
@@ -269,10 +274,18 @@ fn usage_errors_exit_2_and_runtime_errors_exit_1() {
     assert_eq!(out.status.code(), Some(0));
 }
 
-/// `--help` or `-h` after any subcommand prints the usage and exits 0,
-/// as `dpg --help` does, even beside flags the subcommand would reject.
+/// `--help` or `-h` after any subcommand prints the usage to stdout and
+/// exits 0, as `dpg --help`, `dpg -h` and `dpg help` do, even beside
+/// flags the subcommand would reject; nothing goes to stderr.
 #[test]
 fn every_subcommand_answers_help_with_the_usage() {
+    for alone in ["--help", "-h", "help"] {
+        let out = dpg().arg(alone).output().expect("run dpg");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "dpg {alone}");
+        assert!(stdout.starts_with("usage:"), "dpg {alone}: {stdout}");
+        assert!(out.stderr.is_empty(), "dpg {alone}");
+    }
     let subcommands: [&[&str]; 15] = [
         &["generate"],
         &["stats"],
@@ -299,8 +312,10 @@ fn every_subcommand_answers_help_with_the_usage() {
                 .output()
                 .expect("run dpg");
             let stderr = String::from_utf8_lossy(&out.stderr);
+            let stdout = String::from_utf8_lossy(&out.stdout);
             assert_eq!(out.status.code(), Some(0), "dpg {sub:?} {flag}: {stderr}");
-            assert!(stderr.starts_with("usage:"), "dpg {sub:?} {flag}: {stderr}");
+            assert!(stdout.starts_with("usage:"), "dpg {sub:?} {flag}: {stdout}");
+            assert!(stderr.is_empty(), "dpg {sub:?} {flag}: {stderr}");
         }
     }
 }

@@ -29,7 +29,7 @@ impl EventSource for Threads<'_> {
         self.source.event_count()
     }
 
-    fn for_each_event(&self, f: &mut dyn FnMut(&LedgerEvent)) {
+    fn for_each_event<'s>(&'s self, f: &mut dyn FnMut(&LedgerEvent<'s>)) {
         self.source.for_each_event(f);
     }
 
@@ -72,6 +72,10 @@ fn reference_jsonl(ledger: &Ledger<'_>) -> String {
         match e.subject {
             Subject::Item(i) => write!(s, ",\"item\":{i}").unwrap(),
             Subject::Pair(a, b) => write!(s, ",\"pair\":[{a},{b}]").unwrap(),
+            Subject::Package(members) => {
+                let members: Vec<String> = members.iter().map(|m| format!("{m}")).collect();
+                write!(s, ",\"package\":[{}]", members.join(",")).unwrap();
+            }
         }
         s.push_str(",\"option_chosen\":");
         reference_str(&mut s, e.option_chosen);
@@ -133,7 +137,7 @@ fn every_solver_ledger_on_every_fixture_encodes_like_the_reference() {
     }
 }
 
-fn event(option_costs: [f64; 3], cost: f64) -> LedgerEvent {
+fn event(option_costs: [f64; 3], cost: f64) -> LedgerEvent<'static> {
     LedgerEvent {
         algo: "dp_greedy",
         phase: "phase2.package",
@@ -200,7 +204,8 @@ fn colliding_pairs(pairs: usize) -> Vec<[f64; 2]> {
 }
 
 /// Dozens of 64 KB chunks of events with random costs, times and
-/// subjects, each `cost` taken from an option slot or drawn afresh. The
+/// subjects (items, pairs, and packages of 3 to 8 members), each `cost`
+/// taken from an option slot or drawn afresh. The
 /// subject, the algo or the phase, and with them the cached part prefix,
 /// change every few events, and some phases need escaping. Costs repeat
 /// from a pool of memo-colliding pairs, signed zeros, NaN payloads,
@@ -223,16 +228,27 @@ fn a_multi_buffer_ledger_streams_like_the_reference() {
         6.4,
     ]);
     let pick = |rng: &mut Rng| pool[rng.gen_range(0..pool.len())];
+    // Packages of 3 to 8 members, ascending, for the events to borrow.
+    let packages: Vec<Vec<u32>> = (0..200)
+        .map(|_| {
+            let mut members = std::collections::BTreeSet::new();
+            let size = rng.gen_range(3..=8usize);
+            while members.len() < size {
+                members.insert(rng.gen_range(0..5_000u32));
+            }
+            members.into_iter().collect()
+        })
+        .collect();
     let mut events = Vec::new();
     let mut subject = Subject::Item(0);
     let (mut algo, mut phase) = ("dp_greedy", "phase2.package");
     while events.len() < 16_000 {
         // Each of the prefix's three keys also changes alone.
         if rng.gen_bool(0.3) {
-            subject = if rng.gen_bool(0.5) {
-                Subject::Item(rng.gen_range(0..5_000u32))
-            } else {
-                Subject::Pair(rng.gen_range(0..5_000u32), rng.gen_range(0..5_000u32))
+            subject = match rng.gen_range(0..3u32) {
+                0 => Subject::Item(rng.gen_range(0..5_000u32)),
+                1 => Subject::Pair(rng.gen_range(0..5_000u32), rng.gen_range(0..5_000u32)),
+                _ => Subject::Package(&packages[rng.gen_range(0..packages.len())]),
             };
         }
         if rng.gen_bool(0.05) {
@@ -316,7 +332,7 @@ fn a_pipelined_write_stops_at_the_first_error() {
 
 /// Events that fail after `after` of them, walked by the render worker.
 struct PanicsMidWalk {
-    events: Vec<LedgerEvent>,
+    events: Vec<LedgerEvent<'static>>,
     after: usize,
 }
 
@@ -325,7 +341,7 @@ impl EventSource for PanicsMidWalk {
         self.events.len()
     }
 
-    fn for_each_event(&self, f: &mut dyn FnMut(&LedgerEvent)) {
+    fn for_each_event<'s>(&'s self, f: &mut dyn FnMut(&LedgerEvent<'s>)) {
         for e in &self.events[..self.after] {
             f(e);
         }

@@ -16,10 +16,10 @@
 
 use dp_greedy_suite::dp_greedy::two_phase::{dp_greedy, DpGreedyConfig};
 use dp_greedy_suite::engine::solvers::pair_parts;
-use dp_greedy_suite::engine::{solvers, RunContext, Solution, SolutionPart, SolverKind};
+use dp_greedy_suite::engine::{solvers, Commodity, RunContext, Solution, SolutionPart, SolverKind};
 use dp_greedy_suite::model::fault::FaultPlan;
 use dp_greedy_suite::obs::ledger::OPTION_NAMES;
-use dp_greedy_suite::obs::{Ledger, Subject};
+use dp_greedy_suite::obs::Ledger;
 use dp_greedy_suite::trace::io::TraceFile;
 use mcs_model::rng::Rng;
 use mcs_model::{CostModel, RequestSeq, RequestSeqBuilder};
@@ -116,7 +116,7 @@ fn every_registered_solver_reconciles_on_random_workloads() {
             // The non-packing per-item baselines never use the package channel.
             if matches!(
                 solver.name(),
-                "optimal" | "optimal_fast" | "greedy" | "exhaustive" | "ski_rental" | "resilient"
+                "optimal" | "greedy" | "exhaustive" | "ski_rental" | "resilient"
             ) {
                 assert_eq!(b.package_delivery, 0.0, "case {case}: {}", solver.name());
             }
@@ -132,7 +132,8 @@ fn serve_events_always_pick_the_cheapest_feasible_arm() {
         let seq = random_sequence(&mut rng, 20, 60);
         let model = random_model(&mut rng);
         let ctx = RunContext::new(model).with_theta(0.1);
-        let events = solver.solve(&seq, &ctx).ledger().events();
+        let sol = solver.solve(&seq, &ctx);
+        let events = sol.ledger().events();
         for e in events.iter().filter(|e| e.phase == "phase2.serve") {
             let min = e.option_costs.iter().cloned().fold(f64::INFINITY, f64::min);
             assert!(min.is_finite(), "at least one arm is always feasible");
@@ -200,7 +201,7 @@ fn a_large_total_off_by_rounding_reconciles() {
     let parts: Vec<SolutionPart> = (0..50_000u32)
         .map(|i| SolutionPart::Aggregate {
             phase: "online",
-            subject: Subject::Item(i % 7),
+            subject: Commodity::Item(i % 7),
             channel: "transfer",
             t: f64::from(i),
             cost: 23.3,

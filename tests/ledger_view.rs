@@ -20,7 +20,8 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-use dp_greedy_suite::engine::{find, RunContext, Solution, SolutionPart};
+use dp_greedy_suite::engine::{find, Commodity, RunContext, Solution, SolutionPart};
+use dp_greedy_suite::experiments::multi_exp::bundle_workload;
 use dp_greedy_suite::model::CostModel;
 use dp_greedy_suite::obs::{EventSource, Ledger, LedgerEvent};
 use dp_greedy_suite::trace::io::TraceFile;
@@ -99,7 +100,7 @@ impl EventSource for Pipelined<'_> {
         self.0.event_count()
     }
 
-    fn for_each_event(&self, f: &mut dyn FnMut(&LedgerEvent)) {
+    fn for_each_event<'s>(&'s self, f: &mut dyn FnMut(&LedgerEvent<'s>)) {
         self.0.for_each_event(f);
     }
 
@@ -111,10 +112,12 @@ impl EventSource for Pipelined<'_> {
 /// The most `write_jsonl` may allocate, on every thread it uses together.
 const STREAM_LIMIT: usize = 128 * 1024;
 
-/// `dp_greedy`, `optimal` and `multi` on the three fixtures, and
-/// `dp_greedy` and `optimal` on a 2,000-item trace (`dpg generate
-/// --taxis 2000 --steps 100 --seed 7`, 3,258 requests). `multi` is left
-/// off the wide trace: its K-package matcher takes minutes there.
+/// `dp_greedy`, `optimal`, `multi` and `online_dpg` on the three
+/// fixtures, `multi` on a bundle workload whose packages of three or more
+/// items are ledger subjects of their own, and `dp_greedy` and `optimal`
+/// on a 2,000-item trace (`dpg generate --taxis 2000 --steps 100 --seed
+/// 7`, 3,258 requests). `multi` is left off the wide trace: its K-package
+/// matcher takes minutes there.
 fn cases() -> &'static [(String, Solution)] {
     static CASES: OnceLock<Vec<(String, Solution)>> = OnceLock::new();
     CASES.get_or_init(|| {
@@ -131,7 +134,11 @@ fn cases() -> &'static [(String, Solution)] {
             .map(|p| {
                 let name = p.file_stem().unwrap().to_string_lossy().into_owned();
                 let seq = TraceFile::load(p).unwrap().sequence;
-                (name, seq, &["dp_greedy", "optimal", "multi"][..])
+                (
+                    name,
+                    seq,
+                    &["dp_greedy", "optimal", "multi", "online_dpg"][..],
+                )
             })
             .collect();
         let mut wide = WorkloadConfig::paper_like(7);
@@ -144,6 +151,11 @@ fn cases() -> &'static [(String, Solution)] {
         let seq = generate(&wide);
         assert_eq!(seq.len(), 3258);
         inputs.push(("wide_s7_2000".into(), seq, &["dp_greedy", "optimal"][..]));
+        inputs.push((
+            "bundle_k3_s9".into(),
+            bundle_workload(6, 3, 300, 0.8, 9),
+            &["multi"][..],
+        ));
 
         let ctx = RunContext::new(CostModel::new(1.0, 2.0, 0.7).unwrap()).with_theta(0.3);
         let mut cases = Vec::new();
@@ -159,6 +171,23 @@ fn cases() -> &'static [(String, Solution)] {
                 .any(|p| matches!(p, SolutionPart::Aggregate { .. }))
         };
         assert!(cases.iter().any(aggregate), "no case has an Aggregate part");
+        // Both kinds of part a package of three or more items names: its
+        // schedule and its shared deliveries.
+        let package = |schedule: bool| {
+            cases.iter().any(|(_, s)| {
+                s.parts.iter().any(|p| match p {
+                    SolutionPart::Schedule { subject, .. } => {
+                        schedule && matches!(subject, Commodity::Package(_))
+                    }
+                    SolutionPart::Serve { subject, .. } => {
+                        !schedule && matches!(subject, Commodity::Package(_))
+                    }
+                    SolutionPart::Aggregate { .. } => false,
+                })
+            })
+        };
+        assert!(package(true), "no case has a package schedule");
+        assert!(package(false), "no case has a shared delivery");
         cases
     })
 }

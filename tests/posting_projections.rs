@@ -331,7 +331,8 @@ fn dp_greedy_pair_equals_a_run_on_full_scan_inputs() {
                         is_co: r.contains(partner),
                     })
                     .collect();
-                let expected = singleton_greedy(&events, &config.model, horizon);
+                let delivery = config.model.package_delivery_cost();
+                let expected = singleton_greedy(&events, &config.model, delivery, horizon);
                 assert_eq!(*outcome, expected, "seed {seed}, pair ({a:?}, {b:?})");
                 assert_eq!(outcome.cost.to_bits(), expected.cost.to_bits());
             }
