@@ -8,8 +8,9 @@
 
 use std::fmt::Write as _;
 
-use mcs_model::{ItemId, RequestSeq};
-use mcs_offline::optimal;
+use mcs_model::request::SingleItemTrace;
+use mcs_model::{ItemId, RequestSeq, Schedule, ServerId};
+use mcs_offline::ServeDecision;
 
 use crate::singleton_greedy::Arm;
 use crate::two_phase::{dp_greedy_pair, DpGreedyConfig, PairReport};
@@ -39,11 +40,11 @@ pub fn explain_pair(
     // Package DP decisions over co-requests.
     let co_trace = seq.package_trace(a, b);
     let pkg_model = config.model.scaled_for_package();
-    let pkg = optimal(&co_trace, &pkg_model);
-    for (p, d) in co_trace.points.iter().zip(&pkg.decisions) {
+    let decisions = package_decisions(&report.package_schedule, &co_trace);
+    for (p, d) in co_trace.points.iter().zip(decisions) {
         let how = match d {
-            mcs_offline::ServeDecision::Cache => "extends the package cache interval",
-            mcs_offline::ServeDecision::Transfer => "receives a package transfer",
+            ServeDecision::Cache => "extends the package cache interval",
+            ServeDecision::Transfer => "receives a package transfer",
         };
         lines.push(Explanation {
             time: p.time,
@@ -92,6 +93,29 @@ pub fn explain_pair(
     (report, lines)
 }
 
+/// The package DP's decision for each co-request, read off the pair's
+/// schedule instead of solving the DP again: the DP ships a transfer to a
+/// request's server at its time exactly when it transfer-serves that
+/// request, and co-request times strictly increase, so each time carries
+/// at most one transfer.
+fn package_decisions(schedule: &Schedule, co_trace: &SingleItemTrace) -> Vec<ServeDecision> {
+    let mut transfers: Vec<(f64, ServerId)> = schedule
+        .transfers
+        .iter()
+        .map(|tr| (tr.time, tr.to))
+        .collect();
+    transfers.sort_by(|x, y| x.0.total_cmp(&y.0));
+    let mut transfers = transfers.into_iter().peekable();
+    co_trace
+        .points
+        .iter()
+        .map(|p| match transfers.next_if_eq(&(p.time, p.server)) {
+            Some(_) => ServeDecision::Transfer,
+            None => ServeDecision::Cache,
+        })
+        .collect()
+}
+
 /// Renders the full explanation as one string (header + lines + totals).
 pub fn explain_pair_text(
     seq: &RequestSeq,
@@ -128,6 +152,9 @@ pub fn explain_pair_text(
 mod tests {
     use super::*;
     use crate::paper_example::{paper_model, paper_sequence};
+    use mcs_model::rng::Rng;
+    use mcs_model::{CostModel, RequestSeqBuilder};
+    use mcs_offline::optimal;
 
     fn config() -> DpGreedyConfig {
         DpGreedyConfig::new(paper_model()).with_theta(0.4)
@@ -166,5 +193,52 @@ mod tests {
         let text = explain_pair_text(&seq, ItemId(0), ItemId(1), &config());
         assert!(text.contains("2αμ=1.60"));
         assert_eq!(text.matches("co-request").count(), 3);
+    }
+
+    /// A random two-item instance over 2–5 servers with up to 60 requests
+    /// at strictly increasing integer times (ties between the DP's arms
+    /// are common), each for d1, d2 or both.
+    fn random_pair_sequence(rng: &mut Rng) -> RequestSeq {
+        let m = rng.gen_range(2u32..=5);
+        let n = rng.gen_range(1usize..=60);
+        let mut ticks: Vec<u32> = (0..n).map(|_| rng.gen_range(1u32..=120)).collect();
+        ticks.sort_unstable();
+        ticks.dedup();
+        let mut b = RequestSeqBuilder::new(m, 2);
+        for &t in &ticks {
+            let items: &[u32] = match rng.gen_range(0u32..4) {
+                0 => &[0],
+                1 => &[1],
+                _ => &[0, 1],
+            };
+            b = b.push(rng.gen_range(0..m), t as f64, items.iter().copied());
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn schedule_decisions_equal_the_package_dps_on_random_instances() {
+        let mut co_requests = 0;
+        for case in 0..512 {
+            let mut rng = Rng::seed_from_u64(0xE5B1A1 + case);
+            let seq = random_pair_sequence(&mut rng);
+            let model = CostModel::new(
+                rng.gen_range(1u32..=8) as f64 / 2.0,
+                rng.gen_range(1u32..=8) as f64 / 2.0,
+                rng.gen_range(2u32..=10) as f64 / 10.0,
+            )
+            .unwrap();
+            let config = DpGreedyConfig::new(model);
+            let report = dp_greedy_pair(&seq, ItemId(0), ItemId(1), &config);
+            let co_trace = seq.package_trace(ItemId(0), ItemId(1));
+            let solved = optimal(&co_trace, &model.scaled_for_package());
+            assert_eq!(
+                package_decisions(&report.package_schedule, &co_trace),
+                solved.decisions,
+                "case {case}"
+            );
+            co_requests += co_trace.len();
+        }
+        assert!(co_requests > 5_000, "only {co_requests} co-requests");
     }
 }

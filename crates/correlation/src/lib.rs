@@ -6,7 +6,7 @@
 //! (lines 7–27) that decides which item pairs are packed.
 //!
 //! Also provides two extensions called out by the paper as future work or
-//! used by our ablation benches:
+//! used by our ablations:
 //!
 //! * [`grouping`] — agglomerative K-package matching of *more than two*
 //!   correlated items ("it can be naturally extended to the case where

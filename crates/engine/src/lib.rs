@@ -28,11 +28,11 @@
 //!   [`registry::solvers`], look one up (aliases included) with
 //!   [`registry::find`]. Adding an algorithm is one `impl CachingSolver`
 //!   plus one registry entry; the CLI (`dpg algos`, `dpg run --algo`),
-//!   the experiment runners, the bench harness, and the workspace-level
-//!   reconciliation property test all pick it up automatically.
+//!   the experiment runners and the workspace-level reconciliation
+//!   property test all pick it up automatically.
 //!
 //! The engine sits above the algorithm crates and below the consumers
-//! (`sim`, `experiments`, CLI, benches): algorithm crates stay free of
+//! (`sim`, `experiments`, CLI): algorithm crates stay free of
 //! trait plumbing and the consumers stay free of per-algorithm glue.
 
 #![warn(missing_docs)]

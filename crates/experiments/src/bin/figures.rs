@@ -207,7 +207,6 @@ fn main() {
                         "dpg_cache",
                         "dpg_transfer",
                         "dpg_package",
-                        "runtime_ms",
                     ],
                     &f.to_rows(),
                 );
@@ -228,7 +227,6 @@ fn main() {
                         "dpg_cache",
                         "dpg_transfer",
                         "dpg_package",
-                        "runtime_ms",
                     ],
                     &f.to_rows(),
                 );
@@ -250,7 +248,6 @@ fn main() {
                         "dpg_cache",
                         "dpg_transfer",
                         "dpg_package",
-                        "runtime_ms",
                     ],
                     &f.to_rows(),
                 );
@@ -303,9 +300,6 @@ fn main() {
         // registered solver, `ave_cost` at 6 decimals.
         let s = solver_sweep::paper_example();
         println!("{}", s.table());
-        // No --json artefact here: SweepRow carries wall-clock runtimes,
-        // which would make the provenance directory non-reproducible.
-        // The deterministic projection is the TSV.
         if let Some(path) = &args.tsv {
             std::fs::write(path, s.to_tsv()).expect("write tsv");
             eprintln!("wrote {}", path.display());

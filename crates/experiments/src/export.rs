@@ -29,7 +29,7 @@ pub fn write_dat(
 
 impl crate::fig11::Fig11 {
     /// The Fig. 11 series:
-    /// `jaccard dp_greedy optimal dpg_cache dpg_transfer dpg_package runtime_ms`.
+    /// `jaccard dp_greedy optimal dpg_cache dpg_transfer dpg_package`.
     pub fn to_rows(&self) -> Vec<Vec<f64>> {
         self.rows
             .iter()
@@ -41,7 +41,6 @@ impl crate::fig11::Fig11 {
                     r.dpg_cache,
                     r.dpg_transfer,
                     r.dpg_package,
-                    r.runtime_ms,
                 ]
             })
             .collect()
@@ -50,7 +49,7 @@ impl crate::fig11::Fig11 {
 
 impl crate::fig12::Fig12 {
     /// The Fig. 12 series:
-    /// `rho dp_greedy optimal dpg_cache dpg_transfer dpg_package runtime_ms`.
+    /// `rho dp_greedy optimal dpg_cache dpg_transfer dpg_package`.
     pub fn to_rows(&self) -> Vec<Vec<f64>> {
         self.rows
             .iter()
@@ -62,7 +61,6 @@ impl crate::fig12::Fig12 {
                     r.dpg_cache,
                     r.dpg_transfer,
                     r.dpg_package,
-                    r.runtime_ms,
                 ]
             })
             .collect()
@@ -71,7 +69,7 @@ impl crate::fig12::Fig12 {
 
 impl crate::fig13::Fig13 {
     /// The Fig. 13 series: `alpha jaccard package_served optimal dp_greedy
-    /// dpg_cache dpg_transfer dpg_package runtime_ms`.
+    /// dpg_cache dpg_transfer dpg_package`.
     pub fn to_rows(&self) -> Vec<Vec<f64>> {
         self.rows
             .iter()
@@ -85,7 +83,6 @@ impl crate::fig13::Fig13 {
                     r.dpg_cache,
                     r.dpg_transfer,
                     r.dpg_package,
-                    r.runtime_ms,
                 ]
             })
             .collect()
@@ -129,6 +126,6 @@ mod tests {
         let f12 = crate::fig12::run(&cfg, &[0.5, 2.0]);
         let rows = f12.to_rows();
         assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| r.len() == 7));
+        assert!(rows.iter().all(|r| r.len() == 6));
     }
 }

@@ -36,8 +36,6 @@ pub struct Fig11Row {
     pub dpg_transfer: f64,
     /// Package-delivery share of the DP_Greedy per-access cost.
     pub dpg_package: f64,
-    /// Wall-clock milliseconds of the DP_Greedy Phase-2 run on this pair.
-    pub runtime_ms: f64,
 }
 
 /// Output of the Fig. 11 experiment.
@@ -69,9 +67,7 @@ pub fn run(config: &WorkloadConfig) -> Fig11 {
         if accesses == 0 {
             return None;
         }
-        let t0 = std::time::Instant::now();
         let report = dp_greedy_pair(&seq, a, b, &dpg_config);
-        let runtime_ms = t0.elapsed().as_secs_f64() * 1e3;
         let opt = optimal_pair(&seq, a, b, &model);
         let total = report.total();
         let mut parts = Vec::new();
@@ -87,7 +83,6 @@ pub fn run(config: &WorkloadConfig) -> Fig11 {
             dpg_cache: breakdown.cache * per_access,
             dpg_transfer: breakdown.transfer * per_access,
             dpg_package: breakdown.package_delivery * per_access,
-            runtime_ms,
         })
     })
     .into_iter()
@@ -122,7 +117,6 @@ impl Fig11 {
                 "dpg_cache",
                 "dpg_transfer",
                 "dpg_pkg",
-                "ms",
             ],
         );
         for r in &self.rows {
@@ -139,12 +133,11 @@ impl Fig11 {
                 fmt_f(r.dpg_cache),
                 fmt_f(r.dpg_transfer),
                 fmt_f(r.dpg_package),
-                fmt_f(r.runtime_ms),
             ]);
         }
         if let Some(be) = self.break_even {
             let mut row = vec!["break-even".into(), fmt_f(be)];
-            row.extend(std::iter::repeat_n("-".to_string(), 7));
+            row.extend(std::iter::repeat_n("-".to_string(), 6));
             t.push(row);
         }
         t
@@ -159,8 +152,7 @@ mcs_model::impl_to_json!(Fig11Row {
     optimal,
     dpg_cache,
     dpg_transfer,
-    dpg_package,
-    runtime_ms
+    dpg_package
 });
 mcs_model::impl_to_json!(Fig11 { rows, break_even });
 

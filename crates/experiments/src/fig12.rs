@@ -34,8 +34,6 @@ pub struct Fig12Row {
     pub dpg_transfer: f64,
     /// Package-delivery share of the DP_Greedy per-access cost.
     pub dpg_package: f64,
-    /// Wall-clock milliseconds of the full DP_Greedy run at this ρ.
-    pub runtime_ms: f64,
 }
 
 /// Output of the Fig. 12 experiment.
@@ -67,9 +65,7 @@ pub fn run(config: &WorkloadConfig, rhos: &[f64]) -> Fig12 {
             .build()
             .expect("valid model");
         let ctx = RunContext::new(model).with_theta(DEFAULT_THETA);
-        let t0 = std::time::Instant::now();
         let sol = solver.solve(&seq, &ctx);
-        let runtime_ms = t0.elapsed().as_secs_f64() * 1e3;
         let opt = baseline.solve(&seq, &ctx);
         let breakdown = sol.ledger().breakdown();
         let per_access = if sol.total_accesses == 0 {
@@ -86,7 +82,6 @@ pub fn run(config: &WorkloadConfig, rhos: &[f64]) -> Fig12 {
             dpg_cache: breakdown.cache * per_access,
             dpg_transfer: breakdown.transfer * per_access,
             dpg_package: breakdown.package_delivery * per_access,
-            runtime_ms,
         }
     });
     Fig12 { rows }
@@ -115,7 +110,6 @@ impl Fig12 {
                 "dpg_cache",
                 "dpg_transfer",
                 "dpg_pkg",
-                "ms",
             ],
         );
         for r in &self.rows {
@@ -128,7 +122,6 @@ impl Fig12 {
                 fmt_f(r.dpg_cache),
                 fmt_f(r.dpg_transfer),
                 fmt_f(r.dpg_package),
-                fmt_f(r.runtime_ms),
             ]);
         }
         t
@@ -143,8 +136,7 @@ mcs_model::impl_to_json!(Fig12Row {
     optimal,
     dpg_cache,
     dpg_transfer,
-    dpg_package,
-    runtime_ms
+    dpg_package
 });
 mcs_model::impl_to_json!(Fig12 { rows });
 
@@ -185,7 +177,6 @@ mod tests {
                 sum,
                 r.dp_greedy
             );
-            assert!(r.runtime_ms >= 0.0);
         }
     }
 

@@ -46,8 +46,6 @@ pub struct Fig13Row {
     pub dpg_transfer: f64,
     /// Package-delivery share of the DP_Greedy per-access cost.
     pub dpg_package: f64,
-    /// Wall-clock milliseconds of the DP_Greedy path for this (α, pair).
-    pub runtime_ms: f64,
 }
 
 /// Output of the Fig. 13 experiment.
@@ -86,7 +84,6 @@ pub fn run(config: &WorkloadConfig) -> Fig13 {
         // Selective packing per Algorithm 1: Phase 2 only runs
         // on pairs whose similarity strictly exceeds θ; below
         // it DP_Greedy serves both items individually.
-        let t0 = std::time::Instant::now();
         let mut parts = Vec::new();
         let dp_greedy = if pv.jaccard() > THETA {
             let report = dp_greedy_pair(seq, a, b, &DpGreedyConfig::new(model).with_theta(THETA));
@@ -107,7 +104,6 @@ pub fn run(config: &WorkloadConfig) -> Fig13 {
             optimal
         };
         let breakdown = parts_breakdown(parts);
-        let runtime_ms = t0.elapsed().as_secs_f64() * 1e3;
         Some(Fig13Row {
             alpha,
             a: i,
@@ -119,7 +115,6 @@ pub fn run(config: &WorkloadConfig) -> Fig13 {
             dpg_cache: breakdown.cache / accesses,
             dpg_transfer: breakdown.transfer / accesses,
             dpg_package: breakdown.package_delivery / accesses,
-            runtime_ms,
         })
     })
     .into_iter()
@@ -149,7 +144,6 @@ impl Fig13 {
                 "dpg_cache",
                 "dpg_transfer",
                 "dpg_pkg",
-                "ms",
             ],
         );
         for r in &self.rows {
@@ -163,7 +157,6 @@ impl Fig13 {
                 fmt_f(r.dpg_cache),
                 fmt_f(r.dpg_transfer),
                 fmt_f(r.dpg_package),
-                fmt_f(r.runtime_ms),
             ]);
         }
         t
@@ -198,8 +191,7 @@ mcs_model::impl_to_json!(Fig13Row {
     dp_greedy,
     dpg_cache,
     dpg_transfer,
-    dpg_package,
-    runtime_ms
+    dpg_package
 });
 mcs_model::impl_to_json!(Fig13 { rows });
 

@@ -27,8 +27,6 @@ pub struct SweepRow {
     pub total_accesses: usize,
     /// `|ledger total − total_cost|` — 0 up to float associativity.
     pub reconciliation_gap: f64,
-    /// Wall-clock milliseconds of the solve.
-    pub runtime_ms: f64,
 }
 
 /// Output of the registry sweep.
@@ -52,9 +50,7 @@ pub fn run(seq: &RequestSeq, ctx: &RunContext) -> SolverSweep {
             skipped.push(solver.name().to_string());
             continue;
         }
-        let t0 = std::time::Instant::now();
         let sol: Solution = solver.solve(seq, ctx);
-        let runtime_ms = t0.elapsed().as_secs_f64() * 1e3;
         rows.push(SweepRow {
             algo: solver.name().to_string(),
             kind: solver.kind().label().to_string(),
@@ -62,7 +58,6 @@ pub fn run(seq: &RequestSeq, ctx: &RunContext) -> SolverSweep {
             total_cost: sol.total_cost,
             total_accesses: sol.total_accesses,
             reconciliation_gap: sol.reconciliation_gap(),
-            runtime_ms,
         });
     }
     SolverSweep { rows, skipped }
@@ -82,7 +77,7 @@ impl SolverSweep {
     pub fn table(&self) -> Table {
         let mut t = Table::new(
             "Registry sweep — every solver on one workload",
-            &["algo", "kind", "ave_cost", "total", "accesses", "gap", "ms"],
+            &["algo", "kind", "ave_cost", "total", "accesses", "gap"],
         );
         for r in &self.rows {
             t.push(vec![
@@ -92,7 +87,6 @@ impl SolverSweep {
                 fmt_f(r.total_cost),
                 r.total_accesses.to_string(),
                 format!("{:.1e}", r.reconciliation_gap),
-                fmt_f(r.runtime_ms),
             ]);
         }
         for s in &self.skipped {
@@ -100,7 +94,6 @@ impl SolverSweep {
                 s.clone(),
                 "-".into(),
                 "skipped".into(),
-                "-".into(),
                 "-".into(),
                 "-".into(),
                 "-".into(),
@@ -261,8 +254,7 @@ mcs_model::impl_to_json!(SweepRow {
     ave_cost,
     total_cost,
     total_accesses,
-    reconciliation_gap,
-    runtime_ms
+    reconciliation_gap
 });
 mcs_model::impl_to_json!(SolverSweep { rows, skipped });
 

@@ -22,17 +22,13 @@
 //!
 //! Threading contract: recording takes one global mutex. Events are
 //! epoch-frequency (plus admission rejects), never per-admitted-request,
-//! so the lock is off every hot path; recording is additionally gated on
-//! the same enable flag as the metrics registry
-//! ([`crate::metrics::enabled`]), so a disabled process pays one relaxed
-//! atomic load per call site.
+//! so the lock is off every hot path.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::jsonl;
-use crate::metrics;
 
 /// Default ring capacity (events retained).
 pub const DEFAULT_CAPACITY: usize = 1024;
@@ -144,20 +140,11 @@ pub fn now_t_mono() -> f64 {
     START.get_or_init(Instant::now).elapsed().as_secs_f64()
 }
 
-/// Records one event (no-op while recording is disabled; see
-/// [`metrics::set_enabled`]). Returns the assigned sequence number, or
-/// `None` when disabled.
-pub fn record(
-    kind: &'static str,
-    epoch: Option<u64>,
-    fields: Vec<(&'static str, Value)>,
-) -> Option<u64> {
-    if !metrics::enabled() {
-        return None;
-    }
+/// Records one event and returns its sequence number.
+pub fn record(kind: &'static str, epoch: Option<u64>, fields: Vec<(&'static str, Value)>) -> u64 {
     let t_mono = now_t_mono();
     let mut ring = RING.lock().expect("obs journal mutex");
-    Some(ring.push(t_mono, kind, epoch, fields))
+    ring.push(t_mono, kind, epoch, fields)
 }
 
 /// The last `n` events, oldest first.
@@ -241,8 +228,8 @@ mod tests {
 
     #[test]
     fn recording_assigns_monotone_seqs_and_tail_returns_newest() {
-        let a = record("test-journal-seq", Some(1), vec![]).unwrap();
-        let b = record("test-journal-seq", Some(2), vec![]).unwrap();
+        let a = record("test-journal-seq", Some(1), vec![]);
+        let b = record("test-journal-seq", Some(2), vec![]);
         assert!(b > a);
         let tail: Vec<Event> = tail(usize::MAX)
             .into_iter()

@@ -10,8 +10,7 @@
 //!   **thread-local collection**: each thread accumulates into its own
 //!   buffer, which is merged into a global aggregate when the thread
 //!   exits (covering the worker threads of `mcs_model::par`)
-//!   or when a [`metrics::snapshot`] is taken. Recording is gated by one
-//!   relaxed atomic so disabled overhead is a single load.
+//!   or when a [`metrics::snapshot`] is taken.
 //! * [`span`](mod@span) — RAII wall-clock timers feeding the registry;
 //!   this is how Phase-1 Jaccard/sort/pack vs. Phase-2 serve timings are
 //!   threaded through `dp-greedy::two_phase`, `mcs-offline::optimal{,_fast}`,
@@ -57,7 +56,6 @@ pub mod span;
 pub use expo::prometheus_text;
 pub use ledger::{CostBreakdown, EventSource, Ledger, LedgerEvent, Subject};
 pub use metrics::{
-    counter_add, enabled, fcounter_add, flush_local, gauge_set, observe, reset, set_enabled,
-    snapshot, MetricsSnapshot,
+    counter_add, fcounter_add, flush_local, gauge_set, observe, snapshot, MetricsSnapshot,
 };
 pub use span::{span, time_phase, Span};

@@ -7,9 +7,7 @@
 //! once the worker has been joined with `JoinHandle::join`, which waits
 //! for those destructors; the implicit join at the end of
 //! `std::thread::scope` does not, which is why `mcs_model::par::par_map`
-//! joins every worker explicitly. All recording is gated on one relaxed
-//! [`AtomicBool`], so with observability disabled the cost of an
-//! instrumented call site is a single atomic load.
+//! joins every worker explicitly.
 //!
 //! Names are `&'static str` by design: every instrumentation point in the
 //! workspace uses a literal (e.g. `"dpg.phase1.jaccard"`), which keeps the
@@ -18,7 +16,6 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::buckets;
@@ -125,7 +122,6 @@ impl Registry {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
 static GLOBAL: Mutex<Registry> = Mutex::new(Registry {
     counters: BTreeMap::new(),
     fcounters: BTreeMap::new(),
@@ -156,25 +152,9 @@ thread_local! {
     static LOCAL: LocalBuffer = LocalBuffer(RefCell::new(Registry::default()));
 }
 
-/// True when metric recording is on (the default).
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Globally enables or disables recording. Used by the bench harness to
-/// measure obs-on vs. obs-off overhead, and available to callers that
-/// want strictly zero instrumentation cost.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
 /// Adds `delta` to the named counter.
 #[inline]
 pub fn counter_add(name: &'static str, delta: u64) {
-    if !enabled() {
-        return;
-    }
     LOCAL.with(|b| {
         *b.0.borrow_mut().counters.entry(name).or_insert(0) += delta;
     });
@@ -188,9 +168,6 @@ pub fn counter_add(name: &'static str, delta: u64) {
 /// single thread.
 #[inline]
 pub fn fcounter_add(name: &'static str, delta: f64) {
-    if !enabled() {
-        return;
-    }
     LOCAL.with(|b| {
         *b.0.borrow_mut().fcounters.entry(name).or_insert(0.0) += delta;
     });
@@ -200,9 +177,6 @@ pub fn fcounter_add(name: &'static str, delta: f64) {
 /// is seconds; counters of work per call use their natural unit).
 #[inline]
 pub fn observe(name: &'static str, value: f64) {
-    if !enabled() {
-        return;
-    }
     LOCAL.with(|b| {
         b.0.borrow_mut()
             .hists
@@ -214,9 +188,6 @@ pub fn observe(name: &'static str, value: f64) {
 
 /// Sets the named gauge to `value` (last write wins).
 pub fn gauge_set(name: &'static str, value: f64) {
-    if !enabled() {
-        return;
-    }
     if let Ok(mut g) = GAUGES.lock() {
         g.insert(name, value);
     }
@@ -292,17 +263,6 @@ pub fn snapshot() -> MetricsSnapshot {
             .lock()
             .map(|g| g.iter().map(|(&k, &v)| (k, v)).collect())
             .unwrap_or_default(),
-    }
-}
-
-/// Clears the global aggregate, the gauges, and the calling thread's
-/// buffer.
-pub fn reset() {
-    let mut global = GLOBAL.lock().expect("obs metrics mutex");
-    *global = Registry::default();
-    LOCAL.with(|b| *b.0.borrow_mut() = Registry::default());
-    if let Ok(mut g) = GAUGES.lock() {
-        g.clear();
     }
 }
 

@@ -1,9 +1,7 @@
 //! RAII wall-clock timers feeding the histogram registry.
 //!
 //! A [`Span`] records `Instant::now()` on creation and, on drop, observes
-//! the elapsed seconds into the histogram named at creation. When
-//! recording is disabled ([`crate::metrics::set_enabled`]) no clock is
-//! read at all, so a span costs one relaxed atomic load.
+//! the elapsed seconds into the histogram named at creation.
 
 use std::time::Instant;
 
@@ -14,32 +12,27 @@ use crate::metrics;
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
-    /// `None` when recording was disabled at creation time.
-    start: Option<Instant>,
+    start: Instant,
 }
 
 impl Span {
     /// Starts a span named `name`. Prefer the free function [`span()`].
     pub fn new(name: &'static str) -> Self {
-        let start = if metrics::enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        Span { name, start }
+        Span {
+            name,
+            start: Instant::now(),
+        }
     }
 
-    /// Seconds elapsed since the span started (0 when disabled).
+    /// Seconds elapsed since the span started.
     pub fn elapsed_secs(&self) -> f64 {
-        self.start.map_or(0.0, |s| s.elapsed().as_secs_f64())
+        self.start.elapsed().as_secs_f64()
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            metrics::observe(self.name, start.elapsed().as_secs_f64());
-        }
+        metrics::observe(self.name, self.elapsed_secs());
     }
 }
 

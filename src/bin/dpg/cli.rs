@@ -4,10 +4,10 @@
 
 use std::io::{ErrorKind, Write};
 
-use dp_greedy_suite::engine::RunContext;
+use dp_greedy_suite::engine::{CachingSolver, RunContext, Solution};
 use dp_greedy_suite::model::defaults::{DEFAULT_ALPHA, DEFAULT_LAMBDA, DEFAULT_MU, DEFAULT_THETA};
 use dp_greedy_suite::model::json::{self, FromJson};
-use dp_greedy_suite::model::CostPlane;
+use dp_greedy_suite::model::{CostPlane, ItemId, RequestSeq};
 use dp_greedy_suite::prelude::CostModel;
 
 /// A CLI failure, split by whose fault it is: [`CliError::Usage`] means
@@ -254,6 +254,58 @@ pub const DEFAULT_BASE: (f64, f64, f64, f64) =
 pub fn model_flags(args: &[String]) -> Result<(CostModel, f64), CliError> {
     let p = solver_flags(args, DEFAULT_BASE)?;
     Ok((p.model, p.theta))
+}
+
+/// The one checked solve behind `dpg run` and `dpg trace solve`: a cost
+/// plane the solver cannot price is a usage error, a trace above its
+/// request limit a runtime error naming `source`, and so is a ledger
+/// that does not reconcile with the reported total within the rounding
+/// bound of the two sums. Returns the solution and its ledger total.
+pub fn checked_solve(
+    solver: &dyn CachingSolver,
+    seq: &RequestSeq,
+    ctx: &RunContext,
+    source: &str,
+) -> Result<(Solution, f64), CliError> {
+    solver.validate(seq, ctx).map_err(CliError::Usage)?;
+    let requests = seq.requests().len();
+    if let Some(limit) = solver.request_limit() {
+        if requests > limit {
+            return Err(CliError::Runtime(format!(
+                "{} handles at most {limit} requests; {source} has {requests}",
+                solver.name()
+            )));
+        }
+    }
+    if requests == 0 {
+        eprintln!("warning: {source} contains no requests; emitting the zero-cost empty solution");
+    }
+    let solution = solver.solve(seq, ctx);
+    let check = solution.ledger().reconciliation();
+    if !check.reconciles_with(solution.total_cost) {
+        return Err(CliError::Runtime(format!(
+            "ledger does not reconcile: Σ event.cost = {} but {} reported {} \
+             (rounding bound {:e})",
+            check.total,
+            solver.name(),
+            solution.total_cost,
+            check.tolerance
+        )));
+    }
+    Ok((solution, check.total))
+}
+
+/// The item id `id` given by `flag`, rejected as a usage error unless it
+/// names one of `seq`'s items.
+pub fn item_of(seq: &RequestSeq, flag: &str, id: u32) -> Result<ItemId, CliError> {
+    if id < seq.items() {
+        Ok(ItemId(id))
+    } else {
+        Err(CliError::Usage(format!(
+            "{flag} {id} is not an item of the trace (it has {} items)",
+            seq.items()
+        )))
+    }
 }
 
 /// Prints the `--metrics` summary: counters (integer then float), then

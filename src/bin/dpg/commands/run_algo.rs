@@ -7,7 +7,7 @@
 //! reconciled against the solver's reported total before anything is
 //! printed, so a success exit certifies the accounting.
 
-use crate::cli::{check_flags, parse_flag, solver_flags, write_report, CliError};
+use crate::cli::{check_flags, checked_solve, parse_flag, solver_flags, write_report, CliError};
 use dp_greedy_suite::dp_greedy::paper_example;
 use dp_greedy_suite::engine::{find, SolverKind};
 use dp_greedy_suite::model::json::Json;
@@ -80,7 +80,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         params.model.alpha(),
     );
     let theta = params.theta;
-    let ctx = params.context();
     // Package knobs are echoed only when they deviate from the pairwise
     // defaults, keeping the historical header byte-stable.
     let mut knobs = String::new();
@@ -96,64 +95,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         knobs.push_str(&format!(" cost_model={path} ({})", params.plane.shape()));
     }
 
-    // An empty trace is a degenerate but legal input: every solver's
-    // answer is the empty schedule at zero cost. Short-circuit uniformly
-    // instead of leaving each of the eleven solvers to its own edge case
-    // (pinned across the whole registry by `tests/cli_empty_trace.rs`).
-    if seq.requests().is_empty() {
-        eprintln!("warning: {source} contains no requests; emitting the zero-cost empty solution");
-        return if args.iter().any(|a| a == "--json") {
-            let doc = Json::Obj(vec![
-                ("algo".into(), Json::Str(solver.name().into())),
-                ("kind".into(), Json::Str(solver.kind().label().into())),
-                ("source".into(), Json::Str(source)),
-                ("total_cost".into(), Json::Num(0.0)),
-                ("ave_cost".into(), Json::Num(0.0)),
-                ("total_accesses".into(), Json::Num(0.0)),
-                ("reconciliation_gap".into(), Json::Num(0.0)),
-            ]);
-            write_report(|out| writeln!(out, "{}", doc.to_string_pretty()))
-        } else {
-            write_report(|out| {
-                writeln!(
-                    out,
-                    "{} ({}) on {source}: μ={mu} λ={lambda} α={alpha} θ={theta}{knobs}",
-                    solver.name(),
-                    solver.kind().label()
-                )?;
-                writeln!(
-                    out,
-                    "total=0.0000 ave_cost=0.000000 (0 item accesses, ledger gap 0.0e0)"
-                )
-            })
-        };
-    }
-
-    // Shape gate: a solver that cannot price this cost plane (or fleet
-    // size) is an invocation error, reported before any solving starts.
-    solver.validate(&seq, &ctx).map_err(CliError::Usage)?;
-
-    if let Some(limit) = solver.request_limit() {
-        if seq.requests().len() > limit {
-            return Err(CliError::Runtime(format!(
-                "{} handles at most {limit} requests; {source} has {}",
-                solver.name(),
-                seq.requests().len()
-            )));
-        }
-    }
-
-    let sol = solver.solve(&seq, &ctx);
-    let ledger = sol.ledger();
-    let check = ledger.reconciliation();
-    let gap = (check.total - sol.total_cost).abs();
-    if !check.reconciles_with(sol.total_cost) {
-        return Err(CliError::Runtime(format!(
-            "ledger does not reconcile: gap {gap} for {} (rounding bound {:e})",
-            solver.name(),
-            check.tolerance
-        )));
-    }
+    let (sol, ledger_total) = checked_solve(solver, &seq, &params.context(), &source)?;
+    let gap = (ledger_total - sol.total_cost).abs();
 
     if args.iter().any(|a| a == "--json") {
         let doc = Json::Obj(vec![
@@ -186,7 +129,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             sol.total_accesses
         )?;
         if sol.kind == SolverKind::Offline {
-            let b = ledger.breakdown();
+            let b = sol.ledger().breakdown();
             writeln!(
                 out,
                 "breakdown: cache {:.4} + transfer {:.4} + package_delivery {:.4}",

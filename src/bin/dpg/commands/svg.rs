@@ -1,6 +1,6 @@
 //! `dpg svg` — render the optimal single-item schedule as an SVG timeline.
 
-use crate::cli::{check_flags, parse_flag, trace_arg, write_report, CliError};
+use crate::cli::{check_flags, item_of, parse_flag, trace_arg, write_report, CliError};
 use dp_greedy_suite::model::defaults::{DEFAULT_ALPHA, DEFAULT_LAMBDA, DEFAULT_MU};
 use dp_greedy_suite::prelude::*;
 use dp_greedy_suite::trace::io::TraceFile;
@@ -18,7 +18,9 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let file = TraceFile::load(path).map_err(|e| CliError::Runtime(e.to_string()))?;
     let model =
         CostModel::new(mu, lambda, DEFAULT_ALPHA).map_err(|e| CliError::Usage(e.to_string()))?;
-    let trace = file.sequence.item_trace(ItemId(item));
+    let trace = file
+        .sequence
+        .item_trace(item_of(&file.sequence, "--item", item)?);
     if trace.is_empty() {
         return Err(CliError::Runtime(format!(
             "item d{} has no requests in this trace",

@@ -5,7 +5,7 @@
 //! the former per-algorithm ledger builders. Any registered solver name
 //! (or alias) is accepted by `--algo`.
 
-use crate::cli::{check_flags, parse_flag, trace_arg, write_report, CliError};
+use crate::cli::{check_flags, checked_solve, parse_flag, trace_arg, write_report, CliError};
 use dp_greedy_suite::dp_greedy::paper_example;
 use dp_greedy_suite::engine::{find, CachingSolver, RunContext, Solution};
 use dp_greedy_suite::trace::io::TraceFile;
@@ -37,20 +37,11 @@ fn display_name(solver: &dyn CachingSolver) -> &'static str {
     }
 }
 
-/// Checks that `solution`'s ledger reconciles with the reported total
-/// within the rounding bound of the two sums, streams it to `out`, and
-/// prints the cost breakdown: three passes over the parts, each deriving
-/// the events again, and no event list.
-fn emit_ledger(solution: &Solution, algo: &str, out: &str) -> Result<(), CliError> {
+/// Streams the ledger of `solution`, whose events total `total`, to
+/// `out` and prints the cost breakdown: passes over the parts, each
+/// deriving the events again, and no event list.
+fn emit_ledger(solution: &Solution, total: f64, algo: &str, out: &str) -> Result<(), CliError> {
     let ledger = solution.ledger();
-    let check = ledger.reconciliation();
-    if !check.reconciles_with(solution.total_cost) {
-        return Err(CliError::Runtime(format!(
-            "ledger does not reconcile: Σ event.cost = {} but {algo} reported {} \
-             (rounding bound {:e})",
-            check.total, solution.total_cost, check.tolerance
-        )));
-    }
     std::fs::File::create(out)
         .and_then(|mut file| ledger.write_jsonl(&mut file))
         .map_err(|e| CliError::Runtime(e.to_string()))?;
@@ -60,7 +51,7 @@ fn emit_ledger(solution: &Solution, algo: &str, out: &str) -> Result<(), CliErro
             w,
             "wrote {out}: {} events, total {:.4} (reconciles with {algo})",
             ledger.len(),
-            check.total
+            total
         )?;
         writeln!(
             w,
@@ -99,22 +90,8 @@ fn trace_solve(args: &[String]) -> Result<(), CliError> {
     };
 
     let file = TraceFile::load(path).map_err(|e| CliError::Runtime(e.to_string()))?;
-    let seq = &file.sequence;
-    let ctx = params.context();
-    // Shape gate, as in `dpg run`: a plane the solver cannot price is an
-    // invocation error (exit 2), not a mid-solve panic.
-    solver.validate(seq, &ctx).map_err(CliError::Usage)?;
-    if let Some(limit) = solver.request_limit() {
-        if seq.requests().len() > limit {
-            return Err(CliError::Runtime(format!(
-                "{} handles at most {limit} requests; this trace has {}",
-                solver.name(),
-                seq.requests().len()
-            )));
-        }
-    }
-    let solution = solver.solve(seq, &ctx);
-    emit_ledger(&solution, display_name(solver), &out)
+    let (solution, total) = checked_solve(solver, &file.sequence, &params.context(), path)?;
+    emit_ledger(&solution, total, display_name(solver), &out)
 }
 
 /// `dpg trace pack IN OUT` — converts a trace between the JSON and
@@ -156,9 +133,11 @@ fn trace_example(args: &[String]) -> Result<(), CliError> {
     check_flags("trace example", args, &["--out"], &[])?;
     let out: String = parse_flag(args, "--out").ok_or("--out FILE.jsonl is required")??;
     let solver = find("dp_greedy").expect("dp_greedy is registered");
-    let solution = solver.solve(
+    let (solution, total) = checked_solve(
+        solver,
         &paper_example::paper_sequence(),
         &RunContext::paper_example(),
-    );
-    emit_ledger(&solution, display_name(solver), &out)
+        "paper example",
+    )?;
+    emit_ledger(&solution, total, display_name(solver), &out)
 }

@@ -111,6 +111,107 @@ fn svg_subcommand_writes_a_drawing() {
     std::fs::remove_file(&svg_path).ok();
 }
 
+/// An item id outside the trace, or one item named as both halves of a
+/// pair, is a usage error naming the flag; a pair is explained in
+/// ascending order whichever way round it is given.
+#[test]
+fn explain_and_svg_take_only_items_of_the_trace() {
+    let trace = "fixtures/traces/taxi_s1_200.json"; // items 0..=9
+    let svg = std::env::temp_dir().join("dpg-cli-test-items.svg");
+    let svg = svg.to_str().unwrap();
+    for (args, flag) in [
+        (
+            vec!["explain", trace, "--a", "999", "--b", "1000"],
+            "--a 999",
+        ),
+        (vec!["explain", trace, "--a", "0", "--b", "10"], "--b 10"),
+        (
+            vec!["explain", trace, "--a", "1", "--b", "1"],
+            "--a and --b",
+        ),
+        (
+            vec!["svg", trace, "--out", svg, "--item", "999"],
+            "--item 999",
+        ),
+        (
+            vec!["svg", trace, "--out", svg, "--item", "10"],
+            "--item 10",
+        ),
+    ] {
+        let out = dpg().args(&args).output().expect("run dpg");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {flag}")),
+            "{args:?}: {stderr}"
+        );
+    }
+    let explain = |a: &str, b: &str| {
+        let out = dpg()
+            .args(["explain", trace, "--a", a, "--b", b])
+            .output()
+            .expect("run dpg");
+        assert!(out.status.success());
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let forward = explain("0", "1");
+    assert!(forward.contains("pair (d1, d2)"), "{forward}");
+    assert_eq!(explain("1", "0"), forward);
+}
+
+/// `dpg explain` reads the package DP's decisions off the pair's
+/// schedule: one covering DP per explained pair.
+#[test]
+fn explain_solves_the_package_dp_once() {
+    let out = dpg()
+        .args([
+            "explain",
+            "fixtures/traces/taxi_s1_200.json",
+            "--a",
+            "0",
+            "--b",
+            "1",
+        ])
+        .arg("--metrics")
+        .output()
+        .expect("run dpg");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.split_whitespace().next() == Some("offline.optimal"))
+        .unwrap_or_else(|| panic!("no offline.optimal span in {stdout}"));
+    assert_eq!(line.split_whitespace().nth(1), Some("n=1"), "{line}");
+}
+
+/// Above a solver's request limit `dpg run` and `dpg trace solve` fail
+/// alike (exit 1), with one message naming the file.
+#[test]
+fn run_and_trace_solve_share_the_request_limit_error() {
+    let trace = "fixtures/traces/taxi_s1_200.json"; // 444 requests
+    let ledger = std::env::temp_dir().join("dpg-cli-test-limit.jsonl");
+    let run = dpg()
+        .args(["run", "--algo", "exhaustive", trace])
+        .output()
+        .expect("run dpg");
+    let solve = dpg()
+        .args(["trace", "solve", trace, "--algo", "exhaustive"])
+        .args(["--out", ledger.to_str().unwrap()])
+        .output()
+        .expect("run dpg");
+    for out in [&run, &solve] {
+        assert_eq!(out.status.code(), Some(1));
+        assert!(out.stdout.is_empty());
+    }
+    let message = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(
+        message,
+        format!("error: exhaustive handles at most 18 requests; {trace} has 444\n")
+    );
+    assert_eq!(String::from_utf8_lossy(&solve.stderr), message);
+    assert!(!ledger.exists());
+}
+
 #[test]
 fn solve_rejects_unknown_algorithms_and_missing_files() {
     let out = dpg()
