@@ -31,13 +31,14 @@
 //!
 //! The `mcs-obs` decision ledger of a run is derived by the engine
 //! (`mcs_engine::Solution::ledger`) from the schedules and arm choices
-//! these reports record.
+//! these reports record. It is the only record of those decisions:
+//! `dpg explain` prints a pair's ledger events rather than narrating the
+//! reports itself.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod baselines;
-pub mod explain;
 pub mod paper_example;
 pub mod prescan;
 pub mod ratio;

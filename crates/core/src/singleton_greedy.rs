@@ -164,32 +164,6 @@ pub fn singleton_greedy(
     SingletonGreedyOutcome::from_choices(choices)
 }
 
-impl mcs_model::json::ToJson for Arm {
-    fn to_json(&self) -> mcs_model::json::Json {
-        mcs_model::json::Json::Str(
-            match self {
-                Arm::Cache => "Cache",
-                Arm::Transfer => "Transfer",
-                Arm::Package => "Package",
-            }
-            .to_string(),
-        )
-    }
-}
-
-mcs_model::impl_to_json!(ArmChoice {
-    event_index,
-    time,
-    arm,
-    cost,
-    option_costs
-});
-mcs_model::impl_to_json!(SingletonGreedyOutcome {
-    cost,
-    choices,
-    arm_counts
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -472,32 +472,6 @@ pub fn dp_greedy(seq: &RequestSeq, config: &DpGreedyConfig) -> DpGreedyReport {
     }
 }
 
-mcs_model::impl_to_json!(PairReport {
-    a,
-    b,
-    jaccard,
-    package_cost,
-    a_singleton_cost,
-    b_singleton_cost,
-    accesses,
-    package_schedule,
-    a_greedy,
-    b_greedy
-});
-mcs_model::impl_to_json!(SingletonReport {
-    item,
-    cost,
-    accesses,
-    schedule
-});
-mcs_model::impl_to_json!(DpGreedyReport {
-    packing,
-    pairs,
-    singletons,
-    total_cost,
-    total_accesses
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -130,19 +130,6 @@ pub fn dp_greedy_windowed(seq: &RequestSeq, config: &WindowedConfig) -> Windowed
     }
 }
 
-mcs_model::impl_to_json!(WindowReport {
-    start,
-    end,
-    requests,
-    pairs,
-    cost
-});
-mcs_model::impl_to_json!(WindowedReport {
-    windows,
-    total_cost,
-    total_accesses
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

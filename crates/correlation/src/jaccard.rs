@@ -176,13 +176,6 @@ impl JaccardMatrix {
     }
 }
 
-mcs_model::impl_to_json!(CoOccurrence {
-    k,
-    item_counts,
-    pair_counts
-});
-mcs_model::impl_to_json!(JaccardMatrix { k, values });
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -99,12 +99,6 @@ fn pack(mut candidates: Vec<(ItemId, ItemId, f64)>, items: u32, theta: f64) -> P
     Packing::new(chosen, singletons, theta)
 }
 
-mcs_model::impl_to_json!(Packing {
-    pairs,
-    singletons,
-    theta
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -124,7 +124,8 @@ pub fn package_parts(
 /// [`package_parts`] of one packed pair: the package schedule at
 /// `2αμ`/`2αλ`, then the serve choices of `a`, then those of `b`, which
 /// reconcile with [`PairReport::total`]. The per-pair experiments of
-/// Figs. 11 and 13 derive their cost breakdowns from it.
+/// Figs. 11 and 13 derive their cost breakdowns from it, and `dpg
+/// explain` prints its ledger.
 pub fn pair_parts(pair: PairReport, model: &CostModel, shift: f64, parts: &mut Vec<SolutionPart>) {
     package_parts(pair.into(), model, shift, parts);
 }

@@ -248,16 +248,6 @@ mcs_model::impl_to_json!(KSweepRow {
 });
 mcs_model::impl_to_json!(KSweep { rows });
 
-mcs_model::impl_to_json!(SweepRow {
-    algo,
-    kind,
-    ave_cost,
-    total_cost,
-    total_accesses,
-    reconciliation_gap
-});
-mcs_model::impl_to_json!(SolverSweep { rows, skipped });
-
 #[cfg(test)]
 mod tests {
     use super::*;

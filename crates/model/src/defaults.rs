@@ -8,8 +8,6 @@
 //! runners) risks silent drift between figures.
 
 use crate::cost::CostModel;
-use crate::hetero::HeteroCostModel;
-use crate::tiered::{StorageTier, TieredCostModel};
 
 /// Default cache rate `μ` (Fig. 12's ρ = 2 operating point).
 pub const DEFAULT_MU: f64 = 2.0;
@@ -44,45 +42,8 @@ pub const DEFAULT_MOVE_COST: f64 = 1.0;
 /// backing store is farther than any peer server.
 pub const DEFAULT_ORIGIN_FETCH: f64 = 2.0 * DEFAULT_LAMBDA;
 
-/// Default L1 slot count per server for the tiered waterfall.
-pub const DEFAULT_L1_SLOTS: u32 = 2;
-
 /// Default L2 slot count per server for the tiered waterfall.
 pub const DEFAULT_L2_SLOTS: u32 = 4;
-
-/// The uniform heterogeneous embedding of [`default_model`] over `m`
-/// servers — the starting point every hetero sweep perturbs, mirroring
-/// how the homogeneous sweeps start from the defaults.
-pub fn default_hetero_model(m: u32) -> HeteroCostModel {
-    HeteroCostModel::uniform(m, DEFAULT_MU, DEFAULT_LAMBDA, DEFAULT_ALPHA)
-        .expect("default hetero model is valid")
-}
-
-/// The default L1/L2/L3 waterfall over `m` servers: a small fast tier at
-/// a RAM premium (`2μ`, [`DEFAULT_L1_SLOTS`] slots), a mid tier at the
-/// base rate (`μ`, [`DEFAULT_L2_SLOTS`] slots), and an unbounded slow
-/// tier at `μ/4`; uniform `λ` links, [`DEFAULT_MOVE_COST`] per level
-/// crossing, [`DEFAULT_ORIGIN_FETCH`] from the backing store.
-pub fn default_tiered_model(m: u32) -> TieredCostModel {
-    let msize = m as usize;
-    let ladder = vec![
-        StorageTier::bounded(DEFAULT_L1_SLOTS, 2.0 * DEFAULT_MU),
-        StorageTier::bounded(DEFAULT_L2_SLOTS, DEFAULT_MU),
-        StorageTier::unbounded(DEFAULT_MU / 4.0),
-    ];
-    let mut lambda = vec![DEFAULT_LAMBDA; msize * msize];
-    for i in 0..msize {
-        lambda[i * msize + i] = 0.0;
-    }
-    TieredCostModel::new(
-        vec![ladder; msize],
-        lambda,
-        DEFAULT_MOVE_COST,
-        DEFAULT_ORIGIN_FETCH,
-        DEFAULT_ALPHA,
-    )
-    .expect("default tiered model is valid")
-}
 
 #[cfg(test)]
 mod tests {
@@ -99,31 +60,5 @@ mod tests {
     #[test]
     fn defaults_sit_on_the_fig12_constraint() {
         assert_eq!(DEFAULT_MU + DEFAULT_LAMBDA, RATE_SUM);
-    }
-
-    #[test]
-    fn default_hetero_model_is_the_uniform_embedding() {
-        let h = default_hetero_model(4);
-        let c = h.collapse_uniform().expect("uniform embedding collapses");
-        assert_eq!(c, default_model());
-    }
-
-    #[test]
-    fn default_tiered_model_is_a_three_level_waterfall() {
-        let t = default_tiered_model(3);
-        assert_eq!(t.servers(), 3);
-        for s in 0..3u32 {
-            let ladder = t.ladder(crate::ids::ServerId(s));
-            assert_eq!(ladder.len(), 3);
-            assert_eq!(ladder[0].capacity, DEFAULT_L1_SLOTS);
-            assert_eq!(ladder[1].capacity, DEFAULT_L2_SLOTS);
-            assert!(ladder[2].is_unbounded());
-            // Faster tiers cost more per unit time.
-            assert!(ladder[0].mu > ladder[1].mu && ladder[1].mu > ladder[2].mu);
-        }
-        assert_eq!(t.move_cost(), DEFAULT_MOVE_COST);
-        assert_eq!(t.origin_fetch(), DEFAULT_ORIGIN_FETCH);
-        // Multi-tier: deliberately not collapsible.
-        assert!(t.collapse_homogeneous().is_none());
     }
 }

@@ -169,11 +169,6 @@ impl HeteroCostModel {
         crate::CostModel::new(mu, lambda, self.alpha).ok()
     }
 
-    /// Cheapest caching rate across servers — a lower-bound building block.
-    pub fn min_mu(&self) -> f64 {
-        self.mu.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
     /// True if the transfer matrix satisfies the triangle inequality
     /// (metric networks; relays never pay off within a single instant).
     pub fn is_metric(&self) -> bool {
@@ -291,7 +286,6 @@ mod tests {
         assert_eq!(h.mu(ServerId(1)), 2.0);
         assert_eq!(h.lambda(ServerId(0), ServerId(2)), 5.0);
         assert_eq!(h.lambda(ServerId(2), ServerId(2)), 0.0);
-        assert_eq!(h.min_mu(), 2.0);
         assert!(h.is_metric());
     }
 

@@ -58,8 +58,6 @@ impl crate::json::FromJson for RequestSeq {
             .map_err(|e| JsonError::conv(format!("invalid request sequence: {e}")))
     }
 }
-crate::impl_json!(TracePoint { time, server });
-crate::impl_json!(SingleItemTrace { servers, points });
 
 impl Request {
     /// True if the request accesses `item`.

@@ -67,18 +67,6 @@ pub struct Schedule {
     pub transfers: Vec<Transfer>,
 }
 
-crate::impl_json!(CacheInterval { server, span });
-crate::impl_json!(Transfer { from, to, time });
-crate::impl_json!(ScheduleCost {
-    cache_time,
-    transfers,
-    total
-});
-crate::impl_json!(Schedule {
-    intervals,
-    transfers
-});
-
 impl Schedule {
     /// An empty schedule (commodity never moves off the origin and is never
     /// cached past `t = 0`).
@@ -405,17 +393,6 @@ mod tests {
         let mut s = Schedule::new();
         s.cache(ServerId(0), -1.0, 1.0);
         assert!(s.validate(&trace).is_err());
-    }
-
-    #[test]
-    fn json_round_trip() {
-        use crate::json::{parse, FromJson, ToJson};
-        let mut s = Schedule::new();
-        s.cache(ServerId(0), 0.0, 1.4)
-            .transfer(ServerId(0), ServerId(1), 1.4);
-        let j = s.to_json().to_string();
-        let back = Schedule::from_json(&parse(&j).unwrap()).unwrap();
-        assert_eq!(s, back);
     }
 
     /// A feasible random schedule over 2–4 servers: one copy hops from the

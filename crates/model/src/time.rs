@@ -55,8 +55,6 @@ pub struct TimeSpan {
     pub end: TimePoint,
 }
 
-crate::impl_json!(TimeSpan { start, end });
-
 impl TimeSpan {
     /// Creates a span, panicking if `end < start` beyond tolerance.
     #[inline]

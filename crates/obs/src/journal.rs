@@ -5,10 +5,10 @@
 //! `{seq, t_mono, kind, epoch, fields…}` events that the serving daemon
 //! records at every epoch lifecycle transition (admit-reject,
 //! epoch-open, settle-*, checkpoint-write, WAL-rotate,
-//! recovery-replay). The ring is bounded ([`set_capacity`], default
-//! [`DEFAULT_CAPACITY`]) so a long-lived daemon holds a constant-size
-//! tail, and the tail is cheap to copy out for a `GET /journal?n=K`
-//! scrape or a `dpg top` view.
+//! recovery-replay). The ring holds at most [`DEFAULT_CAPACITY`]
+//! events, so a long-lived daemon holds a constant-size tail, and the
+//! tail is cheap to copy out for a `GET /journal?n=K` scrape or a
+//! `dpg top` view.
 //!
 //! Determinism contract (the one the byte-identity gates rely on): the
 //! JSONL encoding of an event is a pure function of the event, with a
@@ -165,17 +165,6 @@ pub fn tail_jsonl(n: usize) -> String {
 /// Number of events currently retained (≤ capacity).
 pub fn len() -> usize {
     RING.lock().expect("obs journal mutex").events.len()
-}
-
-/// Re-bounds the ring, evicting oldest events if shrinking. A capacity
-/// of 0 is clamped to 1 (the journal always retains the latest event).
-pub fn set_capacity(n: usize) {
-    let n = n.max(1);
-    let mut ring = RING.lock().expect("obs journal mutex");
-    ring.capacity = n;
-    while ring.events.len() > n {
-        ring.events.pop_front();
-    }
 }
 
 /// Clears the ring and resets the sequence counter (tests and one-shot

@@ -285,14 +285,6 @@ fn deliver(st: &mut ItemState, server: ServerId, t: TimePoint, keep: f64) {
     });
 }
 
-mcs_model::impl_to_json!(OnlineDpgOutcome {
-    cost,
-    transfers,
-    package_transfers,
-    hits,
-    repackings
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

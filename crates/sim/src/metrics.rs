@@ -53,21 +53,7 @@ impl ReplayMetrics {
         self.transfers_out[from.index()] += 1;
         self.transfers_in[to.index()] += 1;
     }
-
-    /// Total transfers observed.
-    pub fn total_transfers(&self) -> usize {
-        self.transfers_in.iter().sum()
-    }
 }
-
-mcs_model::impl_to_json!(ReplayMetrics {
-    peak_copies,
-    mean_copies,
-    transfers_in,
-    transfers_out,
-    total_copy_time,
-    total_time
-});
 
 /// Recovery metrics of one degraded replay (see [`crate::faults`]).
 ///
@@ -153,20 +139,6 @@ impl FaultReport {
     }
 }
 
-mcs_model::impl_to_json!(FaultReport {
-    requests_total,
-    requests_degraded,
-    retries,
-    origin_fallbacks,
-    copies_lost,
-    intervals_skipped,
-    transfers_skipped,
-    recaches,
-    repairs,
-    mean_time_to_repair,
-    cost_inflation
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,6 +166,5 @@ mod tests {
         m.observe_transfer(ServerId(2), ServerId(1));
         assert_eq!(m.transfers_out, vec![2, 0, 1]);
         assert_eq!(m.transfers_in, vec![0, 2, 1]);
-        assert_eq!(m.total_transfers(), 3);
     }
 }

@@ -175,7 +175,7 @@ pub(crate) fn read_binary(bytes: &[u8]) -> Result<TraceFile, TraceIoError> {
         let offset = le_u64(bytes, at + 16) as usize;
         let end = offset
             .checked_add(count)
-            .filter(|end| end * 4 <= entries.len())
+            .filter(|&end| end <= entries.len() / 4)
             .ok_or_else(|| bad(format!("record #{}: item range out of bounds", i + 1)))?;
         let ids = (offset..end).map(|e| le_u32(entries, e * 4));
         builder = builder.push(server, time, ids);
@@ -280,11 +280,15 @@ mod tests {
 
     #[test]
     fn out_of_bounds_item_offset_is_rejected() {
-        let mut bytes = packed(&sample());
-        let huge = u64::MAX.to_le_bytes();
-        bytes[RECORDS_AT + 16..RECORDS_AT + 24].copy_from_slice(&huge);
-        let err = read_binary(&bytes).unwrap_err();
-        assert!(err.to_string().contains("item range"), "{err}");
+        // Offsets from 2^62 up overflow a byte offset (`4·end`), which
+        // once panicked in debug builds and wrapped back in bounds in
+        // release builds.
+        for huge in [u64::MAX, 1 << 62, 1 << 63] {
+            let mut bytes = packed(&sample());
+            bytes[RECORDS_AT + 16..RECORDS_AT + 24].copy_from_slice(&huge.to_le_bytes());
+            let err = read_binary(&bytes).unwrap_err();
+            assert!(err.to_string().contains("item range"), "{huge}: {err}");
+        }
     }
 
     #[test]

@@ -165,13 +165,6 @@ pub fn top_pairs(seq: &RequestSeq, n: usize) -> Vec<PairSpectrumRow> {
         .collect()
 }
 
-mcs_model::impl_to_json!(TraceStats {
-    zone_histogram,
-    requests,
-    item_accesses,
-    mean_items_per_request,
-    horizon
-});
 mcs_model::impl_to_json!(PairSpectrumRow {
     a,
     b,

@@ -4,11 +4,13 @@
 
 use std::io::{ErrorKind, Write};
 
+use dp_greedy_suite::dp_greedy::paper_example;
 use dp_greedy_suite::engine::{CachingSolver, RunContext, Solution};
 use dp_greedy_suite::model::defaults::{DEFAULT_ALPHA, DEFAULT_LAMBDA, DEFAULT_MU, DEFAULT_THETA};
 use dp_greedy_suite::model::json::{self, FromJson};
 use dp_greedy_suite::model::{CostPlane, ItemId, RequestSeq};
 use dp_greedy_suite::prelude::CostModel;
+use dp_greedy_suite::trace::io::TraceFile;
 
 /// A CLI failure, split by whose fault it is: [`CliError::Usage`] means
 /// the invocation itself was malformed (exit 2), [`CliError::Runtime`]
@@ -51,19 +53,19 @@ pub const USAGE: &str = "usage:\n  dpg generate --out FILE [--seed N] [--steps N
          dpg top (--addr HOST:PORT | --file PATH) [--interval-ms N] [--journal N] \
          [--raw metrics|journal] [--once]\n  \
          dpg svg FILE --out FILE.svg [--item N] [--mu X] [--lambda X]\n  \
-         dpg explain FILE [--a N --b N] [--mu X] [--lambda X] [--alpha X]\n  \
-         dpg trace solve FILE --out FILE.jsonl [--algo NAME] [--mu X] [--lambda X] \
+         dpg explain [FILE] [--a N --b N] [--mu X] [--lambda X] [--alpha X]\n  \
+         dpg trace solve [FILE] --out FILE.jsonl [--algo NAME] [--mu X] [--lambda X] \
          [--alpha X] [--theta X] [--max-group K] [--adaptive] [--cost-model FILE]\n  \
-         dpg trace example --out FILE.jsonl\n  \
          dpg trace pack IN OUT [--json]\n  \
          dpg chaos [--seed N] [--fault-rate X] [--mean-outage X] [--steps N] \
          [--mu X] [--lambda X] [--alpha X] [--theta X] [--sweep]\n  \
-         dpg example\n  \
          dpg version\n\
          `dpg algos` lists the solver registry NAMEs (--max-group/--adaptive \
          drive the dpg_k K-package solver; --cost-model points run/trace solve \
-         at a homogeneous, hetero, or tiered cost-plane JSON); every subcommand \
-         also accepts --metrics (print the obs summary)";
+         at a homogeneous, hetero, or tiered cost-plane JSON); without FILE, run, \
+         explain and trace solve read the paper's running example \
+         (μ=λ=1, α=0.8, θ=0.4); every subcommand also accepts --metrics \
+         (print the obs summary)";
 
 /// Writes a command's report to locked stdout through `write`. A reader
 /// that closed the pipe early (`dpg stats FILE | head -1`) ends the
@@ -244,8 +246,53 @@ pub fn solver_flags(args: &[String], base: (f64, f64, f64, f64)) -> Result<Solve
 }
 
 /// The workspace-default `(μ, λ, α, θ)` baseline for [`solver_flags`].
-pub const DEFAULT_BASE: (f64, f64, f64, f64) =
+const DEFAULT_BASE: (f64, f64, f64, f64) =
     (DEFAULT_MU, DEFAULT_LAMBDA, DEFAULT_ALPHA, DEFAULT_THETA);
+
+/// First positional argument, skipping `--flag value` pairs: every flag
+/// outside `bool_flags` consumes the token after it.
+fn positional<'a>(args: &'a [String], bool_flags: &[&str]) -> Option<&'a String> {
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if bool_flags.contains(&a) {
+            i += 1;
+        } else if a.starts_with("--") {
+            i += 2;
+        } else {
+            return Some(&args[i]);
+        }
+    }
+    None
+}
+
+/// What `dpg run`, `dpg explain` and `dpg trace solve` solve: the trace
+/// FILE, their first positional argument, under the workspace defaults,
+/// or without one the Section V-C running example under the paper's
+/// parameters (μ = λ = 1, α = 0.8, θ = 0.4). Explicit flags override
+/// either baseline ([`solver_flags`]); `bool_flags` are the command's
+/// flags that take no value. Returns the requests, the name messages
+/// give them (the path, or `paper example`) and the parameters.
+pub fn trace_or_example(
+    args: &[String],
+    bool_flags: &[&str],
+) -> Result<(RequestSeq, String, SolverParams), CliError> {
+    let (seq, source, base) = match positional(args, bool_flags) {
+        Some(path) => {
+            let file = TraceFile::load(path).map_err(|e| CliError::Runtime(e.to_string()))?;
+            (file.sequence, path.clone(), DEFAULT_BASE)
+        }
+        None => {
+            let pm = paper_example::paper_model();
+            (
+                paper_example::paper_sequence(),
+                "paper example".to_string(),
+                (pm.mu(), pm.lambda(), pm.alpha(), paper_example::THETA),
+            )
+        }
+    };
+    Ok((seq, source, solver_flags(args, base)?))
+}
 
 /// Parses the shared `--mu/--lambda/--alpha/--theta` quartet, falling back
 /// to the workspace defaults ([`dp_greedy_suite::model::defaults`]).
@@ -281,18 +328,23 @@ pub fn checked_solve(
         eprintln!("warning: {source} contains no requests; emitting the zero-cost empty solution");
     }
     let solution = solver.solve(seq, ctx);
+    let total = reconciled(&solution)?;
+    Ok((solution, total))
+}
+
+/// The ledger total of `solution`, a runtime error unless it reconciles
+/// with the total its solver reported within the rounding bound of the
+/// two sums: the check before any command reports a solution.
+pub fn reconciled(solution: &Solution) -> Result<f64, CliError> {
     let check = solution.ledger().reconciliation();
     if !check.reconciles_with(solution.total_cost) {
         return Err(CliError::Runtime(format!(
             "ledger does not reconcile: Σ event.cost = {} but {} reported {} \
              (rounding bound {:e})",
-            check.total,
-            solver.name(),
-            solution.total_cost,
-            check.tolerance
+            check.total, solution.algo, solution.total_cost, check.tolerance
         )));
     }
-    Ok((solution, check.total))
+    Ok(check.total)
 }
 
 /// The item id `id` given by `flag`, rejected as a usage error unless it

@@ -6,7 +6,6 @@
 
 pub mod algos;
 pub mod chaos;
-pub mod example;
 pub mod explain;
 pub mod generate;
 pub mod run_algo;

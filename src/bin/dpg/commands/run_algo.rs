@@ -3,35 +3,20 @@
 //! Without a trace file the Section V-C running example is solved under
 //! the paper's parameters (μ=λ=1, α=0.8, θ=0.4); with a file the
 //! workspace defaults apply. Explicit `--mu/--lambda/--alpha/--theta`
-//! flags override either baseline. The derived decision ledger is
-//! reconciled against the solver's reported total before anything is
-//! printed, so a success exit certifies the accounting.
+//! flags override either baseline. `dpg explain` and `dpg trace solve`
+//! read their input by the same rule ([`trace_or_example`]). The derived
+//! decision ledger is reconciled against the solver's reported total
+//! before anything is printed, so a success exit certifies the
+//! accounting.
 
-use crate::cli::{check_flags, checked_solve, parse_flag, solver_flags, write_report, CliError};
-use dp_greedy_suite::dp_greedy::paper_example;
+use crate::cli::{
+    check_flags, checked_solve, parse_flag, trace_or_example, write_report, CliError,
+};
 use dp_greedy_suite::engine::{find, SolverKind};
 use dp_greedy_suite::model::json::Json;
-use dp_greedy_suite::trace::io::TraceFile;
 
 /// The `run` flags that stand alone (no value token follows).
 const BOOL_FLAGS: [&str; 2] = ["--json", "--adaptive"];
-
-/// First positional argument, skipping `--flag value` pairs (every `run`
-/// flag outside [`BOOL_FLAGS`] consumes a value).
-fn positional(args: &[String]) -> Option<&String> {
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if BOOL_FLAGS.contains(&a) {
-            i += 1;
-        } else if a.starts_with("--") {
-            i += 2;
-        } else {
-            return Some(&args[i]);
-        }
-    }
-    None
-}
 
 pub fn run(args: &[String]) -> Result<(), CliError> {
     check_flags(
@@ -56,24 +41,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         )));
     };
 
-    // Baseline parameters: the paper example without a file, the
-    // workspace defaults with one. Explicit flags override either.
-    let file = positional(args);
-    let (seq, source, base) = match file {
-        Some(path) => {
-            let f = TraceFile::load(path).map_err(|e| CliError::Runtime(e.to_string()))?;
-            (f.sequence, path.clone(), crate::cli::DEFAULT_BASE)
-        }
-        None => {
-            let pm = paper_example::paper_model();
-            (
-                paper_example::paper_sequence(),
-                "paper example".to_string(),
-                (pm.mu(), pm.lambda(), pm.alpha(), paper_example::THETA),
-            )
-        }
-    };
-    let params = solver_flags(args, base)?;
+    let (seq, source, params) = trace_or_example(args, &BOOL_FLAGS)?;
     let (mu, lambda, alpha) = (
         params.model.mu(),
         params.model.lambda(),

@@ -1,28 +1,31 @@
-//! `dpg trace` — derive, verify, and export the decision ledger of a run.
+//! `dpg trace` — derive, verify, and export the decision ledger of a run,
+//! and convert traces between their two on-disk formats.
 //!
-//! Both modes go through the engine: the registry solver produces a
-//! [`Solution`] and the generic [`Solution::ledger`] derivation replaces
-//! the former per-algorithm ledger builders. Any registered solver name
-//! (or alias) is accepted by `--algo`.
+//! `dpg trace solve` goes through the engine: the registry solver
+//! produces a [`Solution`] and the generic [`Solution::ledger`]
+//! derivation replaces the former per-algorithm ledger builders. Any
+//! registered solver name (or alias) is accepted by `--algo`. Without a
+//! trace file it solves the Section V-C running example, as `dpg run`
+//! does.
 
-use crate::cli::{check_flags, checked_solve, parse_flag, trace_arg, write_report, CliError};
-use dp_greedy_suite::dp_greedy::paper_example;
-use dp_greedy_suite::engine::{find, CachingSolver, RunContext, Solution};
+use crate::cli::{
+    check_flags, checked_solve, parse_flag, trace_or_example, write_report, CliError,
+};
+use dp_greedy_suite::engine::{find, CachingSolver, Solution};
 use dp_greedy_suite::trace::io::TraceFile;
 
 pub fn run(args: &[String]) -> Result<(), CliError> {
     let Some(sub) = args.first() else {
         return Err(CliError::Usage(
-            "trace needs a subcommand: solve, example, or pack".to_string(),
+            "trace needs a subcommand: solve or pack".to_string(),
         ));
     };
     let rest = &args[1..];
     match sub.as_str() {
         "solve" => trace_solve(rest),
-        "example" => trace_example(rest),
         "pack" => trace_pack(rest),
         other => Err(CliError::Usage(format!(
-            "unknown trace subcommand {other} (expected solve, example, or pack)"
+            "unknown trace subcommand {other} (expected solve or pack)"
         ))),
     }
 }
@@ -61,6 +64,9 @@ fn emit_ledger(solution: &Solution, total: f64, algo: &str, out: &str) -> Result
     })
 }
 
+/// The `trace solve` flags that stand alone (no value token follows).
+const SOLVE_BOOL_FLAGS: [&str; 1] = ["--adaptive"];
+
 fn trace_solve(args: &[String]) -> Result<(), CliError> {
     check_flags(
         "trace solve",
@@ -75,11 +81,9 @@ fn trace_solve(args: &[String]) -> Result<(), CliError> {
             "--out",
             "--cost-model",
         ],
-        &["--adaptive"],
+        &SOLVE_BOOL_FLAGS,
     )?;
-    let path = trace_arg("trace solve", args)?;
     let out: String = parse_flag(args, "--out").ok_or("--out FILE.jsonl is required")??;
-    let params = crate::cli::solver_flags(args, crate::cli::DEFAULT_BASE)?;
     let algo: String = parse_flag(args, "--algo")
         .transpose()?
         .unwrap_or_else(|| "dpg".to_string());
@@ -89,8 +93,8 @@ fn trace_solve(args: &[String]) -> Result<(), CliError> {
         )));
     };
 
-    let file = TraceFile::load(path).map_err(|e| CliError::Runtime(e.to_string()))?;
-    let (solution, total) = checked_solve(solver, &file.sequence, &params.context(), path)?;
+    let (seq, source, params) = trace_or_example(args, &SOLVE_BOOL_FLAGS)?;
+    let (solution, total) = checked_solve(solver, &seq, &params.context(), &source)?;
     emit_ledger(&solution, total, display_name(solver), &out)
 }
 
@@ -127,17 +131,4 @@ fn trace_pack(args: &[String]) -> Result<(), CliError> {
             file.sequence.len()
         )
     })
-}
-
-fn trace_example(args: &[String]) -> Result<(), CliError> {
-    check_flags("trace example", args, &["--out"], &[])?;
-    let out: String = parse_flag(args, "--out").ok_or("--out FILE.jsonl is required")??;
-    let solver = find("dp_greedy").expect("dp_greedy is registered");
-    let (solution, total) = checked_solve(
-        solver,
-        &paper_example::paper_sequence(),
-        &RunContext::paper_example(),
-        "paper example",
-    )?;
-    emit_ledger(&solution, total, display_name(solver), &out)
 }

@@ -10,15 +10,20 @@
 //!           [--telemetry-addr HOST:PORT] [--telemetry-file PATH] [--dump-journal]
 //! dpg top (--addr HOST:PORT | --file PATH) [--interval-ms N] [--journal N]
 //!         [--raw metrics|journal] [--once]
-//! dpg trace solve trace.json --out events.jsonl [--algo NAME] [...]
-//! dpg trace example --out events.jsonl
+//! dpg svg trace.json --out drawing.svg [--item N] [--mu X] [--lambda X]
+//! dpg explain [trace.json] [--a N --b N] [--mu X] [--lambda X] [--alpha X]
+//! dpg trace solve [trace.json] --out events.jsonl [--algo NAME] [...]
+//! dpg trace pack in.json out.dpgb [--json]
 //! dpg chaos [--seed N] [--fault-rate X] [--sweep]
-//! dpg example
 //! dpg version
 //! ```
 //!
 //! Traces are the JSON format of `mcs_trace::io` (generated here or
-//! imported from elsewhere).
+//! imported from elsewhere) or its binary `DPGB` packing. `dpg run`,
+//! `dpg explain` and `dpg trace solve` without a trace file read the
+//! Section V-C running example under the paper's parameters (μ = λ = 1,
+//! α = 0.8, θ = 0.4), so `dpg explain` alone walks the paper's decisions
+//! to its total of 14.96.
 //!
 //! The binary is one thin dispatch layer per subcommand (see
 //! [`commands`]); everything that solves a whole request sequence goes
@@ -27,11 +32,12 @@
 //!
 //! Every subcommand additionally accepts `--metrics`, which prints the
 //! `mcs-obs` counter/span summary (phase timings and work counters) after
-//! the command completes. `dpg trace` derives the decision ledger of a
-//! run — one JSON-lines event per cache interval, transfer, and
+//! the command completes. `dpg trace solve` derives the decision ledger
+//! of a run — one JSON-lines event per cache interval, transfer, and
 //! package-delivery choice — verifies it reconciles with the reported
 //! total cost, and writes it to `--out` (byte-deterministic for a given
 //! input; see the README's "Observability" section for the schema).
+//! `dpg explain` prints one pair's ledger, one line per event.
 //!
 //! Exit codes follow the usual convention: `0` on success, `1` on a
 //! runtime failure (unreadable trace, I/O error, ledger mismatch), `2` on
@@ -73,7 +79,6 @@ fn main() -> ExitCode {
         "explain" => commands::explain::run(rest),
         "trace" => commands::trace::run(rest),
         "chaos" => commands::chaos::run(rest),
-        "example" => commands::example::run(rest),
         "version" | "--version" | "-V" => commands::version::run(),
         "--help" | "-h" | "help" => write_help(),
         other => Err(CliError::Usage(format!("unknown command {other}"))),

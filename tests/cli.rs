@@ -18,12 +18,103 @@ fn temp_trace_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("dpg-cli-test-{tag}.json"))
 }
 
+/// Without a trace file `dpg explain` walks the Section V-C running
+/// example to the paper's numbers: J(d1, d2), C12, C1', C2' and the
+/// total of 14.96, over its seven decisions, two of which take the
+/// package arm. The retired `dpg example` and `dpg trace example` are
+/// unknown commands.
 #[test]
-fn example_subcommand_prints_the_paper_total() {
-    let out = dpg().arg("example").output().expect("run dpg example");
+fn file_less_explain_prints_the_paper_example() {
+    let out = dpg().arg("explain").output().expect("run dpg explain");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("14.96"), "missing total in: {text}");
+    assert!(text.contains("J = 0.4286, θ = 0.4, α = 0.8"), "{text}");
+    assert!(
+        text.contains("totals: C12 = 8.96, C1' = 3.10, C2' = 2.90 → 14.96 over 10 accesses"),
+        "{text}"
+    );
+    assert_eq!(text.lines().filter(|l| l.starts_with("t=")).count(), 7);
+    assert_eq!(text.matches(": package, paid 1.60").count(), 2, "{text}");
+
+    for (argv, message) in [
+        (&["example"][..], "error: unknown command example"),
+        (
+            &["trace", "example", "--out", "unused.jsonl"],
+            "error: unknown trace subcommand example",
+        ),
+    ] {
+        let out = dpg().args(argv).output().expect("run dpg");
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).starts_with(message),
+            "{argv:?}"
+        );
+    }
+}
+
+/// `dpg explain` prints the pair's ledger: one `t=` line per event of
+/// the Solution built from `dp_greedy_pair` through `pair_parts`, in time
+/// order, and totals whose C12, C1' and C2' are the ledger's sums per
+/// subject and whose total is the pair report's. Checked on the paper
+/// example and on (d1, d2) of every fixture.
+#[test]
+fn explain_prints_one_line_per_ledger_event() {
+    use dp_greedy_suite::dp_greedy::paper_example;
+    use dp_greedy_suite::engine::solvers::pair_parts;
+    use dp_greedy_suite::engine::{Solution, SolverKind};
+    use dp_greedy_suite::model::defaults::default_model;
+    use dp_greedy_suite::obs::Subject;
+    use dp_greedy_suite::prelude::*;
+    use dp_greedy_suite::trace::io::TraceFile;
+
+    let mut cases = vec![(
+        None,
+        paper_example::paper_sequence(),
+        paper_example::paper_model(),
+    )];
+    for name in ["taxi_s1_200", "taxi_s42_150_t16", "taxi_s7_300"] {
+        let path = format!("fixtures/traces/{name}.json");
+        let seq = TraceFile::load(&path).expect("fixture").sequence;
+        cases.push((Some(path), seq, default_model()));
+    }
+    for (path, seq, model) in cases {
+        let report = dp_greedy_pair(&seq, ItemId(0), ItemId(1), &DpGreedyConfig::new(model));
+        let total = report.total();
+        let mut solution = Solution {
+            algo: "dp_greedy",
+            kind: SolverKind::Offline,
+            total_cost: total,
+            total_accesses: report.accesses,
+            parts: Vec::new(),
+        };
+        pair_parts(report, &model, 0.0, &mut solution.parts);
+        let ledger = solution.ledger();
+        let mut sums = [0.0; 3];
+        for e in ledger.events() {
+            let slot = match e.subject {
+                Subject::Item(0) => 1,
+                Subject::Item(_) => 2,
+                _ => 0,
+            };
+            sums[slot] += e.cost;
+        }
+
+        let out = dpg().arg("explain").args(&path).output().expect("run dpg");
+        assert!(out.status.success(), "{path:?}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        let times: Vec<f64> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("t="))
+            .map(|l| l.split_whitespace().next().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(times.len(), ledger.len(), "{path:?}: {text}");
+        assert!(times.windows(2).all(|w| w[0] <= w[1]), "{path:?}");
+        let totals = format!(
+            "totals: C12 = {:.2}, C1' = {:.2}, C2' = {:.2} → {total:.2} over",
+            sums[0], sums[1], sums[2]
+        );
+        assert!(text.contains(&totals), "{path:?}: {totals} not in {text}");
+    }
 }
 
 #[test]
@@ -159,8 +250,8 @@ fn explain_and_svg_take_only_items_of_the_trace() {
     assert_eq!(explain("1", "0"), forward);
 }
 
-/// `dpg explain` reads the package DP's decisions off the pair's
-/// schedule: one covering DP per explained pair.
+/// `dpg explain` builds the pair's Solution once and prints its ledger:
+/// one covering DP per explained pair.
 #[test]
 fn explain_solves_the_package_dp_once() {
     let out = dpg()
@@ -284,7 +375,7 @@ fn reports_to_a_closed_stdout_exit_zero_without_a_panic() {
         vec!["generate", "--out", &copy, "--steps", "50"],
         vec!["algos"],
         vec!["algos", "--json"],
-        vec!["example"],
+        vec!["explain"],
         vec!["explain", trace],
         vec!["svg", trace, "--out", &svg],
         vec!["chaos", "--steps", "50"],
@@ -292,7 +383,7 @@ fn reports_to_a_closed_stdout_exit_zero_without_a_panic() {
         vec!["version"],
         vec!["trace", "solve", trace, "--out", &jsonl],
         vec!["trace", "pack", trace, &packed],
-        vec!["trace", "example", "--out", &jsonl],
+        vec!["trace", "solve", "--out", &jsonl],
         vec![
             "serve",
             "--dir",
@@ -387,7 +478,7 @@ fn every_subcommand_answers_help_with_the_usage() {
         assert!(stdout.starts_with("usage:"), "dpg {alone}: {stdout}");
         assert!(out.stderr.is_empty(), "dpg {alone}");
     }
-    let subcommands: [&[&str]; 15] = [
+    let subcommands: [&[&str]; 13] = [
         &["generate"],
         &["stats"],
         &["algos"],
@@ -398,10 +489,8 @@ fn every_subcommand_answers_help_with_the_usage() {
         &["explain"],
         &["trace"],
         &["trace", "solve"],
-        &["trace", "example"],
         &["trace", "pack"],
         &["chaos"],
-        &["example"],
         &["version"],
     ];
     for sub in subcommands {
@@ -523,20 +612,26 @@ fn trace_solve_writes_deterministic_jsonl_that_reconciles() {
     std::fs::remove_file(&trace_path).ok();
 }
 
+/// Without a trace file `dpg trace solve` writes the running example's
+/// ledger: seven events totalling the paper's 14.96.
 #[test]
 fn trace_example_reproduces_the_paper_breakdown() {
     let out_path = std::env::temp_dir().join("dpg-cli-test-ledger-example.jsonl");
     let out = dpg()
-        .args(["trace", "example", "--out", out_path.to_str().unwrap()])
+        .args(["trace", "solve", "--out", out_path.to_str().unwrap()])
         .output()
-        .expect("run dpg trace example");
+        .expect("run dpg trace solve");
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("14.96"), "{text}");
+    assert!(text.contains("7 events, total 14.9600"), "{text}");
+    assert_eq!(
+        std::fs::read_to_string(&out_path).unwrap().lines().count(),
+        7
+    );
     std::fs::remove_file(&out_path).ok();
 
     // `trace` without a known mode is a usage error.

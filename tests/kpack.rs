@@ -184,16 +184,3 @@ fn adaptive_mode_reconciles_and_tracks_density() {
         "denser co-access must relax θ: dense {t_dense} vs sparse {t_sparse}"
     );
 }
-
-/// The pairwise JSON shape of a `Packing` is byte-stable: pairs,
-/// singletons and θ, with no version field.
-#[test]
-fn pair_packing_json_shape_is_stable() {
-    let seq = paper_example::paper_sequence();
-    let packing = greedy_matching(&JaccardMatrix::from_sequence(&seq), paper_example::THETA);
-    use dp_greedy_suite::model::json::ToJson;
-    assert_eq!(
-        packing.to_json().to_string(),
-        r#"{"pairs":[[0,1]],"singletons":[],"theta":0.4}"#
-    );
-}

@@ -93,7 +93,8 @@ fn section_v_prescan_example() {
 
 #[test]
 fn complexity_claim_shapes() {
-    // Not a timing test (criterion covers that): check the advertised
+    // Not a timing test (CI perf-smoke's "Covering DP is
+    // sub-quadratic" step times the solve): check the advertised
     // growth indirectly — doubling n roughly quadruples the number of
     // long-interval edges the covering DP may relax, while the pre-scan
     // stays linear in n·m by construction (its arena is n nodes of m

@@ -8,10 +8,15 @@
 //!   solving the JSON original, for every `MCS_THREADS` ∈ {1, 2, 4}.
 //! * **Corruption** — truncated or tampered binary files are rejected
 //!   with a diagnostic, never admitted or panicked on.
+//! * **Decoder sweep** — cut, byte-flipped and deeply nested copies of
+//!   every trace fixture (JSON and DPGB) and every cost-model fixture
+//!   decode to `Ok` or a typed error, never a panic.
 
 use dp_greedy_suite::engine::{find, RunContext};
+use dp_greedy_suite::model::json::{self, FromJson};
 use dp_greedy_suite::model::par::THREADS_ENV;
-use dp_greedy_suite::model::CostModel;
+use dp_greedy_suite::model::rng::Rng;
+use dp_greedy_suite::model::{CostModel, CostPlane};
 use dp_greedy_suite::trace::io::{TraceFile, TraceIoError};
 
 /// Every committed trace fixture. Empty would silently gut the suite,
@@ -129,4 +134,92 @@ fn truncated_and_tampered_binaries_are_rejected() {
     versioned[4..8].copy_from_slice(&7u32.to_le_bytes());
     let err = TraceFile::read_from(versioned.as_slice()).unwrap_err();
     assert!(matches!(err, TraceIoError::Version { found: 7 }), "{err}");
+}
+
+/// Decodes `bytes` as a trace file (JSON or DPGB, auto-detected) or, when
+/// `trace` is false, as a `--cost-model` file the way `dpg` reads one.
+/// Every failure is one of the decoders' typed errors, rendered.
+fn decode(trace: bool, bytes: &[u8]) -> Result<(), String> {
+    if trace {
+        return TraceFile::read_from(bytes)
+            .map(drop)
+            .map_err(|e| e.to_string());
+    }
+    let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+    let value = json::parse(text).map_err(|e| e.msg)?;
+    CostPlane::from_json(&value).map(drop).map_err(|e| e.msg)
+}
+
+/// Copies of every trace fixture, as JSON and as DPGB, and of every
+/// `fixtures/cost_models/*.json`, cut at 64 positions, with one random
+/// byte changed (128 copies), and with 200 nested `[` spliced in (after
+/// the first `:` of a JSON file, where a value starts, so the parser
+/// must reach its nesting limit; at a random offset of a DPGB file). No
+/// decode panics; the originals decode, and every nested JSON copy is
+/// refused at the nesting limit.
+#[test]
+fn mutated_traces_and_cost_models_decode_or_fail_typed() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut inputs: Vec<(String, bool, Vec<u8>)> = Vec::new();
+    for path in fixture_paths() {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let json = std::fs::read(&path).unwrap();
+        let mut dpgb = Vec::new();
+        TraceFile::read_from(json.as_slice())
+            .unwrap()
+            .write_binary_to(&mut dpgb)
+            .unwrap();
+        inputs.push((name.clone(), true, json));
+        inputs.push((format!("{name} (DPGB)"), true, dpgb));
+    }
+    let mut models: Vec<_> = std::fs::read_dir(root.join("fixtures/cost_models"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    models.sort();
+    assert_eq!(models.len(), 4, "{models:?}");
+    for path in models {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        inputs.push((name, false, std::fs::read(&path).unwrap()));
+    }
+
+    let mut rng = Rng::seed_from_u64(0xDEC0DE);
+    let mut decodes = 0;
+    for (name, trace, original) in &inputs {
+        let len = original.len();
+        assert_eq!(decode(*trace, original), Ok(()), "{name}");
+        let mut copies: Vec<(String, Vec<u8>)> = Vec::new();
+        for _ in 0..64 {
+            let cut = rng.gen_range(0..len);
+            copies.push((format!("cut at {cut}"), original[..cut].to_vec()));
+        }
+        for _ in 0..128 {
+            let (at, flip) = (rng.gen_range(0..len), rng.gen_range(1u8..=255));
+            let mut copy = original.clone();
+            copy[at] ^= flip;
+            copies.push((format!("byte {at} ^ {flip:#04x}"), copy));
+        }
+        let is_json = original.first() == Some(&b'{');
+        let at = match original.iter().position(|&b| b == b':') {
+            Some(colon) if is_json => colon + 1,
+            _ => rng.gen_range(0..len),
+        };
+        let mut nested = original.clone();
+        nested.splice(at..at, std::iter::repeat_n(b'[', 200));
+        copies.push((format!("200 [ at {at}"), nested));
+
+        for (how, bytes) in copies {
+            let result = std::panic::catch_unwind(|| decode(*trace, &bytes))
+                .unwrap_or_else(|_| panic!("{name}, {how}: the decoder panicked"));
+            if how.starts_with("200 [") && is_json {
+                let err = result.expect_err(&how);
+                assert!(
+                    err.contains("nesting deeper than 128 levels"),
+                    "{name}: {err}"
+                );
+            }
+            decodes += 1;
+        }
+    }
+    assert_eq!(decodes, inputs.len() * 193);
 }
