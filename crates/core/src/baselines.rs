@@ -13,13 +13,18 @@
 //!   (`2αμ`, `2αλ`). The other extreme of Fig. 13 (maximal packing).
 
 use mcs_model::{CostModel, ItemId, RequestSeq};
-use mcs_offline::optimal;
+use mcs_offline::{optimal, OptimalOutcome};
 
-/// Package_Served cost for one pair: the optimal off-line algorithm over
-/// the *union* of the pair's requests at package rates.
-pub fn package_served_pair(seq: &RequestSeq, a: ItemId, b: ItemId, model: &CostModel) -> f64 {
-    let union = seq.union_trace(a, b);
-    optimal(&union, &model.scaled_for_package()).cost
+/// Package_Served for one pair: the optimal off-line algorithm over the
+/// *union* of the pair's requests at package rates — its cost and the
+/// schedule the engine's `package_served` row emits.
+pub fn package_served_pair(
+    seq: &RequestSeq,
+    a: ItemId,
+    b: ItemId,
+    model: &CostModel,
+) -> OptimalOutcome {
+    optimal(&seq.union_trace(a, b), &model.scaled_for_package())
 }
 
 /// Per-item optimal cost of one pair served individually (the Optimal
@@ -52,8 +57,8 @@ mod tests {
         // Package_Served cost is linear in 2α (uniform rate scaling).
         let lo = CostModel::new(1.0, 1.0, 0.4).unwrap();
         let hi = CostModel::new(1.0, 1.0, 0.8).unwrap();
-        let c_lo = package_served_pair(&seq, ItemId(0), ItemId(1), &lo);
-        let c_hi = package_served_pair(&seq, ItemId(0), ItemId(1), &hi);
+        let c_lo = package_served_pair(&seq, ItemId(0), ItemId(1), &lo).cost;
+        let c_hi = package_served_pair(&seq, ItemId(0), ItemId(1), &hi).cost;
         assert!(approx_eq(c_hi, 2.0 * c_lo));
     }
 }

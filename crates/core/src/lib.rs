@@ -13,6 +13,9 @@
 //!   Phase 2 serves packages of more items, which the agglomerative
 //!   K-matcher packs above a size cap of 2 (the engine's `dpg_k` and
 //!   `multi` rows).
+//! * [`dp_greedy`] composes the two phases at any size cap, the only
+//!   place they are composed; [`windowed`] runs it once per time window,
+//!   the only loop over windows.
 //!
 //! Plus everything needed to evaluate it:
 //!
@@ -46,6 +49,4 @@ pub mod singleton_greedy;
 pub mod two_phase;
 pub mod windowed;
 
-pub use two_phase::{
-    dp_greedy, DpGreedyConfig, DpGreedyReport, PackageReport, PairReport, SingletonReport,
-};
+pub use two_phase::{dp_greedy, DpGreedyConfig, DpGreedyReport, PackageReport, SingletonReport};

@@ -69,7 +69,7 @@ pub fn paper_model() -> CostModel {
 /// Runs DP_Greedy exactly as Section V-C does and returns the full report.
 pub fn paper_report() -> DpGreedyReport {
     let config = DpGreedyConfig::new(paper_model()).with_theta(THETA);
-    dp_greedy(&paper_sequence(), &config)
+    dp_greedy(&paper_sequence(), &config, 2)
 }
 
 #[cfg(test)]
@@ -87,10 +87,10 @@ mod tests {
             "total={}",
             r.total_cost
         );
-        let pair = &r.pairs[0];
+        let pair = &r.packages[0];
         assert!(approx_eq(pair.package_cost, EXPECTED_PACKAGE_COST));
-        assert!(approx_eq(pair.a_singleton_cost, EXPECTED_D1_COST));
-        assert!(approx_eq(pair.b_singleton_cost, EXPECTED_D2_COST));
+        assert!(approx_eq(pair.members_greedy[0].cost, EXPECTED_D1_COST));
+        assert!(approx_eq(pair.members_greedy[1].cost, EXPECTED_D2_COST));
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //!   delivering the package at `αgλ`. Unpacked items are served
 //!   individually by the optimal off-line algorithm.
 //!
+//! [`dp_greedy`] composes the two at any cap; the engine's `dp_greedy`,
+//! `dpg_k`, `multi` and `windowed` rows all run it, and the windowed
+//! variant ([`crate::windowed`]) runs it once per window.
+//!
 //! The headline metric is the paper's `ave_cost` (Algorithm 1, line 50):
 //! total cost divided by the total number of item accesses `Σ|d_i|`.
 
@@ -19,7 +23,7 @@ use mcs_correlation::matching::greedy_matching_from_pairs;
 use mcs_correlation::{agglomerative_packages, pairs_above, PackageSet, Packing, PairTable};
 use mcs_model::par::{par_map_with_threads, threads_for};
 use mcs_model::{CostModel, ItemId, RequestSeq, Schedule};
-use mcs_offline::{optimal, OptimalOutcome};
+use mcs_offline::optimal;
 
 use crate::singleton_greedy::{
     singleton_greedy, Arm, ArmChoice, PairItemEvent, SingletonGreedyOutcome,
@@ -82,61 +86,18 @@ impl DpGreedyConfig {
     }
 }
 
-/// Cost report for one packed pair.
-#[derive(Debug, Clone)]
-pub struct PairReport {
-    /// First item (lower id).
-    pub a: ItemId,
-    /// Second item.
-    pub b: ItemId,
-    /// Jaccard similarity of the pair over the input sequence.
-    pub jaccard: f64,
-    /// `C_12` — package DP cost over the co-requests (already includes the
-    /// `2α` scaling).
-    pub package_cost: f64,
-    /// `C_1'` — three-arm greedy cost over `a`-only requests.
-    pub a_singleton_cost: f64,
-    /// `C_2'` — three-arm greedy cost over `b`-only requests.
-    pub b_singleton_cost: f64,
-    /// Number of item accesses attributed to this pair: `|d_a| + |d_b|`.
-    pub accesses: usize,
-    /// The package DP's explicit schedule over the co-requests (validated
-    /// against the co-request trace in tests).
-    pub package_schedule: Schedule,
-    /// Arm-level detail for item `a`.
-    pub a_greedy: SingletonGreedyOutcome,
-    /// Arm-level detail for item `b`.
-    pub b_greedy: SingletonGreedyOutcome,
-}
-
-impl PairReport {
-    /// `C_12 + C_1' + C_2'`.
-    pub fn total(&self) -> f64 {
-        self.package_cost + self.a_singleton_cost + self.b_singleton_cost
-    }
-
-    /// Per-access cost of this pair — the y-axis of Figs. 11–13.
-    pub fn ave_cost(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.total() / self.accesses as f64
-        }
-    }
-}
-
-/// Cost report for one package of any size `g ≥ 2`; the pair path's
-/// [`PairReport`] converts into it.
+/// Cost report for one package of `g ≥ 2` items, a pair at `g = 2`.
 #[derive(Debug, Clone)]
 pub struct PackageReport {
     /// The members, ascending.
     pub members: Vec<ItemId>,
-    /// Package DP cost over the co-requests, at `αgμ`/`αgλ`.
+    /// Package DP cost over the co-requests, at `αgμ`/`αgλ` (`C_12` for a
+    /// pair).
     pub package_cost: f64,
     /// The package DP's schedule over the co-requests.
     pub package_schedule: Schedule,
     /// Per member, in member order: its choices at the partial requests
-    /// it was served at on its own.
+    /// it was served at on its own (`C_1'`, `C_2'` for a pair).
     pub members_greedy: Vec<SingletonGreedyOutcome>,
     /// The shared deliveries at `αgλ`, in time order (none for a pair).
     pub deliveries: Vec<ArmChoice>,
@@ -146,26 +107,13 @@ pub struct PackageReport {
 
 impl PackageReport {
     /// The package DP's cost, then each member's greedy cost, then the
-    /// shared deliveries, summed in that order: [`PairReport::total`] for
+    /// shared deliveries, summed in that order: `C_12 + C_1' + C_2'` for
     /// a pair.
     pub fn total(&self) -> f64 {
         let members = self.members_greedy.iter().map(|m| m.cost);
         let deliveries = self.deliveries.iter().map(|d| d.cost);
         let parts = members.chain(deliveries);
         parts.fold(self.package_cost, |t, c| t + c)
-    }
-}
-
-impl From<PairReport> for PackageReport {
-    fn from(pair: PairReport) -> Self {
-        PackageReport {
-            members: vec![pair.a, pair.b],
-            package_cost: pair.package_cost,
-            package_schedule: pair.package_schedule,
-            members_greedy: vec![pair.a_greedy, pair.b_greedy],
-            deliveries: Vec::new(),
-            accesses: pair.accesses,
-        }
     }
 }
 
@@ -187,12 +135,13 @@ pub struct SingletonReport {
 #[derive(Debug, Clone)]
 pub struct DpGreedyReport {
     /// Phase 1 outcome.
-    pub packing: Packing,
-    /// Per-pair Phase 2 reports.
-    pub pairs: Vec<PairReport>,
+    pub packing: PackageSet,
+    /// Per-package Phase 2 reports, in packing order.
+    pub packages: Vec<PackageReport>,
     /// Per-unpacked-item reports.
     pub singletons: Vec<SingletonReport>,
-    /// Total cost across all items.
+    /// Total cost across all items: the packages' totals, then the
+    /// unpacked items' costs, summed in that order.
     pub total_cost: f64,
     /// `Σ|d_i|` — the `ave_cost` denominator.
     pub total_accesses: usize,
@@ -209,68 +158,32 @@ impl DpGreedyReport {
     }
 }
 
-/// Runs Phase 2 for one packed pair, independent of Phase 1 (used directly
-/// by the per-pair experiments of Figs. 11–13).
+/// Phase 2 for the pair `(a, b)` alone, independent of Phase 1:
+/// [`dp_greedy_package`] on `[a, b]`.
 pub fn dp_greedy_pair(
     seq: &RequestSeq,
     a: ItemId,
     b: ItemId,
     config: &DpGreedyConfig,
-) -> PairReport {
-    let pv = seq.pair_view(a, b);
-    let (pkg, greedy) = serve_members(seq, &[a, b], &pv.both, config);
-    let [a_greedy, b_greedy] = <[_; 2]>::try_from(greedy).expect("one walk per member");
-    PairReport {
-        a,
-        b,
-        jaccard: pv.jaccard(),
-        package_cost: pkg.cost,
-        a_singleton_cost: a_greedy.cost,
-        b_singleton_cost: b_greedy.cost,
-        accesses: pv.count_a() + pv.count_b(),
-        package_schedule: pkg.schedule,
-        a_greedy,
-        b_greedy,
-    }
+) -> PackageReport {
+    dp_greedy_package(seq, &[a, b], config)
 }
 
-/// Runs Phase 2 for one package of `g ≥ 2` items (ascending): the pair
-/// path of [`dp_greedy_pair`] at `g = 2`. A larger package's co-requests
-/// are the intersection of its members' posting lists
-/// ([`RequestSeq::co_requests`]), and `share_deliveries` couples the
-/// members at partial requests holding two or more of them.
+/// Runs Phase 2 for one package of `g ≥ 2` items (ascending): the
+/// package DP over its co-requests ([`RequestSeq::co_requests`]) at the
+/// rates of `g` items (`αgμ`, `αgλ`: Algorithm 1 line 40 for a pair),
+/// each member's three-arm choices over its posting list with the
+/// package delivered at `αgλ`, and `share_deliveries`, which couples the
+/// members at partial requests holding two or more of them (a pair has
+/// none: a request holding both members is a co-request).
 pub fn dp_greedy_package(
     seq: &RequestSeq,
     members: &[ItemId],
     config: &DpGreedyConfig,
 ) -> PackageReport {
-    if let [a, b] = *members {
-        return dp_greedy_pair(seq, a, b, config).into();
-    }
-    let (pkg, mut members_greedy) = serve_members(seq, members, &seq.co_requests(members), config);
-    let deliveries = share_deliveries(seq, members, &mut members_greedy);
-    PackageReport {
-        members: members.to_vec(),
-        package_cost: pkg.cost,
-        package_schedule: pkg.schedule,
-        members_greedy,
-        deliveries,
-        accesses: members.iter().map(|&m| seq.count_containing(m)).sum(),
-    }
-}
-
-/// The package DP over the co-requests `co` of `members` at the rates of
-/// `g` items (`αgμ`, `αgλ`: Algorithm 1 line 40 for a pair), and each
-/// member's three-arm choices over its posting list with the package
-/// delivered at `αgλ`.
-fn serve_members(
-    seq: &RequestSeq,
-    members: &[ItemId],
-    co: &[usize],
-    config: &DpGreedyConfig,
-) -> (OptimalOutcome, Vec<SingletonGreedyOutcome>) {
     let g = members.len() as u32;
-    let co_trace = seq.trace_of(co);
+    let co = seq.co_requests(members);
+    let co_trace = seq.trace_of(&co);
     let pkg = optimal(&co_trace, &config.model.scaled_for_package_k(g));
     // The package arm's availability horizon (`None`: at any time).
     let horizon = match config.package_availability {
@@ -282,14 +195,22 @@ fn serve_members(
         PackageAvailability::Always => None,
     };
     let delivery = config.model.transfer_cost_package(g);
-    let greedy = members
+    let mut members_greedy: Vec<_> = members
         .iter()
         .map(|&m| {
-            let events = member_events(seq, seq.posting_list(m), co);
+            let events = member_events(seq, seq.posting_list(m), &co);
             singleton_greedy(&events, &config.model, delivery, horizon)
         })
         .collect();
-    (pkg, greedy)
+    let deliveries = share_deliveries(seq, members, &mut members_greedy);
+    PackageReport {
+        members: members.to_vec(),
+        package_cost: pkg.cost,
+        package_schedule: pkg.schedule,
+        members_greedy,
+        deliveries,
+        accesses: members.iter().map(|&m| seq.count_containing(m)).sum(),
+    }
 }
 
 /// A member's events: every request in its posting list, flagged when it
@@ -324,6 +245,11 @@ fn share_deliveries(
     members: &[ItemId],
     greedy: &mut [SingletonGreedyOutcome],
 ) -> Vec<ArmChoice> {
+    // A partial request holds at most g − 1 members, so only a package of
+    // three or more can couple two of them.
+    if members.len() < 3 {
+        return Vec::new();
+    }
     // (request, member, choice) for every choice, by request then member.
     let mut at: Vec<(u32, usize, usize)> = Vec::new();
     for (m, (&member, out)) in members.iter().zip(greedy.iter()).enumerate() {
@@ -401,27 +327,36 @@ pub fn pack(seq: &RequestSeq, theta: f64, max_group: usize) -> PackageSet {
     }
 }
 
-/// Phase 2 over a packing: `serve` for every package and the optimal
-/// off-line algorithm for every unpacked item, fanned out over
-/// `mcs_model::par::threads_for` workers. The map keeps input order, so
-/// costs summed in that order have the bits of a serial run.
-pub fn serve_packing<P: Sync, R: Send>(
-    seq: &RequestSeq,
-    packages: &[P],
-    singletons: &[ItemId],
-    model: &CostModel,
-    serve: impl Fn(&P) -> R + Sync,
-) -> (Vec<R>, Vec<SingletonReport>) {
+/// Runs the complete DP_Greedy algorithm on a request sequence, the one
+/// place the two phases are composed: Phase 1 packs at the package-size
+/// cap `max_group` ([`pack`]; 2 is the paper's pairwise algorithm), and
+/// Phase 2 serves each package ([`dp_greedy_package`]) and each unpacked
+/// item (the optimal off-line algorithm), fanned out over
+/// `mcs_model::par::threads_for` workers.
+///
+/// ```
+/// use dp_greedy::two_phase::{dp_greedy, DpGreedyConfig};
+/// use dp_greedy::paper_example::{paper_model, paper_sequence};
+///
+/// let config = DpGreedyConfig::new(paper_model()).with_theta(0.4);
+/// let report = dp_greedy(&paper_sequence(), &config, 2);
+/// assert!((report.total_cost - 14.96).abs() < 1e-9); // the paper's §V-C total
+/// assert_eq!(report.total_accesses, 10);
+/// ```
+pub fn dp_greedy(seq: &RequestSeq, config: &DpGreedyConfig, max_group: usize) -> DpGreedyReport {
+    let packing = pack(seq, config.theta, max_group);
     let threads = threads_for(seq.len());
     let packages = {
         let _span = mcs_obs::span("dpg.phase2.pairs");
-        par_map_with_threads(packages, threads, serve)
+        par_map_with_threads(&packing.packages, threads, |members| {
+            dp_greedy_package(seq, members, config)
+        })
     };
     let singletons = {
         let _span = mcs_obs::span("dpg.phase2.singletons");
-        par_map_with_threads(singletons, threads, |&item| {
+        par_map_with_threads(&packing.singletons, threads, |&item| {
             let trace = seq.item_trace(item);
-            let out = optimal(&trace, model);
+            let out = optimal(&trace, &config.model);
             SingletonReport {
                 item,
                 cost: out.cost,
@@ -430,42 +365,19 @@ pub fn serve_packing<P: Sync, R: Send>(
             }
         })
     };
-    (packages, singletons)
-}
-
-/// Runs the complete DP_Greedy algorithm (both phases) on a request
-/// sequence.
-///
-/// ```
-/// use dp_greedy::two_phase::{dp_greedy, DpGreedyConfig};
-/// use dp_greedy::paper_example::{paper_model, paper_sequence};
-///
-/// let report = dp_greedy(&paper_sequence(), &DpGreedyConfig::new(paper_model()).with_theta(0.4));
-/// assert!((report.total_cost - 14.96).abs() < 1e-9); // the paper's §V-C total
-/// assert_eq!(report.total_accesses, 10);
-/// ```
-pub fn dp_greedy(seq: &RequestSeq, config: &DpGreedyConfig) -> DpGreedyReport {
-    let packing = pair_packing(seq, config.theta);
-    // The costs are summed in the map's order, so the report — schedules,
-    // ledger events, and float totals — is bit-identical to a serial run.
-    let (pairs, singletons) = serve_packing(
-        seq,
-        &packing.pairs,
-        &packing.singletons,
-        &config.model,
-        |&(a, b)| dp_greedy_pair(seq, a, b, config),
-    );
+    // The maps keep input order and the costs are summed in it, packages
+    // first, so the report — schedules, ledger events and float totals —
+    // is bit-identical to a serial run.
     let mut total_cost = 0.0;
-    for report in &pairs {
+    for report in &packages {
         total_cost += report.total();
     }
     for s in &singletons {
         total_cost += s.cost;
     }
-
     DpGreedyReport {
         packing,
-        pairs,
+        packages,
         singletons,
         total_cost,
         total_accesses: seq.total_item_accesses(),
@@ -499,25 +411,20 @@ mod tests {
     /// 8.96 + 3.1 + 2.9 = 14.96.
     #[test]
     fn reproduces_the_running_example_total() {
-        let report = dp_greedy(&paper_sequence(), &paper_config());
-        assert_eq!(report.packing.pairs, vec![(ItemId(0), ItemId(1))]);
-        let pair = &report.pairs[0];
-        assert!(approx_eq(pair.jaccard, 3.0 / 7.0));
+        let seq = paper_sequence();
+        let report = dp_greedy(&seq, &paper_config(), 2);
+        assert_eq!(report.packing.packages, vec![vec![ItemId(0), ItemId(1)]]);
+        let pair = &report.packages[0];
+        let jaccard = seq.pair_view(ItemId(0), ItemId(1)).jaccard();
+        assert!(approx_eq(jaccard, 3.0 / 7.0));
         assert!(
             approx_eq(pair.package_cost, 8.96),
             "C12 = {}",
             pair.package_cost
         );
-        assert!(
-            approx_eq(pair.a_singleton_cost, 3.1),
-            "C1' = {}",
-            pair.a_singleton_cost
-        );
-        assert!(
-            approx_eq(pair.b_singleton_cost, 2.9),
-            "C2' = {}",
-            pair.b_singleton_cost
-        );
+        let [c1, c2] = [0, 1].map(|m| pair.members_greedy[m].cost);
+        assert!(approx_eq(c1, 3.1), "C1' = {c1}");
+        assert!(approx_eq(c2, 2.9), "C2' = {c2}");
         assert!(
             approx_eq(report.total_cost, 14.96),
             "total = {}",
@@ -529,23 +436,23 @@ mod tests {
 
     #[test]
     fn package_schedule_is_feasible() {
-        let report = dp_greedy(&paper_sequence(), &paper_config());
+        let report = dp_greedy(&paper_sequence(), &paper_config(), 2);
         let co = paper_sequence().package_trace(ItemId(0), ItemId(1));
-        report.pairs[0].package_schedule.validate(&co).unwrap();
+        report.packages[0].package_schedule.validate(&co).unwrap();
         let pkg_model = CostModel::paper_example().scaled_for_package();
-        let replayed = report.pairs[0]
+        let replayed = report.packages[0]
             .package_schedule
             .cost(pkg_model.mu(), pkg_model.lambda())
             .total;
-        assert!(approx_eq(replayed, report.pairs[0].package_cost));
+        assert!(approx_eq(replayed, report.packages[0].package_cost));
     }
 
     #[test]
     fn high_theta_degenerates_to_per_item_optimal() {
         let seq = paper_sequence();
         let config = paper_config().with_theta(0.99);
-        let report = dp_greedy(&seq, &config);
-        assert!(report.pairs.is_empty());
+        let report = dp_greedy(&seq, &config, 2);
+        assert!(report.packages.is_empty());
         assert_eq!(report.singletons.len(), 2);
         let o0 = optimal(&seq.item_trace(ItemId(0)), &CostModel::paper_example()).cost;
         let o1 = optimal(&seq.item_trace(ItemId(1)), &CostModel::paper_example()).cost;
@@ -556,7 +463,7 @@ mod tests {
     fn singleton_schedules_are_feasible() {
         let seq = paper_sequence();
         let config = paper_config().with_theta(0.99);
-        let report = dp_greedy(&seq, &config);
+        let report = dp_greedy(&seq, &config, 2);
         for s in &report.singletons {
             let trace = seq.item_trace(s.item);
             s.schedule.validate(&trace).unwrap();
@@ -566,8 +473,8 @@ mod tests {
     #[test]
     fn strict_mode_never_cheapens_the_result() {
         let seq = paper_sequence();
-        let faithful = dp_greedy(&seq, &paper_config());
-        let strict = dp_greedy(&seq, &paper_config().strict());
+        let faithful = dp_greedy(&seq, &paper_config(), 2);
+        let strict = dp_greedy(&seq, &paper_config().strict(), 2);
         assert!(strict.total_cost >= faithful.total_cost - 1e-9);
         // On the running example the last co-request is at 4.0, after every
         // singleton, so strict mode changes nothing.
@@ -590,10 +497,9 @@ mod tests {
         );
         assert_eq!(report.package_cost, 0.0);
         assert!(report
-            .a_greedy
-            .choices
+            .members_greedy
             .iter()
-            .chain(report.b_greedy.choices.iter())
+            .flat_map(|m| &m.choices)
             .all(|c| c.arm != crate::singleton_greedy::Arm::Package));
     }
 
@@ -609,45 +515,23 @@ mod tests {
             .build()
             .unwrap();
         let config = DpGreedyConfig::new(CostModel::paper_example()).with_theta(0.3);
-        let report = dp_greedy(&seq, &config);
-        assert_eq!(report.pairs.len(), 1);
+        let report = dp_greedy(&seq, &config, 2);
+        assert_eq!(report.packages.len(), 1);
         assert_eq!(report.singletons.len(), 1);
         assert_eq!(report.singletons[0].item, ItemId(2));
         assert_eq!(report.total_accesses, 8);
         assert!(report.total_cost > 0.0);
-        // Pair accesses + singleton accesses == total.
+        // Package accesses + singleton accesses == total.
         assert_eq!(
-            report.pairs[0].accesses + report.singletons[0].accesses,
+            report.packages[0].accesses + report.singletons[0].accesses,
             report.total_accesses
         );
     }
 
-    /// Both phases at a package-size cap of `max_group`: the packing, the
-    /// package and singleton reports, and the total summed packages first,
-    /// as the engine's pipeline does.
-    fn k_packages(
-        seq: &RequestSeq,
-        model: CostModel,
-        theta: f64,
-        max_group: usize,
-    ) -> (PackageSet, Vec<PackageReport>, Vec<SingletonReport>, f64) {
+    /// Both phases at no package-size cap, under `model` and `theta`.
+    fn uncapped(seq: &RequestSeq, model: CostModel, theta: f64) -> DpGreedyReport {
         let config = DpGreedyConfig::new(model).with_theta(theta);
-        let packing = pack(seq, theta, max_group);
-        let (packages, singletons) = serve_packing(
-            seq,
-            &packing.packages,
-            &packing.singletons,
-            &model,
-            |members| dp_greedy_package(seq, members, &config),
-        );
-        let mut total = 0.0;
-        for p in &packages {
-            total += p.total();
-        }
-        for s in &singletons {
-            total += s.cost;
-        }
-        (packing, packages, singletons, total)
+        dp_greedy(seq, &config, usize::MAX)
     }
 
     /// A bundle workload: items {0,1,2} always together, item 3 alone.
@@ -672,15 +556,12 @@ mod tests {
 
     #[test]
     fn max_group_two_matches_pairwise_dp_greedy_on_the_paper_example() {
+        // At a cap of 2 Phase 1 packs the one pair, and the run costs what
+        // Phase 2 of that pair alone costs.
         let seq = paper_sequence();
-        let model = CostModel::paper_example();
-        let (_, _, _, multi) = k_packages(&seq, model, 0.4, 2);
-        let pair = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.4));
-        assert!(
-            approx_eq(multi, pair.total_cost),
-            "multi {multi} vs pairwise {}",
-            pair.total_cost
-        );
+        let multi = dp_greedy(&seq, &paper_config(), 2).total_cost;
+        let pair = dp_greedy_pair(&seq, ItemId(0), ItemId(1), &paper_config()).total();
+        assert!(approx_eq(multi, pair), "multi {multi} vs pairwise {pair}");
         assert!(approx_eq(multi, 14.96));
     }
 
@@ -688,11 +569,14 @@ mod tests {
     fn bundle_is_grouped_as_a_trio() {
         let seq = bundle_sequence();
         let model = CostModel::new(1.0, 1.0, 0.6).unwrap();
-        let (packing, packages, singletons, _) = k_packages(&seq, model, 0.3, usize::MAX);
-        assert_eq!(packing.packages.len(), 1);
-        assert_eq!(packages[0].members, vec![ItemId(0), ItemId(1), ItemId(2)]);
-        assert_eq!(singletons.len(), 1);
-        assert_eq!(singletons[0].item, ItemId(3));
+        let report = uncapped(&seq, model, 0.3);
+        assert_eq!(report.packing.packages.len(), 1);
+        assert_eq!(
+            report.packages[0].members,
+            vec![ItemId(0), ItemId(1), ItemId(2)]
+        );
+        assert_eq!(report.singletons.len(), 1);
+        assert_eq!(report.singletons[0].item, ItemId(3));
     }
 
     #[test]
@@ -702,8 +586,8 @@ mod tests {
         // two of the three correlated items).
         let seq = bundle_sequence();
         let model = CostModel::new(1.0, 1.0, 0.4).unwrap();
-        let (_, _, _, multi) = k_packages(&seq, model, 0.3, usize::MAX);
-        let pair = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3));
+        let multi = uncapped(&seq, model, 0.3).total_cost;
+        let pair = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3), 2);
         assert!(
             multi < pair.total_cost + 1e-9,
             "multi {multi} should beat pairwise {}",
@@ -715,8 +599,8 @@ mod tests {
     fn group_schedule_is_feasible() {
         let seq = bundle_sequence();
         let model = CostModel::new(1.0, 1.0, 0.6).unwrap();
-        let (_, packages, _, _) = k_packages(&seq, model, 0.3, usize::MAX);
-        let group = &packages[0];
+        let report = uncapped(&seq, model, 0.3);
+        let group = &report.packages[0];
         // Rebuild the co-trace by scanning the requests, and validate.
         let co: Vec<(f64, u32)> = seq
             .requests()
@@ -738,8 +622,8 @@ mod tests {
         b = b.push(2u32, 10.0, [0, 1]); // partial far away
         let seq = b.build().unwrap();
         let model = CostModel::new(1.0, 1.0, 0.3).unwrap();
-        let (_, packages, _, _) = k_packages(&seq, model, 0.2, usize::MAX);
-        let group = &packages[0];
+        let report = uncapped(&seq, model, 0.2);
+        let group = &report.packages[0];
         assert_eq!(group.deliveries.len(), 1);
         // Delivery cost α·3·λ = 0.9 vs 2 transfers (2·(9μ... the transfer
         // arm is λ + μ·Δt each, far larger).
@@ -759,9 +643,10 @@ mod tests {
     fn accesses_are_conserved() {
         let seq = bundle_sequence();
         let model = CostModel::new(1.0, 1.0, 0.6).unwrap();
-        let (_, packages, singletons, _) = k_packages(&seq, model, 0.3, usize::MAX);
-        let attributed: usize = packages.iter().map(|g| g.accesses).sum::<usize>()
-            + singletons
+        let report = uncapped(&seq, model, 0.3);
+        let attributed: usize = report.packages.iter().map(|g| g.accesses).sum::<usize>()
+            + report
+                .singletons
                 .iter()
                 .map(|s| seq.count_containing(s.item))
                 .sum::<usize>();
@@ -771,7 +656,7 @@ mod tests {
     #[test]
     fn ave_cost_of_empty_sequence_is_zero() {
         let seq = RequestSeqBuilder::new(2, 2).build().unwrap();
-        let report = dp_greedy(&seq, &DpGreedyConfig::new(CostModel::paper_example()));
+        let report = dp_greedy(&seq, &DpGreedyConfig::new(CostModel::paper_example()), 2);
         assert_eq!(report.total_cost, 0.0);
         assert_eq!(report.ave_cost(), 0.0);
     }

@@ -5,14 +5,19 @@
 //! go stale — and a packing decided on day one can be wrong by day three.
 //! This module slices the sequence into consecutive time windows and runs
 //! both phases per window, so the packing adapts to the current
-//! correlation structure.
+//! correlation structure. [`dp_greedy_windowed`] is the only loop over
+//! windows: the engine's `windowed` row and the drift experiment
+//! (`mcs-experiments::drift_exp`) both call it.
 //!
-//! Windows are served independently (each window's items restart from the
-//! origin server, the standing assumption of the off-line model applied
-//! per window); the reported cost is therefore an *upper bound* on a
-//! stateful implementation that carries copies across windows. The drift
-//! experiment (`mcs-experiments::drift_exp`) shows when adaptation beats
-//! a single global packing despite that overhead.
+//! Windows are served independently: each window restarts every item
+//! from a fresh copy at the origin server at its start, the standing
+//! assumption of the off-line model applied per window. So storage
+//! between windows goes unpaid, and the windowed cost is *not* an upper
+//! bound on a stateful implementation that carries copies across windows.
+//! It can even fall below what any feasible schedule of the whole
+//! sequence costs: on the paper's running example the engine's `windowed`
+//! row (quarter-horizon windows) totals 12.12, below Lemma 1's lower bound
+//! α·OPT = 0.8 × 15.20 = 12.16.
 
 use mcs_model::{Request, RequestSeq, RequestSeqBuilder};
 
@@ -27,26 +32,12 @@ pub struct WindowedConfig {
     pub window: f64,
 }
 
-/// Report for one window.
-#[derive(Debug, Clone)]
-pub struct WindowReport {
-    /// Window start time (inclusive).
-    pub start: f64,
-    /// Window end time (exclusive).
-    pub end: f64,
-    /// Requests inside the window.
-    pub requests: usize,
-    /// The packed pairs chosen for this window.
-    pub pairs: Vec<(u32, u32)>,
-    /// Window cost.
-    pub cost: f64,
-}
-
 /// Aggregate windowed report.
 #[derive(Debug, Clone)]
 pub struct WindowedReport {
-    /// Per-window details.
-    pub windows: Vec<WindowReport>,
+    /// Per window, in time order: its start time and the report of both
+    /// phases over its slice, whose times are relative to that start.
+    pub windows: Vec<(f64, DpGreedyReport)>,
     /// Total cost across windows.
     pub total_cost: f64,
     /// Total item accesses.
@@ -66,16 +57,17 @@ impl WindowedReport {
     /// True if any two consecutive windows chose different packings —
     /// i.e. the algorithm actually adapted.
     pub fn adapted(&self) -> bool {
-        self.windows.windows(2).any(|w| w[0].pairs != w[1].pairs)
+        self.windows
+            .windows(2)
+            .any(|w| w[0].1.packing.packages != w[1].1.packing.packages)
     }
 }
 
 /// Slices a sequence into windows of `window` time units, rebasing each
 /// window's times to start at the window boundary (times stay positive
 /// relative to the window's origin placement). Returns
-/// `(window_start, window_end, rebased_slice)` triples; empty windows
-/// are skipped.
-pub fn slice_windows(seq: &RequestSeq, window: f64) -> Vec<(f64, f64, RequestSeq)> {
+/// `(window_start, rebased_slice)` pairs; empty windows are skipped.
+pub fn slice_windows(seq: &RequestSeq, window: f64) -> Vec<(f64, RequestSeq)> {
     assert!(window > 0.0, "window must be positive");
     let mut out = Vec::new();
     let horizon = seq.horizon();
@@ -92,36 +84,22 @@ pub fn slice_windows(seq: &RequestSeq, window: f64) -> Vec<(f64, f64, RequestSeq
             for r in &in_window {
                 b = b.push(r.server, r.time - start, r.items.iter().map(|i| i.0));
             }
-            out.push((
-                start,
-                end,
-                b.build().expect("window slice inherits validity"),
-            ));
+            out.push((start, b.build().expect("window slice inherits validity")));
         }
         start = end;
     }
     out
 }
 
-/// Runs DP_Greedy independently per window.
+/// Runs pairwise DP_Greedy ([`dp_greedy`] at a package-size cap of 2)
+/// independently per window, summing the window totals in time order.
 pub fn dp_greedy_windowed(seq: &RequestSeq, config: &WindowedConfig) -> WindowedReport {
     let mut windows = Vec::new();
     let mut total_cost = 0.0;
-    for (start, end, slice) in slice_windows(seq, config.window) {
-        let report: DpGreedyReport = dp_greedy(&slice, &config.inner);
+    for (start, slice) in slice_windows(seq, config.window) {
+        let report = dp_greedy(&slice, &config.inner, 2);
         total_cost += report.total_cost;
-        windows.push(WindowReport {
-            start,
-            end,
-            requests: slice.len(),
-            pairs: report
-                .packing
-                .pairs
-                .iter()
-                .map(|&(a, b)| (a.0, b.0))
-                .collect(),
-            cost: report.total_cost,
-        });
+        windows.push((start, report));
     }
     WindowedReport {
         windows,
@@ -162,8 +140,10 @@ mod tests {
         let report = dp_greedy_windowed(&seq, &cfg);
         assert!(report.windows.len() >= 2);
         assert!(report.adapted(), "packing should change across windows");
-        assert_eq!(report.windows[0].pairs, vec![(0, 1)]);
-        assert!(report.windows.last().unwrap().pairs.contains(&(0, 2)));
+        let pair = |a, b| vec![ItemId(a), ItemId(b)];
+        assert_eq!(report.windows[0].1.packing.packages, vec![pair(0, 1)]);
+        let last = &report.windows.last().unwrap().1.packing.packages;
+        assert!(last.contains(&pair(0, 2)));
     }
 
     #[test]
@@ -175,7 +155,7 @@ mod tests {
         // restart overhead is small here (copies re-ship once per window).
         let seq = drifting_sequence();
         let model = CostModel::new(0.2, 1.0, 0.3).unwrap();
-        let global = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3));
+        let global = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3), 2);
         let windowed = dp_greedy_windowed(
             &seq,
             &WindowedConfig {
@@ -195,7 +175,7 @@ mod tests {
     fn single_giant_window_matches_global() {
         let seq = drifting_sequence();
         let model = CostModel::new(1.0, 1.0, 0.5).unwrap();
-        let global = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3));
+        let global = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3), 2);
         let windowed = dp_greedy_windowed(
             &seq,
             &WindowedConfig {
@@ -222,8 +202,8 @@ mod tests {
             },
         );
         assert_eq!(report.windows.len(), 2);
-        assert_eq!(report.windows[0].requests, 1);
-        assert_eq!(report.windows[1].requests, 1);
+        assert_eq!(report.windows[0].1.total_accesses, 1);
+        assert_eq!(report.windows[1].1.total_accesses, 1);
     }
 
     #[test]
@@ -237,13 +217,15 @@ mod tests {
                 window: 3.0,
             },
         );
-        let sliced: usize = report.windows.iter().map(|w| w.requests).sum();
+        let sliced: usize = slice_windows(&seq, 3.0).iter().map(|w| w.1.len()).sum();
         assert_eq!(sliced, seq.len());
+        let accessed: usize = report.windows.iter().map(|w| w.1.total_accesses).sum();
+        assert_eq!(accessed, seq.total_item_accesses());
         assert_eq!(report.total_accesses, seq.total_item_accesses());
-        // ItemId sanity for the serialised pairs.
-        for w in &report.windows {
-            for &(a, b) in &w.pairs {
-                assert!(ItemId(a) < ItemId(b));
+        // Every window's packages list their members ascending.
+        for (_, w) in &report.windows {
+            for members in &w.packing.packages {
+                assert!(members.windows(2).all(|m| m[0] < m[1]));
             }
         }
     }

@@ -20,10 +20,12 @@
 //!   ledger derivation ([`Solution::ledger`]) produces the decision
 //!   ledger. It is the workspace's only source of ledger events: the
 //!   per-pair experiments build their parts with
-//!   [`solvers::pair_parts`], and `mcs_sim::chaos_solution` replays a
+//!   [`solvers::package_parts`], and `mcs_sim::chaos_solution` replays a
 //!   `Solution`'s schedules under faults. `dp_greedy`, `dpg_k`, `multi`
-//!   and `windowed` share one two-phase pipeline, in which only Phase 1
-//!   depends on the package-size cap.
+//!   and `windowed` run the one two-phase pipeline,
+//!   `dp_greedy::two_phase::dp_greedy` (once per window for `windowed`),
+//!   in which only Phase 1 depends on the package-size cap; the engine
+//!   only turns its reports into parts.
 //! * [`registry`] — the static solver registry: iterate all solvers with
 //!   [`registry::solvers`], look one up (aliases included) with
 //!   [`registry::find`]. Adding an algorithm is one `impl CachingSolver`

@@ -16,19 +16,19 @@
 //! * Aggregate-only solvers (`online_dpg`, `resilient`, `hetero_*`,
 //!   `tiered_waterfall`) emit channel-attributed lump costs.
 //!
-//! `dp_greedy`, `dpg_k`, `multi` and `windowed` run one two-phase
-//! pipeline (`two_phase_parts`) in which only Phase 1 depends on the
-//! package-size cap K.
+//! `dp_greedy`, `dpg_k`, `multi` and `windowed` run the one two-phase
+//! pipeline, `dp_greedy::two_phase::dp_greedy` (per window for
+//! `windowed`, through `dp_greedy::windowed::dp_greedy_windowed`), in
+//! which only Phase 1 depends on the package-size cap K; the engine only
+//! turns its reports into parts (`report_parts`).
 //!
 //! Whole-run aggregates that have no natural single subject are
 //! attributed to `Commodity::Item(0)` by convention.
 
 use dp_greedy::baselines::package_served_pair;
 use dp_greedy::singleton_greedy::{Arm, ArmChoice};
-use dp_greedy::two_phase::{
-    dp_greedy_package, pack, serve_packing, DpGreedyConfig, PackageReport, PairReport,
-};
-use dp_greedy::windowed::slice_windows;
+use dp_greedy::two_phase::{dp_greedy, DpGreedyConfig, DpGreedyReport, PackageReport};
+use dp_greedy::windowed::{dp_greedy_windowed, WindowedConfig};
 use mcs_correlation::matching::greedy_matching_from_pairs;
 use mcs_correlation::{adaptive_theta, pairs_above};
 use mcs_model::fault::FaultPlan;
@@ -90,7 +90,9 @@ fn shift_schedule(mut schedule: Schedule, dt: f64) -> Schedule {
 /// choices in member order, then the shared deliveries on the package
 /// (none for a pair). Their ledger reconciles with
 /// [`PackageReport::total`]. `shift` lifts window-relative times to
-/// global time (0 for a whole-sequence run).
+/// global time (0 for a whole-sequence run). The per-pair experiments of
+/// Figs. 11 and 13 derive their cost breakdowns from it, and `dpg
+/// explain` prints its ledger.
 pub fn package_parts(
     report: PackageReport,
     model: &CostModel,
@@ -121,47 +123,21 @@ pub fn package_parts(
     }
 }
 
-/// [`package_parts`] of one packed pair: the package schedule at
-/// `2αμ`/`2αλ`, then the serve choices of `a`, then those of `b`, which
-/// reconcile with [`PairReport::total`]. The per-pair experiments of
-/// Figs. 11 and 13 derive their cost breakdowns from it, and `dpg
-/// explain` prints its ledger.
-pub fn pair_parts(pair: PairReport, model: &CostModel, shift: f64, parts: &mut Vec<SolutionPart>) {
-    package_parts(pair.into(), model, shift, parts);
-}
-
-/// The two-phase pipeline of `dp_greedy`, `dpg_k`, `multi` and
-/// `windowed`: Phase 1 packs at the size cap `max_group` ([`pack`]:
-/// greedy pair matching up to 2, its pairs in acceptance order, the
-/// agglomerative K-matcher above), and Phase 2 serves each package
-/// ([`dp_greedy_package`]) and each unpacked item ([`serve_packing`]).
-/// Appends every package's [`package_parts`], then the unpacked items'
-/// schedules (`phase2.unpacked`), and returns the total, summed in that
-/// order. `shift` lifts window-relative times to global time (0 for a
+/// Appends the parts of a two-phase report: every package's
+/// [`package_parts`], then the unpacked items' schedules
+/// (`phase2.unpacked`), the order [`DpGreedyReport::total_cost`] sums
+/// them in. `shift` lifts window-relative times to global time (0 for a
 /// whole-sequence run).
-fn two_phase_parts(
-    seq: &RequestSeq,
-    config: &DpGreedyConfig,
-    max_group: usize,
+fn report_parts(
+    report: DpGreedyReport,
+    model: &CostModel,
     shift: f64,
     parts: &mut Vec<SolutionPart>,
-) -> f64 {
-    let model = &config.model;
-    let packing = pack(seq, config.theta, max_group);
-    let (packages, singletons) = serve_packing(
-        seq,
-        &packing.packages,
-        &packing.singletons,
-        model,
-        |members| dp_greedy_package(seq, members, config),
-    );
-    let mut total = 0.0;
-    for report in packages {
-        total += report.total();
-        package_parts(report, model, shift, parts);
+) {
+    for package in report.packages {
+        package_parts(package, model, shift, parts);
     }
-    for s in singletons {
-        total += s.cost;
+    for s in report.singletons {
         parts.push(SolutionPart::Schedule {
             phase: "phase2.unpacked",
             subject: Commodity::Item(s.item.0),
@@ -170,24 +146,25 @@ fn two_phase_parts(
             lambda: model.lambda(),
         });
     }
-    total
 }
 
-/// The [`Solution`] of `solver` from [`two_phase_parts`] over the whole
-/// sequence.
+/// The [`Solution`] of `solver`: [`dp_greedy`] over the whole sequence at
+/// the size cap `max_group`, as parts.
 fn two_phase_solution(
     solver: &dyn CachingSolver,
     seq: &RequestSeq,
     config: &DpGreedyConfig,
     max_group: usize,
 ) -> Solution {
+    let report = dp_greedy(seq, config, max_group);
+    let (total_cost, total_accesses) = (report.total_cost, report.total_accesses);
     let mut parts = Vec::new();
-    let total_cost = two_phase_parts(seq, config, max_group, 0.0, &mut parts);
+    report_parts(report, &config.model, 0.0, &mut parts);
     Solution {
         algo: solver.name(),
         kind: solver.kind(),
         total_cost,
-        total_accesses: seq.total_item_accesses(),
+        total_accesses,
         parts,
     }
 }
@@ -362,9 +339,7 @@ impl CachingSolver for PackageServedSolver {
         let mut parts = Vec::new();
         let mut total = 0.0;
         for &(a, b) in &packing.pairs {
-            let union = seq.union_trace(a, b);
-            let out = optimal(&union, &pkg);
-            debug_assert!((out.cost - package_served_pair(seq, a, b, model)).abs() < 1e-9);
+            let out = package_served_pair(seq, a, b, model);
             total += out.cost;
             parts.push(SolutionPart::Schedule {
                 phase: "phase2.package",
@@ -475,20 +450,21 @@ impl CachingSolver for WindowedSolver {
         "windowed DP_Greedy: re-packs per quarter-horizon window (drift-adaptive)"
     }
     fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
+        let model = ctx.model();
+        let config = WindowedConfig {
+            inner: DpGreedyConfig::new(model).with_theta(ctx.theta),
+            window: WindowedSolver::window_for(seq),
+        };
+        let report = dp_greedy_windowed(seq, &config);
         let mut parts = Vec::new();
-        let mut total = 0.0;
-        if !seq.is_empty() {
-            let window = WindowedSolver::window_for(seq);
-            let inner = DpGreedyConfig::new(ctx.model()).with_theta(ctx.theta);
-            for (start, _, slice) in slice_windows(seq, window) {
-                total += two_phase_parts(&slice, &inner, 2, start, &mut parts);
-            }
+        for (start, window) in report.windows {
+            report_parts(window, &model, start, &mut parts);
         }
         Solution {
             algo: self.name(),
             kind: self.kind(),
-            total_cost: total,
-            total_accesses: seq.total_item_accesses(),
+            total_cost: report.total_cost,
+            total_accesses: report.total_accesses,
             parts,
         }
     }

@@ -91,9 +91,9 @@ pub fn run(config: &WorkloadConfig) -> Ablations {
     // -- Package arm -------------------------------------------------------
     let base = DpGreedyConfig::new(model).with_theta(0.3);
     let package_arm = PackageArmAblation {
-        faithful: dp_greedy(&seq, &base).total_cost,
-        strict: dp_greedy(&seq, &base.strict()).total_cost,
-        disabled: dp_greedy(&seq, &base.without_package_arm()).total_cost,
+        faithful: dp_greedy(&seq, &base, 2).total_cost,
+        strict: dp_greedy(&seq, &base.strict(), 2).total_cost,
+        disabled: dp_greedy(&seq, &base.without_package_arm(), 2).total_cost,
     };
 
     // -- Bridging ----------------------------------------------------------
@@ -118,7 +118,7 @@ pub fn run(config: &WorkloadConfig) -> Ablations {
     let thetas = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9];
     let theta_sweep: Vec<(f64, f64)> = par_map(&thetas, |&theta| {
         let cfg = DpGreedyConfig::new(model).with_theta(theta);
-        (theta, dp_greedy(&seq, &cfg).ave_cost())
+        (theta, dp_greedy(&seq, &cfg, 2).ave_cost())
     });
 
     Ablations {

@@ -187,7 +187,8 @@ mod tests {
             );
         }
         // On the stationary control the global packing is right; windowing
-        // can only add restart overhead (allow a tiny tolerance).
+        // adds restart overhead, less the storage between windows it leaves
+        // unpaid (allow a tiny tolerance).
         for r in e.rows.iter().filter(|r| !r.drifting) {
             assert!(
                 r.global <= r.windowed * 1.02 + 1e-9,

@@ -9,7 +9,7 @@
 
 use dp_greedy::baselines::optimal_pair;
 use dp_greedy::two_phase::{dp_greedy_pair, DpGreedyConfig};
-use mcs_engine::solvers::pair_parts;
+use mcs_engine::solvers::package_parts;
 use mcs_model::par::par_map;
 use mcs_model::{CostModel, ItemId};
 use mcs_trace::workload::{generate, WorkloadConfig};
@@ -71,7 +71,7 @@ pub fn run(config: &WorkloadConfig) -> Fig11 {
         let opt = optimal_pair(&seq, a, b, &model);
         let total = report.total();
         let mut parts = Vec::new();
-        pair_parts(report, &model, 0.0, &mut parts);
+        package_parts(report, &model, 0.0, &mut parts);
         let breakdown = parts_breakdown(parts);
         let per_access = 1.0 / accesses as f64;
         Some(Fig11Row {

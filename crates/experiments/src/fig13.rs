@@ -14,7 +14,7 @@
 
 use dp_greedy::baselines::{optimal_pair, package_served_pair};
 use dp_greedy::two_phase::{dp_greedy_pair, DpGreedyConfig};
-use mcs_engine::solvers::pair_parts;
+use mcs_engine::solvers::package_parts;
 use mcs_engine::{Commodity, SolutionPart};
 use mcs_model::par::par_map;
 use mcs_model::{CostModel, ItemId};
@@ -88,7 +88,7 @@ pub fn run(config: &WorkloadConfig) -> Fig13 {
         let dp_greedy = if pv.jaccard() > THETA {
             let report = dp_greedy_pair(seq, a, b, &DpGreedyConfig::new(model).with_theta(THETA));
             let total = report.total();
-            pair_parts(report, &model, 0.0, &mut parts);
+            package_parts(report, &model, 0.0, &mut parts);
             total / accesses
         } else {
             // Unpacked: both items served by their own optimal schedules.
@@ -109,7 +109,7 @@ pub fn run(config: &WorkloadConfig) -> Fig13 {
             a: i,
             b: j,
             jaccard: pv.jaccard(),
-            package_served: package_served_pair(seq, a, b, &model) / accesses,
+            package_served: package_served_pair(seq, a, b, &model).cost / accesses,
             optimal,
             dp_greedy,
             dpg_cache: breakdown.cache / accesses,

@@ -82,7 +82,7 @@ pub fn run(seed: u64) -> MultiExp {
     let rows: Vec<MultiRow> = par_map(&alphas, |&alpha| {
         let model = CostModel::new(2.0, 4.0, alpha).expect("valid");
         let ctx = RunContext::new(model).with_theta(0.3);
-        let pairwise = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3));
+        let pairwise = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3), 2);
         MultiRow {
             alpha,
             pairwise: pairwise.ave_cost(),

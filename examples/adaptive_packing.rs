@@ -26,8 +26,8 @@ fn main() {
     let config = DpGreedyConfig::new(model).with_theta(0.3);
 
     // The paper's algorithm: one global packing.
-    let global = dp_greedy(&seq, &config);
-    println!("\nglobal DP_Greedy packs {:?}", global.packing.pairs);
+    let global = dp_greedy(&seq, &config, 2);
+    println!("\nglobal DP_Greedy packs {:?}", global.packing.packages);
     println!("  ave_cost = {:.4}", global.ave_cost());
 
     // Windowed off-line variant: re-pack per phase.
@@ -39,10 +39,13 @@ fn main() {
         },
     );
     println!("\nwindowed DP_Greedy ({} windows):", windowed.windows.len());
-    for w in &windowed.windows {
+    for (start, w) in &windowed.windows {
         println!(
             "  [{:>6.1}, {:>6.1})  pairs {:?}  cost {:.1}",
-            w.start, w.end, w.pairs, w.cost
+            start,
+            start + boundary,
+            w.packing.packages,
+            w.total_cost
         );
     }
     println!(

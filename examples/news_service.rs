@@ -63,7 +63,7 @@ fn main() {
     // Cost comparison on the pairwise algorithm.
     let model = CostModel::new(1.0, 2.0, 0.7).expect("valid model");
     let config = DpGreedyConfig::new(model).with_theta(0.3);
-    let dpg = dp_greedy(&seq, &config);
+    let dpg = dp_greedy(&seq, &config, 2);
     let opt = find("optimal")
         .expect("registered")
         .solve(&seq, &RunContext::new(model));
@@ -74,14 +74,14 @@ fn main() {
         100.0 * (dpg.ave_cost() / opt.ave_cost() - 1.0)
     );
 
-    for p in &dpg.pairs {
+    for p in &dpg.packages {
+        let [a, b] = [p.members[0], p.members[1]];
+        let greedy = &p.members_greedy;
         println!(
-            "packed ({}, {}): J = {:.3}, package arm won {} of {} singleton servings",
-            p.a,
-            p.b,
-            p.jaccard,
-            p.a_greedy.arm_counts[2] + p.b_greedy.arm_counts[2],
-            p.a_greedy.choices.len() + p.b_greedy.choices.len(),
+            "packed ({a}, {b}): J = {:.3}, package arm won {} of {} singleton servings",
+            seq.pair_view(a, b).jaccard(),
+            greedy.iter().map(|m| m.arm_counts[2]).sum::<usize>(),
+            greedy.iter().map(|m| m.choices.len()).sum::<usize>(),
         );
     }
 }

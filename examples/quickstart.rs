@@ -25,14 +25,16 @@ fn main() {
     let model = CostModel::new(1.0, 1.0, 0.8).expect("valid model");
     let config = DpGreedyConfig::new(model).with_theta(0.4);
 
-    let report = dp_greedy(&seq, &config);
+    let report = dp_greedy(&seq, &config, 2);
 
-    println!("Phase 1 packing: {:?}", report.packing.pairs);
-    let pair = &report.pairs[0];
-    println!("J(d1, d2)      = {:.4} (paper: 3/7 ≈ 0.4286)", pair.jaccard);
+    println!("Phase 1 packing: {:?}", report.packing.packages);
+    let pair = &report.packages[0];
+    let jaccard = seq.pair_view(ItemId(0), ItemId(1)).jaccard();
+    println!("J(d1, d2)      = {jaccard:.4} (paper: 3/7 ≈ 0.4286)");
     println!("C_12 (package) = {:.4} (paper: 8.96)", pair.package_cost);
-    println!("C_1' (greedy)  = {:.4} (paper: 3.1)", pair.a_singleton_cost);
-    println!("C_2' (greedy)  = {:.4} (paper: 2.9)", pair.b_singleton_cost);
+    let [c1, c2] = [0, 1].map(|m| pair.members_greedy[m].cost);
+    println!("C_1' (greedy)  = {c1:.4} (paper: 3.1)");
+    println!("C_2' (greedy)  = {c2:.4} (paper: 2.9)");
     println!("total          = {:.4} (paper: 14.96)", report.total_cost);
     println!("ave_cost       = {:.4}", report.ave_cost());
 

@@ -41,12 +41,12 @@ fn main() {
     let model = CostModel::new(2.0, 4.0, 0.8).expect("valid model");
     let config = DpGreedyConfig::new(model).with_theta(0.3);
 
-    let dpg = dp_greedy(&seq, &config);
+    let dpg = dp_greedy(&seq, &config, 2);
     let ctx = RunContext::new(model).with_theta(0.3);
     let [opt, grd, pkg] = ["optimal", "greedy", "package_served"]
         .map(|name| find(name).expect("registered").solve(&seq, &ctx));
 
-    println!("\npacked pairs (J > 0.3): {:?}", dpg.packing.pairs);
+    println!("\npacked pairs (J > 0.3): {:?}", dpg.packing.packages);
     println!("\n{:<16} {:>12} {:>10}", "algorithm", "total", "ave_cost");
     for (name, total, ave) in [
         ("DP_Greedy", dpg.total_cost, dpg.ave_cost()),
@@ -63,17 +63,16 @@ fn main() {
 
     // Per-pair detail: where does the win come from?
     println!("\nper-pair breakdown (DP_Greedy):");
-    for p in &dpg.pairs {
+    for p in &dpg.packages {
+        let [a, b] = [p.members[0], p.members[1]];
         println!(
-            "  ({}, {}) J = {:.3}: package {:.1} + greedy {:.1}/{:.1} over {} accesses → ave {:.4}",
-            p.a,
-            p.b,
-            p.jaccard,
+            "  ({a}, {b}) J = {:.3}: package {:.1} + greedy {:.1}/{:.1} over {} accesses → ave {:.4}",
+            seq.pair_view(a, b).jaccard(),
             p.package_cost,
-            p.a_singleton_cost,
-            p.b_singleton_cost,
+            p.members_greedy[0].cost,
+            p.members_greedy[1].cost,
             p.accesses,
-            p.ave_cost()
+            p.total() / p.accesses as f64
         );
     }
 }

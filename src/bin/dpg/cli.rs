@@ -119,15 +119,6 @@ pub fn check_flags(
     Ok(())
 }
 
-/// First positional argument (the trace file). Usage error if absent or
-/// if a flag landed where the file was expected.
-pub fn trace_arg<'a>(cmd: &str, args: &'a [String]) -> Result<&'a String, CliError> {
-    match args.first() {
-        Some(a) if !a.starts_with("--") => Ok(a),
-        _ => Err(CliError::Usage(format!("{cmd} needs a trace file"))),
-    }
-}
-
 pub fn parse_flag<T: std::str::FromStr>(
     args: &[String],
     flag: &str,
@@ -249,9 +240,10 @@ pub fn solver_flags(args: &[String], base: (f64, f64, f64, f64)) -> Result<Solve
 const DEFAULT_BASE: (f64, f64, f64, f64) =
     (DEFAULT_MU, DEFAULT_LAMBDA, DEFAULT_ALPHA, DEFAULT_THETA);
 
-/// First positional argument, skipping `--flag value` pairs: every flag
-/// outside `bool_flags` consumes the token after it.
-fn positional<'a>(args: &'a [String], bool_flags: &[&str]) -> Option<&'a String> {
+/// First positional argument (a trace FILE), skipping `--flag value`
+/// pairs: every flag outside `bool_flags` consumes the token after it.
+/// The one positional rule of every subcommand that reads a trace.
+pub fn positional<'a>(args: &'a [String], bool_flags: &[&str]) -> Option<&'a String> {
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();

@@ -1,22 +1,21 @@
 //! `dpg explain [FILE]` — the decisions DP_Greedy makes for one item
 //! pair, printed from the pair's decision ledger.
 //!
-//! The pair's [`Solution`] is built once from its [`PairReport`]
-//! ([`pair_parts`], so one covering DP runs) and must reconcile before
-//! anything is printed. Each ledger event becomes one line, in time
+//! The pair's [`Solution`] is built once from its Phase-2 report
+//! ([`package_parts`], so one covering DP runs) and must reconcile before
+//! anything is printed. The header's J comes from the pair's counts. Each ledger event becomes one line, in time
 //! order (ties keep the ledger's order): the subject, the option chosen,
 //! the cost paid and the cost of each option offered. The package
 //! schedule's intervals and transfers follow, then the totals, whose
 //! `C12`, `C1'` and `C2'` are the ledger's sums per subject. Without a
 //! trace file the Section V-C running example is explained.
-//!
-//! [`PairReport`]: dp_greedy_suite::dp_greedy::PairReport
 
 use crate::cli::{
     check_flags, item_of, parse_flag, reconciled, trace_or_example, write_report, CliError,
 };
-use dp_greedy_suite::engine::solvers::pair_parts;
+use dp_greedy_suite::engine::solvers::package_parts;
 use dp_greedy_suite::engine::{Solution, SolutionPart, SolverKind};
+use dp_greedy_suite::model::request::jaccard_from_counts;
 use dp_greedy_suite::obs::ledger::OPTION_NAMES;
 use dp_greedy_suite::obs::Subject;
 use dp_greedy_suite::prelude::*;
@@ -52,7 +51,11 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let (a, b) = (a.min(b), a.max(b));
     let model = params.model;
     let report = dp_greedy_pair(&seq, a, b, &DpGreedyConfig::new(model));
-    let jaccard = report.jaccard;
+    let jaccard = jaccard_from_counts(
+        seq.count_pair(a, b),
+        seq.count_containing(a),
+        seq.count_containing(b),
+    );
     let mut solution = Solution {
         algo: "dp_greedy",
         kind: SolverKind::Offline,
@@ -60,7 +63,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         total_accesses: report.accesses,
         parts: Vec::new(),
     };
-    pair_parts(report, &model, 0.0, &mut solution.parts);
+    package_parts(report, &model, 0.0, &mut solution.parts);
     reconciled(&solution)?;
 
     let mut events = solution.ledger().events();

@@ -1,12 +1,12 @@
 //! `dpg stats` — summarize a trace file (sizes, hot zones, pair spectrum).
 
-use crate::cli::{check_flags, trace_arg, write_report, CliError};
+use crate::cli::{check_flags, positional, write_report, CliError};
 use dp_greedy_suite::trace::io::TraceFile;
 use dp_greedy_suite::trace::stats::{top_pairs, TraceStats};
 
 pub fn run(args: &[String]) -> Result<(), CliError> {
     check_flags("stats", args, &[], &[])?;
-    let path = trace_arg("stats", args)?;
+    let path = positional(args, &[]).ok_or("stats needs a trace file")?;
     let file = TraceFile::load(path).map_err(|e| CliError::Runtime(e.to_string()))?;
     let seq = &file.sequence;
     let st = TraceStats::from_sequence(seq);

@@ -1,13 +1,13 @@
 //! `dpg svg` — render the optimal single-item schedule as an SVG timeline.
 
-use crate::cli::{check_flags, item_of, parse_flag, trace_arg, write_report, CliError};
+use crate::cli::{check_flags, item_of, parse_flag, positional, write_report, CliError};
 use dp_greedy_suite::model::defaults::{DEFAULT_ALPHA, DEFAULT_LAMBDA, DEFAULT_MU};
 use dp_greedy_suite::prelude::*;
 use dp_greedy_suite::trace::io::TraceFile;
 
 pub fn run(args: &[String]) -> Result<(), CliError> {
     check_flags("svg", args, &["--out", "--item", "--mu", "--lambda"], &[])?;
-    let path = trace_arg("svg", args)?;
+    let path = positional(args, &[]).ok_or("svg needs a trace file")?;
     let out: String = parse_flag(args, "--out").ok_or("--out FILE is required")??;
     let item: u32 = parse_flag(args, "--item").transpose()?.unwrap_or(0);
     let mu: f64 = parse_flag(args, "--mu").transpose()?.unwrap_or(DEFAULT_MU);

@@ -17,7 +17,9 @@
 //! * [`model`] — requests, cost model, schedules, validation
 //! * [`correlation`] — Phase 1: Jaccard analysis and matching
 //! * [`offline`] — the optimal off-line substrate of \[6\] + baselines
-//! * [`dp_greedy`] — the paper's two-phase algorithm and per-pair baselines
+//! * [`dp_greedy`] — the paper's two-phase algorithm, composed in one
+//!   function at any package-size cap and driven per time window in one
+//!   place, and the per-pair baselines
 //! * [`online`] — on-line extension (ski-rental family)
 //! * [`engine`] — the solver registry: one `CachingSolver` trait over
 //!   every algorithm, plus the shared `RunContext`/`Solution` types

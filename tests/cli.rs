@@ -53,14 +53,14 @@ fn file_less_explain_prints_the_paper_example() {
 }
 
 /// `dpg explain` prints the pair's ledger: one `t=` line per event of
-/// the Solution built from `dp_greedy_pair` through `pair_parts`, in time
+/// the Solution built from `dp_greedy_pair` through `package_parts`, in time
 /// order, and totals whose C12, C1' and C2' are the ledger's sums per
 /// subject and whose total is the pair report's. Checked on the paper
 /// example and on (d1, d2) of every fixture.
 #[test]
 fn explain_prints_one_line_per_ledger_event() {
     use dp_greedy_suite::dp_greedy::paper_example;
-    use dp_greedy_suite::engine::solvers::pair_parts;
+    use dp_greedy_suite::engine::solvers::package_parts;
     use dp_greedy_suite::engine::{Solution, SolverKind};
     use dp_greedy_suite::model::defaults::default_model;
     use dp_greedy_suite::obs::Subject;
@@ -87,7 +87,7 @@ fn explain_prints_one_line_per_ledger_event() {
             total_accesses: report.accesses,
             parts: Vec::new(),
         };
-        pair_parts(report, &model, 0.0, &mut solution.parts);
+        package_parts(report, &model, 0.0, &mut solution.parts);
         let ledger = solution.ledger();
         let mut sums = [0.0; 3];
         for e in ledger.events() {
@@ -200,6 +200,31 @@ fn svg_subcommand_writes_a_drawing() {
     assert!(svg.contains("<circle"));
     std::fs::remove_file(&trace_path).ok();
     std::fs::remove_file(&svg_path).ok();
+}
+
+/// `dpg svg` and `dpg stats` find the trace FILE among their flags, as
+/// `dpg run` does: `dpg svg --out F FILE` writes the drawing. Without a
+/// FILE both are usage errors.
+#[test]
+fn svg_and_stats_find_the_trace_among_their_flags() {
+    let trace = "fixtures/traces/taxi_s1_200.json";
+    let svg = std::env::temp_dir().join("dpg-cli-test-flags-first.svg");
+    let svg = svg.to_str().unwrap();
+    let out = dpg()
+        .args(["svg", "--out", svg, trace])
+        .output()
+        .expect("run dpg svg");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let drawing = std::fs::read_to_string(svg).expect("svg written");
+    assert!(drawing.starts_with("<svg"));
+    std::fs::remove_file(svg).ok();
+    for args in [vec!["svg", "--out", svg], vec!["stats"]] {
+        let out = dpg().args(&args).output().expect("run dpg");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("needs a trace file"), "{args:?}: {stderr}");
+    }
 }
 
 /// An item id outside the trace, or one item named as both halves of a

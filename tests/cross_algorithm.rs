@@ -96,8 +96,8 @@ fn uniform_rate_scaling_is_exactly_linear_end_to_end() {
     let seq = small_city(17);
     let base = CostModel::new(1.0, 2.0, 0.8).unwrap();
     let scaled = CostModel::new(3.0, 6.0, 0.8).unwrap();
-    let r1 = dp_greedy(&seq, &DpGreedyConfig::new(base).with_theta(0.3));
-    let r2 = dp_greedy(&seq, &DpGreedyConfig::new(scaled).with_theta(0.3));
+    let r1 = dp_greedy(&seq, &DpGreedyConfig::new(base).with_theta(0.3), 2);
+    let r2 = dp_greedy(&seq, &DpGreedyConfig::new(scaled).with_theta(0.3), 2);
     assert!(
         (r2.total_cost - 3.0 * r1.total_cost).abs() < 1e-6,
         "{} vs {}",
@@ -105,17 +105,17 @@ fn uniform_rate_scaling_is_exactly_linear_end_to_end() {
         3.0 * r1.total_cost
     );
     // The packing decision is rate-invariant.
-    assert_eq!(r1.packing.pairs, r2.packing.pairs);
+    assert_eq!(r1.packing.packages, r2.packing.packages);
 }
 
 #[test]
 fn theta_zero_packs_maximally_and_theta_one_packs_nothing() {
     let seq = small_city(23);
     let model = CostModel::new(1.0, 2.0, 0.8).unwrap();
-    let all = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.0));
-    let none = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(1.0));
-    assert!(!all.packing.pairs.is_empty());
-    assert!(none.packing.pairs.is_empty());
+    let all = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.0), 2);
+    let none = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(1.0), 2);
+    assert!(!all.packing.packages.is_empty());
+    assert!(none.packing.packages.is_empty());
     let opt = find("optimal")
         .unwrap()
         .solve(&seq, &RunContext::new(model));

@@ -2,7 +2,7 @@
 //! mutual-consistency relations that must hold across crates on a real
 //! city workload.
 
-use dp_greedy_suite::dp_greedy::two_phase::{dp_greedy_package, serve_packing};
+use dp_greedy_suite::dp_greedy::two_phase::dp_greedy_package;
 use dp_greedy_suite::dp_greedy::windowed::{dp_greedy_windowed, WindowedConfig};
 use dp_greedy_suite::online::capacity::{capacity_run, EvictionPolicy};
 use dp_greedy_suite::online::online_dpg::{online_dp_greedy, OnlineDpgConfig};
@@ -19,33 +19,27 @@ fn city() -> RequestSeq {
 fn multi_item_with_pair_cap_matches_pairwise_on_the_city() {
     let seq = city();
     let model = CostModel::new(2.0, 4.0, 0.8).unwrap();
-    let pairwise = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3));
-    let packages = agglomerative_packages(&PairTable::from_sequence(&seq), 0.3, 2);
-    // The pipeline's Phase 2 over the agglomerative matcher's packages.
     let config = DpGreedyConfig::new(model).with_theta(0.3);
-    let (served, singletons) = serve_packing(
-        &seq,
-        &packages.packages,
-        &packages.singletons,
-        &model,
-        |members| dp_greedy_package(&seq, members, &config),
-    );
+    let pairwise = dp_greedy(&seq, &config, 2);
+    let packages = agglomerative_packages(&PairTable::from_sequence(&seq), 0.3, 2);
+    // Phase 2 over the agglomerative matcher's packages, summed packages
+    // first as the pipeline sums them.
     let mut multi_total = 0.0;
-    for p in &served {
-        multi_total += p.total();
+    for members in &packages.packages {
+        multi_total += dp_greedy_package(&seq, members, &config).total();
     }
-    for s in &singletons {
-        multi_total += s.cost;
+    for &item in &packages.singletons {
+        multi_total += optimal(&seq.item_trace(item), &model).cost;
     }
     // Same θ on the same statistics: Phase 1 picks the same pairs, so the
     // costs coincide whenever the agglomerative and matching orders agree
     // — which they do for disjoint high-affinity taxi pairs.
-    let pairs_pw: Vec<_> = pairwise.packing.pairs.clone();
+    let pairs_pw = pairwise.packing.packages.clone();
     let pairs_mi: Vec<_> = packages
         .packages
         .iter()
         .filter(|g| g.len() == 2)
-        .map(|g| (g[0], g[1]))
+        .cloned()
         .collect();
     assert_eq!(pairs_pw, pairs_mi);
     assert!(
@@ -60,7 +54,7 @@ fn windowed_with_one_giant_window_matches_global() {
     let seq = city();
     let model = CostModel::new(2.0, 4.0, 0.8).unwrap();
     let cfg = DpGreedyConfig::new(model).with_theta(0.3);
-    let global = dp_greedy(&seq, &cfg);
+    let global = dp_greedy(&seq, &cfg, 2);
     let windowed = dp_greedy_windowed(
         &seq,
         &WindowedConfig {
@@ -93,7 +87,7 @@ fn online_dpg_at_alpha_one_is_blind_ski_rental_on_the_city() {
 fn cost_oriented_dominates_capacity_oriented_on_the_city() {
     let seq = city();
     let model = CostModel::new(2.0, 4.0, 0.8).unwrap();
-    let dpg = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3)).total_cost;
+    let dpg = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3), 2).total_cost;
     for cap in [1usize, 4] {
         for policy in [EvictionPolicy::Lru, EvictionPolicy::GreedyDual] {
             let out = capacity_run(&seq, &model, cap, policy);

@@ -16,29 +16,24 @@ fn pipeline_produces_replayable_schedules() {
     let seq = workload();
     let model = CostModel::new(2.0, 4.0, 0.8).unwrap();
     let config = DpGreedyConfig::new(model).with_theta(0.3);
-    let report = dp_greedy(&seq, &config);
+    let report = dp_greedy(&seq, &config, 2);
 
     assert!(
-        !report.pairs.is_empty(),
+        !report.packages.is_empty(),
         "paper-like workload must pack pairs"
     );
 
     // Every package schedule replays to exactly its reported C_12.
     let pkg_model = model.scaled_for_package();
-    for pair in &report.pairs {
-        let co = seq.package_trace(pair.a, pair.b);
-        let rep = replay(&pair.package_schedule, &co).unwrap_or_else(|e| {
-            panic!(
-                "package schedule for ({}, {}) infeasible: {e}",
-                pair.a, pair.b
-            )
-        });
+    for pair in &report.packages {
+        let [a, b] = [pair.members[0], pair.members[1]];
+        let co = seq.package_trace(a, b);
+        let rep = replay(&pair.package_schedule, &co)
+            .unwrap_or_else(|e| panic!("package schedule for ({a}, {b}) infeasible: {e}"));
         let replayed = rep.cost(pkg_model.mu(), pkg_model.lambda());
         assert!(
             (replayed - pair.package_cost).abs() < 1e-6,
-            "pair ({}, {}): replayed {replayed} != reported {}",
-            pair.a,
-            pair.b,
+            "pair ({a}, {b}): replayed {replayed} != reported {}",
             pair.package_cost
         );
     }
@@ -57,7 +52,7 @@ fn dp_greedy_beats_every_baseline_on_the_designed_workload() {
     let model = CostModel::new(2.0, 4.0, 0.8).unwrap();
     let config = DpGreedyConfig::new(model).with_theta(0.3);
 
-    let dpg = dp_greedy(&seq, &config).total_cost;
+    let dpg = dp_greedy(&seq, &config, 2).total_cost;
     let ctx = RunContext::new(model);
     let opt = find("optimal").unwrap().solve(&seq, &ctx).total_cost;
     let grd = find("greedy").unwrap().solve(&seq, &ctx).total_cost;
@@ -70,8 +65,8 @@ fn dp_greedy_beats_every_baseline_on_the_designed_workload() {
 fn total_accesses_are_conserved_across_reports() {
     let seq = workload();
     let model = CostModel::new(2.0, 4.0, 0.8).unwrap();
-    let report = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3));
-    let attributed: usize = report.pairs.iter().map(|p| p.accesses).sum::<usize>()
+    let report = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.3), 2);
+    let attributed: usize = report.packages.iter().map(|p| p.accesses).sum::<usize>()
         + report.singletons.iter().map(|s| s.accesses).sum::<usize>();
     assert_eq!(attributed, report.total_accesses);
     assert_eq!(report.total_accesses, seq.total_item_accesses());

@@ -15,7 +15,7 @@
 //! dropped or doubled event fails on every committed fixture.
 
 use dp_greedy_suite::dp_greedy::two_phase::{dp_greedy, DpGreedyConfig};
-use dp_greedy_suite::engine::solvers::pair_parts;
+use dp_greedy_suite::engine::solvers::package_parts;
 use dp_greedy_suite::engine::{solvers, Commodity, RunContext, Solution, SolutionPart, SolverKind};
 use dp_greedy_suite::model::fault::FaultPlan;
 use dp_greedy_suite::obs::ledger::OPTION_NAMES;
@@ -160,7 +160,7 @@ fn serve_events_always_pick_the_cheapest_feasible_arm() {
 
 /// The parts of one packed pair (its package schedule and two serve
 /// streams) derive a ledger whose total is the pair's `C₁₂ + C₁′ + C₂′`,
-/// `PairReport::total`: the Figs. 11 and 13 breakdowns are derived the
+/// `PackageReport::total`: the Figs. 11 and 13 breakdowns are derived the
 /// same way.
 #[test]
 fn each_pairs_parts_reconcile_with_its_report_total() {
@@ -169,11 +169,11 @@ fn each_pairs_parts_reconcile_with_its_report_total() {
     for case in 0..10 {
         let seq = random_sequence(&mut rng, 20, 60);
         let model = random_model(&mut rng);
-        let report = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.1));
-        for pair in report.pairs {
+        let report = dp_greedy(&seq, &DpGreedyConfig::new(model).with_theta(0.1), 2);
+        for pair in report.packages {
             let total = pair.total();
             let mut parts = Vec::new();
-            pair_parts(pair, &model, 0.0, &mut parts);
+            package_parts(pair, &model, 0.0, &mut parts);
             let sol = Solution {
                 algo: "dp_greedy",
                 kind: SolverKind::Offline,

@@ -14,11 +14,13 @@ fn running_example_total_is_14_96() {
 #[test]
 fn running_example_component_costs() {
     let report = paper_example::paper_report();
-    let pair = &report.pairs[0];
-    assert!((pair.jaccard - 3.0 / 7.0).abs() < 1e-12);
+    let pair = &report.packages[0];
+    let seq = paper_example::paper_sequence();
+    let jaccard = seq.pair_view(pair.members[0], pair.members[1]).jaccard();
+    assert!((jaccard - 3.0 / 7.0).abs() < 1e-12);
     assert!((pair.package_cost - 8.96).abs() < 1e-9);
-    assert!((pair.a_singleton_cost - 3.1).abs() < 1e-9);
-    assert!((pair.b_singleton_cost - 2.9).abs() < 1e-9);
+    assert!((pair.members_greedy[0].cost - 3.1).abs() < 1e-9);
+    assert!((pair.members_greedy[1].cost - 2.9).abs() < 1e-9);
 }
 
 #[test]
