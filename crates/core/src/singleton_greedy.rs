@@ -17,15 +17,15 @@
 //! Both trackers advance at every request holding `d`, whatever was
 //! decided there, so one walk per item gives every arm; a larger
 //! package's shared deliveries (`two_phase::dp_greedy_package`) only
-//! replace choices of that walk.
+//! replace choices of that walk. The same-server tracker is Section V-A's
+//! rolling `pLast[m]` ([`crate::prescan`]): a slice indexed by server, so
+//! each access reads and writes one slot.
 //!
 //! The paper treats the package as available at *any* time instance. Our
 //! optimal package schedule only keeps a copy alive until the last
 //! co-request, so a `strict` mode is provided that disables the package arm
 //! beyond that horizon; the default is faithful to the paper. See
 //! `EXPERIMENTS.md` (E1 notes).
-
-use std::collections::HashMap;
 
 use mcs_model::{CostModel, ServerId, TimePoint};
 
@@ -104,15 +104,18 @@ impl SingletonGreedyOutcome {
 }
 
 /// Runs the three-arm greedy over the merged event list of one package
-/// member, with the package delivered at `delivery` (`αgλ` for a package
-/// of `g` items; `model.package_delivery_cost()`, `2αλ`, for a pair). The
-/// package arm wins only when strictly cheaper than both others.
+/// member, whose events are all at servers below `servers` (the `m` of a
+/// `RequestSeq`), with the package delivered at `delivery` (`αgλ` for a
+/// package of `g` items; `model.package_delivery_cost()`, `2αλ`, for a
+/// pair). The package arm wins only when strictly cheaper than both
+/// others.
 ///
 /// `package_horizon`: `None` reproduces the paper exactly (the package arm
 /// is always available); `Some(t)` restricts package deliveries to
 /// `time ≤ t` — the strict mode where the package copy provably exists.
 pub fn singleton_greedy(
     events: &[PairItemEvent],
+    servers: u32,
     model: &CostModel,
     delivery: f64,
     package_horizon: Option<TimePoint>,
@@ -120,18 +123,20 @@ pub fn singleton_greedy(
     let mu = model.mu();
     let lambda = model.lambda();
 
-    // Item copy history: the origin placement seeds both trackers.
-    let mut last_at: HashMap<ServerId, TimePoint> = HashMap::new();
-    last_at.insert(ServerId::ORIGIN, 0.0);
+    // Item copy history, `pLast[m]`: the last copy time per server, `None`
+    // where the item never was. The origin placement seeds both trackers.
+    let mut last_at: Vec<Option<TimePoint>> = vec![None; servers as usize];
+    if let Some(origin) = last_at.get_mut(ServerId::ORIGIN.index()) {
+        *origin = Some(0.0);
+    }
     let mut last_any: TimePoint = 0.0;
 
     let mut choices = Vec::new();
 
     for (i, ev) in events.iter().enumerate() {
+        let last = &mut last_at[ev.server.index()];
         if !ev.is_co {
-            let d_arm = last_at
-                .get(&ev.server)
-                .map_or(f64::INFINITY, |&tp| mu * (ev.time - tp));
+            let d_arm = last.map_or(f64::INFINITY, |tp| mu * (ev.time - tp));
             let tr_arm = lambda + mu * (ev.time - last_any);
             let p_arm = match package_horizon {
                 Some(h) if ev.time > h => f64::INFINITY,
@@ -158,7 +163,7 @@ pub fn singleton_greedy(
         }
         // Every request containing the item (single or co) leaves a copy at
         // its server and becomes the new r_{i−1}.
-        last_at.insert(ev.server, ev.time);
+        *last = Some(ev.time);
         last_any = ev.time;
     }
     SingletonGreedyOutcome::from_choices(choices)
@@ -166,16 +171,146 @@ pub fn singleton_greedy(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use mcs_model::approx_eq;
+    use std::collections::HashMap;
 
-    /// The greedy of one pair item, delivering the package at `2αλ`.
+    use super::*;
+    use crate::two_phase::PackageAvailability;
+    use mcs_model::approx_eq;
+    use mcs_model::rng::Rng;
+
+    /// The greedy of one pair item over the four servers of the paper's
+    /// example, delivering the package at `2αλ`.
     fn pair_greedy(
         events: &[PairItemEvent],
         model: &CostModel,
         horizon: Option<TimePoint>,
     ) -> SingletonGreedyOutcome {
-        singleton_greedy(events, model, model.package_delivery_cost(), horizon)
+        singleton_greedy(events, 4, model, model.package_delivery_cost(), horizon)
+    }
+
+    /// The three-arm greedy with its same-server tracker in a map keyed
+    /// by server, the oracle of the `pLast[m]` slice.
+    fn map_reference(
+        events: &[PairItemEvent],
+        model: &CostModel,
+        delivery: f64,
+        package_horizon: Option<TimePoint>,
+    ) -> SingletonGreedyOutcome {
+        let mu = model.mu();
+        let lambda = model.lambda();
+        let mut last_at: HashMap<ServerId, TimePoint> = HashMap::new();
+        last_at.insert(ServerId::ORIGIN, 0.0);
+        let mut last_any: TimePoint = 0.0;
+        let mut choices = Vec::new();
+        for (i, ev) in events.iter().enumerate() {
+            if !ev.is_co {
+                let d_arm = last_at
+                    .get(&ev.server)
+                    .map_or(f64::INFINITY, |&tp| mu * (ev.time - tp));
+                let tr_arm = lambda + mu * (ev.time - last_any);
+                let p_arm = match package_horizon {
+                    Some(h) if ev.time > h => f64::INFINITY,
+                    _ => delivery,
+                };
+                let (arm, paid) = if d_arm <= tr_arm && d_arm <= p_arm {
+                    (Arm::Cache, d_arm)
+                } else if tr_arm <= p_arm {
+                    (Arm::Transfer, tr_arm)
+                } else {
+                    (Arm::Package, p_arm)
+                };
+                choices.push(ArmChoice {
+                    event_index: i,
+                    time: ev.time,
+                    arm,
+                    cost: paid,
+                    option_costs: [d_arm, tr_arm, p_arm],
+                });
+            }
+            last_at.insert(ev.server, ev.time);
+            last_any = ev.time;
+        }
+        SingletonGreedyOutcome::from_choices(choices)
+    }
+
+    /// A choice's event index, time bits, arm, cost bits and option bits.
+    type ChoiceBits = (usize, u64, Arm, u64, [u64; 3]);
+
+    /// Every float of an outcome as bits, with its arms and indices.
+    fn bits(out: &SingletonGreedyOutcome) -> (u64, Vec<ChoiceBits>) {
+        let choices = out.choices.iter().map(|c| {
+            let options = c.option_costs.map(f64::to_bits);
+            (
+                c.event_index,
+                c.time.to_bits(),
+                c.arm,
+                c.cost.to_bits(),
+                options,
+            )
+        });
+        (out.cost.to_bits(), choices.collect())
+    }
+
+    /// Seeded random member walks over 1 to 40 servers, visiting only a
+    /// few of them (so most are never visited) and the origin now and
+    /// then, under random rates, package sizes and all three availability
+    /// modes: the slice tracker makes the map tracker's choices and costs
+    /// bit for bit.
+    #[test]
+    fn the_plast_slice_equals_the_map_tracker() {
+        let modes = [
+            PackageAvailability::Always,
+            PackageAvailability::UntilLastCoRequest,
+            PackageAvailability::Never,
+        ];
+        let mut origin_cache_wins = 0;
+        let mut never_visited = 0;
+        for case in 0..400u64 {
+            let mut rng = Rng::seed_from_u64(0x9A57 + case);
+            let servers = rng.gen_range(1..=40u32);
+            let visited: Vec<u32> = (0..rng.gen_range(1..=4usize))
+                .map(|_| rng.gen_range(0..servers))
+                .collect();
+            let co_share = rng.gen_f64();
+            let mut time = 0.0;
+            let events: Vec<PairItemEvent> = (0..rng.gen_range(0..60usize))
+                .map(|_| {
+                    time += 0.01 + 3.0 * rng.gen_f64();
+                    let server = if rng.gen_bool(0.2) {
+                        ServerId::ORIGIN
+                    } else {
+                        ServerId(visited[rng.gen_range(0..visited.len())])
+                    };
+                    PairItemEvent {
+                        time,
+                        server,
+                        is_co: rng.gen_bool(co_share),
+                    }
+                })
+                .collect();
+            let mu = 0.1 + 4.0 * rng.gen_f64();
+            let lambda = 0.1 + 8.0 * rng.gen_f64();
+            let alpha = 0.05 + 0.95 * rng.gen_f64();
+            let model = CostModel::new(mu, lambda, alpha).unwrap();
+            let delivery = model.transfer_cost_package(rng.gen_range(2..=5u32));
+            let last_co = events.iter().rev().find(|e| e.is_co).map(|e| e.time);
+            for mode in modes {
+                let horizon = mode.horizon(last_co);
+                let want = map_reference(&events, &model, delivery, horizon);
+                let got = singleton_greedy(&events, servers, &model, delivery, horizon);
+                assert_eq!(bits(&got), bits(&want), "case {case}, {mode:?}");
+                assert_eq!(got.arm_counts, want.arm_counts, "case {case}, {mode:?}");
+                for c in &got.choices {
+                    let server = events[c.event_index].server;
+                    origin_cache_wins +=
+                        usize::from(server == ServerId::ORIGIN && c.arm == Arm::Cache);
+                    never_visited += usize::from(c.option_costs[0] == f64::INFINITY);
+                }
+            }
+        }
+        // The walks reach both ends of the tracker: the origin's seeded
+        // slot and servers the item never was at.
+        assert!(origin_cache_wins > 0 && never_visited > 0);
     }
 
     fn ev(time: f64, server: u32, is_co: bool) -> PairItemEvent {

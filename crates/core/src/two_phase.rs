@@ -22,7 +22,7 @@
 use mcs_correlation::matching::greedy_matching_from_pairs;
 use mcs_correlation::{agglomerative_packages, pairs_above, PackageSet, Packing, PairTable};
 use mcs_model::par::{par_map_with_threads, threads_for};
-use mcs_model::{CostModel, ItemId, RequestSeq, Schedule};
+use mcs_model::{CostModel, ItemId, RequestSeq, Schedule, TimePoint};
 use mcs_offline::optimal;
 
 use crate::singleton_greedy::{
@@ -43,6 +43,21 @@ pub enum PackageAvailability {
     /// Never — ablation mode degenerating the three-arm greedy to the
     /// simple two-arm greedy of Fig. 4.
     Never,
+}
+
+impl PackageAvailability {
+    /// The package arm's horizon in [`singleton_greedy`] for a package
+    /// whose last co-request is at `last_co`: `None` where the arm is
+    /// open at any time, `Some(t)` where it is open up to `t`. A package
+    /// without co-requests never exists, so its arm is closed in every
+    /// mode.
+    pub fn horizon(self, last_co: Option<TimePoint>) -> Option<TimePoint> {
+        match (self, last_co) {
+            (PackageAvailability::Never, _) | (_, None) => Some(f64::NEG_INFINITY),
+            (PackageAvailability::UntilLastCoRequest, last) => last,
+            (PackageAvailability::Always, _) => None,
+        }
+    }
 }
 
 /// Configuration of a DP_Greedy run.
@@ -185,21 +200,14 @@ pub fn dp_greedy_package(
     let co = seq.co_requests(members);
     let co_trace = seq.trace_of(&co);
     let pkg = optimal(&co_trace, &config.model.scaled_for_package_k(g));
-    // The package arm's availability horizon (`None`: at any time).
-    let horizon = match config.package_availability {
-        PackageAvailability::Never => Some(f64::NEG_INFINITY),
-        // No co-requests → no package exists; the arm is never available
-        // even in faithful mode.
-        _ if co_trace.is_empty() => Some(f64::NEG_INFINITY),
-        PackageAvailability::UntilLastCoRequest => co_trace.points.last().map(|p| p.time),
-        PackageAvailability::Always => None,
-    };
+    let last_co = co_trace.points.last().map(|p| p.time);
+    let horizon = config.package_availability.horizon(last_co);
     let delivery = config.model.transfer_cost_package(g);
     let mut members_greedy: Vec<_> = members
         .iter()
         .map(|&m| {
             let events = member_events(seq, seq.posting_list(m), &co);
-            singleton_greedy(&events, &config.model, delivery, horizon)
+            singleton_greedy(&events, seq.servers(), &config.model, delivery, horizon)
         })
         .collect();
     let deliveries = share_deliveries(seq, members, &mut members_greedy);

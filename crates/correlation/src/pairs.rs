@@ -4,8 +4,11 @@
 //! posting index one item row at a time ([`RequestSeq::count_row`]): for
 //! an item `a`, the walk counts `|(d_a, d_b)|` for every later item `b`
 //! into a reused dense scratch, and `|d_a|`, `|d_b|` are posting-list
-//! lengths. Time is `O(Σ|D_r|²)` — one step per co-requested pair — and
-//! memory is `O(k)` per worker plus what each structure keeps:
+//! lengths. Rows are walked in ascending order within each worker, so
+//! each request's tail after `a` is found from a cursor, not a search.
+//! Time is `O(Σ|D_r|² + k)` — one step per co-requested pair, and no
+//! row scans more of its partners' slots than it visits pair events —
+//! and memory is `O(k + n)` per worker plus what each structure keeps:
 //!
 //! * [`pairs_above`] keeps only the pairs with `J > θ`, the candidates of
 //!   the greedy matching (Algorithm 1, lines 7–27);

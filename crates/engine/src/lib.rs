@@ -206,8 +206,10 @@ pub trait CachingSolver: Sync {
 
     /// Checks that this solver can price `seq` under `ctx`'s cost plane,
     /// returning a human-readable reason when it cannot. Callers (the
-    /// CLI, the experiment runners) gate on this *before* `solve`; a
-    /// failed precondition inside `solve` itself is a bug.
+    /// CLI, the experiment runners) gate on this, and on the trace
+    /// limits [`Self::server_limit`] and [`Self::request_limit`],
+    /// *before* `solve`; a failed precondition inside `solve` itself is a
+    /// bug.
     ///
     /// The default requires a homogeneous plane (or a uniform one that
     /// collapses to it bitwise) — the paper's cost model, which every
@@ -232,6 +234,12 @@ pub trait CachingSolver: Sync {
     /// (the exhaustive solver is exponential — historically its
     /// cross-validation capped traces at ~10 points).
     fn request_limit(&self) -> Option<usize> {
+        None
+    }
+
+    /// Upper bound on the server count `m` this solver handles, or `None`
+    /// for the solvers polynomial in `m`.
+    fn server_limit(&self) -> Option<u32> {
         None
     }
 }

@@ -500,9 +500,8 @@ impl CachingSolver for SkiRentalSolver {
 
 /// Per-item exact offline caching under a heterogeneous cost plane
 /// (per-server `μ_s`, per-link `λ_st`). The DP state space is the server
-/// power set, so the solver is gated to [`MAX_SERVERS`] servers and a
-/// short request budget; its `validate` turns both gates into typed
-/// usage errors instead of panics.
+/// power set, so the solver declares a limit of [`MAX_SERVERS`] servers
+/// and a short request budget, which callers check before `solve`.
 ///
 /// The heterogeneous DP proves a cost but no explicit schedule, so each
 /// item contributes one aggregate event on the `cache` channel (the
@@ -526,13 +525,10 @@ impl CachingSolver for HeteroExactSolver {
         // excusing this solver from the large perf workloads.
         Some(32)
     }
+    fn server_limit(&self) -> Option<u32> {
+        Some(MAX_SERVERS)
+    }
     fn validate(&self, seq: &RequestSeq, ctx: &RunContext) -> Result<(), String> {
-        if seq.servers() > MAX_SERVERS {
-            return Err(format!(
-                "hetero_exact handles at most {MAX_SERVERS} servers but the trace has {}",
-                seq.servers()
-            ));
-        }
         ctx.plane
             .hetero_view(seq.servers())
             .map(|_| ())

@@ -2,10 +2,11 @@
 //!
 //! Replaces the rayon `par_iter().map(..).collect()` pattern the
 //! experiment runners used (rayon is unavailable in the no-network
-//! build). Work is split into contiguous chunks, one scoped thread per
-//! chunk, and results land in their input positions — so output order,
-//! and therefore every experiment table, is identical to a sequential
-//! run.
+//! build). Work is split into contiguous chunks: the calling thread takes
+//! the first, and one scoped thread each takes the others, so a section
+//! of `t` workers starts `t − 1` threads. Results land in their input
+//! positions — so output order, and therefore every experiment table, is
+//! identical to a sequential run.
 //!
 //! This lives in `mcs-model` (the bottom of the dependency graph) so any
 //! layer — the off-line cross-validation sweep, the solvers, the engine
@@ -73,12 +74,13 @@ pub fn threads_for(requests: usize) -> usize {
 
 /// Maps `f` over `items` in parallel, preserving order.
 ///
-/// Spawns at most [`max_threads`] scoped threads; falls back to a plain
-/// sequential map for tiny inputs. Because every output lands in its
-/// input position, the result is **identical** to `items.iter().map(f)`
-/// for any thread count — parallelism here never changes figures. Every
-/// worker has exited, thread-local destructors included, before this
-/// returns, and a worker's panic is re-raised on the caller.
+/// Runs at most [`max_threads`] workers, the calling thread and up to
+/// `max_threads() − 1` scoped threads; falls back to a plain sequential
+/// map for tiny inputs. Because every output lands in its input position,
+/// the result is **identical** to `items.iter().map(f)` for any thread
+/// count — parallelism here never changes figures. Every scoped worker
+/// has exited, thread-local destructors included, before this returns,
+/// and a worker's panic is re-raised on the caller.
 pub fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
     par_map_with_threads(items, max_threads(), f)
 }
@@ -97,19 +99,23 @@ pub fn par_map_with_threads<T: Sync, U: Send>(
     }
     let chunk = n.div_ceil(threads);
     let mut out: Vec<Option<U>> = (0..n).map(|_| None).collect();
+    let fill = |slots: &mut [Option<U>], chunk_items: &[T]| {
+        for (slot, item) in slots.iter_mut().zip(chunk_items) {
+            *slot = Some(f(item));
+        }
+    };
     std::thread::scope(|s| {
-        let workers: Vec<_> = out
-            .chunks_mut(chunk)
-            .zip(items.chunks(chunk))
+        let mut chunks = out.chunks_mut(chunk).zip(items.chunks(chunk));
+        let first = chunks.next();
+        let workers: Vec<_> = chunks
             .map(|(slots, chunk_items)| {
-                let f = &f;
-                s.spawn(move || {
-                    for (slot, item) in slots.iter_mut().zip(chunk_items) {
-                        *slot = Some(f(item));
-                    }
-                })
+                let fill = &fill;
+                s.spawn(move || fill(slots, chunk_items))
             })
             .collect();
+        if let Some((slots, chunk_items)) = first {
+            fill(slots, chunk_items);
+        }
         // Join explicitly: the scope's implicit join can return before a
         // worker's thread-local destructors run, and those destructors are
         // where `mcs_obs` folds the worker's metrics into the global

@@ -167,8 +167,16 @@ impl Postings {
 }
 
 /// Caller-owned scratch for [`RequestSeq::count_row`]: a dense `u32`
-/// count per item of the catalog and the items the last walk touched.
-/// Counts fit in `u32` because request indices do.
+/// count per item of the catalog, the items the last walk touched, and a
+/// cursor per request. Counts fit in `u32` because request indices do.
+///
+/// The cursor of request `r` is the position in `D_r` just past the item
+/// of the last row that walked `r`. Rows walked in ascending order (each
+/// worker of a sharded walk ascends) find their item at or after it, so
+/// a request's cursor only moves forward, `|D_r|` steps over a whole
+/// walk. A cursor with an item at or above the row's own before it (a
+/// row walked out of order, or a scratch last used on another sequence)
+/// is ignored, and the item is found by binary search.
 #[derive(Debug, Clone, Default)]
 pub struct PairRow {
     counts: Vec<u32>,
@@ -176,6 +184,11 @@ pub struct PairRow {
     /// for one per item, so the walk appends without a branch.
     touched: Vec<ItemId>,
     len: usize,
+    /// Per request, where the next row's search for its item starts.
+    cursor: Vec<u32>,
+    /// Slots the last walk's partner scan read: the row's width in a
+    /// dense row, 0 in a sparse one.
+    scanned: usize,
 }
 
 impl PairRow {
@@ -186,7 +199,9 @@ impl PairRow {
         self.counts.get(b.index()).copied().unwrap_or(0)
     }
 
-    /// The items with a nonzero count, in the order the walk met them.
+    /// The items with a nonzero count: ascending in a dense row, in the
+    /// order the walk met them in a sparse one (see
+    /// [`RequestSeq::count_row`]).
     #[inline]
     pub fn touched(&self) -> &[ItemId] {
         &self.touched[..self.len]
@@ -313,25 +328,72 @@ impl RequestSeq {
     /// Counts row `a` of the pair-count triangle into `row`: for every item
     /// `b > a`, the number of requests containing both, `|(d_a, d_b)|`.
     ///
-    /// One walk over `a`'s posting list that visits, in each request, only
-    /// the items after `a`, so walking every row visits each co-requested
-    /// pair once: `O(Σ|D_r|²)` for the whole triangle, with `O(k)` memory
-    /// in the reused scratch. `row` is cleared first, in time proportional
-    /// to what the previous walk touched.
+    /// Two passes over `a`'s posting list. The first finds, in each
+    /// request, the tail of items after `a` from the request's cursor
+    /// (see [`PairRow`]) and sums the tails' lengths, the row's pair
+    /// events. The second counts the tails. A row whose events reach its
+    /// width `k − a − 1` is dense: it only increments, then collects its
+    /// partners in one ascending scan of `a+1..k`, which costs no more
+    /// than its events. A sparser row appends each partner to the touched
+    /// list on first touch instead, so no row scans more slots than it
+    /// visits events.
+    ///
+    /// Walking every row visits each co-requested pair once:
+    /// `O(Σ|D_r|² + k)` for the whole triangle at any catalog width, with
+    /// `O(k + n)` memory in the reused scratch. `row` is cleared first,
+    /// in time proportional to what the previous walk touched.
     pub fn count_row(&self, a: ItemId, row: &mut PairRow) {
         row.clear();
-        row.counts.resize(self.items as usize, 0);
-        row.touched.resize(self.items as usize, ItemId(0));
-        for &index in self.posting_list(a) {
+        let k = self.items as usize;
+        row.counts.resize(k, 0);
+        row.touched.resize(k, ItemId(0));
+        row.cursor.resize(self.requests.len(), 0);
+        let postings = self.posting_list(a);
+        let mut events = 0;
+        for &index in postings {
             let items = &self.requests[index as usize].items;
-            // Item lists are sorted, so the partners `b > a` are the tail.
-            for &b in &items[items.partition_point(|&x| x <= a)..] {
-                let count = &mut row.counts[b.index()];
-                // Always write the slot; keep it only on first touch.
-                row.touched[row.len] = b;
-                row.len += usize::from(*count == 0);
-                *count += 1;
+            let cursor = &mut row.cursor[index as usize];
+            let mut at = *cursor as usize;
+            // A cursor past `a` is stale (see `PairRow`): search.
+            if at > 0 && items.get(at - 1).is_none_or(|&x| x >= a) {
+                at = items.partition_point(|&x| x < a);
             }
+            // Item lists are sorted and hold `a`, so the partners `b > a`
+            // are the tail after it.
+            while items[at] < a {
+                at += 1;
+            }
+            *cursor = at as u32 + 1;
+            events += items.len() - at - 1;
+        }
+        let width = k.saturating_sub(a.index() + 1);
+        let tails = postings.iter().map(|&index| {
+            let items = &self.requests[index as usize].items;
+            &items[row.cursor[index as usize] as usize..]
+        });
+        if events >= width {
+            for tail in tails {
+                for &b in tail {
+                    row.counts[b.index()] += 1;
+                }
+            }
+            for b in (a.index() + 1..k).map(|b| ItemId(b as u32)) {
+                // Always write the slot; keep it only if counted.
+                row.touched[row.len] = b;
+                row.len += usize::from(row.counts[b.index()] != 0);
+            }
+            row.scanned = width;
+        } else {
+            for tail in tails {
+                for &b in tail {
+                    let count = &mut row.counts[b.index()];
+                    // Always write the slot; keep it only on first touch.
+                    row.touched[row.len] = b;
+                    row.len += usize::from(*count == 0);
+                    *count += 1;
+                }
+            }
+            row.scanned = 0;
         }
     }
 
@@ -711,6 +773,44 @@ mod tests {
             .push(2u32, 4.0, [0, 1]) // package @ s3
             .build()
             .unwrap()
+    }
+
+    /// 2,000 requests of two or three items each over 200,000 items:
+    /// nearly every row is sparse, so a scan of every row's width would
+    /// read ~2·10¹⁰ slots. No row scans more slots than the pair events
+    /// it visits.
+    #[test]
+    fn sparse_rows_scan_no_more_than_their_events() {
+        let k = 200_000;
+        let mut rng = crate::rng::Rng::seed_from_u64(0x5CA7);
+        let mut b = RequestSeqBuilder::new(4, k);
+        for i in 0..2_000 {
+            let mut items = vec![rng.gen_range(0..k), rng.gen_range(0..k)];
+            if i % 10 == 0 {
+                items.push(rng.gen_range(0..k));
+            }
+            items.sort_unstable();
+            items.dedup();
+            b = b.push(rng.gen_range(0..4u32), 1.0 + i as f64, items);
+        }
+        let seq = b.build().unwrap();
+        let mut row = PairRow::default();
+        let (mut events, mut dense) = (0, 0);
+        for a in (0..k).map(ItemId) {
+            seq.count_row(a, &mut row);
+            let visited: usize = row.touched().iter().map(|&b| row.count(b) as usize).sum();
+            assert!(
+                row.scanned <= visited,
+                "row {a:?} scanned {} slots",
+                row.scanned
+            );
+            events += visited;
+            dense += usize::from(row.scanned > 0);
+        }
+        assert_eq!(events, seq.total_pair_events());
+        // Only rows near the end of the catalog are narrow enough to be
+        // dense.
+        assert!(dense < 10, "{dense} dense rows");
     }
 
     #[test]

@@ -306,7 +306,8 @@ mod tests {
     #[test]
     fn oversized_and_mismatched_instances_are_typed_errors() {
         use mcs_model::ModelError;
-        // m > MAX_SERVERS: typed, not a panic (CLI exit-code-2 path).
+        // m > MAX_SERVERS: typed, not a panic. The engine's hetero_exact
+        // declares the limit, so `dpg run` refuses such a trace up front.
         let wide = SingleItemTrace::from_pairs(MAX_SERVERS + 1, &[(1.0, 0)]);
         let model = uniform(MAX_SERVERS + 1, 1.0, 1.0);
         assert!(matches!(

@@ -86,9 +86,9 @@ pub struct PairSpectrumRow {
 /// descending Jaccard — the content of the paper's Fig. 10.
 ///
 /// Each row `a` is counted by one posting-list walk
-/// ([`RequestSeq::count_row`]), so the counting costs the pair events plus
-/// `O(k²)` reads, and the rows are listed in `(a, b)` order before the
-/// stable sort.
+/// ([`RequestSeq::count_row`], `O(Σ|D_r|² + k)` over every row), and
+/// listing every `(a, b)` reads `O(k²)` counts; the rows are listed in
+/// `(a, b)` order before the stable sort.
 pub fn pair_spectrum(seq: &RequestSeq) -> Vec<PairSpectrumRow> {
     let k = seq.items();
     let mut rows = Vec::with_capacity((k as usize * (k as usize).saturating_sub(1)) / 2);
@@ -118,10 +118,11 @@ pub fn pair_spectrum(seq: &RequestSeq) -> Vec<PairSpectrumRow> {
 /// The first `n` rows of [`pair_spectrum`] — the same rows in the same
 /// order (`J` descending, then `a`, then `b`) — holding only `n` of them.
 ///
-/// Each row `a` is counted by the same posting-list walk. Once `n` rows
-/// with `J > 0` are held, a pair that was never co-requested (`J = 0`)
-/// cannot enter, so the rest of the walk reads only the touched partners:
-/// `O(pair events + k)` after that point, and `O(n + k)` memory.
+/// Each row `a` is counted by the same posting-list walk, which costs
+/// `O(Σ|D_r|² + k)` over every row. Once `n` rows with `J > 0` are held,
+/// a pair that was never co-requested (`J = 0`) cannot enter, so the rest
+/// of the walk reads only the touched partners: `O(pair events + k)`
+/// after that point, and `O(n + k + requests)` memory.
 pub fn top_pairs(seq: &RequestSeq, n: usize) -> Vec<PairSpectrumRow> {
     if n == 0 {
         return Vec::new();

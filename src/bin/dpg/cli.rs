@@ -297,9 +297,10 @@ pub fn model_flags(args: &[String]) -> Result<(CostModel, f64), CliError> {
 
 /// The one checked solve behind `dpg run` and `dpg trace solve`: a cost
 /// plane the solver cannot price is a usage error, a trace above its
-/// request limit a runtime error naming `source`, and so is a ledger
-/// that does not reconcile with the reported total within the rounding
-/// bound of the two sums. Returns the solution and its ledger total.
+/// server or request limit a runtime error naming `source`, and so is a
+/// ledger that does not reconcile with the reported total within the
+/// rounding bound of the two sums. Returns the solution and its ledger
+/// total.
 pub fn checked_solve(
     solver: &dyn CachingSolver,
     seq: &RequestSeq,
@@ -307,6 +308,15 @@ pub fn checked_solve(
     source: &str,
 ) -> Result<(Solution, f64), CliError> {
     solver.validate(seq, ctx).map_err(CliError::Usage)?;
+    if let Some(limit) = solver.server_limit() {
+        if seq.servers() > limit {
+            return Err(CliError::Runtime(format!(
+                "{} handles at most {limit} servers; {source} has {}",
+                solver.name(),
+                seq.servers()
+            )));
+        }
+    }
     let requests = seq.requests().len();
     if let Some(limit) = solver.request_limit() {
         if requests > limit {

@@ -328,6 +328,35 @@ fn run_and_trace_solve_share_the_request_limit_error() {
     assert!(!ledger.exists());
 }
 
+/// A trace above a solver's server limit fails `dpg run` and `dpg trace
+/// solve` like the request limit above (exit 1, one line naming the
+/// file), not as a usage error: nothing on the command line is wrong. A
+/// cost plane the solver cannot price stays a usage error
+/// (`tests/cost_plane.rs`).
+#[test]
+fn the_server_limit_is_a_runtime_error_like_the_request_limit() {
+    let trace = "fixtures/traces/taxi_s1_200.json"; // 50 servers
+    let ledger = std::env::temp_dir().join("dpg-cli-test-server-limit.jsonl");
+    let run = dpg()
+        .args(["run", "--algo", "hetero_exact", trace])
+        .output()
+        .expect("run dpg");
+    let solve = dpg()
+        .args(["trace", "solve", trace, "--algo", "hetero_exact"])
+        .args(["--out", ledger.to_str().unwrap()])
+        .output()
+        .expect("run dpg");
+    for out in [&run, &solve] {
+        assert_eq!(out.status.code(), Some(1));
+        assert!(out.stdout.is_empty());
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: hetero_exact handles at most 16 servers; {trace} has 50\n")
+        );
+    }
+    assert!(!ledger.exists());
+}
+
 #[test]
 fn solve_rejects_unknown_algorithms_and_missing_files() {
     let out = dpg()

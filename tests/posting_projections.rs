@@ -166,35 +166,84 @@ fn with_silent_items(seq: RequestSeq, extra: u32) -> RequestSeq {
     b.build().unwrap()
 }
 
-/// One reused scratch walks every row, in a shuffled order, of random
-/// sequences whose catalogs include never-requested items: each count
-/// equals the full scan of `(a, b)` for `b > a` and is zero otherwise,
-/// the touched list holds each nonzero entry once, and the row totals
-/// add up to `total_pair_events`.
+/// Items 0–4: row 0 visits 4 pair events over its width of 4 and row 3
+/// one over its width of 1 (dense at equality), while rows 1 and 2
+/// visit fewer events than they have later items (sparse).
+fn equality_rows() -> RequestSeq {
+    RequestSeqBuilder::new(2, 5)
+        .push(0u32, 1.0, [0, 1, 2])
+        .push(1u32, 2.0, [0, 3, 4])
+        .build()
+        .unwrap()
+}
+
+/// One scratch walks every row of every sequence below, first in
+/// ascending order (each request's cursor moves forward) and then in a
+/// shuffled order (cursors past the row's item fall back to a search).
+/// The scratch is never reset, so each sequence after the first starts
+/// from cursors another sequence left. The sequences include
+/// never-requested items and rows on both sides of the dense rule
+/// (pair events reaching the row's width `k − a − 1`), one of them at
+/// equality. Each count equals the full scan of `(a, b)` for `b > a` and
+/// is zero otherwise, the touched list holds each nonzero entry once, in
+/// ascending order in a dense row, and the row totals add up to
+/// `total_pair_events`.
 #[test]
 fn row_walks_equal_a_full_scan_and_sum_to_the_pair_events() {
-    let shapes = [(0usize, 3u32, 2u32), (1, 1, 1), (60, 9, 4), (400, 40, 6)];
-    for (case, &(n, k, width)) in shapes.iter().enumerate() {
-        let seq = with_silent_items(sequence(0x20AD + case as u64, n, k, width), 5);
-        let mut rows: Vec<u32> = (0..seq.items()).collect();
-        Rng::seed_from_u64(case as u64).shuffle(&mut rows);
-        let mut row = PairRow::default();
-        let mut events = 0usize;
-        for a in rows.into_iter().map(ItemId) {
-            seq.count_row(a, &mut row);
-            let mut touched: Vec<ItemId> = row.touched().to_vec();
-            touched.sort();
-            touched.dedup();
-            assert_eq!(touched.len(), row.touched().len(), "a={a:?}");
-            for b in (0..seq.items()).map(ItemId) {
-                let expected = if b > a { seq.count_pair(a, b) } else { 0 };
-                assert_eq!(row.count(b) as usize, expected, "n={n}, a={a:?}, b={b:?}");
-                assert_eq!(touched.binary_search(&b).is_ok(), expected > 0);
-                events += expected;
+    let shapes = [
+        (0usize, 3u32, 2u32),
+        (1, 1, 1),
+        (60, 9, 4),
+        (400, 40, 6),
+        (300, 12, 8),
+        (50, 300, 2),
+    ];
+    let random = shapes.iter().enumerate().map(|(case, &(n, k, width))| {
+        with_silent_items(sequence(0x20AD + case as u64, n, k, width), 5)
+    });
+    let mut row = PairRow::default();
+    // Rows with pair events below, at and above their width.
+    let mut sides = [0usize; 3];
+    for (case, seq) in random.chain([equality_rows()]).enumerate() {
+        let ascending: Vec<u32> = (0..seq.items()).collect();
+        let mut shuffled = ascending.clone();
+        Rng::seed_from_u64(case as u64).shuffle(&mut shuffled);
+        for order in [ascending, shuffled] {
+            let mut events = 0usize;
+            for a in order.into_iter().map(ItemId) {
+                seq.count_row(a, &mut row);
+                let mut touched: Vec<ItemId> = row.touched().to_vec();
+                touched.sort();
+                touched.dedup();
+                assert_eq!(touched.len(), row.touched().len(), "a={a:?}");
+                let mut row_events = 0;
+                for b in (0..seq.items()).map(ItemId) {
+                    let expected = if b > a { seq.count_pair(a, b) } else { 0 };
+                    assert_eq!(
+                        row.count(b) as usize,
+                        expected,
+                        "case {case}, a={a:?}, b={b:?}"
+                    );
+                    assert_eq!(touched.binary_search(&b).is_ok(), expected > 0);
+                    row_events += expected;
+                }
+                let width = (seq.items() - a.0 - 1) as usize;
+                if row_events >= width {
+                    assert_eq!(row.touched(), touched, "case {case}, dense row {a:?}");
+                }
+                // The last row's width is 0, at equality in any sequence.
+                if width > 0 {
+                    sides[(row_events.cmp(&width) as i8 + 1) as usize] += 1;
+                }
+                events += row_events;
             }
+            assert_eq!(events, seq.total_pair_events(), "case {case}");
         }
-        assert_eq!(events, seq.total_pair_events(), "n={n}, k={k}");
     }
+    assert!(
+        sides.iter().all(|&rows| rows > 0),
+        "rows below, at, above: {sides:?}"
+    );
 }
 
 /// `pair_spectrum` counts rows with the walk; every row equals the
@@ -332,7 +381,8 @@ fn dp_greedy_pair_equals_a_run_on_full_scan_inputs() {
                     })
                     .collect();
                 let delivery = config.model.package_delivery_cost();
-                let expected = singleton_greedy(&events, &config.model, delivery, horizon);
+                let expected =
+                    singleton_greedy(&events, seq.servers(), &config.model, delivery, horizon);
                 assert_eq!(*outcome, expected, "seed {seed}, pair ({a:?}, {b:?})");
                 assert_eq!(outcome.cost.to_bits(), expected.cost.to_bits());
             }
