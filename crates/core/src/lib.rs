@@ -11,8 +11,8 @@
 //!   from `r_{i−1}`, or package delivery at `2αλ`); unpacked items are
 //!   served by the optimal off-line algorithm individually. The same
 //!   Phase 2 serves packages of more items, which the agglomerative
-//!   K-matcher packs above a size cap of 2 (the engine's `dpg_k` and
-//!   `multi` rows).
+//!   K-matcher packs above a size cap of 2 (the engine's `dp_greedy` at
+//!   `max_group` > 2, and `multi`).
 //! * [`dp_greedy`] composes the two phases at any size cap, the only
 //!   place they are composed; [`windowed`] runs it once per time window,
 //!   the only loop over windows.

@@ -13,7 +13,7 @@
 //!   individually by the optimal off-line algorithm.
 //!
 //! [`dp_greedy`] composes the two at any cap; the engine's `dp_greedy`,
-//! `dpg_k`, `multi` and `windowed` rows all run it, and the windowed
+//! `multi` and `windowed` rows all run it, and the windowed
 //! variant ([`crate::windowed`]) runs it once per window.
 //!
 //! The headline metric is the paper's `ave_cost` (Algorithm 1, line 50):

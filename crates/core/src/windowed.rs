@@ -91,13 +91,18 @@ pub fn slice_windows(seq: &RequestSeq, window: f64) -> Vec<(f64, RequestSeq)> {
     out
 }
 
-/// Runs pairwise DP_Greedy ([`dp_greedy`] at a package-size cap of 2)
-/// independently per window, summing the window totals in time order.
-pub fn dp_greedy_windowed(seq: &RequestSeq, config: &WindowedConfig) -> WindowedReport {
+/// Runs DP_Greedy ([`dp_greedy`] at the package-size cap `max_group`; 2
+/// is the paper's pairwise algorithm) independently per window, summing
+/// the window totals in time order.
+pub fn dp_greedy_windowed(
+    seq: &RequestSeq,
+    config: &WindowedConfig,
+    max_group: usize,
+) -> WindowedReport {
     let mut windows = Vec::new();
     let mut total_cost = 0.0;
     for (start, slice) in slice_windows(seq, config.window) {
-        let report = dp_greedy(&slice, &config.inner, 2);
+        let report = dp_greedy(&slice, &config.inner, max_group);
         total_cost += report.total_cost;
         windows.push((start, report));
     }
@@ -137,7 +142,7 @@ mod tests {
             inner: DpGreedyConfig::new(model).with_theta(0.3),
             window: 4.9, // splits the two phases into separate windows
         };
-        let report = dp_greedy_windowed(&seq, &cfg);
+        let report = dp_greedy_windowed(&seq, &cfg, 2);
         assert!(report.windows.len() >= 2);
         assert!(report.adapted(), "packing should change across windows");
         let pair = |a, b| vec![ItemId(a), ItemId(b)];
@@ -162,6 +167,7 @@ mod tests {
                 inner: DpGreedyConfig::new(model).with_theta(0.3),
                 window: 4.9,
             },
+            2,
         );
         assert!(
             windowed.total_cost < global.total_cost,
@@ -182,6 +188,7 @@ mod tests {
                 inner: DpGreedyConfig::new(model).with_theta(0.3),
                 window: 1e6,
             },
+            2,
         );
         assert!((windowed.total_cost - global.total_cost).abs() < 1e-9);
         assert_eq!(windowed.windows.len(), 1);
@@ -200,6 +207,7 @@ mod tests {
                 inner: DpGreedyConfig::new(model),
                 window: 1.0,
             },
+            2,
         );
         assert_eq!(report.windows.len(), 2);
         assert_eq!(report.windows[0].1.total_accesses, 1);
@@ -216,6 +224,7 @@ mod tests {
                 inner: DpGreedyConfig::new(model),
                 window: 3.0,
             },
+            2,
         );
         let sliced: usize = slice_windows(&seq, 3.0).iter().map(|w| w.1.len()).sum();
         assert_eq!(sliced, seq.len());

@@ -3,7 +3,7 @@
 //! [`PackageSet`] holds packages of size ≥ 2 in one list and unpacked
 //! singletons in another: the outcome of the agglomerative K-matcher
 //! ([`crate::grouping`]), which the package-generic Phase 2 of the
-//! engine's `dpg_k` and `multi` rows serves. [`crate::matching::Packing`]
+//! engine's `dp_greedy` (above a size cap of 2) and `multi` rows serves. [`crate::matching::Packing`]
 //! stays the pairwise outcome of Algorithm 1 that DP_Greedy serves.
 
 use mcs_model::ItemId;

@@ -21,8 +21,8 @@
 //!   ledger. It is the workspace's only source of ledger events: the
 //!   per-pair experiments build their parts with
 //!   [`solvers::package_parts`], and `mcs_sim::chaos_solution` replays a
-//!   `Solution`'s schedules under faults. `dp_greedy`, `dpg_k`, `multi`
-//!   and `windowed` run the one two-phase pipeline,
+//!   `Solution`'s schedules under faults. `dp_greedy`, `multi` and
+//!   `windowed` run the one two-phase pipeline,
 //!   `dp_greedy::two_phase::dp_greedy` (once per window for `windowed`),
 //!   in which only Phase 1 depends on the package-size cap; the engine
 //!   only turns its reports into parts.
@@ -87,14 +87,16 @@ pub struct RunContext {
     /// Packing threshold `θ` for correlation-aware solvers.
     pub theta: f64,
     /// Seed for solvers with internal randomness or derived workloads.
+    /// No registered solver reads it; the daemon still derives one per
+    /// epoch ([`RunContext::for_epoch`]).
     pub seed: u64,
-    /// Maximum package size for package-aware solvers (`dpg_k`): `2`
-    /// recovers the paper's pairwise shape, larger values allow bigger
-    /// bundles. Ignored by the pair-only solvers.
+    /// Maximum package size for the rows that declare
+    /// [`PackageKnobs::ThetaAndCap`] (`dp_greedy`, `windowed`): `2` is the
+    /// paper's pairwise shape, larger values allow bigger bundles.
     pub max_group: usize,
-    /// When set, package-aware solvers derive `θ` per trace from the
-    /// observed co-request density of the prescan instead of using the
-    /// fixed `theta` field.
+    /// When set, the rows that read the θ rule ([`PackageKnobs::Theta`]
+    /// and above) derive `θ` per trace from its co-request density
+    /// ([`RunContext::theta_for`]) instead of using the fixed `theta`.
     pub adaptive: bool,
     /// Fault plan for fault-aware policies (`None` = ideal fleet; only
     /// the `resilient` solver reads it today).
@@ -149,17 +151,34 @@ impl RunContext {
         self
     }
 
-    /// Caps the package size for package-aware solvers (`2` = pairs).
+    /// Caps the package size for the rows that read it (`2` = pairs).
     pub fn with_max_group(mut self, max_group: usize) -> Self {
         self.max_group = max_group;
         self
     }
 
-    /// Switches package-aware solvers to the adaptive per-trace θ rule
-    /// ([`mcs_correlation::adaptive_theta`]).
+    /// Switches the θ-reading rows to the adaptive per-trace θ rule
+    /// ([`RunContext::theta_for`]).
     pub fn with_adaptive_theta(mut self) -> Self {
         self.adaptive = true;
         self
+    }
+
+    /// The packing threshold a solve over `seq` packs at: the fixed
+    /// `theta`, or under `adaptive` the rule
+    /// [`mcs_correlation::adaptive_theta`] over `seq`'s co-request
+    /// density at the model's `α`. The one θ rule of every row that
+    /// packs.
+    pub fn theta_for(&self, seq: &RequestSeq) -> f64 {
+        if self.adaptive {
+            mcs_correlation::adaptive_theta(
+                seq.total_item_accesses(),
+                seq.total_pair_events(),
+                self.model().alpha(),
+            )
+        } else {
+            self.theta
+        }
     }
 
     /// Sets the fault plan.
@@ -185,6 +204,19 @@ impl Default for RunContext {
     fn default() -> Self {
         RunContext::new(mcs_model::defaults::default_model())
     }
+}
+
+/// Which of a [`RunContext`]'s package knobs a solver reads
+/// ([`CachingSolver::package_knobs`]); a caller refuses a knob set away
+/// from its default on a row that does not read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum PackageKnobs {
+    /// Neither `adaptive` nor `max_group`.
+    None,
+    /// The θ rule ([`RunContext::theta_for`]) but no size cap.
+    Theta,
+    /// The θ rule and the size cap `max_group`.
+    ThetaAndCap,
 }
 
 /// One caching algorithm behind the engine seam.
@@ -241,6 +273,11 @@ pub trait CachingSolver: Sync {
     /// for the solvers polynomial in `m`.
     fn server_limit(&self) -> Option<u32> {
         None
+    }
+
+    /// The package knobs this solver reads; the default reads none.
+    fn package_knobs(&self) -> PackageKnobs {
+        PackageKnobs::None
     }
 }
 

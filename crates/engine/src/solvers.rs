@@ -5,8 +5,8 @@
 //! [`SolutionPart`] list so the generic ledger derivation reconciles
 //! (`Σ event.cost == total_cost`) for every solver:
 //!
-//! * Schedule-producing solvers (`dp_greedy`, `dpg_k`, `multi`,
-//!   `optimal`, `greedy`, `package_served`, `windowed`, `ski_rental`)
+//! * Schedule-producing solvers (`dp_greedy`, `multi`, `optimal`,
+//!   `greedy`, `package_served`, `windowed`, `ski_rental`)
 //!   emit their explicit schedules, priced at the rates they were
 //!   computed under.
 //! * The cost-only exact solver (`exhaustive`) proves the same optimum
@@ -16,21 +16,22 @@
 //! * Aggregate-only solvers (`online_dpg`, `resilient`, `hetero_*`,
 //!   `tiered_waterfall`) emit channel-attributed lump costs.
 //!
-//! `dp_greedy`, `dpg_k`, `multi` and `windowed` run the one two-phase
-//! pipeline, `dp_greedy::two_phase::dp_greedy` (per window for
-//! `windowed`, through `dp_greedy::windowed::dp_greedy_windowed`), in
-//! which only Phase 1 depends on the package-size cap K; the engine only
-//! turns its reports into parts (`report_parts`).
+//! `dp_greedy`, `multi` and `windowed` run the one two-phase pipeline,
+//! `dp_greedy::two_phase::dp_greedy` (per window for `windowed`, through
+//! `dp_greedy::windowed::dp_greedy_windowed`), in which only Phase 1
+//! depends on the package-size cap K; the engine only turns its reports
+//! into parts (`report_parts`). Every row that packs takes θ from
+//! [`RunContext::theta_for`].
 //!
 //! Whole-run aggregates that have no natural single subject are
 //! attributed to `Commodity::Item(0)` by convention.
 
 use dp_greedy::baselines::package_served_pair;
 use dp_greedy::singleton_greedy::{Arm, ArmChoice};
-use dp_greedy::two_phase::{dp_greedy, DpGreedyConfig, DpGreedyReport, PackageReport};
+use dp_greedy::two_phase::{
+    dp_greedy, pair_packing, DpGreedyConfig, DpGreedyReport, PackageReport,
+};
 use dp_greedy::windowed::{dp_greedy_windowed, WindowedConfig};
-use mcs_correlation::matching::greedy_matching_from_pairs;
-use mcs_correlation::{adaptive_theta, pairs_above};
 use mcs_model::fault::FaultPlan;
 use mcs_model::request::SingleItemTrace;
 use mcs_model::{CostModel, ItemId, RequestSeq, Schedule};
@@ -42,7 +43,7 @@ use mcs_online::tiered::tiered_run;
 use mcs_online::{resilient_ski_rental, ski_rental};
 
 use crate::solution::{Commodity, ServeChoice, Solution, SolutionPart};
-use crate::{CachingSolver, RunContext, SolverKind};
+use crate::{CachingSolver, PackageKnobs, RunContext, SolverKind};
 
 /// The ledger spelling of a three-arm choice, one of
 /// `mcs_obs::ledger::OPTION_NAMES`.
@@ -149,14 +150,15 @@ fn report_parts(
 }
 
 /// The [`Solution`] of `solver`: [`dp_greedy`] over the whole sequence at
-/// the size cap `max_group`, as parts.
+/// the size cap `max_group` and `ctx`'s θ rule, as parts.
 fn two_phase_solution(
     solver: &dyn CachingSolver,
     seq: &RequestSeq,
-    config: &DpGreedyConfig,
+    ctx: &RunContext,
     max_group: usize,
 ) -> Solution {
-    let report = dp_greedy(seq, config, max_group);
+    let config = DpGreedyConfig::new(ctx.model()).with_theta(ctx.theta_for(seq));
+    let report = dp_greedy(seq, &config, max_group);
     let (total_cost, total_accesses) = (report.total_cost, report.total_accesses);
     let mut parts = Vec::new();
     report_parts(report, &config.model, 0.0, &mut parts);
@@ -203,7 +205,11 @@ fn per_item_parts(
     (parts, total)
 }
 
-/// The paper's two-phase DP_Greedy algorithm.
+/// The paper's two-phase DP_Greedy algorithm at the context's
+/// package-size cap (`max_group`; 2 is the paper's pairwise algorithm,
+/// above it Phase 1 is the agglomerative K-matcher over a
+/// `mcs_correlation::PairTable`) and θ rule. The aliases `dpg`, `dpg_k`
+/// and `kpack` name it.
 pub struct DpGreedySolver;
 
 impl CachingSolver for DpGreedySolver {
@@ -214,11 +220,13 @@ impl CachingSolver for DpGreedySolver {
         SolverKind::Offline
     }
     fn description(&self) -> &'static str {
-        "two-phase DP_Greedy: Jaccard pair packing + package DP + three-arm greedy"
+        "two-phase DP_Greedy: Jaccard packing up to max_group (pairs) + package DP + three-arm greedy"
+    }
+    fn package_knobs(&self) -> PackageKnobs {
+        PackageKnobs::ThetaAndCap
     }
     fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
-        let config = DpGreedyConfig::new(ctx.model()).with_theta(ctx.theta);
-        two_phase_solution(self, seq, &config, 2)
+        two_phase_solution(self, seq, ctx, ctx.max_group)
     }
 }
 
@@ -315,9 +323,10 @@ impl CachingSolver for ExhaustiveSolver {
     }
 }
 
-/// The Package_Served extreme of Fig. 13: matched pairs are always
-/// packed (optimal DP over the union trace at package rates); leftovers
-/// served per-item optimally.
+/// The Package_Served extreme of Fig. 13: the pairs of Phase 1
+/// ([`pair_packing`] at the context's θ rule) are always packed (optimal
+/// DP over the union trace at package rates); leftovers served per-item
+/// optimally. Pairs only, so it reads no size cap.
 pub struct PackageServedSolver;
 
 impl CachingSolver for PackageServedSolver {
@@ -330,10 +339,12 @@ impl CachingSolver for PackageServedSolver {
     fn description(&self) -> &'static str {
         "always-pack extreme: matched pairs served entirely by package"
     }
+    fn package_knobs(&self) -> PackageKnobs {
+        PackageKnobs::Theta
+    }
     fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
         let model = &ctx.model();
-        let packing =
-            greedy_matching_from_pairs(pairs_above(seq, ctx.theta), seq.items(), ctx.theta);
+        let packing = pair_packing(seq, ctx.theta_for(seq));
         let pkg = model.scaled_for_package();
 
         let mut parts = Vec::new();
@@ -370,9 +381,8 @@ impl CachingSolver for PackageServedSolver {
     }
 }
 
-/// Multi-item DP_Greedy (groups beyond pairs): the two-phase pipeline at
-/// K = ∞ and the context's fixed `θ` (it ignores `max_group` and
-/// `adaptive`) — [`KPackSolver`] without a cap.
+/// Multi-item DP_Greedy (groups beyond pairs): [`DpGreedySolver`]'s
+/// pipeline at K = ∞ and the context's θ rule; it reads no size cap.
 pub struct MultiSolver;
 
 impl CachingSolver for MultiSolver {
@@ -385,50 +395,17 @@ impl CachingSolver for MultiSolver {
     fn description(&self) -> &'static str {
         "multi-item DP_Greedy: agglomerative grouping beyond pairs"
     }
-    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
-        let config = DpGreedyConfig::new(ctx.model()).with_theta(ctx.theta);
-        two_phase_solution(self, seq, &config, usize::MAX)
-    }
-}
-
-/// Adaptive K-package DP_Greedy behind the registry seam: the two-phase
-/// pipeline at the context's `max_group`, whose Phase 1 is the greedy pair
-/// matcher up to 2 and the agglomerative K-matcher over a
-/// `mcs_correlation::PairTable` (memory linear in the observed pairs)
-/// above it. `--adaptive` derives `θ` per trace from the sequence's
-/// co-request density ([`adaptive_theta`]). At `max_group = 2` this is
-/// [`DpGreedySolver`]'s pipeline, so for the same `θ` cost bits and ledger
-/// parts are identical (modulo the `algo` label).
-pub struct KPackSolver;
-
-impl CachingSolver for KPackSolver {
-    fn name(&self) -> &'static str {
-        "dpg_k"
-    }
-    fn kind(&self) -> SolverKind {
-        SolverKind::Offline
-    }
-    fn description(&self) -> &'static str {
-        "K-package DP_Greedy: sparse agglomerative matching up to max_group, adaptive theta"
+    fn package_knobs(&self) -> PackageKnobs {
+        PackageKnobs::Theta
     }
     fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
-        let model = ctx.model();
-        let theta = if ctx.adaptive {
-            adaptive_theta(
-                seq.total_item_accesses(),
-                seq.total_pair_events(),
-                model.alpha(),
-            )
-        } else {
-            ctx.theta
-        };
-        let config = DpGreedyConfig::new(model).with_theta(theta);
-        two_phase_solution(self, seq, &config, ctx.max_group)
+        two_phase_solution(self, seq, ctx, usize::MAX)
     }
 }
 
 /// Windowed DP_Greedy: both phases re-run per time window (quarter of
-/// the horizon) so the packing adapts to correlation drift.
+/// the horizon) at the context's size cap, so the packing adapts to
+/// correlation drift. θ comes from the whole sequence's θ rule.
 pub struct WindowedSolver;
 
 impl WindowedSolver {
@@ -449,13 +426,16 @@ impl CachingSolver for WindowedSolver {
     fn description(&self) -> &'static str {
         "windowed DP_Greedy: re-packs per quarter-horizon window (drift-adaptive)"
     }
+    fn package_knobs(&self) -> PackageKnobs {
+        PackageKnobs::ThetaAndCap
+    }
     fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
         let model = ctx.model();
         let config = WindowedConfig {
-            inner: DpGreedyConfig::new(model).with_theta(ctx.theta),
+            inner: DpGreedyConfig::new(model).with_theta(ctx.theta_for(seq)),
             window: WindowedSolver::window_for(seq),
         };
-        let report = dp_greedy_windowed(seq, &config);
+        let report = dp_greedy_windowed(seq, &config, ctx.max_group);
         let mut parts = Vec::new();
         for (start, window) in report.windows {
             report_parts(window, &model, start, &mut parts);

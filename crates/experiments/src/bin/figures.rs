@@ -1,13 +1,16 @@
 //! Command-line driver regenerating every figure/table of the paper.
 //!
 //! ```text
-//! figures [--fig 9|10|11|12|13] [--ratio] [--online] [--all]
-//!         [--seed N] [--steps N] [--json DIR]
+//! figures [--fig 9|10|11|12|13] [--ratio] [--online] [--ablations]
+//!         [--chaos] [--registry] [--ksweep] [--tiered] [--all]
+//!         [--seed N] [--steps N] [--json DIR] [--tsv FILE]
 //! ```
 //!
 //! With no selection flags, `--all` is assumed. `--json DIR` additionally
 //! writes each result as a JSON file for provenance (referenced from
-//! EXPERIMENTS.md).
+//! EXPERIMENTS.md). `--tsv FILE` writes the TSV of the one table sweep
+//! selected, `--registry`, `--ksweep` or `--tiered`; with any other
+//! number of them selected it is a usage error.
 
 use std::path::PathBuf;
 
@@ -30,7 +33,6 @@ struct Args {
     seed: u64,
     steps: Option<usize>,
     json: Option<PathBuf>,
-    dat: Option<PathBuf>,
     tsv: Option<PathBuf>,
 }
 
@@ -47,7 +49,6 @@ fn parse_args() -> Result<Args, String> {
         seed: DEFAULT_SEED,
         steps: None,
         json: None,
-        dat: None,
         tsv: None,
     };
     let mut it = std::env::args().skip(1);
@@ -110,10 +111,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--json needs a directory")?;
                 args.json = Some(PathBuf::from(v));
             }
-            "--dat" => {
-                let v = it.next().ok_or("--dat needs a directory")?;
-                args.dat = Some(PathBuf::from(v));
-            }
             "--tsv" => {
                 let v = it.next().ok_or("--tsv needs a file path")?;
                 args.tsv = Some(PathBuf::from(v));
@@ -139,14 +136,16 @@ fn parse_args() -> Result<Args, String> {
         args.ksweep = true;
         args.tiered = true;
     }
+    let tables = [args.registry, args.ksweep, args.tiered];
+    if args.tsv.is_some() && tables.iter().filter(|&&on| on).count() != 1 {
+        return Err("--tsv needs exactly one of --registry, --ksweep and --tiered".into());
+    }
     Ok(args)
 }
 
-fn write_dat(dir: &Option<PathBuf>, name: &str, title: &str, columns: &[&str], rows: &[Vec<f64>]) {
-    if let Some(dir) = dir {
-        std::fs::create_dir_all(dir).expect("create dat dir");
-        let path = dir.join(format!("{name}.dat"));
-        mcs_experiments::export::write_dat(&path, title, columns, rows).expect("write dat");
+fn write_tsv(path: &Option<PathBuf>, tsv: String) {
+    if let Some(path) = path {
+        std::fs::write(path, tsv).expect("write tsv");
         eprintln!("wrote {}", path.display());
     }
 }
@@ -196,61 +195,17 @@ fn main() {
                 let f = fig11::run(&config);
                 println!("{}", f.table());
                 write_json(&args.json, "fig11", &f);
-                write_dat(
-                    &args.dat,
-                    "fig11",
-                    "ave_cost vs Jaccard",
-                    &[
-                        "jaccard",
-                        "dp_greedy",
-                        "optimal",
-                        "dpg_cache",
-                        "dpg_transfer",
-                        "dpg_package",
-                    ],
-                    &f.to_rows(),
-                );
             }
             12 => {
                 let f = fig12::run(&config, &fig12::default_rhos());
                 println!("{}", f.table());
                 println!("peak at rho = {:.2}\n", f.peak_rho());
                 write_json(&args.json, "fig12", &f);
-                write_dat(
-                    &args.dat,
-                    "fig12",
-                    "ave_cost vs rho (lambda+mu=6)",
-                    &[
-                        "rho",
-                        "dp_greedy",
-                        "optimal",
-                        "dpg_cache",
-                        "dpg_transfer",
-                        "dpg_package",
-                    ],
-                    &f.to_rows(),
-                );
             }
             13 => {
                 let f = fig13::run(&config);
                 println!("{}", f.table());
                 write_json(&args.json, "fig13", &f);
-                write_dat(
-                    &args.dat,
-                    "fig13",
-                    "ave_cost vs alpha",
-                    &[
-                        "alpha",
-                        "jaccard",
-                        "package_served",
-                        "optimal",
-                        "dp_greedy",
-                        "dpg_cache",
-                        "dpg_transfer",
-                        "dpg_package",
-                    ],
-                    &f.to_rows(),
-                );
             }
             other => eprintln!("no such figure: {other}"),
         }
@@ -300,27 +255,17 @@ fn main() {
         // registered solver, `ave_cost` at 6 decimals.
         let s = solver_sweep::paper_example();
         println!("{}", s.table());
-        if let Some(path) = &args.tsv {
-            std::fs::write(path, s.to_tsv()).expect("write tsv");
-            eprintln!("wrote {}", path.display());
-        }
+        write_tsv(&args.tsv, s.to_tsv());
     }
     if args.ksweep {
-        // The fig12 K-sweep: dpg_k over K ∈ {2,3,4,8} + adaptive on two
-        // bundle densities. Fully deterministic, so both the JSON
+        // The fig12 K-sweep: dp_greedy over K ∈ {2,3,4,8} + adaptive on
+        // two bundle densities. Fully deterministic, so both the JSON
         // provenance artefact and the TSV are reproducible.
         let steps = args.steps.unwrap_or(600);
         let k = solver_sweep::k_sweep(steps, args.seed);
         println!("{}", k.table());
         write_json(&args.json, "ksweep", &k);
-        // `--tsv` belongs to the registry sweep when both are selected
-        // (the CI registry-smoke contract); ksweep writes it otherwise.
-        if !args.registry {
-            if let Some(path) = &args.tsv {
-                std::fs::write(path, k.to_tsv()).expect("write tsv");
-                eprintln!("wrote {}", path.display());
-            }
-        }
+        write_tsv(&args.tsv, k.to_tsv());
     }
     if args.tiered {
         // The cost-plane sweep: hetero μ-spread and tiered L1-capacity
@@ -331,13 +276,6 @@ fn main() {
         let p = plane_exp::run(steps, args.seed);
         println!("{}", p.table());
         write_json(&args.json, "tiered", &p);
-        // `--tsv` precedence mirrors the ksweep rule: the registry
-        // sweep owns it first, then ksweep, then this sweep.
-        if !args.registry && !args.ksweep {
-            if let Some(path) = &args.tsv {
-                std::fs::write(path, p.to_tsv()).expect("write tsv");
-                eprintln!("wrote {}", path.display());
-            }
-        }
+        write_tsv(&args.tsv, p.to_tsv());
     }
 }

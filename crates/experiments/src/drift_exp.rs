@@ -97,6 +97,7 @@ pub fn run(seed: u64) -> DriftExp {
                     inner: DpGreedyConfig::new(model).with_theta(0.3),
                     window: boundary,
                 },
+                2,
             );
             DriftRow {
                 alpha,

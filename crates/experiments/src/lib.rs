@@ -32,7 +32,6 @@ pub mod ablations;
 pub mod capacity_exp;
 pub mod chaos_exp;
 pub mod drift_exp;
-pub mod export;
 pub mod fig09;
 pub mod fig10;
 pub mod fig11;

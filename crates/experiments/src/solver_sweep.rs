@@ -131,9 +131,9 @@ pub struct KSweepRow {
     pub packages: usize,
     /// Size of the largest package.
     pub largest: usize,
-    /// The paper's headline metric under `dpg_k`.
+    /// The paper's headline metric under `dp_greedy`.
     pub ave_cost: f64,
-    /// Total cost under `dpg_k`.
+    /// Total cost under `dp_greedy`.
     pub total_cost: f64,
 }
 
@@ -144,16 +144,15 @@ pub struct KSweep {
     pub rows: Vec<KSweepRow>,
 }
 
-/// Sweeps the `dpg_k` solver over K ∈ {2, 3, 4, 8} plus the adaptive-θ
+/// Sweeps the `dp_greedy` row over K ∈ {2, 3, 4, 8} plus the adaptive-θ
 /// mode on two bundle-workload densities (co-access probability
 /// `q = 0.35` vs `q = 0.8`) — the fig12-style "when do bigger bundles
 /// win" experiment. Deterministic for a given `(steps, seed)`.
 pub fn k_sweep(steps: usize, seed: u64) -> KSweep {
     use dp_greedy::two_phase::pack;
-    use mcs_correlation::adaptive_theta;
 
     let model = mcs_model::defaults::default_model();
-    let solver = mcs_engine::find("dpg_k").expect("dpg_k is registered");
+    let solver = mcs_engine::find("dp_greedy").expect("dp_greedy is registered");
     let mut rows = Vec::new();
     for (density, q) in [("sparse", 0.35), ("dense", 0.8)] {
         let seq = crate::multi_exp::bundle_workload(12, 3, steps, q, seed);
@@ -168,15 +167,7 @@ pub fn k_sweep(steps: usize, seed: u64) -> KSweep {
             if adaptive {
                 ctx = ctx.with_adaptive_theta();
             }
-            let theta = if adaptive {
-                adaptive_theta(
-                    seq.total_item_accesses(),
-                    seq.total_pair_events(),
-                    model.alpha(),
-                )
-            } else {
-                ctx.theta
-            };
+            let theta = ctx.theta_for(&seq);
             // The solver's Phase 1, under the same θ it resolves to.
             let packing = pack(&seq, theta, max_group);
             let (packages, largest) = (packing.package_count(), packing.largest_package());
@@ -201,7 +192,7 @@ impl KSweep {
     /// Renders the K-sweep table.
     pub fn table(&self) -> Table {
         let mut t = Table::new(
-            "K-sweep — dpg_k cost vs package-size cap on two densities",
+            "K-sweep — dp_greedy cost vs package-size cap on two densities",
             &[
                 "density", "q", "K", "theta", "packages", "largest", "ave_cost", "total",
             ],

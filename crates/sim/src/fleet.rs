@@ -263,7 +263,7 @@ mod tests {
             (sol, out)
         };
         for (name, ctx) in [
-            ("dpg_k", ctx.clone().with_max_group(3)),
+            ("dp_greedy", ctx.clone().with_max_group(3)),
             ("multi", ctx.clone()),
         ] {
             let (sol, out) = solve(name, &ctx);

@@ -37,6 +37,7 @@ fn main() {
             inner: config,
             window: boundary,
         },
+        2,
     );
     println!("\nwindowed DP_Greedy ({} windows):", windowed.windows.len());
     for (start, w) in &windowed.windows {

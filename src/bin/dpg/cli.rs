@@ -5,7 +5,7 @@
 use std::io::{ErrorKind, Write};
 
 use dp_greedy_suite::dp_greedy::paper_example;
-use dp_greedy_suite::engine::{CachingSolver, RunContext, Solution};
+use dp_greedy_suite::engine::{solvers, CachingSolver, PackageKnobs, RunContext, Solution};
 use dp_greedy_suite::model::defaults::{DEFAULT_ALPHA, DEFAULT_LAMBDA, DEFAULT_MU, DEFAULT_THETA};
 use dp_greedy_suite::model::json::{self, FromJson};
 use dp_greedy_suite::model::{CostPlane, ItemId, RequestSeq};
@@ -48,7 +48,7 @@ pub const USAGE: &str = "usage:\n  dpg generate --out FILE [--seed N] [--steps N
          dpg run --algo NAME [FILE] [--mu X] [--lambda X] [--alpha X] [--theta X] \
          [--max-group K] [--adaptive] [--cost-model FILE] [--json]\n  \
          dpg serve --dir DIR [--input FILE] [--algo NAME] [--epoch-len N] [--decay X] \
-         [--settle-timeout-ms N] [--max-items N] [--seed N] [--quiet] [--dump-state] \
+         [--settle-timeout-ms N] [--max-items N] [--quiet] [--dump-state] \
          [--telemetry-addr HOST:PORT] [--telemetry-file PATH] [--dump-journal]\n  \
          dpg top (--addr HOST:PORT | --file PATH) [--interval-ms N] [--journal N] \
          [--raw metrics|journal] [--once]\n  \
@@ -58,10 +58,11 @@ pub const USAGE: &str = "usage:\n  dpg generate --out FILE [--seed N] [--steps N
          [--alpha X] [--theta X] [--max-group K] [--adaptive] [--cost-model FILE]\n  \
          dpg trace pack IN OUT [--json]\n  \
          dpg chaos [--seed N] [--fault-rate X] [--mean-outage X] [--steps N] \
-         [--mu X] [--lambda X] [--alpha X] [--theta X] [--sweep]\n  \
+         [--mu X] [--lambda X] [--alpha X] [--theta X]\n  \
          dpg version\n\
-         `dpg algos` lists the solver registry NAMEs (--max-group/--adaptive \
-         drive the dpg_k K-package solver; --cost-model points run/trace solve \
+         `dpg algos` lists the solver registry NAMEs (--max-group K caps the \
+         package size and --adaptive derives θ from the trace, in the rows that \
+         read them, and the others refuse them; --cost-model points run/trace solve \
          at a homogeneous, hetero, or tiered cost-plane JSON); without FILE, run, \
          explain and trace solve read the paper's running example \
          (μ=λ=1, α=0.8, θ=0.4); every subcommand also accepts --metrics \
@@ -295,12 +296,37 @@ pub fn model_flags(args: &[String]) -> Result<(CostModel, f64), CliError> {
     Ok((p.model, p.theta))
 }
 
+/// A usage error unless `solver` reads every package knob `ctx` sets away
+/// from its default (`--max-group K` with K ≠ 2, `--adaptive`); the error
+/// names the rows that do read it.
+fn check_knobs(solver: &dyn CachingSolver, ctx: &RunContext) -> Result<(), CliError> {
+    for (flag, set, needs) in [
+        ("--max-group", ctx.max_group != 2, PackageKnobs::ThetaAndCap),
+        ("--adaptive", ctx.adaptive, PackageKnobs::Theta),
+    ] {
+        if set && solver.package_knobs() < needs {
+            let readers: Vec<&str> = solvers()
+                .iter()
+                .filter(|s| s.package_knobs() >= needs)
+                .map(|s| s.name())
+                .collect();
+            return Err(CliError::Usage(format!(
+                "{} does not read {flag}; the rows that do: {}",
+                solver.name(),
+                readers.join(", ")
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// The one checked solve behind `dpg run` and `dpg trace solve`: a cost
-/// plane the solver cannot price is a usage error, a trace above its
-/// server or request limit a runtime error naming `source`, and so is a
-/// ledger that does not reconcile with the reported total within the
-/// rounding bound of the two sums. Returns the solution and its ledger
-/// total.
+/// plane the solver cannot price, or a package knob it does not read
+/// ([`CachingSolver::package_knobs`]), is a usage error, a trace above
+/// its server or request limit a runtime error naming `source`, and so
+/// is a ledger that does not reconcile with the reported total within
+/// the rounding bound of the two sums. Returns the solution and its
+/// ledger total.
 pub fn checked_solve(
     solver: &dyn CachingSolver,
     seq: &RequestSeq,
@@ -308,6 +334,7 @@ pub fn checked_solve(
     source: &str,
 ) -> Result<(Solution, f64), CliError> {
     solver.validate(seq, ctx).map_err(CliError::Usage)?;
+    check_knobs(solver, ctx)?;
     if let Some(limit) = solver.server_limit() {
         if seq.servers() > limit {
             return Err(CliError::Runtime(format!(

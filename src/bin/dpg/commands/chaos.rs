@@ -4,12 +4,10 @@
 //! `FaultPlan` (`mcs_model::fault`), replays every explicit schedule
 //! through the degraded engine ([`mcs_sim::chaos_solution`]) and reports
 //! the degradation ratio plus recovery metrics. Deterministic for a fixed
-//! `--seed`. With `--sweep` the full fault-rate × θ × α grid of
-//! `mcs_experiments::chaos_exp` is printed instead.
+//! `--seed`. The full fault-rate × θ × α grid is `figures --chaos`.
 
 use crate::cli::{check_flags, parse_flag, write_report, CliError};
 use dp_greedy_suite::engine::{find, RunContext};
-use dp_greedy_suite::experiments::chaos_exp;
 use dp_greedy_suite::model::defaults::DEFAULT_SEED;
 use dp_greedy_suite::model::fault::FaultPlan;
 use dp_greedy_suite::online::{degradation_ratio, resilient_ski_rental};
@@ -30,7 +28,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             "--alpha",
             "--theta",
         ],
-        &["--sweep"],
+        &[],
     )?;
     let seed: u64 = parse_flag(args, "--seed")
         .transpose()?
@@ -51,15 +49,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 
     let mut cfg = WorkloadConfig::paper_like(seed);
     cfg.steps = steps;
-
-    if args.iter().any(|a| a == "--sweep") {
-        let e = chaos_exp::run(&cfg, seed);
-        return write_report(|out| {
-            writeln!(out, "{}", e.table())?;
-            writeln!(out, "worst degradation ratio: {:.4}", e.worst_ratio())
-        });
-    }
-
     let seq = generate(&cfg);
     let plan = FaultPlan::random(
         seed,

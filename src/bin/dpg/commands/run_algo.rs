@@ -47,7 +47,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         params.model.lambda(),
         params.model.alpha(),
     );
-    let theta = params.theta;
     // Package knobs are echoed only when they deviate from the pairwise
     // defaults, keeping the historical header byte-stable.
     let mut knobs = String::new();
@@ -63,8 +62,11 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         knobs.push_str(&format!(" cost_model={path} ({})", params.plane.shape()));
     }
 
-    let (sol, ledger_total) = checked_solve(solver, &seq, &params.context(), &source)?;
+    let ctx = params.context();
+    let (sol, ledger_total) = checked_solve(solver, &seq, &ctx, &source)?;
     let gap = (ledger_total - sol.total_cost).abs();
+    // The θ the solve packed at: `--theta`, or derived under `--adaptive`.
+    let theta = ctx.theta_for(&seq);
 
     if args.iter().any(|a| a == "--json") {
         let doc = Json::Obj(vec![

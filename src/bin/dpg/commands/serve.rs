@@ -51,7 +51,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
             "--max-items",
             "--throttle-us",
             "--inject-panic-epoch",
-            "--seed",
             "--telemetry-addr",
             "--telemetry-file",
             "--mu",
@@ -107,9 +106,6 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
         cfg.throttle = Duration::from_micros(us);
     }
     cfg.inject_panic_epoch = parse_flag::<u64>(args, "--inject-panic-epoch").transpose()?;
-    if let Some(seed) = parse_flag::<u64>(args, "--seed").transpose()? {
-        cfg.seed = seed;
-    }
     if let Some(path) = parse_flag::<String>(args, "--telemetry-file").transpose()? {
         cfg.telemetry_file = Some(PathBuf::from(path));
     }

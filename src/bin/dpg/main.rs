@@ -14,7 +14,7 @@
 //! dpg explain [trace.json] [--a N --b N] [--mu X] [--lambda X] [--alpha X]
 //! dpg trace solve [trace.json] --out events.jsonl [--algo NAME] [...]
 //! dpg trace pack in.json out.dpgb [--json]
-//! dpg chaos [--seed N] [--fault-rate X] [--sweep]
+//! dpg chaos [--seed N] [--fault-rate X]
 //! dpg version
 //! ```
 //!

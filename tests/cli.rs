@@ -433,7 +433,6 @@ fn reports_to_a_closed_stdout_exit_zero_without_a_panic() {
         vec!["explain", trace],
         vec!["svg", trace, "--out", &svg],
         vec!["chaos", "--steps", "50"],
-        vec!["chaos", "--steps", "50", "--sweep"],
         vec!["version"],
         vec!["trace", "solve", trace, "--out", &jsonl],
         vec!["trace", "pack", trace, &packed],
@@ -506,6 +505,24 @@ fn usage_errors_exit_2_and_runtime_errors_exit_1() {
         .output()
         .expect("run dpg");
     assert_eq!(out.status.code(), Some(2));
+
+    // Flags that decided nothing are gone: `figures --chaos` prints the
+    // chaos grid, and no solver reads a daemon seed.
+    for (argv, flag) in [
+        (&["chaos", "--sweep"][..], "--sweep for `dpg chaos`"),
+        (
+            &["serve", "--dir", "/nonexistent/serve", "--seed", "7"],
+            "--seed for `dpg serve`",
+        ),
+    ] {
+        let out = dpg().args(argv).output().expect("run dpg");
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("error: unknown flag {flag}")),
+            "{err}"
+        );
+    }
 
     // A well-formed invocation that fails while running → runtime (1).
     let out = dpg()

@@ -61,6 +61,7 @@ fn windowed_with_one_giant_window_matches_global() {
             inner: cfg,
             window: seq.horizon() + 1.0,
         },
+        2,
     );
     assert_eq!(windowed.windows.len(), 1);
     assert!((windowed.total_cost - global.total_cost).abs() < 1e-6);

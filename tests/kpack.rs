@@ -1,12 +1,10 @@
-//! Workspace-level guarantees of the K-package path (`dpg_k`):
+//! Workspace-level guarantees of the K-package path (`dp_greedy` at a
+//! package-size cap above 2; aliases `dpg_k` and `kpack`):
 //!
-//! * **K = 2 reduction** — `dpg_k` at the default pairwise shape is
-//!   bit-identical to `dp_greedy` (cost bits and ledger JSONL, modulo
-//!   the `algo` label) on the paper example and on generated workloads,
-//!   for every `MCS_THREADS` ∈ {1, 2, 4}.
-//! * **`multi` is K = ∞** — the `multi` row is bit-identical to `dpg_k`
-//!   with `max_group = usize::MAX` (same cost bits and ledger JSONL,
-//!   modulo the `algo` label) on every fixture, committed traces included.
+//! * **`multi` is K = ∞** — the `multi` row is bit-identical to
+//!   `dp_greedy` with `max_group = usize::MAX` (same cost bits and ledger
+//!   JSONL, modulo the `algo` label) on every fixture, committed traces
+//!   included.
 //! * **Sparse ≡ dense** — the agglomerative K-matcher over the compressed
 //!   pair table packs exactly what it packs over the dense matrix, for
 //!   every θ, on random traces.
@@ -15,17 +13,8 @@
 
 use dp_greedy_suite::dp_greedy::paper_example;
 use dp_greedy_suite::experiments::multi_exp::bundle_workload;
-use dp_greedy_suite::model::par::THREADS_ENV;
 use dp_greedy_suite::prelude::*;
 use dp_greedy_suite::trace::io::TraceFile;
-
-/// Ledger JSONL with the solver label rewritten to `dp_greedy`, so the
-/// K = 2 comparison is modulo the one field that must differ.
-fn normalized_ledger(sol: &Solution) -> String {
-    sol.ledger()
-        .to_jsonl_string()
-        .replace("\"algo\":\"dpg_k\"", "\"algo\":\"dp_greedy\"")
-}
 
 fn fixtures() -> Vec<(String, RequestSeq, RunContext)> {
     let mut out = Vec::new();
@@ -54,52 +43,13 @@ fn fixtures() -> Vec<(String, RequestSeq, RunContext)> {
     out
 }
 
-/// The acceptance-criteria identity: `dpg_k --max-group 2` bit-identical
-/// to `dp_greedy` on every fixture, across thread counts. Environment
-/// mutation is confined to this one test; results are thread-invariant
-/// by construction, so concurrent tests cannot observe a difference.
-#[test]
-fn k2_identity_across_fixtures_and_thread_counts() {
-    let dpg = find("dp_greedy").unwrap();
-    let kpack = find("dpg_k").unwrap();
-    let mut baseline: Vec<(u64, String)> = Vec::new();
-    for threads in ["1", "2", "4"] {
-        std::env::set_var(THREADS_ENV, threads);
-        for (i, (name, seq, ctx)) in fixtures().iter().enumerate() {
-            assert_eq!(ctx.max_group, 2, "fixtures use the pairwise default");
-            let a = dpg.solve(seq, ctx);
-            let b = kpack.solve(seq, ctx);
-            assert_eq!(
-                a.total_cost.to_bits(),
-                b.total_cost.to_bits(),
-                "{name} @ {threads} threads: cost bits diverge"
-            );
-            let la = normalized_ledger(&a);
-            let lb = normalized_ledger(&b);
-            assert_eq!(la, lb, "{name} @ {threads} threads: ledger diverges");
-            // Thread invariance: every thread count reproduces the
-            // 1-thread fingerprint bit for bit.
-            if threads == "1" {
-                baseline.push((b.total_cost.to_bits(), lb));
-            } else {
-                assert_eq!(
-                    (b.total_cost.to_bits(), lb),
-                    baseline[i].clone(),
-                    "{name}: {threads} threads diverge from serial"
-                );
-            }
-        }
-    }
-    std::env::remove_var(THREADS_ENV);
-}
-
-/// The `multi` row's contract: `dpg_k` at K = ∞ and the context's fixed θ,
+/// The `multi` row's contract: `dp_greedy` at K = ∞ and the context's θ,
 /// cost bits and ledger JSONL alike (modulo the `algo` label), at θ values
 /// that pack differently.
 #[test]
 fn multi_is_dpg_k_at_unbounded_k_on_every_fixture() {
     let multi = find("multi").unwrap();
-    let kpack = find("dpg_k").unwrap();
+    let dpg = find("dp_greedy").unwrap();
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/traces");
     let committed = ["taxi_s1_200", "taxi_s42_150_t16", "taxi_s7_300"].map(|name| {
         let seq = TraceFile::load(dir.join(format!("{name}.json")))
@@ -111,7 +61,7 @@ fn multi_is_dpg_k_at_unbounded_k_on_every_fixture() {
         for theta in [0.05, 0.3, 0.6] {
             let ctx = base.clone().with_theta(theta);
             let a = multi.solve(&seq, &ctx);
-            let b = kpack.solve(&seq, &ctx.clone().with_max_group(usize::MAX));
+            let b = dpg.solve(&seq, &ctx.clone().with_max_group(usize::MAX));
             assert_eq!(
                 a.total_cost.to_bits(),
                 b.total_cost.to_bits(),
@@ -121,7 +71,7 @@ fn multi_is_dpg_k_at_unbounded_k_on_every_fixture() {
                 a.ledger().to_jsonl_string(),
                 b.ledger()
                     .to_jsonl_string()
-                    .replace("\"algo\":\"dpg_k\"", "\"algo\":\"multi\""),
+                    .replace("\"algo\":\"dp_greedy\"", "\"algo\":\"multi\""),
                 "{name} at θ = {theta}: ledger diverges"
             );
         }
@@ -153,7 +103,7 @@ fn sparse_k_matching_equals_dense_on_random_traces() {
 /// and θ decreases as co-request density increases.
 #[test]
 fn adaptive_mode_reconciles_and_tracks_density() {
-    let solver = find("dpg_k").unwrap();
+    let solver = find("dp_greedy").unwrap();
     let model = CostModel::new(2.0, 4.0, 0.8).unwrap();
     let ctx = RunContext::new(model)
         .with_max_group(4)
@@ -171,14 +121,7 @@ fn adaptive_mode_reconciles_and_tracks_density() {
         assert_eq!(a.total_cost.to_bits(), b.total_cost.to_bits());
         assert_eq!(a.ledger().to_jsonl_string(), b.ledger().to_jsonl_string());
     }
-    let theta_of = |seq: &RequestSeq| {
-        adaptive_theta(
-            seq.total_item_accesses(),
-            seq.total_pair_events(),
-            model.alpha(),
-        )
-    };
-    let (t_sparse, t_dense) = (theta_of(&sparse_seq), theta_of(&dense_seq));
+    let (t_sparse, t_dense) = (ctx.theta_for(&sparse_seq), ctx.theta_for(&dense_seq));
     assert!(
         t_dense < t_sparse,
         "denser co-access must relax θ: dense {t_dense} vs sparse {t_sparse}"

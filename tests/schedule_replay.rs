@@ -18,13 +18,12 @@ use dp_greedy_suite::sim::chaos_solution;
 use dp_greedy_suite::trace::io::TraceFile;
 
 /// The rows whose every cost is an explicit schedule or a serve choice.
-const SCHEDULE_ROWS: [&str; 7] = [
+const SCHEDULE_ROWS: [&str; 6] = [
     "dp_greedy",
     "optimal",
     "greedy",
     "package_served",
     "multi",
-    "dpg_k",
     "ski_rental",
 ];
 
@@ -114,10 +113,10 @@ fn every_schedule_part_replays_on_its_subjects_trace() {
         let mut runs: Vec<(String, Solution)> = Vec::new();
         for row in SCHEDULE_ROWS {
             let solver = find(row).unwrap();
-            if row == "dpg_k" {
+            if row == "dp_greedy" {
                 for k in [2, 3, 4, usize::MAX] {
                     let ctx = ctx.clone().with_max_group(k);
-                    runs.push((format!("dpg_k K={k}"), solver.solve(&seq, &ctx)));
+                    runs.push((format!("dp_greedy K={k}"), solver.solve(&seq, &ctx)));
                 }
             } else {
                 runs.push((row.to_string(), solver.solve(&seq, &ctx)));

@@ -1,5 +1,5 @@
-//! Bit-level goldens of the two-phase registry rows. For `dp_greedy`,
-//! `dpg_k` at a package-size cap of 3, `multi`, `windowed` and
+//! Bit-level goldens of the two-phase registry rows. For `dp_greedy` at
+//! package-size caps of 2 and 3, `multi`, `windowed` and
 //! `package_served`, on the Section V-C running example (μ = λ = 1,
 //! α = 0.8, θ = 0.4) and on the three committed trace fixtures (the
 //! workspace defaults), each case pins the total's bits, the ledger's
@@ -14,29 +14,30 @@ use dp_greedy_suite::model::defaults::default_model;
 use dp_greedy_suite::model::RequestSeq;
 use dp_greedy_suite::trace::io::TraceFile;
 
-/// `(input, row, total bits, ledger events, FNV-1a-64 of the JSONL)`.
+/// `(input, row, max_group, total bits, ledger events, FNV-1a-64 of the
+/// JSONL)`.
 #[rustfmt::skip]
-const GOLDEN: [(&str, &str, u64, usize, u64); 20] = [
-    ("paper", "dp_greedy", 0x402deb851eb851ec, 7, 0xff0c70b155a14d92),
-    ("paper", "dpg_k", 0x402deb851eb851ec, 7, 0x9479845c8bd4217c),
-    ("paper", "multi", 0x402deb851eb851ec, 7, 0xaa3e7dd1ef945b1e),
-    ("paper", "windowed", 0x40283d70a3d70a3e, 10, 0xbc5470409ccfce23),
-    ("paper", "package_served", 0x402c7ae147ae147b, 8, 0x7f141a1517d60530),
-    ("taxi_s1_200", "dp_greedy", 0x40a0179f9f9f9f9f, 523, 0xfe316fb7120b743b),
-    ("taxi_s1_200", "dpg_k", 0x40a0179f9f9f9f9e, 523, 0x340ad64b35e4605b),
-    ("taxi_s1_200", "multi", 0x40a0179f9f9f9f9e, 523, 0xdf7ecc9b92663e6d),
-    ("taxi_s1_200", "windowed", 0x409f64c5c5c5c5c8, 567, 0x5001949940e87230),
-    ("taxi_s1_200", "package_served", 0x40a096e68019b348, 520, 0x4fbddd41e40c3f1e),
-    ("taxi_s42_150_t16", "dp_greedy", 0x40a36ec3905d29f8, 623, 0xdf6bcb9dd7da7a21),
-    ("taxi_s42_150_t16", "dpg_k", 0x40a36ec3905d29f8, 623, 0xd9cfcb7cbf7e7ac3),
-    ("taxi_s42_150_t16", "multi", 0x40a36ec3905d29f8, 623, 0x0e0085d6189887e9),
-    ("taxi_s42_150_t16", "windowed", 0x40a3759ace013468, 657, 0x6f67e65160e3f4a0),
-    ("taxi_s42_150_t16", "package_served", 0x40a43109d6a3703d, 616, 0x3d93db64b0d5c341),
-    ("taxi_s7_300", "dp_greedy", 0x40a760cb986531fc, 825, 0xee009d16d1eb98e1),
-    ("taxi_s7_300", "dpg_k", 0x40a760cb986531fc, 825, 0xa8f752ca4d2ec497),
-    ("taxi_s7_300", "multi", 0x40a760cb986531fc, 825, 0xdec56d784274be71),
-    ("taxi_s7_300", "windowed", 0x40a73a6194c7fb30, 817, 0xf53bee8ed003c610),
-    ("taxi_s7_300", "package_served", 0x40a8255e2af7c48a, 816, 0xb71517520d6fb6d3),
+const GOLDEN: [(&str, &str, usize, u64, usize, u64); 20] = [
+    ("paper", "dp_greedy", 2, 0x402deb851eb851ec, 7, 0xff0c70b155a14d92),
+    ("paper", "dp_greedy", 3, 0x402deb851eb851ec, 7, 0xff0c70b155a14d92),
+    ("paper", "multi", 2, 0x402deb851eb851ec, 7, 0xaa3e7dd1ef945b1e),
+    ("paper", "windowed", 2, 0x40283d70a3d70a3e, 10, 0xbc5470409ccfce23),
+    ("paper", "package_served", 2, 0x402c7ae147ae147b, 8, 0x7f141a1517d60530),
+    ("taxi_s1_200", "dp_greedy", 2, 0x40a0179f9f9f9f9f, 523, 0xfe316fb7120b743b),
+    ("taxi_s1_200", "dp_greedy", 3, 0x40a0179f9f9f9f9e, 523, 0xdcf7ce212f0a72f1),
+    ("taxi_s1_200", "multi", 2, 0x40a0179f9f9f9f9e, 523, 0xdf7ecc9b92663e6d),
+    ("taxi_s1_200", "windowed", 2, 0x409f64c5c5c5c5c8, 567, 0x5001949940e87230),
+    ("taxi_s1_200", "package_served", 2, 0x40a096e68019b348, 520, 0x4fbddd41e40c3f1e),
+    ("taxi_s42_150_t16", "dp_greedy", 2, 0x40a36ec3905d29f8, 623, 0xdf6bcb9dd7da7a21),
+    ("taxi_s42_150_t16", "dp_greedy", 3, 0x40a36ec3905d29f8, 623, 0xe4789ab414cdd70d),
+    ("taxi_s42_150_t16", "multi", 2, 0x40a36ec3905d29f8, 623, 0x0e0085d6189887e9),
+    ("taxi_s42_150_t16", "windowed", 2, 0x40a3759ace013468, 657, 0x6f67e65160e3f4a0),
+    ("taxi_s42_150_t16", "package_served", 2, 0x40a43109d6a3703d, 616, 0x3d93db64b0d5c341),
+    ("taxi_s7_300", "dp_greedy", 2, 0x40a760cb986531fc, 825, 0xee009d16d1eb98e1),
+    ("taxi_s7_300", "dp_greedy", 3, 0x40a760cb986531fc, 825, 0xee009d16d1eb98e1),
+    ("taxi_s7_300", "multi", 2, 0x40a760cb986531fc, 825, 0xdec56d784274be71),
+    ("taxi_s7_300", "windowed", 2, 0x40a73a6194c7fb30, 817, 0xf53bee8ed003c610),
+    ("taxi_s7_300", "package_served", 2, 0x40a8255e2af7c48a, 816, 0xb71517520d6fb6d3),
 ];
 
 /// FNV-1a, 64-bit.
@@ -63,17 +64,16 @@ fn input(name: &str) -> (RequestSeq, RunContext) {
 #[test]
 fn two_phase_rows_keep_their_total_bits_event_counts_and_ledger_bytes() {
     let mut got = Vec::new();
-    for &(name, row, ..) in &GOLDEN {
-        let (seq, mut ctx) = input(name);
-        if row == "dpg_k" {
-            ctx = ctx.with_max_group(3);
-        }
+    for &(name, row, max_group, ..) in &GOLDEN {
+        let (seq, ctx) = input(name);
+        let ctx = ctx.with_max_group(max_group);
         let solution = find(row).expect("registered").solve(&seq, &ctx);
         let ledger = solution.ledger();
         let digest = fnv1a64(ledger.to_jsonl_string().as_bytes());
         got.push((
             name,
             row,
+            max_group,
             solution.total_cost.to_bits(),
             ledger.len(),
             digest,
@@ -81,8 +81,8 @@ fn two_phase_rows_keep_their_total_bits_event_counts_and_ledger_bytes() {
     }
     let table: String = got
         .iter()
-        .map(|(name, row, bits, events, digest)| {
-            format!("    ({name:?}, {row:?}, {bits:#018x}, {events}, {digest:#018x}),\n")
+        .map(|(name, row, k, bits, events, digest)| {
+            format!("    ({name:?}, {row:?}, {k}, {bits:#018x}, {events}, {digest:#018x}),\n")
         })
         .collect();
     assert_eq!(got, GOLDEN, "measured:\n{table}");
