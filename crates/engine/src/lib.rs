@@ -6,13 +6,15 @@
 //! family — is reachable through one seam:
 //!
 //! * [`CachingSolver`] — the trait: `name()`, `kind()` (offline/online),
-//!   and `solve(&RequestSeq, &RunContext) -> Solution`.
+//!   and `solve(&RequestSeq, &RunContext) -> Solution`. A row implements
+//!   only [`CachingSolver::solve_parts`] (its total and its parts); the
+//!   provided `solve` is the one place a [`Solution`] is built.
 //! * [`RunContext`] — the shared run parameters: a [`mcs_model::CostPlane`]
 //!   (homogeneous [`mcs_model::CostModel`], per-server heterogeneous, or
-//!   tiered), the packing threshold `θ`, a seed, and an optional
-//!   [`mcs_model::FaultPlan`] for fault-aware policies. Observability
-//!   handles are the process-global `mcs-obs` registry, so solvers need
-//!   no plumbing to emit spans and counters.
+//!   tiered), the packing threshold `θ` and its adaptive rule, the
+//!   package-size cap, and a seed. Observability handles are the
+//!   process-global `mcs-obs` registry, so solvers need no plumbing to
+//!   emit spans and counters.
 //! * [`Solution`] — the unified result: total cost, the `Σ|d_i|`
 //!   denominator of the paper's `ave_cost` metric, and a list of
 //!   [`solution::SolutionPart`]s (explicit schedules, recorded serve-arm
@@ -45,7 +47,7 @@ pub mod solution;
 pub mod solvers;
 
 use mcs_model::defaults::{DEFAULT_SEED, DEFAULT_THETA};
-use mcs_model::{CostModel, CostPlane, FaultPlan, RequestSeq};
+use mcs_model::{CostModel, CostPlane, RequestSeq};
 
 pub use registry::{aliases, find, solvers};
 pub use solution::{Commodity, ServeChoice, Solution, SolutionPart};
@@ -98,9 +100,6 @@ pub struct RunContext {
     /// and above) derive `θ` per trace from its co-request density
     /// ([`RunContext::theta_for`]) instead of using the fixed `theta`.
     pub adaptive: bool,
-    /// Fault plan for fault-aware policies (`None` = ideal fleet; only
-    /// the `resilient` solver reads it today).
-    pub fault_plan: Option<FaultPlan>,
 }
 
 impl RunContext {
@@ -119,7 +118,6 @@ impl RunContext {
             seed: DEFAULT_SEED,
             max_group: 2,
             adaptive: false,
-            fault_plan: None,
         }
     }
 
@@ -181,15 +179,9 @@ impl RunContext {
         }
     }
 
-    /// Sets the fault plan.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
     /// A derived context for re-entrant epoch-by-epoch use (the serving
-    /// daemon settles each epoch through the registry): same plane, `θ`
-    /// and fault plan, but a per-epoch seed mixed with SplitMix64 so
+    /// daemon settles each epoch through the registry): same plane and
+    /// package knobs, but a per-epoch seed mixed with SplitMix64 so
     /// epochs draw independent randomness while staying a pure function
     /// of `(base seed, epoch)` — recovery replays the exact context.
     #[must_use]
@@ -233,8 +225,24 @@ pub trait CachingSolver: Sync {
     /// One-line human description for `dpg algos`.
     fn description(&self) -> &'static str;
 
-    /// Runs the algorithm over `seq` under `ctx`.
-    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution;
+    /// Runs the algorithm over `seq` under `ctx`, returning the total cost
+    /// it reports and its parts, in emission order.
+    fn solve_parts(&self, seq: &RequestSeq, ctx: &RunContext) -> (f64, Vec<SolutionPart>);
+
+    /// Runs the algorithm over `seq` under `ctx`: the one place a
+    /// [`Solution`] is built, from the row's name and kind,
+    /// [`Self::solve_parts`], and `seq`'s item accesses as the `ave_cost`
+    /// denominator.
+    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
+        let (total_cost, parts) = self.solve_parts(seq, ctx);
+        Solution {
+            algo: self.name(),
+            kind: self.kind(),
+            total_cost,
+            total_accesses: seq.total_item_accesses(),
+            parts,
+        }
+    }
 
     /// Checks that this solver can price `seq` under `ctx`'s cost plane,
     /// returning a human-readable reason when it cannot. Callers (the
@@ -292,7 +300,6 @@ mod tests {
         assert_eq!(ctx.seed, DEFAULT_SEED);
         assert_eq!(ctx.max_group, 2);
         assert!(!ctx.adaptive);
-        assert!(ctx.fault_plan.is_none());
         assert_eq!(ctx.model().mu(), mcs_model::defaults::DEFAULT_MU);
         assert_eq!(ctx.plane.shape(), "homogeneous");
     }
@@ -333,6 +340,5 @@ mod tests {
         assert_eq!(derived.model().mu(), base.model().mu());
         assert_eq!(derived.max_group, 5);
         assert!(derived.adaptive);
-        assert!(derived.fault_plan.is_none());
     }
 }

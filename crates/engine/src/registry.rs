@@ -9,15 +9,15 @@
 
 use crate::solvers::{
     DpGreedySolver, ExhaustiveSolver, GreedySolver, HeteroExactSolver, HeteroGreedySolver,
-    MultiSolver, OnlineDpgSolver, OptimalSolver, PackageServedSolver, ResilientSolver,
-    SkiRentalSolver, TieredWaterfallSolver, WindowedSolver,
+    MultiSolver, OnlineDpgSolver, OptimalSolver, PackageServedSolver, SkiRentalSolver,
+    TieredWaterfallSolver, WindowedSolver,
 };
 use crate::CachingSolver;
 
 /// Every registered solver, offline first, in stable presentation order.
 /// The plane-aware solvers (`hetero_*`, `tiered_waterfall`) are appended
 /// so pre-plane tooling that pins registry order keeps its rows.
-static REGISTRY: [&'static dyn CachingSolver; 13] = [
+static REGISTRY: [&'static dyn CachingSolver; 12] = [
     &DpGreedySolver,
     &OptimalSolver,
     &GreedySolver,
@@ -27,7 +27,6 @@ static REGISTRY: [&'static dyn CachingSolver; 13] = [
     &WindowedSolver,
     &SkiRentalSolver,
     &OnlineDpgSolver,
-    &ResilientSolver,
     &HeteroExactSolver,
     &HeteroGreedySolver,
     &TieredWaterfallSolver,
@@ -84,6 +83,8 @@ mod tests {
         assert_eq!(find("kpack").unwrap().name(), "dp_greedy");
         assert_eq!(find("dpg_k").unwrap().name(), "dp_greedy");
         assert!(find("nope").is_none());
+        // The crash-aware policy runs under `dpg chaos`, not as a row.
+        assert!(find("resilient").is_none());
     }
 
     /// Random workload for the cross-validation below; `limit` clamps

@@ -20,7 +20,7 @@
 //!   package's shared deliveries.
 //! * [`SolutionPart::Aggregate`] — a channel-attributed lump cost for
 //!   solvers that only report aggregates (the on-line DP_Greedy's
-//!   package-transfer counts, the resilient policy's attempt totals).
+//!   package-transfer counts, the heterogeneous solvers' per-item costs).
 //!
 //! Each part owns the [`Commodity`] it serves, and its events name it by
 //! a [`Subject`] that borrows the part's package members, so reading a

@@ -1,9 +1,12 @@
 //! The registered [`CachingSolver`] implementations.
 //!
 //! Every solver is a zero-sized struct wrapping one of the workspace's
-//! algorithm entry points. The interesting work is building the
-//! [`SolutionPart`] list so the generic ledger derivation reconciles
-//! (`Σ event.cost == total_cost`) for every solver:
+//! algorithm entry points. A row implements only
+//! [`CachingSolver::solve_parts`], its total and its [`SolutionPart`]
+//! list, and the trait's provided `solve` builds the
+//! [`crate::Solution`]. The interesting work is building parts whose
+//! generic ledger derivation reconciles (`Σ event.cost == total_cost`)
+//! for every solver:
 //!
 //! * Schedule-producing solvers (`dp_greedy`, `multi`, `optimal`,
 //!   `greedy`, `package_served`, `windowed`, `ski_rental`)
@@ -13,7 +16,7 @@
 //!   as `optimal`, so its parts are derived from `optimal`'s schedule —
 //!   the reconciliation check then doubles as a cross-validation of the
 //!   enumerated cost against the covering DP's schedule.
-//! * Aggregate-only solvers (`online_dpg`, `resilient`, `hetero_*`,
+//! * Aggregate-only solvers (`online_dpg`, `hetero_*`,
 //!   `tiered_waterfall`) emit channel-attributed lump costs.
 //!
 //! `dp_greedy`, `multi` and `windowed` run the one two-phase pipeline,
@@ -21,7 +24,9 @@
 //! `dp_greedy::windowed::dp_greedy_windowed`), in which only Phase 1
 //! depends on the package-size cap K; the engine only turns its reports
 //! into parts (`report_parts`). Every row that packs takes θ from
-//! [`RunContext::theta_for`].
+//! [`RunContext::theta_for`]. The rows that serve each item on its own
+//! (`optimal`, `greedy`, `exhaustive`, `ski_rental`, `hetero_*`) run
+//! through one per-item loop (`per_item`).
 //!
 //! Whole-run aggregates that have no natural single subject are
 //! attributed to `Commodity::Item(0)` by convention.
@@ -32,17 +37,17 @@ use dp_greedy::two_phase::{
     dp_greedy, pair_packing, DpGreedyConfig, DpGreedyReport, PackageReport,
 };
 use dp_greedy::windowed::{dp_greedy_windowed, WindowedConfig};
-use mcs_model::fault::FaultPlan;
+use mcs_model::par::{max_threads, par_map_with_threads, threads_for};
 use mcs_model::request::SingleItemTrace;
 use mcs_model::{CostModel, ItemId, RequestSeq, Schedule};
 use mcs_offline::exhaustive::exhaustive_optimal;
 use mcs_offline::hetero::{hetero_exact, hetero_greedy_report, MAX_SERVERS};
 use mcs_offline::{greedy::greedy, optimal};
 use mcs_online::online_dpg::{online_dp_greedy, OnlineDpgConfig};
+use mcs_online::ski_rental;
 use mcs_online::tiered::tiered_run;
-use mcs_online::{resilient_ski_rental, ski_rental};
 
-use crate::solution::{Commodity, ServeChoice, Solution, SolutionPart};
+use crate::solution::{Commodity, ServeChoice, SolutionPart};
 use crate::{CachingSolver, PackageKnobs, RunContext, SolverKind};
 
 /// The ledger spelling of a three-arm choice, one of
@@ -149,60 +154,90 @@ fn report_parts(
     }
 }
 
-/// The [`Solution`] of `solver`: [`dp_greedy`] over the whole sequence at
-/// the size cap `max_group` and `ctx`'s θ rule, as parts.
-fn two_phase_solution(
-    solver: &dyn CachingSolver,
+/// [`dp_greedy`] over the whole sequence at the size cap `max_group` and
+/// `ctx`'s θ rule: its total and parts.
+fn two_phase_parts(
     seq: &RequestSeq,
     ctx: &RunContext,
     max_group: usize,
-) -> Solution {
+) -> (f64, Vec<SolutionPart>) {
     let config = DpGreedyConfig::new(ctx.model()).with_theta(ctx.theta_for(seq));
     let report = dp_greedy(seq, &config, max_group);
-    let (total_cost, total_accesses) = (report.total_cost, report.total_accesses);
+    let total = report.total_cost;
     let mut parts = Vec::new();
     report_parts(report, &config.model, 0.0, &mut parts);
-    Solution {
-        algo: solver.name(),
-        kind: solver.kind(),
-        total_cost,
-        total_accesses,
-        parts,
-    }
+    (total, parts)
 }
 
-/// Per-item schedule parts for the non-packing baselines: runs `solve`
-/// on every item trace, summing costs. Returns (parts, total).
+/// The one per-item loop, behind every row that serves each item on
+/// its own: runs `solve` on every item's trace over `threads` workers,
+/// then adds each `(cost, part)` it returns to the total, in item order
+/// and in the order returned, and keeps the parts that are `Some` (a
+/// zero cost that writes no event leaves the total's bits as they are).
 ///
-/// Items are independent, so from `PARALLEL_THRESHOLD` requests on the
-/// solves fan out over worker threads (`mcs_model::par::threads_for`;
-/// `MCS_THREADS=1` forces serial). Order is preserved and costs are
-/// summed in item order afterwards, so parts and total are bit-identical
-/// to a sequential loop for any thread count.
-fn per_item_parts(
+/// The caller picks `threads`: [`threads_for`] the request count, or
+/// [`max_threads`] for an exponential per-item search. Workers keep
+/// input order, so parts and total are bit-identical for any count.
+fn per_item<R>(
     seq: &RequestSeq,
-    model: &CostModel,
+    threads: usize,
+    solve: impl Fn(Commodity, &SingleItemTrace) -> R + Sync,
+) -> (f64, Vec<SolutionPart>)
+where
+    R: IntoIterator<Item = (f64, Option<SolutionPart>)> + Send,
+{
+    let items: Vec<u32> = (0..seq.items()).collect();
+    let solved = par_map_with_threads(&items, threads, |&item| {
+        solve(Commodity::Item(item), &seq.item_trace(ItemId(item)))
+    });
+    let mut total = 0.0;
+    let mut parts = Vec::with_capacity(items.len());
+    for (cost, part) in solved.into_iter().flatten() {
+        total += cost;
+        parts.extend(part);
+    }
+    (total, parts)
+}
+
+/// [`per_item`] for the rows that price one explicit schedule per item at
+/// the base rates: `solve` returns an item's schedule and the cost the
+/// row adds for it.
+fn per_item_schedules(
+    seq: &RequestSeq,
+    ctx: &RunContext,
     phase: &'static str,
     solve: impl Fn(&SingleItemTrace, &CostModel) -> (Schedule, f64) + Sync,
-) -> (Vec<SolutionPart>, f64) {
-    let items: Vec<ItemId> = (0..seq.items()).map(ItemId).collect();
-    let threads = mcs_model::par::threads_for(seq.len());
-    let solved = mcs_model::par::par_map_with_threads(&items, threads, |&item| {
-        solve(&seq.item_trace(item), model)
-    });
-    let mut parts = Vec::with_capacity(solved.len());
-    let mut total = 0.0;
-    for (item, (schedule, cost)) in items.into_iter().zip(solved) {
-        total += cost;
-        parts.push(SolutionPart::Schedule {
+) -> (f64, Vec<SolutionPart>) {
+    let model = ctx.model();
+    per_item(seq, threads_for(seq.len()), |subject, trace| {
+        let (schedule, cost) = solve(trace, &model);
+        let part = SolutionPart::Schedule {
             phase,
-            subject: Commodity::Item(item.0),
+            subject,
             schedule,
             mu: model.mu(),
             lambda: model.lambda(),
-        });
-    }
-    (parts, total)
+        };
+        [(cost, Some(part))]
+    })
+}
+
+/// A lump cost on one channel, or `None` for a zero cost, which writes no
+/// event.
+fn aggregate(
+    phase: &'static str,
+    subject: Commodity,
+    channel: &'static str,
+    t: f64,
+    cost: f64,
+) -> Option<SolutionPart> {
+    (cost != 0.0).then_some(SolutionPart::Aggregate {
+        phase,
+        subject,
+        channel,
+        t,
+        cost,
+    })
 }
 
 /// The paper's two-phase DP_Greedy algorithm at the context's
@@ -225,8 +260,8 @@ impl CachingSolver for DpGreedySolver {
     fn package_knobs(&self) -> PackageKnobs {
         PackageKnobs::ThetaAndCap
     }
-    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
-        two_phase_solution(self, seq, ctx, ctx.max_group)
+    fn solve_parts(&self, seq: &RequestSeq, ctx: &RunContext) -> (f64, Vec<SolutionPart>) {
+        two_phase_parts(seq, ctx, ctx.max_group)
     }
 }
 
@@ -243,18 +278,11 @@ impl CachingSolver for OptimalSolver {
     fn description(&self) -> &'static str {
         "per-item optimal off-line caching (covering DP of [6]); no packing"
     }
-    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
-        let (parts, total) = per_item_parts(seq, &ctx.model(), "offline", |trace, model| {
+    fn solve_parts(&self, seq: &RequestSeq, ctx: &RunContext) -> (f64, Vec<SolutionPart>) {
+        per_item_schedules(seq, ctx, "offline", |trace, model| {
             let out = optimal(trace, model);
             (out.schedule, out.cost)
-        });
-        Solution {
-            algo: self.name(),
-            kind: self.kind(),
-            total_cost: total,
-            total_accesses: seq.total_item_accesses(),
-            parts,
-        }
+        })
     }
 }
 
@@ -271,18 +299,11 @@ impl CachingSolver for GreedySolver {
     fn description(&self) -> &'static str {
         "per-item simple greedy of Fig. 4 (within 2x of optimal); no packing"
     }
-    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
-        let (parts, total) = per_item_parts(seq, &ctx.model(), "offline", |trace, model| {
+    fn solve_parts(&self, seq: &RequestSeq, ctx: &RunContext) -> (f64, Vec<SolutionPart>) {
+        per_item_schedules(seq, ctx, "offline", |trace, model| {
             let out = greedy(trace, model);
             (out.schedule, out.cost)
-        });
-        Solution {
-            algo: self.name(),
-            kind: self.kind(),
-            total_cost: total,
-            total_accesses: seq.total_item_accesses(),
-            parts,
-        }
+        })
     }
 }
 
@@ -307,19 +328,11 @@ impl CachingSolver for ExhaustiveSolver {
         // whole sequence well below `exhaustive::MAX_CACHEABLE`.
         Some(18)
     }
-    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
-        let (parts, total) = per_item_parts(seq, &ctx.model(), "offline", |trace, model| {
+    fn solve_parts(&self, seq: &RequestSeq, ctx: &RunContext) -> (f64, Vec<SolutionPart>) {
+        per_item_schedules(seq, ctx, "offline", |trace, model| {
             let exact = exhaustive_optimal(trace, model);
-            let out = optimal(trace, model);
-            (out.schedule, exact)
-        });
-        Solution {
-            algo: self.name(),
-            kind: self.kind(),
-            total_cost: total,
-            total_accesses: seq.total_item_accesses(),
-            parts,
-        }
+            (optimal(trace, model).schedule, exact)
+        })
     }
 }
 
@@ -342,7 +355,7 @@ impl CachingSolver for PackageServedSolver {
     fn package_knobs(&self) -> PackageKnobs {
         PackageKnobs::Theta
     }
-    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
+    fn solve_parts(&self, seq: &RequestSeq, ctx: &RunContext) -> (f64, Vec<SolutionPart>) {
         let model = &ctx.model();
         let packing = pair_packing(seq, ctx.theta_for(seq));
         let pkg = model.scaled_for_package();
@@ -371,13 +384,7 @@ impl CachingSolver for PackageServedSolver {
                 lambda: model.lambda(),
             });
         }
-        Solution {
-            algo: self.name(),
-            kind: self.kind(),
-            total_cost: total,
-            total_accesses: seq.total_item_accesses(),
-            parts,
-        }
+        (total, parts)
     }
 }
 
@@ -398,8 +405,8 @@ impl CachingSolver for MultiSolver {
     fn package_knobs(&self) -> PackageKnobs {
         PackageKnobs::Theta
     }
-    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
-        two_phase_solution(self, seq, ctx, usize::MAX)
+    fn solve_parts(&self, seq: &RequestSeq, ctx: &RunContext) -> (f64, Vec<SolutionPart>) {
+        two_phase_parts(seq, ctx, usize::MAX)
     }
 }
 
@@ -429,7 +436,7 @@ impl CachingSolver for WindowedSolver {
     fn package_knobs(&self) -> PackageKnobs {
         PackageKnobs::ThetaAndCap
     }
-    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
+    fn solve_parts(&self, seq: &RequestSeq, ctx: &RunContext) -> (f64, Vec<SolutionPart>) {
         let model = ctx.model();
         let config = WindowedConfig {
             inner: DpGreedyConfig::new(model).with_theta(ctx.theta_for(seq)),
@@ -440,13 +447,7 @@ impl CachingSolver for WindowedSolver {
         for (start, window) in report.windows {
             report_parts(window, &model, start, &mut parts);
         }
-        Solution {
-            algo: self.name(),
-            kind: self.kind(),
-            total_cost: report.total_cost,
-            total_accesses: report.total_accesses,
-            parts,
-        }
+        (report.total_cost, parts)
     }
 }
 
@@ -463,18 +464,11 @@ impl CachingSolver for SkiRentalSolver {
     fn description(&self) -> &'static str {
         "per-item on-line ski-rental (rent-or-buy; 3-competitive family)"
     }
-    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
-        let (parts, total) = per_item_parts(seq, &ctx.model(), "online", |trace, model| {
+    fn solve_parts(&self, seq: &RequestSeq, ctx: &RunContext) -> (f64, Vec<SolutionPart>) {
+        per_item_schedules(seq, ctx, "online", |trace, model| {
             let out = ski_rental(trace, model);
             (out.schedule, out.cost)
-        });
-        Solution {
-            algo: self.name(),
-            kind: self.kind(),
-            total_cost: total,
-            total_accesses: seq.total_item_accesses(),
-            parts,
-        }
+        })
     }
 }
 
@@ -514,37 +508,16 @@ impl CachingSolver for HeteroExactSolver {
             .map(|_| ())
             .map_err(|e| format!("hetero_exact: {e}"))
     }
-    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
+    fn solve_parts(&self, seq: &RequestSeq, ctx: &RunContext) -> (f64, Vec<SolutionPart>) {
         let model = ctx
             .plane
             .hetero_view(seq.servers())
             .expect("validated: plane has a heterogeneous view");
         let horizon = seq.horizon();
-        let items: Vec<ItemId> = (0..seq.items()).map(ItemId).collect();
-        let costs = mcs_model::par::par_map(&items, |&item| {
-            hetero_exact(&seq.item_trace(item), &model).expect("validated: model sized for trace")
-        });
-        let mut parts = Vec::new();
-        let mut total = 0.0;
-        for (item, cost) in items.into_iter().zip(costs) {
-            total += cost;
-            if cost != 0.0 {
-                parts.push(SolutionPart::Aggregate {
-                    phase: "offline",
-                    subject: Commodity::Item(item.0),
-                    channel: "cache",
-                    t: horizon,
-                    cost,
-                });
-            }
-        }
-        Solution {
-            algo: self.name(),
-            kind: self.kind(),
-            total_cost: total,
-            total_accesses: seq.total_item_accesses(),
-            parts,
-        }
+        per_item(seq, max_threads(), |subject, trace| {
+            let cost = hetero_exact(trace, &model).expect("validated: model sized for trace");
+            [(cost, aggregate("offline", subject, "cache", horizon, cost))]
+        })
     }
 }
 
@@ -574,43 +547,24 @@ impl CachingSolver for HeteroGreedySolver {
             .map(|_| ())
             .map_err(|e| format!("hetero_greedy: {e}"))
     }
-    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
+    fn solve_parts(&self, seq: &RequestSeq, ctx: &RunContext) -> (f64, Vec<SolutionPart>) {
         let model = ctx
             .plane
             .hetero_view(seq.servers())
             .expect("validated: plane has a heterogeneous view");
         let horizon = seq.horizon();
-        let items: Vec<ItemId> = (0..seq.items()).map(ItemId).collect();
-        let reports = mcs_model::par::par_map(&items, |&item| {
-            hetero_greedy_report(&seq.item_trace(item), &model)
-                .expect("validated: model sized for trace")
-        });
-        let mut parts = Vec::new();
-        let mut total = 0.0;
-        for (item, report) in items.into_iter().zip(reports) {
-            for (channel, cost) in [
+        per_item(seq, max_threads(), |subject, trace| {
+            let report =
+                hetero_greedy_report(trace, &model).expect("validated: model sized for trace");
+            [
                 ("cache", report.cache_cost),
                 ("transfer", report.transfer_cost),
-            ] {
-                if cost != 0.0 {
-                    total += cost;
-                    parts.push(SolutionPart::Aggregate {
-                        phase: "offline",
-                        subject: Commodity::Item(item.0),
-                        channel,
-                        t: horizon,
-                        cost,
-                    });
-                }
-            }
-        }
-        Solution {
-            algo: self.name(),
-            kind: self.kind(),
-            total_cost: total,
-            total_accesses: seq.total_item_accesses(),
-            parts,
-        }
+            ]
+            .map(|(channel, cost)| {
+                let part = aggregate("offline", subject.clone(), channel, horizon, cost);
+                (cost, part)
+            })
+        })
     }
 }
 
@@ -640,35 +594,23 @@ impl CachingSolver for TieredWaterfallSolver {
             .map(|_| ())
             .map_err(|e| format!("tiered_waterfall: {e}"))
     }
-    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
+    fn solve_parts(&self, seq: &RequestSeq, ctx: &RunContext) -> (f64, Vec<SolutionPart>) {
         let model = ctx
             .plane
             .tiered_view(seq.servers())
             .expect("validated: plane has a tiered view");
         let out = tiered_run(seq, &model).expect("validated: model sized for trace");
         let horizon = seq.horizon();
-        let mut parts = Vec::new();
-        for (channel, cost) in [
+        let parts = [
             ("cache", out.cache_cost),
             ("transfer", out.transfer_cost + out.move_cost),
-        ] {
-            if cost != 0.0 {
-                parts.push(SolutionPart::Aggregate {
-                    phase: "online",
-                    subject: Commodity::Item(0),
-                    channel,
-                    t: horizon,
-                    cost,
-                });
-            }
-        }
-        Solution {
-            algo: self.name(),
-            kind: self.kind(),
-            total_cost: out.cost,
-            total_accesses: seq.total_item_accesses(),
-            parts,
-        }
+        ]
+        .into_iter()
+        .filter_map(|(channel, cost)| {
+            aggregate("online", Commodity::Item(0), channel, horizon, cost)
+        })
+        .collect();
+        (out.cost, parts)
     }
 }
 
@@ -687,7 +629,7 @@ impl CachingSolver for OnlineDpgSolver {
     fn description(&self) -> &'static str {
         "on-line DP_Greedy: streaming Jaccard packing + package-aware ski-rental"
     }
-    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
+    fn solve_parts(&self, seq: &RequestSeq, ctx: &RunContext) -> (f64, Vec<SolutionPart>) {
         let model = ctx.model();
         let mut config = OnlineDpgConfig::new(model);
         config.theta = ctx.theta;
@@ -696,90 +638,24 @@ impl CachingSolver for OnlineDpgSolver {
         let transfer = out.transfers as f64 * model.lambda();
         let package = out.package_transfers as f64 * model.package_delivery_cost();
         let cache = out.cost - transfer - package;
-        let mut parts = Vec::new();
-        for (channel, cost) in [
+        let parts = [
             ("cache", cache),
             ("transfer", transfer),
             ("package", package),
-        ] {
-            if cost != 0.0 {
-                parts.push(SolutionPart::Aggregate {
-                    phase: "online",
-                    subject: Commodity::Item(0),
-                    channel,
-                    t: horizon,
-                    cost,
-                });
-            }
-        }
-        Solution {
-            algo: self.name(),
-            kind: self.kind(),
-            total_cost: out.cost,
-            total_accesses: seq.total_item_accesses(),
-            parts,
-        }
-    }
-}
-
-/// Crash-aware ski-rental run under the context's fault plan (ideal
-/// fleet when none is set). Aggregate-only per item: `λ`·attempts on the
-/// transfer channel, the rent residual on the cache channel.
-pub struct ResilientSolver;
-
-impl CachingSolver for ResilientSolver {
-    fn name(&self) -> &'static str {
-        "resilient"
-    }
-    fn kind(&self) -> SolverKind {
-        SolverKind::Online
-    }
-    fn description(&self) -> &'static str {
-        "crash-aware ski-rental under the context's FaultPlan (re-plans on loss)"
-    }
-    fn solve(&self, seq: &RequestSeq, ctx: &RunContext) -> Solution {
-        let model = &ctx.model();
-        let none = FaultPlan::none();
-        let plan = ctx.fault_plan.as_ref().unwrap_or(&none);
-        let mut parts = Vec::new();
-        let mut total = 0.0;
-        for i in 0..seq.items() {
-            let item = ItemId(i);
-            let trace = seq.item_trace(item);
-            if trace.is_empty() {
-                continue;
-            }
-            let horizon = trace.points.last().map_or(0.0, |p| p.time);
-            let out = resilient_ski_rental(&trace, model, plan);
-            total += out.cost;
-            let transfer = out.attempts as f64 * model.lambda();
-            let cache = out.cost - transfer;
-            for (channel, cost) in [("cache", cache), ("transfer", transfer)] {
-                if cost != 0.0 {
-                    parts.push(SolutionPart::Aggregate {
-                        phase: "online",
-                        subject: Commodity::Item(item.0),
-                        channel,
-                        t: horizon,
-                        cost,
-                    });
-                }
-            }
-        }
-        Solution {
-            algo: self.name(),
-            kind: self.kind(),
-            total_cost: total,
-            total_accesses: seq.total_item_accesses(),
-            parts,
-        }
+        ]
+        .into_iter()
+        .filter_map(|(channel, cost)| {
+            aggregate("online", Commodity::Item(0), channel, horizon, cost)
+        })
+        .collect();
+        (out.cost, parts)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::find;
+    use crate::{find, Solution};
     use dp_greedy::baselines::optimal_pair;
     use dp_greedy::paper_example::paper_sequence;
     use mcs_model::approx_eq;

@@ -57,7 +57,10 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--fig" => {
                 let v = it.next().ok_or("--fig needs a number")?;
-                args.figs.push(v.parse().map_err(|_| "bad --fig value")?);
+                match v.parse() {
+                    Ok(fig @ 9..=13) => args.figs.push(fig),
+                    _ => return Err(format!("bad --fig value {v} (the figures are 9-13)")),
+                }
                 any = true;
             }
             "--ratio" => {
@@ -207,7 +210,7 @@ fn main() {
                 println!("{}", f.table());
                 write_json(&args.json, "fig13", &f);
             }
-            other => eprintln!("no such figure: {other}"),
+            _ => unreachable!("parse_args admits figures 9-13 only"),
         }
     }
     if args.ratio {

@@ -1,6 +1,7 @@
 //! `figures --tsv FILE` writes the TSV of the one table sweep selected
 //! (`--registry`, `--ksweep` or `--tiered`); with none or several
-//! selected it is a usage error that writes nothing.
+//! selected it is a usage error that writes nothing, and so is a figure
+//! number outside 9–13.
 
 use std::process::Command;
 
@@ -46,4 +47,27 @@ fn tsv_needs_exactly_one_table_sweep() {
         std::fs::read_to_string(expected).unwrap()
     );
     std::fs::remove_file(&tsv).ok();
+}
+
+#[test]
+fn fig_takes_only_the_papers_figures() {
+    let dir = std::env::temp_dir().join(format!("figures-cli-fig-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    for fig in ["14", "8", "0", "nine"] {
+        let out = figures()
+            .args(["--fig", fig, "--json", dir.to_str().unwrap()])
+            .output()
+            .expect("run figures");
+        assert_eq!(out.status.code(), Some(2), "--fig {fig}");
+        assert!(
+            out.stdout.is_empty(),
+            "--fig {fig} did work before refusing"
+        );
+        assert!(
+            String::from_utf8_lossy(&out.stderr)
+                .starts_with(&format!("error: bad --fig value {fig}")),
+            "--fig {fig}"
+        );
+        assert!(!dir.exists(), "--fig {fig} wrote {}", dir.display());
+    }
 }

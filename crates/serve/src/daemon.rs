@@ -606,11 +606,29 @@ impl Replay {
 }
 
 impl Daemon {
-    fn resolve(cfg: &ServeConfig) -> Result<(&'static dyn CachingSolver, RunContext), ServeError> {
+    /// The row `cfg.algo` names and its base context, refused unless the
+    /// row can solve every epoch: `epoch_len` requests within its request
+    /// limit, on a fleet of `servers` within its server limit.
+    fn resolve(
+        cfg: &ServeConfig,
+        servers: u32,
+    ) -> Result<(&'static dyn CachingSolver, RunContext), ServeError> {
         let solver = find(&cfg.algo)
             .ok_or_else(|| ServeError::State(format!("unknown algorithm {}", cfg.algo)))?;
         if cfg.epoch_len == 0 {
             return Err(ServeError::State("epoch length must be positive".into()));
+        }
+        let name = solver.name();
+        if let Some(limit) = solver.request_limit().filter(|&l| l < cfg.epoch_len) {
+            return Err(ServeError::State(format!(
+                "{name} handles at most {limit} requests; an epoch holds {}",
+                cfg.epoch_len
+            )));
+        }
+        if let Some(limit) = solver.server_limit().filter(|&l| l < servers) {
+            return Err(ServeError::State(format!(
+                "{name} handles at most {limit} servers; the fleet has {servers}"
+            )));
         }
         let ctx = RunContext::new(cfg.model)
             .with_theta(cfg.theta)
@@ -622,9 +640,10 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// Fails on filesystem errors or an unknown solver.
+    /// Fails on filesystem errors, or before writing anything on an
+    /// unknown solver or one that cannot solve an epoch on this fleet.
     pub fn fresh(cfg: ServeConfig, servers: u32, items: u32) -> Result<Daemon, ServeError> {
-        let (solver, base_ctx) = Self::resolve(&cfg)?;
+        let (solver, base_ctx) = Self::resolve(&cfg, servers)?;
         std::fs::create_dir_all(&cfg.dir)?;
         let state = DaemonState::fresh(servers, items, cfg.decay);
         let stream =
@@ -666,12 +685,14 @@ impl Daemon {
     /// # Errors
     ///
     /// Fails on corrupt checkpoints, mid-log WAL corruption, or
-    /// filesystem errors. Torn WAL tails recover cleanly.
+    /// filesystem errors, and before writing anything on a solver that
+    /// cannot solve an epoch on the checkpoint's fleet. Torn WAL tails
+    /// recover cleanly.
     pub fn recover(cfg: ServeConfig) -> Result<Option<Daemon>, ServeError> {
         let Some(replay) = Replay::read(&cfg)? else {
             return Ok(None);
         };
-        let (solver, base_ctx) = Self::resolve(&cfg)?;
+        let (solver, base_ctx) = Self::resolve(&cfg, replay.books.state.servers)?;
         if let Some(valid_len) = replay.torn {
             // The segment is reopened for append below; physically drop
             // the torn fragment so the next record cannot merge with it

@@ -221,7 +221,7 @@ mod tests {
             let sol = solver.solve(&seq, &ctx);
             let out = chaos_solution(&seq, &sol, &model, &plan);
             match solver.name() {
-                "windowed" | "online_dpg" | "resilient" | "hetero_exact" | "hetero_greedy"
+                "windowed" | "online_dpg" | "hetero_exact" | "hetero_greedy"
                 | "tiered_waterfall" => {
                     // Window-sliced or aggregate-only solutions carry no
                     // schedule that serves its subject's whole trace.

@@ -203,6 +203,11 @@ pub fn solver_flags(args: &[String], base: (f64, f64, f64, f64)) -> Result<Solve
             "--theta must be a Jaccard threshold in [0, 1], got {theta}"
         )));
     }
+    if adaptive && args.iter().any(|a| a == "--theta") {
+        return Err(CliError::Usage(
+            "--theta conflicts with --adaptive (θ is derived from the trace)".into(),
+        ));
+    }
     if max_group < 2 {
         return Err(CliError::Usage(format!(
             "--max-group must be at least 2 (pairs), got {max_group}"

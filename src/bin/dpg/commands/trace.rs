@@ -11,7 +11,7 @@
 use crate::cli::{
     check_flags, checked_solve, parse_flag, trace_or_example, write_report, CliError,
 };
-use dp_greedy_suite::engine::{find, CachingSolver, Solution};
+use dp_greedy_suite::engine::{find, Solution};
 use dp_greedy_suite::trace::io::TraceFile;
 
 pub fn run(args: &[String]) -> Result<(), CliError> {
@@ -30,20 +30,10 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// The historical display names kept for the trace summary line.
-fn display_name(solver: &dyn CachingSolver) -> &'static str {
-    match solver.name() {
-        "dp_greedy" => "DP_Greedy",
-        "optimal" => "Optimal",
-        "greedy" => "Greedy",
-        other => other,
-    }
-}
-
 /// Streams the ledger of `solution`, whose events total `total`, to
 /// `out` and prints the cost breakdown: passes over the parts, each
 /// deriving the events again, and no event list.
-fn emit_ledger(solution: &Solution, total: f64, algo: &str, out: &str) -> Result<(), CliError> {
+fn emit_ledger(solution: &Solution, total: f64, out: &str) -> Result<(), CliError> {
     let ledger = solution.ledger();
     std::fs::File::create(out)
         .and_then(|mut file| ledger.write_jsonl(&mut file))
@@ -52,9 +42,10 @@ fn emit_ledger(solution: &Solution, total: f64, algo: &str, out: &str) -> Result
     write_report(|w| {
         writeln!(
             w,
-            "wrote {out}: {} events, total {:.4} (reconciles with {algo})",
+            "wrote {out}: {} events, total {:.4} (reconciles with {})",
             ledger.len(),
-            total
+            total,
+            solution.algo
         )?;
         writeln!(
             w,
@@ -95,7 +86,7 @@ fn trace_solve(args: &[String]) -> Result<(), CliError> {
 
     let (seq, source, params) = trace_or_example(args, &SOLVE_BOOL_FLAGS)?;
     let (solution, total) = checked_solve(solver, &seq, &params.context(), &source)?;
-    emit_ledger(&solution, total, display_name(solver), &out)
+    emit_ledger(&solution, total, &out)
 }
 
 /// `dpg trace pack IN OUT` — converts a trace between the JSON and

@@ -666,7 +666,7 @@ fn trace_solve_writes_deterministic_jsonl_that_reconciles() {
     };
 
     let (stdout, jsonl) = run("a");
-    assert!(stdout.contains("reconciles with DP_Greedy"), "{stdout}");
+    assert!(stdout.contains("reconciles with dp_greedy"), "{stdout}");
     assert!(stdout.contains("breakdown:"), "{stdout}");
     assert!(stdout.contains("-- metrics"), "{stdout}");
     // Every line is one event with the fixed key order.

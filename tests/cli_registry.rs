@@ -99,12 +99,20 @@ fn run_follows_the_exit_code_taxonomy() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--algo"));
 
-    let out = dpg()
-        .args(["run", "--algo", "definitely-not-a-solver"])
-        .output()
-        .expect("run dpg");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown algorithm"));
+    // No row sees a fault plan, so the crash-aware policy is no row: it
+    // runs under `dpg chaos`, and `resilient` names no algorithm.
+    for name in ["definitely-not-a-solver", "resilient"] {
+        let out = dpg()
+            .args(["run", "--algo", name])
+            .output()
+            .expect("run dpg");
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("error: unknown algorithm {name}")),
+            "{stderr}"
+        );
+    }
 
     // A good invocation that fails while running is a runtime error (1).
     let out = dpg()

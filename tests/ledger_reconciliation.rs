@@ -17,7 +17,6 @@
 use dp_greedy_suite::dp_greedy::two_phase::{dp_greedy, DpGreedyConfig};
 use dp_greedy_suite::engine::solvers::package_parts;
 use dp_greedy_suite::engine::{solvers, Commodity, RunContext, Solution, SolutionPart, SolverKind};
-use dp_greedy_suite::model::fault::FaultPlan;
 use dp_greedy_suite::obs::ledger::OPTION_NAMES;
 use dp_greedy_suite::obs::Ledger;
 use dp_greedy_suite::trace::io::TraceFile;
@@ -72,16 +71,7 @@ fn every_registered_solver_reconciles_on_random_workloads() {
         let seq = random_sequence(&mut rng, 8, cap);
         let model = random_model(&mut rng);
         let theta = rng.gen_f64() * 0.8;
-        let ctx = RunContext::new(model)
-            .with_theta(theta)
-            .with_fault_plan(FaultPlan::random(
-                case as u64,
-                seq.servers(),
-                seq.horizon(),
-                0.1,
-                1.0,
-                0.1,
-            ));
+        let ctx = RunContext::new(model).with_theta(theta);
 
         for solver in solvers() {
             let sol = solver.solve(&seq, &ctx);
@@ -116,7 +106,7 @@ fn every_registered_solver_reconciles_on_random_workloads() {
             // The non-packing per-item baselines never use the package channel.
             if matches!(
                 solver.name(),
-                "optimal" | "greedy" | "exhaustive" | "ski_rental" | "resilient"
+                "optimal" | "greedy" | "exhaustive" | "ski_rental"
             ) {
                 assert_eq!(b.package_delivery, 0.0, "case {case}: {}", solver.name());
             }

@@ -7,7 +7,8 @@
 //!   package.
 //! * `windowed` packs each window at the same cap.
 //! * A row that does not read a knob set away from its default exits 2
-//!   naming the rows that do.
+//!   naming the rows that do, and `--theta` beside `--adaptive`, which
+//!   derives θ in its place, exits 2 too.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -178,4 +179,32 @@ fn a_knob_the_row_does_not_read_is_a_usage_error() {
         .output()
         .expect("run dpg");
     assert_eq!(out.status.code(), Some(0));
+}
+
+#[test]
+fn theta_beside_adaptive_is_a_usage_error() {
+    let path = fixture("taxi_s7_300.json");
+    let out_file = std::env::temp_dir().join("dpg-package-knobs-theta-adaptive.jsonl");
+    std::fs::remove_file(&out_file).ok();
+    for cmd in ["run", "trace solve"] {
+        let mut command = dpg();
+        command
+            .args(cmd.split(' '))
+            .args(["--algo", "dpg", "--adaptive", "--theta", "0.9", &path]);
+        if cmd == "trace solve" {
+            command.args(["--out", out_file.to_str().unwrap()]);
+        }
+        let out = command.output().expect("run dpg");
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert!(out.stdout.is_empty(), "{cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let mut lines = stderr.lines();
+        assert_eq!(
+            lines.next(),
+            Some("error: --theta conflicts with --adaptive (θ is derived from the trace)"),
+            "{cmd}"
+        );
+        assert_eq!(lines.next(), Some("usage:"), "{cmd}: the usage follows");
+    }
+    assert!(!out_file.exists());
 }

@@ -3,8 +3,9 @@
 //! streaming statistics, placement, cumulative cost, every `f64` bit —
 //! to be byte-identical to a run that never crashed. Also pins the
 //! degraded modes (injected solver panic), the malformed-line reporting
-//! across a process boundary, and that `--dump-state` and
-//! `--dump-journal` leave the directory they read as they found it.
+//! across a process boundary, that `--dump-state` and `--dump-journal`
+//! leave the directory they read as they found it, and that a row the
+//! daemon cannot run is refused before anything is written.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -346,5 +347,91 @@ fn dumps_leave_the_directory_as_they_found_it() {
     serve(&dumped, &full);
     serve(&never, &full);
     assert_eq!(dump_state(&dumped), dump_state(&never));
+    std::fs::remove_dir_all(&scratch).ok();
+}
+
+/// CI serve-smoke's 200-request stream over 4 servers and 5 items.
+fn smoke_stream() -> String {
+    let mut s = String::from("hello 4 5\n");
+    for i in 1..=200u32 {
+        let items = match i % 5 {
+            0 | 3 => "0,1",
+            1 => "2,3",
+            2 => "0,1,4",
+            _ => "4",
+        };
+        s.push_str(&format!(
+            "req {:.2} {} {items}\n",
+            f64::from(i) * 0.25,
+            i % 4
+        ));
+    }
+    s
+}
+
+/// A row that cannot solve an epoch is refused before the daemon writes
+/// anything, as a runtime error: `exhaustive` handles 18 requests, fewer
+/// than the default epoch of 64, and `hetero_exact` 16 servers. Serving
+/// it anyway panicked in every epoch and settled each one degraded. At
+/// `--epoch-len 16` `exhaustive` settles every epoch at `optimal`'s cost,
+/// and a recovered directory is refused like a fresh one, untouched.
+#[test]
+fn a_row_the_daemon_cannot_run_is_refused_before_anything_is_written() {
+    let scratch = temp_dir("refused");
+    let input = scratch.join("stream.txt");
+    std::fs::write(&input, smoke_stream()).unwrap();
+    let serve = |dir: &std::path::Path, input: &std::path::Path, args: &[&str]| {
+        dpg()
+            .args(["serve", "--dir", dir.to_str().unwrap(), "--input"])
+            .arg(input)
+            .args(args)
+            .arg("--quiet")
+            .output()
+            .expect("run dpg serve")
+    };
+    let refused_with = |out: std::process::Output, line: &str| {
+        assert_eq!(out.status.code(), Some(1), "runtime error, exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr, format!("error: serve: {line}\n"));
+        assert!(out.stdout.is_empty());
+    };
+
+    let refused = scratch.join("refused");
+    refused_with(
+        serve(&refused, &input, &["--algo", "exhaustive"]),
+        "exhaustive handles at most 18 requests; an epoch holds 64",
+    );
+    assert!(!refused.join("checkpoint.json").exists());
+    assert!(!refused.exists(), "a refused row wrote its directory");
+
+    let summary = |out: std::process::Output| {
+        assert!(
+            out.status.success(),
+            "serve failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let (exhaustive, optimal) = (scratch.join("exhaustive"), scratch.join("optimal"));
+    let epoch_16 = |algo| ["--algo", algo, "--epoch-len", "16"];
+    let out = summary(serve(&exhaustive, &input, &epoch_16("exhaustive")));
+    assert!(out.contains("degraded_epochs=[]"), "{out}");
+    assert_eq!(out, summary(serve(&optimal, &input, &epoch_16("optimal"))));
+
+    let before = files(&exhaustive);
+    refused_with(
+        serve(&exhaustive, &input, &["--algo", "exhaustive"]),
+        "exhaustive handles at most 18 requests; an epoch holds 64",
+    );
+    assert!(files(&exhaustive) == before, "a refused recovery wrote");
+
+    let wide = scratch.join("wide.txt");
+    std::fs::write(&wide, smoke_stream().replacen("hello 4 5", "hello 20 5", 1)).unwrap();
+    let fleet = scratch.join("fleet");
+    refused_with(
+        serve(&fleet, &wide, &epoch_16("hetero_exact")),
+        "hetero_exact handles at most 16 servers; the fleet has 20",
+    );
+    assert!(!fleet.exists(), "a refused row wrote its directory");
     std::fs::remove_dir_all(&scratch).ok();
 }
